@@ -16,8 +16,9 @@
  * With --smoke it instead runs the CI gates:
  *   1. seed-pipeline identity — with [balancer] disabled, every
  *      per-interval decision of both built-in pipelines must be
- *      bit-identical to a Scheduler::decideInto oracle (the refactor
- *      must not perturb the paper's schemes);
+ *      bit-identical to the Scheduler::decideInto oracle kept under
+ *      tests/support (the refactor must not perturb the paper's
+ *      schemes);
  *   2. drain budget — an operator drain at drain_rate = 1 must empty
  *      its circulation (and count a completed drain) within 4
  *      intervals.
@@ -32,6 +33,7 @@
 #include "control/thermal_balancer.h"
 #include "core/h2p_system.h"
 #include "util/strings.h"
+#include "tests/support/scheduler_oracle.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
 
@@ -162,11 +164,12 @@ smokeSeedIdentity()
     for (sched::Policy policy :
          {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance}) {
         auto session = sys.startSession(trace, policy);
+        const oracle::Scheduler ref(sys.datacenter(), sys.optimizer(),
+                                    policy);
         sched::ScheduleDecision want;
         while (!session.done()) {
             session.step();
-            sys.scheduler(policy).decideInto(session.lastUtils(), {},
-                                             0.0, want);
+            ref.decideInto(session.lastUtils(), {}, 0.0, want);
             const sched::ScheduleDecision &got =
                 session.lastDecision();
             for (size_t i = 0; i < want.utils.size(); ++i) {

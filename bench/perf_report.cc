@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -31,12 +32,12 @@
 #include "bench/bench_common.h"
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
+#include "control/stages.h"
 #include "core/h2p_system.h"
 #include "core/sweep_engine.h"
 #include "fault/fault_injector.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
-#include "sched/scheduler.h"
 #include "thermal/teg.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -204,8 +205,8 @@ main()
 {
     using namespace h2p;
 
-    // Host view vs process view: under CPU affinity or cgroup limits
-    // (CI runners, containers) hardware_concurrency() reports what
+    // Host view vs process view: under CPU affinity (taskset, CI
+    // runners, pinned containers) hardwareThreads() reports what
     // *this process* may use, which used to land here as
     // host_hardware_threads = 1 on big machines. Report both.
     const size_t hw = util::hostHardwareThreads();
@@ -295,8 +296,11 @@ main()
         dp.num_servers = servers;
         cluster::Datacenter dc(dp);
         sched::CoolingOptimizer step_cached(space, teg, cp);
-        sched::Scheduler sched(dc, step_cached,
-                               sched::Policy::TegLoadBalance);
+        control::PipelineFactory pipelines(dc, step_cached,
+                                           control::BalancerParams{},
+                                           cp.t_safe_c);
+        std::unique_ptr<control::ControlPipeline> decide =
+            pipelines.make(sched::Policy::TegLoadBalance);
 
         auto trace = gen.generate(
             workload::TraceGenParams::forProfile(
@@ -320,8 +324,11 @@ main()
 
         sched::ScheduleDecision decision;
         cluster::DatacenterState state;
+        control::ControlContext ctx;
+        ctx.dc = &dc;
         auto fast_step = [&] {
-            sched.decideInto(next_step(), {}, 0.0, decision);
+            ctx.utils = &next_step();
+            decide->run(ctx, decision);
             dc.evaluateInto(decision.utils, decision.settings, nullptr,
                             state);
             g_sink = g_sink + state.teg_power_w;

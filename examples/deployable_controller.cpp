@@ -6,8 +6,8 @@
  * example runs the whole system the way an operator would deploy it:
  *
  *  - an EWMA + 2-sigma predictor plans each interval's cooling
- *    setting from the *past* only, installed as a custom controller
- *    on a SimSession (the rest of the pipeline — evaluation,
+ *    setting from the *past* only, installed as a custom control
+ *    stage on a SimSession (the rest of the pipeline — evaluation,
  *    recording, summary — is the stock engine);
  *  - when a load spike still pushes a loop past T_safe, the per-CPU
  *    TECs engage and pump the excess heat, drawing their power from
@@ -22,8 +22,10 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <vector>
 
+#include "control/control_stage.h"
 #include "core/h2p_system.h"
 #include "sched/predictor.h"
 #include "storage/hybrid_buffer.h"
@@ -34,6 +36,45 @@
 #include "util/strings.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
+
+namespace {
+
+/**
+ * Causal planning: plans each loop's cooling setting from the
+ * predictor's state, never from this interval's (still unseen)
+ * utilizations, which pass through unchanged.
+ */
+class PredictiveCoolingStage : public h2p::control::ControlStage
+{
+  public:
+    PredictiveCoolingStage(const h2p::sched::EwmaPredictor &predictor,
+                           const h2p::cluster::Datacenter &dc,
+                           const h2p::sched::CoolingOptimizer &opt)
+        : predictor_(predictor), dc_(dc), opt_(opt)
+    {
+    }
+
+    const char *name() const override { return "predictive_cooling"; }
+
+    void apply(const h2p::control::ControlContext &,
+               h2p::sched::ScheduleDecision &decision) override
+    {
+        size_t offset = 0;
+        for (size_t c = 0; c < dc_.numCirculations(); ++c) {
+            size_t n = dc_.circulationSize(c);
+            double plan = predictor_.maxUpperBound(offset, offset + n);
+            decision.settings.push_back(opt_.choose(plan).setting);
+            offset += n;
+        }
+    }
+
+  private:
+    const h2p::sched::EwmaPredictor &predictor_;
+    const h2p::cluster::Datacenter &dc_;
+    const h2p::sched::CoolingOptimizer &opt_;
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -72,23 +113,12 @@ main(int argc, char **argv)
         core::SimSession session =
             sys.startSession(trace, sched::Policy::TegOriginal);
 
-        // 1. Causal planning: the scheduling stage plans each loop's
-        // setting from the predictor's state, never from this
-        // interval's (still unseen) utilizations.
-        session.setController([&](size_t, const std::vector<double> &u,
-                                  sched::ScheduleDecision &decision) {
-            decision.utils = u;
-            decision.settings.clear();
-            decision.details.clear();
-            size_t offset = 0;
-            for (size_t c = 0; c < dc.numCirculations(); ++c) {
-                size_t n = dc.circulationSize(c);
-                double plan =
-                    predictor.maxUpperBound(offset, offset + n);
-                decision.settings.push_back(opt.choose(plan).setting);
-                offset += n;
-            }
-        });
+        // 1. Causal planning replaces the built-in decide stage.
+        auto pipeline =
+            std::make_unique<control::ControlPipeline>("predictive");
+        pipeline->add(
+            std::make_unique<PredictiveCoolingStage>(predictor, dc, opt));
+        session.setPipeline(std::move(pipeline));
 
         double worst_die = 0.0;
         size_t tec_events = 0, miss_events = 0;

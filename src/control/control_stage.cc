@@ -21,14 +21,6 @@ ControlPipeline::add(std::unique_ptr<ControlStage> stage)
     return *this;
 }
 
-const char *
-ControlPipeline::stageName(size_t i) const
-{
-    expect(i < stages_.size(), "stage index ", i, " out of range (",
-           stages_.size(), " stages)");
-    return stages_[i]->name();
-}
-
 ControlStage *
 ControlPipeline::find(const std::string &stage_name)
 {
@@ -78,22 +70,16 @@ ControlPipeline::observe(const ControlContext &ctx,
         stage->observe(ctx, state);
 }
 
-void
-ControlPipeline::reset()
-{
-    for (const auto &stage : stages_)
-        stage->reset();
-}
-
 std::vector<std::pair<std::string, std::string>>
-ControlPipeline::captureState() const
+ControlPipeline::captureState()
 {
     std::vector<std::pair<std::string, std::string>> out;
     for (const auto &stage : stages_) {
         if (!stage->stateful())
             continue;
         util::ByteWriter w;
-        stage->saveState(w);
+        util::Archive ar(w);
+        stage->visitState(ar);
         out.emplace_back(stage->name(), w.data());
     }
     return out;
@@ -110,7 +96,8 @@ ControlPipeline::applyState(
                name_, "' does not have; attach a matching pipeline "
                "before stepping");
         util::ByteReader r(entry.second, 0, entry.second.size());
-        stage->restoreState(r);
+        util::Archive ar(r);
+        stage->visitState(ar);
         expect(r.exhausted(), "control stage `", entry.first,
                "' did not consume its checkpointed state exactly; "
                "the stage implementation changed shape");

@@ -3,21 +3,21 @@
  * The composable control plane: stages and pipelines.
  *
  * Every per-interval scheduling decision — the paper's TEG_Original /
- * TEG_LoadBalance schemes, a legacy setController() lambda, or the
- * autonomous thermal balancer — is expressed as an ordered pipeline
- * of ControlStages. A stage transforms the in-progress
+ * TEG_LoadBalance schemes, the autonomous thermal balancer, or a
+ * user's custom control — is expressed as an ordered pipeline of
+ * ControlStages. A stage transforms the in-progress
  * ScheduleDecision (rebalance the utilizations, choose cooling
  * settings, evacuate a circulation); the pipeline seeds the decision
  * with the interval's shaped utilizations, runs the stages in order
  * and validates the final shape. SimEngine runs a pipeline as its
- * decide stage, so the canonical pipelines are bit-identical to the
- * former hard-wired Scheduler::decideInto path and custom pipelines
- * compose with the rest of the step loop (faults, safe mode,
- * checkpointing) for free.
+ * decide stage (SimSession::setPipeline() installs a custom one), so
+ * the canonical pipelines are bit-identical to the hard-wired
+ * scheduler they replaced and custom pipelines compose with the rest
+ * of the step loop (faults, safe mode, checkpointing) for free.
  *
  * Stages that carry state across intervals declare stateful() and
- * serialize through the util byte codec; the engine embeds that state
- * in its checkpoints keyed by stage name, so a resumed balancer run
+ * describe that state once in visitState(); the engine embeds it in
+ * its checkpoints keyed by stage name, so a resumed balancer run
  * continues byte-identically.
  */
 
@@ -31,8 +31,8 @@
 
 #include "cluster/datacenter.h"
 #include "obs/observability.h"
+#include "sched/policy.h"
 #include "sched/safe_mode.h"
-#include "sched/scheduler.h"
 #include "util/bytes.h"
 
 namespace h2p {
@@ -102,14 +102,11 @@ class ControlStage
     /** Does this stage carry state across intervals? */
     virtual bool stateful() const { return false; }
 
-    /** Serialize cross-interval state (stateful stages only). */
-    virtual void saveState(util::ByteWriter &w) const { (void)w; }
-
-    /** Restore state written by saveState(). */
-    virtual void restoreState(util::ByteReader &r) { (void)r; }
-
-    /** Reset cross-interval state for a fresh run. */
-    virtual void reset() {}
+    /**
+     * Save or load cross-interval state (stateful stages only): one
+     * field list serves both directions (see util::Archive).
+     */
+    virtual void visitState(util::Archive &ar) { (void)ar; }
 };
 
 /**
@@ -131,10 +128,6 @@ class ControlPipeline
     ControlPipeline &add(std::unique_ptr<ControlStage> stage);
 
     const std::string &name() const { return name_; }
-    size_t numStages() const { return stages_.size(); }
-
-    /** Stage name at position @p i (for status views). */
-    const char *stageName(size_t i) const;
 
     /** Find a stage by name; null when absent. */
     ControlStage *find(const std::string &stage_name);
@@ -152,15 +145,11 @@ class ControlPipeline
     void observe(const ControlContext &ctx,
                  const cluster::DatacenterState &state);
 
-    /** Reset every stage for a fresh run. */
-    void reset();
-
     /**
      * Snapshot the state of every stateful stage as (name, bytes)
      * pairs — the checkpoint representation.
      */
-    std::vector<std::pair<std::string, std::string>> captureState()
-        const;
+    std::vector<std::pair<std::string, std::string>> captureState();
 
     /**
      * Restore a captureState() snapshot into this pipeline's stages,

@@ -13,7 +13,7 @@ BalanceStage::apply(const ControlContext &ctx,
                     sched::ScheduleDecision &decision)
 {
     (void)ctx;
-    // Identical arithmetic to the former Scheduler::decideInto
+    // Identical arithmetic to the former hard-wired scheduler's
     // TegLoadBalance branch: one accumulate per circulation slice,
     // every server set to the mean. Balancing happens within a
     // circulation — jobs migrate between its servers, flattening the
@@ -77,14 +77,6 @@ CoolingStage::apply(const ControlContext &ctx,
         decision.details.push_back(res);
         offset += n;
     }
-}
-
-void
-ControllerStage::apply(const ControlContext &ctx,
-                       sched::ScheduleDecision &decision)
-{
-    H2P_ASSERT(fn_ != nullptr, "controller stage without a function");
-    fn_(ctx.step, *ctx.utils, decision);
 }
 
 std::unique_ptr<ControlPipeline>

@@ -6,10 +6,9 @@
  * exactly: [CoolingStage] is TEG_Original (plan on U_max) and
  * [BalanceStage, CoolingStage] is TEG_LoadBalance (flatten to the
  * mean, then plan — the max over the flattened slice IS the mean, so
- * the planned utilization is bit-identical to the former
- * Scheduler::decideInto path, which tests enforce). ControllerStage
- * adapts a legacy SimSession::setController lambda onto the stage
- * seam.
+ * the planned utilization is bit-identical to the hard-wired
+ * scheduler these stages replaced, which tests enforce against a
+ * test-only oracle).
  *
  * PipelineFactory builds the per-policy pipeline a session runs:
  * the canonical pair above, or — when [balancer] is enabled — the
@@ -19,7 +18,6 @@
 #ifndef H2P_CONTROL_STAGES_H_
 #define H2P_CONTROL_STAGES_H_
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -27,7 +25,7 @@
 #include "control/control_stage.h"
 #include "control/thermal_balancer.h"
 #include "sched/cooling_optimizer.h"
-#include "sched/scheduler.h"
+#include "sched/policy.h"
 
 namespace h2p {
 namespace control {
@@ -74,31 +72,6 @@ class CoolingStage : public ControlStage
     const sched::CoolingOptimizer &optimizer_;
 };
 
-/** Signature of a legacy custom controller (SimSession::Controller). */
-using ControllerFn = std::function<void(
-    size_t step, const std::vector<double> &utils,
-    sched::ScheduleDecision &decision)>;
-
-/**
- * Adapter running a legacy setController() lambda as a single-stage
- * pipeline. The lambda keeps its original contract: it receives the
- * interval's input utilizations and must fill the whole decision.
- * Opaque state inside the lambda cannot be checkpointed — the engine
- * flags such sessions so resume demands an explicit re-attach.
- */
-class ControllerStage : public ControlStage
-{
-  public:
-    explicit ControllerStage(ControllerFn fn) : fn_(std::move(fn)) {}
-
-    const char *name() const override { return "controller"; }
-    void apply(const ControlContext &ctx,
-               sched::ScheduleDecision &decision) override;
-
-  private:
-    ControllerFn fn_;
-};
-
 /**
  * Builds the pipeline a policy resolves to under one system
  * configuration. Owned by H2PSystem next to the components the
@@ -125,8 +98,6 @@ class PipelineFactory
      *                                 [thermal_balancer, cooling]
      */
     std::unique_ptr<ControlPipeline> make(sched::Policy policy) const;
-
-    const BalancerParams &balancerParams() const { return balancer_; }
 
   private:
     const cluster::Datacenter &dc_;

@@ -72,30 +72,20 @@ ThermalBalancer::ThermalBalancer(const BalancerParams &params,
     const size_t num_circ = dc_.numCirculations();
     offsets_.reserve(num_circ);
     sizes_.reserve(num_circ);
+    view_.resize(num_circ);
     size_t offset = 0;
     for (size_t c = 0; c < num_circ; ++c) {
         offsets_.push_back(offset);
         sizes_.push_back(dc_.circulationSize(c));
+        view_[c].servers = sizes_.back();
         offset += sizes_.back();
     }
-    reset();
-}
-
-void
-ThermalBalancer::reset()
-{
-    const size_t num_circ = sizes_.size();
     mode_.assign(num_circ, static_cast<uint8_t>(CircMode::Idle));
     manual_drain_.assign(num_circ, 0);
     drain_empty_.assign(num_circ, 0);
     drained_.assign(num_circ, 0.0);
     fb_headroom_c_.assign(num_circ, 0.0);
     fb_teg_w_.assign(num_circ, 0.0);
-    have_feedback_ = false;
-    stats_ = BalancerStats{};
-    view_.assign(num_circ, CirculationView{});
-    for (size_t c = 0; c < num_circ; ++c)
-        view_[c].servers = sizes_[c];
 }
 
 void
@@ -477,73 +467,47 @@ ThermalBalancer::observe(const ControlContext &ctx,
 }
 
 void
-ThermalBalancer::saveState(util::ByteWriter &w) const
+ThermalBalancer::visitState(util::Archive &ar)
 {
     const size_t num_circ = sizes_.size();
-    w.u64(num_circ);
-    for (size_t c = 0; c < num_circ; ++c) {
-        w.u8(mode_[c]);
-        w.u8(manual_drain_[c]);
-        w.u8(drain_empty_[c]);
-        w.f64(drained_[c]);
-        w.f64(fb_headroom_c_[c]);
-        w.f64(fb_teg_w_[c]);
-        w.f64(view_[c].avg_util);
-        w.f64(view_[c].dev_util);
-    }
-    w.boolean(have_feedback_);
-    w.u64(stats_.migrations);
-    w.u64(stats_.local_moves);
-    w.u64(stats_.pulls);
-    w.u64(stats_.drains_started);
-    w.u64(stats_.drains_completed);
-    w.f64(stats_.max_abs_dev);
-    w.boolean(stats_.converged);
-    w.u64(stats_.stale_steps);
-}
-
-void
-ThermalBalancer::restoreState(util::ByteReader &r)
-{
-    const size_t num_circ = sizes_.size();
-    uint64_t saved = r.u64();
+    uint64_t saved = num_circ;
+    ar.u64(saved);
     expect(saved == num_circ, "balancer state carries ", saved,
            " circulations; this system has ", num_circ);
-    size_t active_drains = 0;
     for (size_t c = 0; c < num_circ; ++c) {
-        uint8_t m = r.u8();
-        expect(m <= 2, "balancer state carries unknown mode ", m);
-        mode_[c] = m;
-        if (m == static_cast<uint8_t>(CircMode::Draining))
-            ++active_drains;
-        manual_drain_[c] = r.u8();
-        drain_empty_[c] = r.u8();
-        drained_[c] = r.f64();
-        fb_headroom_c_[c] = r.f64();
-        fb_teg_w_[c] = r.f64();
-        view_[c].servers = sizes_[c];
-        view_[c].avg_util = r.f64();
-        view_[c].dev_util = r.f64();
-        view_[c].headroom_c = fb_headroom_c_[c];
-        view_[c].teg_w = fb_teg_w_[c];
-        view_[c].mode = static_cast<CircMode>(m);
-        view_[c].drained_util = drained_[c];
+        ar.u8(mode_[c]);
+        expect(mode_[c] <= 2, "balancer state carries unknown mode ",
+               mode_[c]);
+        ar.u8(manual_drain_[c]);
+        ar.u8(drain_empty_[c]);
+        ar.f64(drained_[c]);
+        ar.f64(fb_headroom_c_[c]);
+        ar.f64(fb_teg_w_[c]);
+        ar.f64(view_[c].avg_util);
+        ar.f64(view_[c].dev_util);
     }
-    have_feedback_ = r.boolean();
-    stats_.migrations = r.u64();
-    stats_.local_moves = r.u64();
-    stats_.pulls = r.u64();
-    stats_.drains_started = r.u64();
-    stats_.drains_completed = r.u64();
-    stats_.max_abs_dev = r.f64();
-    stats_.converged = r.boolean();
-    stats_.stale_steps = r.u64();
-    stats_.active_drains = active_drains;
-    if (!have_feedback_) {
-        for (size_t c = 0; c < num_circ; ++c) {
-            view_[c].headroom_c = 0.0;
-            view_[c].teg_w = 0.0;
-        }
+    ar.boolean(have_feedback_);
+    ar.u64(stats_.migrations);
+    ar.u64(stats_.local_moves);
+    ar.u64(stats_.pulls);
+    ar.u64(stats_.drains_started);
+    ar.u64(stats_.drains_completed);
+    ar.f64(stats_.max_abs_dev);
+    ar.boolean(stats_.converged);
+    ar.u64(stats_.stale_steps);
+    if (!ar.loading())
+        return;
+
+    // Rebuild the derived parts of the central view from the restored
+    // state; headroom and harvest stay 0 until feedback exists.
+    stats_.active_drains = 0;
+    for (size_t c = 0; c < num_circ; ++c) {
+        if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
+            ++stats_.active_drains;
+        view_[c].headroom_c = have_feedback_ ? fb_headroom_c_[c] : 0.0;
+        view_[c].teg_w = have_feedback_ ? fb_teg_w_[c] : 0.0;
+        view_[c].mode = static_cast<CircMode>(mode_[c]);
+        view_[c].drained_util = drained_[c];
     }
 }
 

@@ -157,9 +157,7 @@ class ThermalBalancer : public ControlStage
     void observe(const ControlContext &ctx,
                  const cluster::DatacenterState &state) override;
     bool stateful() const override { return true; }
-    void saveState(util::ByteWriter &w) const override;
-    void restoreState(util::ByteReader &r) override;
-    void reset() override;
+    void visitState(util::Archive &ar) override;
 
     /**
      * Latch an operator drain request for circulation @p circ; it

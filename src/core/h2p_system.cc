@@ -52,11 +52,6 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
     optimizer_ = std::make_unique<sched::CoolingOptimizer>(*space_, *teg_,
                                                            opt);
 
-    sched_original_ = std::make_unique<sched::Scheduler>(
-        *dc_, *optimizer_, sched::Policy::TegOriginal);
-    sched_balance_ = std::make_unique<sched::Scheduler>(
-        *dc_, *optimizer_, sched::Policy::TegLoadBalance);
-
     // The control plane: every session's decide stage is a pipeline
     // built here. The balancer compares measured headroom against the
     // same T_safe the optimizer plans toward.
@@ -93,18 +88,10 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
     wiring.config = &config_;
     wiring.dc = dc_.get();
     wiring.optimizer = optimizer_.get();
-    wiring.sched_original = sched_original_.get();
-    wiring.sched_balance = sched_balance_.get();
     wiring.pipelines = pipelines_.get();
     wiring.pool = pool_.get();
     wiring.obs = obs_.get();
     engine_ = std::make_unique<SimEngine>(wiring);
-}
-
-const sched::Scheduler &
-H2PSystem::scheduler(sched::Policy policy) const
-{
-    return engine_->scheduler(policy);
 }
 
 cluster::DatacenterState
@@ -118,24 +105,24 @@ H2PSystem::evaluateStep(const std::vector<double> &utils,
            "evaluateStep() ignores fault injection and safe-mode "
            "control, which this configuration enables; use run() or "
            "startSession() so the resilient pipeline applies them");
-    sched::ScheduleDecision decision = scheduler(policy).decide(utils);
-    return dc_->evaluate(decision.utils, decision.settings);
+    // The same decide and evaluate calls as a fresh session's step 0
+    // (clean run: no safe-mode actions, no hardware health), so the
+    // result is bit-identical to that step's state.
+    std::unique_ptr<control::ControlPipeline> pipeline =
+        pipelines_->make(policy);
+    control::ControlContext ctx;
+    ctx.dc = dc_.get();
+    ctx.utils = &utils;
+    sched::ScheduleDecision decision;
+    pipeline->run(ctx, decision);
+    cluster::DatacenterState state;
+    dc_->evaluateInto(decision.utils, decision.settings, nullptr, state);
+    return state;
 }
 
 RunResult
 H2PSystem::run(const workload::UtilizationTrace &trace,
                sched::Policy policy) const
-{
-    if (config_.faults.enabled() || config_.safe_mode.enabled)
-        return runResilient(trace, policy);
-    SimSession session = engine_->start(trace, policy);
-    session.runToCompletion();
-    return session.finish();
-}
-
-RunResult
-H2PSystem::runResilient(const workload::UtilizationTrace &trace,
-                        sched::Policy policy) const
 {
     SimSession session = engine_->start(trace, policy);
     session.runToCompletion();

@@ -10,7 +10,7 @@
  *  - startSession()/resumeSession(): incremental — a SimSession is
  *    stepped interval by interval, can be checkpointed to disk at any
  *    point and later resumed bit-identically, and accepts a custom
- *    controller in place of the built-in scheduling stage.
+ *    control pipeline in place of the built-in decide stage.
  *
  * Both paths execute the same core::SimEngine pipeline, so a
  * session-stepped run is sample-for-sample identical to run().
@@ -30,7 +30,7 @@
 #include "obs/observability.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
-#include "sched/scheduler.h"
+#include "sched/policy.h"
 #include "sim/recorder.h"
 #include "util/thread_pool.h"
 #include "workload/trace.h"
@@ -87,7 +87,9 @@ class H2PSystem
         const;
 
     /**
-     * Evaluate a single interval (used by examples and tests).
+     * Evaluate a single interval (used by examples and tests): the
+     * policy's control pipeline decides, the datacenter evaluates —
+     * bit-identical to step 0 of a fresh session over @p utils.
      *
      * Fault-oblivious by construction: it refuses to run (loudly)
      * when the configuration enables a fault scenario or safe-mode
@@ -122,9 +124,6 @@ class H2PSystem
      */
     obs::Observability *observability() const { return obs_.get(); }
 
-    /** The per-policy scheduler built once at construction. */
-    const sched::Scheduler &scheduler(sched::Policy policy) const;
-
     /**
      * Builds the per-policy control pipeline sessions run: the
      * canonical TEG_Original/TEG_LoadBalance stages, or the
@@ -147,18 +146,12 @@ class H2PSystem
     /** The effective-parallelism heuristic behind effectiveThreads(). */
     static size_t resolveThreads(const H2PConfig &config,
                                  const cluster::Datacenter &dc);
-    /** Batch wrapper over the engine's resilient pipeline. */
-    RunResult runResilient(const workload::UtilizationTrace &trace,
-                           sched::Policy policy) const;
 
     H2PConfig config_;
     std::unique_ptr<cluster::Datacenter> dc_;
     std::shared_ptr<const sched::LookupSpace> space_;
     std::unique_ptr<thermal::TegModule> teg_;
     std::unique_ptr<sched::CoolingOptimizer> optimizer_;
-    // One scheduler per policy, hoisted out of the per-step loop.
-    std::unique_ptr<sched::Scheduler> sched_original_;
-    std::unique_ptr<sched::Scheduler> sched_balance_;
     std::unique_ptr<control::PipelineFactory> pipelines_;
     std::unique_ptr<util::ThreadPool> pool_;
     std::unique_ptr<obs::Observability> obs_;

@@ -19,8 +19,8 @@
 #include "obs/observability.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
+#include "sched/policy.h"
 #include "sched/safe_mode.h"
-#include "sched/scheduler.h"
 #include "sim/recorder.h"
 
 namespace h2p {

@@ -91,13 +91,37 @@ safeModeActionName(sched::SafeModeAction a)
 //   magic "H2PCKPT1" | version u32 | payload length u64 |
 //   payload bytes | FNV-1a(payload) u64
 //
-// The payload starts with the configuration and trace fingerprints,
-// then carries every piece of mutable loop state bit-exactly (doubles
-// travel as their IEEE-754 bit patterns, never through text),
-// including the state of every declared-stateful control stage keyed
-// by stage name. Restore rejects wrong magic, unknown versions,
-// truncation, checksum mismatches and fingerprint mismatches with
-// distinct messages.
+// Doubles travel as their IEEE-754 bit patterns, never through text;
+// bool is one byte (0/1), size_t counters are u64 and a string is its
+// u64 length followed by its bytes. The v2 payload, in order:
+//
+//   header   config fingerprint u64 | trace fingerprint u64 |
+//            policy u32 (0 Original, 1 LoadBalance) | resilient bool |
+//            num_steps u64 | dt f64 | cursor u64
+//   control  custom-control bool | stage count u64 |
+//            per stateful stage: name str, state bytes str
+//   sums     teg_j, cpu_j, plant_j, pump_j, teg_lost_j, t_in_sum f64 |
+//            safe_steps, safe_mode_steps, max_faulted u64 |
+//            circulation count u64 | per circulation: safe steps u64
+//   channels channel count u64 | per channel, in sorted name order:
+//            name str, sample count u64 (= cursor), samples f64
+//   resilient runs only:
+//            circulation count u64 |
+//            per circulation: die latch held bool, value f64,
+//                             flow latch held bool, value f64 |
+//            watchdog: server count u64, caps f64 x n, backlogs f64 x n,
+//                      tripped bool x n, trip events u64, deferred f64 |
+//            monitor, per circulation: last die f64, has_last bool,
+//                      hold u64, held action u32, action u32 |
+//            readings, per circulation: die value f64, die valid bool,
+//                      flow value f64, flow valid bool, commanded f64 |
+//            have_readings bool | actions u32 per circulation
+//
+// Save and load share one field list (CheckpointHeader::visit and
+// SimEngine::visitSession over util::Archive), so the two directions
+// cannot drift. Restore rejects wrong magic, unknown versions,
+// truncation, checksum mismatches, fingerprint mismatches and
+// channels out of place with distinct messages.
 //
 // Version history: v1 (PR 4) had no control-plane section; v2 adds
 // the custom-control flag and the named stage-state list.
@@ -109,11 +133,90 @@ using util::ByteReader;
 using util::ByteWriter;
 
 uint64_t
-payloadChecksum(const std::string &payload)
+payloadChecksum(const char *payload, size_t size)
 {
     util::Fnv1a h;
-    h.bytes(payload.data(), payload.size());
+    h.bytes(payload, size);
     return h.digest();
+}
+
+/** The payload's leading run identity and control-plane section. */
+struct CheckpointHeader
+{
+    uint64_t config_fp = 0;
+    uint64_t trace_fp = 0;
+    uint32_t policy = 0;
+    bool resilient = false;
+    uint64_t num_steps = 0;
+    double dt = 0.0;
+    uint64_t cursor = 0;
+    /**
+     * Run under user-supplied control, which the engine cannot
+     * rebuild: resume demands a re-attach.
+     */
+    bool custom_control = false;
+    /** Every declared-stateful stage's state, keyed by name. */
+    std::vector<std::pair<std::string, std::string>> stage_state;
+
+    void visit(util::Archive &ar)
+    {
+        ar.u64(config_fp);
+        ar.u64(trace_fp);
+        ar.u32(policy);
+        ar.boolean(resilient);
+        ar.u64(num_steps);
+        ar.f64(dt);
+        ar.u64(cursor);
+        ar.boolean(custom_control);
+        uint64_t stages = stage_state.size();
+        ar.u64(stages);
+        for (uint64_t i = 0; i < stages; ++i) {
+            if (ar.loading())
+                stage_state.emplace_back();
+            ar.str(stage_state[i].first);
+            ar.str(stage_state[i].second);
+        }
+    }
+};
+
+/**
+ * Save or load every recorded channel. On load each name must be the
+ * channel this configuration records at that position, and carry one
+ * sample per completed step.
+ */
+void
+visitChannels(sim::Recorder &rec, uint64_t cursor, util::Archive &ar)
+{
+    const std::vector<std::string> names = rec.channels();
+    uint64_t count = names.size();
+    ar.u64(count);
+    expect(count == names.size(), "checkpoint records ", count,
+           " channels; this configuration records ", names.size());
+    for (const std::string &own : names) {
+        std::string name = own;
+        ar.str(name);
+        expect(rec.has(name), "checkpoint channel `", name,
+               "' is not recorded under this configuration");
+        expect(name == own, "checkpoint channel `", name,
+               "' is out of place: this configuration records `", own,
+               "' at that position; the file is corrupt");
+        sim::Recorder::Channel ch = rec.channel(name);
+        uint64_t samples = rec.series(ch).size();
+        ar.u64(samples);
+        expect(samples == cursor, "checkpoint channel `", name,
+               "' has ", samples, " samples for ", cursor,
+               " completed steps; the file is corrupt");
+        if (ar.loading()) {
+            for (uint64_t k = 0; k < samples; ++k) {
+                double v = 0.0;
+                ar.f64(v);
+                rec.record(ch, v);
+            }
+        } else {
+            for (double v : rec.series(ch).samples())
+                ar.f64(v);
+        }
+    }
 }
 
 } // namespace
@@ -156,35 +259,23 @@ SimSession::saveCheckpoint(const std::string &path) const
 }
 
 void
-SimSession::setController(Controller controller)
+SimSession::setPipeline(std::unique_ptr<control::ControlPipeline> p)
 {
-    if (!controller) {
+    if (p == nullptr) {
         // Restore the policy's built-in pipeline. State stashed by a
         // custom-control resume belongs to custom stages and cannot
-        // land in the factory pipeline; demand setPipeline() instead.
+        // land in the factory pipeline.
         expect(pending_state_.empty(),
                "this session was resumed from a custom-control "
                "checkpoint carrying control-stage state; re-attach a "
                "matching pipeline with setPipeline() instead of "
-               "clearing the controller");
+               "restoring the built-in one");
         H2P_ASSERT(engine_ != nullptr && engine_->w_.pipelines != nullptr,
                    "session has no pipeline factory");
         pipeline_ = engine_->w_.pipelines->make(policy_);
         custom_control_ = false;
         return;
     }
-    auto p = std::make_unique<control::ControlPipeline>("custom");
-    p->add(std::make_unique<control::ControllerStage>(
-        std::move(controller)));
-    setPipeline(std::move(p));
-}
-
-void
-SimSession::setPipeline(std::unique_ptr<control::ControlPipeline> p)
-{
-    expect(p != nullptr,
-           "setPipeline requires a pipeline; to restore the built-in "
-           "policy pipeline call setController(nullptr)");
     // A checkpoint taken under custom control stashes its stage state
     // until the caller re-attaches; hand it to the incoming pipeline
     // now so stepping resumes bit-identically.
@@ -231,18 +322,8 @@ SimSession::lastUtils() const
 SimEngine::SimEngine(const Wiring &wiring) : w_(wiring)
 {
     H2P_ASSERT(w_.config != nullptr && w_.dc != nullptr &&
-                   w_.optimizer != nullptr &&
-                   w_.sched_original != nullptr &&
-                   w_.sched_balance != nullptr &&
-                   w_.pipelines != nullptr,
+                   w_.optimizer != nullptr && w_.pipelines != nullptr,
                "engine wiring incomplete");
-}
-
-const sched::Scheduler &
-SimEngine::scheduler(sched::Policy policy) const
-{
-    return policy == sched::Policy::TegLoadBalance ? *w_.sched_balance
-                                                   : *w_.sched_original;
 }
 
 uint64_t
@@ -324,8 +405,8 @@ SimEngine::configFingerprint() const
 }
 
 SimSession
-SimEngine::makeSession(const workload::UtilizationTrace &trace,
-                       sched::Policy policy) const
+SimEngine::start(const workload::UtilizationTrace &trace,
+                 sched::Policy policy) const
 {
     const size_t servers = w_.dc->numServers();
     expect(trace.numServers() >= servers, "trace covers ",
@@ -394,13 +475,6 @@ SimEngine::makeSession(const workload::UtilizationTrace &trace,
     s.acc_.circ_safe_steps.assign(num_circ, 0);
     s.orun_ = beginObsRun(policy, trace.dt(), trace.numSteps());
     return s;
-}
-
-SimSession
-SimEngine::start(const workload::UtilizationTrace &trace,
-                 sched::Policy policy) const
-{
-    return makeSession(trace, policy);
 }
 
 SimSession::ObsRun
@@ -598,7 +672,7 @@ SimEngine::stepOnce(SimSession &s) const
 
     // Stage 4: scheduling decision — the session's control pipeline
     // (canonical per-policy stages from the PipelineFactory, or
-    // custom control installed through setController()/setPipeline()).
+    // custom control installed through setPipeline()).
     // The timestamp after this stage closes the sched.decide span and
     // opens the dc.evaluate one.
     if (s.pipeline_ == nullptr) {
@@ -611,8 +685,8 @@ SimEngine::stepOnce(SimSession &s) const
         f.stage = "decide";
         f.message =
             "session was resumed from a checkpoint taken under custom "
-            "control; re-attach the controller or pipeline "
-            "(setController()/setPipeline()) before stepping";
+            "control; re-attach the pipeline with setPipeline() "
+            "before stepping";
         throw RunError(std::move(f));
     }
     control::ControlContext cctx;
@@ -856,135 +930,105 @@ SimEngine::finish(SimSession &s) const
 }
 
 void
+SummaryAccumulator::visit(util::Archive &ar)
+{
+    ar.f64(teg_j);
+    ar.f64(cpu_j);
+    ar.f64(plant_j);
+    ar.f64(pump_j);
+    ar.f64(teg_lost_j);
+    ar.f64(t_in_sum);
+    ar.size(safe_steps);
+    ar.size(safe_mode_steps);
+    ar.size(max_faulted);
+    ar.count(circ_safe_steps.size(), "checkpoint circulation count");
+    for (size_t &c : circ_safe_steps)
+        ar.size(c);
+}
+
+void
+SimEngine::visitSession(SimSession &s, util::Archive &ar) const
+{
+    s.acc_.visit(ar);
+    visitChannels(*s.recorder_, s.cursor_, ar);
+    if (!s.resilient_)
+        return;
+
+    // The fault timeline itself is recomputed deterministically; only
+    // the replay cursor's sensor latches and the feedback loops need
+    // explicit state.
+    const size_t num_circ = w_.dc->numCirculations();
+    ar.count(num_circ, "checkpoint circulation count");
+    // Re-run the timeline up to the last completed step before the
+    // latches load: this re-arms every sensor-fault window exactly as
+    // the original run did, after which only the value-dependent
+    // stuck-at latches need explicit restore.
+    if (ar.loading() && s.cursor_ > 0)
+        s.injector_->advanceTo(static_cast<double>(s.cursor_ - 1) *
+                               s.trace_->dt());
+    for (size_t c = 0; c < num_circ; ++c) {
+        s.injector_->dieSensor(c).visitLatch(ar);
+        s.injector_->flowSensor(c).visitLatch(ar);
+    }
+    s.watchdog_->visit(ar);
+    s.monitor_->visit(ar);
+    for (size_t c = 0; c < num_circ; ++c) {
+        ar.f64(s.die_read_[c].value);
+        ar.boolean(s.die_read_[c].valid);
+        ar.f64(s.flow_read_[c].value);
+        ar.boolean(s.flow_read_[c].valid);
+        ar.f64(s.commanded_flow_[c]);
+    }
+    ar.boolean(s.have_readings_);
+    for (sched::SafeModeAction &a : s.actions_)
+        sched::visitAction(ar, a);
+
+    if (ar.loading()) {
+        // Events struck before the checkpoint were already reported
+        // by the run that wrote it; only post-resume strikes and
+        // trips become new obs events.
+        s.seen_faults_ = s.injector_->struckCount();
+        s.seen_trips_ = s.watchdog_->tripEvents();
+    }
+}
+
+void
 SimEngine::saveCheckpoint(const SimSession &s,
                           const std::string &path) const
 {
     expect(!s.finished_, "cannot checkpoint a finished session");
 
-    ByteWriter w;
-    w.u64(configFingerprint());
-    w.u64(s.trace_->fingerprint());
-    w.u32(s.policy_ == sched::Policy::TegLoadBalance ? 1 : 0);
-    w.boolean(s.resilient_);
-    w.u64(s.numSteps());
-    w.f64(s.trace_->dt());
-    w.u64(s.cursor_);
-
-    // Control plane (v2): whether the run is under user-supplied
-    // control (the engine cannot rebuild it — resume demands a
-    // re-attach), plus every declared-stateful stage's state keyed by
-    // name. A not-yet-re-attached resumed session forwards the state
+    CheckpointHeader h;
+    h.config_fp = configFingerprint();
+    h.trace_fp = s.trace_->fingerprint();
+    h.policy = s.policy_ == sched::Policy::TegLoadBalance ? 1 : 0;
+    h.resilient = s.resilient_;
+    h.num_steps = s.numSteps();
+    h.dt = s.trace_->dt();
+    h.cursor = s.cursor_;
+    // A not-yet-re-attached resumed session forwards the stage state
     // it was restored with unchanged.
-    w.boolean(s.custom_control_);
-    std::vector<std::pair<std::string, std::string>> stage_state =
-        s.pipeline_ != nullptr ? s.pipeline_->captureState()
-                               : s.pending_state_;
-    w.u64(stage_state.size());
-    for (const auto &[stage_name, bytes] : stage_state) {
-        w.str(stage_name);
-        w.str(bytes);
-    }
+    h.custom_control = s.custom_control_;
+    h.stage_state = s.pipeline_ != nullptr ? s.pipeline_->captureState()
+                                           : s.pending_state_;
 
-    // Summary accumulators.
-    w.f64(s.acc_.teg_j);
-    w.f64(s.acc_.cpu_j);
-    w.f64(s.acc_.plant_j);
-    w.f64(s.acc_.pump_j);
-    w.f64(s.acc_.teg_lost_j);
-    w.f64(s.acc_.t_in_sum);
-    w.u64(s.acc_.safe_steps);
-    w.u64(s.acc_.safe_mode_steps);
-    w.u64(s.acc_.max_faulted);
-    w.u64(s.acc_.circ_safe_steps.size());
-    for (size_t c : s.acc_.circ_safe_steps)
-        w.u64(c);
-
-    // Recorded samples, channel by channel.
-    std::vector<std::string> names = s.recorder_->channels();
-    w.u64(names.size());
-    for (const std::string &name : names) {
-        const TimeSeries &series = s.recorder_->series(name);
-        w.str(name);
-        w.u64(series.size());
-        for (double v : series.samples())
-            w.f64(v);
-    }
-
-    // Resilient-stage state. The fault timeline itself is recomputed
-    // deterministically on restore; only the replay cursor's sensor
-    // latches and the feedback loops need explicit state.
-    if (s.resilient_) {
-        const size_t num_circ = w_.dc->numCirculations();
-        w.u64(num_circ);
-        for (size_t c = 0; c < num_circ; ++c) {
-            fault::SensorChannel::Latch die =
-                s.injector_->dieSensor(c).latch();
-            fault::SensorChannel::Latch flow =
-                s.injector_->flowSensor(c).latch();
-            w.boolean(die.held);
-            w.f64(die.value);
-            w.boolean(flow.held);
-            w.f64(flow.value);
-        }
-
-        fault::ThermalTripWatchdog::State wd = s.watchdog_->snapshot();
-        w.u64(wd.cap.size());
-        for (double v : wd.cap)
-            w.f64(v);
-        for (double v : wd.backlog)
-            w.f64(v);
-        for (bool b : wd.tripped)
-            w.boolean(b);
-        w.u64(wd.trip_events);
-        w.f64(wd.deferred_s);
-
-        std::vector<sched::SafetyMonitor::CircState> mon =
-            s.monitor_->snapshot();
-        for (const sched::SafetyMonitor::CircState &cs : mon) {
-            w.f64(cs.last_die_c);
-            w.boolean(cs.has_last);
-            w.u64(cs.hold);
-            w.u32(static_cast<uint32_t>(cs.held));
-            w.u32(static_cast<uint32_t>(cs.action));
-        }
-
-        for (size_t c = 0; c < num_circ; ++c) {
-            w.f64(s.die_read_[c].value);
-            w.boolean(s.die_read_[c].valid);
-            w.f64(s.flow_read_[c].value);
-            w.boolean(s.flow_read_[c].valid);
-            w.f64(s.commanded_flow_[c]);
-        }
-        w.boolean(s.have_readings_);
-        for (sched::SafeModeAction a : s.actions_)
-            w.u32(static_cast<uint32_t>(a));
-    }
+    ByteWriter w;
+    util::Archive ar(w);
+    h.visit(ar);
+    // Saving only reads the session; the visit is shared with resume().
+    visitSession(const_cast<SimSession &>(s), ar);
 
     // Atomic temp + rename (util::atomicWriteFile): process death can
     // never leave a truncated checkpoint for resume() to trip over.
     const std::string &payload = w.data();
-    std::string file;
-    file.reserve(sizeof(kMagic) + 12 + payload.size() + 8);
-    file.append(kMagic, sizeof(kMagic));
-    ByteWriter header;
-    header.u32(kCheckpointVersion);
-    header.u64(payload.size());
-    file.append(header.data());
-    file.append(payload);
-    ByteWriter footer;
-    footer.u64(payloadChecksum(payload));
-    file.append(footer.data());
-    util::atomicWriteFile(path, file);
-
-    if (w_.obs != nullptr) {
-        obs::Event e;
-        e.step = static_cast<long>(s.cursor_);
-        e.kind = "checkpoint";
-        e.subject = "system";
-        e.detail = "save " + path;
-        e.fields = {{"step", static_cast<double>(s.cursor_)}};
-        w_.obs->events().append(std::move(e));
-    }
+    ByteWriter file;
+    file.raw(kMagic, sizeof(kMagic));
+    file.u32(kCheckpointVersion);
+    file.u64(payload.size());
+    file.raw(payload.data(), payload.size());
+    file.u64(payloadChecksum(payload.data(), payload.size()));
+    util::atomicWriteFile(path, file.data());
+    checkpointEvent(s.cursor_, "save " + path);
 }
 
 SimSession
@@ -1012,193 +1056,71 @@ SimEngine::resume(const std::string &path,
            "checkpoint `", path, "' is truncated or has trailing "
                                  "garbage");
 
-    const size_t payload_begin = header_size;
-    const size_t payload_end = payload_begin + payload_size;
-    std::string payload =
-        file.substr(payload_begin, payload_size);
+    const size_t payload_end = header_size + payload_size;
     ByteReader foot(file, payload_end, file.size());
     uint64_t stored_sum = foot.u64();
-    expect(stored_sum == payloadChecksum(payload),
+    expect(stored_sum == payloadChecksum(file.data() + header_size,
+                                         payload_size),
            "checkpoint `", path, "' failed its checksum; the file is "
                                  "corrupt");
 
-    ByteReader r(payload, 0, payload.size());
-    uint64_t cfg_fp = r.u64();
-    expect(cfg_fp == configFingerprint(),
+    ByteReader r(file, header_size, payload_end);
+    util::Archive ar(r);
+    CheckpointHeader h;
+    h.visit(ar);
+    expect(h.config_fp == configFingerprint(),
            "checkpoint was taken under a different configuration "
            "(fault scenario, safe mode, topology or optimizer "
            "parameters differ); refusing to resume");
-    uint64_t trace_fp = r.u64();
-    expect(trace_fp == trace.fingerprint(),
+    expect(h.trace_fp == trace.fingerprint(),
            "checkpoint was taken against a different workload trace; "
            "refusing to resume");
-
-    uint32_t policy_raw = r.u32();
-    expect(policy_raw <= 1, "checkpoint carries unknown policy ",
-           policy_raw);
-    sched::Policy policy = policy_raw == 1
-                               ? sched::Policy::TegLoadBalance
-                               : sched::Policy::TegOriginal;
-    bool resilient = r.boolean();
-    uint64_t num_steps = r.u64();
-    double dt = r.f64();
-    uint64_t cursor = r.u64();
-    expect(num_steps == trace.numSteps() && dt == trace.dt(),
+    expect(h.policy <= 1, "checkpoint carries unknown policy ",
+           h.policy);
+    expect(h.num_steps == trace.numSteps() && h.dt == trace.dt(),
            "checkpoint trace shape mismatch");
-    expect(cursor <= num_steps, "checkpoint cursor ", cursor,
-           " exceeds the trace length ", num_steps);
+    expect(h.cursor <= h.num_steps, "checkpoint cursor ", h.cursor,
+           " exceeds the trace length ", h.num_steps);
 
-    bool custom_control = r.boolean();
-    uint64_t num_stage_blobs = r.u64();
-    std::vector<std::pair<std::string, std::string>> stage_state;
-    stage_state.reserve(num_stage_blobs);
-    for (uint64_t i = 0; i < num_stage_blobs; ++i) {
-        std::string stage_name = r.str();
-        std::string bytes = r.str();
-        stage_state.emplace_back(std::move(stage_name),
-                                 std::move(bytes));
-    }
-
-    SimSession s = makeSession(trace, policy);
-    H2P_ASSERT(s.resilient_ == resilient,
+    SimSession s = start(trace, h.policy == 1
+                                    ? sched::Policy::TegLoadBalance
+                                    : sched::Policy::TegOriginal);
+    H2P_ASSERT(s.resilient_ == h.resilient,
                "config fingerprint matched but pipeline shape did "
                "not");
-    s.cursor_ = cursor;
+    s.cursor_ = h.cursor;
 
-    if (custom_control) {
+    if (h.custom_control) {
         // The engine cannot rebuild user-supplied control. Leave the
         // decide stage empty and stash the checkpointed stage state;
-        // stepping before setController()/setPipeline() re-attaches
-        // is refused loudly (see stepOnce).
+        // stepping before setPipeline() re-attaches is refused loudly
+        // (see stepOnce).
         s.pipeline_.reset();
         s.custom_control_ = true;
-        s.pending_state_ = std::move(stage_state);
+        s.pending_state_ = std::move(h.stage_state);
     } else {
-        s.pipeline_->applyState(stage_state);
+        s.pipeline_->applyState(h.stage_state);
     }
 
-    s.acc_.teg_j = r.f64();
-    s.acc_.cpu_j = r.f64();
-    s.acc_.plant_j = r.f64();
-    s.acc_.pump_j = r.f64();
-    s.acc_.teg_lost_j = r.f64();
-    s.acc_.t_in_sum = r.f64();
-    s.acc_.safe_steps = r.u64();
-    s.acc_.safe_mode_steps = r.u64();
-    s.acc_.max_faulted = r.u64();
-    uint64_t ncirc_safe = r.u64();
-    expect(ncirc_safe == s.acc_.circ_safe_steps.size(),
-           "checkpoint circulation count mismatch");
-    for (size_t c = 0; c < ncirc_safe; ++c)
-        s.acc_.circ_safe_steps[c] = r.u64();
-
-    // Replay the recorded samples through the already-resolved
-    // channel handles.
-    uint64_t nchannels = r.u64();
-    expect(nchannels == s.recorder_->channels().size(),
-           "checkpoint records ", nchannels, " channels; this "
-           "configuration records ", s.recorder_->channels().size());
-    for (uint64_t i = 0; i < nchannels; ++i) {
-        std::string name = r.str();
-        expect(s.recorder_->has(name), "checkpoint channel `", name,
-               "' is not recorded under this configuration");
-        sim::Recorder::Channel ch = s.recorder_->channel(name);
-        uint64_t nsamples = r.u64();
-        expect(nsamples == cursor, "checkpoint channel `", name,
-               "' has ", nsamples, " samples for ", cursor,
-               " completed steps; the file is corrupt");
-        for (uint64_t k = 0; k < nsamples; ++k)
-            s.recorder_->record(ch, r.f64());
-    }
-
-    if (resilient) {
-        const size_t num_circ = w_.dc->numCirculations();
-        uint64_t saved_circ = r.u64();
-        expect(saved_circ == num_circ,
-               "checkpoint circulation count mismatch");
-
-        // Re-run the deterministic fault timeline up to the last
-        // completed step; this re-arms every sensor-fault window
-        // exactly as the original run did, after which only the
-        // value-dependent stuck-at latches need explicit restore.
-        if (cursor > 0)
-            s.injector_->advanceTo(static_cast<double>(cursor - 1) *
-                                   dt);
-        for (size_t c = 0; c < num_circ; ++c) {
-            fault::SensorChannel::Latch die, flow;
-            die.held = r.boolean();
-            die.value = r.f64();
-            flow.held = r.boolean();
-            flow.value = r.f64();
-            s.injector_->dieSensor(c).restoreLatch(die);
-            s.injector_->flowSensor(c).restoreLatch(flow);
-        }
-
-        fault::ThermalTripWatchdog::State wd;
-        uint64_t nservers = r.u64();
-        expect(nservers == w_.dc->numServers(),
-               "checkpoint server count mismatch");
-        wd.cap.resize(nservers);
-        for (double &v : wd.cap)
-            v = r.f64();
-        wd.backlog.resize(nservers);
-        for (double &v : wd.backlog)
-            v = r.f64();
-        wd.tripped.resize(nservers);
-        for (size_t i = 0; i < nservers; ++i)
-            wd.tripped[i] = r.boolean();
-        wd.trip_events = r.u64();
-        wd.deferred_s = r.f64();
-        s.watchdog_->restore(wd);
-
-        std::vector<sched::SafetyMonitor::CircState> mon(num_circ);
-        for (sched::SafetyMonitor::CircState &cs : mon) {
-            cs.last_die_c = r.f64();
-            cs.has_last = r.boolean();
-            cs.hold = r.u64();
-            uint32_t held = r.u32();
-            uint32_t action = r.u32();
-            expect(held <= 2 && action <= 2,
-                   "checkpoint carries an unknown safe-mode action");
-            cs.held = static_cast<sched::SafeModeAction>(held);
-            cs.action = static_cast<sched::SafeModeAction>(action);
-        }
-        s.monitor_->restore(mon);
-
-        for (size_t c = 0; c < num_circ; ++c) {
-            s.die_read_[c].value = r.f64();
-            s.die_read_[c].valid = r.boolean();
-            s.flow_read_[c].value = r.f64();
-            s.flow_read_[c].valid = r.boolean();
-            s.commanded_flow_[c] = r.f64();
-        }
-        s.have_readings_ = r.boolean();
-        for (size_t c = 0; c < num_circ; ++c) {
-            uint32_t a = r.u32();
-            expect(a <= 2,
-                   "checkpoint carries an unknown safe-mode action");
-            s.actions_[c] = static_cast<sched::SafeModeAction>(a);
-        }
-
-        // Events struck before the checkpoint were already reported
-        // by the run that wrote it; only post-resume strikes and
-        // trips become new obs events.
-        s.seen_faults_ = s.injector_->struckCount();
-        s.seen_trips_ = s.watchdog_->tripEvents();
-    }
+    visitSession(s, ar);
     expect(r.exhausted(),
            "checkpoint has trailing bytes; the file is corrupt");
-
-    if (w_.obs != nullptr) {
-        obs::Event e;
-        e.step = static_cast<long>(s.cursor_);
-        e.kind = "checkpoint";
-        e.subject = "system";
-        e.detail = "restore " + path;
-        e.fields = {{"step", static_cast<double>(s.cursor_)}};
-        w_.obs->events().append(std::move(e));
-    }
+    checkpointEvent(s.cursor_, "restore " + path);
     return s;
+}
+
+void
+SimEngine::checkpointEvent(size_t step, std::string detail) const
+{
+    if (w_.obs == nullptr)
+        return;
+    obs::Event e;
+    e.step = static_cast<long>(step);
+    e.kind = "checkpoint";
+    e.subject = "system";
+    e.detail = std::move(detail);
+    e.fields = {{"step", static_cast<double>(step)}};
+    w_.obs->events().append(std::move(e));
 }
 
 } // namespace core

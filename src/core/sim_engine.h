@@ -13,12 +13,12 @@
  * The decide stage runs a control::ControlPipeline built per policy
  * by the system's PipelineFactory (the canonical TEG_Original /
  * TEG_LoadBalance stage pairs, or the autonomous balancer when
- * [balancer] is enabled); setController()/setPipeline() swap in
- * custom control on the same seam.
+ * [balancer] is enabled); SimSession::setPipeline() swaps in custom
+ * control on the same seam.
  *
  * Which stages are active is decided once, from the configuration,
- * when a session starts; H2PSystem::run() and the old resilient run
- * are thin wrappers that step a session to completion. The engine
+ * when a session starts; H2PSystem::run() is a thin wrapper that
+ * steps a session to completion, clean or resilient. The engine
  * additionally exposes the loop incrementally (SimSession::step())
  * for long-horizon and controller-in-the-loop workloads, and can
  * checkpoint all mutable loop state to disk and restore it
@@ -32,7 +32,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,9 +44,10 @@
 #include "fault/watchdog.h"
 #include "obs/observability.h"
 #include "sched/cooling_optimizer.h"
+#include "sched/policy.h"
 #include "sched/safe_mode.h"
-#include "sched/scheduler.h"
 #include "sim/recorder.h"
+#include "util/bytes.h"
 #include "util/cancellation.h"
 #include "util/thread_pool.h"
 #include "workload/trace.h"
@@ -112,6 +112,9 @@ struct SummaryAccumulator
     size_t safe_mode_steps = 0;
     size_t max_faulted = 0;
     std::vector<size_t> circ_safe_steps;
+
+    /** Save or load the sums (checkpoint state). */
+    void visit(util::Archive &ar);
 };
 
 /**
@@ -168,48 +171,27 @@ class SimSession
      *
      * Declared-stateful control-stage state (e.g. the thermal
      * balancer's drain latches and feedback view) is serialized with
-     * everything else, keyed by stage name. The opaque state inside a
-     * custom controller lambda or user pipeline cannot be serialized;
-     * such checkpoints are flagged, and the resumed session refuses
-     * to step until the caller re-attaches its control
-     * (setController()/setPipeline()), which also restores any
+     * everything else, keyed by stage name. The engine cannot rebuild
+     * a custom pipeline itself; such checkpoints are flagged, and the
+     * resumed session refuses to step until the caller re-attaches
+     * its pipeline with setPipeline(), which also restores any
      * checkpointed stage state whose names match.
      */
     void saveCheckpoint(const std::string &path) const;
 
     /**
-     * A custom scheduling stage: called once per step with the step
-     * index and the (watchdog-shaped) requested utilizations; must
-     * fill the decision's utils (numServers entries) and settings
-     * (one per circulation). Replaces the built-in scheduler — for
-     * causal/predictive controllers, RL-style agents and what-if
-     * probes that still want the rest of the pipeline.
-     *
-     * Deprecated seam: setController(fn) now wraps the lambda in a
-     * single-stage control pipeline (control::ControllerStage).
-     * New code should build a control::ControlPipeline and install
-     * it with setPipeline() — stages compose, are named, and can
-     * declare checkpointable state.
-     */
-    using Controller = std::function<void(
-        size_t step, const std::vector<double> &utils,
-        sched::ScheduleDecision &decision)>;
-
-    /**
-     * Install a custom scheduling stage (wrapped in a single-stage
-     * pipeline), or restore the policy's built-in pipeline with
-     * nullptr. Also satisfies the re-attach demand of a session
-     * resumed from a custom-control checkpoint.
-     */
-    void setController(Controller controller);
-
-    /**
      * Install a custom control pipeline as this session's decide
-     * stage. Any control-stage state the session was resumed with is
+     * stage — the seam for causal/predictive controllers, RL-style
+     * agents and what-if probes that still want the rest of the step
+     * loop. Any control-stage state the session was resumed with is
      * restored into the new pipeline's stages by name (missing names
      * are an error). The engine checkpoints the pipeline's
      * declared-stateful stages but cannot rebuild a *custom* pipeline
      * itself — resume flags it and demands a re-attach.
+     *
+     * nullptr restores the policy's built-in pipeline; that is
+     * refused while checkpointed custom-stage state awaits a
+     * re-attach.
      */
     void setPipeline(
         std::unique_ptr<control::ControlPipeline> pipeline);
@@ -310,7 +292,7 @@ class SimSession
 
     /**
      * The decide stage. Built by the engine's PipelineFactory for
-     * fresh sessions; replaced by setController()/setPipeline(). Null
+     * fresh sessions; replaced by setPipeline(). Null
      * only after a custom-control resume, until re-attach.
      */
     std::unique_ptr<control::ControlPipeline> pipeline_;
@@ -318,8 +300,7 @@ class SimSession
     bool custom_control_ = false;
     /**
      * Checkpointed control-stage state awaiting a re-attached
-     * pipeline (custom-control resume); applied by
-     * setController()/setPipeline().
+     * pipeline (custom-control resume); applied by setPipeline().
      */
     std::vector<std::pair<std::string, std::string>> pending_state_;
 
@@ -344,8 +325,6 @@ class SimEngine
         const H2PConfig *config = nullptr;
         cluster::Datacenter *dc = nullptr;
         sched::CoolingOptimizer *optimizer = nullptr;
-        const sched::Scheduler *sched_original = nullptr;
-        const sched::Scheduler *sched_balance = nullptr;
         /** Builds the per-policy control pipeline sessions run. */
         const control::PipelineFactory *pipelines = nullptr;
         /** Null when [perf] threads == 1. */
@@ -371,9 +350,6 @@ class SimEngine
     SimSession resume(const std::string &path,
                       const workload::UtilizationTrace &trace) const;
 
-    /** The per-policy scheduler. */
-    const sched::Scheduler &scheduler(sched::Policy policy) const;
-
     /**
      * Digest of every configuration parameter that can change run
      * results; embedded in checkpoints to reject restores into a
@@ -384,16 +360,23 @@ class SimEngine
   private:
     friend class SimSession;
 
-    /** Build the per-run skeleton shared by start() and resume(). */
-    SimSession makeSession(const workload::UtilizationTrace &trace,
-                           sched::Policy policy) const;
-
     /** Advance @p s by one scheduling interval (the pipeline). */
     void stepOnce(SimSession &s) const;
 
     RunResult finish(SimSession &s) const;
     void saveCheckpoint(const SimSession &s,
                         const std::string &path) const;
+
+    /**
+     * Save or load everything a checkpoint carries after its header:
+     * accumulators, recorded channels and, on resilient runs, the
+     * sensor latches, watchdog, safety monitor and the previous
+     * interval's readings and actions.
+     */
+    void visitSession(SimSession &s, util::Archive &ar) const;
+
+    /** Record a checkpoint save/restore event (no-op without obs). */
+    void checkpointEvent(size_t step, std::string detail) const;
 
     SimSession::ObsRun beginObsRun(sched::Policy policy, double dt,
                                    size_t num_steps) const;

@@ -264,8 +264,8 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                 H2PSystem system(config);
                 SimSession session =
                     system.startSession(*grid[i].trace, grid[i].policy);
-                if (grid[i].make_controller)
-                    session.setController(grid[i].make_controller());
+                if (grid[i].make_pipeline)
+                    session.setPipeline(grid[i].make_pipeline());
                 RunGuard guard;
                 guard.cancel = &cancel_;
                 guard.cancel_alt = options_.cancel;

@@ -22,7 +22,7 @@
 #include "core/run_types.h"
 #include "core/sim_engine.h"
 #include "obs/observability.h"
-#include "sched/scheduler.h"
+#include "sched/policy.h"
 #include "sim/recorder.h"
 #include "util/cancellation.h"
 #include "util/error.h"
@@ -51,15 +51,16 @@ struct SweepPoint
      */
     std::string label;
     /**
-     * Optional custom scheduling stage: called once per run *attempt*
-     * to produce a fresh controller, installed on the point's session
-     * (SimSession::setController). A factory — not a controller —
-     * because retries re-run the point on a brand-new session and
-     * stale controller state would break retry determinism. Not part
-     * of the journal fingerprint; callers resuming a journaled sweep
-     * must pass the same factories again.
+     * Optional custom control: called once per run *attempt* to
+     * build a fresh pipeline, installed on the point's session
+     * (SimSession::setPipeline). A factory — not a pipeline — because
+     * retries re-run the point on a brand-new session and stale stage
+     * state would break retry determinism. Not part of the journal
+     * fingerprint; callers resuming a journaled sweep must pass the
+     * same factories again.
      */
-    std::function<SimSession::Controller()> make_controller;
+    std::function<std::unique_ptr<control::ControlPipeline>()>
+        make_pipeline;
     /**
      * Per-point wall-clock deadline, seconds; overrides
      * SweepOptions::point_deadline_s when > 0.

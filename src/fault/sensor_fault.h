@@ -18,6 +18,7 @@
 #define H2P_FAULT_SENSOR_FAULT_H_
 
 #include "sched/safe_mode.h"
+#include "util/bytes.h"
 
 namespace h2p {
 namespace fault {
@@ -66,24 +67,14 @@ class SensorChannel
     void resetLatch();
 
     /**
-     * The stuck-at latch, exposed for checkpointing: the only channel
-     * state that depends on the values read (the armed window is
-     * re-derived from the fault timeline on restore).
+     * Save or load the stuck-at latch (held flag, then value): the
+     * only channel state that depends on the values read (the armed
+     * window is re-derived from the fault timeline on restore).
      */
-    struct Latch
+    void visitLatch(util::Archive &ar)
     {
-        double value = 0.0;
-        bool held = false;
-    };
-
-    /** Snapshot the stuck-at latch. */
-    Latch latch() const { return {latched_, has_latch_}; }
-
-    /** Restore a previously snapshotted latch. */
-    void restoreLatch(const Latch &l)
-    {
-        latched_ = l.value;
-        has_latch_ = l.held;
+        ar.boolean(has_latch_);
+        ar.f64(latched_);
     }
 
   private:

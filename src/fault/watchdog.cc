@@ -99,31 +99,21 @@ ThermalTripWatchdog::backlogSeconds(double dt_s) const
     return total * dt_s;
 }
 
-ThermalTripWatchdog::State
-ThermalTripWatchdog::snapshot() const
-{
-    State s;
-    s.cap = cap_;
-    s.backlog = backlog_;
-    s.tripped = tripped_;
-    s.trip_events = trip_events_;
-    s.deferred_s = deferred_s_;
-    return s;
-}
-
 void
-ThermalTripWatchdog::restore(const State &state)
+ThermalTripWatchdog::visit(util::Archive &ar)
 {
-    expect(state.cap.size() == cap_.size() &&
-               state.backlog.size() == backlog_.size() &&
-               state.tripped.size() == tripped_.size(),
-           "watchdog state covers ", state.cap.size(),
-           " servers; this watchdog has ", cap_.size());
-    cap_ = state.cap;
-    backlog_ = state.backlog;
-    tripped_ = state.tripped;
-    trip_events_ = state.trip_events;
-    deferred_s_ = state.deferred_s;
+    ar.count(cap_.size(), "checkpoint server count");
+    for (double &v : cap_)
+        ar.f64(v);
+    for (double &v : backlog_)
+        ar.f64(v);
+    for (size_t i = 0; i < tripped_.size(); ++i) {
+        bool tripped = tripped_[i];
+        ar.boolean(tripped);
+        tripped_[i] = tripped;
+    }
+    ar.size(trip_events_);
+    ar.f64(deferred_s_);
 }
 
 double

@@ -21,6 +21,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/bytes.h"
+
 namespace h2p {
 namespace fault {
 
@@ -87,26 +89,12 @@ class ThermalTripWatchdog
     double cap(size_t i) const;
 
     /**
-     * Complete mutable watchdog state, for deterministic
-     * checkpoint/restore of a run in progress.
+     * Save or load the complete mutable state (server count, caps,
+     * backlogs, trip flags, trip events, deferred work) for
+     * deterministic checkpoint/restore of a run in progress. Loading
+     * requires the server count this watchdog was built with.
      */
-    struct State
-    {
-        std::vector<double> cap;
-        std::vector<double> backlog;
-        std::vector<bool> tripped;
-        size_t trip_events = 0;
-        double deferred_s = 0.0;
-    };
-
-    /** Snapshot the full mutable state. */
-    State snapshot() const;
-
-    /**
-     * Restore a snapshot; the server count must match the one this
-     * watchdog was constructed with.
-     */
-    void restore(const State &state);
+    void visit(util::Archive &ar);
 
     const WatchdogParams &params() const { return params_; }
 

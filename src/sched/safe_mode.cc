@@ -7,6 +7,15 @@
 namespace h2p {
 namespace sched {
 
+void
+visitAction(util::Archive &ar, SafeModeAction &action)
+{
+    uint32_t raw = static_cast<uint32_t>(action);
+    ar.u32(raw);
+    expect(raw <= 2, "checkpoint carries an unknown safe-mode action");
+    action = static_cast<SafeModeAction>(raw);
+}
+
 SafetyMonitor::SafetyMonitor(size_t num_circulations,
                              const SafeModeParams &params)
     : params_(params), circs_(num_circulations)
@@ -80,12 +89,15 @@ SafetyMonitor::action(size_t circ) const
 }
 
 void
-SafetyMonitor::restore(const std::vector<CircState> &state)
+SafetyMonitor::visit(util::Archive &ar)
 {
-    expect(state.size() == circs_.size(), "monitor state covers ",
-           state.size(), " circulations; this monitor has ",
-           circs_.size());
-    circs_ = state;
+    for (CircState &st : circs_) {
+        ar.f64(st.last_die_c);
+        ar.boolean(st.has_last);
+        ar.size(st.hold);
+        visitAction(ar, st.held);
+        visitAction(ar, st.action);
+    }
 }
 
 size_t

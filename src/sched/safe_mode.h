@@ -29,6 +29,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/bytes.h"
+
 namespace h2p {
 namespace sched {
 
@@ -81,6 +83,12 @@ enum class SafeModeAction {
 };
 
 /**
+ * Save or load one action as a u32; loading rejects values outside
+ * the enum.
+ */
+void visitAction(util::Archive &ar, SafeModeAction &action);
+
+/**
  * Per-circulation sensor-plausibility supervisor. Feed it the die
  * temperature and flow readings each interval; it answers with the
  * control action the scheduler should take.
@@ -112,7 +120,16 @@ class SafetyMonitor
     /** Circulations currently not in Normal mode. */
     size_t numDegraded() const;
 
-    /** Per-circulation supervisor state (exposed for checkpointing). */
+    /**
+     * Save or load the full mutable state, one record per
+     * circulation (last die reading, hold counter, held and current
+     * action).
+     */
+    void visit(util::Archive &ar);
+
+    const SafeModeParams &params() const { return params_; }
+
+  private:
     struct CircState
     {
         double last_die_c = 0.0;
@@ -122,18 +139,6 @@ class SafetyMonitor
         SafeModeAction action = SafeModeAction::Normal;
     };
 
-    /** Snapshot the full mutable state (one CircState per loop). */
-    std::vector<CircState> snapshot() const { return circs_; }
-
-    /**
-     * Restore a snapshot; the circulation count must match the one
-     * this monitor was constructed with.
-     */
-    void restore(const std::vector<CircState> &state);
-
-    const SafeModeParams &params() const { return params_; }
-
-  private:
     SafeModeParams params_;
     std::vector<CircState> circs_;
 };

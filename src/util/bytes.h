@@ -8,6 +8,11 @@
  * foundation of the byte-identical checkpoint/resume guarantee. The
  * reader validates every access against its window and reports
  * truncation loudly instead of reading garbage.
+ *
+ * Stateful components describe their state once, as a
+ * visit(Archive &) that lists the fields in order; the same function
+ * saves (over a ByteWriter) and loads (over a ByteReader), so the two
+ * directions cannot drift apart.
  */
 
 #ifndef H2P_UTIL_BYTES_H_
@@ -48,12 +53,14 @@ class ByteWriter
     }
 
     void boolean(bool v) { u8(v ? 1 : 0); }
-
     void str(const std::string &s)
     {
         u64(s.size());
         buf_.append(s);
     }
+
+    /** Append @p n bytes verbatim (no length prefix). */
+    void raw(const char *data, size_t n) { buf_.append(data, n); }
 
     const std::string &data() const { return buf_; }
 
@@ -128,6 +135,52 @@ class ByteReader
     const std::string &buf_;
     size_t pos_;
     size_t end_;
+};
+
+/**
+ * One field list for both directions: wraps a ByteWriter (save) or a
+ * ByteReader (load). Each accessor writes the referenced value when
+ * saving and overwrites it with the next serialized value when
+ * loading. Load-only validation and fix-ups go under loading().
+ */
+class Archive
+{
+  public:
+    explicit Archive(ByteWriter &w) : w_(&w) {}
+    explicit Archive(ByteReader &r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    void u8(uint8_t &v) { if (r_) v = r_->u8(); else w_->u8(v); }
+    void u32(uint32_t &v) { if (r_) v = r_->u32(); else w_->u32(v); }
+    void u64(uint64_t &v) { if (r_) v = r_->u64(); else w_->u64(v); }
+    void f64(double &v) { if (r_) v = r_->f64(); else w_->f64(v); }
+    void boolean(bool &v) { if (r_) v = r_->boolean(); else w_->boolean(v); }
+    void str(std::string &v) { if (r_) v = r_->str(); else w_->str(v); }
+
+    /** A size_t counter, serialized as u64. */
+    void size(size_t &v)
+    {
+        uint64_t x = v;
+        u64(x);
+        v = static_cast<size_t>(x);
+    }
+
+    /**
+     * A count the loader already knows (a container's fixed length):
+     * written on save; on load read back and compared, throwing Error
+     * "<what> mismatch" when it differs.
+     */
+    void count(uint64_t expected, const char *what)
+    {
+        uint64_t n = expected;
+        u64(n);
+        expect(n == expected, what, " mismatch");
+    }
+
+  private:
+    ByteWriter *w_ = nullptr;
+    ByteReader *r_ = nullptr;
 };
 
 } // namespace util

@@ -6,6 +6,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "util/error.h"
 
@@ -28,6 +31,19 @@ nowNs()
 size_t
 hardwareThreads()
 {
+#if defined(__linux__)
+    // The affinity mask (taskset, cpusets, pinned containers) bounds
+    // the threads that can run at once; hardware_concurrency() counts
+    // every online CPU regardless. A mask wider than cpu_set_t makes
+    // the call fail, which falls through to the portable count.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        int usable = CPU_COUNT(&mask);
+        if (usable > 0)
+            return static_cast<size_t>(usable);
+    }
+#endif
     size_t n = std::thread::hardware_concurrency();
 #if defined(_SC_NPROCESSORS_ONLN)
     if (n == 0) {

@@ -38,21 +38,22 @@ namespace h2p {
 namespace util {
 
 /**
- * Hardware threads available to *this process*, always >= 1:
- * std::thread::hardware_concurrency() with a fallback to the
- * online-processor count when it reports 0 (which the standard
- * permits). Use this to size thread pools.
+ * Hardware threads available to *this process*, always >= 1: on
+ * Linux the CPUs in the process's affinity mask (sched_getaffinity),
+ * otherwise std::thread::hardware_concurrency() with a fallback to
+ * the online-processor count when it reports 0 (which the standard
+ * permits). A cgroup cpu.max quota is not consulted. Use this to size
+ * thread pools.
  */
 size_t hardwareThreads();
 
 /**
- * Hardware threads of the *host*, always >= 1. On Linux,
- * hardware_concurrency() honors the process CPU-affinity mask, so a
- * pinned or containerized process on a multi-core machine sees 1;
- * this consults the configured-processor count as well and returns
- * the larger. Use this for reporting (bench metadata), not for
- * sizing pools — threads beyond the affinity mask cannot run in
- * parallel.
+ * Hardware threads of the *host*, always >= 1. hardwareThreads()
+ * honors the process CPU-affinity mask, so a pinned or containerized
+ * process on a multi-core machine may see 1; this consults the
+ * configured-processor count as well and returns the larger. Use
+ * this for reporting (bench metadata), not for sizing pools — threads
+ * beyond the affinity mask cannot run in parallel.
  */
 size_t hostHardwareThreads();
 

@@ -25,6 +25,8 @@
 #include "control/thermal_balancer.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
+#include "tests/support/fn_stage.h"
+#include "tests/support/scheduler_oracle.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -145,6 +147,8 @@ TEST(ControlPipelineTest, CanonicalPipelinesMatchSchedulerBitwise)
     for (sched::Policy policy :
          {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance}) {
         auto pipeline = sys.pipelines().make(policy);
+        const oracle::Scheduler reference(sys.datacenter(),
+                                          sys.optimizer(), policy);
         std::vector<double> utils;
         sched::ScheduleDecision got, want;
         for (size_t step = 0; step < trace.numSteps(); ++step) {
@@ -158,7 +162,7 @@ TEST(ControlPipelineTest, CanonicalPipelinesMatchSchedulerBitwise)
             ctx.dc = &sys.datacenter();
             ctx.utils = &utils;
             pipeline->run(ctx, got);
-            sys.scheduler(policy).decideInto(utils, {}, 0.0, want);
+            reference.decideInto(utils, {}, 0.0, want);
             ASSERT_EQ(got.utils.size(), want.utils.size());
             for (size_t i = 0; i < got.utils.size(); ++i)
                 ASSERT_TRUE(sameBits(got.utils[i], want.utils[i]))
@@ -183,8 +187,7 @@ TEST(ControlPipelineTest, CanonicalPipelinesMatchSchedulerBitwise)
                 ctx.actions = &actions;
                 ctx.margin_c = margin_c;
                 pipeline->run(ctx, got);
-                sys.scheduler(policy).decideInto(utils, actions,
-                                                 margin_c, want);
+                reference.decideInto(utils, actions, margin_c, want);
                 for (size_t c = 0; c < num_circ; ++c) {
                     ASSERT_TRUE(sameBits(got.settings[c].t_in_c,
                                          want.settings[c].t_in_c))
@@ -230,14 +233,10 @@ TEST(ControlPipelineTest, PipelineValidatesDecisionShape)
     auto trace = makeTrace(3, 64, 1800.0);
     auto session =
         sys.startSession(trace, sched::Policy::TegOriginal);
-    auto bad = std::make_unique<control::ControlPipeline>("bad");
-    bad->add(std::make_unique<control::ControllerStage>(
-        [](size_t, const std::vector<double> &u,
-           sched::ScheduleDecision &d) {
-            d.utils = u;
+    session.setPipeline(test::fnPipeline(
+        [](const control::ControlContext &, sched::ScheduleDecision &d) {
             d.settings.clear(); // wrong: one per circulation
         }));
-    session.setPipeline(std::move(bad));
     EXPECT_THROW(session.step(), Error);
 }
 
@@ -306,28 +305,30 @@ TEST(ThermalBalancerTest, RunsBitIdenticallyAcrossThreadCounts)
     }
 }
 
-TEST(ThermalBalancerTest, CheckpointRoundTripsStateByteIdentically)
+/**
+ * Save at @p at, resume into a fresh system and re-save at the same
+ * cursor: the two files must be byte-identical, and the resumed run
+ * must finish exactly as an uninterrupted one.
+ */
+void
+expectResaveByteIdentical(const core::H2PConfig &cfg,
+                          sched::Policy policy, size_t at)
 {
     TempPath ck("control_test_balancer.ckpt");
     TempPath ck2("control_test_balancer_resaved.ckpt");
     auto trace = makeTrace(11);
 
-    core::H2PSystem sys(faultedBalancerConfig());
-    auto full = sys.run(trace, sched::Policy::TegLoadBalance);
+    core::H2PSystem sys(cfg);
+    auto full = sys.run(trace, policy);
 
-    // Checkpoint after the scripted pump failure (1800 s), so drain
-    // latches, counters and the feedback view all carry live state.
-    const size_t at =
-        static_cast<size_t>(2100.0 / trace.dt()) + 1;
     ASSERT_LT(at, trace.numSteps());
-    auto first =
-        sys.startSession(trace, sched::Policy::TegLoadBalance);
+    auto first = sys.startSession(trace, policy);
     while (first.cursor() < at)
         first.step();
     first.saveCheckpoint(ck.path);
 
     // Fresh system: nothing may leak around the checkpoint file.
-    core::H2PSystem sys2(faultedBalancerConfig());
+    core::H2PSystem sys2(cfg);
     auto resumed = sys2.resumeSession(ck.path, trace);
     EXPECT_EQ(resumed.cursor(), at);
 
@@ -349,6 +350,46 @@ TEST(ThermalBalancerTest, CheckpointRoundTripsStateByteIdentically)
     EXPECT_TRUE(sameBits(full.summary.pre, rest.summary.pre));
     EXPECT_TRUE(
         sameBits(full.summary.avg_teg_w, rest.summary.avg_teg_w));
+}
+
+TEST(ThermalBalancerTest, CheckpointRoundTripsStateByteIdentically)
+{
+    const double dt = makeTrace(11).dt();
+
+    // Checkpoint after the scripted pump failure (1800 s), so drain
+    // latches, counters and the feedback view all carry live state.
+    const size_t at = static_cast<size_t>(2100.0 / dt) + 1;
+    {
+        SCOPED_TRACE("faulted balancer");
+        expectResaveByteIdentical(faultedBalancerConfig(),
+                                  sched::Policy::TegLoadBalance, at);
+    }
+
+    // The clean and faulted configurations without the balancer go
+    // through the same save -> resume -> re-save loop.
+    core::H2PConfig faulted = smallConfig();
+    faulted.safe_mode.enabled = true;
+    faulted.safe_mode.watchdog_enabled = true;
+    faulted.faults.scripted.push_back(
+        {1800.0, fault::FaultKind::PumpFailed, 0, 0, 0.0, 0.0});
+    faulted.faults.scripted.push_back(
+        {600.0, fault::FaultKind::DieSensorStuck, 1, 0, 0.0, 1800.0});
+    for (sched::Policy policy :
+         {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance}) {
+        SCOPED_TRACE(toString(policy));
+        {
+            SCOPED_TRACE("clean");
+            expectResaveByteIdentical(smallConfig(), policy, at);
+        }
+        {
+            SCOPED_TRACE("clean balancer");
+            expectResaveByteIdentical(balancerConfig(), policy, at);
+        }
+        {
+            SCOPED_TRACE("faulted");
+            expectResaveByteIdentical(faulted, policy, at);
+        }
+    }
 }
 
 // ------------------------------------------------- convergence

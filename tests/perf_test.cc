@@ -16,7 +16,6 @@
 #include "cluster/datacenter.h"
 #include "core/h2p_system.h"
 #include "sched/cooling_optimizer.h"
-#include "sched/scheduler.h"
 #include "sim/recorder.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -393,38 +392,6 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
 }
 
 // ----------------------------------------------- allocation-free twins
-
-TEST(IntoTwinsTest, SchedulerDecideIntoMatchesDecide)
-{
-    cluster::DatacenterParams dp;
-    dp.num_servers = 50;
-    dp.servers_per_circulation = 20;
-    cluster::Datacenter dc(dp);
-    cluster::Server server(dp.server);
-    sched::LookupSpace space(server);
-    thermal::TegModule teg(dp.server.tegs_per_server, dp.server.teg);
-    sched::CoolingOptimizer opt(space, teg);
-    sched::Scheduler sched(dc, opt, sched::Policy::TegLoadBalance);
-
-    std::vector<double> utils(dp.num_servers);
-    for (size_t i = 0; i < utils.size(); ++i)
-        utils[i] = static_cast<double>(i % 10) / 10.0;
-
-    sched::ScheduleDecision fresh = sched.decide(utils);
-    sched::ScheduleDecision reused;
-    sched.decideInto(utils, {}, 0.0, reused); // fill once
-    sched.decideInto(utils, {}, 0.0, reused); // and reuse
-    ASSERT_EQ(fresh.settings.size(), reused.settings.size());
-    ASSERT_EQ(fresh.utils.size(), reused.utils.size());
-    for (size_t i = 0; i < fresh.utils.size(); ++i)
-        EXPECT_DOUBLE_EQ(fresh.utils[i], reused.utils[i]);
-    for (size_t c = 0; c < fresh.settings.size(); ++c) {
-        EXPECT_DOUBLE_EQ(fresh.settings[c].t_in_c,
-                         reused.settings[c].t_in_c);
-        EXPECT_DOUBLE_EQ(fresh.settings[c].flow_lph,
-                         reused.settings[c].flow_lph);
-    }
-}
 
 TEST(IntoTwinsTest, TraceStepIntoMatchesStep)
 {

@@ -13,11 +13,11 @@
 #include <memory>
 
 #include "cluster/datacenter.h"
+#include "control/stages.h"
 #include "sched/circulation_design.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/load_balancer.h"
 #include "sched/lookup_space.h"
-#include "sched/scheduler.h"
 #include "util/error.h"
 
 namespace h2p {
@@ -449,6 +449,10 @@ TEST(BalancerTest, LimitedRejectsBadInputsAsConfigError)
 
 // -------------------------------------------------------------- scheduler
 
+/**
+ * The per-policy scheduling schemes, driven through the production
+ * decide path: the control pipeline PipelineFactory::make() builds.
+ */
 struct SchedFixture : ::testing::Test
 {
     SchedFixture()
@@ -460,29 +464,48 @@ struct SchedFixture : ::testing::Test
         space = std::make_unique<LookupSpace>(*server);
         teg = std::make_unique<thermal::TegModule>(12);
         opt = std::make_unique<CoolingOptimizer>(*space, *teg);
+        factory = std::make_unique<control::PipelineFactory>(
+            *dc, *opt, control::BalancerParams{}, opt->params().t_safe_c);
     }
+
+    /** One interval's decision under @p policy (no safe-mode actions
+     *  when @p actions is empty). */
+    ScheduleDecision decide(Policy policy,
+                            const std::vector<double> &utils,
+                            const std::vector<SafeModeAction> &actions = {},
+                            double margin_c = 0.0) const
+    {
+        control::ControlContext ctx;
+        ctx.dc = dc.get();
+        ctx.utils = &utils;
+        ctx.actions = actions.empty() ? nullptr : &actions;
+        ctx.margin_c = margin_c;
+        ScheduleDecision d;
+        factory->make(policy)->run(ctx, d);
+        return d;
+    }
+
     cluster::DatacenterParams params;
     std::unique_ptr<cluster::Datacenter> dc;
     std::unique_ptr<cluster::Server> server;
     std::unique_ptr<LookupSpace> space;
     std::unique_ptr<thermal::TegModule> teg;
     std::unique_ptr<CoolingOptimizer> opt;
+    std::unique_ptr<control::PipelineFactory> factory;
 };
 
 TEST_F(SchedFixture, OriginalKeepsUtilsUnchanged)
 {
-    Scheduler s(*dc, *opt, Policy::TegOriginal);
     std::vector<double> utils{0.1, 0.9, 0.2, 0.3, 0.5, 0.5, 0.5, 0.5};
-    auto d = s.decide(utils);
+    auto d = decide(Policy::TegOriginal, utils);
     EXPECT_EQ(d.utils, utils);
     EXPECT_EQ(d.settings.size(), 2u);
 }
 
 TEST_F(SchedFixture, LoadBalanceFlattensWithinCirculation)
 {
-    Scheduler s(*dc, *opt, Policy::TegLoadBalance);
     std::vector<double> utils{0.1, 0.9, 0.2, 0.4, 0.6, 0.6, 0.6, 0.6};
-    auto d = s.decide(utils);
+    auto d = decide(Policy::TegLoadBalance, utils);
     // First circulation: all at its mean 0.4.
     for (size_t i = 0; i < 4; ++i)
         EXPECT_NEAR(d.utils[i], 0.4, 1e-12);
@@ -494,10 +517,8 @@ TEST_F(SchedFixture, LoadBalanceFlattensWithinCirculation)
 TEST_F(SchedFixture, LoadBalanceGivesWarmerInletOnSkewedLoad)
 {
     std::vector<double> utils{0.1, 0.9, 0.2, 0.4, 0.1, 0.9, 0.2, 0.4};
-    Scheduler orig(*dc, *opt, Policy::TegOriginal);
-    Scheduler lb(*dc, *opt, Policy::TegLoadBalance);
-    auto d_orig = orig.decide(utils);
-    auto d_lb = lb.decide(utils);
+    auto d_orig = decide(Policy::TegOriginal, utils);
+    auto d_lb = decide(Policy::TegLoadBalance, utils);
     for (size_t i = 0; i < 2; ++i) {
         EXPECT_GT(d_lb.settings[i].t_in_c,
                   d_orig.settings[i].t_in_c);
@@ -512,12 +533,11 @@ TEST_F(SchedFixture, PolicyNames)
 
 TEST_F(SchedFixture, AllNormalActionsReproduceTheDefaultDecision)
 {
-    Scheduler s(*dc, *opt, Policy::TegLoadBalance);
     std::vector<double> utils{0.1, 0.9, 0.2, 0.4, 0.6, 0.6, 0.6, 0.6};
-    auto plain = s.decide(utils);
-    auto guarded = s.decide(
-        utils, std::vector<SafeModeAction>(2, SafeModeAction::Normal),
-        3.0);
+    auto plain = decide(Policy::TegLoadBalance, utils);
+    auto guarded = decide(
+        Policy::TegLoadBalance, utils,
+        std::vector<SafeModeAction>(2, SafeModeAction::Normal), 3.0);
     for (size_t i = 0; i < 2; ++i) {
         EXPECT_DOUBLE_EQ(plain.settings[i].t_in_c,
                          guarded.settings[i].t_in_c);
@@ -528,12 +548,11 @@ TEST_F(SchedFixture, AllNormalActionsReproduceTheDefaultDecision)
 
 TEST_F(SchedFixture, ColdFallbackOverridesOnlyItsCirculation)
 {
-    Scheduler s(*dc, *opt, Policy::TegOriginal);
     std::vector<double> utils(8, 0.5);
-    auto plain = s.decide(utils);
+    auto plain = decide(Policy::TegOriginal, utils);
     std::vector<SafeModeAction> actions{SafeModeAction::ColdFallback,
                                         SafeModeAction::Normal};
-    auto d = s.decide(utils, actions, 3.0);
+    auto d = decide(Policy::TegOriginal, utils, actions, 3.0);
     EXPECT_DOUBLE_EQ(d.settings[0].t_in_c, space->params().tin_min_c);
     EXPECT_DOUBLE_EQ(d.settings[0].flow_lph,
                      space->params().flow_max_lph);
@@ -545,11 +564,10 @@ TEST_F(SchedFixture, ColdFallbackOverridesOnlyItsCirculation)
 
 TEST_F(SchedFixture, WidenMarginPlansNoHotter)
 {
-    Scheduler s(*dc, *opt, Policy::TegOriginal);
     std::vector<double> utils(8, 0.5);
-    auto plain = s.decide(utils);
+    auto plain = decide(Policy::TegOriginal, utils);
     std::vector<SafeModeAction> actions(2, SafeModeAction::WidenMargin);
-    auto d = s.decide(utils, actions, 5.0);
+    auto d = decide(Policy::TegOriginal, utils, actions, 5.0);
     for (size_t i = 0; i < 2; ++i)
         EXPECT_LE(d.details[i].t_cpu_c,
                   plain.details[i].t_cpu_c + 1e-9);

@@ -9,16 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "control/stages.h"
+#include "control/thermal_balancer.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
 #include "sim/channels.h"
+#include "tests/support/fn_stage.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -257,6 +262,337 @@ TEST(SessionTest, CheckpointResumesAcrossThreadCounts)
     expectSameChannels(*full.recorder, *rest.recorder);
 }
 
+// ------------------------------------------------ v2 layout guard
+
+/**
+ * A test-local decoder of the v2 checkpoint file, written from the
+ * layout the engine documents (magic | version | payload length |
+ * payload | FNV-1a footer, then the payload field by field) and
+ * deliberately independent of the engine's own serializer: if save
+ * and load ever drift together, this walk still pins the bytes.
+ * Every read is bounds-checked; a short read marks the walk failed.
+ */
+class LayoutWalk
+{
+  public:
+    LayoutWalk(const std::string &bytes, size_t begin, size_t end)
+        : b_(bytes), pos_(begin), end_(end)
+    {
+    }
+
+    uint64_t le(size_t n)
+    {
+        if (n > end_ - pos_) {
+            ok_ = false;
+            pos_ = end_;
+            return 0;
+        }
+        uint64_t v = 0;
+        for (size_t i = 0; i < n; ++i)
+            v |= static_cast<uint64_t>(
+                     static_cast<unsigned char>(b_[pos_ + i]))
+                 << (8 * i);
+        pos_ += n;
+        return v;
+    }
+
+    uint8_t u8() { return static_cast<uint8_t>(le(1)); }
+    uint32_t u32() { return static_cast<uint32_t>(le(4)); }
+    uint64_t u64() { return le(8); }
+
+    double f64()
+    {
+        uint64_t bits = le(8);
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+    }
+
+    std::string str()
+    {
+        uint64_t n = u64();
+        if (n > end_ - pos_) {
+            ok_ = false;
+            pos_ = end_;
+            return {};
+        }
+        std::string s = b_.substr(pos_, n);
+        pos_ += n;
+        return s;
+    }
+
+    bool ok() const { return ok_; }
+    bool atEnd() const { return pos_ == end_; }
+    size_t pos() const { return pos_; }
+
+  private:
+    const std::string &b_;
+    size_t pos_;
+    size_t end_;
+    bool ok_ = true;
+};
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** FNV-1a over @p payload, as the footer stores it. */
+uint64_t
+fnv1a(const std::string &payload)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : payload) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x00000100000001b3ull;
+    }
+    return h;
+}
+
+/** Decode one thermal-balancer stage blob and check it against the
+ *  live stage. */
+void
+walkBalancerBlob(const std::string &blob,
+                 const control::ThermalBalancer &bal, size_t num_circ)
+{
+    LayoutWalk w(blob, 0, blob.size());
+    ASSERT_EQ(w.u64(), num_circ);
+    for (size_t c = 0; c < num_circ; ++c) {
+        const control::CirculationView &row = bal.view()[c];
+        EXPECT_EQ(w.u8(), static_cast<uint8_t>(row.mode)) << c;
+        EXPECT_LE(w.u8(), 1u);          // manual drain latch
+        EXPECT_LE(w.u8(), 1u);          // drain-empty edge latch
+        EXPECT_TRUE(sameBits(w.f64(), row.drained_util)) << c;
+        w.f64(); // feedback headroom
+        w.f64(); // feedback TEG power
+        EXPECT_TRUE(sameBits(w.f64(), row.avg_util)) << c;
+        EXPECT_TRUE(sameBits(w.f64(), row.dev_util)) << c;
+    }
+    w.u8(); // have_feedback
+    const control::BalancerStats &st = bal.stats();
+    EXPECT_EQ(w.u64(), st.migrations);
+    EXPECT_EQ(w.u64(), st.local_moves);
+    EXPECT_EQ(w.u64(), st.pulls);
+    EXPECT_EQ(w.u64(), st.drains_started);
+    EXPECT_EQ(w.u64(), st.drains_completed);
+    EXPECT_TRUE(sameBits(w.f64(), st.max_abs_dev));
+    EXPECT_EQ(w.u8(), st.converged ? 1u : 0u);
+    EXPECT_EQ(w.u64(), st.stale_steps);
+    EXPECT_TRUE(w.ok());
+    EXPECT_TRUE(w.atEnd()) << "balancer blob has trailing bytes";
+}
+
+/**
+ * Walk a whole v2 checkpoint of @p session field by field: framing,
+ * header, control-plane section, accumulators, recorded channels and
+ * (for resilient runs) the fault/watchdog/safe-mode block. Asserts
+ * that every byte is consumed and that the cursor, channel names and
+ * sample bits equal the live session's. Returns the number of held
+ * die-sensor latches so callers can assert the latch state is live.
+ */
+size_t
+walkCheckpointV2(const std::string &bytes, core::SimSession &session,
+                 const core::H2PSystem &sys,
+                 const workload::UtilizationTrace &trace)
+{
+    size_t held_die_latches = 0;
+    const size_t num_circ = sys.datacenter().numCirculations();
+    const size_t servers = sys.datacenter().numServers();
+
+    // Framing: "H2PCKPT1" | u32 version | u64 length | payload | u64.
+    EXPECT_EQ(bytes.substr(0, 8), "H2PCKPT1");
+    LayoutWalk head(bytes, 8, bytes.size());
+    EXPECT_EQ(head.u32(), 2u);
+    const uint64_t len = head.u64();
+    EXPECT_EQ(bytes.size(), 8u + 4u + 8u + len + 8u);
+    if (bytes.size() != 8u + 4u + 8u + len + 8u)
+        return 0;
+    const std::string payload = bytes.substr(20, len);
+    LayoutWalk foot(bytes, 20 + len, bytes.size());
+    EXPECT_EQ(foot.u64(), fnv1a(payload));
+    EXPECT_TRUE(foot.atEnd());
+
+    LayoutWalk w(payload, 0, payload.size());
+    w.u64(); // configuration fingerprint
+    EXPECT_EQ(w.u64(), trace.fingerprint());
+    EXPECT_EQ(w.u32(),
+              session.policy() == sched::Policy::TegLoadBalance ? 1u
+                                                                 : 0u);
+    const bool resilient = w.u8() != 0;
+    EXPECT_EQ(resilient, sys.config().faults.enabled() ||
+                             sys.config().safe_mode.enabled);
+    EXPECT_EQ(w.u64(), trace.numSteps());
+    EXPECT_TRUE(sameBits(w.f64(), trace.dt()));
+    const uint64_t cursor = w.u64();
+    EXPECT_EQ(cursor, session.cursor());
+
+    // Control plane: custom flag, then (name, bytes) stage blobs.
+    EXPECT_EQ(w.u8(), 0u);
+    const uint64_t blobs = w.u64();
+    for (uint64_t i = 0; i < blobs; ++i) {
+        const std::string name = w.str();
+        const std::string blob = w.str();
+        EXPECT_EQ(name, control::ThermalBalancer::kName);
+        const control::ControlStage *stage =
+            session.pipeline()->find(name);
+        EXPECT_NE(stage, nullptr) << name;
+        if (stage != nullptr)
+            walkBalancerBlob(
+                blob,
+                static_cast<const control::ThermalBalancer &>(*stage),
+                num_circ);
+    }
+    EXPECT_EQ(blobs, sys.config().balancer.enabled &&
+                             session.policy() ==
+                                 sched::Policy::TegLoadBalance
+                         ? 1u
+                         : 0u);
+
+    // Summary accumulators: six f64 sums, three u64 counters, then
+    // one safe-step counter per circulation.
+    for (int i = 0; i < 6; ++i)
+        EXPECT_TRUE(std::isfinite(w.f64()));
+    EXPECT_LE(w.u64(), cursor); // safe steps
+    w.u64();                    // safe-mode circulation-steps
+    EXPECT_LE(w.u64(), servers); // max faulted servers
+    EXPECT_EQ(w.u64(), num_circ);
+    for (size_t c = 0; c < num_circ; ++c)
+        EXPECT_LE(w.u64(), cursor);
+
+    // Recorded channels, in the recorder's (sorted) order.
+    const std::vector<std::string> names =
+        session.recorder().channels();
+    EXPECT_EQ(w.u64(), names.size());
+    for (const std::string &name : names) {
+        EXPECT_EQ(w.str(), name);
+        const auto &samples = session.recorder().series(name).samples();
+        EXPECT_EQ(w.u64(), cursor) << name;
+        EXPECT_EQ(samples.size(), cursor) << name;
+        for (size_t k = 0; k < samples.size(); ++k)
+            EXPECT_TRUE(sameBits(w.f64(), samples[k]))
+                << name << " sample " << k;
+    }
+
+    if (resilient) {
+        EXPECT_EQ(w.u64(), num_circ);
+        for (size_t c = 0; c < num_circ; ++c) {
+            const uint8_t die_held = w.u8();
+            EXPECT_LE(die_held, 1u);
+            held_die_latches += die_held;
+            w.f64();
+            EXPECT_LE(w.u8(), 1u); // flow latch held
+            w.f64();
+        }
+        // Watchdog: server count, caps, backlogs, trip flags, trip
+        // events, deferred work.
+        EXPECT_EQ(w.u64(), servers);
+        for (size_t i = 0; i < servers; ++i) {
+            double cap = w.f64();
+            EXPECT_GE(cap, 0.0);
+            EXPECT_LE(cap, 1.0);
+        }
+        for (size_t i = 0; i < servers; ++i)
+            EXPECT_GE(w.f64(), 0.0);
+        for (size_t i = 0; i < servers; ++i)
+            EXPECT_LE(w.u8(), 1u);
+        w.u64();
+        EXPECT_GE(w.f64(), 0.0);
+        // Safety monitor: one record per circulation.
+        for (size_t c = 0; c < num_circ; ++c) {
+            w.f64();
+            EXPECT_LE(w.u8(), 1u);
+            w.u64();
+            EXPECT_LE(w.u32(), 2u);
+            EXPECT_LE(w.u32(), 2u);
+        }
+        // Previous-interval readings and commanded flows.
+        for (size_t c = 0; c < num_circ; ++c) {
+            w.f64();
+            EXPECT_LE(w.u8(), 1u);
+            w.f64();
+            EXPECT_LE(w.u8(), 1u);
+            w.f64();
+        }
+        EXPECT_EQ(w.u8(), cursor > 0 ? 1u : 0u); // have_readings
+        for (size_t c = 0; c < num_circ; ++c)
+            EXPECT_LE(w.u32(), 2u);
+    }
+    EXPECT_TRUE(w.ok()) << "checkpoint payload ended early";
+    EXPECT_TRUE(w.atEnd()) << "checkpoint payload has "
+                           << payload.size() - w.pos()
+                           << " undecoded bytes";
+    return held_die_latches;
+}
+
+/** faultedConfig() plus resilience.ini-style random fault rates. */
+core::H2PConfig
+resilienceStyleConfig()
+{
+    core::H2PConfig cfg = faultedConfig();
+    auto &f = cfg.faults;
+    f.seed = 7;
+    f.pump_degrade_per_circ_year = 150;
+    f.pump_fail_per_circ_year = 30;
+    f.teg_open_per_server_year = 15;
+    f.teg_short_per_server_year = 30;
+    f.chiller_outages_per_year = 150;
+    f.die_sensor_faults_per_circ_year = 150;
+    f.flow_sensor_faults_per_circ_year = 75;
+    f.outage_duration_hours = 2;
+    f.sensor_fault_duration_hours = 6;
+    cfg.safe_mode.margin_c = 3;
+    cfg.safe_mode.flow_tolerance = 0.15;
+    cfg.safe_mode.hold_steps = 3;
+    return cfg;
+}
+
+TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
+{
+    TempPath ck("session_test_layout.ckpt");
+    auto trace = makeTrace();
+
+    core::H2PConfig balancer = smallConfig();
+    balancer.balancer.enabled = true;
+
+    struct Case
+    {
+        const char *what;
+        core::H2PConfig cfg;
+        sched::Policy policy;
+        size_t at;
+    };
+    const std::vector<Case> cases = {
+        {"clean", smallConfig(), sched::Policy::TegOriginal, 4},
+        {"faulted", resilienceStyleConfig(),
+         sched::Policy::TegLoadBalance, 4},
+        {"balancer", balancer, sched::Policy::TegLoadBalance,
+         trace.numSteps() / 2},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        core::H2PSystem sys(c.cfg);
+        auto session = sys.startSession(trace, c.policy);
+        while (session.cursor() < c.at)
+            session.step();
+        session.saveCheckpoint(ck.path);
+        const std::string bytes = readFile(ck.path);
+        size_t held = walkCheckpointV2(bytes, session, sys, trace);
+        // The scripted die-sensor stuck window (600 s onward) is
+        // latched by step 4 of the faulted run.
+        if (std::string(c.what) == "faulted") {
+            EXPECT_GE(held, 1u);
+        }
+
+        // The file the engine reads back re-saves to the same bytes.
+        auto resumed = sys.resumeSession(ck.path, trace);
+        resumed.saveCheckpoint(ck.path);
+        EXPECT_EQ(readFile(ck.path), bytes);
+    }
+}
+
 // ------------------------------------------------- rejection paths
 
 TEST(SessionTest, CheckpointRejectsCorruption)
@@ -304,6 +640,23 @@ TEST(SessionTest, CheckpointRejectsCorruption)
 
     // Truncation.
     rewrite(bytes.substr(0, bytes.size() - 9));
+    EXPECT_THROW(sys.resumeSession(ck.path, trace), Error);
+
+    // A well-checksummed file that repeats a channel name: rename
+    // cpu_w_per_server to teg_w_per_server in the payload and fix the
+    // footer. Every name is still one this configuration records, but
+    // not the one at that position; accepting it would double one
+    // channel's samples and leave the other empty.
+    bad = bytes;
+    const size_t at = bad.find(sim::channels::kCpuWPerServer);
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, std::strlen(sim::channels::kTegWPerServer),
+                sim::channels::kTegWPerServer);
+    const size_t payload_end = bad.size() - 8;
+    uint64_t sum = fnv1a(bad.substr(20, payload_end - 20));
+    for (size_t i = 0; i < 8; ++i)
+        bad[payload_end + i] = static_cast<char>(sum >> (8 * i));
+    rewrite(bad);
     EXPECT_THROW(sys.resumeSession(ck.path, trace), Error);
 
     // The pristine file still restores.
@@ -475,6 +828,81 @@ TEST(SessionTest, EvaluateStepRefusesFaultObliviousUse)
     EXPECT_GT(state.teg_power_w, 0.0);
 }
 
+void
+expectSameVector(const std::vector<double> &a, const std::vector<double> &b,
+                 const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(sameBits(a[i], b[i])) << what << "[" << i << "]";
+}
+
+void
+expectSameState(const cluster::DatacenterState &a,
+                const cluster::DatacenterState &b)
+{
+    EXPECT_TRUE(sameBits(a.cpu_power_w, b.cpu_power_w));
+    EXPECT_TRUE(sameBits(a.teg_power_w, b.teg_power_w));
+    EXPECT_TRUE(sameBits(a.heat_w, b.heat_w));
+    EXPECT_TRUE(sameBits(a.pump_power_w, b.pump_power_w));
+    EXPECT_TRUE(sameBits(a.plant_power_w, b.plant_power_w));
+    EXPECT_EQ(a.faulted_servers, b.faulted_servers);
+    EXPECT_TRUE(sameBits(a.teg_power_lost_w, b.teg_power_lost_w));
+    EXPECT_EQ(a.plant_degraded, b.plant_degraded);
+    EXPECT_EQ(a.all_safe, b.all_safe);
+    ASSERT_EQ(a.circulations.size(), b.circulations.size());
+    for (size_t c = 0; c < a.circulations.size(); ++c) {
+        SCOPED_TRACE(c);
+        const cluster::CirculationState &x = a.circulations[c];
+        const cluster::CirculationState &y = b.circulations[c];
+        EXPECT_TRUE(sameBits(x.setting.t_in_c, y.setting.t_in_c));
+        EXPECT_TRUE(sameBits(x.setting.flow_lph, y.setting.flow_lph));
+        EXPECT_TRUE(sameBits(x.cpu_power_w, y.cpu_power_w));
+        EXPECT_TRUE(sameBits(x.teg_power_w, y.teg_power_w));
+        EXPECT_TRUE(sameBits(x.heat_w, y.heat_w));
+        EXPECT_TRUE(sameBits(x.return_c, y.return_c));
+        EXPECT_TRUE(sameBits(x.pump_power_w, y.pump_power_w));
+        EXPECT_TRUE(sameBits(x.max_die_c, y.max_die_c));
+        EXPECT_TRUE(
+            sameBits(x.delivered_flow_lph, y.delivered_flow_lph));
+        EXPECT_EQ(x.faulted_servers, y.faulted_servers);
+        EXPECT_TRUE(sameBits(x.teg_power_lost_w, y.teg_power_lost_w));
+        EXPECT_EQ(x.all_safe, y.all_safe);
+        expectSameVector(x.servers.util, y.servers.util, "util");
+        expectSameVector(x.servers.die_temp_c, y.servers.die_temp_c,
+                         "die_temp_c");
+        expectSameVector(x.servers.teg_power_w, y.servers.teg_power_w,
+                         "teg_power_w");
+        expectSameVector(x.servers.outlet_c, y.servers.outlet_c,
+                         "outlet_c");
+    }
+}
+
+TEST(SessionTest, EvaluateStepMatchesFirstSessionStep)
+{
+    // evaluateStep() runs the policy's pipeline and the datacenter's
+    // evaluation exactly as step 0 of a fresh session does.
+    auto trace = makeTrace();
+    std::vector<double> utils0;
+    trace.stepInto(0, utils0);
+    utils0.resize(40);
+    for (bool balancer : {false, true}) {
+        for (sched::Policy policy : {sched::Policy::TegOriginal,
+                                     sched::Policy::TegLoadBalance}) {
+            SCOPED_TRACE(toString(policy) +
+                         (balancer ? " balancer" : ""));
+            core::H2PConfig cfg = smallConfig();
+            cfg.balancer.enabled = balancer;
+            core::H2PSystem sys(cfg);
+            cluster::DatacenterState single =
+                sys.evaluateStep(utils0, policy);
+            auto session = sys.startSession(trace, policy);
+            session.step();
+            expectSameState(single, session.lastState());
+        }
+    }
+}
+
 // ------------------------------------------------ controller seam
 
 TEST(SessionTest, ControllerOverrideDrivesTheDecision)
@@ -487,13 +915,11 @@ TEST(SessionTest, ControllerOverrideDrivesTheDecision)
     const size_t num_circ = sys.datacenter().numCirculations();
     cluster::CoolingSetting fixed{45.0, 80.0};
     size_t calls = 0;
-    session.setController([&](size_t, const std::vector<double> &u,
-                              sched::ScheduleDecision &d) {
-        ++calls;
-        d.utils = u;
-        d.settings.assign(num_circ, fixed);
-        d.details.clear();
-    });
+    session.setPipeline(test::fnPipeline(
+        [&](const control::ControlContext &, sched::ScheduleDecision &d) {
+            ++calls;
+            d.settings.assign(num_circ, fixed);
+        }));
 
     session.runToCompletion();
     EXPECT_EQ(calls, trace.numSteps());
@@ -510,11 +936,10 @@ TEST(SessionTest, ControllerShapeIsValidated)
     auto trace = makeTrace();
     auto session =
         sys.startSession(trace, sched::Policy::TegOriginal);
-    session.setController([](size_t, const std::vector<double> &u,
-                             sched::ScheduleDecision &d) {
-        d.utils = u;
-        d.settings.clear(); // wrong: one setting per circulation
-    });
+    session.setPipeline(test::fnPipeline(
+        [](const control::ControlContext &, sched::ScheduleDecision &d) {
+            d.settings.clear(); // wrong: one setting per circulation
+        }));
     EXPECT_THROW(session.step(), Error);
 }
 
@@ -532,23 +957,20 @@ TEST(SessionTest, CustomControlResumeRefusesToStepUntilReattach)
     const size_t num_circ = sys.datacenter().numCirculations();
 
     // The custom decision depends only on the step index, so the
-    // same lambda re-attached after resume replays identically.
-    auto controller = [num_circ](size_t step,
-                                 const std::vector<double> &u,
+    // same stage re-attached after resume replays identically.
+    auto controller = [num_circ](const control::ControlContext &ctx,
                                  sched::ScheduleDecision &d) {
-        d.utils = u;
-        double t_in = 40.0 + static_cast<double>(step % 7);
+        double t_in = 40.0 + static_cast<double>(ctx.step % 7);
         d.settings.assign(num_circ, cluster::CoolingSetting{t_in, 90.0});
-        d.details.clear();
     };
 
     auto full = sys.startSession(trace, sched::Policy::TegOriginal);
-    full.setController(controller);
+    full.setPipeline(test::fnPipeline(controller));
     full.runToCompletion();
     auto full_result = full.finish();
 
     auto first = sys.startSession(trace, sched::Policy::TegOriginal);
-    first.setController(controller);
+    first.setPipeline(test::fnPipeline(controller));
     for (size_t i = 0; i < trace.numSteps() / 2; ++i)
         first.step();
     first.saveCheckpoint(ck.path);
@@ -564,7 +986,7 @@ TEST(SessionTest, CustomControlResumeRefusesToStepUntilReattach)
         EXPECT_EQ(e.failure().stage, "decide");
     }
 
-    resumed.setController(controller);
+    resumed.setPipeline(test::fnPipeline(controller));
     ASSERT_NE(resumed.pipeline(), nullptr);
     resumed.runToCompletion();
     auto rest = resumed.finish();
@@ -574,7 +996,7 @@ TEST(SessionTest, CustomControlResumeRefusesToStepUntilReattach)
 
 TEST(SessionTest, ControllerNullRestoresBuiltinPipeline)
 {
-    // setController(nullptr) reinstates the policy's factory
+    // setPipeline(nullptr) reinstates the policy's factory
     // pipeline: a session overridden and then cleared before any
     // step must match a never-overridden run bit for bit.
     core::H2PSystem sys(smallConfig());
@@ -584,21 +1006,63 @@ TEST(SessionTest, ControllerNullRestoresBuiltinPipeline)
     auto session =
         sys.startSession(trace, sched::Policy::TegLoadBalance);
     const size_t num_circ = sys.datacenter().numCirculations();
-    session.setController([num_circ](size_t,
-                                     const std::vector<double> &u,
-                                     sched::ScheduleDecision &d) {
-        d.utils = u;
-        d.settings.assign(num_circ,
-                          cluster::CoolingSetting{45.0, 80.0});
-        d.details.clear();
-    });
-    session.setController(nullptr);
+    session.setPipeline(test::fnPipeline(
+        [num_circ](const control::ControlContext &,
+                   sched::ScheduleDecision &d) {
+            d.settings.assign(num_circ,
+                              cluster::CoolingSetting{45.0, 80.0});
+        }));
+    session.setPipeline(nullptr);
     ASSERT_NE(session.pipeline(), nullptr);
     EXPECT_EQ(session.pipeline()->name(), "TEG_LoadBalance");
     session.runToCompletion();
     auto cleared = session.finish();
     expectSameSummary(plain.summary, cleared.summary);
     expectSameChannels(*plain.recorder, *cleared.recorder);
+}
+
+TEST(SessionTest, RestoringBuiltinPipelineRefusesPendingStageState)
+{
+    // A custom pipeline with a stateful stage checkpoints that stage's
+    // state. After resume the state waits for the matching pipeline;
+    // restoring the built-in pipeline instead would drop it, so
+    // setPipeline(nullptr) refuses until the re-attach.
+    TempPath ck("session_test_pending.ckpt");
+    core::H2PConfig cfg = smallConfig();
+    cfg.balancer.enabled = true;
+    core::H2PSystem sys(cfg);
+    auto trace = makeTrace();
+    auto custom = [&sys]() {
+        auto p = std::make_unique<control::ControlPipeline>("custom");
+        p->add(std::make_unique<control::ThermalBalancer>(
+            sys.config().balancer, sys.datacenter(),
+            sys.config().optimizer.t_safe_c));
+        p->add(std::make_unique<control::CoolingStage>(
+            sys.datacenter(), sys.optimizer()));
+        return p;
+    };
+
+    auto full = sys.startSession(trace, sched::Policy::TegOriginal);
+    full.setPipeline(custom());
+    full.runToCompletion();
+    auto full_result = full.finish();
+
+    auto first = sys.startSession(trace, sched::Policy::TegOriginal);
+    first.setPipeline(custom());
+    for (size_t i = 0; i < trace.numSteps() / 2; ++i)
+        first.step();
+    first.saveCheckpoint(ck.path);
+
+    auto resumed = sys.resumeSession(ck.path, trace);
+    EXPECT_EQ(resumed.pipeline(), nullptr);
+    EXPECT_THROW(resumed.setPipeline(nullptr), Error);
+    EXPECT_EQ(resumed.pipeline(), nullptr);
+
+    resumed.setPipeline(custom());
+    resumed.runToCompletion();
+    auto rest = resumed.finish();
+    expectSameSummary(full_result.summary, rest.summary);
+    expectSameChannels(*full_result.recorder, *rest.recorder);
 }
 
 // ------------------------------------------- recorder channel handles

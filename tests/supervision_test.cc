@@ -19,6 +19,7 @@
 #include "core/h2p_system.h"
 #include "core/sweep_engine.h"
 #include "obs/observability.h"
+#include "tests/support/fn_stage.h"
 #include "util/error.h"
 #include "util/signal.h"
 #include "workload/trace_gen.h"
@@ -252,6 +253,12 @@ TEST(SignalCancelTest, SignalCancelledSweepIsJournalResumable)
     options.keep_recorders = false;
     options.journal_path = jp.path;
     options.cancel = &util::signalCancelToken();
+    // One worker: the signal lands inside the second delivery, before
+    // the third point is claimed, so the premise (a cut-short sweep)
+    // holds by construction. With more workers, points still in
+    // flight — or finished ahead of a slow one whose delivery raises
+    // the signal — can complete the whole grid first.
+    options.workers = 1;
     core::SweepEngine engine(options);
     size_t delivered = 0;
     core::SweepResult cancelled =
@@ -365,13 +372,11 @@ TEST(DivergenceTest, NonFiniteControllerDecisionIsCaughtAtDecide)
     auto trace = makeTrace();
     auto session = sys.startSession(trace, sched::Policy::TegOriginal);
     const size_t num_circ = sys.datacenter().numCirculations();
-    session.setController([&](size_t, const std::vector<double> &u,
-                              sched::ScheduleDecision &d) {
-        d.utils = u;
-        d.settings.assign(num_circ, cluster::CoolingSetting{
-                                        std::nan(""), 80.0});
-        d.details.clear();
-    });
+    session.setPipeline(test::fnPipeline(
+        [&](const control::ControlContext &, sched::ScheduleDecision &d) {
+            d.settings.assign(num_circ, cluster::CoolingSetting{
+                                            std::nan(""), 80.0});
+        }));
     try {
         session.step();
         FAIL() << "NaN setpoint not detected";
@@ -456,18 +461,16 @@ TEST(SupervisedSweepTest, RetryableFailureSucceedsOnSecondAttempt)
     auto attempts_seen = std::make_shared<std::atomic<int>>(0);
     const size_t num_circ =
         core::H2PSystem(grid[1].config).datacenter().numCirculations();
-    grid[1].make_controller = [attempts_seen, num_circ]() {
+    grid[1].make_pipeline = [attempts_seen, num_circ]() {
         const int attempt = ++*attempts_seen;
-        return [attempt, num_circ](size_t step,
-                                   const std::vector<double> &u,
-                                   sched::ScheduleDecision &d) {
-            if (attempt == 1 && step == 4)
+        return test::fnPipeline([attempt, num_circ](
+                                    const control::ControlContext &ctx,
+                                    sched::ScheduleDecision &d) {
+            if (attempt == 1 && ctx.step == 4)
                 throw std::runtime_error("transient glitch");
-            d.utils = u;
             d.settings.assign(num_circ,
                               cluster::CoolingSetting{45.0, 80.0});
-            d.details.clear();
-        };
+        });
     };
 
     core::SweepOptions options;
@@ -490,11 +493,11 @@ TEST(SupervisedSweepTest, ExhaustedRetriesQuarantineWithLastFailure)
     auto grid = makeGrid(trace, 2);
     const size_t num_circ =
         core::H2PSystem(grid[0].config).datacenter().numCirculations();
-    grid[0].make_controller = [num_circ]() {
-        return [](size_t, const std::vector<double> &,
-                  sched::ScheduleDecision &) {
+    grid[0].make_pipeline = [num_circ]() {
+        return test::fnPipeline([](const control::ControlContext &,
+                                   sched::ScheduleDecision &) {
             throw std::runtime_error("always broken");
-        };
+        });
     };
 
     core::SweepOptions options;
@@ -522,9 +525,11 @@ TEST(SupervisedSweepTest, WorkerCatchAllHandlesForeignThrows)
     // Internal with a readable message, not a dead sweep.
     {
         auto grid = makeGrid(trace, 2);
-        grid[1].make_controller = []() {
-            return [](size_t, const std::vector<double> &,
-                      sched::ScheduleDecision &) { throw std::bad_alloc(); };
+        grid[1].make_pipeline = []() {
+            return test::fnPipeline([](const control::ControlContext &,
+                                       sched::ScheduleDecision &) {
+                throw std::bad_alloc();
+            });
         };
         core::SweepOptions options;
         options.max_attempts = 1;
@@ -542,9 +547,11 @@ TEST(SupervisedSweepTest, WorkerCatchAllHandlesForeignThrows)
     // A non-std::exception throw (here: int) from a worker.
     {
         auto grid = makeGrid(trace, 2);
-        grid[0].make_controller = []() {
-            return [](size_t, const std::vector<double> &,
-                      sched::ScheduleDecision &) { throw 42; };
+        grid[0].make_pipeline = []() {
+            return test::fnPipeline([](const control::ControlContext &,
+                                       sched::ScheduleDecision &) {
+                throw 42;
+            });
         };
         core::SweepOptions options;
         options.max_attempts = 1;

@@ -12,6 +12,10 @@
 #include <iterator>
 #include <sstream>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "util/cancellation.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -20,6 +24,7 @@
 #include "util/random.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/time_series.h"
 #include "util/units.h"
 
@@ -478,6 +483,34 @@ TEST(CancelTokenTest, LatchesAndResets)
     EXPECT_TRUE(token.cancelRequested());
     token.reset();
     EXPECT_FALSE(token.cancelRequested());
+}
+
+TEST(HardwareThreadsTest, HonorsTheAffinityMask)
+{
+#if defined(__linux__)
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(util::hardwareThreads(),
+              static_cast<size_t>(CPU_COUNT(&saved)));
+
+    // Pin to one CPU of the current mask, as `taskset -c N` would.
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const size_t pinned = util::hardwareThreads();
+    const size_t host = util::hostHardwareThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_GE(host, static_cast<size_t>(CPU_COUNT(&saved)));
+#else
+    EXPECT_GE(util::hardwareThreads(), 1u);
+#endif
 }
 
 } // namespace
