@@ -2,10 +2,10 @@
  * @file
  * Hot-path performance report. Times the simulation's three hot paths
  * — look-up space construction, per-circulation cooling decisions and
- * whole-datacenter step evaluation (64/256/1024 servers, serial and
- * threaded) — against a bench-local emulation of the pre-optimization
- * code path (materialized slices, per-step allocation, no decision
- * cache, no thread pool), and writes the measurements to
+ * whole-datacenter step evaluation (64/256/1024 servers) — against a
+ * bench-local emulation of the pre-optimization code path
+ * (materialized slices, per-step allocation, no decision cache), and
+ * writes the measurements to
  * bench_results/BENCH_hotpath.json so future changes have a perf
  * trajectory to compare against.
  *
@@ -39,9 +39,9 @@
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
 #include "thermal/teg.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/trace_gen.h"
 
 namespace {
@@ -168,9 +168,6 @@ baselineStep(const cluster::Datacenter &dc,
 struct StepRow
 {
     size_t servers = 0;
-    size_t threads = 1;
-    /** Workers actually in the pool for this row (vs requested). */
-    size_t pool_threads = 1;
     double baseline_ns = 0.0;
     double fast_ns = 0.0;
 };
@@ -195,6 +192,29 @@ jsonNum(double v)
 {
     std::ostringstream os;
     os << std::setprecision(6) << v;
+    return os.str();
+}
+
+/**
+ * The host lines every BENCH file opens with: hardware threads of the
+ * host and of this process, compiler and optimization level.
+ */
+std::string
+hostJson(size_t hw, size_t usable)
+{
+    std::ostringstream os;
+    os << "  \"host_hardware_threads\": " << hw << ",\n"
+       << "  \"process_usable_threads\": " << usable << ",\n"
+#if defined(__GNUC__) && !defined(__clang__)
+       << "  \"compiler\": \"gcc " __VERSION__ "\",\n"
+#else
+       << "  \"compiler\": \"" __VERSION__ "\",\n"
+#endif
+#if defined(__OPTIMIZE__)
+       << "  \"optimized\": true,\n";
+#else
+       << "  \"optimized\": false,\n";
+#endif
     return os.str();
 }
 
@@ -280,16 +300,10 @@ main()
 
     // ------------------------------------------------ step evaluation
     const std::vector<size_t> sizes{64, 256, 1024};
-    std::vector<size_t> thread_counts{1};
-    if (usable > 1)
-        thread_counts.push_back(std::min<size_t>(usable, 8));
-    else
-        thread_counts.push_back(8); // measured anyway; see JSON note
-
     std::vector<StepRow> rows;
     TablePrinter step_table("Step evaluation (decide + evaluate)");
-    step_table.setHeader({"servers", "threads", "baseline us",
-                          "fast us", "speedup"});
+    step_table.setHeader({"servers", "baseline us", "fast us",
+                          "speedup"});
 
     for (size_t servers : sizes) {
         cluster::DatacenterParams dp;
@@ -334,25 +348,16 @@ main()
             g_sink = g_sink + state.teg_power_w;
         };
 
-        for (size_t threads : thread_counts) {
-            util::ThreadPool pool(threads);
-            dc.setThreadPool(threads > 1 ? &pool : nullptr);
-            double fast_ns = nsPerOp(fast_step);
-            dc.setThreadPool(nullptr);
-
-            StepRow row;
-            row.servers = servers;
-            row.threads = threads;
-            row.pool_threads = pool.workers();
-            row.baseline_ns = baseline_ns;
-            row.fast_ns = fast_ns;
-            rows.push_back(row);
-            step_table.addRow(
-                strings::fixed(static_cast<double>(servers), 0),
-                {static_cast<double>(threads), baseline_ns / 1e3,
-                 fast_ns / 1e3, baseline_ns / fast_ns},
-                2);
-        }
+        StepRow row;
+        row.servers = servers;
+        row.baseline_ns = baseline_ns;
+        row.fast_ns = nsPerOp(fast_step);
+        rows.push_back(row);
+        step_table.addRow(
+            strings::fixed(static_cast<double>(servers), 0),
+            {baseline_ns / 1e3, row.fast_ns / 1e3,
+             baseline_ns / row.fast_ns},
+            2);
     }
     step_table.print(std::cout);
 
@@ -361,20 +366,19 @@ main()
     // Datacenter::evaluateInto cost (no scheduling). Utilizations come
     // from a cheap deterministic hash pattern — generating a 64k-server
     // trace through TraceGenerator would dwarf the measured loop — and
-    // every worker count must reproduce the serial totals bitwise.
+    // every timed evaluation into the reused state must reproduce the
+    // first evaluation's totals bitwise.
     struct FleetRow
     {
         size_t servers = 0;
-        size_t threads = 1;
-        size_t pool_threads = 1;
         double eval_ns = 0.0;
         bool identical = true;
     };
     std::vector<FleetRow> fleet_rows;
     TablePrinter fleet_table(
         "Fleet-scale SoA step evaluation (evaluate only)");
-    fleet_table.setHeader({"servers", "threads", "eval us",
-                           "ns/server/step", "bit-identical"});
+    fleet_table.setHeader({"servers", "eval us", "ns/server/step",
+                           "bit-identical"});
     for (size_t servers :
          {size_t{4096}, size_t{16384}, size_t{65536}}) {
         cluster::DatacenterParams dp;
@@ -395,34 +399,24 @@ main()
 
         cluster::DatacenterState fleet_state;
         dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
-        const double serial_teg = fleet_state.teg_power_w;
-        const double serial_heat = fleet_state.heat_w;
+        const double first_teg = fleet_state.teg_power_w;
+        const double first_heat = fleet_state.heat_w;
 
-        for (size_t threads : thread_counts) {
-            util::ThreadPool pool(threads);
-            dc.setThreadPool(threads > 1 ? &pool : nullptr);
-            double eval_ns = nsPerOp([&] {
-                dc.evaluateInto(utils, fleet_settings, nullptr,
-                                fleet_state);
-                g_sink = g_sink + fleet_state.teg_power_w;
-            });
-            dc.setThreadPool(nullptr);
-
-            FleetRow row;
-            row.servers = servers;
-            row.threads = threads;
-            row.pool_threads = pool.workers();
-            row.eval_ns = eval_ns;
-            row.identical = fleet_state.teg_power_w == serial_teg &&
-                            fleet_state.heat_w == serial_heat;
-            fleet_rows.push_back(row);
-            fleet_table.addRow(
-                strings::fixed(static_cast<double>(servers), 0),
-                {static_cast<double>(threads), eval_ns / 1e3,
-                 eval_ns / static_cast<double>(servers),
-                 row.identical ? 1.0 : 0.0},
-                2);
-        }
+        FleetRow row;
+        row.servers = servers;
+        row.eval_ns = nsPerOp([&] {
+            dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
+            g_sink = g_sink + fleet_state.teg_power_w;
+        });
+        row.identical = fleet_state.teg_power_w == first_teg &&
+                        fleet_state.heat_w == first_heat;
+        fleet_rows.push_back(row);
+        fleet_table.addRow(
+            strings::fixed(static_cast<double>(servers), 0),
+            {row.eval_ns / 1e3,
+             row.eval_ns / static_cast<double>(servers),
+             row.identical ? 1.0 : 0.0},
+            2);
     }
     fleet_table.print(std::cout);
 
@@ -545,9 +539,7 @@ main()
     auto serial_sweep = [&] {
         serial_summaries.clear();
         for (const core::SweepPoint &pt : sweep_grid) {
-            core::H2PConfig c = pt.config;
-            c.perf.threads = 1;
-            core::H2PSystem system(c);
+            core::H2PSystem system(pt.config);
             serial_summaries.push_back(
                 system.run(*pt.trace, pt.policy).summary);
         }
@@ -614,8 +606,7 @@ main()
     sweep_json
         << "{\n"
         << "  \"bench\": \"sweep\",\n"
-        << "  \"host_hardware_threads\": " << hw << ",\n"
-        << "  \"process_usable_threads\": " << usable << ",\n"
+        << hostJson(hw, usable)
         << "  \"note\": \"runs/sec of a 16-point sweep, serial loop "
            "vs SweepEngine. Batched speedup requires that many cores "
            "usable by the process; bit_identical must hold "
@@ -651,12 +642,10 @@ main()
     std::ostringstream json;
     json << "{\n"
          << "  \"bench\": \"hotpath\",\n"
-         << "  \"host_hardware_threads\": " << hw << ",\n"
-         << "  \"process_usable_threads\": " << usable << ",\n"
+         << hostJson(hw, usable)
          << "  \"note\": \"baseline emulates the pre-optimization "
             "path: materialized slices, per-step allocation, no "
-            "decision cache, no thread pool. Threaded rows only show "
-            "a speedup when the host has that many cores.\",\n"
+            "decision cache. Every row is single-threaded.\",\n"
          << "  \"lookup_build_ns\": " << jsonNum(lookup_ns) << ",\n"
          << "  \"optimizer_decision\": {\n"
          << "    \"slice_baseline_ns\": " << jsonNum(slice_ns) << ",\n"
@@ -670,8 +659,6 @@ main()
     for (size_t i = 0; i < rows.size(); ++i) {
         const StepRow &r = rows[i];
         json << "    {\"servers\": " << r.servers
-             << ", \"threads\": " << r.threads
-             << ", \"pool_threads\": " << r.pool_threads
              << ", \"baseline_ns\": " << jsonNum(r.baseline_ns)
              << ", \"fast_ns\": " << jsonNum(r.fast_ns)
              << ", \"speedup\": " << jsonNum(r.baseline_ns / r.fast_ns)
@@ -682,8 +669,6 @@ main()
     for (size_t i = 0; i < fleet_rows.size(); ++i) {
         const FleetRow &r = fleet_rows[i];
         json << "    {\"servers\": " << r.servers
-             << ", \"threads\": " << r.threads
-             << ", \"pool_threads\": " << r.pool_threads
              << ", \"eval_ns\": " << jsonNum(r.eval_ns)
              << ", \"ns_per_server\": "
              << jsonNum(r.eval_ns / static_cast<double>(r.servers))

@@ -41,9 +41,9 @@
 #include "service/threaded_server.h"
 #include "util/args.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/socket.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 

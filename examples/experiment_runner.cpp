@@ -276,7 +276,6 @@ runSweep(const h2p::sim::Config &base_ini, const std::string &spec,
     if (!cli.quiet) {
         std::cout << "\nsweep: " << result.runs_completed << " runs, "
                   << result.workers << " worker(s), "
-                  << result.threads_per_run << " thread(s)/run, "
                   << result.lookup_spaces_built
                   << " look-up table(s) built, "
                   << strings::fixed(result.wall_s, 2) << " s\n";

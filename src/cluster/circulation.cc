@@ -15,27 +15,6 @@ Circulation::Circulation(size_t count, const ServerParams &server_params,
     expect(count >= 1, "a circulation needs at least one server");
 }
 
-CirculationState
-Circulation::evaluate(const std::vector<double> &utils,
-                      const CoolingSetting &setting, double t_cold_c) const
-{
-    CirculationState state;
-    evaluateInto(utils.data(), utils.size(), setting, t_cold_c, nullptr,
-                 state);
-    return state;
-}
-
-CirculationState
-Circulation::evaluate(const std::vector<double> &utils,
-                      const CoolingSetting &setting, double t_cold_c,
-                      const CirculationHealth &health) const
-{
-    CirculationState state;
-    evaluateInto(utils.data(), utils.size(), setting, t_cold_c, &health,
-                 state);
-    return state;
-}
-
 void
 Circulation::evaluateInto(const double *utils, size_t n,
                           const CoolingSetting &setting, double t_cold_c,

@@ -177,36 +177,20 @@ class Circulation
     size_t size() const { return count_; }
 
     /**
-     * Evaluate the circulation for one interval.
+     * Evaluate the circulation for one interval into caller-owned
+     * storage: @p out (including its servers vector) is reused across
+     * calls, so a steady-state simulation loop allocates nothing per
+     * step.
      *
-     * @param utils Per-server utilizations (size() entries).
+     * @param utils Per-server utilizations; @p n must equal size().
      * @param setting Cooling setting applied to every branch.
      * @param t_cold_c Natural-water cold-loop temperature, C.
-     */
-    CirculationState evaluate(const std::vector<double> &utils,
-                              const CoolingSetting &setting,
-                              double t_cold_c) const;
-
-    /**
-     * Evaluate a degraded circulation. The pump delivers only
-     * pump_flow_factor of the commanded flow (a dead pump leaves a
-     * stagnant trickle, kStagnantFlowLph, so the steady-state thermal
-     * model stays finite — the dies then run far beyond the vendor
-     * maximum) and each server sees its own ServerHealth. A clean
-     * health reproduces the healthy evaluation exactly.
-     */
-    CirculationState evaluate(const std::vector<double> &utils,
-                              const CoolingSetting &setting,
-                              double t_cold_c,
-                              const CirculationHealth &health) const;
-
-    /**
-     * Allocation-free evaluation into caller-owned storage: @p out
-     * (including its servers vector) is reused across calls, so a
-     * steady-state simulation loop allocates nothing per step. Results
-     * are identical to the evaluate() overloads. @p health may be
-     * null (or clean) for the healthy evaluation; @p utils points at
-     * size() utilizations.
+     * @param health Null (or clean) for the healthy evaluation. A
+     *        degraded pump delivers only pump_flow_factor of the
+     *        commanded flow (a dead pump leaves a stagnant trickle,
+     *        kStagnantFlowLph, so the steady-state thermal model stays
+     *        finite — the dies then run far beyond the vendor maximum)
+     *        and each server sees its own ServerHealth.
      */
     void evaluateInto(const double *utils, size_t n,
                       const CoolingSetting &setting, double t_cold_c,

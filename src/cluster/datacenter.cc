@@ -68,36 +68,12 @@ Datacenter::circulationSize(size_t i) const
     return circulation_sizes_[i];
 }
 
-std::vector<double>
-Datacenter::circulationUtils(const std::vector<double> &utils,
-                             size_t i) const
-{
-    expect(utils.size() == params_.num_servers, "expected ",
-           params_.num_servers, " utilizations, got ", utils.size());
-    expect(i < circulation_sizes_.size(), "circulation ", i,
-           " out of range");
-    size_t off = circulation_offsets_[i];
-    size_t n = circulation_sizes_[i];
-    return std::vector<double>(utils.begin() + off,
-                               utils.begin() + off + n);
-}
-
 DatacenterState
 Datacenter::evaluate(const std::vector<double> &utils,
                      const std::vector<CoolingSetting> &settings) const
 {
     DatacenterState state;
     evaluateInto(utils, settings, nullptr, state);
-    return state;
-}
-
-DatacenterState
-Datacenter::evaluate(const std::vector<double> &utils,
-                     const std::vector<CoolingSetting> &settings,
-                     const DatacenterHealth &health) const
-{
-    DatacenterState state;
-    evaluateInto(utils, settings, &health, state);
     return state;
 }
 
@@ -129,9 +105,7 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
 
     static const CirculationHealth healthy_circulation;
 
-    // Evaluate one circulation into its own slot; safe to run for
-    // distinct i from distinct threads.
-    auto eval_one = [&](size_t i) {
+    for (size_t i = 0; i < num_circ; ++i) {
         const size_t n = circulation_sizes_[i];
         const double *u = utils.data() + circulation_offsets_[i];
         const Circulation &model =
@@ -139,7 +113,7 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
         if (clean) {
             model.evaluateInto(u, n, settings[i], params_.cold_source_c,
                                nullptr, out.circulations[i]);
-            return;
+            continue;
         }
         const CirculationHealth &ch =
             health->circulations.empty() ? healthy_circulation
@@ -150,16 +124,9 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
             plant_.achievableSupply(setting.t_in_c, health->plant);
         model.evaluateInto(u, n, setting, params_.cold_source_c, &ch,
                            out.circulations[i]);
-    };
+    }
 
-    if (pool_ != nullptr && pool_->workers() > 1 && num_circ > 1)
-        pool_->parallelFor(num_circ, eval_one);
-    else
-        for (size_t i = 0; i < num_circ; ++i)
-            eval_one(i);
-
-    // Ordered reduction: accumulate in circulation order so the totals
-    // do not depend on the worker count.
+    // Reduce in circulation order.
     out.cpu_power_w = 0.0;
     out.teg_power_w = 0.0;
     out.heat_w = 0.0;

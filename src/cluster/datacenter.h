@@ -20,7 +20,6 @@
 #include "cluster/circulation.h"
 #include "hydraulic/plant.h"
 #include "obs/observability.h"
-#include "util/thread_pool.h"
 
 namespace h2p {
 namespace cluster {
@@ -134,41 +133,21 @@ class Datacenter
         const;
 
     /**
-     * Evaluate one interval under hardware faults: plant outages warm
-     * the delivered supply temperature of every circulation, degraded
-     * pumps starve their loop, and per-server faults flow through.
-     * A clean @p health reproduces the healthy evaluation exactly.
-     */
-    DatacenterState evaluate(const std::vector<double> &utils,
-                             const std::vector<CoolingSetting> &settings,
-                             const DatacenterHealth &health) const;
-
-    /**
      * Allocation-free evaluation into caller-owned storage: @p out
      * (its circulations vector and each circulation's servers) is
-     * reused across calls. Identical results to the evaluate()
-     * overloads; @p health may be null for a healthy cluster.
+     * reused across calls. Identical results to evaluate().
      *
-     * When a thread pool is attached (setThreadPool) and has more
-     * than one worker, circulations are evaluated in parallel with
-     * static partitioning; every per-circulation result lands in its
-     * own slot and the cross-circulation reduction runs serially in
-     * circulation order afterwards, so the totals are bit-identical
-     * to the serial path no matter the worker count.
+     * @p health may be null for a healthy cluster. Under faults, plant
+     * outages warm the delivered supply temperature of every
+     * circulation, degraded pumps starve their loop, and per-server
+     * faults flow through; a clean @p health reproduces the healthy
+     * evaluation exactly. Circulations are evaluated in order and the
+     * totals reduced in circulation order.
      */
     void evaluateInto(const std::vector<double> &utils,
                       const std::vector<CoolingSetting> &settings,
                       const DatacenterHealth *health,
                       DatacenterState &out) const;
-
-    /**
-     * Attach a thread pool (not owned; may be null to go serial).
-     * The pool must outlive the datacenter or be detached first.
-     */
-    void setThreadPool(util::ThreadPool *pool) { pool_ = pool; }
-
-    /** The attached thread pool, if any. */
-    util::ThreadPool *threadPool() const { return pool_; }
 
     /**
      * Attach an observability sink (not owned; may be null, the
@@ -180,10 +159,6 @@ class Datacenter
      * computed state.
      */
     void setObservability(obs::Observability *obs);
-
-    /** Slice the utilizations belonging to circulation @p i. */
-    std::vector<double> circulationUtils(
-        const std::vector<double> &utils, size_t i) const;
 
     const DatacenterParams &params() const { return params_; }
     const Circulation &circulationModel() const { return circulation_; }
@@ -197,7 +172,6 @@ class Datacenter
     // here rather than on every evaluate call).
     std::optional<Circulation> tail_circulation_;
     hydraulic::FacilityPlant plant_;
-    util::ThreadPool *pool_ = nullptr;
     obs::Observability *obs_ = nullptr;
     // Span id resolved once at attach time, not per evaluation.
     obs::SpanRegistry::SpanId span_evaluate_;

@@ -55,9 +55,7 @@ warnUnknownKeys(const sim::Config &ini)
          {"enabled", "max_move", "hysteresis", "drain_rate",
           "max_pulls", "drain_on_fallback", "headroom_floor_c",
           "max_stale_steps"}},
-        {"perf",
-         {"threads", "min_servers_per_thread",
-          "optimizer_cache_quantum"}},
+        {"perf", {"optimizer_cache_quantum"}},
         {"obs",
          {"enabled", "jsonl_path", "csv_path", "print_summary",
           "max_events"}},
@@ -235,11 +233,6 @@ configFromIni(const sim::Config &ini)
                     static_cast<long>(bal.max_stale_steps)));
 
     auto &perf = cfg.perf;
-    perf.threads = static_cast<size_t>(ini.getLong(
-        "perf", "threads", static_cast<long>(perf.threads)));
-    perf.min_servers_per_thread = static_cast<size_t>(
-        ini.getLong("perf", "min_servers_per_thread",
-                    static_cast<long>(perf.min_servers_per_thread)));
     perf.optimizer_cache_quantum =
         ini.getDouble("perf", "optimizer_cache_quantum",
                       perf.optimizer_cache_quantum);

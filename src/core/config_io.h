@@ -33,10 +33,8 @@
  *                max_pulls, drain_on_fallback (0|1),
  *                headroom_floor_c, max_stale_steps (0 disables the
  *                convergence watchdog)
- *   [perf]       threads (1 = serial, 0 = all hardware threads),
- *                min_servers_per_thread (oversubscription guard; 0
- *                disables it), optimizer_cache_quantum (0 disables
- *                the decision cache)
+ *   [perf]       optimizer_cache_quantum (0 disables the decision
+ *                cache)
  *   [obs]        enabled (0|1), jsonl_path, csv_path,
  *                print_summary (0|1), max_events
  *

@@ -1,35 +1,10 @@
 #include "core/h2p_system.h"
 
-#include <algorithm>
-
 #include "sched/lookup_cache.h"
 #include "util/error.h"
 
 namespace h2p {
 namespace core {
-
-size_t
-H2PSystem::resolveThreads(const H2PConfig &config,
-                          const cluster::Datacenter &dc)
-{
-    size_t threads = config.perf.threads != 0
-                         ? config.perf.threads
-                         : util::hardwareThreads();
-    // Oversubscription guard: fanning a small fleet across many
-    // workers pays more in synchronization than it saves in compute
-    // (BENCH_hotpath.json, step_eval 64-server rows), so cap the
-    // degree by the per-worker server quota and by the circulation
-    // count (the pool partitions over circulations; extra workers
-    // would idle).
-    if (config.perf.min_servers_per_thread > 0)
-        threads = std::min(
-            threads, std::max<size_t>(
-                         1, dc.numServers() /
-                                config.perf.min_servers_per_thread));
-    threads = std::min(threads, std::max<size_t>(
-                                    1, dc.numCirculations()));
-    return std::max<size_t>(1, threads);
-}
 
 H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
 {
@@ -58,30 +33,12 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
     pipelines_ = std::make_unique<control::PipelineFactory>(
         *dc_, *optimizer_, config.balancer, opt.t_safe_c);
 
-    // An effective degree of 1 keeps the plain serial path (no pool
-    // at all); anything else fans circulation evaluation out
-    // bit-identically. The chosen degree is result-neutral either
-    // way.
-    effective_threads_ = resolveThreads(config, *dc_);
-    if (effective_threads_ > 1) {
-        pool_ = std::make_unique<util::ThreadPool>(effective_threads_);
-        dc_->setThreadPool(pool_.get());
-    }
-
     if (config.obs.enabled) {
         obs_ = std::make_unique<obs::Observability>(config.obs);
         // The SimEngine records the "dc.evaluate" span itself (sharing
         // a clock read with the sched.decide span), so the datacenter
         // is deliberately left unattached — attaching it here would
         // double-record every evaluation.
-        if (pool_)
-            pool_->enableStats(true);
-        // Record the parallelism the guard actually granted, so a
-        // sweep or operator can see when a threads request was
-        // clamped.
-        obs_->metrics()
-            .gauge("perf.threads_effective")
-            .set(static_cast<double>(effective_threads_));
     }
 
     SimEngine::Wiring wiring;
@@ -89,7 +46,6 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
     wiring.dc = dc_.get();
     wiring.optimizer = optimizer_.get();
     wiring.pipelines = pipelines_.get();
-    wiring.pool = pool_.get();
     wiring.obs = obs_.get();
     engine_ = std::make_unique<SimEngine>(wiring);
 }

@@ -32,7 +32,6 @@
 #include "sched/lookup_space.h"
 #include "sched/policy.h"
 #include "sim/recorder.h"
-#include "util/thread_pool.h"
 #include "workload/trace.h"
 
 namespace h2p {
@@ -77,10 +76,9 @@ class H2PSystem
      * Restore a session from a checkpoint written by
      * SimSession::saveCheckpoint(). @p trace must be the trace the
      * checkpointed run was driven by and this system's configuration
-     * must match the checkpoint's (both fingerprint-verified; [perf]
-     * threads may differ — it is result-neutral). Stepping the
-     * restored session to completion reproduces the uninterrupted run
-     * bit-identically.
+     * must match the checkpoint's (both fingerprint-verified).
+     * Stepping the restored session to completion reproduces the
+     * uninterrupted run bit-identically.
      */
     SimSession resumeSession(const std::string &path,
                              const workload::UtilizationTrace &trace)
@@ -134,29 +132,15 @@ class H2PSystem
         return *pipelines_;
     }
 
-    /**
-     * Worker threads actually used for circulation evaluation: the
-     * [perf] threads request (0 = one per hardware thread) clamped by
-     * the min_servers_per_thread oversubscription guard and the
-     * circulation count. 1 means the serial path (no pool).
-     */
-    size_t effectiveThreads() const { return effective_threads_; }
-
   private:
-    /** The effective-parallelism heuristic behind effectiveThreads(). */
-    static size_t resolveThreads(const H2PConfig &config,
-                                 const cluster::Datacenter &dc);
-
     H2PConfig config_;
     std::unique_ptr<cluster::Datacenter> dc_;
     std::shared_ptr<const sched::LookupSpace> space_;
     std::unique_ptr<thermal::TegModule> teg_;
     std::unique_ptr<sched::CoolingOptimizer> optimizer_;
     std::unique_ptr<control::PipelineFactory> pipelines_;
-    std::unique_ptr<util::ThreadPool> pool_;
     std::unique_ptr<obs::Observability> obs_;
     std::unique_ptr<SimEngine> engine_;
-    size_t effective_threads_ = 1;
 };
 
 } // namespace core

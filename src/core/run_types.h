@@ -27,34 +27,12 @@ namespace h2p {
 namespace core {
 
 /**
- * Hot-path performance knobs ([perf] in INI configs). None of them
- * changes which servers/settings are simulated; threads is exactly
- * result-neutral (parallel evaluation is bit-identical to serial),
- * while the optimizer cache quantizes planning utilizations by a
- * quantum far below the control band.
+ * Hot-path performance knobs ([perf] in INI configs). The optimizer
+ * cache changes no simulated server or setting; it quantizes planning
+ * utilizations by a quantum far below the control band.
  */
 struct PerfParams
 {
-    /**
-     * Worker threads for circulation evaluation: 1 = serial (the
-     * default), 0 = auto (one per hardware thread), n = at most n.
-     * The request is a ceiling, not a command: the system clamps it
-     * by the oversubscription guard below and by the circulation
-     * count (extra workers would idle), and goes fully serial when
-     * the clamp lands at 1. H2PSystem::effectiveThreads() reports
-     * the degree actually used.
-     */
-    size_t threads = 1;
-    /**
-     * Oversubscription guard: minimum servers each worker must have
-     * before another worker pays off. Fan-out has a fixed
-     * synchronization cost per step, so threading a small fleet is
-     * *slower* than the serial loop (BENCH_hotpath.json: 64 servers
-     * at 8 threads runs at half the serial speed); the effective
-     * worker count is capped at num_servers / min_servers_per_thread.
-     * 0 disables the guard (the requested count is used as-is).
-     */
-    size_t min_servers_per_thread = 64;
     /**
      * Planning-utilization quantum of the cooling-optimizer decision
      * cache (OptimizerParams::cache_util_quantum); 0 disables it.

@@ -344,8 +344,7 @@ SimEngine::configFingerprint() const
     h.f64(c.optimizer.t_safe_c);
     h.f64(c.optimizer.band_c);
     // The cache quantum changes the planned utilization (it is an
-    // approximation knob, unlike threads, which is result-neutral and
-    // deliberately excluded).
+    // approximation knob).
     h.f64(c.perf.optimizer_cache_quantum);
 
     // Fault scenario: the whole timeline derives from these.
@@ -498,8 +497,6 @@ SimEngine::beginObsRun(sched::Policy policy, double dt,
 
     r.cache_hits0 = w_.optimizer->cacheHits();
     r.cache_misses0 = w_.optimizer->cacheMisses();
-    if (w_.pool)
-        r.pool0 = w_.pool->stats();
 
     obs::Event e;
     e.kind = "run";
@@ -524,12 +521,6 @@ SimEngine::finishObsRun(const SimSession::ObsRun &orun,
         .add(w_.optimizer->cacheHits() - orun.cache_hits0);
     m.counter("optimizer.cache_misses")
         .add(w_.optimizer->cacheMisses() - orun.cache_misses0);
-    if (w_.pool) {
-        util::ThreadPool::PoolStats ps = w_.pool->stats();
-        m.counter("pool.jobs").add(ps.jobs - orun.pool0.jobs);
-        m.counter("pool.wall_ns").add(ps.wall_ns - orun.pool0.wall_ns);
-        m.counter("pool.busy_ns").add(ps.busy_ns - orun.pool0.busy_ns);
-    }
     m.gauge("run.pre").set(summary.pre);
     m.gauge("run.avg_teg_w").set(summary.avg_teg_w);
     m.gauge("run.avg_cpu_w").set(summary.avg_cpu_w);

@@ -23,8 +23,7 @@
  * for long-horizon and controller-in-the-loop workloads, and can
  * checkpoint all mutable loop state to disk and restore it
  * bit-identically: a run stepped N steps, checkpointed, restored and
- * finished equals an uninterrupted run sample for sample, at any
- * [perf] thread count.
+ * finished equals an uninterrupted run sample for sample.
  */
 
 #ifndef H2P_CORE_SIM_ENGINE_H_
@@ -49,7 +48,6 @@
 #include "sim/recorder.h"
 #include "util/bytes.h"
 #include "util/cancellation.h"
-#include "util/thread_pool.h"
 #include "workload/trace.h"
 
 namespace h2p {
@@ -253,7 +251,6 @@ class SimSession
         obs::HistogramMetric teg_hist;
         size_t cache_hits0 = 0;
         size_t cache_misses0 = 0;
-        util::ThreadPool::PoolStats pool0;
     };
 
     const SimEngine *engine_ = nullptr;
@@ -327,8 +324,6 @@ class SimEngine
         sched::CoolingOptimizer *optimizer = nullptr;
         /** Builds the per-policy control pipeline sessions run. */
         const control::PipelineFactory *pipelines = nullptr;
-        /** Null when [perf] threads == 1. */
-        util::ThreadPool *pool = nullptr;
         /** Null when [obs] is disabled. */
         obs::Observability *obs = nullptr;
     };
@@ -345,7 +340,7 @@ class SimEngine
      * checkpointed run was driven by (fingerprint-verified), and this
      * engine's configuration must match the checkpoint's (topology,
      * fault scenario, safe mode and result-relevant optimizer
-     * parameters; [perf] threads may differ — it is result-neutral).
+     * parameters).
      */
     SimSession resume(const std::string &path,
                       const workload::UtilizationTrace &trace) const;

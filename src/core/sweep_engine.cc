@@ -1,6 +1,7 @@
 #include "core/sweep_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <map>
@@ -13,7 +14,7 @@
 #include "core/sweep_journal.h"
 #include "sched/lookup_cache.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace h2p {
 namespace core {
@@ -83,9 +84,8 @@ SweepEngine::forEachOrdered(size_t n, size_t workers,
         return;
     }
 
-    util::ThreadPool pool(workers);
     if (!emit) {
-        pool.parallelForDynamic(n, compute);
+        util::parallelForDynamic(n, workers, compute);
         return;
     }
 
@@ -96,7 +96,7 @@ SweepEngine::forEachOrdered(size_t n, size_t workers,
     std::mutex mutex;
     std::vector<char> done(n, 0);
     size_t next_emit = 0;
-    pool.parallelForDynamic(n, [&](size_t i) {
+    util::parallelForDynamic(n, workers, [&](size_t i) {
         compute(i);
         std::lock_guard<std::mutex> lock(mutex);
         done[i] = 1;
@@ -143,18 +143,13 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
     SweepResult result;
     const size_t n = grid.size();
 
-    // Split the worker budget: enough points saturate the budget at
-    // one worker per run (serial runs, maximal batch throughput);
-    // a grid smaller than the budget hands the leftover workers to
-    // each run's circulation fan-out, still subject to that run's own
-    // oversubscription guard.
+    // One worker per run: each run is a serial step loop, so the
+    // budget beyond the grid size would idle.
     const size_t requested = options_.workers != 0
                                  ? options_.workers
                                  : util::hardwareThreads();
     result.workers = std::max<size_t>(
         1, std::min(requested, std::max<size_t>(1, n)));
-    result.threads_per_run =
-        n > 0 ? std::max<size_t>(1, requested / n) : 1;
     result.points.resize(n);
 
     for (size_t i = 0; i < n; ++i)
@@ -258,10 +253,8 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                 // cache is mutable and not thread-safe, so runs never
                 // share one. The expensive immutable parts are shared
                 // underneath (LookupSpaceCache, borrowed traces).
-                H2PConfig config = grid[i].config;
-                config.perf.threads = result.threads_per_run;
                 const auto t0 = std::chrono::steady_clock::now();
-                H2PSystem system(config);
+                H2PSystem system(grid[i].config);
                 SimSession session =
                     system.startSession(*grid[i].trace, grid[i].policy);
                 if (grid[i].make_pipeline)

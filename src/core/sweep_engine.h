@@ -4,8 +4,8 @@
  * independent simulations.
  *
  * Ablations and design-space studies run the same simulation dozens
- * of times with small configuration deltas. Each run is serial-ish
- * and independent, so the batch — not the step loop — is the natural
+ * of times with small configuration deltas. Each run is serial and
+ * independent, so the batch — not the step loop — is the natural
  * unit of parallelism: whole runs are claimed dynamically by sweep
  * workers (runs differ wildly in cost; static partitioning would
  * leave workers idle), while heavyweight immutable inputs are shared

@@ -78,12 +78,8 @@ struct SweepOptions
 {
     /**
      * Sweep worker threads: 0 = auto (one per hardware thread),
-     * n = at most n. The engine clamps the count to the grid size and
-     * splits the budget between run-level and per-run parallelism:
-     * with at least as many points as workers each run executes
-     * serially (run-level parallelism dominates); with fewer points
-     * the leftover workers fan out inside each run, still capped by
-     * that run's own [perf] oversubscription guard.
+     * n = at most n. Each worker runs one point at a time, serially;
+     * the engine clamps the count to the grid size.
      */
     size_t workers = 0;
     /**
@@ -219,8 +215,6 @@ struct SweepResult
     double wall_s = 0.0;
     /** Sweep workers actually used (after clamping). */
     size_t workers = 1;
-    /** Worker threads granted to each individual run. */
-    size_t threads_per_run = 1;
     /**
      * Distinct look-up tables sampled during the sweep — the rest
      * were shared via sched::LookupSpaceCache. A grid varying only

@@ -6,13 +6,13 @@
  * The registry hands out cheap handles that hot loops keep across
  * steps: a Counter or Gauge is one pointer into registry-owned storage
  * and updates with a single relaxed atomic operation, so instrumented
- * code can run inside util::ThreadPool workers without locking.
+ * code can run on concurrent sweep workers without locking.
  * Registration (name -> slot) takes the registry mutex; slot storage
  * is a deque so handles stay valid as the registry grows.
  *
  * Naming scheme (see DESIGN.md "Observability"): lower-case
  * dot-separated paths, "<subsystem>.<quantity>[_<unit>]", e.g.
- * "optimizer.cache_hits", "pool.busy_ns", "step.max_die_c".
+ * "optimizer.cache_hits", "sweep.runs", "step.max_die_c".
  */
 
 #ifndef H2P_OBS_METRICS_H_

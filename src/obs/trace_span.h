@@ -6,10 +6,9 @@
  * steady_clock and folds it into the per-name statistics of a
  * SpanRegistry (count / total / min / max nanoseconds). Spans nest
  * freely — a nested span and its enclosing span both record — and may
- * be opened concurrently from util::ThreadPool workers: the
- * aggregation is a handful of relaxed atomic operations per close, so
- * instrumenting the parallel circulation fan-out costs nanoseconds per
- * span.
+ * be opened concurrently from several threads (sweep workers, service
+ * workers): the aggregation is a handful of relaxed atomic operations
+ * per close, so a span costs nanoseconds.
  *
  * A span built with a null registry is fully inert (it does not even
  * read the clock), which is how the simulator keeps the disabled

@@ -9,6 +9,7 @@
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
 #include "hydraulic/pump.h"
+#include "tests/support/evaluate.h"
 #include "util/error.h"
 
 namespace h2p {
@@ -64,7 +65,7 @@ TEST(CirculationTest, AggregatesAreSums)
     Circulation circ(3);
     CoolingSetting setting{45.0, 50.0};
     CirculationState cs =
-        circ.evaluate({0.1, 0.5, 0.9}, setting, 20.0);
+        test::evaluate(circ, {0.1, 0.5, 0.9}, setting, 20.0);
     ASSERT_EQ(cs.servers.size(), 3u);
     double cpu = 0, teg = 0, heat = 0;
     for (size_t i = 0; i < cs.servers.size(); ++i) {
@@ -82,7 +83,7 @@ TEST(CirculationTest, MaxDieIsTheHottestServer)
 {
     Circulation circ(3);
     CirculationState cs =
-        circ.evaluate({0.1, 0.9, 0.5}, {45.0, 50.0}, 20.0);
+        test::evaluate(circ, {0.1, 0.9, 0.5}, {45.0, 50.0}, 20.0);
     EXPECT_DOUBLE_EQ(cs.max_die_c, cs.servers[1].die_temp_c);
 }
 
@@ -90,7 +91,7 @@ TEST(CirculationTest, ReturnTempIsMeanOfOutlets)
 {
     Circulation circ(2);
     CirculationState cs =
-        circ.evaluate({0.2, 0.8}, {40.0, 20.0}, 20.0);
+        test::evaluate(circ, {0.2, 0.8}, {40.0, 20.0}, 20.0);
     EXPECT_NEAR(cs.return_c,
                 0.5 * (cs.servers[0].outlet_c + cs.servers[1].outlet_c),
                 1e-12);
@@ -100,9 +101,9 @@ TEST(CirculationTest, AllSafeReflectsEveryServer)
 {
     Circulation circ(2);
     EXPECT_TRUE(
-        circ.evaluate({0.1, 0.2}, {40.0, 50.0}, 20.0).all_safe);
+        test::evaluate(circ, {0.1, 0.2}, {40.0, 50.0}, 20.0).all_safe);
     EXPECT_FALSE(
-        circ.evaluate({0.1, 1.0}, {55.0, 20.0}, 20.0).all_safe);
+        test::evaluate(circ, {0.1, 1.0}, {55.0, 20.0}, 20.0).all_safe);
 }
 
 TEST(CirculationTest, PumpPowerGrowsCubicallyWithFlow)
@@ -110,9 +111,9 @@ TEST(CirculationTest, PumpPowerGrowsCubicallyWithFlow)
     Circulation circ(10);
     std::vector<double> utils(10, 0.3);
     double p20 =
-        circ.evaluate(utils, {45.0, 20.0}, 20.0).pump_power_w;
+        test::evaluate(circ, utils, {45.0, 20.0}, 20.0).pump_power_w;
     double p100 =
-        circ.evaluate(utils, {45.0, 100.0}, 20.0).pump_power_w;
+        test::evaluate(circ, utils, {45.0, 100.0}, 20.0).pump_power_w;
     // Strip the constant standby floor: the dynamic part follows the
     // cubic affinity law, so 5x the flow costs 125x the shaft power.
     double floor = 10.0 * hydraulic::Pump().params().idle_power_w;
@@ -122,7 +123,7 @@ TEST(CirculationTest, PumpPowerGrowsCubicallyWithFlow)
 TEST(CirculationTest, RejectsWrongUtilCount)
 {
     Circulation circ(2);
-    EXPECT_THROW(circ.evaluate({0.5}, {45.0, 50.0}, 20.0), Error);
+    EXPECT_THROW(test::evaluate(circ, {0.5}, {45.0, 50.0}, 20.0), Error);
     EXPECT_THROW(Circulation(0), Error);
 }
 
@@ -158,10 +159,13 @@ TEST(DatacenterTest, CirculationUtilsSliceCorrectly)
     p.servers_per_circulation = 2;
     Datacenter dc(p);
     std::vector<double> utils{0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
-    auto g1 = dc.circulationUtils(utils, 1);
-    EXPECT_EQ(g1, (std::vector<double>{0.2, 0.3}));
-    EXPECT_THROW(dc.circulationUtils({0.1}, 0), Error);
-    EXPECT_THROW(dc.circulationUtils(utils, 3), Error);
+    std::vector<CoolingSetting> settings(3, {45.0, 50.0});
+    DatacenterState st;
+    dc.evaluateInto(utils, settings, nullptr, st);
+    ASSERT_EQ(st.circulations.size(), 3u);
+    EXPECT_EQ(st.circulations[1].servers.util,
+              (std::vector<double>{0.2, 0.3}));
+    EXPECT_THROW(dc.evaluateInto({0.1}, settings, nullptr, st), Error);
 }
 
 TEST(DatacenterTest, EvaluateSumsCirculations)

@@ -284,28 +284,37 @@ TEST(ConfigIoTest, RejectsUnknownProfile)
 
 TEST(ConfigIoTest, WarnsOnUnknownKeysAndSections)
 {
-    // `[perf] thread = 8` (missing the s) used to be silently ignored
-    // and the run quietly stayed serial. It must warn, naming the key.
+    // A typo (`thread`, missing the s) used to be silently ignored.
+    // The retired `threads` and `min_servers_per_thread` keys of older
+    // configs still load, with a warning naming each key.
     std::stringstream ss(
-        "[perf]\nthread = 8\n[typo_section]\nx = 1\n");
+        "[perf]\nthread = 8\nthreads = 4\nmin_servers_per_thread = 64\n"
+        "[typo_section]\nx = 1\n");
     sim::Config ini = sim::Config::parse(ss);
 
     std::ostringstream captured;
     Logger::instance().setStream(captured);
-    core::configFromIni(ini);
+    core::H2PConfig cfg = core::configFromIni(ini);
     Logger::instance().setStream(std::cerr);
 
     std::string log = captured.str();
-    EXPECT_NE(log.find("unknown key [perf] thread"),
+    EXPECT_NE(log.find("unknown key [perf] thread "),
+              std::string::npos);
+    EXPECT_NE(log.find("unknown key [perf] threads "),
+              std::string::npos);
+    EXPECT_NE(log.find("unknown key [perf] min_servers_per_thread "),
               std::string::npos);
     EXPECT_NE(log.find("unknown section [typo_section]"),
               std::string::npos);
+    EXPECT_DOUBLE_EQ(cfg.perf.optimizer_cache_quantum,
+                     core::PerfParams{}.optimizer_cache_quantum);
 }
 
 TEST(ConfigIoTest, CleanConfigDoesNotWarn)
 {
     std::stringstream ss(
-        "[datacenter]\nnum_servers = 40\n[perf]\nthreads = 2\n");
+        "[datacenter]\nnum_servers = 40\n[perf]\n"
+        "optimizer_cache_quantum = 0.002\n");
     sim::Config ini = sim::Config::parse(ss);
     std::ostringstream captured;
     Logger::instance().setStream(captured);

@@ -3,9 +3,9 @@
  * Control-plane tests: canonical pipelines bit-identical to the
  * Scheduler::decideInto reference across safe-mode action combos, the
  * pipeline/stage API contracts, and the autonomous thermal balancer —
- * work conservation under random traces (clean and faulted, threads
- * 1/2/8), thread-count bit-identity, checkpoint round trips (byte-
- * identical stage state), convergence under the hysteresis band,
+ * work conservation under random traces (clean and faulted),
+ * run-to-run bit-identity, checkpoint round trips (byte-identical
+ * stage state), convergence under the hysteresis band,
  * drain mode (operator- and fault-driven) and the non-convergence
  * watchdog's config_error.
  */
@@ -63,9 +63,6 @@ smallConfig()
     core::H2PConfig cfg;
     cfg.datacenter.num_servers = 64;
     cfg.datacenter.servers_per_circulation = 8;
-    // Keep the pool engaged at every requested thread count; the
-    // oversubscription guard would silently serialize a small fleet.
-    cfg.perf.min_servers_per_thread = 1;
     return cfg;
 }
 
@@ -247,39 +244,32 @@ TEST(ControlPipelineTest, PipelineValidatesDecisionShape)
  * circulation pulls, drains — every move is a pairwise transfer, so
  * the total submitted work equals the total scheduled work to
  * floating-point rounding. Exercised over random traces, clean and
- * faulted (a pump failure triggers a real drain mid-trace), at
- * [perf] threads 1, 2 and 8.
+ * faulted (a pump failure triggers a real drain mid-trace).
  */
 TEST(ThermalBalancerTest, ConservesTotalWorkAcrossRandomTraces)
 {
     for (bool faulted : {false, true}) {
-        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-            for (uint64_t seed : {uint64_t{3}, uint64_t{17}}) {
-                core::H2PConfig cfg = faulted
-                                          ? faultedBalancerConfig()
-                                          : balancerConfig();
-                cfg.perf.threads = threads;
-                core::H2PSystem sys(cfg);
-                auto trace = makeTrace(seed);
-                auto session = sys.startSession(
-                    trace, sched::Policy::TegLoadBalance);
-                ASSERT_EQ(session.pipeline()->name(), "TEG_Balancer");
-                while (!session.done()) {
-                    session.step();
-                    const auto &in = session.lastUtils();
-                    const auto &out = session.lastDecision().utils;
-                    double sum_in = std::accumulate(in.begin(),
-                                                    in.end(), 0.0);
-                    double sum_out = std::accumulate(out.begin(),
-                                                     out.end(), 0.0);
-                    ASSERT_NEAR(sum_in, sum_out, 1e-9)
-                        << "faulted=" << faulted
-                        << " threads=" << threads << " seed=" << seed
-                        << " step=" << session.cursor();
-                    for (double u : out) {
-                        ASSERT_GE(u, 0.0);
-                        ASSERT_LE(u, 1.0 + 1e-12);
-                    }
+        for (uint64_t seed : {uint64_t{3}, uint64_t{17}}) {
+            core::H2PConfig cfg =
+                faulted ? faultedBalancerConfig() : balancerConfig();
+            core::H2PSystem sys(cfg);
+            auto trace = makeTrace(seed);
+            auto session =
+                sys.startSession(trace, sched::Policy::TegLoadBalance);
+            ASSERT_EQ(session.pipeline()->name(), "TEG_Balancer");
+            while (!session.done()) {
+                session.step();
+                const auto &in = session.lastUtils();
+                const auto &out = session.lastDecision().utils;
+                double sum_in = std::accumulate(in.begin(), in.end(), 0.0);
+                double sum_out =
+                    std::accumulate(out.begin(), out.end(), 0.0);
+                ASSERT_NEAR(sum_in, sum_out, 1e-9)
+                    << "faulted=" << faulted << " seed=" << seed
+                    << " step=" << session.cursor();
+                for (double u : out) {
+                    ASSERT_GE(u, 0.0);
+                    ASSERT_LE(u, 1.0 + 1e-12);
                 }
             }
         }
@@ -290,18 +280,18 @@ TEST(ThermalBalancerTest, ConservesTotalWorkAcrossRandomTraces)
 
 TEST(ThermalBalancerTest, RunsBitIdenticallyAcrossThreadCounts)
 {
+    // Every run is one serial step loop; two fresh systems must agree
+    // sample for sample.
     auto trace = makeTrace(29);
-    std::shared_ptr<sim::Recorder> serial;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        core::H2PConfig cfg = faultedBalancerConfig();
-        cfg.perf.threads = threads;
-        core::H2PSystem sys(cfg);
+    std::shared_ptr<sim::Recorder> first;
+    for (int run = 0; run < 2; ++run) {
+        core::H2PSystem sys(faultedBalancerConfig());
         auto result =
             sys.run(trace, sched::Policy::TegLoadBalance);
-        if (!serial)
-            serial = result.recorder;
+        if (!first)
+            first = result.recorder;
         else
-            expectSameChannels(*serial, *result.recorder);
+            expectSameChannels(*first, *result.recorder);
     }
 }
 
@@ -446,9 +436,9 @@ TEST(ThermalBalancerTest, OperatorDrainEvacuatesCirculation)
     EXPECT_EQ(bal.stats().active_drains, 1u);
 
     // The drained circulation's servers really run empty.
-    const std::vector<double> drained_utils =
-        sys.datacenter().circulationUtils(
-            session.lastDecision().utils, 2);
+    const std::vector<double> &drained_utils =
+        session.lastState().circulations[2].servers.util;
+    ASSERT_EQ(drained_utils.size(), sys.datacenter().circulationSize(2));
     for (double u : drained_utils)
         EXPECT_NEAR(u, 0.0, 1e-12);
 

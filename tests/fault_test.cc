@@ -23,6 +23,7 @@
 #include "fault/watchdog.h"
 #include "hydraulic/plant.h"
 #include "sched/safe_mode.h"
+#include "tests/support/evaluate.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -93,8 +94,10 @@ TEST(CirculationHealthTest, DegradedPumpStarvesTheLoop)
 
     cluster::CirculationHealth h;
     h.pump_flow_factor = 0.3;
-    cluster::CirculationState clean = circ.evaluate(utils, setting, 20.0);
-    cluster::CirculationState s = circ.evaluate(utils, setting, 20.0, h);
+    cluster::CirculationState clean =
+        test::evaluate(circ, utils, setting, 20.0);
+    cluster::CirculationState s =
+        test::evaluate(circ, utils, setting, 20.0, &h);
 
     EXPECT_NEAR(s.delivered_flow_lph, 0.3 * setting.flow_lph, 1e-12);
     EXPECT_GT(s.max_die_c, clean.max_die_c);
@@ -111,7 +114,8 @@ TEST(CirculationHealthTest, DeadPumpLeavesFiniteButUnsafeDies)
 
     cluster::CirculationHealth h;
     h.pump_flow_factor = 0.0;
-    cluster::CirculationState s = circ.evaluate(utils, setting, 20.0, h);
+    cluster::CirculationState s =
+        test::evaluate(circ, utils, setting, 20.0, &h);
 
     EXPECT_DOUBLE_EQ(s.delivered_flow_lph, 0.0);
     // The stagnant-flow clamp keeps the steady-state model finite;
@@ -127,9 +131,10 @@ TEST(CirculationHealthTest, CleanHealthMatchesHealthyEvaluation)
     cluster::Circulation circ(3);
     std::vector<double> utils{0.2, 0.5, 0.9};
     cluster::CoolingSetting setting{44.0, 25.0};
-    cluster::CirculationState a = circ.evaluate(utils, setting, 20.0);
+    const cluster::CirculationHealth clean_health;
+    cluster::CirculationState a = test::evaluate(circ, utils, setting, 20.0);
     cluster::CirculationState b =
-        circ.evaluate(utils, setting, 20.0, cluster::CirculationHealth{});
+        test::evaluate(circ, utils, setting, 20.0, &clean_health);
     EXPECT_DOUBLE_EQ(a.teg_power_w, b.teg_power_w);
     EXPECT_DOUBLE_EQ(a.max_die_c, b.max_die_c);
     EXPECT_DOUBLE_EQ(a.pump_power_w, b.pump_power_w);

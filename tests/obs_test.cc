@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability layer: metrics registry semantics, span aggregation
- * across thread-pool workers, event log bounds, exporter round-trips,
+ * across worker threads, event log bounds, exporter round-trips,
  * and the end-to-end contract that enabling observability never
  * changes simulation results.
  */
@@ -21,7 +21,7 @@
 #include "obs/trace_span.h"
 #include "sim/channels.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 #include "workload/trace_gen.h"
 
 using namespace h2p;
@@ -165,13 +165,12 @@ TEST(SpanTest, StopIsIdempotent)
     EXPECT_EQ(reg.stat("once").count, 1u);
 }
 
-TEST(SpanTest, AggregatesAcrossThreadPoolWorkers)
+TEST(SpanTest, AggregatesAcrossWorkerThreads)
 {
     SpanRegistry reg;
     SpanRegistry::SpanId id = reg.id("chunk");
-    util::ThreadPool pool(4);
     const size_t n = 64;
-    pool.parallelFor(n, [&](size_t) {
+    util::parallelForDynamic(n, 4, [&](size_t) {
         TraceSpan s(&reg, id);
         volatile double sink = 0.0;
         for (int i = 0; i < 100; ++i)

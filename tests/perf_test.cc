@@ -1,16 +1,15 @@
 /**
  * @file
- * Hot-path performance machinery tests: the deterministic thread
- * pool, the parallel-vs-serial bit-identity contract of
- * Datacenter::evaluate, the cooling-optimizer decision cache, and the
- * allocation-free *Into twins of the per-step APIs.
+ * Hot-path performance machinery tests: the dynamic fork-join of
+ * util::parallelForDynamic, state reuse across
+ * Datacenter::evaluateInto calls, the cooling-optimizer decision
+ * cache, and the allocation-free *Into twins of the per-step APIs.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "cluster/datacenter.h"
@@ -18,225 +17,61 @@
 #include "sched/cooling_optimizer.h"
 #include "sim/recorder.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 #include "workload/trace_gen.h"
 
 namespace h2p {
 namespace {
 
-// ------------------------------------------------------------ thread pool
-
-TEST(ThreadPoolTest, ChunksCoverRangeExactly)
-{
-    for (size_t n : {0u, 1u, 3u, 7u, 16u, 17u, 1000u}) {
-        for (size_t parts : {1u, 2u, 3u, 5u, 8u, 17u}) {
-            size_t covered = 0;
-            size_t prev_end = 0;
-            for (size_t p = 0; p < parts; ++p) {
-                size_t b, e;
-                util::ThreadPool::chunkRange(n, parts, p, b, e);
-                EXPECT_EQ(b, prev_end);
-                EXPECT_LE(e - b, n / parts + 1);
-                covered += e - b;
-                prev_end = e;
-            }
-            EXPECT_EQ(covered, n);
-            EXPECT_EQ(prev_end, n);
-        }
-    }
-}
+// ------------------------------------------------------ fork-join
 
 TEST(ThreadPoolTest, VisitsEveryIndexOnceOddWorkerCounts)
 {
     for (size_t workers : {1u, 2u, 3u, 5u, 9u}) {
-        util::ThreadPool pool(workers);
-        EXPECT_EQ(pool.workers(), workers);
         std::vector<std::atomic<int>> hits(17);
         for (auto &h : hits)
             h = 0;
-        pool.parallelFor(hits.size(),
-                         [&](size_t i) { hits[i].fetch_add(1); });
+        util::parallelForDynamic(hits.size(), workers,
+                                 [&](size_t i) { hits[i].fetch_add(1); });
         for (size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+            EXPECT_EQ(hits[i].load(), 1)
+                << "index " << i << ", workers " << workers;
     }
 }
 
 TEST(ThreadPoolTest, EmptyRangeCallsNothing)
 {
-    util::ThreadPool pool(4);
     std::atomic<int> calls{0};
-    pool.parallelFor(0, [&](size_t) { calls.fetch_add(1); });
+    util::parallelForDynamic(0, 4, [&](size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, MoreWorkersThanItems)
 {
-    util::ThreadPool pool(8);
     std::vector<std::atomic<int>> hits(3);
     for (auto &h : hits)
         h = 0;
-    pool.parallelFor(hits.size(),
-                     [&](size_t i) { hits[i].fetch_add(1); });
+    util::parallelForDynamic(hits.size(), 8,
+                             [&](size_t i) { hits[i].fetch_add(1); });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives)
 {
-    util::ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(16,
-                                  [](size_t i) {
-                                      if (i == 11)
-                                          fatal("worker exploded");
-                                  }),
+    EXPECT_THROW(util::parallelForDynamic(16, 4,
+                                          [](size_t i) {
+                                              if (i == 11)
+                                                  fatal("worker exploded");
+                                          }),
                  Error);
-    // The pool must stay usable after a failed job.
+    // A failed call leaves nothing behind: the next one runs normally.
     std::atomic<int> calls{0};
-    pool.parallelFor(8, [&](size_t) { calls.fetch_add(1); });
+    util::parallelForDynamic(8, 4, [&](size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 8);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossManyJobs)
-{
-    util::ThreadPool pool(3);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<size_t> sum{0};
-        pool.parallelFor(100, [&](size_t i) { sum.fetch_add(i); });
-        EXPECT_EQ(sum.load(), 4950u);
-    }
-}
-
-// --------------------------------------------- parallel/serial identity
-
-core::H2PConfig
-identityConfig(size_t threads, bool faulted)
-{
-    core::H2PConfig cfg;
-    // 96 servers in circulations of 20 -> 5 loops including a smaller
-    // tail loop of 16, so the tail-circulation model is exercised.
-    cfg.datacenter.num_servers = 96;
-    cfg.datacenter.servers_per_circulation = 20;
-    cfg.perf.threads = threads;
-    // Disable the oversubscription guard: these tests compare the
-    // parallel path against serial, so the pool must actually engage
-    // even though 96 servers would not normally warrant it.
-    cfg.perf.min_servers_per_thread = 1;
-    if (faulted) {
-        cfg.faults.seed = 31;
-        cfg.faults.pump_degrade_per_circ_year = 3000.0;
-        cfg.faults.teg_open_per_server_year = 40.0;
-        cfg.faults.chiller_outages_per_year = 60.0;
-        cfg.faults.die_sensor_faults_per_circ_year = 3000.0;
-        cfg.safe_mode.enabled = true;
-        cfg.safe_mode.watchdog_enabled = true;
-    }
-    return cfg;
-}
-
-void
-expectIdenticalRuns(const core::RunResult &a, const core::RunResult &b)
-{
-    const core::RunSummary &sa = a.summary, &sb = b.summary;
-    EXPECT_EQ(sa.policy, sb.policy);
-    EXPECT_DOUBLE_EQ(sa.avg_teg_w, sb.avg_teg_w);
-    EXPECT_DOUBLE_EQ(sa.peak_teg_w, sb.peak_teg_w);
-    EXPECT_DOUBLE_EQ(sa.avg_cpu_w, sb.avg_cpu_w);
-    EXPECT_DOUBLE_EQ(sa.pre, sb.pre);
-    EXPECT_DOUBLE_EQ(sa.teg_energy_kwh, sb.teg_energy_kwh);
-    EXPECT_DOUBLE_EQ(sa.cpu_energy_kwh, sb.cpu_energy_kwh);
-    EXPECT_DOUBLE_EQ(sa.plant_energy_kwh, sb.plant_energy_kwh);
-    EXPECT_DOUBLE_EQ(sa.pump_energy_kwh, sb.pump_energy_kwh);
-    EXPECT_DOUBLE_EQ(sa.safe_fraction, sb.safe_fraction);
-    EXPECT_DOUBLE_EQ(sa.avg_t_in_c, sb.avg_t_in_c);
-    EXPECT_EQ(sa.fault_events, sb.fault_events);
-    EXPECT_EQ(sa.throttle_events, sb.throttle_events);
-    EXPECT_DOUBLE_EQ(sa.throttled_work_server_hours,
-                     sb.throttled_work_server_hours);
-    EXPECT_DOUBLE_EQ(sa.teg_energy_lost_kwh, sb.teg_energy_lost_kwh);
-    EXPECT_EQ(sa.safe_mode_steps, sb.safe_mode_steps);
-    EXPECT_EQ(sa.max_faulted_servers, sb.max_faulted_servers);
-    ASSERT_EQ(sa.circulation_safe_fraction.size(),
-              sb.circulation_safe_fraction.size());
-    for (size_t i = 0; i < sa.circulation_safe_fraction.size(); ++i)
-        EXPECT_DOUBLE_EQ(sa.circulation_safe_fraction[i],
-                         sb.circulation_safe_fraction[i]);
-
-    auto channels = a.recorder->channels();
-    ASSERT_EQ(channels, b.recorder->channels());
-    for (const std::string &name : channels) {
-        const auto &ta = a.recorder->series(name);
-        const auto &tb = b.recorder->series(name);
-        ASSERT_EQ(ta.size(), tb.size()) << name;
-        for (size_t i = 0; i < ta.size(); ++i)
-            ASSERT_DOUBLE_EQ(ta.at(i), tb.at(i))
-                << name << " step " << i;
-    }
-}
-
-class ParallelIdentityTest
-    : public ::testing::TestWithParam<std::tuple<bool, sched::Policy>>
-{
-};
-
-TEST_P(ParallelIdentityTest, ThreadedRunsMatchSerialBitForBit)
-{
-    auto [faulted, policy] = GetParam();
-    workload::TraceGenerator gen(77);
-    auto trace = gen.generate(
-        workload::TraceGenParams::forProfile(
-            workload::TraceProfile::Drastic),
-        96, 2.0 * 3600.0);
-
-    core::H2PSystem serial(identityConfig(1, faulted));
-    core::RunResult base = serial.run(trace, policy);
-
-    for (size_t threads : {2u, 8u}) {
-        core::H2PSystem threaded(identityConfig(threads, faulted));
-        core::RunResult run = threaded.run(trace, policy);
-        expectIdenticalRuns(base, run);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    CleanAndFaulted, ParallelIdentityTest,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(sched::Policy::TegOriginal,
-                                         sched::Policy::TegLoadBalance)));
-
-TEST(ParallelIdentityTest, DatacenterEvaluateMatchesAcrossPools)
-{
-    cluster::DatacenterParams dp;
-    dp.num_servers = 110; // tail circulation of 10
-    dp.servers_per_circulation = 25;
-    cluster::Datacenter serial(dp);
-    cluster::Datacenter threaded(dp);
-    util::ThreadPool pool(5);
-    threaded.setThreadPool(&pool);
-
-    std::vector<double> utils(dp.num_servers);
-    for (size_t i = 0; i < utils.size(); ++i)
-        utils[i] = 0.5 + 0.45 * std::sin(static_cast<double>(i) * 0.7);
-    std::vector<cluster::CoolingSetting> settings(
-        serial.numCirculations());
-    for (size_t c = 0; c < settings.size(); ++c)
-        settings[c] = {35.0 + static_cast<double>(c) * 3.0,
-                       30.0 + static_cast<double>(c) * 10.0};
-
-    cluster::DatacenterState a = serial.evaluate(utils, settings);
-    cluster::DatacenterState b = threaded.evaluate(utils, settings);
-    EXPECT_DOUBLE_EQ(a.cpu_power_w, b.cpu_power_w);
-    EXPECT_DOUBLE_EQ(a.teg_power_w, b.teg_power_w);
-    EXPECT_DOUBLE_EQ(a.heat_w, b.heat_w);
-    EXPECT_DOUBLE_EQ(a.pump_power_w, b.pump_power_w);
-    EXPECT_DOUBLE_EQ(a.plant_power_w, b.plant_power_w);
-    ASSERT_EQ(a.circulations.size(), b.circulations.size());
-    for (size_t c = 0; c < a.circulations.size(); ++c) {
-        EXPECT_DOUBLE_EQ(a.circulations[c].return_c,
-                         b.circulations[c].return_c);
-        EXPECT_DOUBLE_EQ(a.circulations[c].max_die_c,
-                         b.circulations[c].max_die_c);
-    }
-}
+// ------------------------------------------------- state reuse
 
 TEST(ParallelIdentityTest, EvaluateIntoReusesStateAcrossCalls)
 {

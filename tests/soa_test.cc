@@ -3,11 +3,11 @@
  * Bit-identity suite for the SoA step kernel (cluster::ServerBlock).
  *
  * The kernel's contract is exact: evaluating N servers through the
- * vectorized block — clean or faulted, at any worker count — must
- * reproduce the scalar Server::evaluate chain double for double. The
- * reference here IS that scalar path (Server stays in production for
- * look-up-space construction), driven with the same flow semantics
- * Circulation applies, and every comparison is on raw bits.
+ * vectorized block — clean or faulted — must reproduce the scalar
+ * Server::evaluate chain double for double. The reference here IS
+ * that scalar path (Server stays in production for look-up-space
+ * construction), driven with the same flow semantics Circulation
+ * applies, and every comparison is on raw bits.
  */
 
 #include <bit>
@@ -25,8 +25,8 @@
 #include "cluster/server_block.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
+#include "tests/support/evaluate.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 #include "workload/trace_gen.h"
 
 namespace {
@@ -157,7 +157,7 @@ TEST(SoaKernelTest, CleanMatchesScalarServerBitwise)
     for (const CoolingSetting &setting :
          {CoolingSetting{45.0, 50.0}, CoolingSetting{30.0, 12.0},
           CoolingSetting{55.0, 118.0}}) {
-        CirculationState got = circ.evaluate(utils, setting, 20.0);
+        CirculationState got = test::evaluate(circ, utils, setting, 20.0);
         RefCirculation ref =
             refEvaluate(circ.server(), utils, setting, 20.0, nullptr);
         expectSameCirculation(ref, got);
@@ -173,8 +173,8 @@ TEST(SoaKernelTest, CleanHealthTakesTheCleanKernel)
 
     CirculationHealth clean_health; // default: pristine loop
     CirculationState with =
-        circ.evaluate(utils, setting, 20.0, clean_health);
-    CirculationState without = circ.evaluate(utils, setting, 20.0);
+        test::evaluate(circ, utils, setting, 20.0, &clean_health);
+    CirculationState without = test::evaluate(circ, utils, setting, 20.0);
     ASSERT_EQ(with.servers.size(), without.servers.size());
     for (size_t i = 0; i < n; ++i)
         expectSameServerState(without.servers[i], with.servers[i], i);
@@ -196,7 +196,7 @@ TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
     health.fouling_kpw[1] = 0.08;
     health.fouling_kpw[4] = 0.25;
 
-    CirculationState got = circ.evaluate(utils, setting, 20.0, health);
+    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
     RefCirculation ref =
         refEvaluate(circ.server(), utils, setting, 20.0, &health);
     expectSameCirculation(ref, got);
@@ -216,7 +216,7 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     health.tegs_shorted[2] = 3;
     health.tegs_shorted[5] = 100; // more shorts than devices
 
-    CirculationState got = circ.evaluate(utils, setting, 20.0, health);
+    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
     RefCirculation ref =
         refEvaluate(circ.server(), utils, setting, 20.0, &health);
     expectSameCirculation(ref, got);
@@ -237,7 +237,7 @@ TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
         CirculationHealth health;
         health.pump_flow_factor = factor;
         CirculationState got =
-            circ.evaluate(utils, setting, 20.0, health);
+            test::evaluate(circ, utils, setting, 20.0, &health);
         RefCirculation ref =
             refEvaluate(circ.server(), utils, setting, 20.0, &health);
         expectSameCirculation(ref, got);
@@ -260,7 +260,7 @@ TEST(SoaKernelTest, MixedFaultsOnOneLaneMatchScalar)
     health.teg_open[1] = 1;
     health.tegs_shorted[2] = 2;
 
-    CirculationState got = circ.evaluate(utils, setting, 20.0, health);
+    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
     RefCirculation ref =
         refEvaluate(circ.server(), utils, setting, 20.0, &health);
     expectSameCirculation(ref, got);
@@ -272,8 +272,8 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     Circulation circ(n);
     CoolingSetting setting{45.0, 50.0};
 
-    EXPECT_THROW(circ.evaluate({0.5, 1.5, 0.5}, setting, 20.0), Error);
-    EXPECT_THROW(circ.evaluate({0.5, -0.1, 0.5}, setting, 20.0), Error);
+    EXPECT_THROW(test::evaluate(circ, {0.5, 1.5, 0.5}, setting, 20.0), Error);
+    EXPECT_THROW(test::evaluate(circ, {0.5, -0.1, 0.5}, setting, 20.0), Error);
 
     // Negative fouling only rejects on a lane that is degraded some
     // other way — mirroring ServerHealth::clean(), which treats
@@ -282,13 +282,13 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     negative_clean.pump_flow_factor = 0.9; // forces the faulted path
     negative_clean.resizeServers(n);
     negative_clean.fouling_kpw[1] = -0.5;
-    EXPECT_NO_THROW(
-        circ.evaluate({0.5, 0.5, 0.5}, setting, 20.0, negative_clean));
+    EXPECT_NO_THROW(test::evaluate(circ, {0.5, 0.5, 0.5}, setting, 20.0,
+                                   &negative_clean));
 
     CirculationHealth negative_faulted = negative_clean;
     negative_faulted.teg_open[1] = 1;
-    EXPECT_THROW(circ.evaluate({0.5, 0.5, 0.5}, setting, 20.0,
-                               negative_faulted),
+    EXPECT_THROW(test::evaluate(circ, {0.5, 0.5, 0.5}, setting, 20.0,
+                                &negative_faulted),
                  Error);
 }
 
@@ -318,7 +318,7 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
 
         if (coin(rng) == 0) {
             CirculationState got =
-                circ.evaluate(utils, setting, t_cold);
+                test::evaluate(circ, utils, setting, t_cold);
             RefCirculation ref = refEvaluate(circ.server(), utils,
                                              setting, t_cold, nullptr);
             expectSameCirculation(ref, got);
@@ -337,7 +337,7 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
             health.tegs_shorted[i] = shorted_d(rng);
         }
         CirculationState got =
-            circ.evaluate(utils, setting, t_cold, health);
+            test::evaluate(circ, utils, setting, t_cold, &health);
         RefCirculation ref = refEvaluate(circ.server(), utils, setting,
                                          t_cold, &health);
         expectSameCirculation(ref, got);
@@ -350,7 +350,7 @@ TEST(SoaKernelTest, StateBlockAccessorsMaterializeAndRangeCheck)
 {
     Circulation circ(3);
     CirculationState cs =
-        circ.evaluate({0.2, 0.5, 0.8}, {45.0, 50.0}, 20.0);
+        test::evaluate(circ, {0.2, 0.5, 0.8}, {45.0, 50.0}, 20.0);
 
     std::vector<ServerState> aos;
     cs.servers.materializeInto(aos);
@@ -376,61 +376,6 @@ TEST(SoaKernelTest, HealthLanesRoundTripThroughAosAccessors)
     EXPECT_DOUBLE_EQ(back.fouling_kpw, 0.12);
     EXPECT_TRUE(h.server(0).clean());
     EXPECT_FALSE(h.clean());
-}
-
-// ------------------------------------------- [perf] thread identity
-
-TEST(SoaKernelTest, DatacenterTotalsBitIdenticalAcrossThreadCounts)
-{
-    cluster::DatacenterParams dp;
-    dp.num_servers = 200;
-    dp.servers_per_circulation = 16;
-    cluster::Datacenter dc(dp);
-
-    std::mt19937 rng(77);
-    std::uniform_real_distribution<double> util_d(0.0, 1.0);
-    std::vector<double> utils(dp.num_servers);
-    for (double &u : utils)
-        u = util_d(rng);
-    std::vector<CoolingSetting> settings(dc.numCirculations(),
-                                         CoolingSetting{45.0, 50.0});
-
-    DatacenterState serial = dc.evaluate(utils, settings);
-
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        util::ThreadPool pool(threads);
-        dc.setThreadPool(&pool);
-        DatacenterState threaded = dc.evaluate(utils, settings);
-        dc.setThreadPool(nullptr);
-
-        EXPECT_TRUE(sameBits(serial.cpu_power_w, threaded.cpu_power_w))
-            << threads << " threads";
-        EXPECT_TRUE(sameBits(serial.teg_power_w, threaded.teg_power_w))
-            << threads << " threads";
-        EXPECT_TRUE(sameBits(serial.heat_w, threaded.heat_w))
-            << threads << " threads";
-        EXPECT_TRUE(
-            sameBits(serial.pump_power_w, threaded.pump_power_w))
-            << threads << " threads";
-        EXPECT_TRUE(
-            sameBits(serial.plant_power_w, threaded.plant_power_w))
-            << threads << " threads";
-        ASSERT_EQ(serial.circulations.size(),
-                  threaded.circulations.size());
-        for (size_t c = 0; c < serial.circulations.size(); ++c) {
-            const CirculationState &a = serial.circulations[c];
-            const CirculationState &b = threaded.circulations[c];
-            EXPECT_TRUE(sameBits(a.return_c, b.return_c));
-            EXPECT_TRUE(sameBits(a.max_die_c, b.max_die_c));
-            ASSERT_EQ(a.servers.size(), b.servers.size());
-            for (size_t i = 0; i < a.servers.size(); ++i) {
-                EXPECT_TRUE(sameBits(a.servers.die_temp_c[i],
-                                     b.servers.die_temp_c[i]));
-                EXPECT_TRUE(sameBits(a.servers.teg_power_w[i],
-                                     b.servers.teg_power_w[i]));
-            }
-        }
-    }
 }
 
 // ----------------------------------- checkpoint through the SoA path

@@ -2,23 +2,23 @@
  * @file
  * Tests of the batched sweep engine and the shared immutable state
  * underneath it: bit-identity with serial execution at any worker
- * count, deterministic streaming order, look-up table sharing, the
- * oversubscription guard and the dynamic thread-pool primitive.
+ * count, deterministic streaming order, look-up table sharing and the
+ * dynamic fork-join primitive.
  */
 
 #include <atomic>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/config_io.h"
 #include "core/h2p_system.h"
 #include "core/sweep_engine.h"
 #include "sched/lookup_cache.h"
 #include "sim/channels.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 #include "workload/trace_gen.h"
 
 namespace h2p {
@@ -236,6 +236,7 @@ TEST(SweepTest, SinglePointAndDuplicatePointsWork)
     core::SweepResult one = engine.run({pt});
     ASSERT_EQ(one.points.size(), 1u);
     EXPECT_TRUE(one.points[0].completed);
+    EXPECT_EQ(one.workers, 1u); // auto workers, clamped to the grid
 
     // Duplicates are just independent identical runs.
     core::SweepResult dup = engine.run({pt, pt, pt});
@@ -518,85 +519,36 @@ TEST(SweepTest, SystemsShareTheCachedLookupSpace)
     EXPECT_EQ(sched::LookupSpaceCache::instance().builds(), 1u);
 }
 
-// --------------------------------------------- thread heuristics
-
-TEST(SweepTest, OversubscriptionGuardClampsThreads)
-{
-    // 40 servers / guard 64 -> serial despite an 8-thread request.
-    core::H2PConfig cfg = baseConfig(false);
-    cfg.perf.threads = 8;
-    EXPECT_EQ(core::H2PSystem(cfg).effectiveThreads(), 1u);
-
-    // Guard off: the request stands, clamped by circulations (4).
-    cfg.perf.min_servers_per_thread = 0;
-    EXPECT_EQ(core::H2PSystem(cfg).effectiveThreads(), 4u);
-
-    // A big fleet earns its workers under the default guard.
-    core::H2PConfig big = baseConfig(false);
-    big.datacenter.num_servers = 512;
-    big.datacenter.servers_per_circulation = 64;
-    big.perf.threads = 8;
-    EXPECT_EQ(core::H2PSystem(big).effectiveThreads(), 8u);
-
-    // threads = 1 stays serial no matter what.
-    big.perf.threads = 1;
-    EXPECT_EQ(core::H2PSystem(big).effectiveThreads(), 1u);
-}
-
-TEST(SweepTest, PerfIniParsesMinServersPerThread)
-{
-    sim::Config ini;
-    ini.set("perf", "threads", "8");
-    ini.set("perf", "min_servers_per_thread", "32");
-    core::H2PConfig cfg = core::configFromIni(ini);
-    EXPECT_EQ(cfg.perf.threads, 8u);
-    EXPECT_EQ(cfg.perf.min_servers_per_thread, 32u);
-}
-
-TEST(SweepTest, SmallGridSplitsWorkersIntoRuns)
-{
-    auto trace = makeTrace();
-    auto grid = makeGrid(trace, false);
-    std::vector<core::SweepPoint> two(grid.begin(), grid.begin() + 2);
-
-    core::SweepOptions options;
-    options.workers = 8;
-    options.keep_recorders = false;
-    core::SweepEngine engine(options);
-    core::SweepResult result = engine.run(two);
-    EXPECT_EQ(result.workers, 2u);        // clamped to the grid
-    EXPECT_EQ(result.threads_per_run, 4u); // leftover budget per run
-}
-
-// --------------------------------------------- pool primitives
+// --------------------------------------------- run-level fork-join
 
 TEST(SweepTest, ParallelForDynamicRunsEveryIndexOnce)
 {
-    util::ThreadPool pool(4);
-    std::vector<std::atomic<int>> counts(103);
-    for (auto &c : counts)
-        c.store(0);
-    pool.parallelForDynamic(counts.size(), [&](size_t i) {
-        counts[i].fetch_add(1);
-    });
-    for (size_t i = 0; i < counts.size(); ++i)
-        EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-
-    // Serial pool takes the inline path, same contract.
-    util::ThreadPool serial(1);
-    std::vector<int> serial_counts(17, 0);
-    serial.parallelForDynamic(serial_counts.size(),
-                              [&](size_t i) { ++serial_counts[i]; });
-    for (int c : serial_counts)
-        EXPECT_EQ(c, 1);
+    // Odd worker counts, more workers than items, an empty range, and
+    // one worker (the inline path): every index runs exactly once.
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                           size_t{9}}) {
+        for (size_t n : {size_t{0}, size_t{3}, size_t{103}}) {
+            std::vector<std::atomic<int>> counts(n);
+            for (auto &c : counts)
+                c.store(0);
+            util::parallelForDynamic(n, workers, [&](size_t i) {
+                counts[i].fetch_add(1);
+            });
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(counts[i].load(), 1)
+                    << "index " << i << " of " << n << ", workers "
+                    << workers;
+        }
+    }
 }
 
 TEST(SweepTest, ParallelForDynamicPropagatesLowestIndexError)
 {
     for (size_t workers : {size_t{1}, size_t{4}}) {
-        util::ThreadPool pool(workers);
+        std::atomic<size_t> ran{0};
         try {
-            pool.parallelForDynamic(64, [&](size_t i) {
+            util::parallelForDynamic(64, workers, [&](size_t i) {
+                ran.fetch_add(1);
                 if (i == 7 || i == 23)
                     fatal("boom at ", i);
             });
@@ -605,11 +557,8 @@ TEST(SweepTest, ParallelForDynamicPropagatesLowestIndexError)
         } catch (const Error &e) {
             EXPECT_STREQ(e.what(), "boom at 7");
         }
-        // The pool survives and keeps working afterwards.
-        std::atomic<size_t> ran{0};
-        pool.parallelForDynamic(8,
-                                [&](size_t) { ran.fetch_add(1); });
-        EXPECT_EQ(ran.load(), 8u);
+        // The failures do not stop the other indices.
+        EXPECT_EQ(ran.load(), 64u) << "workers=" << workers;
     }
 }
 

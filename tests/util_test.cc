@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -21,10 +23,10 @@
 #include "util/error.h"
 #include "util/fs.h"
 #include "util/interpolate.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/time_series.h"
 #include "util/units.h"
 
@@ -491,8 +493,14 @@ TEST(HardwareThreadsTest, HonorsTheAffinityMask)
     cpu_set_t saved;
     CPU_ZERO(&saved);
     ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
-    EXPECT_EQ(util::hardwareThreads(),
-              static_cast<size_t>(CPU_COUNT(&saved)));
+    // The mask count, capped by a cgroup v2 CPU quota when one is set.
+    size_t expected = static_cast<size_t>(CPU_COUNT(&saved));
+    std::ifstream cpu_max("/sys/fs/cgroup/cpu.max");
+    std::string line;
+    if (cpu_max && std::getline(cpu_max, line) &&
+        util::cpuMaxThreads(line) > 0)
+        expected = std::min(expected, util::cpuMaxThreads(line));
+    EXPECT_EQ(util::hardwareThreads(), expected);
 
     // Pin to one CPU of the current mask, as `taskset -c N` would.
     int cpu = 0;
@@ -511,6 +519,21 @@ TEST(HardwareThreadsTest, HonorsTheAffinityMask)
 #else
     EXPECT_GE(util::hardwareThreads(), 1u);
 #endif
+}
+
+TEST(HardwareThreadsTest, ParsesCgroupCpuMax)
+{
+    EXPECT_EQ(util::cpuMaxThreads("max 100000"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("max 100000\n"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("150000 100000"), 2u);
+    EXPECT_EQ(util::cpuMaxThreads("50000 100000"), 1u);
+    EXPECT_EQ(util::cpuMaxThreads("200000 100000\n"), 2u);
+    EXPECT_EQ(util::cpuMaxThreads("garbage"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("100000"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("0 100000"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("-50000 100000"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads("150000 100000 7"), 0u);
+    EXPECT_EQ(util::cpuMaxThreads(""), 0u);
 }
 
 } // namespace
