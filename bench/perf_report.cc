@@ -3,8 +3,9 @@
  * Hot-path performance report. Times the simulation's three hot paths
  * — look-up space construction, per-circulation cooling decisions and
  * whole-datacenter step evaluation (64/256/1024 servers) — against a
- * bench-local emulation of the pre-optimization code path
- * (materialized slices, per-step allocation, no decision cache), and
+ * bench-local emulation of the pre-optimization code path (slices
+ * materialized point by point through trilinear interpolation,
+ * per-step allocation, no decision cache), and
  * writes the measurements to
  * bench_results/BENCH_hotpath.json so future changes have a perf
  * trajectory to compare against.
@@ -39,6 +40,7 @@
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
 #include "thermal/teg.h"
+#include "util/interpolate.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -79,10 +81,37 @@ nsPerOp(Fn &&fn, double min_s = 0.2)
 }
 
 /**
- * The pre-optimization cooling decision: materialize the whole
- * (flow x T_in) slice at the planning utilization, copy the band into
- * a second vector, then scan — exactly the allocation pattern the
- * visitor-based CoolingOptimizer::choose replaced.
+ * The pre-optimization slice: every (flow x T_in) grid point at
+ * @p util through the full trilinear cpuTemp()/outletTemp() queries,
+ * which LookupSpace::forEachInSlice's node tables replaced.
+ */
+std::vector<sched::LookupPoint>
+pointwiseSlice(const sched::LookupSpace &space, double util)
+{
+    const sched::LookupSpaceParams &lp = space.params();
+    const GridAxis af(lp.flow_min_lph, lp.flow_max_lph, lp.flow_points);
+    const GridAxis at(lp.tin_min_c, lp.tin_max_c, lp.tin_points);
+    std::vector<sched::LookupPoint> slice;
+    slice.reserve(af.count() * at.count());
+    for (size_t j = 0; j < af.count(); ++j) {
+        for (size_t k = 0; k < at.count(); ++k) {
+            sched::LookupPoint pt;
+            pt.util = util;
+            pt.flow_lph = af.coord(j);
+            pt.t_in_c = at.coord(k);
+            pt.t_cpu_c = space.cpuTemp(util, pt.flow_lph, pt.t_in_c);
+            pt.t_out_c = space.outletTemp(util, pt.flow_lph, pt.t_in_c);
+            slice.push_back(pt);
+        }
+    }
+    return slice;
+}
+
+/**
+ * The pre-optimization cooling decision: materialize the whole slice
+ * at the planning utilization point by point, copy the band into a
+ * second vector, then scan — the arithmetic and allocation pattern
+ * the table-backed, visitor-based CoolingOptimizer::choose replaced.
  */
 sched::OptimizerResult
 sliceChoose(const sched::LookupSpace &space,
@@ -103,7 +132,8 @@ sliceChoose(const sched::LookupSpace &space,
         }
     };
 
-    std::vector<sched::LookupPoint> slice = space.slice(plan_util);
+    std::vector<sched::LookupPoint> slice =
+        pointwiseSlice(space, plan_util);
     std::vector<sched::LookupPoint> in_band;
     for (const sched::LookupPoint &pt : slice)
         if (std::abs(pt.t_cpu_c - p.t_safe_c) <= p.band_c)
@@ -644,7 +674,8 @@ main()
          << "  \"bench\": \"hotpath\",\n"
          << hostJson(hw, usable)
          << "  \"note\": \"baseline emulates the pre-optimization "
-            "path: materialized slices, per-step allocation, no "
+            "path: slices materialized point by point through "
+            "trilinear interpolation, per-step allocation, no "
             "decision cache. Every row is single-threaded.\",\n"
          << "  \"lookup_build_ns\": " << jsonNum(lookup_ns) << ",\n"
          << "  \"optimizer_decision\": {\n"

@@ -84,8 +84,10 @@ struct OptimizerResult
  * Grid-search cooling controller over a LookupSpace.
  *
  * Not thread-safe when the decision cache is enabled: choose() then
- * mutates the cache. The simulator calls it from the (serial)
- * scheduler only; parallelism lives below, in Datacenter::evaluate.
+ * mutates the cache. Each H2PSystem owns one optimizer and calls it
+ * from its run's serial step loop; parallelism lives above, across
+ * runs (core::SweepEngine), which share only the immutable
+ * LookupSpace.
  */
 class CoolingOptimizer
 {

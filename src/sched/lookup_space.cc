@@ -46,6 +46,8 @@ LookupSpace::LookupSpace(const cluster::Server &server,
                                             std::move(cpu_vals));
     t_out_ = std::make_unique<LinearGrid3D>(au, af, at,
                                             std::move(out_vals));
+    cpu_nodes_ = t_cpu_->yzNodeTable();
+    out_nodes_ = t_out_->yzNodeTable();
 }
 
 double

@@ -84,21 +84,30 @@ class LookupSpace
      * (flow-major, then inlet temperature) order without materializing
      * a vector — the allocation-free twin of slice(). @p fn receives
      * each LookupPoint by const reference; the reference is only valid
-     * during the call.
+     * during the call. The temperatures equal cpuTemp()/outletTemp()
+     * at each point bit for bit: they blend the same two utilization
+     * planes of precomputed node tables with the same lerp.
      */
     template <typename Fn>
     void forEachInSlice(double util, Fn &&fn) const
     {
         const GridAxis &af = t_cpu_->yAxis();
         const GridAxis &at = t_cpu_->zAxis();
+        size_t i = 0;
+        double tx = 0.0;
+        t_cpu_->xAxis().locate(util, i, tx);
+        const size_t plane = af.count() * at.count();
+        const double *cpu = cpu_nodes_.data() + i * plane;
+        const double *out = out_nodes_.data() + i * plane;
         LookupPoint p;
         p.util = util;
+        size_t n = 0;
         for (size_t j = 0; j < af.count(); ++j) {
             p.flow_lph = af.coord(j);
-            for (size_t k = 0; k < at.count(); ++k) {
+            for (size_t k = 0; k < at.count(); ++k, ++n) {
                 p.t_in_c = at.coord(k);
-                p.t_cpu_c = (*t_cpu_)(util, p.flow_lph, p.t_in_c);
-                p.t_out_c = (*t_out_)(util, p.flow_lph, p.t_in_c);
+                p.t_cpu_c = lerp(cpu[n], cpu[n + plane], tx);
+                p.t_out_c = lerp(out[n], out[n + plane], tx);
                 fn(static_cast<const LookupPoint &>(p));
             }
         }
@@ -111,6 +120,9 @@ class LookupSpace
     LookupSpaceParams params_;
     std::unique_ptr<LinearGrid3D> t_cpu_;
     std::unique_ptr<LinearGrid3D> t_out_;
+    /** yzNodeTable() of t_cpu_ / t_out_: one plane per util sample. */
+    std::vector<double> cpu_nodes_;
+    std::vector<double> out_nodes_;
 };
 
 } // namespace sched

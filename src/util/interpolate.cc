@@ -25,6 +25,9 @@ GridAxis::coord(size_t i) const
 void
 GridAxis::locate(double x, size_t &idx, double &frac) const
 {
+    // NaN would pass both clamps below into an undefined float-to-size_t
+    // conversion and an out-of-range index.
+    expect(!std::isnan(x), "grid coordinate is NaN");
     double t = (x - lo_) / step_;
     if (t <= 0.0) {
         idx = 0;
@@ -54,7 +57,7 @@ LinearGrid1D::operator()(double x) const
     size_t i;
     double t;
     axis_.locate(x, i, t);
-    return values_[i] * (1.0 - t) + values_[i + 1] * t;
+    return lerp(values_[i], values_[i + 1], t);
 }
 
 LinearGrid2D::LinearGrid2D(GridAxis x, GridAxis y,
@@ -79,11 +82,8 @@ LinearGrid2D::operator()(double x, double y) const
     double tx, ty;
     x_.locate(x, i, tx);
     y_.locate(y, j, ty);
-    double v00 = at(i, j), v01 = at(i, j + 1);
-    double v10 = at(i + 1, j), v11 = at(i + 1, j + 1);
-    double v0 = v00 * (1 - ty) + v01 * ty;
-    double v1 = v10 * (1 - ty) + v11 * ty;
-    return v0 * (1 - tx) + v1 * tx;
+    return lerp(lerp(at(i, j), at(i, j + 1), ty),
+                lerp(at(i + 1, j), at(i + 1, j + 1), ty), tx);
 }
 
 LinearGrid3D::LinearGrid3D(GridAxis x, GridAxis y, GridAxis z,
@@ -102,6 +102,14 @@ LinearGrid3D::at(size_t i, size_t j, size_t k) const
 }
 
 double
+LinearGrid3D::yzStage(size_t i, size_t j, double ty, size_t k,
+                      double tz) const
+{
+    return lerp(lerp(at(i, j, k), at(i, j, k + 1), tz),
+                lerp(at(i, j + 1, k), at(i, j + 1, k + 1), tz), ty);
+}
+
+double
 LinearGrid3D::operator()(double x, double y, double z) const
 {
     size_t i, j, k;
@@ -109,18 +117,29 @@ LinearGrid3D::operator()(double x, double y, double z) const
     x_.locate(x, i, tx);
     y_.locate(y, j, ty);
     z_.locate(z, k, tz);
+    return lerp(yzStage(i, j, ty, k, tz), yzStage(i + 1, j, ty, k, tz),
+                tx);
+}
 
-    auto lerp = [](double a, double b, double t) {
-        return a * (1 - t) + b * t;
-    };
+std::vector<double>
+LinearGrid3D::yzNodeTable() const
+{
+    // Locate each node the way operator() would: on axes whose step is
+    // not exactly representable, coord(j) may land just below node j.
+    std::vector<size_t> yj(y_.count()), zk(z_.count());
+    std::vector<double> ty(y_.count()), tz(z_.count());
+    for (size_t j = 0; j < y_.count(); ++j)
+        y_.locate(y_.coord(j), yj[j], ty[j]);
+    for (size_t k = 0; k < z_.count(); ++k)
+        z_.locate(z_.coord(k), zk[k], tz[k]);
 
-    double c00 = lerp(at(i, j, k), at(i, j, k + 1), tz);
-    double c01 = lerp(at(i, j + 1, k), at(i, j + 1, k + 1), tz);
-    double c10 = lerp(at(i + 1, j, k), at(i + 1, j, k + 1), tz);
-    double c11 = lerp(at(i + 1, j + 1, k), at(i + 1, j + 1, k + 1), tz);
-    double c0 = lerp(c00, c01, ty);
-    double c1 = lerp(c10, c11, ty);
-    return lerp(c0, c1, tx);
+    std::vector<double> table;
+    table.reserve(values_.size());
+    for (size_t i = 0; i < x_.count(); ++i)
+        for (size_t j = 0; j < y_.count(); ++j)
+            for (size_t k = 0; k < z_.count(); ++k)
+                table.push_back(yzStage(i, yj[j], ty[j], zk[k], tz[k]));
+    return table;
 }
 
 } // namespace h2p

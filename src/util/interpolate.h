@@ -17,6 +17,18 @@
 namespace h2p {
 
 /**
+ * The linear blend a * (1 - t) + b * t that every grid interpolator
+ * here uses. Tables precomputed from a grid blend with it too, so they
+ * reproduce the grid's results bit for bit. (std::lerp rounds
+ * differently and is not a substitute.)
+ */
+inline double
+lerp(double a, double b, double t)
+{
+    return a * (1 - t) + b * t;
+}
+
+/**
  * One axis of a regular grid: `count` samples evenly spaced on
  * [lo, hi]. Provides clamped fractional indexing for interpolation.
  */
@@ -40,6 +52,7 @@ class GridAxis
     /**
      * Clamped fractional position of @p x: returns the base index and
      * the interpolation weight in [0, 1] toward the next sample.
+     * +-inf clamp to the ends; NaN throws h2p::Error.
      */
     void locate(double x, size_t &idx, double &frac) const;
 
@@ -96,12 +109,26 @@ class LinearGrid3D
     /** Clamped trilinear interpolation at (@p x, @p y, @p z). */
     double operator()(double x, double y, double z) const;
 
+    /**
+     * The y/z stage of operator() at every x sample and every (y, z)
+     * grid node, laid out like the values: entry (i*ny + j)*nz + k is
+     * the value operator() blends along x, for x sample i, at
+     * (yAxis().coord(j), zAxis().coord(k)). So
+     * lerp(T[i][j][k], T[i+1][j][k], tx) equals operator() at x with
+     * locate(x) = (i, tx) and that node, bit for bit.
+     */
+    std::vector<double> yzNodeTable() const;
+
     const GridAxis &xAxis() const { return x_; }
     const GridAxis &yAxis() const { return y_; }
     const GridAxis &zAxis() const { return z_; }
 
   private:
     double at(size_t i, size_t j, size_t k) const;
+
+    /** Bilinear blend within x sample @p i. */
+    double yzStage(size_t i, size_t j, double ty, size_t k,
+                   double tz) const;
 
     GridAxis x_;
     GridAxis y_;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "cluster/datacenter.h"
@@ -17,6 +18,7 @@
 #include "sched/cooling_optimizer.h"
 #include "sim/recorder.h"
 #include "util/error.h"
+#include "util/interpolate.h"
 #include "util/parallel.h"
 #include "workload/trace_gen.h"
 
@@ -180,13 +182,34 @@ TEST_F(CacheFixture, TsafeOverrideKeyedSeparately)
 
 TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
 {
-    // The streaming three-tier search must reproduce the materialized
-    // slice-based reference algorithm bit for bit.
-    sched::CoolingOptimizer opt(space, teg); // cache off
-    const sched::OptimizerParams &p = opt.params();
-    for (double u = 0.0; u <= 1.0; u += 0.07) {
-        sched::OptimizerResult got = opt.choose(u);
-
+    // The streaming three-tier search must reproduce a reference that
+    // materializes the slice point by point through the trilinear
+    // cpuTemp()/outletTemp() queries, bit for bit. The inputs reach
+    // every tier: the band (band_c = 0 leaves it empty almost
+    // everywhere), Fallback 1 (low load) and Fallback 2 (a T_safe
+    // override so low that nothing is safe).
+    const GridAxis af(space.params().flow_min_lph,
+                      space.params().flow_max_lph,
+                      space.params().flow_points);
+    const GridAxis at(space.params().tin_min_c, space.params().tin_max_c,
+                      space.params().tin_points);
+    auto pointwiseSlice = [&](double u) {
+        std::vector<sched::LookupPoint> slice;
+        for (size_t j = 0; j < af.count(); ++j) {
+            for (size_t k = 0; k < at.count(); ++k) {
+                sched::LookupPoint pt;
+                pt.util = u;
+                pt.flow_lph = af.coord(j);
+                pt.t_in_c = at.coord(k);
+                pt.t_cpu_c = space.cpuTemp(u, pt.flow_lph, pt.t_in_c);
+                pt.t_out_c = space.outletTemp(u, pt.flow_lph, pt.t_in_c);
+                slice.push_back(pt);
+            }
+        }
+        return slice;
+    };
+    auto reference = [&](const sched::OptimizerParams &p, double u,
+                         double t_safe) {
         sched::OptimizerResult want;
         bool found = false;
         auto consider = [&](const sched::LookupPoint &pt) {
@@ -200,9 +223,10 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
                 want.t_cpu_c = pt.t_cpu_c;
             }
         };
+        const std::vector<sched::LookupPoint> slice = pointwiseSlice(u);
         std::vector<sched::LookupPoint> in_band;
-        for (const sched::LookupPoint &pt : space.slice(u)) {
-            if (std::abs(pt.t_cpu_c - p.t_safe_c) <= p.band_c)
+        for (const sched::LookupPoint &pt : slice) {
+            if (std::abs(pt.t_cpu_c - t_safe) <= p.band_c)
                 in_band.push_back(pt);
         }
         want.candidates = in_band.size();
@@ -210,20 +234,62 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
             consider(pt);
         if (!found) {
             want.fallback = true;
-            for (const sched::LookupPoint &pt : space.slice(u)) {
-                if (pt.t_cpu_c <= p.t_safe_c + p.band_c)
+            for (const sched::LookupPoint &pt : slice) {
+                if (pt.t_cpu_c <= t_safe + p.band_c)
                     consider(pt);
             }
         }
-        ASSERT_TRUE(found) << u;
+        if (!found) {
+            const sched::LookupPoint *coldest = &slice.front();
+            for (const sched::LookupPoint &pt : slice) {
+                if (pt.t_cpu_c < coldest->t_cpu_c)
+                    coldest = &pt;
+            }
+            want.setting.t_in_c = coldest->t_in_c;
+            want.setting.flow_lph = coldest->flow_lph;
+            want.teg_power_w = teg.powerFromTemps(
+                coldest->t_out_c, p.cold_source_c, coldest->flow_lph);
+            want.t_cpu_c = coldest->t_cpu_c;
+        }
+        return want;
+    };
+    auto sameBits = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof(a)) == 0;
+    };
 
-        EXPECT_DOUBLE_EQ(got.setting.t_in_c, want.setting.t_in_c) << u;
-        EXPECT_DOUBLE_EQ(got.setting.flow_lph, want.setting.flow_lph)
-            << u;
-        EXPECT_DOUBLE_EQ(got.teg_power_w, want.teg_power_w) << u;
-        EXPECT_EQ(got.candidates, want.candidates) << u;
-        EXPECT_EQ(got.fallback, want.fallback) << u;
+    sched::OptimizerParams zero_band;
+    zero_band.band_c = 0.0;
+    size_t tiers[3] = {0, 0, 0};
+    for (const sched::OptimizerParams &p :
+         {sched::OptimizerParams{}, zero_band}) {
+        sched::CoolingOptimizer opt(space, teg, p); // cache off
+        for (double margin : {0.0, 5.0, 40.0}) {
+            const double t_safe = p.t_safe_c - margin;
+            for (double u = 0.0; u <= 1.0; u += 0.07) {
+                sched::OptimizerResult got = opt.choose(u, t_safe);
+                sched::OptimizerResult want = reference(p, u, t_safe);
+                EXPECT_TRUE(sameBits(got.setting.t_in_c,
+                                     want.setting.t_in_c))
+                    << u << " " << t_safe;
+                EXPECT_TRUE(sameBits(got.setting.flow_lph,
+                                     want.setting.flow_lph))
+                    << u << " " << t_safe;
+                EXPECT_TRUE(sameBits(got.teg_power_w, want.teg_power_w))
+                    << u << " " << t_safe;
+                EXPECT_TRUE(sameBits(got.t_cpu_c, want.t_cpu_c))
+                    << u << " " << t_safe;
+                EXPECT_EQ(got.candidates, want.candidates) << u;
+                EXPECT_EQ(got.fallback, want.fallback) << u;
+                ++tiers[!want.fallback ? 0
+                        : want.t_cpu_c <= t_safe + p.band_c ? 1
+                                                            : 2];
+            }
+        }
     }
+    // Every tier of the search was compared at least once.
+    EXPECT_GT(tiers[0], 0u);
+    EXPECT_GT(tiers[1], 0u);
+    EXPECT_GT(tiers[2], 0u);
 }
 
 // ----------------------------------------------- allocation-free twins

@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "cluster/datacenter.h"
 #include "control/stages.h"
@@ -28,6 +31,13 @@ cluster::Server
 defaultServer()
 {
     return cluster::Server{};
+}
+
+/** Bitwise equality: tells -0.0 from 0.0 and never rounds. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
 // ---------------------------------------------------------- lookup space
@@ -95,6 +105,88 @@ TEST(LookupSpaceTest, RejectsDegenerateAxes)
     LookupSpaceParams p;
     p.flow_points = 1;
     EXPECT_THROW(LookupSpace(defaultServer(), p), Error);
+}
+
+TEST(LookupSpaceTest, RejectsNonFiniteQueries)
+{
+    LookupSpace space(defaultServer());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(space.slice(nan), Error);
+    EXPECT_THROW(space.forEachInSlice(nan, [](const LookupPoint &) {}),
+                 Error);
+    EXPECT_THROW(space.cpuTemp(nan, 50.0, 40.0), Error);
+    EXPECT_THROW(space.cpuTemp(0.5, nan, 40.0), Error);
+    EXPECT_THROW(space.cpuTemp(0.5, 50.0, nan), Error);
+    EXPECT_THROW(space.outletTemp(nan, 50.0, 40.0), Error);
+    EXPECT_THROW(space.outletTemp(0.5, nan, 40.0), Error);
+    EXPECT_THROW(space.outletTemp(0.5, 50.0, nan), Error);
+
+    // +-inf keep clamping to the axis ends.
+    EXPECT_TRUE(sameBits(space.cpuTemp(inf, -inf, inf),
+                         space.cpuTemp(1.0, 10.0, 55.0)));
+    EXPECT_TRUE(sameBits(space.outletTemp(-inf, inf, -inf),
+                         space.outletTemp(0.0, 100.0, 20.0)));
+    std::vector<LookupPoint> hot = space.slice(inf);
+    std::vector<LookupPoint> top = space.slice(1.0);
+    ASSERT_EQ(hot.size(), top.size());
+    for (size_t n = 0; n < hot.size(); ++n) {
+        EXPECT_TRUE(sameBits(hot[n].t_cpu_c, top[n].t_cpu_c)) << n;
+        EXPECT_TRUE(sameBits(hot[n].t_out_c, top[n].t_out_c)) << n;
+    }
+}
+
+TEST(LookupSpaceTest, SliceMatchesPointwiseTrilinearBitForBit)
+{
+    // Default axes; steps that are not exactly representable, where a
+    // node's coordinate can locate just below the node; the smallest
+    // grid the space accepts.
+    LookupSpaceParams inexact;
+    inexact.util_points = 17;
+    inexact.flow_points = 23;
+    inexact.flow_min_lph = 7.3;
+    inexact.flow_max_lph = 113.1;
+    inexact.tin_points = 29;
+    inexact.tin_min_c = 18.7;
+    inexact.tin_max_c = 57.3;
+    LookupSpaceParams tiny;
+    tiny.util_points = 2;
+    tiny.flow_points = 2;
+    tiny.tin_points = 3;
+
+    const cluster::Server server = defaultServer();
+    std::mt19937_64 rng(2020);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (const LookupSpaceParams &params :
+         {LookupSpaceParams{}, inexact, tiny}) {
+        LookupSpace space(server, params);
+        std::vector<double> utils{0.0, 1.0};
+        for (int k = 0; k <= 2000; ++k)
+            utils.push_back(k / 2000.0);
+        GridAxis au(0.0, 1.0, params.util_points);
+        for (size_t i = 0; i < au.count(); ++i)
+            utils.push_back(au.coord(i));
+        for (int r = 0; r < 200; ++r)
+            utils.push_back(unit(rng));
+
+        size_t points = 0;
+        size_t mismatches = 0;
+        for (double u : utils) {
+            space.forEachInSlice(u, [&](const LookupPoint &p) {
+                ++points;
+                if (!sameBits(p.util, u) ||
+                    !sameBits(p.t_cpu_c,
+                              space.cpuTemp(u, p.flow_lph, p.t_in_c)) ||
+                    !sameBits(p.t_out_c,
+                              space.outletTemp(u, p.flow_lph, p.t_in_c)))
+                    ++mismatches;
+            });
+        }
+        EXPECT_EQ(points, utils.size() * params.flow_points *
+                              params.tin_points)
+            << params.util_points;
+        EXPECT_EQ(mismatches, 0u) << params.util_points;
+    }
 }
 
 // ------------------------------------------------------------- optimizer
