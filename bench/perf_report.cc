@@ -284,6 +284,8 @@ main()
     sched::CoolingOptimizer visitor(space, teg, op);
     sched::OptimizerParams cp = op;
     cp.cache_util_quantum = 1e-3;
+    // A private decision table: after the first pass over the stream
+    // the cached row times a flat-table hit.
     sched::CoolingOptimizer cached(space, teg, cp);
 
     // A realistic planning-utilization stream, so the cache sees the

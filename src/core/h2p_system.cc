@@ -20,12 +20,15 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
         config.datacenter.server.teg);
 
     // The optimizer's cold source must match the datacenter's; the
-    // decision cache is a [perf] knob.
+    // decision cache is a [perf] knob. Its table is shared like the
+    // space: systems of one configuration compute each decision once.
     sched::OptimizerParams opt = config.optimizer;
     opt.cold_source_c = config.datacenter.cold_source_c;
     opt.cache_util_quantum = config.perf.optimizer_cache_quantum;
-    optimizer_ = std::make_unique<sched::CoolingOptimizer>(*space_, *teg_,
-                                                           opt);
+    optimizer_ = std::make_unique<sched::CoolingOptimizer>(
+        *space_, *teg_, opt,
+        sched::LookupSpaceCache::instance().decisionTable(*space_, *teg_,
+                                                          opt));
 
     // The control plane: every session's decide stage is a pipeline
     // built here. The balancer compares measured headroom against the

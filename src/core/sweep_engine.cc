@@ -249,10 +249,11 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
         for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
             slot.attempts = attempt;
             try {
-                // Per-point system: the cooling optimizer's decision
-                // cache is mutable and not thread-safe, so runs never
-                // share one. The expensive immutable parts are shared
-                // underneath (LookupSpaceCache, borrowed traces).
+                // Per-point system: a system's optimizer and sessions
+                // are not thread-safe, so runs never share one. The
+                // expensive parts are shared underneath: the look-up
+                // space and decision table (LookupSpaceCache) and
+                // borrowed traces.
                 const auto t0 = std::chrono::steady_clock::now();
                 H2PSystem system(grid[i].config);
                 SimSession session =

@@ -79,9 +79,10 @@ class SweepEngine
 
     /**
      * Run every point of @p grid and return the results in grid
-     * order. Each point simulates on its own H2PSystem (the cooling
-     * optimizer's decision cache is not thread-safe, so systems are
-     * never shared across workers) built from shared immutable parts.
+     * order. Each point simulates on its own H2PSystem (a system's
+     * optimizer and sessions are not thread-safe, so systems are
+     * never shared across workers) built from shared thread-safe
+     * parts: the look-up space and the cooling-decision table.
      *
      * A failing point is retried per SweepOptions::max_attempts
      * (retryable kinds only) and then quarantined: its slot carries

@@ -13,6 +13,13 @@
  * Naming scheme (see DESIGN.md "Observability"): lower-case
  * dot-separated paths, "<subsystem>.<quantity>[_<unit>]", e.g.
  * "optimizer.cache_hits", "sweep.runs", "step.max_die_c".
+ *
+ * optimizer.cache_misses counts the grid searches a run performed and
+ * optimizer.cache_hits the decisions it read from the cooling-decision
+ * table, whichever run filled it. Systems of one configuration share
+ * that table process-wide (sched::LookupSpaceCache), so like span
+ * timings both counts depend on what the process ran before; the
+ * results they describe do not.
  */
 
 #ifndef H2P_OBS_METRICS_H_

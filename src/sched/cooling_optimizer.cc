@@ -5,16 +5,12 @@
 #include <cstring>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace h2p {
 namespace sched {
 
 namespace {
-
-// Bound on memoized decisions: 2048 utilization buckets per distinct
-// T_safe would need several overrides to reach this; past it the cache
-// is simply dropped and rebuilt.
-constexpr size_t kMaxCacheEntries = 1 << 16;
 
 uint64_t
 doubleBits(double x)
@@ -25,18 +21,112 @@ doubleBits(double x)
     return bits;
 }
 
+/**
+ * Utilization buckets for quantum @p q: llround(1/q) + 1, bounded by
+ * DecisionTable::kMaxBuckets. The bound is checked on 1/q itself, as
+ * llround overflows (LLONG_MIN on x86) long before 1/q is infinite,
+ * which would make every bucket plan at U = 0.
+ */
+size_t
+bucketCount(double q)
+{
+    expect(q > 0.0, "a decision table needs a positive quantum");
+    expect(1.0 / q < static_cast<double>(DecisionTable::kMaxBuckets) - 0.5,
+           "cache quantum ", q, " needs llround(1/q) + 1 > ",
+           DecisionTable::kMaxBuckets, " utilization buckets; the "
+           "decision table holds at most ", DecisionTable::kMaxBuckets);
+    return static_cast<size_t>(std::llround(1.0 / q)) + 1;
+}
+
 } // namespace
+
+// --------------------------------------------------------- DecisionTable
+
+DecisionTable::DecisionTable(const LookupSpace &space,
+                             const thermal::TegModule &teg,
+                             const OptimizerParams &params)
+    : space_(&space), inputs_(fingerprint(teg, params)),
+      buckets_(bucketCount(params.cache_util_quantum))
+{
+}
+
+uint64_t
+DecisionTable::fingerprint(const thermal::TegModule &teg,
+                           const OptimizerParams &params)
+{
+    util::Fnv1a h;
+    h.size(teg.count());
+    const thermal::TegParams &d = teg.device().params();
+    for (double v : {d.voc_slope, d.voc_offset, d.pfit_a, d.pfit_b,
+                     d.pfit_c, d.resistance_ohm, d.thermal_resistance_kpw,
+                     d.reference_flow_lph, d.unit_cost_usd,
+                     d.lifespan_years})
+        h.f64(v);
+    const thermal::ColdPlateParams &plate = teg.plate().params();
+    for (double v : {plate.base_resistance_kpw, plate.conv_scale,
+                     plate.flow_exponent})
+        h.f64(v);
+    h.f64(params.band_c);
+    h.f64(params.cold_source_c);
+    h.f64(params.cache_util_quantum);
+    return h.digest();
+}
+
+std::shared_ptr<DecisionTable::Slot[]>
+DecisionTable::slots(double t_safe_c)
+{
+    const uint64_t key = doubleBits(t_safe_c);
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[bits, array] : arrays_)
+        if (bits == key)
+            return array;
+    std::shared_ptr<Slot[]> array(new Slot[buckets_]);
+    arrays_.emplace_back(key, array);
+    if (arrays_.size() > kMaxArrays)
+        arrays_.erase(arrays_.begin());
+    return array;
+}
+
+size_t
+DecisionTable::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    size_t ready = 0;
+    for (const auto &entry : arrays_)
+        for (size_t b = 0; b < buckets_; ++b)
+            ready += entry.second[b].state.load(
+                         std::memory_order_acquire) == kReady;
+    return ready;
+}
+
+// ------------------------------------------------------ CoolingOptimizer
 
 CoolingOptimizer::CoolingOptimizer(const LookupSpace &space,
                                    const thermal::TegModule &teg,
-                                   const OptimizerParams &params)
-    : space_(space), teg_(teg), params_(params)
+                                   const OptimizerParams &params,
+                                   std::shared_ptr<DecisionTable> table)
+    : space_(space), teg_(teg), params_(params), table_(std::move(table))
 {
     expect(params.band_c >= 0.0, "band width must be non-negative");
     expect(params.t_safe_c > params.cold_source_c,
            "T_safe must exceed the cold-source temperature");
     expect(params.cache_util_quantum >= 0.0,
            "cache quantum must be non-negative");
+    if (table_ == nullptr)
+        clearCache();
+    else
+        expect(table_->serves(space, teg, params),
+               "decision table was built for another optimizer "
+               "configuration");
+}
+
+void
+CoolingOptimizer::clearCache() const
+{
+    table_ = params_.cache_util_quantum > 0.0
+                 ? std::make_shared<DecisionTable>(space_, teg_, params_)
+                 : nullptr;
+    slots_.clear();
 }
 
 void
@@ -101,22 +191,39 @@ CoolingOptimizer::choose(double plan_util, double t_safe_c) const
     if (q <= 0.0)
         return search(plan_util, t_safe_c);
 
-    const int64_t bucket =
-        static_cast<int64_t>(std::llround(plan_util / q));
-    CacheKey key{bucket, doubleBits(t_safe_c)};
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    // plan_util <= 1 keeps the bucket within llround(1/q), the last
+    // slot.
+    const int64_t bucket = std::llround(plan_util / q);
+    DecisionTable::Slot &slot = slotsFor(t_safe_c)[bucket];
+    if (slot.state.load(std::memory_order_acquire) ==
+        DecisionTable::kReady) {
         ++cache_hits_;
-        return it->second;
+        return slot.result;
     }
     ++cache_misses_;
-    if (cache_.size() >= kMaxCacheEntries)
-        cache_.clear();
-    double quantized =
-        std::clamp(static_cast<double>(bucket) * q, 0.0, 1.0);
-    OptimizerResult res = search(quantized, t_safe_c);
-    cache_.emplace(key, res);
+    OptimizerResult res = search(
+        std::clamp(static_cast<double>(bucket) * q, 0.0, 1.0), t_safe_c);
+    uint8_t expected = DecisionTable::kEmpty;
+    if (slot.state.compare_exchange_strong(expected,
+                                           DecisionTable::kWriting,
+                                           std::memory_order_relaxed)) {
+        slot.result = res;
+        slot.state.store(DecisionTable::kReady, std::memory_order_release);
+    }
     return res;
+}
+
+DecisionTable::Slot *
+CoolingOptimizer::slotsFor(double t_safe_c) const
+{
+    const uint64_t key = doubleBits(t_safe_c);
+    for (const auto &[bits, array] : slots_)
+        if (bits == key)
+            return array.get();
+    if (slots_.size() == DecisionTable::kMaxArrays)
+        slots_.clear();
+    slots_.emplace_back(key, table_->slots(t_safe_c));
+    return slots_.back().second.get();
 }
 
 OptimizerResult

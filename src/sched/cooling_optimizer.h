@@ -18,21 +18,31 @@
  * coldest setting available.
  *
  * The search itself streams over the look-up grid through
- * LookupSpace::forEachInSlice — no candidate vector is materialized —
- * and an optional decision cache short-circuits the scheduler's
- * repeated calls: planning utilizations are quantized to
- * cache_util_quantum and the chosen setting per (quantized util,
- * T_safe) pair is memoized. The cache is an approximation knob, not
- * pure memoization — with it enabled the optimizer plans at the
+ * LookupSpace::forEachInSlice — no candidate vector is materialized.
+ * An optional decision cache short-circuits the scheduler's repeated
+ * calls: planning utilizations are quantized to cache_util_quantum
+ * and the chosen setting per (quantized util, T_safe) pair is
+ * memoized in a DecisionTable. The cache is an approximation knob,
+ * not pure memoization — with it enabled the optimizer plans at the
  * quantized utilization — so it defaults off and the system enables
  * it through [perf] optimizer_cache_quantum.
+ *
+ * With the quantum fixed, a decision is a pure function of the look-up
+ * space, the TEG module, band_c, cold_source_c, T_safe and the bucket,
+ * so one table serves every optimizer of that configuration: systems
+ * built through core::H2PSystem share theirs via
+ * sched::LookupSpaceCache, and a sweep computes each decision once
+ * per process instead of once per point.
  */
 
 #ifndef H2P_SCHED_COOLING_OPTIMIZER_H_
 #define H2P_SCHED_COOLING_OPTIMIZER_H_
 
+#include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "cluster/circulation.h"
@@ -62,6 +72,8 @@ struct OptimizerParams
      * multiple of q and memoizes the decision per (quantized util,
      * T_safe). 1e-3 shifts the planned die temperature by well under
      * the acceptance band and makes repeated scheduler calls O(1).
+     * Quanta giving more than DecisionTable::kMaxBuckets buckets
+     * (finer than ~1/65535) are rejected.
      */
     double cache_util_quantum = 0.0;
 };
@@ -81,13 +93,100 @@ struct OptimizerResult
 };
 
 /**
+ * Memoized cooling decisions of one optimizer configuration.
+ *
+ * Its identity is fixed at construction: the LookupSpace searched
+ * (by address), the TEG module (count, device and cold-plate
+ * parameters), band_c, cold_source_c and the utilization quantum q.
+ * For each T_safe it is asked about it holds one flat array of
+ * llround(1/q) + 1 slots, one per utilization bucket, created on
+ * first use; a run uses at most two (T_safe, and T_safe - margin
+ * under safe mode).
+ *
+ * Thread-safe and lock-free once an array exists. A slot goes
+ * kEmpty -> kWriting -> kReady exactly once: a reader that
+ * acquire-loads kReady uses the stored result; any other reader
+ * searches itself and tries to publish (CAS kEmpty -> kWriting, a
+ * plain store, a release store of kReady). A reader that loses the
+ * race keeps its own result — the search is a pure function of the
+ * table's identity, so every racer computes the same bits.
+ */
+class DecisionTable
+{
+  public:
+    /** Slot states. */
+    static constexpr uint8_t kEmpty = 0;
+    static constexpr uint8_t kWriting = 1;
+    static constexpr uint8_t kReady = 2;
+
+    /** One utilization bucket's decision. */
+    struct Slot
+    {
+        std::atomic<uint8_t> state{kEmpty};
+        OptimizerResult result;
+    };
+
+    /**
+     * Bound on slots per T_safe array (the bucket count
+     * llround(1/q) + 1): quanta finer than ~1/65535 are rejected.
+     */
+    static constexpr size_t kMaxBuckets = 65536;
+
+    /** T_safe arrays kept; older ones live on in their users. */
+    static constexpr size_t kMaxArrays = 64;
+
+    /**
+     * A table for optimizers over @p space and @p teg with the band,
+     * cold source and quantum of @p params (T_safe plays no part).
+     * Throws h2p::Error unless 0 < q and llround(1/q) + 1 <=
+     * kMaxBuckets.
+     */
+    DecisionTable(const LookupSpace &space, const thermal::TegModule &teg,
+                  const OptimizerParams &params);
+
+    /**
+     * Digest of the decision inputs besides the space: TEG module,
+     * band_c, cold_source_c and the quantum.
+     */
+    static uint64_t fingerprint(const thermal::TegModule &teg,
+                                const OptimizerParams &params);
+
+    /** True when an optimizer over these inputs may use this table. */
+    bool serves(const LookupSpace &space, const thermal::TegModule &teg,
+                const OptimizerParams &params) const
+    {
+        return &space == space_ && fingerprint(teg, params) == inputs_;
+    }
+
+    /**
+     * The slot array for @p t_safe_c, created on first use. Takes the
+     * table's mutex: callers keep the pointer across decisions.
+     */
+    std::shared_ptr<Slot[]> slots(double t_safe_c);
+
+    /** Decisions currently published, over every kept T_safe array. */
+    size_t size() const;
+
+  private:
+    const LookupSpace *space_;
+    uint64_t inputs_;
+    /** Slots per T_safe array. */
+    size_t buckets_;
+
+    mutable std::mutex mutex_;
+    /** T_safe bit pattern -> array, oldest first. */
+    std::vector<std::pair<uint64_t, std::shared_ptr<Slot[]>>> arrays_;
+};
+
+/**
  * Grid-search cooling controller over a LookupSpace.
  *
- * Not thread-safe when the decision cache is enabled: choose() then
- * mutates the cache. Each H2PSystem owns one optimizer and calls it
- * from its run's serial step loop; parallelism lives above, across
- * runs (core::SweepEngine), which share only the immutable
- * LookupSpace.
+ * The decision table may be shared with other optimizers and is
+ * thread-safe; the optimizer's own state is not: choose() updates its
+ * hit/miss counters and its per-T_safe handles into the table. Each
+ * H2PSystem owns one optimizer and calls it from its run's serial step
+ * loop; parallelism lives above, across runs (core::SweepEngine),
+ * which share the immutable LookupSpace and the decision table.
  */
 class CoolingOptimizer
 {
@@ -96,10 +195,15 @@ class CoolingOptimizer
      * @param space Look-up space of the server model (not owned; must
      *        outlive the optimizer).
      * @param teg TEG module at each server outlet (not owned).
+     * @param table Decision table to memoize into when
+     *        params.cache_util_quantum > 0; it must serve this
+     *        configuration (DecisionTable::serves). Null gives the
+     *        optimizer a private table.
      */
     CoolingOptimizer(const LookupSpace &space,
                      const thermal::TegModule &teg,
-                     const OptimizerParams &params = {});
+                     const OptimizerParams &params = {},
+                     std::shared_ptr<DecisionTable> table = nullptr);
 
     /**
      * Choose the cooling setting for a circulation whose planning
@@ -131,25 +235,31 @@ class CoolingOptimizer
      */
     std::vector<LookupPoint> candidateSet(double plan_util) const;
 
-    /** Decisions served from the cache so far. */
+    /**
+     * Decisions this optimizer served from its table, whichever
+     * optimizer computed them.
+     */
     size_t cacheHits() const { return cache_hits_; }
 
-    /** Decisions that had to run the full grid search (cache on). */
+    /** Grid searches this optimizer ran with the cache on. */
     size_t cacheMisses() const { return cache_misses_; }
 
-    /** Entries currently memoized. */
-    size_t cacheSize() const { return cache_.size(); }
+    /** Decisions currently memoized in this optimizer's table. */
+    size_t cacheSize() const { return table_ ? table_->size() : 0; }
 
-    /** Drop every memoized decision (the next calls search again). */
-    void clearCache() const { cache_.clear(); }
+    /**
+     * Forget every memoized decision (the next calls search again) by
+     * switching to a fresh private table; a shared table is left
+     * untouched for its other users.
+     */
+    void clearCache() const;
 
     const OptimizerParams &params() const { return params_; }
 
-    // Runtime re-tuning. band_c and cold_source_c are key-relevant
-    // state that is *not* part of the cache key (the key is only the
-    // quantized utilization and T_safe), so changing any of them
-    // through these setters drops every memoized decision; mutating
-    // them behind the optimizer's back would serve stale settings.
+    // Runtime re-tuning. band_c and cold_source_c are part of the
+    // table's identity and T_safe selects its array, so each setter
+    // switches the optimizer to a fresh private table rather than
+    // mutating one that other optimizers read.
 
     /** Change the safe operating temperature; clears the cache. */
     void setTSafe(double t_safe_c);
@@ -161,31 +271,11 @@ class CoolingOptimizer
     void setColdSource(double cold_source_c);
 
   private:
-    /** Cache key: quantized-utilization bucket x exact T_safe bits. */
-    struct CacheKey
-    {
-        int64_t util_bucket;
-        uint64_t t_safe_bits;
-        bool operator==(const CacheKey &o) const
-        {
-            return util_bucket == o.util_bucket &&
-                   t_safe_bits == o.t_safe_bits;
-        }
-    };
-    struct CacheKeyHash
-    {
-        size_t operator()(const CacheKey &k) const
-        {
-            uint64_t h = static_cast<uint64_t>(k.util_bucket) *
-                         0x9e3779b97f4a7c15ull;
-            h ^= k.t_safe_bits + 0x9e3779b97f4a7c15ull + (h << 6) +
-                 (h >> 2);
-            return static_cast<size_t>(h);
-        }
-    };
-
     /** The uncached three-tier grid search. */
     OptimizerResult search(double plan_util, double t_safe_c) const;
+
+    /** This optimizer's handle to the table's array for @p t_safe_c. */
+    DecisionTable::Slot *slotsFor(double t_safe_c) const;
 
     double tegPowerAt(const LookupPoint &p) const;
 
@@ -193,8 +283,12 @@ class CoolingOptimizer
     const thermal::TegModule &teg_;
     OptimizerParams params_;
 
-    mutable std::unordered_map<CacheKey, OptimizerResult, CacheKeyHash>
-        cache_;
+    /** Null when the cache is off (quantum 0). */
+    mutable std::shared_ptr<DecisionTable> table_;
+    /** T_safe bit pattern -> array of table_, in first-use order. */
+    mutable std::vector<
+        std::pair<uint64_t, std::shared_ptr<DecisionTable::Slot[]>>>
+        slots_;
     mutable size_t cache_hits_ = 0;
     mutable size_t cache_misses_ = 0;
 };

@@ -52,19 +52,44 @@ LookupSpaceCache::acquire(const cluster::ServerParams &server,
     auto it = spaces_.find(key);
     if (it != spaces_.end()) {
         ++hits_;
-        return it->second;
+        return it->second.space;
     }
 
     cluster::Server model(server);
     auto space = std::make_shared<const LookupSpace>(model, params);
     ++builds_;
-    spaces_.emplace(key, space);
+    spaces_.emplace(key, Entry{space, {}});
     order_.push_back(key);
     while (order_.size() > kCapacity) {
         spaces_.erase(order_.front());
         order_.pop_front();
     }
     return space;
+}
+
+std::shared_ptr<DecisionTable>
+LookupSpaceCache::decisionTable(const LookupSpace &space,
+                                const thermal::TegModule &teg,
+                                const OptimizerParams &params)
+{
+    if (!(params.cache_util_quantum > 0.0))
+        return nullptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto entry = std::find_if(spaces_.begin(), spaces_.end(),
+                              [&](const auto &kv) {
+                                  return kv.second.space.get() == &space;
+                              });
+    if (entry == spaces_.end())
+        return std::make_shared<DecisionTable>(space, teg, params);
+    std::vector<std::shared_ptr<DecisionTable>> &tables =
+        entry->second.tables;
+    for (const std::shared_ptr<DecisionTable> &t : tables)
+        if (t->serves(space, teg, params))
+            return t;
+    tables.push_back(std::make_shared<DecisionTable>(space, teg, params));
+    if (tables.size() > kCapacity)
+        tables.erase(tables.begin());
+    return tables.back();
 }
 
 size_t

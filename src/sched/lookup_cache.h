@@ -1,6 +1,7 @@
 /**
  * @file
- * Process-wide cache of sampled LookupSpace tables.
+ * Process-wide cache of sampled LookupSpace tables and of the
+ * cooling-decision tables over them.
  *
  * Building a LookupSpace samples the calibrated server model onto a
  * ~14k-point grid (~1 ms). Every H2PSystem used to build its own, so
@@ -18,9 +19,17 @@
  * order beyond a small capacity; an evicted space stays alive for as
  * long as some system still holds its pointer.
  *
- * Thread-safe: concurrent acquire() calls (e.g. sweep workers
- * constructing H2PSystems in parallel) serialize on one mutex, so a
- * given fingerprint is built exactly once.
+ * Each cached space also hosts the DecisionTables of the optimizers
+ * that search it, one per (TEG module, band, cold source, quantum): a
+ * sweep whose points share a configuration computes each cooling
+ * decision once per process instead of once per point. Tables are
+ * created empty (they fill lazily, decision by decision), kept in
+ * insertion order up to the same capacity, and evicted together with
+ * their space; shared_ptr keeps an evicted one alive for its users.
+ *
+ * Thread-safe: concurrent acquire() / decisionTable() calls (e.g.
+ * sweep workers constructing H2PSystems in parallel) serialize on one
+ * mutex, so a given fingerprint is built exactly once.
  */
 
 #ifndef H2P_SCHED_LOOKUP_CACHE_H_
@@ -31,9 +40,12 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "cluster/server.h"
+#include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
+#include "thermal/teg.h"
 
 namespace h2p {
 namespace sched {
@@ -56,6 +68,17 @@ class LookupSpaceCache
         const LookupSpaceParams &params);
 
     /**
+     * The decision table shared by every optimizer over @p space and
+     * @p teg with the band, cold source and quantum of @p params
+     * (DecisionTable::serves). Null when the quantum is not positive
+     * (the cache is off); a private table when @p space is not one
+     * this cache holds (built elsewhere, or already evicted).
+     */
+    std::shared_ptr<DecisionTable> decisionTable(
+        const LookupSpace &space, const thermal::TegModule &teg,
+        const OptimizerParams &params);
+
+    /**
      * Digest of every parameter the sampled table depends on. Two
      * (server, params) pairs with equal fingerprints produce
      * bit-identical tables.
@@ -72,21 +95,34 @@ class LookupSpaceCache
     /** acquire() calls served without building. */
     uint64_t hits() const;
 
-    /** Drop every entry and zero the counters (tests/benches). */
+    /**
+     * Drop every space and decision table and zero the counters
+     * (tests/benches).
+     */
     void clear();
 
   private:
     LookupSpaceCache() = default;
 
+    /** A cached space and the decision tables over it. */
+    struct Entry
+    {
+        std::shared_ptr<const LookupSpace> space;
+        /** Oldest first, bounded by kCapacity. */
+        std::vector<std::shared_ptr<DecisionTable>> tables;
+    };
+
     mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, std::shared_ptr<const LookupSpace>>
-        spaces_;
+    std::unordered_map<uint64_t, Entry> spaces_;
     /** Insertion order, oldest first, for capacity eviction. */
     std::deque<uint64_t> order_;
     uint64_t builds_ = 0;
     uint64_t hits_ = 0;
 
-    /** Entry bound; far above any realistic sweep's model variety. */
+    /**
+     * Bound on spaces, and on tables per space; far above any
+     * realistic sweep's model variety.
+     */
     static constexpr size_t kCapacity = 64;
 };
 

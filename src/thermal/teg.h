@@ -199,6 +199,8 @@ class TegModule
 
     const TegDevice &device() const { return device_; }
 
+    const ColdPlate &plate() const { return plate_; }
+
   private:
     size_t count_;
     TegDevice device_;

@@ -360,5 +360,18 @@ TEST(ConfigIoTest, ConfiguredSystemRuns)
     EXPECT_GT(r.summary.avg_teg_w, 2.0);
 }
 
+TEST(ConfigIoTest, RejectsQuantumFinerThanDecisionTable)
+{
+    // 1e-300 parses as a finite number, but llround(U / 1e-300)
+    // overflows and would plan every decision at U = 0; building the
+    // system must refuse it instead.
+    std::stringstream ss("[datacenter]\nnum_servers = 40\n"
+                         "[perf]\noptimizer_cache_quantum = 1e-300\n");
+    sim::Config ini = sim::Config::parse(ss);
+    core::H2PConfig cfg = core::configFromIni(ini);
+    EXPECT_EQ(cfg.perf.optimizer_cache_quantum, 1e-300);
+    EXPECT_THROW(core::H2PSystem{cfg}, Error);
+}
+
 } // namespace
 } // namespace h2p

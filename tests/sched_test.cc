@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "cluster/datacenter.h"
@@ -439,6 +440,145 @@ TEST_F(CacheFixture, SettersValidate)
     EXPECT_THROW(opt->setBand(-1.0), Error);
     EXPECT_THROW(opt->setColdSource(opt->params().t_safe_c + 1.0),
                  Error);
+}
+
+TEST(CoolingOptimizerTest, RejectsQuantumFinerThanDecisionTable)
+{
+    // Below ~1.1e-19, llround(util / q) overflows int64 and every
+    // decision would plan at U = 0; the flat table bounds the bucket
+    // count (llround(1/q) + 1 <= 65536), so such quanta fail loudly.
+    cluster::Server server;
+    LookupSpace space(server);
+    thermal::TegModule teg(12);
+    OptimizerParams p;
+    for (double q : {1e-300, 1e-6, 1.0 / 65536.0}) {
+        p.cache_util_quantum = q;
+        EXPECT_THROW(CoolingOptimizer(space, teg, p), Error) << q;
+    }
+    for (double q : {1e-3, 1.0}) {
+        p.cache_util_quantum = q;
+        EXPECT_NO_THROW(CoolingOptimizer(space, teg, p)) << q;
+    }
+}
+
+// --------------------------------------------------------- decision table
+
+TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
+{
+    // Four threads race to fill one shared table over random
+    // utilizations at two T_safe values (normal and safe-mode
+    // widened); every decision, whether computed, published or read
+    // back, must be the private-table optimizer's bit for bit.
+    cluster::Server server;
+    LookupSpace space(server);
+    thermal::TegModule teg(12);
+    OptimizerParams params;
+    params.cache_util_quantum = 1e-3;
+    const double t_safes[2] = {params.t_safe_c, params.t_safe_c - 3.0};
+    auto shared = std::make_shared<DecisionTable>(space, teg, params);
+
+    constexpr size_t kThreads = 4;
+    constexpr size_t kCalls = 1500;
+    struct Call
+    {
+        double util;
+        double t_safe;
+        OptimizerResult result;
+    };
+    std::vector<std::vector<Call>> calls(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            CoolingOptimizer opt(space, teg, params, shared);
+            std::mt19937_64 rng(100 + t);
+            std::uniform_real_distribution<double> util(0.0, 1.0);
+            for (size_t i = 0; i < kCalls; ++i) {
+                Call c;
+                c.util = util(rng);
+                c.t_safe = t_safes[rng() % 2];
+                c.result = opt.choose(c.util, c.t_safe);
+                calls[t].push_back(c);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    CoolingOptimizer reference(space, teg, params);
+    size_t checked = 0;
+    for (const std::vector<Call> &thread_calls : calls)
+        for (const Call &c : thread_calls) {
+            OptimizerResult want = reference.choose(c.util, c.t_safe);
+            EXPECT_TRUE(sameBits(c.result.setting.t_in_c,
+                                 want.setting.t_in_c) &&
+                        sameBits(c.result.setting.flow_lph,
+                                 want.setting.flow_lph) &&
+                        sameBits(c.result.teg_power_w, want.teg_power_w) &&
+                        sameBits(c.result.t_cpu_c, want.t_cpu_c) &&
+                        c.result.candidates == want.candidates &&
+                        c.result.fallback == want.fallback)
+                << "u=" << c.util << " t_safe=" << c.t_safe;
+            ++checked;
+        }
+    EXPECT_EQ(checked, kThreads * kCalls);
+    // The shared table now holds every decision the reference made.
+    EXPECT_EQ(shared->size(), reference.cacheSize());
+}
+
+TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
+{
+    cluster::Server server;
+    LookupSpace space(server);
+    LookupSpace other(server);
+    thermal::TegModule teg(12);
+    OptimizerParams params;
+    params.cache_util_quantum = 1e-3;
+    auto table = std::make_shared<DecisionTable>(space, teg, params);
+    EXPECT_NO_THROW(CoolingOptimizer(space, teg, params, table));
+
+    // T_safe selects an array, so it does not change the identity.
+    OptimizerParams hotter = params;
+    hotter.t_safe_c += 4.0;
+    EXPECT_TRUE(table->serves(space, teg, hotter));
+
+    OptimizerParams wider = params;
+    wider.band_c *= 2.0;
+    OptimizerParams warmer = params;
+    warmer.cold_source_c += 5.0;
+    OptimizerParams coarser = params;
+    coarser.cache_util_quantum = 2e-3;
+    OptimizerParams exact = params;
+    exact.cache_util_quantum = 0.0;
+    thermal::TegModule shorter(10);
+    EXPECT_THROW(CoolingOptimizer(other, teg, params, table), Error);
+    EXPECT_THROW(CoolingOptimizer(space, shorter, params, table), Error);
+    for (const OptimizerParams &p : {wider, warmer, coarser, exact})
+        EXPECT_THROW(CoolingOptimizer(space, teg, p, table), Error);
+}
+
+TEST(DecisionTableTest, RetuningLeavesTheSharedTableAlone)
+{
+    cluster::Server server;
+    LookupSpace space(server);
+    thermal::TegModule teg(12);
+    OptimizerParams params;
+    params.cache_util_quantum = 1e-3;
+    auto shared = std::make_shared<DecisionTable>(space, teg, params);
+    CoolingOptimizer a(space, teg, params, shared);
+    CoolingOptimizer b(space, teg, params, shared);
+    a.choose(0.5);
+    EXPECT_EQ(shared->size(), 1u);
+    b.choose(0.5);
+    EXPECT_EQ(b.cacheHits(), 1u); // a's decision
+    EXPECT_EQ(b.cacheMisses(), 0u);
+
+    a.setBand(params.band_c * 3.0);
+    a.choose(0.6);
+    a.clearCache();
+    a.choose(0.7);
+    // a re-tuned onto private tables; b's table is untouched.
+    EXPECT_EQ(shared->size(), 1u);
+    EXPECT_EQ(b.cacheSize(), 1u);
 }
 
 // -------------------------------------------------------------- balancer

@@ -409,11 +409,16 @@ TEST(SweepTest, EngineIsReusableAfterCancelledSweep)
     options.workers = 4;
     options.keep_recorders = false;
     core::SweepEngine engine(options);
-    core::SweepResult first =
-        engine.run(grid, [&](const core::SweepPointResult &r) {
-            if (r.index == 0)
-                engine.requestCancel();
-        });
+    // Point 0 requests the cancel as it starts, so its first step's
+    // guard skips it and the sweep is cut short by construction. A
+    // cancel raised when point 0 is delivered races the other workers,
+    // which can finish every remaining point first.
+    std::vector<core::SweepPoint> cancelling = grid;
+    cancelling[0].make_pipeline = [&engine] {
+        engine.requestCancel();
+        return std::unique_ptr<control::ControlPipeline>();
+    };
+    core::SweepResult first = engine.run(cancelling);
     EXPECT_TRUE(first.cancelled);
     EXPECT_LT(first.runs_completed, grid.size());
 
@@ -517,6 +522,106 @@ TEST(SweepTest, SystemsShareTheCachedLookupSpace)
     core::H2PSystem b(cfg);
     EXPECT_EQ(&a.lookupSpace(), &b.lookupSpace());
     EXPECT_EQ(sched::LookupSpaceCache::instance().builds(), 1u);
+}
+
+// --------------------------------------------- shared decision table
+
+TEST(SweepTest, SharedDecisionTableMatchesFreshTablePerPoint)
+{
+    // Sweep points of one configuration share a decision table, so
+    // later points read decisions earlier ones computed. Every summary
+    // must still be the one a standalone run on an empty cache gives.
+    for (bool faulted : {false, true}) {
+        auto trace = makeTrace();
+        auto grid = makeGrid(trace, faulted);
+        std::vector<core::RunSummary> fresh;
+        for (const core::SweepPoint &pt : grid) {
+            sched::LookupSpaceCache::instance().clear();
+            core::H2PSystem system(pt.config);
+            fresh.push_back(system.run(*pt.trace, pt.policy).summary);
+        }
+        for (size_t workers : {size_t{1}, size_t{4}}) {
+            sched::LookupSpaceCache::instance().clear();
+            core::SweepOptions options;
+            options.workers = workers;
+            options.keep_recorders = false;
+            core::SweepResult result = core::SweepEngine(options).run(grid);
+            ASSERT_EQ(result.points.size(), grid.size());
+            for (size_t i = 0; i < grid.size(); ++i) {
+                SCOPED_TRACE(testing::Message()
+                             << "faulted=" << faulted
+                             << " workers=" << workers << " point=" << i);
+                EXPECT_TRUE(result.points[i].completed);
+                expectSameSummary(result.points[i].summary, fresh[i]);
+            }
+        }
+    }
+}
+
+TEST(SweepTest, SecondSystemOfOneConfigSearchesNothing)
+{
+    // optimizer.cache_misses counts the grid searches a run performed:
+    // a second system of the same configuration finds every decision
+    // the first one made already in the shared table.
+    sched::LookupSpaceCache::instance().clear();
+    auto trace = makeTrace();
+    core::H2PConfig cfg = baseConfig(true);
+    cfg.obs.enabled = true;
+    auto misses = [&](const core::H2PSystem &system) {
+        return system.observability()->metrics().counterValue(
+            "optimizer.cache_misses");
+    };
+
+    core::H2PSystem first(cfg);
+    first.run(trace, sched::Policy::TegLoadBalance);
+    EXPECT_GT(misses(first), 0u);
+
+    core::H2PSystem second(cfg);
+    second.run(trace, sched::Policy::TegLoadBalance);
+    EXPECT_EQ(misses(second), 0u);
+    EXPECT_GT(second.observability()->metrics().counterValue(
+                  "optimizer.cache_hits"),
+              0u);
+
+    // clear() drops the tables with the spaces: searches start over.
+    sched::LookupSpaceCache::instance().clear();
+    core::H2PSystem third(cfg);
+    third.run(trace, sched::Policy::TegLoadBalance);
+    EXPECT_EQ(misses(third), misses(first));
+}
+
+TEST(SweepTest, DecisionTableIsSharedPerConfiguration)
+{
+    sched::LookupSpaceCache::instance().clear();
+    sched::LookupSpaceCache &cache = sched::LookupSpaceCache::instance();
+    cluster::ServerParams server;
+    auto space = cache.acquire(server, sched::LookupSpaceParams{});
+    thermal::TegModule teg(12);
+    sched::OptimizerParams p;
+    p.cache_util_quantum = 1e-3;
+
+    auto table = cache.decisionTable(*space, teg, p);
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(cache.decisionTable(*space, teg, p), table);
+    // T_safe picks an array inside the table, not a table.
+    sched::OptimizerParams hotter = p;
+    hotter.t_safe_c += 3.0;
+    EXPECT_EQ(cache.decisionTable(*space, teg, hotter), table);
+    sched::OptimizerParams wider = p;
+    wider.band_c += 1.0;
+    EXPECT_NE(cache.decisionTable(*space, teg, wider), table);
+
+    // No table with the cache off; an unshared one for a space the
+    // cache does not hold.
+    sched::OptimizerParams off = p;
+    off.cache_util_quantum = 0.0;
+    EXPECT_EQ(cache.decisionTable(*space, teg, off), nullptr);
+    cluster::Server model(server);
+    sched::LookupSpace own(model);
+    auto private_table = cache.decisionTable(own, teg, p);
+    ASSERT_NE(private_table, nullptr);
+    EXPECT_NE(cache.decisionTable(own, teg, p), private_table);
+    EXPECT_TRUE(private_table->serves(own, teg, p));
 }
 
 // --------------------------------------------- run-level fork-join
