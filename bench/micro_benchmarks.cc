@@ -193,6 +193,21 @@ BM_OptimizerChoose(benchmark::State &state)
 BENCHMARK(BM_OptimizerChoose);
 
 void
+BM_OptimizerColdestFallback(benchmark::State &state)
+{
+    cluster::Server server;
+    sched::LookupSpace space(server);
+    thermal::TegModule teg(12);
+    sched::CoolingOptimizer opt(space, teg);
+    double u = 0.0;
+    for (auto _ : state) {
+        u = u > 0.98 ? 0.0 : u + 0.017;
+        benchmark::DoNotOptimize(opt.coldestFallback(u));
+    }
+}
+BENCHMARK(BM_OptimizerColdestFallback);
+
+void
 BM_DatacenterStep(benchmark::State &state)
 {
     cluster::DatacenterParams params;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Hot-path performance report. Times the simulation's three hot paths
- * — look-up space construction, per-circulation cooling decisions and
+ * — look-up space construction, per-circulation cooling decisions
+ * (plus safe mode's coldest fallback against a full slice scan) and
  * whole-datacenter step evaluation (64/256/1024 servers) — against a
  * bench-local emulation of the pre-optimization code path (slices
  * materialized point by point through trilinear interpolation,
@@ -165,6 +166,35 @@ sliceChoose(const sched::LookupSpace &space,
 }
 
 /**
+ * The coldest fallback as it was before the candidate lists: the
+ * first strict CPU-temperature minimum over the whole slice through
+ * forEachInSlice, which LookupSpace::coldestInSlice replaced.
+ */
+sched::OptimizerResult
+fullScanColdest(const sched::LookupSpace &space,
+                const thermal::TegModule &teg,
+                const sched::OptimizerParams &p, double plan_util)
+{
+    sched::LookupPoint coldest;
+    bool have = false;
+    space.forEachInSlice(plan_util, [&](const sched::LookupPoint &pt) {
+        if (!have || pt.t_cpu_c < coldest.t_cpu_c) {
+            coldest = pt;
+            have = true;
+        }
+    });
+    sched::OptimizerResult best;
+    best.fallback = true;
+    best.setting.t_in_c = coldest.t_in_c;
+    best.setting.flow_lph = coldest.flow_lph;
+    best.teg_power_w = teg.powerFromTemps(coldest.t_out_c,
+                                          p.cold_source_c,
+                                          coldest.flow_lph);
+    best.t_cpu_c = coldest.t_cpu_c;
+    return best;
+}
+
+/**
  * The pre-optimization step: per-circulation utilization copies, a
  * slice-materializing decision per loop, and a freshly allocated
  * DatacenterState per call.
@@ -315,6 +345,15 @@ main()
         [&] { g_sink = g_sink + visitor.choose(next_util()).teg_power_w; });
     double cached_ns = nsPerOp(
         [&] { g_sink = g_sink + cached.choose(next_util()).teg_power_w; });
+    // Safe mode's ColdFallback: plans at the exact utilization, so the
+    // decision table never serves it.
+    double coldest_full_ns = nsPerOp([&] {
+        g_sink = g_sink +
+                 fullScanColdest(space, teg, op, next_util()).teg_power_w;
+    });
+    double coldest_ns = nsPerOp([&] {
+        g_sink = g_sink + visitor.coldestFallback(next_util()).teg_power_w;
+    });
 
     TablePrinter opt_table("Cooling decision (one circulation)");
     opt_table.setHeader({"path", "ns/decision", "Mdecisions/s",
@@ -329,6 +368,15 @@ main()
     opt_table.print(std::cout);
     std::cout << "cache: " << cached.cacheSize() << " entries, "
               << cached.cacheHits() << " hits\n\n";
+
+    TablePrinter cold_table("Coldest fallback (one circulation)");
+    cold_table.setHeader({"path", "ns/decision", "speedup"});
+    cold_table.addRow("full slice scan",
+                      {coldest_full_ns, 1.0}, 2);
+    cold_table.addRow("candidates",
+                      {coldest_ns, coldest_full_ns / coldest_ns}, 2);
+    cold_table.print(std::cout);
+    std::cout << "\n";
 
     // ------------------------------------------------ step evaluation
     const std::vector<size_t> sizes{64, 256, 1024};
@@ -687,7 +735,12 @@ main()
          << "    \"speedup_visitor\": "
          << jsonNum(slice_ns / visitor_ns) << ",\n"
          << "    \"speedup_cached\": " << jsonNum(slice_ns / cached_ns)
-         << "\n  },\n"
+         << ",\n"
+         << "    \"coldest_full_scan_ns\": " << jsonNum(coldest_full_ns)
+         << ",\n"
+         << "    \"coldest_ns\": " << jsonNum(coldest_ns) << ",\n"
+         << "    \"speedup_coldest\": "
+         << jsonNum(coldest_full_ns / coldest_ns) << "\n  },\n"
          << "  \"step_eval\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
         const StepRow &r = rows[i];

@@ -278,15 +278,7 @@ CoolingOptimizer::coldestFallback(double plan_util) const
 {
     expect(plan_util >= 0.0 && plan_util <= 1.0,
            "planning utilization must be in [0, 1]");
-    LookupPoint coldest;
-    bool have = false;
-    space_.forEachInSlice(plan_util, [&](const LookupPoint &p) {
-        if (!have || p.t_cpu_c < coldest.t_cpu_c) {
-            coldest = p;
-            have = true;
-        }
-    });
-    H2P_ASSERT(have, "look-up space produced an empty slice");
+    const LookupPoint coldest = space_.coldestInSlice(plan_util);
     OptimizerResult best;
     best.fallback = true;
     best.setting.t_in_c = coldest.t_in_c;

@@ -18,7 +18,8 @@
  * coldest setting available.
  *
  * The search itself streams over the look-up grid through
- * LookupSpace::forEachInSlice — no candidate vector is materialized.
+ * LookupSpace::forEachInSlice — no candidate vector is materialized;
+ * the coldest fallback reads LookupSpace::coldestInSlice.
  * An optional decision cache short-circuits the scheduler's repeated
  * calls: planning utilizations are quantized to cache_util_quantum
  * and the chosen setting per (quantized util, T_safe) pair is
@@ -225,7 +226,11 @@ class CoolingOptimizer
      * highest flow (flow_max). This is the setting Fallback 2 of
      * choose() applies when nothing is safe, and the setting
      * degraded-mode control applies when it stops trusting its
-     * sensors. The result always has fallback == true.
+     * sensors. It plans at the exact @p plan_util (never through the
+     * decision table) and reads LookupSpace::coldestInSlice, which
+     * scans only the cell's coldest-point candidates yet returns the
+     * full slice scan's first minimum bit for bit. The result always
+     * has fallback == true.
      */
     OptimizerResult coldestFallback(double plan_util) const;
 

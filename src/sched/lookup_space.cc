@@ -1,5 +1,7 @@
 #include "sched/lookup_space.h"
 
+#include <cmath>
+
 #include "util/error.h"
 
 namespace h2p {
@@ -30,15 +32,23 @@ LookupSpace::LookupSpace(const cluster::Server &server,
     const auto &power = server.powerModel();
     const auto &thermal = server.thermalModel();
     for (size_t i = 0; i < au.count(); ++i) {
-        double p_dyn = power.power(au.coord(i));
+        double u = au.coord(i);
+        double p_dyn = power.power(u);
         for (size_t j = 0; j < af.count(); ++j) {
             double f = af.coord(j);
             for (size_t k = 0; k < at.count(); ++k) {
                 double t_in = at.coord(k);
-                cpu_vals.push_back(
-                    thermal.dieTemperature(p_dyn, f, t_in));
-                out_vals.push_back(
-                    thermal.outletTemperature(p_dyn, f, t_in));
+                double t_cpu = thermal.dieTemperature(p_dyn, f, t_in);
+                double t_out = thermal.outletTemperature(p_dyn, f, t_in);
+                // Slice scans compare temperatures with <, and the
+                // coldest-point candidates rely on a total order.
+                expect(std::isfinite(t_cpu) && std::isfinite(t_out),
+                       "server model gives a non-finite temperature at "
+                       "look-up node (u=", u, ", flow=", f,
+                       " L/H, T_in=", t_in, " C): T_CPU=", t_cpu,
+                       ", T_out=", t_out);
+                cpu_vals.push_back(t_cpu);
+                out_vals.push_back(t_out);
             }
         }
     }
@@ -48,6 +58,17 @@ LookupSpace::LookupSpace(const cluster::Server &server,
                                             std::move(out_vals));
     cpu_nodes_ = t_cpu_->yzNodeTable();
     out_nodes_ = t_out_->yzNodeTable();
+
+    for (size_t j = 0; j < af.count(); ++j)
+        flow_coords_.push_back(af.coord(j));
+    for (size_t k = 0; k < at.count(); ++k)
+        tin_coords_.push_back(at.coord(k));
+
+    const size_t plane = af.count() * at.count();
+    for (size_t i = 0; i + 1 < au.count(); ++i) {
+        const double *lo = cpu_nodes_.data() + i * plane;
+        candidates_.push_back(coldestCandidates(lo, lo + plane, plane));
+    }
 }
 
 double
@@ -60,6 +81,28 @@ double
 LookupSpace::outletTemp(double util, double flow_lph, double t_in_c) const
 {
     return (*t_out_)(util, flow_lph, t_in_c);
+}
+
+LookupPoint
+LookupSpace::coldestInSlice(double util) const
+{
+    size_t i = 0;
+    double tx = 0.0;
+    t_cpu_->xAxis().locate(util, i, tx);
+    const size_t plane = flow_coords_.size() * tin_coords_.size();
+    const double *cpu = cpu_nodes_.data() + i * plane;
+    const double *out = out_nodes_.data() + i * plane;
+    // Every list is non-empty: node 0 has no earlier dominator.
+    const std::vector<uint32_t> &cands = candidates_[i];
+    const size_t best = firstColdestNode(cpu, cpu + plane, tx, cands.data(),
+                                         cands.data() + cands.size());
+    LookupPoint p;
+    p.util = util;
+    p.flow_lph = flow_coords_[best / tin_coords_.size()];
+    p.t_in_c = tin_coords_[best % tin_coords_.size()];
+    p.t_cpu_c = lerp(cpu[best], cpu[best + plane], tx);
+    p.t_out_c = lerp(out[best], out[best + plane], tx);
+    return p;
 }
 
 std::vector<LookupPoint>
@@ -76,6 +119,43 @@ size_t
 LookupSpace::numPoints() const
 {
     return params_.util_points * params_.flow_points * params_.tin_points;
+}
+
+std::vector<uint32_t>
+coldestCandidates(const double *lo, const double *hi, size_t n)
+{
+    std::vector<uint32_t> kept;
+    for (size_t k = 0; k < n; ++k) {
+        // Checking the kept nodes suffices: a pruned dominator of k is
+        // itself dominated by an earlier kept node, which then
+        // dominates k too.
+        bool dominated = false;
+        for (uint32_t m : kept) {
+            if (lo[m] <= lo[k] && hi[m] <= hi[k]) {
+                dominated = true;
+                break;
+            }
+        }
+        if (!dominated)
+            kept.push_back(static_cast<uint32_t>(k));
+    }
+    return kept;
+}
+
+uint32_t
+firstColdestNode(const double *lo, const double *hi, double t,
+                 const uint32_t *first, const uint32_t *last)
+{
+    uint32_t best = *first;
+    double best_t = lerp(lo[best], hi[best], t);
+    for (const uint32_t *k = first + 1; k != last; ++k) {
+        double v = lerp(lo[*k], hi[*k], t);
+        if (v < best_t) {
+            best_t = v;
+            best = *k;
+        }
+    }
+    return best;
 }
 
 } // namespace sched

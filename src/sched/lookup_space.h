@@ -13,6 +13,7 @@
 #ifndef H2P_SCHED_LOOKUP_SPACE_H_
 #define H2P_SCHED_LOOKUP_SPACE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -91,27 +92,36 @@ class LookupSpace
     template <typename Fn>
     void forEachInSlice(double util, Fn &&fn) const
     {
-        const GridAxis &af = t_cpu_->yAxis();
-        const GridAxis &at = t_cpu_->zAxis();
         size_t i = 0;
         double tx = 0.0;
         t_cpu_->xAxis().locate(util, i, tx);
-        const size_t plane = af.count() * at.count();
+        const size_t plane = flow_coords_.size() * tin_coords_.size();
         const double *cpu = cpu_nodes_.data() + i * plane;
         const double *out = out_nodes_.data() + i * plane;
         LookupPoint p;
         p.util = util;
         size_t n = 0;
-        for (size_t j = 0; j < af.count(); ++j) {
-            p.flow_lph = af.coord(j);
-            for (size_t k = 0; k < at.count(); ++k, ++n) {
-                p.t_in_c = at.coord(k);
+        for (double flow : flow_coords_) {
+            p.flow_lph = flow;
+            for (double t_in : tin_coords_) {
+                p.t_in_c = t_in;
                 p.t_cpu_c = lerp(cpu[n], cpu[n + plane], tx);
                 p.t_out_c = lerp(out[n], out[n + plane], tx);
                 fn(static_cast<const LookupPoint &>(p));
+                ++n;
             }
         }
     }
+
+    /**
+     * The first point of the slice u = @p util, in forEachInSlice()
+     * order, with the lowest CPU temperature — bit for bit the point a
+     * first-strict-minimum scan over forEachInSlice() returns — found
+     * by scanning only the coldest-point candidates of the utilization
+     * cell that @p util falls in (see coldestCandidates()). A NaN
+     * @p util throws, as in forEachInSlice().
+     */
+    LookupPoint coldestInSlice(double util) const;
 
     /** Total number of grid points. */
     size_t numPoints() const;
@@ -123,7 +133,37 @@ class LookupSpace
     /** yzNodeTable() of t_cpu_ / t_out_: one plane per util sample. */
     std::vector<double> cpu_nodes_;
     std::vector<double> out_nodes_;
+    /** GridAxis::coord() of every flow / inlet node, in scan order. */
+    std::vector<double> flow_coords_;
+    std::vector<double> tin_coords_;
+    /** coldestCandidates() of utilization cell i (planes i, i + 1). */
+    std::vector<std::vector<uint32_t>> candidates_;
 };
+
+/**
+ * The coldest-point candidates of one utilization cell: of the @p n
+ * nodes of its two bounding planes @p lo and @p hi (scan order), the
+ * indices, ascending, of those that no earlier node dominates — no
+ * m < k has lo[m] <= lo[k] and hi[m] <= hi[k].
+ *
+ * Scanning only these for the first strict minimum of
+ * lerp(lo[k], hi[k], t) finds the full scan's node for every t in
+ * [0, 1]: lerp is monotone in both planes there, so a dominated node
+ * never interpolates below its earlier dominator and cannot be the
+ * first minimum. A *later* dominator must not prune: rounding can make
+ * it interpolate equal, and then the earlier node wins the tie. The
+ * values must be finite (totally ordered). Costs O(n × list length).
+ */
+std::vector<uint32_t> coldestCandidates(const double *lo,
+                                        const double *hi, size_t n);
+
+/**
+ * The first strict minimum of lerp(lo[k], hi[k], @p t) over the nodes
+ * k in [@p first, @p last) (non-empty, ascending) — the scan
+ * coldestInSlice() runs over one cell's coldest-point candidates.
+ */
+uint32_t firstColdestNode(const double *lo, const double *hi, double t,
+                          const uint32_t *first, const uint32_t *last);
 
 } // namespace sched
 } // namespace h2p

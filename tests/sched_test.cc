@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,11 +138,14 @@ TEST(LookupSpaceTest, RejectsNonFiniteQueries)
     }
 }
 
-TEST(LookupSpaceTest, SliceMatchesPointwiseTrilinearBitForBit)
+/**
+ * Default axes; steps that are not exactly representable, where a
+ * node's coordinate can locate just below the node; the smallest grid
+ * the space accepts.
+ */
+std::vector<LookupSpaceParams>
+bitIdentityAxes()
 {
-    // Default axes; steps that are not exactly representable, where a
-    // node's coordinate can locate just below the node; the smallest
-    // grid the space accepts.
     LookupSpaceParams inexact;
     inexact.util_points = 17;
     inexact.flow_points = 23;
@@ -154,21 +158,35 @@ TEST(LookupSpaceTest, SliceMatchesPointwiseTrilinearBitForBit)
     tiny.util_points = 2;
     tiny.flow_points = 2;
     tiny.tin_points = 3;
+    return {LookupSpaceParams{}, inexact, tiny};
+}
 
+/**
+ * Planning utilizations for bit-identity checks: 0, 1, every k/2000,
+ * every util node of @p params and 200 seeded random points.
+ */
+std::vector<double>
+bitIdentityUtils(const LookupSpaceParams &params, std::mt19937_64 &rng)
+{
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<double> utils{0.0, 1.0};
+    for (int k = 0; k <= 2000; ++k)
+        utils.push_back(k / 2000.0);
+    GridAxis au(0.0, 1.0, params.util_points);
+    for (size_t i = 0; i < au.count(); ++i)
+        utils.push_back(au.coord(i));
+    for (int r = 0; r < 200; ++r)
+        utils.push_back(unit(rng));
+    return utils;
+}
+
+TEST(LookupSpaceTest, SliceMatchesPointwiseTrilinearBitForBit)
+{
     const cluster::Server server = defaultServer();
     std::mt19937_64 rng(2020);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (const LookupSpaceParams &params :
-         {LookupSpaceParams{}, inexact, tiny}) {
+    for (const LookupSpaceParams &params : bitIdentityAxes()) {
         LookupSpace space(server, params);
-        std::vector<double> utils{0.0, 1.0};
-        for (int k = 0; k <= 2000; ++k)
-            utils.push_back(k / 2000.0);
-        GridAxis au(0.0, 1.0, params.util_points);
-        for (size_t i = 0; i < au.count(); ++i)
-            utils.push_back(au.coord(i));
-        for (int r = 0; r < 200; ++r)
-            utils.push_back(unit(rng));
+        const std::vector<double> utils = bitIdentityUtils(params, rng);
 
         size_t points = 0;
         size_t mismatches = 0;
@@ -187,6 +205,179 @@ TEST(LookupSpaceTest, SliceMatchesPointwiseTrilinearBitForBit)
                               params.tin_points)
             << params.util_points;
         EXPECT_EQ(mismatches, 0u) << params.util_points;
+    }
+}
+
+/** The full scan's answer: the slice's first strict T_CPU minimum. */
+LookupPoint
+fullScanColdest(const LookupSpace &space, double util)
+{
+    LookupPoint coldest;
+    bool have = false;
+    space.forEachInSlice(util, [&](const LookupPoint &p) {
+        if (!have || p.t_cpu_c < coldest.t_cpu_c) {
+            coldest = p;
+            have = true;
+        }
+    });
+    return coldest;
+}
+
+bool
+samePoint(const LookupPoint &a, const LookupPoint &b)
+{
+    return std::memcmp(&a, &b, sizeof(LookupPoint)) == 0;
+}
+
+TEST(LookupSpaceTest, ColdestInSliceMatchesFullScanBitForBit)
+{
+    const cluster::Server server = defaultServer();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(1616);
+    for (const LookupSpaceParams &params : bitIdentityAxes()) {
+        LookupSpace space(server, params);
+        std::vector<double> utils = bitIdentityUtils(params, rng);
+        utils.push_back(inf);
+        utils.push_back(-inf);
+        size_t mismatches = 0;
+        for (double u : utils)
+            if (!samePoint(space.coldestInSlice(u),
+                           fullScanColdest(space, u)))
+                ++mismatches;
+        EXPECT_EQ(mismatches, 0u) << params.util_points;
+        EXPECT_THROW(
+            space.coldestInSlice(std::numeric_limits<double>::quiet_NaN()),
+            Error);
+    }
+}
+
+/** The full scan: first strict minimum of lerp(lo[k], hi[k], t). */
+uint32_t
+fullScanNode(const std::vector<double> &lo, const std::vector<double> &hi,
+             double t)
+{
+    uint32_t best = 0;
+    for (uint32_t k = 1; k < lo.size(); ++k)
+        if (lerp(lo[k], hi[k], t) < lerp(lo[best], hi[best], t))
+            best = k;
+    return best;
+}
+
+/** The candidate scan coldestInSlice() runs, over @p cands. */
+uint32_t
+candidateNode(const std::vector<double> &lo, const std::vector<double> &hi,
+              double t, const std::vector<uint32_t> &cands)
+{
+    return firstColdestNode(lo.data(), hi.data(), t, cands.data(),
+                            cands.data() + cands.size());
+}
+
+TEST(LookupSpaceTest, ColdestCandidatesMatchBruteForceOnRandomPlanes)
+{
+    // Non-monotone planes: independent values, anti-correlated planes
+    // (nearly nothing is dominated, so the lists are long) and values
+    // from a small integer set (planted ties on one or both planes).
+    std::mt19937_64 rng(16);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_int_distribution<int> small(0, 6);
+    const size_t n = 400;
+    size_t longest = 0;
+    size_t tie_nodes = 0;
+    for (int trial = 0; trial < 30; ++trial) {
+        std::vector<double> lo(n);
+        std::vector<double> hi(n);
+        for (size_t k = 0; k < n; ++k) {
+            switch (trial % 3) {
+              case 0:
+                lo[k] = 40.0 + 30.0 * unit(rng);
+                hi[k] = 40.0 + 30.0 * unit(rng);
+                break;
+              case 1:
+                lo[k] = 40.0 + 30.0 * unit(rng);
+                hi[k] = 110.0 - lo[k] + 1e-3 * unit(rng);
+                break;
+              default:
+                lo[k] = 50.0 + small(rng);
+                hi[k] = 50.0 + small(rng);
+                break;
+            }
+        }
+
+        std::vector<uint32_t> brute;
+        for (size_t k = 0; k < n; ++k) {
+            bool dominated = false;
+            for (size_t m = 0; m < k; ++m) {
+                if (lo[m] <= lo[k] && hi[m] <= hi[k])
+                    dominated = true;
+                if (lo[m] == lo[k] || hi[m] == hi[k])
+                    ++tie_nodes;
+            }
+            if (!dominated)
+                brute.push_back(static_cast<uint32_t>(k));
+        }
+        const std::vector<uint32_t> cands =
+            coldestCandidates(lo.data(), hi.data(), n);
+        ASSERT_EQ(cands, brute) << "trial " << trial;
+        longest = std::max(longest, cands.size());
+
+        std::vector<double> ts{0.0, 1.0, 0.5};
+        for (int k = 1; k < 64; ++k)
+            ts.push_back(k / 64.0);
+        for (int r = 0; r < 64; ++r)
+            ts.push_back(unit(rng));
+        for (double t : ts)
+            EXPECT_EQ(candidateNode(lo, hi, t, cands),
+                      fullScanNode(lo, hi, t))
+                << "trial " << trial << " t=" << t;
+    }
+    EXPECT_GT(longest, n / 2);
+    EXPECT_GT(tie_nodes, 0u);
+}
+
+TEST(LookupSpaceTest, ColdestCandidatesKeepEarlierNodeOnRoundedTie)
+{
+    // Node 1 dominates node 0 (equal on plane lo, one ulp lower on
+    // plane hi), yet at t = 0.5 both interpolate to exactly 1.0, so
+    // the full scan keeps node 0. Pruning by a later dominator would
+    // return node 1.
+    const std::vector<double> lo{1.0, 1.0};
+    const std::vector<double> hi{std::nextafter(1.0, 2.0), 1.0};
+    ASSERT_TRUE(sameBits(lerp(lo[0], hi[0], 0.5), lerp(lo[1], hi[1], 0.5)));
+    const std::vector<uint32_t> cands =
+        coldestCandidates(lo.data(), hi.data(), lo.size());
+    EXPECT_EQ(cands, (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ(fullScanNode(lo, hi, 0.5), 0u);
+    EXPECT_EQ(candidateNode(lo, hi, 0.5, cands), 0u);
+    EXPECT_EQ(fullScanNode(lo, hi, 1.0), 1u);
+    EXPECT_EQ(candidateNode(lo, hi, 1.0, cands), 1u);
+
+    // An earlier node that dominates a later one, equal values
+    // included, does prune it.
+    const std::vector<double> a{1.0, 1.0, 2.0};
+    const std::vector<double> b{1.0, 1.0, 0.5};
+    EXPECT_EQ(coldestCandidates(a.data(), b.data(), a.size()),
+              (std::vector<uint32_t>{0, 2}));
+}
+
+TEST(LookupSpaceTest, RejectsNonFiniteNodeValues)
+{
+    // An infinite slope makes every die temperature infinite; an
+    // infinite leakage gain makes the outlet temperature infinite
+    // wherever the die runs above the leakage reference.
+    cluster::ServerParams hot_die;
+    hot_die.thermal.gamma_slope = std::numeric_limits<double>::infinity();
+    cluster::ServerParams hot_outlet;
+    hot_outlet.thermal.leak_gamma = std::numeric_limits<double>::infinity();
+    for (const cluster::ServerParams &params : {hot_die, hot_outlet}) {
+        cluster::Server server(params);
+        try {
+            LookupSpace space(server);
+            ADD_FAILURE() << "non-finite node table accepted";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("look-up node (u="),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
