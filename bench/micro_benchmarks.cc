@@ -54,7 +54,7 @@ BENCHMARK(BM_KernelPowerPoly);
 
 /** Die-temperature pass: T_die = k * T_in + P * r over a block. */
 void
-BM_KernelDieTempFma(benchmark::State &state)
+BM_KernelDieTemp(benchmark::State &state)
 {
     thermal::CpuThermalModel thermal;
     thermal::CpuStepCoefficients c = thermal.stepCoefficients(50.0);
@@ -72,7 +72,7 @@ BM_KernelDieTempFma(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n));
 }
-BENCHMARK(BM_KernelDieTempFma);
+BENCHMARK(BM_KernelDieTemp);
 
 /** TEG harvest fit (Eq. 2 + 6/7 with the Fig. 7 coupling). */
 void
@@ -91,7 +91,7 @@ BENCHMARK(BM_KernelTegFit);
 /**
  * Deriving the flow-dependent coefficients — the work the SoA kernel
  * hoists to once per circulation per step. Compare against
- * BM_KernelDieTempFma's per-server cost to see why.
+ * BM_KernelDieTemp's per-server cost to see why.
  */
 void
 BM_KernelCoefficientHoist(benchmark::State &state)
@@ -130,7 +130,10 @@ BM_KernelServerScalarUnhoisted(benchmark::State &state)
 }
 BENCHMARK(BM_KernelServerScalarUnhoisted)->Arg(1024);
 
-/** Hoisted SoA block: coefficients once, then vectorizable passes. */
+/**
+ * Hoisted SoA block (ServerBlock::evaluate with null fault lanes):
+ * coefficients once, then vectorizable passes.
+ */
 void
 BM_KernelServerBlockHoisted(benchmark::State &state)
 {
@@ -141,12 +144,13 @@ BM_KernelServerBlockHoisted(benchmark::State &state)
         utils[i] = 0.05 + 0.9 * static_cast<double>(i) /
                               static_cast<double>(n);
     cluster::ServerStateBlock out;
+    out.resize(n);
     for (auto _ : state) {
         cluster::ServerBlock::Coeffs c =
             block.coefficients(50.0, 45.0, 20.0);
-        block.evaluateClean(utils.data(), n, c, out);
+        block.evaluate(utils.data(), n, c, {}, out, 0);
         benchmark::DoNotOptimize(
-            cluster::ServerBlock::reduce(out));
+            cluster::ServerBlock::reduce(out, 0, n));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n));

@@ -1,12 +1,12 @@
 /**
  * @file
- * A group of servers sharing one water circulation.
+ * The setting, health and state of one water circulation.
  *
  * Within a circulation every server sees the same inlet temperature
  * and flow rate (Sec. V-A); the cooling setting is therefore dictated
- * by the hottest (or, after balancing, the average) server. The
- * circulation owns a pump and reports the mixed return stream the CDU
- * must absorb.
+ * by the hottest (or, after balancing, the average) server. Each
+ * circulation has its own pump and reports the mixed return stream
+ * the CDU must absorb. Datacenter evaluates every circulation.
  */
 
 #ifndef H2P_CLUSTER_CIRCULATION_H_
@@ -18,7 +18,6 @@
 
 #include "cluster/server.h"
 #include "cluster/server_block.h"
-#include "hydraulic/pump.h"
 
 namespace h2p {
 namespace cluster {
@@ -130,12 +129,10 @@ struct CirculationHealth
 struct CirculationState
 {
     CoolingSetting setting;
-    /**
-     * Per-server states in SoA layout (the step kernel writes these
-     * arrays directly). AoS consumers materialize through
-     * servers.server(i) / servers[i].
-     */
-    ServerStateBlock servers;
+    /** First server of this loop's segment of DatacenterState::servers. */
+    size_t offset = 0;
+    /** Servers in the loop (the segment's length). */
+    size_t count = 0;
     /** Total CPU power, W. */
     double cpu_power_w = 0.0;
     /** Total TEG output, W. */
@@ -156,60 +153,6 @@ struct CirculationState
     double teg_power_lost_w = 0.0;
     /** All dies at or below the vendor maximum? */
     bool all_safe = true;
-};
-
-/**
- * A water circulation serving @p count identical servers.
- */
-class Circulation
-{
-  public:
-    /**
-     * @param count Number of servers sharing the loop.
-     * @param server_params Per-server configuration.
-     * @param pump_params Pump at the loop's rated point.
-     */
-    explicit Circulation(size_t count,
-                         const ServerParams &server_params = {},
-                         const hydraulic::PumpParams &pump_params = {});
-
-    /** Number of servers in the loop. */
-    size_t size() const { return count_; }
-
-    /**
-     * Evaluate the circulation for one interval into caller-owned
-     * storage: @p out (including its servers vector) is reused across
-     * calls, so a steady-state simulation loop allocates nothing per
-     * step.
-     *
-     * @param utils Per-server utilizations; @p n must equal size().
-     * @param setting Cooling setting applied to every branch.
-     * @param t_cold_c Natural-water cold-loop temperature, C.
-     * @param health Null (or clean) for the healthy evaluation. A
-     *        degraded pump delivers only pump_flow_factor of the
-     *        commanded flow (a dead pump leaves a stagnant trickle,
-     *        kStagnantFlowLph, so the steady-state thermal model stays
-     *        finite — the dies then run far beyond the vendor maximum)
-     *        and each server sees its own ServerHealth.
-     */
-    void evaluateInto(const double *utils, size_t n,
-                      const CoolingSetting &setting, double t_cold_c,
-                      const CirculationHealth *health,
-                      CirculationState &out) const;
-
-    /** Residual natural-circulation flow of a dead pump, L/H. */
-    static constexpr double kStagnantFlowLph = 2.0;
-
-    const Server &server() const { return server_; }
-
-    /** The SoA step kernel evaluating this loop's servers. */
-    const ServerBlock &block() const { return block_; }
-
-  private:
-    size_t count_;
-    Server server_;
-    ServerBlock block_;
-    hydraulic::Pump pump_;
 };
 
 } // namespace cluster

@@ -9,9 +9,7 @@ namespace h2p {
 namespace cluster {
 
 Datacenter::Datacenter(const DatacenterParams &params)
-    : params_(params),
-      circulation_(std::max<size_t>(1, params.servers_per_circulation),
-                   params.server, params.pump),
+    : params_(params), block_(params.server), pump_(params.pump),
       plant_(params.plant)
 {
     expect(params.num_servers >= 1, "datacenter needs servers");
@@ -31,21 +29,6 @@ Datacenter::Datacenter(const DatacenterParams &params)
         offset += n;
         remaining -= n;
     }
-
-    // Only the last circulation can be smaller; build its model once.
-    size_t tail = circulation_sizes_.back();
-    if (tail != circulation_.size())
-        tail_circulation_.emplace(tail, params.server, params.pump);
-}
-
-void
-Datacenter::setObservability(obs::Observability *obs)
-{
-    obs_ = obs;
-    if (obs_ != nullptr)
-        span_evaluate_ = obs_->spans().id("dc.evaluate");
-    else
-        span_evaluate_ = obs::SpanRegistry::SpanId{};
 }
 
 uint64_t
@@ -89,10 +72,6 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     expect(settings.size() == num_circ, "expected ", num_circ,
            " cooling settings, got ", settings.size());
 
-    obs::SpanRegistry *spans =
-        obs_ != nullptr ? &obs_->spans() : nullptr;
-    obs::TraceSpan eval_span(spans, span_evaluate_);
-
     const bool clean = health == nullptr || health->clean();
     if (!clean) {
         expect(health->circulations.empty() ||
@@ -102,28 +81,19 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     }
 
     out.circulations.resize(num_circ);
-
-    static const CirculationHealth healthy_circulation;
+    out.servers.resize(params_.num_servers);
 
     for (size_t i = 0; i < num_circ; ++i) {
-        const size_t n = circulation_sizes_[i];
-        const double *u = utils.data() + circulation_offsets_[i];
-        const Circulation &model =
-            n == circulation_.size() ? circulation_ : *tail_circulation_;
-        if (clean) {
-            model.evaluateInto(u, n, settings[i], params_.cold_source_c,
-                               nullptr, out.circulations[i]);
-            continue;
-        }
-        const CirculationHealth &ch =
-            health->circulations.empty() ? healthy_circulation
-                                         : health->circulations[i];
-        // A plant outage warms the supply every loop actually gets.
         CoolingSetting setting = settings[i];
-        setting.t_in_c =
-            plant_.achievableSupply(setting.t_in_c, health->plant);
-        model.evaluateInto(u, n, setting, params_.cold_source_c, &ch,
-                           out.circulations[i]);
+        const CirculationHealth *ch = nullptr;
+        if (!clean) {
+            if (!health->circulations.empty())
+                ch = &health->circulations[i];
+            // A plant outage warms the supply every loop actually gets.
+            setting.t_in_c =
+                plant_.achievableSupply(setting.t_in_c, health->plant);
+        }
+        evaluateCirculation(i, utils.data(), setting, ch, out);
     }
 
     // Reduce in circulation order.
@@ -162,13 +132,71 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     } else {
         // Keep the plant model fed with a positive flow even when
         // every pump in the building is dead.
-        total_flow_lph =
-            std::max(total_flow_lph, Circulation::kStagnantFlowLph);
+        total_flow_lph = std::max(total_flow_lph, kStagnantFlowLph);
         hydraulic::PlantPower pp =
             plant_.power(out.heat_w, min_supply_c, total_flow_lph,
                          health->plant);
         out.plant_power_w = pp.total();
     }
+}
+
+void
+Datacenter::evaluateCirculation(size_t i, const double *utils,
+                                const CoolingSetting &setting,
+                                const CirculationHealth *health,
+                                DatacenterState &out) const
+{
+    const size_t offset = circulation_offsets_[i];
+    const size_t n = circulation_sizes_[i];
+    expect(setting.flow_lph > 0.0, "flow must be positive");
+
+    // Under a non-clean health the pump delivers only a fraction of
+    // the command; the thermal model sees at least the stagnant
+    // trickle so it stays finite.
+    const bool degraded = health != nullptr && !health->clean();
+    double hydraulic_flow = setting.flow_lph;
+    double thermal_flow = setting.flow_lph;
+    ServerHealthLanes lanes;
+    if (degraded) {
+        expect(health->pump_flow_factor >= 0.0 &&
+                   health->pump_flow_factor <= 1.0,
+               "pump flow factor must be in [0, 1]");
+        expect(!health->hasServerLanes() || health->numServers() == n,
+               "expected ", n, " server healths, got ",
+               health->numServers());
+        hydraulic_flow = setting.flow_lph * health->pump_flow_factor;
+        thermal_flow = std::max(hydraulic_flow, kStagnantFlowLph);
+        lanes = health->lanes();
+    }
+
+    const ServerBlock::Coeffs c = block_.coefficients(
+        thermal_flow, setting.t_in_c, params_.cold_source_c);
+    block_.evaluate(utils + offset, n, c, lanes, out.servers, offset);
+    const ServerBlock::Totals t =
+        ServerBlock::reduce(out.servers, offset, n);
+
+    CirculationState &cs = out.circulations[i];
+    cs.setting = setting;
+    cs.offset = offset;
+    cs.count = n;
+    cs.delivered_flow_lph = hydraulic_flow;
+    cs.cpu_power_w = t.cpu_power_w;
+    cs.teg_power_w = t.teg_power_w;
+    cs.teg_power_lost_w = t.teg_power_lost_w;
+    cs.heat_w = t.heat_w;
+    cs.max_die_c = t.max_die_c;
+    cs.all_safe = t.all_safe;
+    // A degraded pump affects every server in the loop; otherwise
+    // only the lanes with their own fault count.
+    cs.faulted_servers =
+        degraded && health->pump_flow_factor < 1.0 ? n : t.faulted_servers;
+    cs.return_c = t.sum_outlet_c / static_cast<double>(n);
+    // The centralized pump's head scales with the per-branch flow
+    // (branches are parallel), so model it as one pump-equivalent per
+    // branch: total power = n * affinity-law power at the delivered
+    // branch flow (a degraded pump still runs its electronics; a dead
+    // one idles).
+    cs.pump_power_w = pump_.power(hydraulic_flow) * static_cast<double>(n);
 }
 
 } // namespace cluster

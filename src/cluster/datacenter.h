@@ -14,12 +14,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cluster/circulation.h"
+#include "cluster/server_block.h"
 #include "hydraulic/plant.h"
-#include "obs/observability.h"
+#include "hydraulic/pump.h"
 
 namespace h2p {
 namespace cluster {
@@ -65,6 +65,12 @@ struct DatacenterState
 {
     /** Per-circulation states. */
     std::vector<CirculationState> circulations;
+    /**
+     * Per-server states of the whole fleet, laid out circulation by
+     * circulation like the utilizations; circulation i owns
+     * [circulations[i].offset, + circulations[i].count).
+     */
+    ServerStateBlock servers;
     /** Total CPU power, W. */
     double cpu_power_w = 0.0;
     /** Total TEG output, W. */
@@ -134,47 +140,49 @@ class Datacenter
 
     /**
      * Allocation-free evaluation into caller-owned storage: @p out
-     * (its circulations vector and each circulation's servers) is
+     * (its circulations vector and the fleet-wide servers block) is
      * reused across calls. Identical results to evaluate().
      *
      * @p health may be null for a healthy cluster. Under faults, plant
      * outages warm the delivered supply temperature of every
-     * circulation, degraded pumps starve their loop, and per-server
-     * faults flow through; a clean @p health reproduces the healthy
-     * evaluation exactly. Circulations are evaluated in order and the
-     * totals reduced in circulation order.
+     * circulation, degraded pumps starve their loop (a dead pump
+     * leaves a stagnant trickle, kStagnantFlowLph, so the steady-state
+     * thermal model stays finite — the dies then run far beyond the
+     * vendor maximum), and per-server faults flow through; a clean
+     * @p health reproduces the healthy evaluation exactly.
+     * Circulations are evaluated in order and the totals reduced in
+     * circulation order.
      */
     void evaluateInto(const std::vector<double> &utils,
                       const std::vector<CoolingSetting> &settings,
                       const DatacenterHealth *health,
                       DatacenterState &out) const;
 
-    /**
-     * Attach an observability sink (not owned; may be null, the
-     * default, for zero-cost evaluation). When attached,
-     * evaluateInto() times itself as the "dc.evaluate" span. Spans are
-     * kept at whole-evaluation granularity: a per-circulation span
-     * would cost two clock reads per loop per step, which dominates
-     * the vectorized step kernel. Observation never changes the
-     * computed state.
-     */
-    void setObservability(obs::Observability *obs);
+    /** Residual natural-circulation flow of a dead pump, L/H. */
+    static constexpr double kStagnantFlowLph = 2.0;
 
     const DatacenterParams &params() const { return params_; }
-    const Circulation &circulationModel() const { return circulation_; }
 
   private:
+    /**
+     * Evaluate circulation @p i at @p setting into its segment of
+     * out.servers and into out.circulations[i]. @p health null (or
+     * clean) is the healthy evaluation.
+     */
+    void evaluateCirculation(size_t i, const double *utils,
+                             const CoolingSetting &setting,
+                             const CirculationHealth *health,
+                             DatacenterState &out) const;
+
     DatacenterParams params_;
     std::vector<size_t> circulation_sizes_;
     std::vector<size_t> circulation_offsets_;
-    Circulation circulation_;      // model for full-size circulations
-    // Model for the last circulation when it is smaller (built once
-    // here rather than on every evaluate call).
-    std::optional<Circulation> tail_circulation_;
+    // One kernel and one pump model serve every circulation: servers
+    // and pumps are homogeneous, and a short last loop is just a
+    // shorter segment.
+    ServerBlock block_;
+    hydraulic::Pump pump_;
     hydraulic::FacilityPlant plant_;
-    obs::Observability *obs_ = nullptr;
-    // Span id resolved once at attach time, not per evaluation.
-    obs::SpanRegistry::SpanId span_evaluate_;
 };
 
 } // namespace cluster

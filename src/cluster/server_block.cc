@@ -49,7 +49,7 @@ ServerStateBlock::materializeInto(std::vector<ServerState> &out) const
 }
 
 ServerBlock::ServerBlock(const ServerParams &params)
-    : power_(params.power), thermal_(params.thermal),
+    : thermal_(params.thermal),
       teg_(params.tegs_per_server, params.teg),
       power_scale_(params.power.scale), power_shift_(params.power.shift),
       power_offset_(params.power.offset),
@@ -76,23 +76,23 @@ ServerBlock::coefficients(double flow_lph, double t_in_c,
 }
 
 void
-ServerBlock::evaluateClean(const double *utils, size_t n,
-                           const Coeffs &c, ServerStateBlock &out) const
+ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
+                      const ServerHealthLanes &lanes,
+                      ServerStateBlock &out, size_t offset) const
 {
-    out.resize(n);
-    double *ou = out.util.data();
-    double *cpu = out.cpu_power_w.data();
-    double *die = out.die_temp_c.data();
-    double *heat = out.heat_w.data();
-    double *outlet = out.outlet_c.data();
-    double *teg = out.teg_power_w.data();
-    double *lost = out.teg_power_lost_w.data();
-    uint8_t *faulted = out.faulted.data();
-    uint8_t *safe = out.safe.data();
+    expect(offset + n <= out.size(), "servers [", offset, ", ",
+           offset + n, ") out of range (block has ", out.size(), ")");
+    double *ou = out.util.data() + offset;
+    double *cpu = out.cpu_power_w.data() + offset;
+    double *die = out.die_temp_c.data() + offset;
+    double *heat = out.heat_w.data() + offset;
+    double *outlet = out.outlet_c.data() + offset;
+    double *teg = out.teg_power_w.data() + offset;
+    double *lost = out.teg_power_lost_w.data() + offset;
+    uint8_t *faulted = out.faulted.data() + offset;
+    uint8_t *safe = out.safe.data() + offset;
 
-    const double r = c.cpu.plate_r_kpw;
-    // k * t_in is the same value every server computes; hoist it.
-    const double kt = c.cpu.slope_k * c.t_in_c;
+    const double plate_r = c.cpu.plate_r_kpw;
     const double cap = c.cpu.cap_rate_w_per_k;
     const double t_in = c.t_in_c;
     const double t_cold = c.t_cold_c;
@@ -101,6 +101,7 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
     const double pa = c.teg.pfit_a;
     const double pb = c.teg.pfit_b;
     const double pc = c.teg.pfit_c;
+    const bool healthy = lanes.allHealthy();
 
     // Pass 1: utilization -> CPU package power (Eq. 20). The log is
     // the one libm call per server; everything after is straight-line
@@ -117,8 +118,46 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
     }
 
     // Pass 2: die temperature (Fig. 10/11 linear model).
-    for (size_t i = 0; i < n; ++i)
-        die[i] = kt + cpu[i] * r;
+    if (healthy) {
+        // k * t_in is the same value every server computes; hoist it.
+        const double kt = c.cpu.slope_k * t_in;
+        for (size_t i = 0; i < n; ++i)
+            die[i] = kt + cpu[i] * plate_r;
+    } else {
+        // The faulted-lane mask and the per-server thermal resistance.
+        // A ServerHealth is clean when no TEG is open, none are
+        // shorted and fouling is not positive (mirroring
+        // ServerHealth::clean()); clean lanes take the pristine plate.
+        // Scalar-path fidelity: negative fouling only rejects on lanes
+        // that are degraded some other way, exactly like
+        // Server::evaluate.
+        for (size_t i = 0; i < n; ++i) {
+            const double f =
+                lanes.fouling_kpw != nullptr ? lanes.fouling_kpw[i] : 0.0;
+            const bool open =
+                lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
+            const size_t shorted =
+                lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
+            const bool clean = !open && shorted == 0 && f <= 0.0;
+            faulted[i] = clean ? 0 : 1;
+
+            double fouling = 0.0;
+            if (!clean) {
+                expect(f >= 0.0,
+                       "fouling resistance must be non-negative");
+                fouling = f;
+            }
+            // Stash the per-lane plate resistance in the die array;
+            // the next loop overwrites it with the die temperature.
+            die[i] = plate_r + fouling;
+        }
+        // k_i = 1 + gamma * r_i, T_die = k_i * T_in + P * r_i.
+        for (size_t i = 0; i < n; ++i) {
+            const double r = die[i];
+            const double k = 1.0 + gamma_slope_ * r;
+            die[i] = k * t_in + cpu[i] * r;
+        }
+    }
 
     // Pass 3: heat into the coolant (dynamic + bounded leakage +
     // parasitic pickup).
@@ -132,7 +171,8 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
     for (size_t i = 0; i < n; ++i)
         outlet[i] = t_in + heat[i] / cap;
 
-    // Pass 5: TEG harvest (Eq. 2 + Eq. 6/7 with the Fig. 7 coupling).
+    // Pass 5: healthy TEG harvest (Eq. 2 + Eq. 6/7 with the Fig. 7
+    // coupling).
     for (size_t i = 0; i < n; ++i) {
         const double dt = outlet[i] - t_cold;
         double p = 0.0;
@@ -145,128 +185,29 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
         teg[i] = p;
     }
 
-    // Pass 6: flags. A clean evaluation never loses harvest.
-    for (size_t i = 0; i < n; ++i) {
-        lost[i] = 0.0;
-        faulted[i] = 0;
-        safe[i] = die[i] <= max_operating_c_ ? 1 : 0;
-    }
-}
-
-void
-ServerBlock::evaluateFaulted(const double *utils, size_t n,
-                             const Coeffs &c,
-                             const ServerHealthLanes &lanes,
-                             ServerStateBlock &out) const
-{
-    if (lanes.allHealthy()) {
-        evaluateClean(utils, n, c, out);
-        return;
-    }
-
-    out.resize(n);
-    double *ou = out.util.data();
-    double *cpu = out.cpu_power_w.data();
-    double *die = out.die_temp_c.data();
-    double *heat = out.heat_w.data();
-    double *outlet = out.outlet_c.data();
-    double *teg = out.teg_power_w.data();
-    double *lost = out.teg_power_lost_w.data();
-    uint8_t *faulted = out.faulted.data();
-    uint8_t *safe = out.safe.data();
-
-    const double plate_r = c.cpu.plate_r_kpw;
-    const double cap = c.cpu.cap_rate_w_per_k;
-    const double t_in = c.t_in_c;
-    const double t_cold = c.t_cold_c;
-    const double coupling = c.teg.coupling;
-    const double devices = c.teg.devices;
-    const double pa = c.teg.pfit_a;
-    const double pb = c.teg.pfit_b;
-    const double pc = c.teg.pfit_c;
-    const size_t dev_count = teg_count_;
-
-    // Pass 1: power, identical to the clean kernel.
-    for (size_t i = 0; i < n; ++i) {
-        const double u = utils[i];
-        expect(u >= 0.0 && u <= 1.0,
-               "utilization must be in [0, 1], got ", u);
-        const double p =
-            power_scale_ * std::log(u + power_shift_) + power_offset_;
-        expect(p >= 0.0, "dynamic power must be non-negative");
-        ou[i] = u;
-        cpu[i] = p;
-    }
-
-    // Pass 2: the faulted-lane mask and the per-server thermal
-    // resistance. A ServerHealth is clean when no TEG is open, none
-    // are shorted and fouling is not positive (mirroring
-    // ServerHealth::clean()); clean lanes take the pristine plate.
-    // Scalar-path fidelity: negative fouling only rejects on lanes
-    // that are degraded some other way, exactly like Server::evaluate.
-    for (size_t i = 0; i < n; ++i) {
-        const double f =
-            lanes.fouling_kpw != nullptr ? lanes.fouling_kpw[i] : 0.0;
-        const bool open =
-            lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
-        const size_t shorted =
-            lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
-        const bool clean = !open && shorted == 0 && f <= 0.0;
-        faulted[i] = clean ? 0 : 1;
-
-        double fouling = 0.0;
-        if (!clean) {
-            expect(f >= 0.0, "fouling resistance must be non-negative");
-            fouling = f;
+    // Pass 6: per-lane derating. The healthy module output times
+    // active/count reproduces the scalar faulted path bit for bit;
+    // ratio 1.0 (no TEG fault) and 0.0 (open string) are exact
+    // multipliers, so clean lanes lose exactly +0.0 W. Without lanes
+    // nothing is faulted and nothing is lost.
+    if (healthy) {
+        for (size_t i = 0; i < n; ++i) {
+            lost[i] = 0.0;
+            faulted[i] = 0;
         }
-        // Stash the per-lane plate resistance in the die array; pass 3
-        // overwrites it with the actual die temperature.
-        die[i] = plate_r + fouling;
-    }
-
-    // Pass 3: die temperature with the per-lane resistance:
-    // k_i = 1 + gamma * r_i, T_die = k_i * T_in + P * r_i.
-    for (size_t i = 0; i < n; ++i) {
-        const double r = die[i];
-        const double k = 1.0 + gamma_slope_ * r;
-        die[i] = k * t_in + cpu[i] * r;
-    }
-
-    // Pass 4: heat into the coolant.
-    for (size_t i = 0; i < n; ++i) {
-        const double leak =
-            std::max(0.0, leak_gamma_ * (die[i] - leak_ref_c_));
-        heat[i] = cpu[i] + leak + parasitic_w_;
-    }
-
-    // Pass 5: outlet temperature.
-    for (size_t i = 0; i < n; ++i)
-        outlet[i] = t_in + heat[i] / cap;
-
-    // Pass 6: TEG harvest with per-lane derating. The healthy module
-    // output times active/count reproduces the scalar faulted path
-    // bit for bit; ratio 1.0 (no TEG fault) and 0.0 (open string)
-    // are exact multipliers, so clean lanes lose exactly +0.0 W.
-    for (size_t i = 0; i < n; ++i) {
-        const double dt = outlet[i] - t_cold;
-        double healthy = 0.0;
-        if (dt > 0.0) {
-            const double dt_eff = dt * coupling;
-            if (dt_eff > 0.0)
-                healthy = devices *
-                          std::max(0.0,
-                                   (pa * dt_eff + pb) * dt_eff + pc);
+    } else {
+        for (size_t i = 0; i < n; ++i) {
+            const bool open =
+                lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
+            const size_t shorted =
+                lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
+            const size_t active =
+                open ? 0 : teg_count_ - std::min(teg_count_, shorted);
+            const double ratio = static_cast<double>(active) / devices;
+            const double p = teg[i] * ratio;
+            lost[i] = teg[i] - p;
+            teg[i] = p;
         }
-        const bool open =
-            lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
-        const size_t shorted =
-            lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
-        const size_t active =
-            open ? 0 : dev_count - std::min(dev_count, shorted);
-        const double ratio = static_cast<double>(active) / devices;
-        const double p = healthy * ratio;
-        teg[i] = p;
-        lost[i] = healthy - p;
     }
 
     // Pass 7: safety flags.
@@ -275,18 +216,20 @@ ServerBlock::evaluateFaulted(const double *utils, size_t n,
 }
 
 ServerBlock::Totals
-ServerBlock::reduce(const ServerStateBlock &block)
+ServerBlock::reduce(const ServerStateBlock &block, size_t offset,
+                    size_t n)
 {
+    expect(offset + n <= block.size(), "servers [", offset, ", ",
+           offset + n, ") out of range (block has ", block.size(), ")");
     Totals t;
-    const size_t n = block.size();
-    const double *cpu = block.cpu_power_w.data();
-    const double *teg = block.teg_power_w.data();
-    const double *lost = block.teg_power_lost_w.data();
-    const double *heat = block.heat_w.data();
-    const double *outlet = block.outlet_c.data();
-    const double *die = block.die_temp_c.data();
-    const uint8_t *faulted = block.faulted.data();
-    const uint8_t *safe = block.safe.data();
+    const double *cpu = block.cpu_power_w.data() + offset;
+    const double *teg = block.teg_power_w.data() + offset;
+    const double *lost = block.teg_power_lost_w.data() + offset;
+    const double *heat = block.heat_w.data() + offset;
+    const double *outlet = block.outlet_c.data() + offset;
+    const double *die = block.die_temp_c.data() + offset;
+    const uint8_t *faulted = block.faulted.data() + offset;
+    const uint8_t *safe = block.safe.data() + offset;
     // Strict index order per accumulator: the totals must not depend
     // on how the elementwise passes were chunked or vectorized.
     for (size_t i = 0; i < n; ++i) {

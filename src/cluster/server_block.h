@@ -14,10 +14,12 @@
  *
  * Bit-identity contract: every elementwise expression performs exactly
  * the floating-point operations of the scalar Server::evaluate path on
- * the same values, and every reduction (sums, hottest die, all-safe)
- * accumulates in server-index order, so a ServerBlock evaluation is
- * bit-identical to looping Server::evaluate — clean and faulted, at
- * any worker count. Tests enforce this (tests/soa_test.cc).
+ * the same values (the build passes -ffp-contract=off, so the compiler
+ * fuses no a*b+c into an FMA on either side), and every reduction
+ * (sums, hottest die, all-safe) accumulates in server-index order, so
+ * a ServerBlock evaluation is bit-identical to looping
+ * Server::evaluate — clean and faulted. Tests enforce this
+ * (tests/soa_test.cc).
  */
 
 #ifndef H2P_CLUSTER_SERVER_BLOCK_H_
@@ -35,10 +37,11 @@ namespace h2p {
 namespace cluster {
 
 /**
- * Per-server state of one circulation in structure-of-arrays layout —
- * the storage behind CirculationState. Hot consumers read the arrays
- * directly; existing AoS consumers (recorders, fault accounting,
- * tests) materialize a ServerState through server() / operator[].
+ * Per-server state in structure-of-arrays layout: the fleet-wide
+ * block behind DatacenterState, in which each circulation owns one
+ * contiguous segment. Hot consumers read the arrays directly; AoS
+ * consumers (tests) materialize a ServerState through server() /
+ * operator[].
  */
 struct ServerStateBlock
 {
@@ -91,10 +94,10 @@ struct ServerHealthLanes
 };
 
 /**
- * The vectorized per-server evaluation kernel. One instance is built
- * per circulation model and reused for every step; it owns copies of
- * the per-server models only to hoist coefficients, never to evaluate
- * a single server at a time.
+ * The vectorized per-server evaluation kernel. The datacenter builds
+ * one instance and runs it over every circulation's segment, every
+ * step; it owns copies of the per-server models only to hoist
+ * coefficients, never to evaluate a single server at a time.
  */
 class ServerBlock
 {
@@ -120,23 +123,19 @@ class ServerBlock
                         double t_cold_c) const;
 
     /**
-     * Evaluate @p n healthy servers: utils[0..n) through the full
-     * model chain into @p out (resized to n). Bit-identical to
-     * Server::evaluate(util, flow, t_in, t_cold) per server.
+     * Evaluate @p n servers at one cooling setting: utils[0..n)
+     * through the full model chain into out[offset, offset + n), a
+     * range @p out must already hold. Null @p lanes (allHealthy())
+     * are the healthy evaluation, bit-identical to
+     * Server::evaluate(util, flow, t_in, t_cold) per server. Present
+     * lanes match Server::evaluate(util, flow, t_in, t_cold, health)
+     * per server; their healthy lanes reproduce the healthy numbers
+     * bit for bit (the fouling term adds +0.0 and the TEG derating
+     * multiplies by 1.0, both exact).
      */
-    void evaluateClean(const double *utils, size_t n, const Coeffs &c,
-                       ServerStateBlock &out) const;
-
-    /**
-     * Evaluate @p n servers under per-server fault lanes. Lanes that
-     * are healthy reproduce the clean evaluation bit for bit (the
-     * fouling term adds +0.0 and the TEG derating multiplies by 1.0,
-     * both exact); degraded lanes match
-     * Server::evaluate(util, flow, t_in, t_cold, health).
-     */
-    void evaluateFaulted(const double *utils, size_t n, const Coeffs &c,
-                         const ServerHealthLanes &lanes,
-                         ServerStateBlock &out) const;
+    void evaluate(const double *utils, size_t n, const Coeffs &c,
+                  const ServerHealthLanes &lanes, ServerStateBlock &out,
+                  size_t offset) const;
 
     /** Index-ordered reduction over an evaluated block. */
     struct Totals
@@ -153,26 +152,18 @@ class ServerBlock
     };
 
     /**
-     * Reduce the block in server-index order, exactly the accumulation
-     * order of the scalar loop, so totals are bit-identical no matter
-     * how the elementwise passes were vectorized.
+     * Reduce block[offset, offset + n) in server-index order, exactly
+     * the accumulation order of the scalar loop, so totals are
+     * bit-identical no matter how the elementwise passes were
+     * vectorized.
      */
-    static Totals reduce(const ServerStateBlock &block);
-
-    /** Series TEG devices per server. */
-    size_t tegCount() const { return teg_.count(); }
-
-    const thermal::CpuThermalModel &thermalModel() const
-    {
-        return thermal_;
-    }
-    const thermal::TegModule &tegModule() const { return teg_; }
+    static Totals reduce(const ServerStateBlock &block, size_t offset,
+                         size_t n);
 
   private:
     // Value copies of the models (cheap, parameter-only) so the block
     // can hoist coefficients without referencing a Server that may
     // move; plus the raw constants the passes consume.
-    workload::CpuPowerModel power_;
     thermal::CpuThermalModel thermal_;
     thermal::TegModule teg_;
     double power_scale_ = 0.0;

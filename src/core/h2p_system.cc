@@ -36,13 +36,8 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
     pipelines_ = std::make_unique<control::PipelineFactory>(
         *dc_, *optimizer_, config.balancer, opt.t_safe_c);
 
-    if (config.obs.enabled) {
+    if (config.obs.enabled)
         obs_ = std::make_unique<obs::Observability>(config.obs);
-        // The SimEngine records the "dc.evaluate" span itself (sharing
-        // a clock read with the sched.decide span), so the datacenter
-        // is deliberately left unattached — attaching it here would
-        // double-record every evaluation.
-    }
 
     SimEngine::Wiring wiring;
     wiring.config = &config_;

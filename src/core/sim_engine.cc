@@ -468,7 +468,6 @@ SimEngine::start(const workload::UtilizationTrace &trace,
         s.flow_read_.resize(num_circ);
         s.commanded_flow_.assign(num_circ, 0.0);
         s.actions_.assign(num_circ, sched::SafeModeAction::Normal);
-        s.die_temps_.assign(servers, 0.0);
     }
 
     s.acc_.circ_safe_steps.assign(num_circ, 0);
@@ -751,21 +750,17 @@ SimEngine::stepOnce(SimSession &s) const
     // for the next interval.
     s.pipeline_->observe(cctx, s.state_);
     if (s.resilient_) {
-        size_t server_idx = 0;
         for (size_t c = 0; c < s.state_.circulations.size(); ++c) {
             const cluster::CirculationState &cs =
                 s.state_.circulations[c];
-            for (double die_c : cs.servers.die_temp_c)
-                s.die_temps_[server_idx++] = die_c;
             s.die_read_[c] = s.injector_->readDie(c, cs.max_die_c);
             s.flow_read_[c] =
                 s.injector_->readFlow(c, cs.delivered_flow_lph);
             s.commanded_flow_[c] = s.decision_.settings[c].flow_lph;
         }
-        H2P_ASSERT(server_idx == servers, "server states incomplete");
         s.have_readings_ = true;
         if (s.use_watchdog_)
-            s.watchdog_->observe(s.die_temps_);
+            s.watchdog_->observe(s.state_.servers.die_temp_c);
     }
 
     // Stage 7: recording and accumulation.

@@ -276,7 +276,6 @@ class SimSession
     std::vector<double> commanded_flow_;
     bool have_readings_ = false;
     std::vector<sched::SafeModeAction> actions_;
-    std::vector<double> die_temps_;
 
     // Per-step scratch, allocated once and reused.
     std::vector<double> utils_;

@@ -55,12 +55,12 @@ ThermalTripWatchdog::shapeInPlace(std::vector<double> &utils, double dt_s)
 }
 
 void
-ThermalTripWatchdog::observe(const std::vector<double> &die_temps_c)
+ThermalTripWatchdog::observe(const std::vector<double> &die_temp_c)
 {
-    expect(die_temps_c.size() == cap_.size(), "expected ", cap_.size(),
-           " die temperatures, got ", die_temps_c.size());
+    expect(die_temp_c.size() == cap_.size(), "expected ", cap_.size(),
+           " die temperatures, got ", die_temp_c.size());
     for (size_t i = 0; i < cap_.size(); ++i) {
-        double t = die_temps_c[i];
+        double t = die_temp_c[i];
         if (t > params_.trip_c) {
             if (!tripped_[i]) {
                 tripped_[i] = true;

@@ -71,7 +71,7 @@ class ThermalTripWatchdog
     void shapeInPlace(std::vector<double> &utils, double dt_s);
 
     /** Update the caps from the interval's true die temperatures. */
-    void observe(const std::vector<double> &die_temps_c);
+    void observe(const std::vector<double> &die_temp_c);
 
     /** Trip events so far (untripped -> tripped transitions). */
     size_t tripEvents() const { return trip_events_; }

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/circulation.h"
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
 #include "hydraulic/pump.h"
@@ -62,10 +61,9 @@ TEST(ServerTest, TwelveTegsByDefault)
 
 TEST(CirculationTest, AggregatesAreSums)
 {
-    Circulation circ(3);
+    Datacenter circ = test::oneLoop(3);
     CoolingSetting setting{45.0, 50.0};
-    CirculationState cs =
-        test::evaluate(circ, {0.1, 0.5, 0.9}, setting, 20.0);
+    test::LoopState cs = test::evaluate(circ, {0.1, 0.5, 0.9}, setting);
     ASSERT_EQ(cs.servers.size(), 3u);
     double cpu = 0, teg = 0, heat = 0;
     for (size_t i = 0; i < cs.servers.size(); ++i) {
@@ -81,17 +79,15 @@ TEST(CirculationTest, AggregatesAreSums)
 
 TEST(CirculationTest, MaxDieIsTheHottestServer)
 {
-    Circulation circ(3);
-    CirculationState cs =
-        test::evaluate(circ, {0.1, 0.9, 0.5}, {45.0, 50.0}, 20.0);
+    Datacenter circ = test::oneLoop(3);
+    test::LoopState cs = test::evaluate(circ, {0.1, 0.9, 0.5}, {45.0, 50.0});
     EXPECT_DOUBLE_EQ(cs.max_die_c, cs.servers[1].die_temp_c);
 }
 
 TEST(CirculationTest, ReturnTempIsMeanOfOutlets)
 {
-    Circulation circ(2);
-    CirculationState cs =
-        test::evaluate(circ, {0.2, 0.8}, {40.0, 20.0}, 20.0);
+    Datacenter circ = test::oneLoop(2);
+    test::LoopState cs = test::evaluate(circ, {0.2, 0.8}, {40.0, 20.0});
     EXPECT_NEAR(cs.return_c,
                 0.5 * (cs.servers[0].outlet_c + cs.servers[1].outlet_c),
                 1e-12);
@@ -99,21 +95,17 @@ TEST(CirculationTest, ReturnTempIsMeanOfOutlets)
 
 TEST(CirculationTest, AllSafeReflectsEveryServer)
 {
-    Circulation circ(2);
-    EXPECT_TRUE(
-        test::evaluate(circ, {0.1, 0.2}, {40.0, 50.0}, 20.0).all_safe);
-    EXPECT_FALSE(
-        test::evaluate(circ, {0.1, 1.0}, {55.0, 20.0}, 20.0).all_safe);
+    Datacenter circ = test::oneLoop(2);
+    EXPECT_TRUE(test::evaluate(circ, {0.1, 0.2}, {40.0, 50.0}).all_safe);
+    EXPECT_FALSE(test::evaluate(circ, {0.1, 1.0}, {55.0, 20.0}).all_safe);
 }
 
 TEST(CirculationTest, PumpPowerGrowsCubicallyWithFlow)
 {
-    Circulation circ(10);
+    Datacenter circ = test::oneLoop(10);
     std::vector<double> utils(10, 0.3);
-    double p20 =
-        test::evaluate(circ, utils, {45.0, 20.0}, 20.0).pump_power_w;
-    double p100 =
-        test::evaluate(circ, utils, {45.0, 100.0}, 20.0).pump_power_w;
+    double p20 = test::evaluate(circ, utils, {45.0, 20.0}).pump_power_w;
+    double p100 = test::evaluate(circ, utils, {45.0, 100.0}).pump_power_w;
     // Strip the constant standby floor: the dynamic part follows the
     // cubic affinity law, so 5x the flow costs 125x the shaft power.
     double floor = 10.0 * hydraulic::Pump().params().idle_power_w;
@@ -122,9 +114,9 @@ TEST(CirculationTest, PumpPowerGrowsCubicallyWithFlow)
 
 TEST(CirculationTest, RejectsWrongUtilCount)
 {
-    Circulation circ(2);
-    EXPECT_THROW(test::evaluate(circ, {0.5}, {45.0, 50.0}, 20.0), Error);
-    EXPECT_THROW(Circulation(0), Error);
+    Datacenter circ = test::oneLoop(2);
+    EXPECT_THROW(test::evaluate(circ, {0.5}, {45.0, 50.0}), Error);
+    EXPECT_THROW(test::oneLoop(0), Error);
 }
 
 // ------------------------------------------------------------ datacenter
@@ -163,8 +155,9 @@ TEST(DatacenterTest, CirculationUtilsSliceCorrectly)
     DatacenterState st;
     dc.evaluateInto(utils, settings, nullptr, st);
     ASSERT_EQ(st.circulations.size(), 3u);
-    EXPECT_EQ(st.circulations[1].servers.util,
-              (std::vector<double>{0.2, 0.3}));
+    EXPECT_EQ(st.circulations[1].offset, 2u);
+    EXPECT_EQ(st.circulations[1].count, 2u);
+    EXPECT_EQ(st.servers.util, utils);
     EXPECT_THROW(dc.evaluateInto({0.1}, settings, nullptr, st), Error);
 }
 

@@ -436,11 +436,12 @@ TEST(ThermalBalancerTest, OperatorDrainEvacuatesCirculation)
     EXPECT_EQ(bal.stats().active_drains, 1u);
 
     // The drained circulation's servers really run empty.
-    const std::vector<double> &drained_utils =
-        session.lastState().circulations[2].servers.util;
-    ASSERT_EQ(drained_utils.size(), sys.datacenter().circulationSize(2));
-    for (double u : drained_utils)
-        EXPECT_NEAR(u, 0.0, 1e-12);
+    const cluster::DatacenterState &last = session.lastState();
+    const cluster::CirculationState &drained = last.circulations[2];
+    ASSERT_EQ(drained.count, sys.datacenter().circulationSize(2));
+    for (size_t i = drained.offset; i < drained.offset + drained.count;
+         ++i)
+        EXPECT_NEAR(last.servers.util[i], 0.0, 1e-12);
 
     // Releasing the drain returns the circulation to service.
     bal.cancelDrain(2);

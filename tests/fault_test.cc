@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cluster/circulation.h"
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
 #include "core/h2p_system.h"
@@ -88,16 +87,14 @@ TEST(ServerHealthTest, ShortedDevicesScalePowerLinearly)
 
 TEST(CirculationHealthTest, DegradedPumpStarvesTheLoop)
 {
-    cluster::Circulation circ(4);
+    cluster::Datacenter circ = test::oneLoop(4);
     std::vector<double> utils(4, 0.6);
     cluster::CoolingSetting setting{40.0, 30.0};
 
     cluster::CirculationHealth h;
     h.pump_flow_factor = 0.3;
-    cluster::CirculationState clean =
-        test::evaluate(circ, utils, setting, 20.0);
-    cluster::CirculationState s =
-        test::evaluate(circ, utils, setting, 20.0, &h);
+    test::LoopState clean = test::evaluate(circ, utils, setting);
+    test::LoopState s = test::evaluate(circ, utils, setting, &h);
 
     EXPECT_NEAR(s.delivered_flow_lph, 0.3 * setting.flow_lph, 1e-12);
     EXPECT_GT(s.max_die_c, clean.max_die_c);
@@ -108,33 +105,32 @@ TEST(CirculationHealthTest, DegradedPumpStarvesTheLoop)
 
 TEST(CirculationHealthTest, DeadPumpLeavesFiniteButUnsafeDies)
 {
-    cluster::Circulation circ(4);
+    cluster::Datacenter circ = test::oneLoop(4);
     std::vector<double> utils(4, 0.8);
     cluster::CoolingSetting setting{40.0, 30.0};
 
     cluster::CirculationHealth h;
     h.pump_flow_factor = 0.0;
-    cluster::CirculationState s =
-        test::evaluate(circ, utils, setting, 20.0, &h);
+    test::LoopState s = test::evaluate(circ, utils, setting, &h);
 
     EXPECT_DOUBLE_EQ(s.delivered_flow_lph, 0.0);
     // The stagnant-flow clamp keeps the steady-state model finite;
     // the dies still run far past the vendor maximum.
     EXPECT_TRUE(std::isfinite(s.max_die_c));
     EXPECT_GT(s.max_die_c,
-              circ.server().params().thermal.max_operating_c);
+              circ.params().server.thermal.max_operating_c);
     EXPECT_FALSE(s.all_safe);
 }
 
 TEST(CirculationHealthTest, CleanHealthMatchesHealthyEvaluation)
 {
-    cluster::Circulation circ(3);
+    cluster::Datacenter circ = test::oneLoop(3);
     std::vector<double> utils{0.2, 0.5, 0.9};
     cluster::CoolingSetting setting{44.0, 25.0};
     const cluster::CirculationHealth clean_health;
-    cluster::CirculationState a = test::evaluate(circ, utils, setting, 20.0);
-    cluster::CirculationState b =
-        test::evaluate(circ, utils, setting, 20.0, &clean_health);
+    test::LoopState a = test::evaluate(circ, utils, setting);
+    test::LoopState b =
+        test::evaluate(circ, utils, setting, &clean_health);
     EXPECT_DOUBLE_EQ(a.teg_power_w, b.teg_power_w);
     EXPECT_DOUBLE_EQ(a.max_die_c, b.max_die_c);
     EXPECT_DOUBLE_EQ(a.pump_power_w, b.pump_power_w);

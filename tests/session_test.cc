@@ -857,14 +857,15 @@ expectSameState(const cluster::DatacenterState &a,
         EXPECT_EQ(x.faulted_servers, y.faulted_servers);
         EXPECT_TRUE(sameBits(x.teg_power_lost_w, y.teg_power_lost_w));
         EXPECT_EQ(x.all_safe, y.all_safe);
-        expectSameVector(x.servers.util, y.servers.util, "util");
-        expectSameVector(x.servers.die_temp_c, y.servers.die_temp_c,
-                         "die_temp_c");
-        expectSameVector(x.servers.teg_power_w, y.servers.teg_power_w,
-                         "teg_power_w");
-        expectSameVector(x.servers.outlet_c, y.servers.outlet_c,
-                         "outlet_c");
+        EXPECT_EQ(x.offset, y.offset);
+        EXPECT_EQ(x.count, y.count);
     }
+    expectSameVector(a.servers.util, b.servers.util, "util");
+    expectSameVector(a.servers.die_temp_c, b.servers.die_temp_c,
+                     "die_temp_c");
+    expectSameVector(a.servers.teg_power_w, b.servers.teg_power_w,
+                     "teg_power_w");
+    expectSameVector(a.servers.outlet_c, b.servers.outlet_c, "outlet_c");
 }
 
 TEST(SessionTest, EvaluateStepMatchesFirstSessionStep)

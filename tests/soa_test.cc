@@ -6,8 +6,8 @@
  * vectorized block — clean or faulted — must reproduce the scalar
  * Server::evaluate chain double for double. The reference here IS
  * that scalar path (Server stays in production for look-up-space
- * construction), driven with the same flow semantics Circulation
- * applies, and every comparison is on raw bits.
+ * construction), driven with the same flow semantics Datacenter
+ * applies per circulation, and every comparison is on raw bits.
  */
 
 #include <bit>
@@ -19,12 +19,13 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/circulation.h"
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
 #include "cluster/server_block.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
+#include "hydraulic/plant.h"
+#include "hydraulic/pump.h"
 #include "tests/support/evaluate.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
@@ -61,8 +62,8 @@ expectSameServerState(const ServerState &ref, const ServerState &got,
 
 /**
  * The scalar reference for one circulation: Server::evaluate per
- * lane with Circulation's flow semantics, reductions in strict index
- * order — exactly the pre-SoA evaluateInto.
+ * lane with Datacenter's per-circulation flow semantics, reductions
+ * in strict index order — exactly the pre-SoA evaluation.
  */
 struct RefCirculation
 {
@@ -73,34 +74,50 @@ struct RefCirculation
     double heat_w = 0.0;
     double return_c = 0.0;
     double max_die_c = 0.0;
+    double delivered_flow_lph = 0.0;
+    double pump_power_w = 0.0;
     size_t faulted_servers = 0;
     bool all_safe = true;
 };
 
+/**
+ * @p utils through @p dc's server model at @p setting and @p dc's
+ * cold source. The pump derate and the stagnant-flow floor apply only
+ * under a non-clean @p health, as in Datacenter: null and clean
+ * health are the healthy evaluation at the commanded flow.
+ */
 RefCirculation
-refEvaluate(const Server &server, const std::vector<double> &utils,
-            const CoolingSetting &setting, double t_cold_c,
+refEvaluate(const Datacenter &dc, const std::vector<double> &utils,
+            const CoolingSetting &setting,
             const CirculationHealth *health)
 {
+    const Server server(dc.params().server);
+    const double t_cold_c = dc.params().cold_source_c;
+    const bool degraded = health != nullptr && !health->clean();
     RefCirculation ref;
-    double thermal_flow = setting.flow_lph;
-    if (health != nullptr)
-        thermal_flow =
-            std::max(setting.flow_lph * health->pump_flow_factor,
-                     Circulation::kStagnantFlowLph);
+    ref.delivered_flow_lph = setting.flow_lph;
+    double flow = setting.flow_lph;
+    if (degraded) {
+        ref.delivered_flow_lph =
+            setting.flow_lph * health->pump_flow_factor;
+        flow = std::max(ref.delivered_flow_lph,
+                        Datacenter::kStagnantFlowLph);
+    }
+    ref.pump_power_w =
+        hydraulic::Pump(dc.params().pump).power(ref.delivered_flow_lph) *
+        static_cast<double>(utils.size());
 
     double sum_outlet = 0.0;
     for (size_t i = 0; i < utils.size(); ++i) {
         ServerState s;
-        if (health != nullptr && health->hasServerLanes())
-            s = server.evaluate(utils[i], thermal_flow, setting.t_in_c,
-                                t_cold_c, health->server(i));
-        else if (health != nullptr)
-            s = server.evaluate(utils[i], thermal_flow, setting.t_in_c,
-                                t_cold_c, ServerHealth{});
+        if (degraded && health->hasServerLanes())
+            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
+                                health->server(i));
+        else if (degraded)
+            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
+                                ServerHealth{});
         else
-            s = server.evaluate(utils[i], setting.flow_lph,
-                                setting.t_in_c, t_cold_c);
+            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c);
         ref.cpu_power_w += s.cpu_power_w;
         ref.teg_power_w += s.teg_power_w;
         ref.teg_power_lost_w += s.teg_power_lost_w;
@@ -113,26 +130,39 @@ refEvaluate(const Server &server, const std::vector<double> &utils,
         ref.servers.push_back(s);
     }
     ref.return_c = sum_outlet / static_cast<double>(utils.size());
-    if (health != nullptr && health->pump_flow_factor < 1.0)
+    if (degraded && health->pump_flow_factor < 1.0)
         ref.faulted_servers = utils.size();
     return ref;
 }
 
+/** @p got and its segment of @p servers against @p ref, bitwise. */
 void
 expectSameCirculation(const RefCirculation &ref,
-                      const CirculationState &got)
+                      const CirculationState &got,
+                      const ServerStateBlock &servers)
 {
-    ASSERT_EQ(ref.servers.size(), got.servers.size());
-    for (size_t i = 0; i < ref.servers.size(); ++i)
-        expectSameServerState(ref.servers[i], got.servers[i], i);
+    ASSERT_EQ(ref.servers.size(), got.count);
+    ASSERT_LE(got.offset + got.count, servers.size());
+    for (size_t i = 0; i < got.count; ++i)
+        expectSameServerState(ref.servers[i], servers[got.offset + i],
+                              got.offset + i);
     EXPECT_TRUE(sameBits(ref.cpu_power_w, got.cpu_power_w));
     EXPECT_TRUE(sameBits(ref.teg_power_w, got.teg_power_w));
     EXPECT_TRUE(sameBits(ref.teg_power_lost_w, got.teg_power_lost_w));
     EXPECT_TRUE(sameBits(ref.heat_w, got.heat_w));
     EXPECT_TRUE(sameBits(ref.return_c, got.return_c));
     EXPECT_TRUE(sameBits(ref.max_die_c, got.max_die_c));
+    EXPECT_TRUE(
+        sameBits(ref.delivered_flow_lph, got.delivered_flow_lph));
+    EXPECT_TRUE(sameBits(ref.pump_power_w, got.pump_power_w));
     EXPECT_EQ(ref.faulted_servers, got.faulted_servers);
     EXPECT_EQ(ref.all_safe, got.all_safe);
+}
+
+void
+expectSameCirculation(const RefCirculation &ref, const test::LoopState &got)
+{
+    expectSameCirculation(ref, got, got.servers);
 }
 
 std::vector<double>
@@ -146,35 +176,94 @@ spreadUtils(size_t n)
     return utils;
 }
 
+/**
+ * Every circulation of @p dc against the scalar reference on its
+ * segment of the fleet block, and the datacenter totals against the
+ * reference circulations summed in circulation order.
+ */
+void
+expectFleetMatchesReference(const Datacenter &dc,
+                            const std::vector<double> &utils,
+                            const std::vector<CoolingSetting> &settings,
+                            const DatacenterHealth *health)
+{
+    DatacenterState got;
+    dc.evaluateInto(utils, settings, health, got);
+    ASSERT_EQ(got.circulations.size(), dc.numCirculations());
+    ASSERT_EQ(got.servers.size(), dc.numServers());
+
+    const bool clean = health == nullptr || health->clean();
+    const hydraulic::FacilityPlant plant(dc.params().plant);
+    RefCirculation total;
+    size_t offset = 0;
+    for (size_t c = 0; c < dc.numCirculations(); ++c) {
+        SCOPED_TRACE("circulation " + std::to_string(c));
+        const size_t n = dc.circulationSize(c);
+        const CirculationState &cs = got.circulations[c];
+        EXPECT_EQ(cs.offset, offset);
+
+        CoolingSetting setting = settings[c];
+        const CirculationHealth *ch = nullptr;
+        if (!clean) {
+            setting.t_in_c =
+                plant.achievableSupply(setting.t_in_c, health->plant);
+            if (!health->circulations.empty())
+                ch = &health->circulations[c];
+        }
+        EXPECT_TRUE(sameBits(cs.setting.t_in_c, setting.t_in_c));
+
+        const std::vector<double> segment(utils.begin() + offset,
+                                          utils.begin() + offset + n);
+        const RefCirculation ref = refEvaluate(dc, segment, setting, ch);
+        expectSameCirculation(ref, cs, got.servers);
+
+        total.cpu_power_w += ref.cpu_power_w;
+        total.teg_power_w += ref.teg_power_w;
+        total.teg_power_lost_w += ref.teg_power_lost_w;
+        total.heat_w += ref.heat_w;
+        total.pump_power_w += ref.pump_power_w;
+        total.faulted_servers += ref.faulted_servers;
+        total.all_safe = total.all_safe && ref.all_safe;
+        offset += n;
+    }
+    EXPECT_EQ(offset, dc.numServers());
+    EXPECT_TRUE(sameBits(total.cpu_power_w, got.cpu_power_w));
+    EXPECT_TRUE(sameBits(total.teg_power_w, got.teg_power_w));
+    EXPECT_TRUE(sameBits(total.teg_power_lost_w, got.teg_power_lost_w));
+    EXPECT_TRUE(sameBits(total.heat_w, got.heat_w));
+    EXPECT_TRUE(sameBits(total.pump_power_w, got.pump_power_w));
+    EXPECT_EQ(total.faulted_servers, got.faulted_servers);
+    EXPECT_EQ(total.all_safe, got.all_safe);
+}
+
 // ------------------------------------------------- clean bit identity
 
 TEST(SoaKernelTest, CleanMatchesScalarServerBitwise)
 {
     const size_t n = 7;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
 
     for (const CoolingSetting &setting :
          {CoolingSetting{45.0, 50.0}, CoolingSetting{30.0, 12.0},
           CoolingSetting{55.0, 118.0}}) {
-        CirculationState got = test::evaluate(circ, utils, setting, 20.0);
-        RefCirculation ref =
-            refEvaluate(circ.server(), utils, setting, 20.0, nullptr);
+        test::LoopState got = test::evaluate(loop, utils, setting);
+        RefCirculation ref = refEvaluate(loop, utils, setting, nullptr);
         expectSameCirculation(ref, got);
     }
 }
 
-TEST(SoaKernelTest, CleanHealthTakesTheCleanKernel)
+TEST(SoaKernelTest, CleanHealthMatchesNullHealthBitwise)
 {
     const size_t n = 5;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{45.0, 50.0};
 
     CirculationHealth clean_health; // default: pristine loop
-    CirculationState with =
-        test::evaluate(circ, utils, setting, 20.0, &clean_health);
-    CirculationState without = test::evaluate(circ, utils, setting, 20.0);
+    test::LoopState with =
+        test::evaluate(loop, utils, setting, &clean_health);
+    test::LoopState without = test::evaluate(loop, utils, setting);
     ASSERT_EQ(with.servers.size(), without.servers.size());
     for (size_t i = 0; i < n; ++i)
         expectSameServerState(without.servers[i], with.servers[i], i);
@@ -182,12 +271,63 @@ TEST(SoaKernelTest, CleanHealthTakesTheCleanKernel)
     EXPECT_EQ(with.faulted_servers, 0u);
 }
 
+TEST(SoaKernelTest, LowCommandedFlowFloorsOnlyUnderNonCleanHealth)
+{
+    // Below the stagnant-flow floor the healthy evaluation keeps the
+    // commanded flow; only a non-clean loop health floors the thermal
+    // flow.
+    const size_t n = 4;
+    Datacenter loop = test::oneLoop(n);
+    std::vector<double> utils = spreadUtils(n);
+    const CoolingSetting setting{45.0, 1.5};
+    ASSERT_LT(setting.flow_lph, Datacenter::kStagnantFlowLph);
+
+    const CirculationHealth clean_health;
+    CirculationHealth fouled;
+    fouled.resizeServers(n);
+    fouled.fouling_kpw[2] = 0.1;
+
+    test::LoopState null_got = test::evaluate(loop, utils, setting);
+    test::LoopState clean_got =
+        test::evaluate(loop, utils, setting, &clean_health);
+    test::LoopState fouled_got =
+        test::evaluate(loop, utils, setting, &fouled);
+    expectSameCirculation(refEvaluate(loop, utils, setting, nullptr),
+                          null_got);
+    expectSameCirculation(
+        refEvaluate(loop, utils, setting, &clean_health), clean_got);
+    expectSameCirculation(refEvaluate(loop, utils, setting, &fouled),
+                          fouled_got);
+
+    for (size_t i = 0; i < n; ++i)
+        expectSameServerState(null_got.servers[i], clean_got.servers[i],
+                              i);
+    // The fouled loop's clean lanes run at the floored flow: cooler
+    // than at the commanded 1.5 L/H, while the pump delivers 1.5.
+    EXPECT_LT(fouled_got.servers[0].die_temp_c,
+              null_got.servers[0].die_temp_c);
+    EXPECT_TRUE(sameBits(fouled_got.delivered_flow_lph, 1.5));
+    EXPECT_EQ(fouled_got.faulted_servers, 1u);
+
+    // A clean loop keeps the commanded flow also when the fouled loop
+    // next to it makes the datacenter's health non-clean.
+    DatacenterParams p;
+    p.num_servers = 2 * n;
+    p.servers_per_circulation = n;
+    const Datacenter two_loops(p);
+    const std::vector<CoolingSetting> settings(2, setting);
+    DatacenterHealth health;
+    health.circulations = {clean_health, fouled};
+    expectFleetMatchesReference(two_loops, spreadUtils(2 * n), settings,
+                                &health);
+}
+
 // ----------------------------------------------- faulted bit identity
 
 TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
 {
     const size_t n = 6;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{45.0, 50.0};
 
@@ -196,9 +336,8 @@ TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
     health.fouling_kpw[1] = 0.08;
     health.fouling_kpw[4] = 0.25;
 
-    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
-    RefCirculation ref =
-        refEvaluate(circ.server(), utils, setting, 20.0, &health);
+    test::LoopState got = test::evaluate(loop, utils, setting, &health);
+    RefCirculation ref = refEvaluate(loop, utils, setting, &health);
     expectSameCirculation(ref, got);
     EXPECT_EQ(got.faulted_servers, 2u);
 }
@@ -206,7 +345,7 @@ TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
 TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
 {
     const size_t n = 6;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{48.0, 40.0};
 
@@ -216,9 +355,8 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     health.tegs_shorted[2] = 3;
     health.tegs_shorted[5] = 100; // more shorts than devices
 
-    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
-    RefCirculation ref =
-        refEvaluate(circ.server(), utils, setting, 20.0, &health);
+    test::LoopState got = test::evaluate(loop, utils, setting, &health);
+    RefCirculation ref = refEvaluate(loop, utils, setting, &health);
     expectSameCirculation(ref, got);
 
     // The open string harvests nothing; its healthy output is lost.
@@ -229,17 +367,15 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
 TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
 {
     const size_t n = 4;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{45.0, 50.0};
 
     for (double factor : {0.4, 0.0}) {
         CirculationHealth health;
         health.pump_flow_factor = factor;
-        CirculationState got =
-            test::evaluate(circ, utils, setting, 20.0, &health);
-        RefCirculation ref =
-            refEvaluate(circ.server(), utils, setting, 20.0, &health);
+        test::LoopState got = test::evaluate(loop, utils, setting, &health);
+        RefCirculation ref = refEvaluate(loop, utils, setting, &health);
         expectSameCirculation(ref, got);
         // A degraded pump faults the whole loop.
         EXPECT_EQ(got.faulted_servers, n);
@@ -249,7 +385,7 @@ TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
 TEST(SoaKernelTest, MixedFaultsOnOneLaneMatchScalar)
 {
     const size_t n = 3;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{45.0, 50.0};
 
@@ -260,20 +396,19 @@ TEST(SoaKernelTest, MixedFaultsOnOneLaneMatchScalar)
     health.teg_open[1] = 1;
     health.tegs_shorted[2] = 2;
 
-    CirculationState got = test::evaluate(circ, utils, setting, 20.0, &health);
-    RefCirculation ref =
-        refEvaluate(circ.server(), utils, setting, 20.0, &health);
+    test::LoopState got = test::evaluate(loop, utils, setting, &health);
+    RefCirculation ref = refEvaluate(loop, utils, setting, &health);
     expectSameCirculation(ref, got);
 }
 
 TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
 {
     const size_t n = 3;
-    Circulation circ(n);
+    Datacenter loop = test::oneLoop(n);
     CoolingSetting setting{45.0, 50.0};
 
-    EXPECT_THROW(test::evaluate(circ, {0.5, 1.5, 0.5}, setting, 20.0), Error);
-    EXPECT_THROW(test::evaluate(circ, {0.5, -0.1, 0.5}, setting, 20.0), Error);
+    EXPECT_THROW(test::evaluate(loop, {0.5, 1.5, 0.5}, setting), Error);
+    EXPECT_THROW(test::evaluate(loop, {0.5, -0.1, 0.5}, setting), Error);
 
     // Negative fouling only rejects on a lane that is degraded some
     // other way — mirroring ServerHealth::clean(), which treats
@@ -282,14 +417,14 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     negative_clean.pump_flow_factor = 0.9; // forces the faulted path
     negative_clean.resizeServers(n);
     negative_clean.fouling_kpw[1] = -0.5;
-    EXPECT_NO_THROW(test::evaluate(circ, {0.5, 0.5, 0.5}, setting, 20.0,
-                                   &negative_clean));
+    EXPECT_NO_THROW(
+        test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &negative_clean));
 
     CirculationHealth negative_faulted = negative_clean;
     negative_faulted.teg_open[1] = 1;
-    EXPECT_THROW(test::evaluate(circ, {0.5, 0.5, 0.5}, setting, 20.0,
-                                &negative_faulted),
-                 Error);
+    EXPECT_THROW(
+        test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &negative_faulted),
+        Error);
 }
 
 // --------------------------------------------- randomized property
@@ -309,18 +444,16 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
 
     for (int trial = 0; trial < 50; ++trial) {
         const size_t n = n_d(rng);
-        Circulation circ(n);
         std::vector<double> utils(n);
         for (double &u : utils)
             u = util_d(rng);
         CoolingSetting setting{tin_d(rng), flow_d(rng)};
         const double t_cold = cold_d(rng);
+        Datacenter loop = test::oneLoop(n, t_cold);
 
         if (coin(rng) == 0) {
-            CirculationState got =
-                test::evaluate(circ, utils, setting, t_cold);
-            RefCirculation ref = refEvaluate(circ.server(), utils,
-                                             setting, t_cold, nullptr);
+            test::LoopState got = test::evaluate(loop, utils, setting);
+            RefCirculation ref = refEvaluate(loop, utils, setting, nullptr);
             expectSameCirculation(ref, got);
             continue;
         }
@@ -336,11 +469,59 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
             health.teg_open[i] = coin(rng) == 0 ? 1 : 0;
             health.tegs_shorted[i] = shorted_d(rng);
         }
-        CirculationState got =
-            test::evaluate(circ, utils, setting, t_cold, &health);
-        RefCirculation ref = refEvaluate(circ.server(), utils, setting,
-                                         t_cold, &health);
+        test::LoopState got = test::evaluate(loop, utils, setting, &health);
+        RefCirculation ref = refEvaluate(loop, utils, setting, &health);
         expectSameCirculation(ref, got);
+    }
+}
+
+// ---------------------------------------------- short last loop
+
+TEST(SoaKernelTest, ShortLastLoopMatchesScalarBitwise)
+{
+    struct Fleet
+    {
+        size_t servers;
+        size_t per_loop;
+        size_t tail;
+    };
+    for (const Fleet &f : {Fleet{103, 10, 3}, Fleet{41, 20, 1}}) {
+        SCOPED_TRACE(std::to_string(f.servers) + " servers");
+        DatacenterParams p;
+        p.num_servers = f.servers;
+        p.servers_per_circulation = f.per_loop;
+        Datacenter dc(p);
+        const size_t loops = dc.numCirculations();
+        ASSERT_EQ(dc.circulationSize(loops - 1), f.tail);
+
+        // Supplies below the free-cooling limit, so that a chiller
+        // outage warms every loop.
+        const double limit =
+            hydraulic::FacilityPlant(p.plant).freeCoolingLimit();
+        std::vector<CoolingSetting> settings(loops);
+        for (size_t c = 0; c < loops; ++c)
+            settings[c] = {limit - 1.0 - 0.5 * static_cast<double>(c),
+                           20.0 + 7.0 * static_cast<double>(c)};
+        const std::vector<double> utils = spreadUtils(f.servers);
+
+        {
+            SCOPED_TRACE("clean");
+            expectFleetMatchesReference(dc, utils, settings, nullptr);
+        }
+
+        DatacenterHealth health;
+        health.plant.chiller_out = true;
+        health.circulations.resize(loops);
+        health.circulations.back().pump_flow_factor = 0.35;
+        CirculationHealth &middle = health.circulations[loops / 2];
+        middle.resizeServers(f.per_loop);
+        middle.fouling_kpw[1] = 0.12;
+        middle.teg_open[3] = 1;
+        middle.tegs_shorted[5] = 4;
+        {
+            SCOPED_TRACE("faulted");
+            expectFleetMatchesReference(dc, utils, settings, &health);
+        }
     }
 }
 
@@ -348,9 +529,8 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
 
 TEST(SoaKernelTest, StateBlockAccessorsMaterializeAndRangeCheck)
 {
-    Circulation circ(3);
-    CirculationState cs =
-        test::evaluate(circ, {0.2, 0.5, 0.8}, {45.0, 50.0}, 20.0);
+    Datacenter loop = test::oneLoop(3);
+    test::LoopState cs = test::evaluate(loop, {0.2, 0.5, 0.8}, {45.0, 50.0});
 
     std::vector<ServerState> aos;
     cs.servers.materializeInto(aos);
