@@ -132,7 +132,8 @@ BENCHMARK(BM_KernelServerScalarUnhoisted)->Arg(1024);
 
 /**
  * Hoisted SoA block (ServerBlock::evaluate with null fault lanes):
- * coefficients once, then vectorizable passes.
+ * coefficients once, then vectorizable passes and the index-ordered
+ * closing pass that returns the totals.
  */
 void
 BM_KernelServerBlockHoisted(benchmark::State &state)
@@ -148,9 +149,8 @@ BM_KernelServerBlockHoisted(benchmark::State &state)
     for (auto _ : state) {
         cluster::ServerBlock::Coeffs c =
             block.coefficients(50.0, 45.0, 20.0);
-        block.evaluate(utils.data(), n, c, {}, out, 0);
         benchmark::DoNotOptimize(
-            cluster::ServerBlock::reduce(out, 0, n));
+            block.evaluate(utils.data(), n, c, {}, out, 0));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n));
@@ -221,8 +221,13 @@ BM_DatacenterStep(benchmark::State &state)
     std::vector<double> utils(params.num_servers, 0.35);
     std::vector<cluster::CoolingSetting> settings(
         dc.numCirculations(), cluster::CoolingSetting{48.0, 60.0});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dc.evaluate(utils, settings));
+    // Into reused state, as the simulation step runs it: evaluate()
+    // would allocate the fleet block every iteration.
+    cluster::DatacenterState out;
+    for (auto _ : state) {
+        dc.evaluateInto(utils, settings, nullptr, out);
+        benchmark::DoNotOptimize(out.teg_power_w);
+    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(params.num_servers));
 }

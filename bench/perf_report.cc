@@ -447,56 +447,66 @@ main()
     // from a cheap deterministic hash pattern — generating a 64k-server
     // trace through TraceGenerator would dwarf the measured loop — and
     // every timed evaluation into the reused state must reproduce the
-    // first evaluation's totals bitwise.
+    // first evaluation's totals bitwise. Each size runs twice: every
+    // loop at one shared flow (loops reuse one coefficient hoist) and
+    // loop k at its own flow (every loop re-hoists, the worst case).
     struct FleetRow
     {
         size_t servers = 0;
+        bool distinct_flows = false;
         double eval_ns = 0.0;
         bool identical = true;
     };
     std::vector<FleetRow> fleet_rows;
     TablePrinter fleet_table(
         "Fleet-scale SoA step evaluation (evaluate only)");
-    fleet_table.setHeader({"servers", "eval us", "ns/server/step",
-                           "bit-identical"});
+    fleet_table.setHeader({"servers", "distinct flows", "eval us",
+                           "ns/server/step", "bit-identical"});
     for (size_t servers :
          {size_t{4096}, size_t{16384}, size_t{65536}}) {
-        cluster::DatacenterParams dp;
-        dp.num_servers = servers;
-        dp.servers_per_circulation = 64;
-        cluster::Datacenter dc(dp);
+        for (bool distinct_flows : {false, true}) {
+            cluster::DatacenterParams dp;
+            dp.num_servers = servers;
+            dp.servers_per_circulation = 64;
+            cluster::Datacenter dc(dp);
 
-        std::vector<double> utils(servers);
-        for (size_t i = 0; i < servers; ++i) {
-            // Knuth multiplicative hash -> [0.05, 0.95].
-            uint32_t h = static_cast<uint32_t>(i) * 2654435761u;
-            utils[i] =
-                0.05 + 0.9 * static_cast<double>(h >> 8) /
-                           static_cast<double>(1u << 24);
-        }
-        std::vector<cluster::CoolingSetting> fleet_settings(
-            dc.numCirculations(), cluster::CoolingSetting{45.0, 50.0});
+            std::vector<double> utils(servers);
+            for (size_t i = 0; i < servers; ++i) {
+                // Knuth multiplicative hash -> [0.05, 0.95].
+                uint32_t h = static_cast<uint32_t>(i) * 2654435761u;
+                utils[i] =
+                    0.05 + 0.9 * static_cast<double>(h >> 8) /
+                               static_cast<double>(1u << 24);
+            }
+            std::vector<cluster::CoolingSetting> fleet_settings(
+                dc.numCirculations(), cluster::CoolingSetting{45.0, 50.0});
+            if (distinct_flows)
+                for (size_t k = 0; k < fleet_settings.size(); ++k)
+                    fleet_settings[k].flow_lph =
+                        20.0 + 0.1 * static_cast<double>(k);
 
-        cluster::DatacenterState fleet_state;
-        dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
-        const double first_teg = fleet_state.teg_power_w;
-        const double first_heat = fleet_state.heat_w;
-
-        FleetRow row;
-        row.servers = servers;
-        row.eval_ns = nsPerOp([&] {
+            cluster::DatacenterState fleet_state;
             dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
-            g_sink = g_sink + fleet_state.teg_power_w;
-        });
-        row.identical = fleet_state.teg_power_w == first_teg &&
-                        fleet_state.heat_w == first_heat;
-        fleet_rows.push_back(row);
-        fleet_table.addRow(
-            strings::fixed(static_cast<double>(servers), 0),
-            {row.eval_ns / 1e3,
-             row.eval_ns / static_cast<double>(servers),
-             row.identical ? 1.0 : 0.0},
-            2);
+            const double first_teg = fleet_state.teg_power_w;
+            const double first_heat = fleet_state.heat_w;
+
+            FleetRow row;
+            row.servers = servers;
+            row.distinct_flows = distinct_flows;
+            row.eval_ns = nsPerOp([&] {
+                dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
+                g_sink = g_sink + fleet_state.teg_power_w;
+            });
+            row.identical = fleet_state.teg_power_w == first_teg &&
+                            fleet_state.heat_w == first_heat;
+            fleet_rows.push_back(row);
+            fleet_table.addRow(
+                strings::fixed(static_cast<double>(servers), 0),
+                {distinct_flows ? 1.0 : 0.0, row.eval_ns / 1e3,
+                 row.eval_ns / static_cast<double>(servers),
+                 row.identical ? 1.0 : 0.0},
+                2);
+        }
     }
     fleet_table.print(std::cout);
 
@@ -755,6 +765,8 @@ main()
     for (size_t i = 0; i < fleet_rows.size(); ++i) {
         const FleetRow &r = fleet_rows[i];
         json << "    {\"servers\": " << r.servers
+             << ", \"distinct_flows\": "
+             << (r.distinct_flows ? "true" : "false")
              << ", \"eval_ns\": " << jsonNum(r.eval_ns)
              << ", \"ns_per_server\": "
              << jsonNum(r.eval_ns / static_cast<double>(r.servers))

@@ -72,46 +72,44 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     expect(settings.size() == num_circ, "expected ", num_circ,
            " cooling settings, got ", settings.size());
 
-    const bool clean = health == nullptr || health->clean();
-    if (!clean) {
-        expect(health->circulations.empty() ||
-                   health->circulations.size() == num_circ,
-               "expected ", num_circ, " circulation healths, got ",
+    const bool per_loop = health != nullptr && !health->circulations.empty();
+    if (per_loop)
+        expect(health->circulations.size() == num_circ, "expected ",
+               num_circ, " circulation healths, got ",
                health->circulations.size());
-    }
 
     out.circulations.resize(num_circ);
     out.servers.resize(params_.num_servers);
-
-    for (size_t i = 0; i < num_circ; ++i) {
-        CoolingSetting setting = settings[i];
-        const CirculationHealth *ch = nullptr;
-        if (!clean) {
-            if (!health->circulations.empty())
-                ch = &health->circulations[i];
-            // A plant outage warms the supply every loop actually gets.
-            setting.t_in_c =
-                plant_.achievableSupply(setting.t_in_c, health->plant);
-        }
-        evaluateCirculation(i, utils.data(), setting, ch, out);
-    }
-
-    // Reduce in circulation order.
     out.cpu_power_w = 0.0;
     out.teg_power_w = 0.0;
     out.heat_w = 0.0;
     out.pump_power_w = 0.0;
-    out.plant_power_w = 0.0;
     out.faulted_servers = 0;
     out.teg_power_lost_w = 0.0;
     out.plant_degraded = false;
     out.all_safe = true;
 
+    // The run is clean when the plant and every loop are; each loop
+    // reports its own verdict, so every fault lane is scanned once.
+    const bool plant_clean = health == nullptr || health->plant.clean();
+    bool clean = plant_clean;
+    // One coefficient hoist per distinct thermal flow: the default
+    // Coeffs (flow 0) matches no valid flow, so the first loop hoists.
+    ServerBlock::Coeffs coeffs;
     double total_flow_lph = 0.0;
     double min_supply_c = 1e9;
     for (size_t i = 0; i < num_circ; ++i) {
+        CoolingSetting setting = settings[i];
+        // A plant outage warms the supply every loop actually gets.
+        if (!plant_clean)
+            setting.t_in_c =
+                plant_.achievableSupply(setting.t_in_c, health->plant);
+        const CirculationHealth *ch =
+            per_loop ? &health->circulations[i] : nullptr;
+        clean &= evaluateCirculation(i, utils.data(), setting, ch, coeffs,
+                                     out);
+
         const CirculationState &cs = out.circulations[i];
-        const double n = static_cast<double>(circulation_sizes_[i]);
         out.cpu_power_w += cs.cpu_power_w;
         out.teg_power_w += cs.teg_power_w;
         out.teg_power_lost_w += cs.teg_power_lost_w;
@@ -119,9 +117,10 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
         out.pump_power_w += cs.pump_power_w;
         out.faulted_servers += cs.faulted_servers;
         out.all_safe = out.all_safe && cs.all_safe;
-        out.plant_degraded |= cs.setting.t_in_c != settings[i].t_in_c;
-        total_flow_lph += cs.delivered_flow_lph * n;
-        min_supply_c = std::min(min_supply_c, cs.setting.t_in_c);
+        out.plant_degraded |= setting.t_in_c != settings[i].t_in_c;
+        total_flow_lph +=
+            cs.delivered_flow_lph * static_cast<double>(cs.count);
+        min_supply_c = std::min(min_supply_c, setting.t_in_c);
     }
 
     // The plant must honour the coldest requested supply temperature.
@@ -140,10 +139,11 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     }
 }
 
-void
+bool
 Datacenter::evaluateCirculation(size_t i, const double *utils,
                                 const CoolingSetting &setting,
                                 const CirculationHealth *health,
+                                ServerBlock::Coeffs &coeffs,
                                 DatacenterState &out) const
 {
     const size_t offset = circulation_offsets_[i];
@@ -169,11 +169,14 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
         lanes = health->lanes();
     }
 
-    const ServerBlock::Coeffs c = block_.coefficients(
-        thermal_flow, setting.t_in_c, params_.cold_source_c);
-    block_.evaluate(utils + offset, n, c, lanes, out.servers, offset);
+    if (thermal_flow != coeffs.flow_lph)
+        coeffs = block_.coefficients(thermal_flow, setting.t_in_c,
+                                     params_.cold_source_c);
+    else
+        coeffs.t_in_c = setting.t_in_c;
     const ServerBlock::Totals t =
-        ServerBlock::reduce(out.servers, offset, n);
+        block_.evaluate(utils + offset, n, coeffs, lanes, out.servers,
+                        offset);
 
     CirculationState &cs = out.circulations[i];
     cs.setting = setting;
@@ -197,6 +200,7 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
     // branch flow (a degraded pump still runs its electronics; a dead
     // one idles).
     cs.pump_power_w = pump_.power(hydraulic_flow) * static_cast<double>(n);
+    return !degraded;
 }
 
 } // namespace cluster

@@ -151,7 +151,8 @@ class Datacenter
      * vendor maximum), and per-server faults flow through; a clean
      * @p health reproduces the healthy evaluation exactly.
      * Circulations are evaluated in order and the totals reduced in
-     * circulation order.
+     * circulation order. Consecutive circulations at a bitwise-equal
+     * thermal flow share one coefficient hoist.
      */
     void evaluateInto(const std::vector<double> &utils,
                       const std::vector<CoolingSetting> &settings,
@@ -167,11 +168,14 @@ class Datacenter
     /**
      * Evaluate circulation @p i at @p setting into its segment of
      * out.servers and into out.circulations[i]. @p health null (or
-     * clean) is the healthy evaluation.
+     * clean) is the healthy evaluation. @p coeffs carries the last
+     * hoist, redone only when this loop's thermal flow differs.
+     * Returns whether the loop's health was clean.
      */
-    void evaluateCirculation(size_t i, const double *utils,
+    bool evaluateCirculation(size_t i, const double *utils,
                              const CoolingSetting &setting,
                              const CirculationHealth *health,
+                             ServerBlock::Coeffs &coeffs,
                              DatacenterState &out) const;
 
     DatacenterParams params_;

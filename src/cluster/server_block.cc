@@ -75,7 +75,7 @@ ServerBlock::coefficients(double flow_lph, double t_in_c,
     return c;
 }
 
-void
+ServerBlock::Totals
 ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
                       const ServerHealthLanes &lanes,
                       ServerStateBlock &out, size_t offset) const
@@ -104,14 +104,17 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
     const bool healthy = lanes.allHealthy();
 
     // Pass 1: utilization -> CPU package power (Eq. 20). The log is
-    // the one libm call per server; everything after is straight-line
-    // arithmetic over the arrays.
+    // the one libm call per server, skipped when a server repeats its
+    // predecessor's utilization (a balanced loop; Eq. 20 is pure).
+    // Everything after is straight-line arithmetic over the arrays.
     for (size_t i = 0; i < n; ++i) {
         const double u = utils[i];
         expect(u >= 0.0 && u <= 1.0,
                "utilization must be in [0, 1], got ", u);
         const double p =
-            power_scale_ * std::log(u + power_shift_) + power_offset_;
+            i > 0 && u == utils[i - 1]
+                ? cpu[i - 1]
+                : power_scale_ * std::log(u + power_shift_) + power_offset_;
         expect(p >= 0.0, "dynamic power must be non-negative");
         ou[i] = u;
         cpu[i] = p;
@@ -185,18 +188,19 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
         teg[i] = p;
     }
 
-    // Pass 6: per-lane derating. The healthy module output times
-    // active/count reproduces the scalar faulted path bit for bit;
-    // ratio 1.0 (no TEG fault) and 0.0 (open string) are exact
-    // multipliers, so clean lanes lose exactly +0.0 W. Without lanes
-    // nothing is faulted and nothing is lost.
+    // Closing pass, in strict server-index order: derate faulted lanes
+    // (healthy output times active/count, as the scalar path; the
+    // ratios 1.0 and 0.0 are exact, so clean lanes lose exactly +0.0
+    // W), set the safety flags and accumulate the totals, which must
+    // not depend on how the passes above were vectorized. Without
+    // lanes nothing is faulted or lost; the lost total stays +0.0.
+    Totals t;
     if (healthy) {
-        for (size_t i = 0; i < n; ++i) {
-            lost[i] = 0.0;
-            faulted[i] = 0;
-        }
-    } else {
-        for (size_t i = 0; i < n; ++i) {
+        std::fill(lost, lost + n, 0.0);
+        std::fill(faulted, faulted + n, uint8_t{0});
+    }
+    for (size_t i = 0; i < n; ++i) {
+        if (!healthy) {
             const bool open =
                 lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
             const size_t shorted =
@@ -207,40 +211,17 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
             const double p = teg[i] * ratio;
             lost[i] = teg[i] - p;
             teg[i] = p;
+            t.teg_power_lost_w += lost[i];
+            t.faulted_servers += faulted[i];
         }
-    }
-
-    // Pass 7: safety flags.
-    for (size_t i = 0; i < n; ++i)
-        safe[i] = die[i] <= max_operating_c_ ? 1 : 0;
-}
-
-ServerBlock::Totals
-ServerBlock::reduce(const ServerStateBlock &block, size_t offset,
-                    size_t n)
-{
-    expect(offset + n <= block.size(), "servers [", offset, ", ",
-           offset + n, ") out of range (block has ", block.size(), ")");
-    Totals t;
-    const double *cpu = block.cpu_power_w.data() + offset;
-    const double *teg = block.teg_power_w.data() + offset;
-    const double *lost = block.teg_power_lost_w.data() + offset;
-    const double *heat = block.heat_w.data() + offset;
-    const double *outlet = block.outlet_c.data() + offset;
-    const double *die = block.die_temp_c.data() + offset;
-    const uint8_t *faulted = block.faulted.data() + offset;
-    const uint8_t *safe = block.safe.data() + offset;
-    // Strict index order per accumulator: the totals must not depend
-    // on how the elementwise passes were chunked or vectorized.
-    for (size_t i = 0; i < n; ++i) {
+        const bool ok = die[i] <= max_operating_c_;
+        safe[i] = ok ? 1 : 0;
         t.cpu_power_w += cpu[i];
         t.teg_power_w += teg[i];
-        t.teg_power_lost_w += lost[i];
         t.heat_w += heat[i];
         t.sum_outlet_c += outlet[i];
         t.max_die_c = std::max(t.max_die_c, die[i]);
-        t.all_safe = t.all_safe && safe[i] != 0;
-        t.faulted_servers += faulted[i] != 0 ? 1 : 0;
+        t.all_safe = t.all_safe && ok;
     }
     return t;
 }

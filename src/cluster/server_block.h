@@ -5,21 +5,22 @@
  * The fleet hot path evaluates every server of a circulation through
  * the same model chain — CPU power (Eq. 20), die temperature and
  * advection energy balance (Fig. 9-11), TEG harvest (Eq. 3-7) — at one
- * shared cooling setting. ServerBlock hoists every setting-dependent
- * coefficient once per circulation per step (plate resistance and
- * coolant slope at the commanded flow, the stream capacitance rate,
- * the TEG flow coupling and fit coefficients) and then runs the
- * per-server math as tight passes over contiguous arrays that the
- * compiler can auto-vectorize.
+ * shared cooling setting. ServerBlock hoists every flow-dependent
+ * coefficient (plate resistance and coolant slope at the thermal flow,
+ * the stream capacitance rate, the TEG flow coupling and fit
+ * coefficients) once per distinct flow per step — circulations at the
+ * same flow share one hoist and differ only in their inlet
+ * temperature — and then runs the per-server math as tight passes
+ * over contiguous arrays that the compiler can auto-vectorize.
  *
  * Bit-identity contract: every elementwise expression performs exactly
  * the floating-point operations of the scalar Server::evaluate path on
  * the same values (the build passes -ffp-contract=off, so the compiler
  * fuses no a*b+c into an FMA on either side), and every reduction
- * (sums, hottest die, all-safe) accumulates in server-index order, so
- * a ServerBlock evaluation is bit-identical to looping
- * Server::evaluate — clean and faulted. Tests enforce this
- * (tests/soa_test.cc).
+ * (sums, hottest die, all-safe) accumulates in server-index order in
+ * the kernel's closing pass, so a ServerBlock evaluation is
+ * bit-identical to looping Server::evaluate — clean and faulted.
+ * Tests enforce this (tests/soa_test.cc).
  */
 
 #ifndef H2P_CLUSTER_SERVER_BLOCK_H_
@@ -106,8 +107,10 @@ class ServerBlock
 
     /**
      * Everything in the per-server math that depends only on the
-     * shared cooling setting and cold-source temperature, computed
-     * once per circulation per step.
+     * shared cooling setting and cold-source temperature. The flow
+     * terms (cpu, teg) are a pure function of flow_lph, so a caller
+     * may keep one Coeffs across circulations at a bitwise-equal flow
+     * and update only t_in_c.
      */
     struct Coeffs
     {
@@ -122,22 +125,7 @@ class ServerBlock
     Coeffs coefficients(double flow_lph, double t_in_c,
                         double t_cold_c) const;
 
-    /**
-     * Evaluate @p n servers at one cooling setting: utils[0..n)
-     * through the full model chain into out[offset, offset + n), a
-     * range @p out must already hold. Null @p lanes (allHealthy())
-     * are the healthy evaluation, bit-identical to
-     * Server::evaluate(util, flow, t_in, t_cold) per server. Present
-     * lanes match Server::evaluate(util, flow, t_in, t_cold, health)
-     * per server; their healthy lanes reproduce the healthy numbers
-     * bit for bit (the fouling term adds +0.0 and the TEG derating
-     * multiplies by 1.0, both exact).
-     */
-    void evaluate(const double *utils, size_t n, const Coeffs &c,
-                  const ServerHealthLanes &lanes, ServerStateBlock &out,
-                  size_t offset) const;
-
-    /** Index-ordered reduction over an evaluated block. */
+    /** Index-ordered totals over one evaluated segment. */
     struct Totals
     {
         double cpu_power_w = 0.0;
@@ -152,13 +140,20 @@ class ServerBlock
     };
 
     /**
-     * Reduce block[offset, offset + n) in server-index order, exactly
-     * the accumulation order of the scalar loop, so totals are
-     * bit-identical no matter how the elementwise passes were
-     * vectorized.
+     * Evaluate @p n servers at one cooling setting: utils[0..n)
+     * through the full model chain into out[offset, offset + n), a
+     * range @p out must already hold, and return the segment's totals
+     * (accumulated in server-index order). Null @p lanes
+     * (allHealthy()) are the healthy evaluation, bit-identical to
+     * Server::evaluate(util, flow, t_in, t_cold) per server. Present
+     * lanes match Server::evaluate(util, flow, t_in, t_cold, health)
+     * per server; their healthy lanes reproduce the healthy numbers
+     * bit for bit (the fouling term adds +0.0 and the TEG derating
+     * multiplies by 1.0, both exact).
      */
-    static Totals reduce(const ServerStateBlock &block, size_t offset,
-                         size_t n);
+    Totals evaluate(const double *utils, size_t n, const Coeffs &c,
+                    const ServerHealthLanes &lanes, ServerStateBlock &out,
+                    size_t offset) const;
 
   private:
     // Value copies of the models (cheap, parameter-only) so the block

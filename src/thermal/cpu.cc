@@ -36,7 +36,8 @@ CpuThermalModel::stepCoefficients(double flow_lph) const
 {
     CpuStepCoefficients c;
     c.plate_r_kpw = plateResistance(flow_lph);
-    c.slope_k = coolantSlope(flow_lph);
+    // coolantSlope(flow, 0) exactly: plateResistance adds +0.0.
+    c.slope_k = 1.0 + params_.gamma_slope * c.plate_r_kpw;
     c.cap_rate_w_per_k = units::streamCapacitanceRate(flow_lph);
     return c;
 }

@@ -8,6 +8,19 @@
 namespace h2p {
 namespace thermal {
 
+namespace {
+
+/** Junction dT fraction: TEG resistance against both plate films. */
+double
+junctionFraction(const TegDevice &device, const ColdPlate &plate,
+                 double flow_lph)
+{
+    double r_teg = device.thermalResistance();
+    return r_teg / (r_teg + 2.0 * plate.resistance(flow_lph));
+}
+
+} // namespace
+
 TegDevice::TegDevice(const TegParams &params) : params_(params)
 {
     expect(params.resistance_ohm > 0.0,
@@ -54,7 +67,9 @@ TegDevice::powerAtLoad(double coolant_dt, double load_ohm) const
 
 TegModule::TegModule(size_t count, const TegParams &params,
                      const ColdPlateParams &plate)
-    : count_(count), device_(params), plate_(plate)
+    : count_(count), device_(params), plate_(plate),
+      reference_fraction_(
+          junctionFraction(device_, plate_, params.reference_flow_lph))
 {
     expect(count >= 1, "a TEG module needs at least one device");
 }
@@ -68,15 +83,9 @@ TegModule::resistance() const
 double
 TegModule::flowCoupling(double flow_lph) const
 {
-    // Effective junction dT fraction: the TEG's own thermal resistance
-    // against the two plate film resistances, normalized so the
-    // empirical fits are exact at the reference flow.
-    auto raw = [this](double f) {
-        double r_teg = device_.thermalResistance();
-        double r_plates = 2.0 * plate_.resistance(f);
-        return r_teg / (r_teg + r_plates);
-    };
-    return raw(flow_lph) / raw(device_.params().reference_flow_lph);
+    // Normalized so the empirical fits are exact at the reference flow.
+    return junctionFraction(device_, plate_, flow_lph) /
+           reference_fraction_;
 }
 
 TegStepCoefficients

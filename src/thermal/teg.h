@@ -205,6 +205,8 @@ class TegModule
     size_t count_;
     TegDevice device_;
     ColdPlate plate_;
+    /** Un-normalized junction dT fraction at the reference flow. */
+    double reference_fraction_;
 };
 
 } // namespace thermal

@@ -11,6 +11,7 @@
  */
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -242,15 +243,24 @@ TEST(SoaKernelTest, CleanMatchesScalarServerBitwise)
 {
     const size_t n = 7;
     Datacenter loop = test::oneLoop(n);
-    std::vector<double> utils = spreadUtils(n);
+    // Distinct utilizations, and runs of equal ones as a balanced loop
+    // has them (the kernel reuses the predecessor's power there; -0.0
+    // follows +0.0).
+    const std::vector<double> balanced = {0.0, -0.0, 0.4, 0.4,
+                                          0.4, 0.9, 0.9};
 
-    for (const CoolingSetting &setting :
-         {CoolingSetting{45.0, 50.0}, CoolingSetting{30.0, 12.0},
-          CoolingSetting{55.0, 118.0}}) {
-        test::LoopState got = test::evaluate(loop, utils, setting);
-        RefCirculation ref = refEvaluate(loop, utils, setting, nullptr);
-        expectSameCirculation(ref, got);
+    for (const std::vector<double> &utils : {spreadUtils(n), balanced}) {
+        for (const CoolingSetting &setting :
+             {CoolingSetting{45.0, 50.0}, CoolingSetting{30.0, 12.0},
+              CoolingSetting{55.0, 118.0}}) {
+            test::LoopState got = test::evaluate(loop, utils, setting);
+            RefCirculation ref =
+                refEvaluate(loop, utils, setting, nullptr);
+            expectSameCirculation(ref, got);
+        }
     }
+    EXPECT_TRUE(std::signbit(
+        test::evaluate(loop, balanced, {45.0, 50.0}).servers.util[1]));
 }
 
 TEST(SoaKernelTest, CleanHealthMatchesNullHealthBitwise)
@@ -522,6 +532,238 @@ TEST(SoaKernelTest, ShortLastLoopMatchesScalarBitwise)
             SCOPED_TRACE("faulted");
             expectFleetMatchesReference(dc, utils, settings, &health);
         }
+    }
+}
+
+// ------------------------------------------ closing-pass totals
+
+TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
+{
+    // The totals ServerBlock::evaluate returns are folded into its
+    // closing pass; they must equal plain index-order sums over the
+    // segment it wrote.
+    const ServerBlock block{ServerParams{}};
+    const size_t n = 37;
+    std::vector<double> utils(n);
+    std::mt19937 rng(77);
+    std::uniform_real_distribution<double> util_d(0.0, 1.0);
+    for (double &u : utils)
+        u = util_d(rng);
+    utils[n - 1] = 0.05; // a cool last lane
+
+    CirculationHealth faults;
+    faults.resizeServers(n);
+    faults.fouling_kpw[2] = 0.15;
+    faults.teg_open[9] = 1;
+    faults.tegs_shorted[20] = 5;
+    faults.fouling_kpw[35] = 0.4;
+    faults.tegs_shorted[35] = 1;
+
+    struct Case
+    {
+        const char *name;
+        ServerHealthLanes lanes;
+        size_t offset;
+        size_t count;
+        double flow_lph;
+        double t_in_c;
+    };
+    // The starved 12 L/H setting drives the busier dies past the
+    // vendor maximum while the cool last lane stays safe, so all_safe
+    // must come from every lane, not the last one.
+    const Case cases[] = {
+        {"clean", {}, 0, n, 50.0, 45.0},
+        {"clean hot", {}, 0, n, 12.0, 45.0},
+        {"faulted", faults.lanes(), 0, n, 40.0, 48.0},
+        {"faulted hot", faults.lanes(), 0, n, 12.0, 45.0},
+        {"short segment", {}, n + 2, 3, 30.0, 50.0},
+    };
+    ServerStateBlock out;
+    out.resize(n + 5);
+    bool saw_unsafe = false;
+    for (const Case &k : cases) {
+        SCOPED_TRACE(k.name);
+        const ServerBlock::Coeffs c =
+            block.coefficients(k.flow_lph, k.t_in_c, 20.0);
+        const ServerBlock::Totals got = block.evaluate(
+            utils.data(), k.count, c, k.lanes, out, k.offset);
+
+        ServerBlock::Totals want;
+        for (size_t i = k.offset; i < k.offset + k.count; ++i) {
+            const ServerState s = out[i];
+            want.cpu_power_w += s.cpu_power_w;
+            want.teg_power_w += s.teg_power_w;
+            want.teg_power_lost_w += s.teg_power_lost_w;
+            want.heat_w += s.heat_w;
+            want.sum_outlet_c += s.outlet_c;
+            want.max_die_c = std::max(want.max_die_c, s.die_temp_c);
+            want.faulted_servers += s.faulted ? 1 : 0;
+            want.all_safe = want.all_safe && s.safe;
+        }
+        EXPECT_TRUE(sameBits(want.cpu_power_w, got.cpu_power_w));
+        EXPECT_TRUE(sameBits(want.teg_power_w, got.teg_power_w));
+        EXPECT_TRUE(sameBits(want.teg_power_lost_w, got.teg_power_lost_w));
+        EXPECT_TRUE(sameBits(want.heat_w, got.heat_w));
+        EXPECT_TRUE(sameBits(want.sum_outlet_c, got.sum_outlet_c));
+        EXPECT_TRUE(sameBits(want.max_die_c, got.max_die_c));
+        EXPECT_EQ(want.faulted_servers, got.faulted_servers);
+        EXPECT_EQ(want.all_safe, got.all_safe);
+        if (!got.all_safe) {
+            saw_unsafe = true;
+            EXPECT_TRUE(out.safe[k.offset + k.count - 1]);
+        }
+        if (k.lanes.allHealthy()) {
+            EXPECT_TRUE(sameBits(got.teg_power_lost_w, 0.0));
+            EXPECT_EQ(got.faulted_servers, 0u);
+        } else {
+            EXPECT_EQ(got.faulted_servers, 4u);
+        }
+    }
+    EXPECT_TRUE(saw_unsafe);
+}
+
+// ---------------------------------------------- coefficient reuse
+
+TEST(SoaKernelTest, CoefficientReuseFollowsThermalFlow)
+{
+    // Datacenter hoists coefficients once per run of loops at a
+    // bitwise-equal thermal flow and only moves the inlet between
+    // them. Loops: (A, t1), (A, t2) reuse with a new inlet; (B, t1)
+    // re-hoists; a pump at half of A delivers exactly B, so that loop
+    // reuses B's hoist at its own inlet; (A, t1) re-hoists; a
+    // half-speed pump commanding A right after it must not reuse A's
+    // hoist; (A, t1) re-hoists once more.
+    const double a = 60.0;
+    const double b = 30.0;
+    const double t1 = 44.0;
+    const double t2 = 51.0;
+    const size_t per_loop = 5;
+    const std::vector<CoolingSetting> settings = {
+        {t1, a}, {t2, a}, {t1, b}, {t2, a}, {t1, a}, {t1, a}, {t1, a}};
+    DatacenterParams p;
+    p.num_servers = per_loop * settings.size();
+    p.servers_per_circulation = per_loop;
+    const Datacenter dc(p);
+    const std::vector<double> utils = spreadUtils(p.num_servers);
+
+    {
+        SCOPED_TRACE("clean");
+        expectFleetMatchesReference(dc, utils, settings, nullptr);
+    }
+    DatacenterHealth health;
+    health.circulations.resize(settings.size());
+    health.circulations[3].pump_flow_factor = 0.5;
+    health.circulations[5].pump_flow_factor = 0.5;
+    ASSERT_TRUE(sameBits(a * 0.5, b));
+    {
+        SCOPED_TRACE("degraded pumps");
+        expectFleetMatchesReference(dc, utils, settings, &health);
+    }
+}
+
+// --------------------------------------------- run-wide health verdict
+
+/** Loop @p c of a fleet evaluation against a one-loop evaluation. */
+void
+expectSameLoop(const test::LoopState &want, const DatacenterState &got,
+               size_t c)
+{
+    const CirculationState &cs = got.circulations[c];
+    ASSERT_EQ(want.count, cs.count);
+    for (size_t i = 0; i < cs.count; ++i)
+        expectSameServerState(want.servers[i], got.servers[cs.offset + i],
+                              cs.offset + i);
+    EXPECT_TRUE(sameBits(want.setting.t_in_c, cs.setting.t_in_c));
+    EXPECT_TRUE(sameBits(want.setting.flow_lph, cs.setting.flow_lph));
+    EXPECT_TRUE(sameBits(want.cpu_power_w, cs.cpu_power_w));
+    EXPECT_TRUE(sameBits(want.teg_power_w, cs.teg_power_w));
+    EXPECT_TRUE(sameBits(want.teg_power_lost_w, cs.teg_power_lost_w));
+    EXPECT_TRUE(sameBits(want.heat_w, cs.heat_w));
+    EXPECT_TRUE(sameBits(want.return_c, cs.return_c));
+    EXPECT_TRUE(sameBits(want.max_die_c, cs.max_die_c));
+    EXPECT_TRUE(sameBits(want.delivered_flow_lph, cs.delivered_flow_lph));
+    EXPECT_TRUE(sameBits(want.pump_power_w, cs.pump_power_w));
+    EXPECT_EQ(want.faulted_servers, cs.faulted_servers);
+    EXPECT_EQ(want.all_safe, cs.all_safe);
+}
+
+TEST(SoaKernelTest, RunVerdictCombinesPlantAndLoopVerdicts)
+{
+    // The run is clean only when the plant and every loop are. The
+    // supply shift follows the plant alone; the plant power takes the
+    // faulted call (stagnant flow floor, plant health) whenever
+    // either is degraded. Every loop must match a one-loop evaluation
+    // at its delivered supply, and the plant power the plant model fed
+    // with the fleet totals.
+    const size_t per_loop = 4;
+    const size_t loops = 3;
+    DatacenterParams p;
+    p.num_servers = per_loop * loops;
+    p.servers_per_circulation = per_loop;
+    const Datacenter dc(p);
+    const Datacenter one = test::oneLoop(per_loop);
+    const hydraulic::FacilityPlant plant(p.plant);
+    const double limit = plant.freeCoolingLimit();
+    const std::vector<CoolingSetting> settings = {
+        {limit - 3.0, 40.0}, {limit - 1.0, 40.0}, {limit + 2.0, 25.0}};
+    const std::vector<double> utils = spreadUtils(p.num_servers);
+
+    // Every pump dead: the fleet delivers no flow at all, so only the
+    // faulted plant call (flow floored at the stagnant trickle) is
+    // valid.
+    std::vector<CirculationHealth> dead(loops);
+    for (CirculationHealth &h : dead)
+        h.pump_flow_factor = 0.0;
+    dead[1].resizeServers(per_loop);
+    dead[1].teg_open[2] = 1;
+
+    struct Case
+    {
+        const char *name;
+        bool chiller_out;
+        bool loop_faults;
+    };
+    for (const Case &k : {Case{"plant only", true, false},
+                          Case{"loops only", false, true},
+                          Case{"plant and loops", true, true}}) {
+        SCOPED_TRACE(k.name);
+        DatacenterHealth health;
+        health.plant.chiller_out = k.chiller_out;
+        if (k.loop_faults)
+            health.circulations = dead;
+
+        DatacenterState got;
+        dc.evaluateInto(utils, settings, &health, got);
+        double heat_w = 0.0;
+        double flow_lph = 0.0;
+        double min_supply_c = 1e9;
+        for (size_t c = 0; c < loops; ++c) {
+            SCOPED_TRACE("circulation " + std::to_string(c));
+            CoolingSetting setting = settings[c];
+            setting.t_in_c =
+                plant.achievableSupply(setting.t_in_c, health.plant);
+            const std::vector<double> segment(
+                utils.begin() + c * per_loop,
+                utils.begin() + (c + 1) * per_loop);
+            const test::LoopState want = test::evaluate(
+                one, segment, setting,
+                k.loop_faults ? &health.circulations[c] : nullptr);
+            expectSameLoop(want, got, c);
+            heat_w += want.heat_w;
+            flow_lph += want.delivered_flow_lph *
+                        static_cast<double>(per_loop);
+            min_supply_c = std::min(min_supply_c, setting.t_in_c);
+        }
+        EXPECT_EQ(got.plant_degraded, k.chiller_out);
+        EXPECT_EQ(got.faulted_servers, k.loop_faults ? p.num_servers : 0);
+        const double plant_w =
+            plant
+                .power(heat_w, min_supply_c,
+                       std::max(flow_lph, Datacenter::kStagnantFlowLph),
+                       health.plant)
+                .total();
+        EXPECT_TRUE(sameBits(plant_w, got.plant_power_w));
+        expectFleetMatchesReference(dc, utils, settings, &health);
     }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "thermal/cold_plate.h"
 #include "thermal/cpu.h"
@@ -19,6 +21,26 @@
 namespace h2p {
 namespace thermal {
 namespace {
+
+bool
+sameBytes(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Flows the step kernel hoists at: the stagnant-pump floor (2 L/H),
+ * the look-up grid ends (10 and 100 L/H), the TEG reference flow, and
+ * 200 geometrically spaced flows from 1 to 400 L/H.
+ */
+std::vector<double>
+hoistFlows()
+{
+    std::vector<double> flows = {2.0, 10.0, 100.0, 200.0};
+    for (int i = 0; i < 200; ++i)
+        flows.push_back(std::pow(400.0, i / 199.0));
+    return flows;
+}
 
 // ------------------------------------------------------------ cold plate
 
@@ -165,6 +187,31 @@ TEST(TegModuleTest, FlowCouplingGrowsWithFlow)
     EXPECT_GT(module.flowCoupling(10.0), 0.70);
 }
 
+TEST(TegModuleTest, FlowCouplingMatchesUncachedFormulaBitwise)
+{
+    // The reference-flow junction fraction is computed once at
+    // construction; the coupling must equal re-deriving it per call.
+    TegParams slow_ref;
+    slow_ref.reference_flow_lph = 35.0;
+    for (const TegModule &module :
+         {TegModule(12), TegModule(4, slow_ref)}) {
+        auto raw = [&module](double f) {
+            double r_teg = module.device().thermalResistance();
+            double r_plates = 2.0 * module.plate().resistance(f);
+            return r_teg / (r_teg + r_plates);
+        };
+        const double ref = module.device().params().reference_flow_lph;
+        for (double f : hoistFlows()) {
+            const double uncached = raw(f) / raw(ref);
+            EXPECT_TRUE(sameBytes(module.flowCoupling(f), uncached))
+                << "flow " << f;
+            EXPECT_TRUE(
+                sameBytes(module.stepCoefficients(f).coupling, uncached))
+                << "flow " << f;
+        }
+    }
+}
+
 TEST(TegModuleTest, PowerFromTempsUsesEq2Difference)
 {
     TegModule module(12);
@@ -275,6 +322,20 @@ TEST(CpuThermalTest, SlopeWithinPaperBand)
     EXPECT_GT(k250, 1.0);
     EXPECT_LT(k250, 1.1);
     EXPECT_GT(k20, k250);
+}
+
+TEST(CpuThermalTest, StepCoefficientsMatchPerCallAccessorsBitwise)
+{
+    // The hoist derives the slope from its own plate resistance
+    // instead of evaluating the plate a second time.
+    CpuThermalModel cpu;
+    for (double f : hoistFlows()) {
+        const CpuStepCoefficients c = cpu.stepCoefficients(f);
+        EXPECT_TRUE(sameBytes(c.plate_r_kpw, cpu.plateResistance(f, 0.0)))
+            << "flow " << f;
+        EXPECT_TRUE(sameBytes(c.slope_k, cpu.coolantSlope(f, 0.0)))
+            << "flow " << f;
+    }
 }
 
 TEST(CpuThermalTest, DieTempLinearInCoolant)
