@@ -52,12 +52,12 @@
  *
  *   # crash-safe sweep; kill -9 it at any time...
  *   ./examples/experiment_runner --sweep "..." \
- *       --sweep-journal sweep.jsonl --sweep-out sweep.csv
+ *       --sweep-journal sweep.journal --sweep-out sweep.csv
  *
  *   # ...then pick it up again; completed points are not re-run and
  *   # sweep.csv comes out byte-identical to an uninterrupted run
  *   ./examples/experiment_runner --sweep "..." \
- *       --sweep-journal sweep.jsonl --sweep-resume \
+ *       --sweep-journal sweep.journal --sweep-resume \
  *       --sweep-out sweep.csv
  */
 
@@ -345,8 +345,9 @@ main(int argc, char **argv)
         args.addString("sweep-out", "",
                        "per-point summary CSV path for --sweep");
         args.addString("sweep-journal", "",
-                       "crash-safe sweep journal (JSONL); each "
-                       "finished point is recorded durably");
+                       "crash-safe sweep journal path (e.g. "
+                       "sweep.journal); each finished point is "
+                       "recorded durably");
         args.addFlag("sweep-resume",
                      "resume an interrupted sweep from "
                      "--sweep-journal, re-running only missing "

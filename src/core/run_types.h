@@ -22,6 +22,7 @@
 #include "sched/policy.h"
 #include "sched/safe_mode.h"
 #include "sim/recorder.h"
+#include "util/bytes.h"
 
 namespace h2p {
 namespace core {
@@ -109,6 +110,33 @@ struct RunSummary
     size_t max_faulted_servers = 0;
     /** Per-circulation fraction of intervals with every die safe. */
     std::vector<double> circulation_safe_fraction;
+
+    /** The one field list of a persisted summary (sweep journal). */
+    void visit(util::Archive &ar)
+    {
+        uint32_t raw = static_cast<uint32_t>(policy);
+        ar.u32(raw);
+        expect(raw <= 1, "serialized run summary carries unknown policy ",
+               raw);
+        policy = static_cast<sched::Policy>(raw);
+        ar.f64(avg_teg_w);
+        ar.f64(peak_teg_w);
+        ar.f64(avg_cpu_w);
+        ar.f64(pre);
+        ar.f64(teg_energy_kwh);
+        ar.f64(cpu_energy_kwh);
+        ar.f64(plant_energy_kwh);
+        ar.f64(pump_energy_kwh);
+        ar.f64(safe_fraction);
+        ar.f64(avg_t_in_c);
+        ar.size(fault_events);
+        ar.size(throttle_events);
+        ar.f64(throttled_work_server_hours);
+        ar.f64(teg_energy_lost_kwh);
+        ar.size(safe_mode_steps);
+        ar.size(max_faulted_servers);
+        ar.f64s(circulation_safe_fraction);
+    }
 };
 
 /** Full result: summary plus per-step recorded channels. */

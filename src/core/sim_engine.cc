@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -85,8 +84,8 @@ safeModeActionName(sched::SafeModeAction a)
 // ---------------------------------------------------------------------
 // Checkpoint serialization.
 //
-// The format is a small explicitly-little-endian binary layout
-// (util::ByteWriter/ByteReader):
+// A checkpoint file is one sealed record (util::sealRecord, the
+// envelope the sweep journal uses too):
 //
 //   magic "H2PCKPT1" | version u32 | payload length u64 |
 //   payload bytes | FNV-1a(payload) u64
@@ -131,14 +130,6 @@ constexpr uint32_t kCheckpointVersion = 2;
 
 using util::ByteReader;
 using util::ByteWriter;
-
-uint64_t
-payloadChecksum(const char *payload, size_t size)
-{
-    util::Fnv1a h;
-    h.bytes(payload, size);
-    return h.digest();
-}
 
 /** The payload's leading run identity and control-plane section. */
 struct CheckpointHeader
@@ -1006,14 +997,8 @@ SimEngine::saveCheckpoint(const SimSession &s,
 
     // Atomic temp + rename (util::atomicWriteFile): process death can
     // never leave a truncated checkpoint for resume() to trip over.
-    const std::string &payload = w.data();
-    ByteWriter file;
-    file.raw(kMagic, sizeof(kMagic));
-    file.u32(kCheckpointVersion);
-    file.u64(payload.size());
-    file.raw(payload.data(), payload.size());
-    file.u64(payloadChecksum(payload.data(), payload.size()));
-    util::atomicWriteFile(path, file.data());
+    util::atomicWriteFile(
+        path, util::sealRecord(kMagic, kCheckpointVersion, w.data()));
     checkpointEvent(s.cursor_, "save " + path);
 }
 
@@ -1026,31 +1011,14 @@ SimEngine::resume(const std::string &path,
     std::string file((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
 
-    const size_t header_size = sizeof(kMagic) + 4 + 8;
-    expect(file.size() >= header_size + 8,
-           "checkpoint `", path, "' is too short to be valid");
-    expect(std::memcmp(file.data(), kMagic, sizeof(kMagic)) == 0,
-           "`", path, "' is not an H2P checkpoint (bad magic)");
+    const util::SealedRecord rec =
+        util::openRecord(file, 0, kMagic, kCheckpointVersion);
+    expect(rec.ok(), "checkpoint `", path, "' ",
+           rec.describe(kCheckpointVersion));
+    expect(rec.next == file.size(), "checkpoint `", path,
+           "' has trailing garbage");
 
-    ByteReader head(file, sizeof(kMagic), file.size());
-    uint32_t version = head.u32();
-    expect(version == kCheckpointVersion, "checkpoint version ",
-           version, " is not supported (this build reads version ",
-           kCheckpointVersion, ")");
-    uint64_t payload_size = head.u64();
-    expect(file.size() == header_size + payload_size + 8,
-           "checkpoint `", path, "' is truncated or has trailing "
-                                 "garbage");
-
-    const size_t payload_end = header_size + payload_size;
-    ByteReader foot(file, payload_end, file.size());
-    uint64_t stored_sum = foot.u64();
-    expect(stored_sum == payloadChecksum(file.data() + header_size,
-                                         payload_size),
-           "checkpoint `", path, "' failed its checksum; the file is "
-                                 "corrupt");
-
-    ByteReader r(file, header_size, payload_end);
+    ByteReader r(file, rec.begin, rec.end);
     util::Archive ar(r);
     CheckpointHeader h;
     h.visit(ar);

@@ -1,9 +1,7 @@
 #include "core/sweep_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -157,7 +155,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                grid[i].label, ") has no trace");
 
     // Crash-safe journal: fresh manifest on run(), load + append on
-    // resume(). The fingerprint pins the journal to this exact grid.
+    // resume(). The fingerprints pin the journal to this exact grid.
     std::unique_ptr<SweepJournal> journal;
     std::map<size_t, JournalPointRecord> restored;
     if (!options_.journal_path.empty()) {
@@ -169,13 +167,15 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
             expect(loaded.num_points == n, "sweep journal `",
                    options_.journal_path, "' records ",
                    loaded.num_points, " points but the grid has ", n);
-            expect(loaded.fingerprint == fp.combined, "sweep journal `",
+            const std::string diverged =
+                SweepJournal::describeMismatch(loaded.fingerprints, fp);
+            expect(diverged.empty(), "sweep journal `",
                    options_.journal_path,
-                   "' was written by a different sweep: ",
-                   SweepJournal::describeMismatch(loaded, fp));
+                   "' was written by a different sweep; these inputs "
+                   "diverge from it: ", diverged);
             restored = std::move(loaded.records);
-            journal = std::make_unique<SweepJournal>(
-                SweepJournal::openAppend(options_.journal_path));
+            journal = std::make_unique<SweepJournal>(SweepJournal::openAppend(
+                options_.journal_path, loaded.intact_bytes));
         } else {
             journal = std::make_unique<SweepJournal>(
                 SweepJournal::create(options_.journal_path, n, fp));
@@ -209,13 +209,6 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
         sched::LookupSpaceCache::instance().builds();
     const auto sweep_t0 = std::chrono::steady_clock::now();
 
-    // Abort mode: the lowest failing index wins so the surfaced error
-    // is deterministic under any completion order.
-    std::mutex error_mutex;
-    size_t error_index = std::numeric_limits<size_t>::max();
-    std::string error_what;
-    std::atomic<bool> failed{false};
-
     const size_t max_attempts = std::max<size_t>(1, options_.max_attempts);
 
     auto compute = [&](size_t i) {
@@ -230,7 +223,6 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
             // the finished result verbatim, bit for bit.
             const JournalPointRecord &rec = rit->second;
             slot.status = rec.status;
-            slot.completed = rec.status == PointStatus::Completed;
             slot.attempts = rec.attempts;
             slot.duration_s = rec.duration_s;
             slot.restored = true;
@@ -241,9 +233,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
             return;
         }
 
-        if (cancel_requested() ||
-            (options_.abort_on_failure &&
-             failed.load(std::memory_order_relaxed)))
+        if (cancel_requested())
             return; // Stays Skipped.
 
         for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -277,7 +267,6 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                 if (options_.keep_recorders)
                     slot.recorder = run.recorder;
                 slot.status = PointStatus::Completed;
-                slot.completed = true;
                 runs_counter.add();
                 run_ms.observe(slot.duration_s * 1e3);
                 return;
@@ -294,14 +283,6 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                     continue;
                 slot.status = PointStatus::Quarantined;
                 slot.failure = std::move(f);
-                if (options_.abort_on_failure) {
-                    failed.store(true, std::memory_order_relaxed);
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (i < error_index) {
-                        error_index = i;
-                        error_what = slot.failure.message;
-                    }
-                }
                 return;
             }
         }
@@ -359,13 +340,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                     rec.failure = slot.failure;
                 journal->append(rec);
             }
-            // Abort mode keeps the legacy contract: the callback only
-            // ever sees completed points; the failure surfaces as the
-            // thrown error below.
-            const bool deliver =
-                slot.completed || (slot.status == PointStatus::Quarantined &&
-                                   !options_.abort_on_failure);
-            if (on_result && deliver && !delivery_stopped)
+            if (on_result && !delivery_stopped)
                 on_result(slot);
         };
 
@@ -376,7 +351,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
         sched::LookupSpaceCache::instance().builds() - builds_before;
     result.cancelled = cancel_requested();
     for (const SweepPointResult &p : result.points) {
-        if (p.completed)
+        if (p.status == PointStatus::Completed)
             ++result.runs_completed;
         if (p.status == PointStatus::Quarantined)
             ++result.quarantined;
@@ -388,15 +363,6 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
     if (journal != nullptr)
         journal->close();
     sweep_span.stop();
-
-    if (error_index != std::numeric_limits<size_t>::max())
-        fatal("sweep point ", error_index, " (",
-              grid[error_index].label.empty()
-                  ? "unlabeled"
-                  : grid[error_index].label,
-              ", policy ", sched::toString(grid[error_index].policy),
-              ", ", grid[error_index].config.datacenter.num_servers,
-              " servers) failed: ", error_what);
     return result;
 }
 

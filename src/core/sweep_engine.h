@@ -16,11 +16,10 @@
  * taxonomy (util/error.h FailureKind). A failing point is retried
  * (bounded, retryable kinds only) and then *quarantined* — its result
  * slot carries the structured failure while the rest of the sweep
- * runs to completion; SweepOptions::abort_on_failure restores the old
- * first-failure-aborts contract. Per-point wall-clock deadlines and
- * step budgets are enforced cooperatively at step boundaries, and a
- * cancellation request stops in-flight runs at their next step, not
- * just pending ones.
+ * runs to completion. Per-point wall-clock deadlines and step budgets
+ * are enforced cooperatively at step boundaries, and a cancellation
+ * request stops in-flight runs at their next step, not just pending
+ * ones.
  *
  * Determinism contract: every run executes exactly the code path of a
  * standalone serial H2PSystem::run(), results land in per-index slots
@@ -86,11 +85,7 @@ class SweepEngine
      *
      * A failing point is retried per SweepOptions::max_attempts
      * (retryable kinds only) and then quarantined: its slot carries
-     * the classified RunFailure, the sweep runs on. With
-     * SweepOptions::abort_on_failure the first failing point (lowest
-     * grid index, for determinism) instead aborts the sweep with the
-     * legacy "sweep point N (...) failed" error after in-flight
-     * points drain.
+     * the classified RunFailure, the sweep runs on.
      *
      * With SweepOptions::journal_path set, starts a fresh journal
      * (truncating any previous file) and appends each finished
@@ -104,7 +99,7 @@ class SweepEngine
     /**
      * Continue an interrupted journaled sweep: load the journal at
      * SweepOptions::journal_path (which must be set and exist),
-     * verify it matches @p grid (size + fingerprint), restore every
+     * verify it matches @p grid (size + fingerprints), restore every
      * journaled point's result verbatim — bit-identical summaries,
      * no recomputation, recorder left null, `restored` flagged — and
      * compute only the missing points, appending their records to the

@@ -4,373 +4,34 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
+
+#include <unistd.h>
 
 #include "util/error.h"
 #include "util/hash.h"
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 namespace h2p {
 namespace core {
 
 namespace {
 
-/// Encode a double as its exact 64-bit pattern ("0x3ff0...") so the
-/// journal round-trips bit-identically — printf round-tripping of
-/// decimal doubles is exact only with care, hex bits are exact by
-/// construction and also represent inf/NaN, which JSON numbers cannot.
-std::string
-hexBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
-}
+// Version 1 was line-delimited JSON; version 2 is sealed records.
+constexpr char kManifestMagic[8] = {'H', '2', 'P', 'J', 'M', 'A', 'N', '1'};
+constexpr char kPointMagic[8] = {'H', '2', 'P', 'J', 'P', 'N', 'T', '1'};
+constexpr uint32_t kJournalVersion = 2;
 
-double
-bitsFromHex(const std::string &s)
-{
-    expect(s.size() == 18 && s[0] == '0' && s[1] == 'x',
-           "journal: malformed double bit pattern `", s, "'");
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long bits = std::strtoull(s.c_str() + 2, &end, 16);
-    expect(errno == 0 && end == s.c_str() + s.size(),
-           "journal: malformed double bit pattern `", s, "'");
-    double v;
-    uint64_t b = static_cast<uint64_t>(bits);
-    std::memcpy(&v, &b, sizeof(v));
-    return v;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Minimal JSON value/parser covering exactly the journal grammar:
- * objects with string keys, strings, non-negative integers and
- * arrays. Doubles never appear as JSON numbers (they are hex-bit
- * strings), which keeps the parser trivial and the round trip exact.
- */
-struct JsonValue
-{
-    enum class Type { String, Number, Object, Array };
-    Type type = Type::Number;
-    std::string str;
-    uint64_t num = 0;
-    std::map<std::string, JsonValue> members;
-    std::vector<JsonValue> items;
-
-    const JsonValue &at(const std::string &key) const
-    {
-        auto it = members.find(key);
-        expect(it != members.end(), "journal: record is missing key `",
-               key, "'");
-        return it->second;
-    }
-    bool has(const std::string &key) const
-    {
-        return members.find(key) != members.end();
-    }
-    const std::string &asString() const
-    {
-        expect(type == Type::String, "journal: expected a string value");
-        return str;
-    }
-    uint64_t asNumber() const
-    {
-        expect(type == Type::Number, "journal: expected a number value");
-        return num;
-    }
-    double asDouble() const { return bitsFromHex(asString()); }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    JsonValue parse()
-    {
-        JsonValue v = parseValue();
-        skipSpace();
-        expect(pos_ == text_.size(),
-               "journal: trailing content after JSON record");
-        return v;
-    }
-
-  private:
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t'))
-            ++pos_;
-    }
-
-    char peek()
-    {
-        expect(pos_ < text_.size(), "journal: truncated JSON record");
-        return text_[pos_];
-    }
-
-    void eat(char c)
-    {
-        expect(pos_ < text_.size() && text_[pos_] == c,
-               "journal: malformed JSON record (expected `", c, "')");
-        ++pos_;
-    }
-
-    JsonValue parseValue()
-    {
-        skipSpace();
-        char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        return parseNumber();
-    }
-
-    JsonValue parseObject()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::Object;
-        eat('{');
-        skipSpace();
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        for (;;) {
-            skipSpace();
-            JsonValue key = parseString();
-            skipSpace();
-            eat(':');
-            v.members[key.str] = parseValue();
-            skipSpace();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            eat('}');
-            return v;
-        }
-    }
-
-    JsonValue parseArray()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::Array;
-        eat('[');
-        skipSpace();
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        for (;;) {
-            v.items.push_back(parseValue());
-            skipSpace();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            eat(']');
-            return v;
-        }
-    }
-
-    JsonValue parseString()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::String;
-        eat('"');
-        for (;;) {
-            expect(pos_ < text_.size(), "journal: unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return v;
-            if (c != '\\') {
-                v.str += c;
-                continue;
-            }
-            expect(pos_ < text_.size(), "journal: unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"':
-                v.str += '"';
-                break;
-              case '\\':
-                v.str += '\\';
-                break;
-              case 'n':
-                v.str += '\n';
-                break;
-              case 'r':
-                v.str += '\r';
-                break;
-              case 't':
-                v.str += '\t';
-                break;
-              case 'u': {
-                expect(pos_ + 4 <= text_.size(),
-                       "journal: truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code += static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code += static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code += static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fatal("journal: malformed \\u escape");
-                }
-                expect(code < 0x80,
-                       "journal: unsupported non-ASCII \\u escape");
-                v.str += static_cast<char>(code);
-                break;
-              }
-              default:
-                fatal("journal: unsupported escape `\\", e, "'");
-            }
-        }
-    }
-
-    JsonValue parseNumber()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::Number;
-        size_t start = pos_;
-        while (pos_ < text_.size() && text_[pos_] >= '0' &&
-               text_[pos_] <= '9')
-            ++pos_;
-        expect(pos_ > start, "journal: malformed JSON value");
-        errno = 0;
-        v.num = std::strtoull(text_.substr(start, pos_ - start).c_str(),
-                              nullptr, 10);
-        expect(errno == 0, "journal: integer out of range");
-        return v;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
-
-sched::Policy
-policyFromString(const std::string &name)
-{
-    if (name == sched::toString(sched::Policy::TegOriginal))
-        return sched::Policy::TegOriginal;
-    if (name == sched::toString(sched::Policy::TegLoadBalance))
-        return sched::Policy::TegLoadBalance;
-    fatal("journal: unknown policy `", name, "'");
-}
-
+/** The manifest's one field list: grid size, then the digests. */
 void
-writeSummary(std::ostream &os, const RunSummary &s)
+visitManifest(util::Archive &ar, size_t &num_points,
+              SweepJournal::GridFingerprints &fp)
 {
-    os << "{\"avg_teg_w\":\"" << hexBits(s.avg_teg_w)            //
-       << "\",\"peak_teg_w\":\"" << hexBits(s.peak_teg_w)        //
-       << "\",\"avg_cpu_w\":\"" << hexBits(s.avg_cpu_w)          //
-       << "\",\"pre\":\"" << hexBits(s.pre)                      //
-       << "\",\"teg_energy_kwh\":\"" << hexBits(s.teg_energy_kwh)
-       << "\",\"cpu_energy_kwh\":\"" << hexBits(s.cpu_energy_kwh)
-       << "\",\"plant_energy_kwh\":\"" << hexBits(s.plant_energy_kwh)
-       << "\",\"pump_energy_kwh\":\"" << hexBits(s.pump_energy_kwh)
-       << "\",\"safe_fraction\":\"" << hexBits(s.safe_fraction)
-       << "\",\"avg_t_in_c\":\"" << hexBits(s.avg_t_in_c)
-       << "\",\"fault_events\":" << s.fault_events
-       << ",\"throttle_events\":" << s.throttle_events
-       << ",\"throttled_work_server_hours\":\""
-       << hexBits(s.throttled_work_server_hours)
-       << "\",\"teg_energy_lost_kwh\":\""
-       << hexBits(s.teg_energy_lost_kwh)
-       << "\",\"safe_mode_steps\":" << s.safe_mode_steps
-       << ",\"max_faulted_servers\":" << s.max_faulted_servers
-       << ",\"circulation_safe_fraction\":[";
-    for (size_t i = 0; i < s.circulation_safe_fraction.size(); ++i)
-        os << (i ? "," : "") << '"'
-           << hexBits(s.circulation_safe_fraction[i]) << '"';
-    os << "]}";
-}
-
-RunSummary
-readSummary(const JsonValue &v, sched::Policy policy)
-{
-    RunSummary s;
-    s.policy = policy;
-    s.avg_teg_w = v.at("avg_teg_w").asDouble();
-    s.peak_teg_w = v.at("peak_teg_w").asDouble();
-    s.avg_cpu_w = v.at("avg_cpu_w").asDouble();
-    s.pre = v.at("pre").asDouble();
-    s.teg_energy_kwh = v.at("teg_energy_kwh").asDouble();
-    s.cpu_energy_kwh = v.at("cpu_energy_kwh").asDouble();
-    s.plant_energy_kwh = v.at("plant_energy_kwh").asDouble();
-    s.pump_energy_kwh = v.at("pump_energy_kwh").asDouble();
-    s.safe_fraction = v.at("safe_fraction").asDouble();
-    s.avg_t_in_c = v.at("avg_t_in_c").asDouble();
-    s.fault_events = static_cast<size_t>(v.at("fault_events").asNumber());
-    s.throttle_events =
-        static_cast<size_t>(v.at("throttle_events").asNumber());
-    s.throttled_work_server_hours =
-        v.at("throttled_work_server_hours").asDouble();
-    s.teg_energy_lost_kwh = v.at("teg_energy_lost_kwh").asDouble();
-    s.safe_mode_steps =
-        static_cast<size_t>(v.at("safe_mode_steps").asNumber());
-    s.max_faulted_servers =
-        static_cast<size_t>(v.at("max_faulted_servers").asNumber());
-    const JsonValue &csf = v.at("circulation_safe_fraction");
-    expect(csf.type == JsonValue::Type::Array,
-           "journal: circulation_safe_fraction is not an array");
-    s.circulation_safe_fraction.reserve(csf.items.size());
-    for (const JsonValue &item : csf.items)
-        s.circulation_safe_fraction.push_back(item.asDouble());
-    return s;
+    ar.size(num_points);
+    ar.u64(fp.shape);
+    ar.u64(fp.config);
+    ar.u64(fp.trace);
+    ar.u64(fp.guard);
 }
 
 void
@@ -378,10 +39,8 @@ syncFile(std::FILE *file, const std::string &path)
 {
     expect(std::fflush(file) == 0, "journal `", path,
            "': flush failed: ", std::strerror(errno));
-#if !defined(_WIN32)
     expect(::fsync(fileno(file)) == 0, "journal `", path,
            "': fsync failed: ", std::strerror(errno));
-#endif
 }
 
 } // namespace
@@ -398,6 +57,28 @@ toString(PointStatus status)
         return "skipped";
     }
     return "unknown";
+}
+
+void
+JournalPointRecord::visit(util::Archive &ar)
+{
+    ar.size(index);
+    uint32_t raw = static_cast<uint32_t>(status);
+    ar.u32(raw);
+    expect(raw <= static_cast<uint32_t>(PointStatus::Quarantined),
+           "journal record carries unknown point status ", raw);
+    status = static_cast<PointStatus>(raw);
+    ar.size(attempts);
+    ar.str(label);
+    raw = static_cast<uint32_t>(policy);
+    ar.u32(raw);
+    expect(raw <= 1, "journal record carries unknown policy ", raw);
+    policy = static_cast<sched::Policy>(raw);
+    ar.f64(duration_s);
+    if (status == PointStatus::Completed)
+        summary.visit(ar);
+    else
+        failure.visit(ar);
 }
 
 SweepJournal::SweepJournal(SweepJournal &&other) noexcept
@@ -425,80 +106,46 @@ SweepJournal::~SweepJournal()
         std::fclose(file_);
 }
 
-namespace {
-
-std::string
-hexU64(uint64_t v)
+void
+SweepJournal::writeDurably(const std::string &bytes)
 {
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-uint64_t
-parseHexU64(const std::string &s)
-{
-    expect(s.size() == 18 && s[0] == '0' && s[1] == 'x',
-           "journal: malformed fingerprint `", s, "'");
-    return static_cast<uint64_t>(std::strtoull(s.c_str() + 2, nullptr, 16));
-}
-
-} // namespace
-
-SweepJournal
-SweepJournal::createWithManifest(const std::string &path,
-                                 const std::string &manifest)
-{
-    SweepJournal j;
-    j.path_ = path;
-    j.file_ = std::fopen(path.c_str(), "wb");
-    expect(j.file_ != nullptr, "cannot create sweep journal `", path,
-           "': ", std::strerror(errno));
-    expect(std::fwrite(manifest.data(), 1, manifest.size(), j.file_) ==
-               manifest.size(),
-           "journal `", path, "': write failed: ", std::strerror(errno));
-    syncFile(j.file_, path);
-    return j;
-}
-
-SweepJournal
-SweepJournal::create(const std::string &path, size_t num_points,
-                     uint64_t fingerprint)
-{
-    std::ostringstream os;
-    os << "{\"type\":\"manifest\",\"version\":1,\"points\":"
-       << num_points << ",\"fingerprint\":\"" << hexU64(fingerprint)
-       << "\"}\n";
-    return createWithManifest(path, os.str());
+    expect(std::fwrite(bytes.data(), 1, bytes.size(), file_) ==
+               bytes.size(),
+           "journal `", path_, "': write failed: ", std::strerror(errno));
+    syncFile(file_, path_);
 }
 
 SweepJournal
 SweepJournal::create(const std::string &path, size_t num_points,
                      const GridFingerprints &fingerprints)
 {
-    // Still version 1: the component keys are additive, readers that
-    // predate them ignore unknown keys and old journals without them
-    // load with has_components == false.
-    std::ostringstream os;
-    os << "{\"type\":\"manifest\",\"version\":1,\"points\":"
-       << num_points << ",\"fingerprint\":\""
-       << hexU64(fingerprints.combined) << "\",\"fp_shape\":\""
-       << hexU64(fingerprints.shape) << "\",\"fp_config\":\""
-       << hexU64(fingerprints.config) << "\",\"fp_trace\":\""
-       << hexU64(fingerprints.trace) << "\",\"fp_guard\":\""
-       << hexU64(fingerprints.guard) << "\"}\n";
-    return createWithManifest(path, os.str());
+    SweepJournal j;
+    j.path_ = path;
+    j.file_ = std::fopen(path.c_str(), "wb");
+    expect(j.file_ != nullptr, "cannot create sweep journal `", path,
+           "': ", std::strerror(errno));
+    util::ByteWriter w;
+    util::Archive ar(w);
+    GridFingerprints fp = fingerprints;
+    visitManifest(ar, num_points, fp);
+    j.writeDurably(util::sealRecord(kManifestMagic, kJournalVersion,
+                                    w.data()));
+    return j;
 }
 
 SweepJournal
-SweepJournal::openAppend(const std::string &path)
+SweepJournal::openAppend(const std::string &path, size_t intact_bytes)
 {
     SweepJournal j;
     j.path_ = path;
     j.file_ = std::fopen(path.c_str(), "ab");
     expect(j.file_ != nullptr, "cannot open sweep journal `", path,
            "' for append: ", std::strerror(errno));
+    // Appends land at the end of the file, so cut a torn tail first.
+    expect(::ftruncate(fileno(j.file_), static_cast<off_t>(intact_bytes)) ==
+               0,
+           "journal `", path, "': truncate failed: ", std::strerror(errno));
+    syncFile(j.file_, path);
     return j;
 }
 
@@ -508,31 +155,13 @@ SweepJournal::append(const JournalPointRecord &record)
     H2P_ASSERT(file_ != nullptr, "journal appended after close");
     H2P_ASSERT(record.status != PointStatus::Skipped,
                "skipped points are never journaled");
-    std::ostringstream os;
-    os << "{\"type\":\"point\",\"index\":" << record.index
-       << ",\"status\":\"" << toString(record.status)
-       << "\",\"attempts\":" << record.attempts << ",\"label\":\""
-       << jsonEscape(record.label) << "\",\"policy\":\""
-       << jsonEscape(sched::toString(record.policy))
-       << "\",\"duration_s\":\"" << hexBits(record.duration_s) << "\"";
-    if (record.status == PointStatus::Completed) {
-        os << ",\"summary\":";
-        writeSummary(os, record.summary);
-    } else {
-        os << ",\"kind\":\"" << h2p::toString(record.failure.kind)
-           << "\",\"step\":" << record.failure.step << ",\"stage\":\""
-           << jsonEscape(record.failure.stage) << "\",\"message\":\""
-           << jsonEscape(record.failure.message) << "\"";
-    }
-    os << "}\n";
-    const std::string line = os.str();
-    expect(std::fwrite(line.data(), 1, line.size(), file_) ==
-               line.size(),
-           "journal `", path_,
-           "': write failed: ", std::strerror(errno));
+    util::ByteWriter w;
+    util::Archive ar(w);
+    // Saving only reads the record; the visit is shared with load().
+    const_cast<JournalPointRecord &>(record).visit(ar);
     // Durable before the result is visible downstream: one fsync per
     // point, the price of resumability.
-    syncFile(file_, path_);
+    writeDurably(util::sealRecord(kPointMagic, kJournalVersion, w.data()));
 }
 
 void
@@ -558,143 +187,62 @@ SweepJournal::exists(const std::string &path)
 SweepJournal::Loaded
 SweepJournal::load(const std::string &path)
 {
-    std::ifstream is(path);
+    std::ifstream is(path, std::ios::binary);
     expect(is.good(), "cannot open sweep journal `", path,
            "' for reading");
+    const std::string file((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
 
     Loaded loaded;
-    std::string line;
-    size_t line_no = 0;
-    bool have_manifest = false;
-    // Collect lines first so the torn-tail tolerance below knows
-    // which line is the final one.
-    std::vector<std::string> lines;
-    while (std::getline(is, line))
-        lines.push_back(line);
-    expect(!lines.empty(), "sweep journal `", path, "' is empty");
-
-    for (size_t li = 0; li < lines.size(); ++li) {
-        line_no = li + 1;
-        if (lines[li].empty())
-            continue;
-        const bool is_last = li + 1 == lines.size();
-        JsonValue v;
+    size_t at = 0;
+    for (size_t n = 0; at < file.size(); ++n) {
+        const util::SealedRecord rec =
+            util::openRecord(file, at, n == 0 ? kManifestMagic : kPointMagic,
+                             kJournalVersion);
+        // A crash mid-append tears at most the final record: it runs
+        // past the end of the file, or ends there with a bad checksum.
+        if (rec.status == util::SealedRecord::Status::Truncated ||
+            (rec.status == util::SealedRecord::Status::BadChecksum &&
+             rec.next == file.size()))
+            break;
+        expect(n > 0 || rec.status != util::SealedRecord::Status::BadMagic,
+               "`", path, "' does not start with a sweep journal manifest "
+               "(bad magic); JSONL journals from older builds cannot be "
+               "resumed — start the sweep afresh");
+        expect(rec.ok(), "sweep journal `", path, "' record ", n,
+               " at byte ", at, " ", rec.describe(kJournalVersion));
         try {
-            v = JsonParser(lines[li]).parse();
-        } catch (const Error &) {
-            // A crash mid-append can tear exactly the final line;
-            // anything before it was fsync'd whole and a parse
-            // failure there is real corruption.
-            if (is_last && have_manifest) {
-                break;
-            }
-            fatal("sweep journal `", path, "' line ", line_no,
-                  " is corrupt");
-        }
-        std::string type;
-        try {
-            type = v.at("type").asString();
-            if (type == "manifest") {
-                expect(!have_manifest, "sweep journal `", path,
-                       "' has more than one manifest");
-                expect(v.at("version").asNumber() == 1,
-                       "sweep journal `", path,
-                       "' has unsupported version ",
-                       v.at("version").asNumber());
-                loaded.num_points =
-                    static_cast<size_t>(v.at("points").asNumber());
-                loaded.fingerprint =
-                    parseHexU64(v.at("fingerprint").asString());
-                loaded.fingerprints.combined = loaded.fingerprint;
-                if (v.has("fp_shape")) {
-                    loaded.fingerprints.shape =
-                        parseHexU64(v.at("fp_shape").asString());
-                    loaded.fingerprints.config =
-                        parseHexU64(v.at("fp_config").asString());
-                    loaded.fingerprints.trace =
-                        parseHexU64(v.at("fp_trace").asString());
-                    loaded.fingerprints.guard =
-                        parseHexU64(v.at("fp_guard").asString());
-                    loaded.has_components = true;
-                }
-                have_manifest = true;
-                continue;
-            }
-            expect(have_manifest, "sweep journal `", path,
-                   "' does not start with a manifest");
-            expect(type == "point", "sweep journal `", path, "' line ",
-                   line_no, " has unknown type `", type, "'");
-            JournalPointRecord rec;
-            rec.index = static_cast<size_t>(v.at("index").asNumber());
-            const std::string status = v.at("status").asString();
-            rec.attempts =
-                static_cast<size_t>(v.at("attempts").asNumber());
-            rec.label = v.at("label").asString();
-            rec.policy = policyFromString(v.at("policy").asString());
-            rec.duration_s = v.at("duration_s").asDouble();
-            if (status == "completed") {
-                rec.status = PointStatus::Completed;
-                rec.summary = readSummary(v.at("summary"), rec.policy);
-            } else if (status == "quarantined") {
-                rec.status = PointStatus::Quarantined;
-                rec.failure.kind =
-                    failureKindFromString(v.at("kind").asString());
-                rec.failure.step =
-                    static_cast<size_t>(v.at("step").asNumber());
-                rec.failure.stage = v.at("stage").asString();
-                rec.failure.message = v.at("message").asString();
+            util::ByteReader r(file, rec.begin, rec.end);
+            util::Archive ar(r);
+            if (n == 0) {
+                visitManifest(ar, loaded.num_points, loaded.fingerprints);
             } else {
-                fatal("journal: unknown point status `", status, "'");
+                JournalPointRecord point;
+                point.visit(ar);
+                expect(point.index < loaded.num_points, "point index ",
+                       point.index, " exceeds the manifest size ",
+                       loaded.num_points);
+                loaded.records[point.index] = std::move(point);
             }
-            expect(rec.index < loaded.num_points, "sweep journal `",
-                   path, "' line ", line_no, ": point index ",
-                   rec.index, " exceeds manifest size ",
-                   loaded.num_points);
-            loaded.records[rec.index] = std::move(rec);
+            expect(r.exhausted(), "trailing bytes in the payload");
         } catch (const Error &e) {
-            // Semantic truncation of the final line (valid JSON cut
-            // short is near-impossible, but missing keys are the same
-            // torn-tail case).
-            if (is_last && have_manifest && type != "manifest")
-                break;
-            fatal("sweep journal `", path, "' line ", line_no, ": ",
-                  e.what());
+            fatal("sweep journal `", path, "' record ", n, " at byte ", at,
+                  ": ", e.what());
         }
+        at = rec.next;
     }
-    expect(have_manifest, "sweep journal `", path,
-           "' has no manifest line");
+    expect(at > 0, "sweep journal `", path,
+           "' has no intact manifest record");
+    loaded.intact_bytes = at;
     return loaded;
-}
-
-uint64_t
-SweepJournal::gridFingerprint(const std::vector<SweepPoint> &grid)
-{
-    return gridFingerprints(grid).combined;
 }
 
 SweepJournal::GridFingerprints
 SweepJournal::gridFingerprints(const std::vector<SweepPoint> &grid)
 {
-    // `combined` interleaves every field exactly as the original
-    // single-hash gridFingerprint() did — journals written before the
-    // component digests existed must keep matching.
-    util::Fnv1a combined, shape, config, trace, guard;
-    combined.size(grid.size());
+    util::Fnv1a shape, config, trace, guard;
     shape.size(grid.size());
     for (const SweepPoint &p : grid) {
-        combined.str(p.label);
-        combined.u64(static_cast<uint64_t>(p.policy));
-        combined.u64(p.trace != nullptr ? p.trace->fingerprint() : 0);
-        combined.size(p.config.datacenter.num_servers);
-        combined.size(p.config.datacenter.servers_per_circulation);
-        combined.f64(p.config.datacenter.cold_source_c);
-        combined.f64(p.config.optimizer.t_safe_c);
-        combined.f64(p.config.optimizer.band_c);
-        combined.u64(p.config.faults.seed);
-        combined.boolean(p.config.safe_mode.enabled);
-        combined.f64(p.deadline_s);
-        combined.size(p.step_budget);
-
         shape.str(p.label);
         shape.u64(static_cast<uint64_t>(p.policy));
         trace.u64(p.trace != nullptr ? p.trace->fingerprint() : 0);
@@ -709,7 +257,6 @@ SweepJournal::gridFingerprints(const std::vector<SweepPoint> &grid)
         guard.size(p.step_budget);
     }
     GridFingerprints fps;
-    fps.combined = combined.digest();
     fps.shape = shape.digest();
     fps.config = config.digest();
     fps.trace = trace.digest();
@@ -718,34 +265,21 @@ SweepJournal::gridFingerprints(const std::vector<SweepPoint> &grid)
 }
 
 std::string
-SweepJournal::describeMismatch(const Loaded &loaded,
-                               const GridFingerprints &expected)
+SweepJournal::describeMismatch(const GridFingerprints &journal,
+                               const GridFingerprints &grid)
 {
-    if (!loaded.has_components) {
-        return "grid fingerprint mismatch (the journal predates "
-               "component digests, so the diverging input cannot be "
-               "named — the grid differs in its shape, configuration, "
-               "traces or supervision overrides)";
-    }
     std::vector<std::string> diverged;
-    if (loaded.fingerprints.shape != expected.shape)
+    if (journal.shape != grid.shape)
         diverged.push_back("grid shape (size, labels or policies)");
-    if (loaded.fingerprints.config != expected.config)
+    if (journal.config != grid.config)
         diverged.push_back("configuration (topology, thermal targets, "
                            "fault seed or safe mode)");
-    if (loaded.fingerprints.trace != expected.trace)
+    if (journal.trace != grid.trace)
         diverged.push_back("traces");
-    if (loaded.fingerprints.guard != expected.guard)
+    if (journal.guard != grid.guard)
         diverged.push_back("supervision overrides (per-point deadline "
                            "or step budget)");
-    if (diverged.empty()) {
-        // Components match but the combined digest does not — only
-        // possible via hash collision in a component. Stay honest.
-        return "grid fingerprint mismatch (component digests all "
-               "match; the grids differ in a way the component hashes "
-               "collide on)";
-    }
-    std::string msg = "these sweep inputs diverge from the journal: ";
+    std::string msg;
     for (size_t i = 0; i < diverged.size(); ++i) {
         if (i > 0)
             msg += i + 1 == diverged.size() ? " and " : ", ";

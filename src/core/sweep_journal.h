@@ -1,24 +1,28 @@
 /**
  * @file
- * Crash-safe sweep journal: an append-only JSONL record of a sweep's
- * progress.
+ * Crash-safe sweep journal: an append-only file of sealed records
+ * (util::sealRecord, the envelope checkpoints use too).
  *
- * A journaled sweep writes one manifest line (grid size + a cheap
- * grid fingerprint) when it starts, then one record per *finished*
- * point — completed with its full bit-exact summary, or quarantined
- * with its classified failure — each flushed and fsync'd before the
- * point's result is delivered downstream. After a crash (including
- * SIGKILL) SweepEngine::resume() loads the journal, restores the
- * finished points verbatim and computes only the rest, so the resumed
- * sweep's output is byte-identical to an uninterrupted one.
+ * A journaled sweep writes one manifest record (grid size + the
+ * grid's component digests) when it starts, then one record per
+ * *finished* point — completed with its full bit-exact summary, or
+ * quarantined with its classified failure — each flushed and fsync'd
+ * before the point's result is delivered downstream. After a crash
+ * (including SIGKILL) SweepEngine::resume() loads the journal,
+ * restores the finished points verbatim and computes only the rest,
+ * so the resumed sweep's output is byte-identical to an uninterrupted
+ * one.
  *
  * Durability model: appends cannot use temp+rename (that would
  * rewrite the whole file per point), so each record is a single
- * write + fflush + fsync. A crash can therefore leave at most one
- * torn *final* line, which load() tolerates by dropping it; a corrupt
- * record anywhere else is real damage and raises h2p::Error. All
- * doubles are encoded as 64-bit hex bit patterns, making restore
- * bit-exact by construction.
+ * write + fflush + fsync. A crash can therefore leave one torn record
+ * at the end: a record that runs past the end of the file, or a final
+ * record that fails its checksum. load() drops it and reports where
+ * the intact prefix ends; openAppend() cuts the file there before
+ * the first new record. Any other magic, version or checksum failure
+ * is real damage and raises h2p::Error naming the record and its byte
+ * offset. Every payload is a util::Archive visit, so doubles restore
+ * bit-exactly by construction.
  */
 
 #ifndef H2P_CORE_SWEEP_JOURNAL_H_
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "core/sweep_types.h"
+#include "util/bytes.h"
 
 namespace h2p {
 namespace core {
@@ -50,6 +55,9 @@ struct JournalPointRecord
     RunSummary summary;
     /** Valid when status == Quarantined. */
     RunFailure failure;
+
+    /** The one field list of a journaled point (save and load). */
+    void visit(util::Archive &ar);
 };
 
 /**
@@ -61,15 +69,12 @@ class SweepJournal
 {
   public:
     /**
-     * Per-input component digests behind gridFingerprint(), stored in
-     * the manifest alongside the combined digest so a resume against
-     * the wrong inputs can say *which* of them diverged instead of
-     * just "fingerprint mismatch".
+     * Per-input digests of a sweep grid, stored in the manifest so a
+     * resume against the wrong inputs can say *which* of them
+     * diverged.
      */
     struct GridFingerprints
     {
-        /** The combined whole-grid digest (== gridFingerprint()). */
-        uint64_t combined = 0;
         /** Grid shape: size, point labels and policies. */
         uint64_t shape = 0;
         /** Result-relevant configuration knobs of every point. */
@@ -85,19 +90,13 @@ class SweepJournal
     {
         /** Grid size recorded in the manifest. */
         size_t num_points = 0;
-        /** Grid fingerprint recorded in the manifest. */
-        uint64_t fingerprint = 0;
-        /**
-         * Component digests from the manifest; `combined` equals
-         * `fingerprint`. All-zero components with a non-zero combined
-         * digest mean an old-format journal that never recorded them
-         * (see has_components).
-         */
+        /** Component digests recorded in the manifest. */
         GridFingerprints fingerprints;
-        /** True when the manifest carried the component digests. */
-        bool has_components = false;
         /** Finished points by grid index (duplicates: last wins). */
         std::map<size_t, JournalPointRecord> records;
+        /** Byte offset where the intact prefix ends (a torn record
+         * starts here; == file size when there is none). */
+        size_t intact_bytes = 0;
     };
 
     SweepJournal(SweepJournal &&other) noexcept;
@@ -108,20 +107,18 @@ class SweepJournal
 
     /**
      * Start a fresh journal at @p path (truncating any previous one)
-     * and durably write its manifest line. The combined-only overload
-     * writes a manifest without component digests (as old journals
-     * had); resume then falls back to the generic mismatch message.
+     * and durably write its manifest record.
      */
-    static SweepJournal create(const std::string &path,
-                               size_t num_points, uint64_t fingerprint);
     static SweepJournal create(const std::string &path, size_t num_points,
                                const GridFingerprints &fingerprints);
 
     /**
-     * Re-open an existing journal for appending (resume). The caller
-     * has already load()ed and validated it.
+     * Re-open a load()ed journal for appending (resume): durably cut
+     * it to @p intact_bytes (Loaded::intact_bytes) first, so a torn
+     * tail never prefixes the next record.
      */
-    static SweepJournal openAppend(const std::string &path);
+    static SweepJournal openAppend(const std::string &path,
+                                   size_t intact_bytes);
 
     /** Durably append one finished-point record (write+flush+fsync). */
     void append(const JournalPointRecord &record);
@@ -130,9 +127,9 @@ class SweepJournal
     void close();
 
     /**
-     * Parse a journal written by create()/append(). Tolerates exactly
-     * one torn trailing line (a crash mid-append); any other
-     * malformed content raises h2p::Error naming the line.
+     * Read a journal written by create()/append(), dropping a torn
+     * tail (see the file comment); any other damage, a missing
+     * manifest or a journal in an older format raises h2p::Error.
      */
     static Loaded load(const std::string &path);
 
@@ -140,40 +137,31 @@ class SweepJournal
     static bool exists(const std::string &path);
 
     /**
-     * Cheap deterministic digest of a sweep grid, embedded in the
+     * Cheap deterministic digests of a sweep grid, embedded in the
      * manifest so resume() rejects a journal from a different sweep.
-     * Hashes the grid size and, per point, the label, policy, trace
-     * fingerprint, supervision overrides and the result-relevant
-     * headline knobs (topology, thermal targets, fault seed, safe
-     * mode) — deliberately not the full configuration, which would
-     * require building each point's system just to fingerprint it.
-     */
-    static uint64_t gridFingerprint(const std::vector<SweepPoint> &grid);
-
-    /**
-     * gridFingerprint() plus its per-input component digests, computed
-     * in one pass. `combined` is bit-identical to gridFingerprint(),
-     * so journals written with either create() overload interoperate.
+     * They hash the grid size and, per point, the label, policy,
+     * trace fingerprint, supervision overrides and the
+     * result-relevant headline knobs (topology, thermal targets,
+     * fault seed, safe mode) — deliberately not the full
+     * configuration, which would require building each point's
+     * system just to fingerprint it.
      */
     static GridFingerprints
     gridFingerprints(const std::vector<SweepPoint> &grid);
 
     /**
-     * Human-readable diagnosis of a manifest fingerprint mismatch:
-     * names which sweep inputs diverged (grid shape, configuration,
-     * traces, supervision overrides) when @p loaded carries component
-     * digests, or falls back to a generic message for old journals.
-     * Precondition: loaded.fingerprint != expected.combined.
+     * Which sweep inputs (grid shape, configuration, traces,
+     * supervision overrides) differ between the @p journal and
+     * @p grid digests, as a human-readable list; empty when none do.
      */
-    static std::string describeMismatch(const Loaded &loaded,
-                                        const GridFingerprints &expected);
+    static std::string describeMismatch(const GridFingerprints &journal,
+                                        const GridFingerprints &grid);
 
   private:
     SweepJournal() = default;
 
-    /** Open @p path truncating and durably write @p manifest. */
-    static SweepJournal createWithManifest(const std::string &path,
-                                           const std::string &manifest);
+    /** Write @p bytes and make them durable (write+flush+fsync). */
+    void writeDurably(const std::string &bytes);
 
     std::FILE *file_ = nullptr;
     std::string path_;

@@ -119,13 +119,6 @@ struct SweepOptions
      */
     size_t max_attempts = 2;
     /**
-     * Restore the pre-supervision contract: the first failing point
-     * (lowest grid index) aborts the whole sweep with the legacy
-     * "sweep point N (...) failed: ..." error instead of being
-     * quarantined.
-     */
-    bool abort_on_failure = false;
-    /**
      * External cancellation latch observed *in addition to*
      * SweepEngine::requestCancel() (null = none; borrowed, must
      * outlive the engine). Typically util::signalCancelToken(), so a
@@ -138,10 +131,11 @@ struct SweepOptions
     const util::CancelToken *cancel = nullptr;
     /**
      * Crash-safe journal path (empty = no journal): the sweep appends
-     * a manifest line plus one completion record per finished point to
-     * this JSONL file, each record flushed and fsync'd before the
-     * point's result is delivered. SweepEngine::resume() replays the
-     * journal to skip completed work after a crash.
+     * a manifest record plus one record per finished point to this
+     * file of sealed records (core/sweep_journal.h), each flushed and
+     * fsync'd before the point's result is delivered.
+     * SweepEngine::resume() replays the journal to skip completed work
+     * after a crash.
      */
     std::string journal_path;
 };
@@ -178,11 +172,6 @@ struct SweepPointResult
     sched::Policy policy = sched::Policy::TegOriginal;
     /** How the point ended. */
     PointStatus status = PointStatus::Skipped;
-    /**
-     * True once the run finished; kept in lockstep with
-     * status == Completed for pre-supervision callers.
-     */
-    bool completed = false;
     /** Run summary; bit-identical to a serial H2PSystem::run(). */
     RunSummary summary;
     /** Classified failure of the last attempt (Quarantined only). */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Bit-exact little-endian byte codec shared by every binary state
- * format in the library (engine checkpoints, control-stage state).
+ * format in the library (engine checkpoints, the sweep journal,
+ * control-stage state).
  *
  * Doubles travel as their IEEE-754 bit patterns, never through text,
  * so a value serialized and restored is the identical double — the
@@ -13,6 +14,10 @@
  * visit(Archive &) that lists the fields in order; the same function
  * saves (over a ByteWriter) and loads (over a ByteReader), so the two
  * directions cannot drift apart.
+ *
+ * Persisted payloads travel in one envelope, a sealed record
+ * (sealRecord/openRecord): a checkpoint file is one sealed record, a
+ * sweep journal is a sequence of them.
  */
 
 #ifndef H2P_UTIL_BYTES_H_
@@ -21,8 +26,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace h2p {
 namespace util {
@@ -123,6 +130,7 @@ class ByteReader
     }
 
     bool exhausted() const { return pos_ == end_; }
+    size_t remaining() const { return end_ - pos_; }
 
   private:
     void need(size_t n)
@@ -158,6 +166,25 @@ class Archive
     void boolean(bool &v) { if (r_) v = r_->boolean(); else w_->boolean(v); }
     void str(std::string &v) { if (r_) v = r_->str(); else w_->str(v); }
 
+    /**
+     * A length-prefixed vector of doubles. On load the length must fit
+     * in the bytes left, so a corrupt count cannot allocate unbounded.
+     */
+    void f64s(std::vector<double> &v)
+    {
+        uint64_t n = v.size();
+        u64(n);
+        if (r_ != nullptr) {
+            expect(n <= r_->remaining() / sizeof(double),
+                   "serialized state is truncated or corrupt (", n,
+                   " doubles do not fit in ", r_->remaining(),
+                   " bytes)");
+            v.resize(static_cast<size_t>(n));
+        }
+        for (double &x : v)
+            f64(x);
+    }
+
     /** A size_t counter, serialized as u64. */
     void size(size_t &v)
     {
@@ -182,6 +209,130 @@ class Archive
     ByteWriter *w_ = nullptr;
     ByteReader *r_ = nullptr;
 };
+
+// ---------------------------------------------------------------------
+// Sealed records:
+//
+//   magic (8 bytes) | version u32 | payload length u64 |
+//   payload bytes | FNV-1a(payload) u64
+//
+// FNV-1a changes under any single changed payload byte, so one flipped
+// bit anywhere in a record fails its magic, version, length or
+// checksum check.
+
+/** Bytes of a sealed record around its payload. */
+constexpr size_t kSealedHeaderSize = 8 + 4 + 8;
+constexpr size_t kSealedFooterSize = 8;
+
+/** FNV-1a digest of @p n payload bytes (the record checksum). */
+inline uint64_t
+payloadChecksum(const char *data, size_t n)
+{
+    Fnv1a h;
+    h.bytes(data, n);
+    return h.digest();
+}
+
+/** Envelope @p payload as one sealed record. */
+inline std::string
+sealRecord(const char (&magic)[8], uint32_t version,
+           const std::string &payload)
+{
+    ByteWriter w;
+    w.raw(magic, sizeof(magic));
+    w.u32(version);
+    w.u64(payload.size());
+    w.raw(payload.data(), payload.size());
+    w.u64(payloadChecksum(payload.data(), payload.size()));
+    return w.data();
+}
+
+/** Where one sealed record sits in a buffer, or why it is invalid. */
+struct SealedRecord
+{
+    enum class Status
+    {
+        Ok,
+        /** The record runs past the end of the buffer. */
+        Truncated,
+        BadMagic,
+        BadVersion,
+        BadChecksum,
+    };
+
+    Status status = Status::Truncated;
+    /** The version found (set from BadVersion on). */
+    uint32_t version = 0;
+    /** Payload window [begin, end) (set from BadChecksum on). */
+    size_t begin = 0;
+    size_t end = 0;
+    /** First byte after the record (set from BadChecksum on). */
+    size_t next = 0;
+
+    bool ok() const { return status == Status::Ok; }
+
+    /** What is wrong, for an error message ("fails its checksum"). */
+    std::string describe(uint32_t expected_version) const
+    {
+        switch (status) {
+          case Status::Ok:
+            return "is valid";
+          case Status::Truncated:
+            return "is truncated";
+          case Status::BadMagic:
+            return "has bad magic";
+          case Status::BadVersion:
+            return detail::concat("has version ", version,
+                                  ", this build reads version ",
+                                  expected_version);
+          case Status::BadChecksum:
+            return "fails its checksum";
+        }
+        return "is invalid";
+    }
+};
+
+/**
+ * Open the sealed record starting at byte @p at (<= buf.size()) of
+ * @p buf: check the
+ * magic, version, length and checksum, in that order. Never throws;
+ * the caller decides which failures are fatal. A buffer that ends
+ * inside a record whose magic prefix matches is Truncated.
+ */
+inline SealedRecord
+openRecord(const std::string &buf, size_t at, const char (&magic)[8],
+           uint32_t version)
+{
+    H2P_ASSERT(at <= buf.size(), "sealed record offset past the buffer");
+    SealedRecord rec;
+    const size_t avail = buf.size() - at;
+    if (std::memcmp(buf.data() + at, magic,
+                    avail < sizeof(magic) ? avail : sizeof(magic)) != 0) {
+        rec.status = SealedRecord::Status::BadMagic;
+        return rec;
+    }
+    if (avail < kSealedHeaderSize)
+        return rec; // Truncated.
+    ByteReader head(buf, at + sizeof(magic), at + kSealedHeaderSize);
+    rec.version = head.u32();
+    if (rec.version != version) {
+        rec.status = SealedRecord::Status::BadVersion;
+        return rec;
+    }
+    const uint64_t len = head.u64();
+    if (len > avail - kSealedHeaderSize ||
+        avail - kSealedHeaderSize - len < kSealedFooterSize)
+        return rec; // Truncated.
+    rec.begin = at + kSealedHeaderSize;
+    rec.end = rec.begin + static_cast<size_t>(len);
+    rec.next = rec.end + kSealedFooterSize;
+    ByteReader foot(buf, rec.end, rec.next);
+    rec.status = foot.u64() == payloadChecksum(buf.data() + rec.begin,
+                                               rec.end - rec.begin)
+                     ? SealedRecord::Status::Ok
+                     : SealedRecord::Status::BadChecksum;
+    return rec;
+}
 
 } // namespace util
 } // namespace h2p

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "util/bytes.h"
+
 namespace h2p {
 namespace detail {
 
@@ -38,19 +40,6 @@ toString(FailureKind kind)
     return "unknown";
 }
 
-FailureKind
-failureKindFromString(const std::string &name)
-{
-    for (FailureKind kind :
-         {FailureKind::ConfigError, FailureKind::NumericDivergence,
-          FailureKind::Timeout, FailureKind::Cancelled,
-          FailureKind::Internal}) {
-        if (name == toString(kind))
-            return kind;
-    }
-    fatal("unknown failure kind `", name, "'");
-}
-
 bool
 isRetryable(FailureKind kind)
 {
@@ -70,6 +59,19 @@ RunFailure::describe() const
     if (!message.empty())
         os << ": " << message;
     return os.str();
+}
+
+void
+RunFailure::visit(util::Archive &ar)
+{
+    uint32_t raw = static_cast<uint32_t>(kind);
+    ar.u32(raw);
+    expect(raw <= static_cast<uint32_t>(FailureKind::Internal),
+           "serialized run failure carries unknown kind ", raw);
+    kind = static_cast<FailureKind>(raw);
+    ar.str(message);
+    ar.size(step);
+    ar.str(stage);
 }
 
 } // namespace h2p

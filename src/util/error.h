@@ -22,6 +22,10 @@
 
 namespace h2p {
 
+namespace util {
+class Archive;
+} // namespace util
+
 /**
  * Exception type for all user-recoverable errors raised by the library.
  */
@@ -54,9 +58,6 @@ enum class FailureKind
 /** Stable lower-case name of @p kind ("config_error", ...). */
 const char *toString(FailureKind kind);
 
-/** Parse a toString(FailureKind) name back; throws h2p::Error. */
-FailureKind failureKindFromString(const std::string &name);
-
 /**
  * True when re-running the identical computation may succeed: the
  * failure depends on wall-clock or transient resources (Timeout,
@@ -85,6 +86,9 @@ struct RunFailure
 
     /** One-line rendering: "[kind] step 12, stage evaluate: msg". */
     std::string describe() const;
+
+    /** The one field list of a persisted failure (sweep journal). */
+    void visit(util::Archive &ar);
 };
 
 /**

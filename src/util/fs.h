@@ -6,9 +6,9 @@
  * CSV/JSONL exports — must never be observable half-written: a process
  * killed mid-write may leave a stale previous version or no file, but
  * not a truncated one. atomicWriteFile provides that guarantee with
- * the classic temp + fsync + rename dance; append-only journals get
- * durability from appendLineSync (write + flush + fsync per record,
- * torn tails detected by the reader instead).
+ * the classic temp + fsync + rename dance; the append-only sweep
+ * journal gets durability from write + flush + fsync per record, its
+ * reader detecting and cutting a torn tail instead.
  */
 
 #ifndef H2P_UTIL_FS_H_

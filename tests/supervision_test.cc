@@ -79,15 +79,12 @@ makeGrid(const workload::UtilizationTrace &trace, size_t n)
 
 TEST(FailureTaxonomyTest, NamesRoundTrip)
 {
-    const FailureKind kinds[] = {
-        FailureKind::ConfigError, FailureKind::NumericDivergence,
-        FailureKind::Timeout, FailureKind::Cancelled,
-        FailureKind::Internal};
-    for (FailureKind k : kinds)
-        EXPECT_EQ(failureKindFromString(toString(k)), k);
+    EXPECT_STREQ(toString(FailureKind::ConfigError), "config_error");
     EXPECT_STREQ(toString(FailureKind::NumericDivergence),
                  "numeric_divergence");
-    EXPECT_THROW(failureKindFromString("flux_capacitor"), Error);
+    EXPECT_STREQ(toString(FailureKind::Timeout), "timeout");
+    EXPECT_STREQ(toString(FailureKind::Cancelled), "cancelled");
+    EXPECT_STREQ(toString(FailureKind::Internal), "internal");
 }
 
 TEST(FailureTaxonomyTest, RetryabilityFollowsDeterminism)
@@ -238,7 +235,7 @@ TEST(SignalCancelTest, SignalCancelledSweepIsJournalResumable)
         explicit TempPath(const std::string &n) : path(n) {}
         ~TempPath() { std::remove(path.c_str()); }
         std::string path;
-    } jp("supervision_test_signal.jsonl");
+    } jp("supervision_test_signal.journal");
 
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 4);

@@ -1,0 +1,55 @@
+/**
+ * @file
+ * Test helper: deterministic mutations of a valid serialized artifact
+ * (checkpoint, journal, config, wire frame). A parser under test must
+ * either reject each mutant with a typed error or return only what
+ * was written — never a changed value, a crash or a hang.
+ *
+ * The enumerations are exhaustive, not sampled, so a failure names
+ * the exact mutant and reproduces on every run.
+ */
+
+#ifndef H2P_TESTS_SUPPORT_MUTATE_H_
+#define H2P_TESTS_SUPPORT_MUTATE_H_
+
+#include <string>
+
+namespace h2p {
+namespace test {
+
+/**
+ * Call @p check(mutant, what) once per single-bit flip of @p bytes;
+ * `what` names the flipped bit ("bit 3 of byte 17").
+ */
+template <typename Check>
+void
+forEachBitFlip(const std::string &bytes, Check &&check)
+{
+    std::string mutant = bytes;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            mutant[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+            check(mutant, "bit " + std::to_string(bit) + " of byte " +
+                              std::to_string(i));
+        }
+        mutant[i] = bytes[i];
+    }
+}
+
+/**
+ * Call @p check(prefix, what) once per proper prefix of @p bytes —
+ * a truncation at every byte offset, the empty file included.
+ */
+template <typename Check>
+void
+forEachTruncation(const std::string &bytes, Check &&check)
+{
+    for (size_t n = 0; n < bytes.size(); ++n)
+        check(bytes.substr(0, n),
+              "truncation to " + std::to_string(n) + " bytes");
+}
+
+} // namespace test
+} // namespace h2p
+
+#endif // H2P_TESTS_SUPPORT_MUTATE_H_
