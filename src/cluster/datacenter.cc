@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.h"
-#include "util/hash.h"
 
 namespace h2p {
 namespace cluster {
@@ -29,18 +28,6 @@ Datacenter::Datacenter(const DatacenterParams &params)
         offset += n;
         remaining -= n;
     }
-}
-
-uint64_t
-Datacenter::topologyFingerprint() const
-{
-    util::Fnv1a h;
-    h.size(params_.num_servers);
-    h.f64(params_.cold_source_c);
-    h.size(circulation_sizes_.size());
-    for (size_t n : circulation_sizes_)
-        h.size(n);
-    return h.digest();
 }
 
 size_t

@@ -119,14 +119,6 @@ class Datacenter
     size_t numServers() const { return params_.num_servers; }
 
     /**
-     * Stable 64-bit digest of the simulated topology: server count,
-     * circulation partition and cold-source temperature. Checkpoints
-     * embed it so a session cannot be restored into a datacenter with
-     * a different layout.
-     */
-    uint64_t topologyFingerprint() const;
-
-    /**
      * Evaluate one scheduling interval.
      *
      * @param utils Per-server utilizations (numServers() entries),

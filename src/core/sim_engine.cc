@@ -6,11 +6,11 @@
 #include <iostream>
 #include <string>
 
+#include "core/config_io.h"
 #include "sim/channels.h"
 #include "util/bytes.h"
 #include "util/error.h"
 #include "util/fs.h"
-#include "util/hash.h"
 #include "util/units.h"
 
 namespace h2p {
@@ -315,83 +315,6 @@ SimEngine::SimEngine(const Wiring &wiring) : w_(wiring)
     H2P_ASSERT(w_.config != nullptr && w_.dc != nullptr &&
                    w_.optimizer != nullptr && w_.pipelines != nullptr,
                "engine wiring incomplete");
-}
-
-uint64_t
-SimEngine::configFingerprint() const
-{
-    const H2PConfig &c = *w_.config;
-    util::Fnv1a h;
-    h.u64(w_.dc->topologyFingerprint());
-
-    // Decision-relevant control parameters.
-    h.size(c.lookup.util_points);
-    h.f64(c.lookup.flow_min_lph);
-    h.f64(c.lookup.flow_max_lph);
-    h.size(c.lookup.flow_points);
-    h.f64(c.lookup.tin_min_c);
-    h.f64(c.lookup.tin_max_c);
-    h.size(c.lookup.tin_points);
-    h.f64(c.optimizer.t_safe_c);
-    h.f64(c.optimizer.band_c);
-    // The cache quantum changes the planned utilization (it is an
-    // approximation knob).
-    h.f64(c.perf.optimizer_cache_quantum);
-
-    // Fault scenario: the whole timeline derives from these.
-    const fault::FaultScenarioParams &f = c.faults;
-    h.u64(f.seed);
-    h.f64(f.pump_degrade_per_circ_year);
-    h.f64(f.pump_fail_per_circ_year);
-    h.f64(f.teg_open_per_server_year);
-    h.f64(f.teg_short_per_server_year);
-    h.f64(f.chiller_outages_per_year);
-    h.f64(f.tower_outages_per_year);
-    h.f64(f.die_sensor_faults_per_circ_year);
-    h.f64(f.flow_sensor_faults_per_circ_year);
-    h.f64(f.fouling_kpw_per_year);
-    h.f64(f.outage_duration_hours);
-    h.f64(f.sensor_fault_duration_hours);
-    h.f64(f.sensor_drift_c_per_hour);
-    h.f64(f.pump_degraded_flow_factor);
-    h.size(f.scripted.size());
-    for (const fault::FaultEvent &e : f.scripted) {
-        h.f64(e.time_s);
-        h.u64(static_cast<uint64_t>(e.kind));
-        h.size(e.circulation);
-        h.size(e.server);
-        h.f64(e.magnitude);
-        h.f64(e.duration_s);
-    }
-
-    // Degraded-mode control.
-    const sched::SafeModeParams &sm = c.safe_mode;
-    h.boolean(sm.enabled);
-    h.f64(sm.margin_c);
-    h.f64(sm.min_plausible_c);
-    h.f64(sm.max_plausible_c);
-    h.f64(sm.max_rate_c_per_s);
-    h.f64(sm.flow_tolerance);
-    h.size(sm.hold_steps);
-    h.boolean(sm.watchdog_enabled);
-    h.f64(sm.throttle_factor);
-    h.f64(sm.recovery_margin_c);
-    h.f64(sm.release_step);
-    h.f64(c.datacenter.server.thermal.max_operating_c);
-
-    // Autonomous balancer: when enabled it replaces the static
-    // balance stage, so every knob shifts the decision sequence.
-    const control::BalancerParams &b = c.balancer;
-    h.boolean(b.enabled);
-    h.f64(b.max_move);
-    h.f64(b.hysteresis);
-    h.f64(b.drain_rate);
-    h.size(b.max_pulls);
-    h.boolean(b.drain_on_fallback);
-    h.f64(b.headroom_floor_c);
-    h.size(b.max_stale_steps);
-
-    return h.digest();
 }
 
 SimSession
@@ -976,7 +899,7 @@ SimEngine::saveCheckpoint(const SimSession &s,
     expect(!s.finished_, "cannot checkpoint a finished session");
 
     CheckpointHeader h;
-    h.config_fp = configFingerprint();
+    h.config_fp = configDigest(*w_.config);
     h.trace_fp = s.trace_->fingerprint();
     h.policy = s.policy_ == sched::Policy::TegLoadBalance ? 1 : 0;
     h.resilient = s.resilient_;
@@ -1022,10 +945,10 @@ SimEngine::resume(const std::string &path,
     util::Archive ar(r);
     CheckpointHeader h;
     h.visit(ar);
-    expect(h.config_fp == configFingerprint(),
-           "checkpoint was taken under a different configuration "
-           "(fault scenario, safe mode, topology or optimizer "
-           "parameters differ); refusing to resume");
+    expect(h.config_fp == configDigest(*w_.config),
+           "checkpoint was taken under a different configuration (an "
+           "INI key outside [obs] or the scripted faults differ), or it "
+           "was written by an older build; refusing to resume");
     expect(h.trace_fp == trace.fingerprint(),
            "checkpoint was taken against a different workload trace; "
            "refusing to resume");
@@ -1040,7 +963,7 @@ SimEngine::resume(const std::string &path,
                                     ? sched::Policy::TegLoadBalance
                                     : sched::Policy::TegOriginal);
     H2P_ASSERT(s.resilient_ == h.resilient,
-               "config fingerprint matched but pipeline shape did "
+               "config digest matched but pipeline shape did "
                "not");
     s.cursor_ = h.cursor;
 

@@ -337,19 +337,12 @@ class SimEngine
      * Restore a session from a checkpoint written by
      * SimSession::saveCheckpoint(). The trace must be the one the
      * checkpointed run was driven by (fingerprint-verified), and this
-     * engine's configuration must match the checkpoint's (topology,
-     * fault scenario, safe mode and result-relevant optimizer
-     * parameters).
+     * engine's configuration must match the checkpoint's
+     * (core::configDigest: every INI key outside [obs], plus the
+     * scripted faults).
      */
     SimSession resume(const std::string &path,
                       const workload::UtilizationTrace &trace) const;
-
-    /**
-     * Digest of every configuration parameter that can change run
-     * results; embedded in checkpoints to reject restores into a
-     * mismatched system.
-     */
-    uint64_t configFingerprint() const;
 
   private:
     friend class SimSession;

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "core/config_io.h"
 #include "util/error.h"
 #include "util/hash.h"
 
@@ -246,13 +247,7 @@ SweepJournal::gridFingerprints(const std::vector<SweepPoint> &grid)
         shape.str(p.label);
         shape.u64(static_cast<uint64_t>(p.policy));
         trace.u64(p.trace != nullptr ? p.trace->fingerprint() : 0);
-        config.size(p.config.datacenter.num_servers);
-        config.size(p.config.datacenter.servers_per_circulation);
-        config.f64(p.config.datacenter.cold_source_c);
-        config.f64(p.config.optimizer.t_safe_c);
-        config.f64(p.config.optimizer.band_c);
-        config.u64(p.config.faults.seed);
-        config.boolean(p.config.safe_mode.enabled);
+        config.u64(configDigest(p.config));
         guard.f64(p.deadline_s);
         guard.size(p.step_budget);
     }
@@ -272,8 +267,9 @@ SweepJournal::describeMismatch(const GridFingerprints &journal,
     if (journal.shape != grid.shape)
         diverged.push_back("grid shape (size, labels or policies)");
     if (journal.config != grid.config)
-        diverged.push_back("configuration (topology, thermal targets, "
-                           "fault seed or safe mode)");
+        diverged.push_back("configuration (an INI key outside [obs] or "
+                           "the scripted faults differ, or the journal "
+                           "was written by an older build)");
     if (journal.trace != grid.trace)
         diverged.push_back("traces");
     if (journal.guard != grid.guard)

@@ -77,7 +77,7 @@ class SweepJournal
     {
         /** Grid shape: size, point labels and policies. */
         uint64_t shape = 0;
-        /** Result-relevant configuration knobs of every point. */
+        /** core::configDigest of every point. */
         uint64_t config = 0;
         /** Driving traces (workload::UtilizationTrace fingerprints). */
         uint64_t trace = 0;
@@ -140,11 +140,9 @@ class SweepJournal
      * Cheap deterministic digests of a sweep grid, embedded in the
      * manifest so resume() rejects a journal from a different sweep.
      * They hash the grid size and, per point, the label, policy,
-     * trace fingerprint, supervision overrides and the
-     * result-relevant headline knobs (topology, thermal targets,
-     * fault seed, safe mode) — deliberately not the full
-     * configuration, which would require building each point's
-     * system just to fingerprint it.
+     * trace fingerprint, supervision overrides and
+     * core::configDigest (every INI key outside [obs], plus the
+     * scripted faults).
      */
     static GridFingerprints
     gridFingerprints(const std::vector<SweepPoint> &grid);

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config_io.h"
 #include "sim/config.h"
@@ -321,6 +325,108 @@ TEST(ConfigIoTest, CleanConfigDoesNotWarn)
     core::configFromIni(ini);
     Logger::instance().setStream(std::cerr);
     EXPECT_EQ(captured.str(), "");
+}
+
+TEST(ConfigIoTest, ShippedConfigsLoadWithoutWarnings)
+{
+    // Guards the one field list: a key dropped from it would warn here.
+    size_t loaded = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(H2P_SOURCE_DIR) + "/examples/configs")) {
+        if (entry.path().extension() != ".ini")
+            continue;
+        sim::Config ini = sim::Config::load(entry.path().string());
+        std::ostringstream captured;
+        Logger::instance().setStream(captured);
+        core::configFromIni(ini);
+        core::traceRequestFromIni(ini);
+        Logger::instance().setStream(std::cerr);
+        EXPECT_EQ(captured.str(), "") << entry.path();
+        ++loaded;
+    }
+    EXPECT_GE(loaded, 3u);
+}
+
+TEST(ConfigIoTest, RejectsNegativeCounts)
+{
+    // A cast used to wrap these to 2^64 - n: -1 servers hung, -3 flow
+    // points threw std::length_error, and -1 servers per circulation
+    // silently ran one big loop.
+    const std::vector<std::pair<std::string, std::string>> keys = {
+        {"datacenter", "num_servers"},
+        {"datacenter", "servers_per_circulation"},
+        {"lookup", "flow_points"},
+        {"safe_mode", "hold_steps"},
+    };
+    for (const auto &[section, key] : keys) {
+        std::stringstream ss("[" + section + "]\n" + key + " = -3\n");
+        sim::Config ini = sim::Config::parse(ss);
+        try {
+            core::configFromIni(ini);
+            ADD_FAILURE() << key << " = -3 was accepted";
+        } catch (const Error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("[" + section + "] " + key),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("-3"), std::string::npos) << msg;
+        }
+    }
+    std::stringstream ss("[trace]\nservers = -1\n");
+    EXPECT_THROW(core::traceRequestFromIni(sim::Config::parse(ss)),
+                 Error);
+}
+
+TEST(ConfigIoTest, DigestCoversEveryKeyButObs)
+{
+    const sim::Config base;
+    const uint64_t digest = core::configDigest(core::configFromIni(base));
+    EXPECT_EQ(core::configDigest(core::H2PConfig{}), digest);
+
+    // One key from every section outside [obs] changes the digest.
+    const std::vector<std::vector<std::string>> changed = {
+        {"datacenter", "servers_per_circulation", "25"},
+        {"datacenter", "cold_source_c", "18"},
+        {"server", "tegs_per_server", "10"},
+        {"teg", "voc_slope", "0.06"},
+        {"thermal", "leak_gamma", "0.5"},
+        {"optimizer", "band_c", "2"},
+        {"lookup", "flow_points", "17"},
+        {"plant", "cop", "3"},
+        {"fault", "teg_open_per_server_year", "0.1"},
+        {"safe_mode", "margin_c", "4"},
+        {"balancer", "max_pulls", "3"},
+        {"perf", "optimizer_cache_quantum", "0.002"},
+    };
+    for (const auto &c : changed) {
+        sim::Config ini = base;
+        ini.set(c[0], c[1], c[2]);
+        EXPECT_NE(core::configDigest(core::configFromIni(ini)), digest)
+            << "[" << c[0] << "] " << c[1];
+    }
+
+    // [obs] settings never change results, and [trace] is digested
+    // separately, by the trace's own fingerprint.
+    const std::vector<std::vector<std::string>> unchanged = {
+        {"obs", "enabled", "1"},
+        {"obs", "jsonl_path", "run.jsonl"},
+        {"obs", "csv_path", "run.csv"},
+        {"obs", "print_summary", "1"},
+        {"obs", "max_events", "16"},
+        {"trace", "seed", "9"},
+    };
+    for (const auto &c : unchanged) {
+        sim::Config ini = base;
+        ini.set(c[0], c[1], c[2]);
+        EXPECT_EQ(core::configDigest(core::configFromIni(ini)), digest)
+            << "[" << c[0] << "] " << c[1];
+    }
+
+    // Scripted faults have no INI key but are digested.
+    core::H2PConfig scripted;
+    scripted.faults.scripted.push_back(
+        {300.0, fault::FaultKind::PumpDegraded, 0, 0, 0.4, 0.0});
+    EXPECT_NE(core::configDigest(scripted), digest);
 }
 
 TEST(ConfigIoTest, ObsSectionBinds)

@@ -627,6 +627,17 @@ TEST(JournalTest, MismatchMessageNamesTheDivergedInput)
     EXPECT_EQ(msg.find("traces"), std::string::npos) << msg;
     EXPECT_EQ(msg.find("grid shape"), std::string::npos) << msg;
 
+    // Model and safe-mode keys outside the old headline list are
+    // configuration too.
+    auto teg = makeGrid(trace, 3);
+    teg[2].config.datacenter.server.teg.voc_slope = 0.06;
+    msg = mismatchMessage(teg);
+    EXPECT_NE(msg.find("configuration"), std::string::npos) << msg;
+    auto margin = makeGrid(trace, 3);
+    margin[0].config.safe_mode.margin_c += 1.0;
+    msg = mismatchMessage(margin);
+    EXPECT_NE(msg.find("configuration"), std::string::npos) << msg;
+
     // Different driving trace: only the traces are blamed.
     auto other_trace = makeTrace(/*seed=*/22);
     auto retraced = makeGrid(other_trace, 3);

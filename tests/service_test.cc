@@ -459,6 +459,38 @@ TEST(ServiceServer, MalformedHeaderGetsErrorButConnectionSurvives)
     EXPECT_TRUE(service::Response::parse(payload).ok);
 }
 
+TEST(ServiceServer, NegativeCountInOpenIsAnErrorAndServingGoesOn)
+{
+    // `num_servers = -1` used to wrap to 2^64 - 1 and hang a worker.
+    TempPath socket("service_test_negative.sock");
+    service::SessionBroker broker;
+    service::Server server(socket.path, &broker);
+
+    util::Fd fd = util::unixConnect(socket.path);
+    service::writeFrame(
+        fd, makeRequest("open", {"original"},
+                        "[datacenter]\nnum_servers = -1\n")
+                .serialize());
+    std::string payload;
+    ASSERT_TRUE(service::readFrame(fd, payload));
+    service::Response bad = service::Response::parse(payload);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.message.find("[datacenter] num_servers"),
+              std::string::npos)
+        << bad.message;
+    EXPECT_EQ(broker.numSessions(), 0u);
+
+    service::writeFrame(
+        fd, makeRequest("open", {"original"}, kIni).serialize());
+    ASSERT_TRUE(service::readFrame(fd, payload));
+    service::Response good = service::Response::parse(payload);
+    ASSERT_TRUE(good.ok) << good.message;
+    service::writeFrame(
+        fd, makeRequest("step", {good.args[0], "5"}).serialize());
+    ASSERT_TRUE(service::readFrame(fd, payload));
+    EXPECT_TRUE(service::Response::parse(payload).ok);
+}
+
 TEST(ServiceServer, ShutdownVerbStopsTheServer)
 {
     TempPath socket("service_test_shutdown.sock");

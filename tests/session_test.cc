@@ -750,9 +750,39 @@ TEST(SessionTest, CheckpointRejectsMismatchedConfig)
     core::H2PSystem sys_faulted(faultedConfig());
     EXPECT_THROW(sys_faulted.resumeSession(ck.path, trace), Error);
 
-    // The same configuration on a fresh system is fine.
+    // A different TEG, thermal or plant model: refuse, naming the
+    // configuration.
+    auto refusal = [&](core::H2PConfig changed) {
+        core::H2PSystem sys_changed(changed);
+        try {
+            sys_changed.resumeSession(ck.path, trace);
+        } catch (const Error &e) {
+            return std::string(e.what());
+        }
+        return std::string("resumed");
+    };
+    core::H2PConfig teg = smallConfig();
+    teg.datacenter.server.teg.voc_slope = 0.06;
+    EXPECT_NE(refusal(teg).find("different configuration"),
+              std::string::npos);
+    core::H2PConfig leak = smallConfig();
+    leak.datacenter.server.thermal.leak_gamma = 0.5;
+    EXPECT_NE(refusal(leak).find("different configuration"),
+              std::string::npos);
+    core::H2PConfig plant = smallConfig();
+    plant.datacenter.plant.chiller.cop = 3.0;
+    EXPECT_NE(refusal(plant).find("different configuration"),
+              std::string::npos);
+
+    // The same configuration on a fresh system is fine, and so is one
+    // that differs only in [obs] (obs never changes results).
     core::H2PSystem sys_same(smallConfig());
     EXPECT_NO_THROW(sys_same.resumeSession(ck.path, trace));
+    core::H2PConfig observed = smallConfig();
+    observed.obs.max_events = 16;
+    observed.obs.enabled = true;
+    core::H2PSystem sys_observed(observed);
+    EXPECT_NO_THROW(sys_observed.resumeSession(ck.path, trace));
 }
 
 TEST(SessionTest, CheckpointRejectsMismatchedTrace)
