@@ -8,14 +8,11 @@
  */
 
 #include <iostream>
-#include <numeric>
+#include <memory>
 
 #include "bench/bench_common.h"
-#include "cluster/datacenter.h"
-#include "sched/consolidation.h"
-#include "sched/cooling_optimizer.h"
-#include "sched/load_balancer.h"
-#include "sched/lookup_space.h"
+#include "control/stages.h"
+#include "core/h2p_system.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
@@ -32,48 +29,32 @@ struct Outcome
     double teg_w = 0.0;
 };
 
+/**
+ * None and Balance are the paper's TEG_Original / TEG_LoadBalance;
+ * Consolidate runs [consolidation(0.8), cooling].
+ */
 Outcome
 run(Strategy strategy, const workload::UtilizationTrace &trace,
-    const cluster::Datacenter &dc, const sched::CoolingOptimizer &opt)
+    const core::H2PSystem &sys)
 {
+    core::SimSession session = sys.startSession(
+        trace, strategy == Strategy::Balance ? sched::Policy::TegLoadBalance
+                                             : sched::Policy::TegOriginal);
+    if (strategy == Strategy::Consolidate) {
+        const cluster::Datacenter &dc = sys.datacenter();
+        auto p = std::make_unique<control::ControlPipeline>("consolidate");
+        p->add(std::make_unique<control::ConsolidationStage>(dc, 0.8));
+        p->add(std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
+        session.setPipeline(std::move(p));
+    }
     Outcome out;
-    for (size_t step = 0; step < trace.numSteps(); ++step) {
-        std::vector<double> utils = trace.step(step);
-        utils.resize(dc.numServers());
-
-        std::vector<cluster::CoolingSetting> settings;
-        size_t offset = 0;
-        for (size_t c = 0; c < dc.numCirculations(); ++c) {
-            size_t n = dc.circulationSize(c);
-            std::vector<double> group(utils.begin() + offset,
-                                      utils.begin() + offset + n);
-            std::vector<double> placed;
-            double plan = 0.0;
-            switch (strategy) {
-              case Strategy::None:
-                placed = group;
-                plan = sched::maxUtil(group);
-                break;
-              case Strategy::Balance:
-                placed = sched::balancePerfect(group);
-                plan = sched::meanUtil(group);
-                break;
-              case Strategy::Consolidate:
-                placed = sched::consolidate(group, 0.8);
-                plan = sched::maxUtil(placed);
-                break;
-            }
-            for (size_t i = 0; i < n; ++i)
-                utils[offset + i] = placed[i];
-            settings.push_back(opt.choose(plan).setting);
-            offset += n;
-        }
-        auto state = dc.evaluate(utils, settings);
-        out.cpu_w += state.cpu_power_w;
-        out.teg_w += state.teg_power_w;
+    while (!session.done()) {
+        session.step();
+        out.cpu_w += session.lastState().cpu_power_w;
+        out.teg_w += session.lastState().teg_power_w;
     }
     double steps = static_cast<double>(trace.numSteps());
-    double servers = static_cast<double>(dc.numServers());
+    double servers = static_cast<double>(sys.datacenter().numServers());
     out.cpu_w /= steps * servers;
     out.teg_w /= steps * servers;
     return out;
@@ -86,14 +67,12 @@ main()
 {
     using namespace h2p;
 
-    cluster::DatacenterParams dp;
-    dp.num_servers = 200;
-    dp.servers_per_circulation = 50;
-    cluster::Datacenter dc(dp);
-    cluster::Server server(dp.server);
-    sched::LookupSpace space(server);
-    thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = 200;
+    cfg.datacenter.servers_per_circulation = 50;
+    // Plan at the exact utilization, not a cached quantized one.
+    cfg.perf.optimizer_cache_quantum = 0.0;
+    core::H2PSystem sys(cfg);
 
     workload::TraceGenerator gen(2020);
     auto trace =
@@ -112,7 +91,7 @@ main()
     int idx = 0;
     for (auto s : {Strategy::None, Strategy::Balance,
                    Strategy::Consolidate}) {
-        Outcome o = run(s, trace, dc, opt);
+        Outcome o = run(s, trace, sys);
         table.addRow(names[idx],
                      {o.cpu_w, o.teg_w, o.cpu_w - o.teg_w}, 3);
         csv.addRow({double(idx), o.cpu_w, o.teg_w,

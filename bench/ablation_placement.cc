@@ -10,12 +10,11 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_common.h"
-#include "cluster/datacenter.h"
-#include "sched/cooling_optimizer.h"
-#include "sched/load_balancer.h"
-#include "sched/lookup_space.h"
+#include "control/stages.h"
+#include "core/h2p_system.h"
 #include "sched/placement.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -25,50 +24,34 @@ namespace {
 
 using namespace h2p;
 
-enum class Placement { Native, Snake, HotCluster };
-
+/**
+ * Average TEG W/server of the trace laid out by @p place (null: the
+ * trace's native order), planned by the paper's scheme (TEG_Original,
+ * or TEG_LoadBalance when @p balance): [(placement), (balance),
+ * cooling].
+ */
 double
-runAvgTeg(Placement placement, bool balance,
+runAvgTeg(control::PlacementStage::Place place, bool balance,
           const workload::UtilizationTrace &trace,
-          const cluster::Datacenter &dc,
-          const sched::CoolingOptimizer &opt)
+          const core::H2PSystem &sys)
 {
+    const sched::Policy policy = balance ? sched::Policy::TegLoadBalance
+                                         : sched::Policy::TegOriginal;
+    core::SimSession session = sys.startSession(trace, policy);
+    if (place != nullptr) {
+        const cluster::Datacenter &dc = sys.datacenter();
+        auto p = std::make_unique<control::ControlPipeline>("placed");
+        p->add(std::make_unique<control::PlacementStage>(dc, place));
+        if (balance)
+            p->add(std::make_unique<control::BalanceStage>(dc));
+        p->add(std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
+        session.setPipeline(std::move(p));
+    }
     double teg_sum = 0.0;
-    size_t group = dc.circulationSize(0);
-    for (size_t step = 0; step < trace.numSteps(); ++step) {
-        std::vector<double> utils = trace.step(step);
-        utils.resize(dc.numServers());
-        switch (placement) {
-          case Placement::Native:
-            break;
-          case Placement::Snake:
-            utils = sched::placeSnake(utils, group);
-            break;
-          case Placement::HotCluster:
-            utils = sched::placeHotCluster(utils, group);
-            break;
-        }
-
-        std::vector<cluster::CoolingSetting> settings;
-        size_t offset = 0;
-        for (size_t c = 0; c < dc.numCirculations(); ++c) {
-            size_t n = dc.circulationSize(c);
-            std::vector<double> g(utils.begin() + offset,
-                                  utils.begin() + offset + n);
-            double plan;
-            if (balance) {
-                auto balanced = sched::balancePerfect(g);
-                for (size_t i = 0; i < n; ++i)
-                    utils[offset + i] = balanced[i];
-                plan = sched::meanUtil(g);
-            } else {
-                plan = sched::maxUtil(g);
-            }
-            settings.push_back(opt.choose(plan).setting);
-            offset += n;
-        }
-        teg_sum += dc.evaluate(utils, settings).teg_power_w /
-                   static_cast<double>(dc.numServers());
+    while (!session.done()) {
+        session.step();
+        teg_sum += session.lastState().teg_power_w /
+                   static_cast<double>(sys.datacenter().numServers());
     }
     return teg_sum / static_cast<double>(trace.numSteps());
 }
@@ -80,14 +63,12 @@ main()
 {
     using namespace h2p;
 
-    cluster::DatacenterParams dp;
-    dp.num_servers = 200;
-    dp.servers_per_circulation = 50;
-    cluster::Datacenter dc(dp);
-    cluster::Server server(dp.server);
-    sched::LookupSpace space(server);
-    thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = 200;
+    cfg.datacenter.servers_per_circulation = 50;
+    // Plan at the exact utilization, not a cached quantized one.
+    cfg.perf.optimizer_cache_quantum = 0.0;
+    core::H2PSystem sys(cfg);
 
     workload::TraceGenerator gen(2020);
     auto trace =
@@ -102,10 +83,11 @@ main()
     const char *names[] = {"native (trace order)", "snake (spread)",
                            "hot-cluster (pack)"};
     int idx = 0;
-    for (auto p : {Placement::Native, Placement::Snake,
-                   Placement::HotCluster}) {
-        double orig = runAvgTeg(p, false, trace, dc, opt);
-        double lb = runAvgTeg(p, true, trace, dc, opt);
+    for (control::PlacementStage::Place place :
+         {control::PlacementStage::Place(nullptr), &sched::placeSnake,
+          &sched::placeHotCluster}) {
+        double orig = runAvgTeg(place, false, trace, sys);
+        double lb = runAvgTeg(place, true, trace, sys);
         table.addRow(names[idx], {orig, lb}, 3);
         csv.addRow({double(idx), orig, lb});
         ++idx;

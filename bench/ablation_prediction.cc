@@ -9,18 +9,20 @@
  *  - stale: plan on the previous interval's U_max (naive causal);
  *  - predictive: EWMA + 2-sigma margin (sched/predictor.h).
  *
+ * Both causal planners run control::PredictiveCoolingStage: stale is
+ * the EWMA with alpha = 1 and kappa = 0.
+ *
  * Reported: harvested power and — the real safety story — how often
  * the hottest die exceeds T_safe and the vendor maximum.
  */
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_common.h"
-#include "cluster/datacenter.h"
-#include "sched/cooling_optimizer.h"
-#include "sched/lookup_space.h"
-#include "sched/predictor.h"
+#include "control/stages.h"
+#include "core/h2p_system.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
@@ -41,44 +43,34 @@ enum class Planner { Clairvoyant, Stale, Predictive };
 
 PolicyResult
 run(Planner planner, const workload::UtilizationTrace &trace,
-    const cluster::Datacenter &dc, const sched::CoolingOptimizer &opt,
-    double t_safe)
+    const core::H2PSystem &sys)
 {
+    // Clairvoyant is the paper's TEG_Original; the causal planners
+    // plan on the EWMA upper bound, which is the previous interval's
+    // utilization when alpha = 1 and kappa = 0.
+    core::SimSession session =
+        sys.startSession(trace, sched::Policy::TegOriginal);
+    if (planner != Planner::Clairvoyant) {
+        sched::PredictorParams params;
+        if (planner == Planner::Stale) {
+            params.alpha = 1.0;
+            params.kappa = 0.0;
+        }
+        auto p = std::make_unique<control::ControlPipeline>("causal");
+        p->add(std::make_unique<control::PredictiveCoolingStage>(
+            sys.datacenter(), sys.optimizer(), params));
+        session.setPipeline(std::move(p));
+    }
+
+    const double t_safe = sys.config().optimizer.t_safe_c;
     PolicyResult res;
-    sched::EwmaPredictor predictor(trace.numServers());
-    std::vector<double> prev(trace.numServers(), 0.5);
     size_t tsafe_violations = 0, max_violations = 0, loops = 0;
     double teg_sum = 0.0;
-
-    for (size_t step = 0; step < trace.numSteps(); ++step) {
-        std::vector<double> utils = trace.step(step);
-        utils.resize(dc.numServers());
-
-        std::vector<cluster::CoolingSetting> settings;
-        size_t offset = 0;
-        for (size_t c = 0; c < dc.numCirculations(); ++c) {
-            size_t n = dc.circulationSize(c);
-            double plan = 0.0;
-            switch (planner) {
-              case Planner::Clairvoyant:
-                for (size_t i = 0; i < n; ++i)
-                    plan = std::max(plan, utils[offset + i]);
-                break;
-              case Planner::Stale:
-                for (size_t i = 0; i < n; ++i)
-                    plan = std::max(plan, prev[offset + i]);
-                break;
-              case Planner::Predictive:
-                plan = predictor.maxUpperBound(offset, offset + n);
-                break;
-            }
-            settings.push_back(opt.choose(plan).setting);
-            offset += n;
-        }
-
-        cluster::DatacenterState state = dc.evaluate(utils, settings);
+    while (!session.done()) {
+        session.step();
+        const cluster::DatacenterState &state = session.lastState();
         teg_sum += state.teg_power_w /
-                   static_cast<double>(dc.numServers());
+                   static_cast<double>(sys.datacenter().numServers());
         for (const auto &cs : state.circulations) {
             ++loops;
             if (cs.max_die_c > t_safe + 1.0)
@@ -87,9 +79,6 @@ run(Planner planner, const workload::UtilizationTrace &trace,
                 ++max_violations;
             res.worst_die_c = std::max(res.worst_die_c, cs.max_die_c);
         }
-
-        prev = utils;
-        predictor.observe(utils);
     }
     res.avg_teg_w = teg_sum / static_cast<double>(trace.numSteps());
     res.tsafe_violation_pct =
@@ -108,15 +97,12 @@ main()
 {
     using namespace h2p;
 
-    cluster::DatacenterParams dp;
-    dp.num_servers = 200;
-    dp.servers_per_circulation = 50;
-    cluster::Datacenter dc(dp);
-    cluster::Server server(dp.server);
-    sched::LookupSpace space(server);
-    thermal::TegModule teg(12);
-    sched::OptimizerParams op;
-    sched::CoolingOptimizer opt(space, teg, op);
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = 200;
+    cfg.datacenter.servers_per_circulation = 50;
+    // Plan at the exact utilization, not a cached quantized one.
+    cfg.perf.optimizer_cache_quantum = 0.0;
+    core::H2PSystem sys(cfg);
 
     workload::TraceGenerator gen(2020);
     auto trace =
@@ -135,7 +121,7 @@ main()
     int idx = 0;
     for (auto planner : {Planner::Clairvoyant, Planner::Stale,
                          Planner::Predictive}) {
-        PolicyResult r = run(planner, trace, dc, opt, op.t_safe_c);
+        PolicyResult r = run(planner, trace, sys);
         table.addRow(names[idx],
                      {r.avg_teg_w, r.tsafe_violation_pct,
                       r.max_violation_pct, r.worst_die_c},

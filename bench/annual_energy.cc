@@ -12,13 +12,11 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "cluster/datacenter.h"
+#include "core/h2p_system.h"
 #include "econ/metrics.h"
 #include "econ/tco.h"
 #include "hydraulic/climate.h"
-#include "sched/cooling_optimizer.h"
-#include "sched/load_balancer.h"
-#include "sched/lookup_space.h"
+#include "hydraulic/plant.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
@@ -31,13 +29,11 @@ main()
     const size_t servers = 1000;
     hydraulic::Climate climate = hydraulic::Climate::frankfurt();
 
-    cluster::DatacenterParams dp;
-    dp.num_servers = servers;
-    dp.servers_per_circulation = 50;
-    cluster::Server server(dp.server);
-    sched::LookupSpace space(server);
-    thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = servers;
+    cfg.datacenter.servers_per_circulation = 50;
+    // Plan at the exact utilization, not a cached quantized one.
+    cfg.perf.optimizer_cache_quantum = 0.0;
 
     // One representative day of utilization per month, at 1-h steps,
     // scaled to the year (full 5-min x 8760 h is possible but slow
@@ -61,33 +57,21 @@ main()
         size_t step = static_cast<size_t>(h % 24);
         std::vector<double> utils = trace.step(step);
 
-        std::vector<cluster::CoolingSetting> settings;
-        std::vector<double> placed = utils;
-        size_t offset = 0;
-        cluster::DatacenterParams dp_h = dp;
-        dp_h.plant.wet_bulb_c = climate.wetBulbAt(h);
-        cluster::Datacenter dc(dp_h);
-        for (size_t c = 0; c < dc.numCirculations(); ++c) {
-            size_t n = dc.circulationSize(c);
-            std::vector<double> group(utils.begin() + offset,
-                                      utils.begin() + offset + n);
-            auto balanced = sched::balancePerfect(group);
-            for (size_t i = 0; i < n; ++i)
-                placed[offset + i] = balanced[i];
-            settings.push_back(
-                opt.choose(sched::meanUtil(group)).setting);
-            offset += n;
-        }
-        auto state = dc.evaluate(placed, settings);
+        // One system per hour: the plant sees that hour's wet bulb.
+        core::H2PConfig cfg_h = cfg;
+        cfg_h.datacenter.plant.wet_bulb_c = climate.wetBulbAt(h);
+        core::H2PSystem sys(cfg_h);
+        auto state =
+            sys.evaluateStep(utils, sched::Policy::TegLoadBalance);
         it_j += state.cpu_power_w * 3600.0;
         plant_j += state.plant_power_w * 3600.0;
         pump_j += state.pump_power_w * 3600.0;
         teg_j += state.teg_power_w * 3600.0;
         // Chiller state: infer from the plant's free-cooling limit.
-        hydraulic::FacilityPlant plant(dp_h.plant);
+        hydraulic::FacilityPlant plant(cfg_h.datacenter.plant);
         double min_supply = 1e9;
-        for (const auto &s : settings)
-            min_supply = std::min(min_supply, s.t_in_c);
+        for (const auto &cs : state.circulations)
+            min_supply = std::min(min_supply, cs.setting.t_in_c);
         if (min_supply >= plant.freeCoolingLimit())
             ++free_hours;
         ++hours;

@@ -15,7 +15,6 @@
 #include "bench/bench_common.h"
 #include "core/transient_circulation.h"
 #include "sched/cooling_optimizer.h"
-#include "sched/load_balancer.h"
 #include "sched/lookup_space.h"
 #include "stats/summary.h"
 #include "util/strings.h"
@@ -49,7 +48,7 @@ main()
                   "transient_peak_c"});
     for (size_t step = 0; step < trace.numSteps(); ++step) {
         std::vector<double> utils = trace.step(step);
-        double plan = sched::maxUtil(utils);
+        double plan = *std::max_element(utils.begin(), utils.end());
         auto setting = opt.choose(plan).setting;
 
         // Integrate the 5-minute interval in 30-s slices, tracking

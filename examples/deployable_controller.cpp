@@ -6,9 +6,10 @@
  * example runs the whole system the way an operator would deploy it:
  *
  *  - an EWMA + 2-sigma predictor plans each interval's cooling
- *    setting from the *past* only, installed as a custom control
- *    stage on a SimSession (the rest of the pipeline — evaluation,
- *    recording, summary — is the stock engine);
+ *    setting from the *past* only: control::PredictiveCoolingStage,
+ *    installed as a custom pipeline on a SimSession (the rest of the
+ *    step loop — evaluation, recording, summary — is the stock
+ *    engine);
  *  - when a load spike still pushes a loop past T_safe, the per-CPU
  *    TECs engage and pump the excess heat, drawing their power from
  *    the hybrid buffer the TEGs charge;
@@ -25,9 +26,8 @@
 #include <memory>
 #include <vector>
 
-#include "control/control_stage.h"
+#include "control/stages.h"
 #include "core/h2p_system.h"
-#include "sched/predictor.h"
 #include "storage/hybrid_buffer.h"
 #include "storage/led.h"
 #include "thermal/tec.h"
@@ -36,45 +36,6 @@
 #include "util/strings.h"
 #include "util/table.h"
 #include "workload/trace_gen.h"
-
-namespace {
-
-/**
- * Causal planning: plans each loop's cooling setting from the
- * predictor's state, never from this interval's (still unseen)
- * utilizations, which pass through unchanged.
- */
-class PredictiveCoolingStage : public h2p::control::ControlStage
-{
-  public:
-    PredictiveCoolingStage(const h2p::sched::EwmaPredictor &predictor,
-                           const h2p::cluster::Datacenter &dc,
-                           const h2p::sched::CoolingOptimizer &opt)
-        : predictor_(predictor), dc_(dc), opt_(opt)
-    {
-    }
-
-    const char *name() const override { return "predictive_cooling"; }
-
-    void apply(const h2p::control::ControlContext &,
-               h2p::sched::ScheduleDecision &decision) override
-    {
-        size_t offset = 0;
-        for (size_t c = 0; c < dc_.numCirculations(); ++c) {
-            size_t n = dc_.circulationSize(c);
-            double plan = predictor_.maxUpperBound(offset, offset + n);
-            decision.settings.push_back(opt_.choose(plan).setting);
-            offset += n;
-        }
-    }
-
-  private:
-    const h2p::sched::EwmaPredictor &predictor_;
-    const h2p::cluster::Datacenter &dc_;
-    const h2p::sched::CoolingOptimizer &opt_;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -95,12 +56,9 @@ main(int argc, char **argv)
         cfg.datacenter.num_servers = servers;
         cfg.datacenter.servers_per_circulation = 50;
         core::H2PSystem sys(cfg);
-        const cluster::Datacenter &dc = sys.datacenter();
-        const sched::CoolingOptimizer &opt = sys.optimizer();
         const double t_safe_c = cfg.optimizer.t_safe_c;
         cluster::Server server(cfg.datacenter.server);
 
-        sched::EwmaPredictor predictor(servers);
         thermal::Tec tec;
         storage::HybridBuffer buffer;
         const double led_w = 2.0; // per-server lighting share
@@ -113,11 +71,12 @@ main(int argc, char **argv)
         core::SimSession session =
             sys.startSession(trace, sched::Policy::TegOriginal);
 
-        // 1. Causal planning replaces the built-in decide stage.
+        // 1. Causal planning replaces the built-in decide stage; the
+        // stage learns each interval's utilizations after it ran.
         auto pipeline =
             std::make_unique<control::ControlPipeline>("predictive");
-        pipeline->add(
-            std::make_unique<PredictiveCoolingStage>(predictor, dc, opt));
+        pipeline->add(std::make_unique<control::PredictiveCoolingStage>(
+            sys.datacenter(), sys.optimizer()));
         session.setPipeline(std::move(pipeline));
 
         double worst_die = 0.0;
@@ -170,9 +129,6 @@ main(int argc, char **argv)
             shortfall_wh += flow.shortfall_w * hours;
             tec_energy_wh +=
                 tec_draw_w / static_cast<double>(servers) * hours;
-
-            // 5. Learn from what actually ran.
-            predictor.observe(session.lastUtils());
         }
         core::RunResult result = session.finish();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sched/consolidation.h"
 #include "util/error.h"
 
 namespace h2p {
@@ -51,11 +52,7 @@ CoolingStage::apply(const ControlContext &ctx,
     size_t offset = 0;
     for (size_t i = 0; i < dc_.numCirculations(); ++i) {
         const size_t n = dc_.circulationSize(i);
-        const double *group = decision.utils.data() + offset;
-        // After a balancing stage flattened the slice this max IS the
-        // slice's mean, bit for bit; without one it is the paper's
-        // U_max planning statistic.
-        double plan_util = *std::max_element(group, group + n);
+        double plan_util = planUtil(decision.utils, offset, n);
 
         sched::SafeModeAction action =
             ctx.actions == nullptr ? sched::SafeModeAction::Normal
@@ -75,6 +72,58 @@ CoolingStage::apply(const ControlContext &ctx,
         }
         decision.settings.push_back(res.setting);
         decision.details.push_back(res);
+        offset += n;
+    }
+}
+
+double
+CoolingStage::planUtil(const std::vector<double> &utils, size_t offset,
+                       size_t n) const
+{
+    // After a balancing stage flattened the slice this max IS the
+    // slice's mean, bit for bit; without one it is the paper's U_max
+    // planning statistic.
+    const double *group = utils.data() + offset;
+    return *std::max_element(group, group + n);
+}
+
+double
+PredictiveCoolingStage::planUtil(const std::vector<double> &utils,
+                                 size_t offset, size_t n) const
+{
+    (void)utils;
+    return predictor_.maxUpperBound(offset, offset + n);
+}
+
+void
+PredictiveCoolingStage::observe(const ControlContext &ctx,
+                                const cluster::DatacenterState &state)
+{
+    (void)state;
+    predictor_.observe(*ctx.utils);
+}
+
+void
+PlacementStage::apply(const ControlContext &ctx,
+                      sched::ScheduleDecision &decision)
+{
+    (void)ctx;
+    decision.utils = place_(decision.utils, dc_.circulationSize(0));
+}
+
+void
+ConsolidationStage::apply(const ControlContext &ctx,
+                          sched::ScheduleDecision &decision)
+{
+    (void)ctx;
+    size_t offset = 0;
+    for (size_t i = 0; i < dc_.numCirculations(); ++i) {
+        const size_t n = dc_.circulationSize(i);
+        auto first = decision.utils.begin() + offset;
+        std::vector<double> packed =
+            sched::consolidate(std::vector<double>(first, first + n),
+                               cap_);
+        std::copy(packed.begin(), packed.end(), first);
         offset += n;
     }
 }

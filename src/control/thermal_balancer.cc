@@ -269,9 +269,10 @@ ThermalBalancer::apply(const ControlContext &ctx,
 
     // ---- Within-circulation limited balancing: when a healthy
     // circulation's spread (max above mean) exceeds the hysteresis
-    // band, flatten it with pairwise capped transfers (balanceLimited
-    // semantics, but donor and receiver move the identical amount so
-    // no work is ever clamped away).
+    // band, flatten it with pairwise capped transfers: a donor above
+    // the mean sheds at most min(u - mean, max_move), a receiver below
+    // it gains at most min(mean - u, max_move), and donor and receiver
+    // move the identical amount so no work is ever clamped away.
     for (size_t c = 0; c < num_circ; ++c) {
         if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
             continue;

@@ -8,16 +8,16 @@
  * headroom (T_safe - T_max) and harvested TEG power fed back from the
  * previous interval's evaluation. Per-circulation balancer logic then
  * pulls bounded job migrations each interval — migration-limited
- * flattening within a circulation (balanceLimited semantics: every
- * server sheds or gains at most max_move per interval) and
- * hottest-to-coolest pulls across circulations — until the
- * utilization deviations converge under a hysteresis band. A
- * circulation's **drain mode** evacuates its work to healthy
- * circulations: it engages when the safety monitor falls back to
- * ColdFallback for the circulation or its pump fails outright
- * (coordinating with safe mode, which keeps the drained loop at
- * maximum cooling while it empties), or on operator request through
- * the service `drain` verb.
+ * flattening within a circulation (a server above its loop's mean
+ * sheds at most max_move per interval, toward the mean, and a server
+ * below it gains at most max_move) and hottest-to-coolest pulls
+ * across circulations — until the utilization deviations converge
+ * under a hysteresis band. A circulation's **drain mode** evacuates
+ * its work to healthy circulations: it engages when the safety
+ * monitor falls back to ColdFallback for the circulation or its pump
+ * fails outright (coordinating with safe mode, which keeps the
+ * drained loop at maximum cooling while it empties), or on operator
+ * request through the service `drain` verb.
  *
  * Every move is a pairwise transfer (one donor, one receiver), so
  * total work is conserved to floating-point rounding; nothing is
@@ -49,8 +49,9 @@ struct BalancerParams
     bool enabled = false;
     /**
      * Per-server migration cap per interval (utilization): each
-     * server sheds or gains at most this much per balancing pass,
-     * mirroring balanceLimited's cap.
+     * server sheds or gains at most this much per balancing pass
+     * (within a circulation, also never past the circulation's mean)
+     * and per cross-circulation pull.
      */
     double max_move = 0.10;
     /**

@@ -8,9 +8,8 @@
  * rest, because the CPU power curve (Eq. 20) is concave — spreading
  * the same work across more servers burns more total power. H2P
  * instead *balances*, because the circulation's inlet temperature is
- * dictated by its hottest server. The `ablation_consolidation` bench
- * prices the two against each other: CPU energy saved by packing vs
- * TEG harvest gained by flattening.
+ * dictated by its hottest server. control::ConsolidationStage wraps
+ * consolidate() per circulation.
  */
 
 #ifndef H2P_SCHED_CONSOLIDATION_H_

@@ -16,8 +16,7 @@
  *  - hotCluster: sort and fill loop after loop, concentrating the
  *    hot jobs into as few circulations as possible.
  *
- * The `ablation_placement` bench prices both against the trace's
- * native layout.
+ * control::PlacementStage wraps both.
  */
 
 #ifndef H2P_SCHED_PLACEMENT_H_

@@ -68,15 +68,15 @@ EwmaPredictor::maxUpperBound(size_t lo, size_t hi) const
     return best;
 }
 
-double
-EwmaPredictor::meanLevel(size_t lo, size_t hi) const
+void
+EwmaPredictor::visit(util::Archive &ar)
 {
-    expect(lo < hi && hi <= mean_.size(),
-           "stream range out of bounds");
-    double sum = 0.0;
-    for (size_t i = lo; i < hi; ++i)
-        sum += std::clamp(mean_[i], 0.0, 1.0);
-    return sum / static_cast<double>(hi - lo);
+    ar.count(mean_.size(), "predictor stream count");
+    for (size_t i = 0; i < mean_.size(); ++i) {
+        ar.f64(mean_[i]);
+        ar.f64(var_[i]);
+    }
+    ar.size(observations_);
 }
 
 } // namespace sched

@@ -12,9 +12,7 @@
  *   u_hat = ewma + kappa * ewm_std     (clamped to [0, 1])
  *
  * so sudden spikes are absorbed by margin instead of violating
- * T_safe. The `ablation_prediction` bench compares clairvoyant,
- * stale (previous interval) and predictive planning on the drastic
- * trace.
+ * T_safe. control::PredictiveCoolingStage plans on it.
  */
 
 #ifndef H2P_SCHED_PREDICTOR_H_
@@ -22,6 +20,8 @@
 
 #include <cstddef>
 #include <vector>
+
+#include "util/bytes.h"
 
 namespace h2p {
 namespace sched {
@@ -66,13 +66,15 @@ class EwmaPredictor
     /** Largest upper bound across streams [lo, hi). */
     double maxUpperBound(size_t lo, size_t hi) const;
 
-    /** Mean of the EWMA levels across streams [lo, hi). */
-    double meanLevel(size_t lo, size_t hi) const;
-
     /** Number of observations folded so far. */
     size_t observations() const { return observations_; }
 
-    size_t numStreams() const { return mean_.size(); }
+    /**
+     * Save or load the tracked state (levels, variances, observation
+     * count). Loading checks the stream count against this
+     * predictor's.
+     */
+    void visit(util::Archive &ar);
 
   private:
     PredictorParams params_;

@@ -2,7 +2,9 @@
  * @file
  * Control-plane tests: canonical pipelines bit-identical to the
  * Scheduler::decideInto reference across safe-mode action combos, the
- * pipeline/stage API contracts, and the autonomous thermal balancer —
+ * pipeline/stage API contracts, the placement, consolidation and
+ * predictive stages against their sched helpers (and the predictor's
+ * checkpointed state), and the autonomous thermal balancer —
  * work conservation under random traces (clean and faulted),
  * run-to-run bit-identity, checkpoint round trips (byte-identical
  * stage state), convergence under the hysteresis band,
@@ -25,6 +27,8 @@
 #include "control/thermal_balancer.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
+#include "sched/consolidation.h"
+#include "sched/placement.h"
 #include "tests/support/fn_stage.h"
 #include "tests/support/scheduler_oracle.h"
 #include "util/error.h"
@@ -235,6 +239,229 @@ TEST(ControlPipelineTest, PipelineValidatesDecisionShape)
             d.settings.clear(); // wrong: one per circulation
         }));
     EXPECT_THROW(session.step(), Error);
+}
+
+// ------------------------------------------ stages over sched helpers
+
+/** The 200-server, four-loop fleet the placement ablations use. */
+core::H2PConfig
+fleetConfig()
+{
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = 200;
+    cfg.datacenter.servers_per_circulation = 50;
+    return cfg;
+}
+
+/** One decision of @p pipeline over @p utils (a clean interval). */
+sched::ScheduleDecision
+decide(control::ControlPipeline &pipeline, const core::H2PSystem &sys,
+       const std::vector<double> &utils)
+{
+    control::ControlContext ctx;
+    ctx.dc = &sys.datacenter();
+    ctx.utils = &utils;
+    sched::ScheduleDecision out;
+    pipeline.run(ctx, out);
+    return out;
+}
+
+std::unique_ptr<control::ControlPipeline>
+pipelineOf(std::vector<std::unique_ptr<control::ControlStage>> stages)
+{
+    auto p = std::make_unique<control::ControlPipeline>("stages");
+    for (auto &stage : stages)
+        p->add(std::move(stage));
+    return p;
+}
+
+void
+expectSameDecision(const sched::ScheduleDecision &got,
+                   const sched::ScheduleDecision &want)
+{
+    ASSERT_EQ(got.utils.size(), want.utils.size());
+    for (size_t i = 0; i < got.utils.size(); ++i)
+        ASSERT_TRUE(sameBits(got.utils[i], want.utils[i]))
+            << "server " << i;
+    ASSERT_EQ(got.settings.size(), want.settings.size());
+    ASSERT_EQ(got.details.size(), want.details.size());
+    for (size_t c = 0; c < got.settings.size(); ++c) {
+        ASSERT_TRUE(sameBits(got.settings[c].t_in_c,
+                             want.settings[c].t_in_c));
+        ASSERT_TRUE(sameBits(got.settings[c].flow_lph,
+                             want.settings[c].flow_lph));
+        ASSERT_TRUE(sameBits(got.details[c].teg_power_w,
+                             want.details[c].teg_power_w));
+        ASSERT_TRUE(sameBits(got.details[c].t_cpu_c,
+                             want.details[c].t_cpu_c));
+        ASSERT_EQ(got.details[c].fallback, want.details[c].fallback);
+    }
+}
+
+TEST(ControlStagesTest, BalanceStagePreservesWork)
+{
+    // Perfect balancing within one loop: every server at the mean.
+    core::H2PConfig cfg;
+    cfg.datacenter.num_servers = 4;
+    cfg.datacenter.servers_per_circulation = 4;
+    core::H2PSystem sys(cfg);
+    control::BalanceStage stage(sys.datacenter());
+    std::vector<double> utils{0.1, 0.9, 0.2, 0.6};
+    control::ControlContext ctx;
+    ctx.dc = &sys.datacenter();
+    ctx.utils = &utils;
+    sched::ScheduleDecision d;
+    d.utils = utils;
+    stage.apply(ctx, d);
+    EXPECT_DOUBLE_EQ(std::accumulate(d.utils.begin(), d.utils.end(), 0.0),
+                     std::accumulate(utils.begin(), utils.end(), 0.0));
+    for (double u : d.utils)
+        EXPECT_DOUBLE_EQ(u, 0.45);
+}
+
+/**
+ * [placement, cooling] and [placement, balance, cooling] decide
+ * exactly what the sched placement helper followed by the stock
+ * stages decides, for both strategies.
+ */
+TEST(ControlStagesTest, PlacementStageMatchesHelperThenCooling)
+{
+    core::H2PSystem sys(fleetConfig());
+    const cluster::Datacenter &dc = sys.datacenter();
+    const size_t group = dc.circulationSize(0);
+    auto trace = makeTrace(2020, dc.numServers(), 4.0 * 3600.0);
+
+    for (control::PlacementStage::Place place :
+         {&sched::placeSnake, &sched::placeHotCluster}) {
+        std::vector<std::unique_ptr<control::ControlStage>> plain, flat;
+        plain.push_back(
+            std::make_unique<control::PlacementStage>(dc, place));
+        plain.push_back(
+            std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
+        flat.push_back(
+            std::make_unique<control::PlacementStage>(dc, place));
+        flat.push_back(std::make_unique<control::BalanceStage>(dc));
+        flat.push_back(
+            std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
+        auto placed_cooling = pipelineOf(std::move(plain));
+        auto placed_balanced = pipelineOf(std::move(flat));
+        auto cooling = sys.pipelines().make(sched::Policy::TegOriginal);
+        auto balanced =
+            sys.pipelines().make(sched::Policy::TegLoadBalance);
+
+        std::vector<double> utils;
+        for (size_t step = 0; step < trace.numSteps(); ++step) {
+            SCOPED_TRACE(step);
+            trace.stepInto(step, utils);
+            utils.resize(dc.numServers());
+            const std::vector<double> placed = place(utils, group);
+            expectSameDecision(decide(*placed_cooling, sys, utils),
+                               decide(*cooling, sys, placed));
+            expectSameDecision(decide(*placed_balanced, sys, utils),
+                               decide(*balanced, sys, placed));
+        }
+    }
+}
+
+/** [consolidation, cooling] == sched::consolidate per loop + cooling. */
+TEST(ControlStagesTest, ConsolidationStageMatchesHelperThenCooling)
+{
+    core::H2PSystem sys(fleetConfig());
+    const cluster::Datacenter &dc = sys.datacenter();
+    auto trace = makeTrace(2020, dc.numServers(), 4.0 * 3600.0);
+
+    std::vector<std::unique_ptr<control::ControlStage>> stages;
+    stages.push_back(
+        std::make_unique<control::ConsolidationStage>(dc, 0.8));
+    stages.push_back(
+        std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
+    auto consolidated = pipelineOf(std::move(stages));
+    auto cooling = sys.pipelines().make(sched::Policy::TegOriginal);
+
+    std::vector<double> utils;
+    for (size_t step = 0; step < trace.numSteps(); ++step) {
+        SCOPED_TRACE(step);
+        trace.stepInto(step, utils);
+        utils.resize(dc.numServers());
+        std::vector<double> packed;
+        size_t offset = 0;
+        for (size_t c = 0; c < dc.numCirculations(); ++c) {
+            const size_t n = dc.circulationSize(c);
+            std::vector<double> loop = sched::consolidate(
+                std::vector<double>(utils.begin() + offset,
+                                    utils.begin() + offset + n),
+                0.8);
+            packed.insert(packed.end(), loop.begin(), loop.end());
+            offset += n;
+        }
+        expectSameDecision(decide(*consolidated, sys, utils),
+                           decide(*cooling, sys, packed));
+    }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/**
+ * The predictive planner's EWMA state rides in checkpoints: a
+ * predictive session checkpointed mid-run, resumed and re-attached
+ * finishes exactly as the uninterrupted run, and save -> resume ->
+ * re-save gives the same file.
+ */
+TEST(ControlStagesTest, PredictiveCoolingStateSurvivesCheckpoint)
+{
+    TempPath ck("control_test_predictive.ckpt");
+    TempPath ck2("control_test_predictive_resaved.ckpt");
+    TempPath full_csv("control_test_predictive_full.csv");
+    TempPath rest_csv("control_test_predictive_rest.csv");
+    core::H2PSystem sys(fleetConfig());
+    workload::TraceGenerator gen(2020);
+    auto trace = gen.generateProfile(workload::TraceProfile::Drastic,
+                                     sys.datacenter().numServers());
+    auto predictive = [&sys]() {
+        auto p = std::make_unique<control::ControlPipeline>("predictive");
+        p->add(std::make_unique<control::PredictiveCoolingStage>(
+            sys.datacenter(), sys.optimizer()));
+        return p;
+    };
+
+    auto full = sys.startSession(trace, sched::Policy::TegOriginal);
+    full.setPipeline(predictive());
+    full.runToCompletion();
+    auto full_result = full.finish();
+
+    auto first = sys.startSession(trace, sched::Policy::TegOriginal);
+    first.setPipeline(predictive());
+    const size_t at = trace.numSteps() / 2;
+    while (first.cursor() < at)
+        first.step();
+    first.saveCheckpoint(ck.path);
+
+    core::H2PSystem sys2(fleetConfig());
+    auto resumed = sys2.resumeSession(ck.path, trace);
+    auto again = std::make_unique<control::ControlPipeline>("predictive");
+    again->add(std::make_unique<control::PredictiveCoolingStage>(
+        sys2.datacenter(), sys2.optimizer()));
+    resumed.setPipeline(std::move(again));
+    resumed.saveCheckpoint(ck2.path);
+    const std::string saved = readFile(ck.path);
+    ASSERT_FALSE(saved.empty());
+    EXPECT_EQ(saved, readFile(ck2.path));
+
+    resumed.runToCompletion();
+    auto rest = resumed.finish();
+    expectSameChannels(*full_result.recorder, *rest.recorder);
+    full_result.recorder->saveCsv(full_csv.path);
+    rest.recorder->saveCsv(rest_csv.path);
+    EXPECT_EQ(readFile(full_csv.path), readFile(rest_csv.path));
+    EXPECT_TRUE(
+        sameBits(full_result.summary.avg_teg_w, rest.summary.avg_teg_w));
+    EXPECT_TRUE(sameBits(full_result.summary.pre, rest.summary.pre));
 }
 
 // -------------------------------------- balancer work conservation

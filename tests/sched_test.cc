@@ -21,7 +21,6 @@
 #include "control/stages.h"
 #include "sched/circulation_design.h"
 #include "sched/cooling_optimizer.h"
-#include "sched/load_balancer.h"
 #include "sched/lookup_space.h"
 #include "util/error.h"
 
@@ -770,104 +769,6 @@ TEST(DecisionTableTest, RetuningLeavesTheSharedTableAlone)
     // a re-tuned onto private tables; b's table is untouched.
     EXPECT_EQ(shared->size(), 1u);
     EXPECT_EQ(b.cacheSize(), 1u);
-}
-
-// -------------------------------------------------------------- balancer
-
-TEST(BalancerTest, PerfectBalancePreservesWork)
-{
-    std::vector<double> utils{0.1, 0.9, 0.2, 0.6};
-    auto b = balancePerfect(utils);
-    EXPECT_DOUBLE_EQ(meanUtil(b), meanUtil(utils));
-    for (double u : b)
-        EXPECT_DOUBLE_EQ(u, 0.45);
-}
-
-TEST(BalancerTest, MaxAndMeanHelpers)
-{
-    std::vector<double> utils{0.1, 0.9, 0.2};
-    EXPECT_DOUBLE_EQ(maxUtil(utils), 0.9);
-    EXPECT_NEAR(meanUtil(utils), 0.4, 1e-12);
-    EXPECT_THROW(maxUtil({}), Error);
-}
-
-TEST(BalancerTest, LimitedBalancePreservesWork)
-{
-    std::vector<double> utils{0.1, 0.9, 0.2, 0.6};
-    auto b = balanceLimited(utils, 0.1);
-    EXPECT_NEAR(meanUtil(b), meanUtil(utils), 1e-12);
-}
-
-TEST(BalancerTest, LimitedBalanceRespectsCap)
-{
-    std::vector<double> utils{0.1, 0.9};
-    auto b = balanceLimited(utils, 0.1);
-    EXPECT_NEAR(b[1], 0.8, 1e-12); // shed exactly the cap
-    EXPECT_NEAR(b[0], 0.2, 1e-12);
-}
-
-TEST(BalancerTest, LargeCapEqualsPerfect)
-{
-    std::vector<double> utils{0.1, 0.9, 0.3};
-    auto b = balanceLimited(utils, 1.0);
-    for (double u : b)
-        EXPECT_NEAR(u, meanUtil(utils), 1e-12);
-}
-
-TEST(BalancerTest, LimitedReducesSpread)
-{
-    std::vector<double> utils{0.05, 0.95, 0.5, 0.3};
-    auto b = balanceLimited(utils, 0.15);
-    EXPECT_LT(maxUtil(b), maxUtil(utils));
-}
-
-TEST(BalancerTest, LimitedZeroCapIsIdentity)
-{
-    // max_move = 0 is a valid cap meaning "nothing may move", not an
-    // error: the output is the input, bit for bit.
-    std::vector<double> utils{0.1, 0.9, 0.2, 0.6};
-    auto b = balanceLimited(utils, 0.0);
-    ASSERT_EQ(b.size(), utils.size());
-    for (size_t i = 0; i < utils.size(); ++i)
-        EXPECT_DOUBLE_EQ(b[i], utils[i]);
-}
-
-TEST(BalancerTest, LimitedAllEqualIsIdentity)
-{
-    std::vector<double> utils(5, 0.37);
-    auto b = balanceLimited(utils, 0.2);
-    for (double u : b)
-        EXPECT_DOUBLE_EQ(u, 0.37);
-}
-
-TEST(BalancerTest, LimitedRejectsBadInputsAsConfigError)
-{
-    // Invalid balancing inputs are caller/configuration mistakes:
-    // they must land in the failure taxonomy's config_error bucket
-    // (a supervised sweep quarantines, never retries, them).
-    auto expectConfigError = [](auto &&fn) {
-        try {
-            fn();
-            FAIL() << "expected RunError";
-        } catch (const RunError &e) {
-            EXPECT_EQ(e.failure().kind, FailureKind::ConfigError);
-            EXPECT_EQ(e.failure().stage, "balance");
-        }
-    };
-    expectConfigError([] { balanceLimited({}, 0.1); });
-    expectConfigError([] { balanceLimited({0.5, 0.2}, -0.1); });
-    expectConfigError([] {
-        balanceLimited({0.5, 0.2},
-                       std::numeric_limits<double>::quiet_NaN());
-    });
-    expectConfigError([] {
-        balanceLimited({0.5, std::numeric_limits<double>::infinity()},
-                       0.1);
-    });
-    expectConfigError([] {
-        balanceLimited({std::numeric_limits<double>::quiet_NaN()},
-                       0.1);
-    });
 }
 
 // -------------------------------------------------------------- scheduler
