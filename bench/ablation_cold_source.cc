@@ -4,12 +4,15 @@
  * (AliCloud Qiandao Lake: 15-20 C year-round). Sweeping the cold-side
  * temperature shows how siting (lake vs sea vs cooling-tower water)
  * changes the harvest and the TCO story.
+ *
+ * Executed through core::SweepEngine: one grid point per cold-source
+ * temperature, rows streamed back in grid order.
  */
 
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/h2p_system.h"
+#include "core/sweep_engine.h"
 #include "econ/tco.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -33,13 +36,22 @@ main()
     CsvTable csv({"t_cold_c", "teg_w", "pre_pct", "tco_pct",
                   "break_even_days"});
 
-    for (double t_cold : {10.0, 15.0, 20.0, 25.0, 30.0}) {
-        core::H2PConfig cfg;
-        cfg.datacenter.num_servers = 200;
-        cfg.datacenter.servers_per_circulation = 50;
-        cfg.datacenter.cold_source_c = t_cold;
-        core::H2PSystem sys(cfg);
-        auto r = sys.run(trace, sched::Policy::TegLoadBalance);
+    const std::vector<double> sources = {10.0, 15.0, 20.0, 25.0, 30.0};
+    std::vector<core::SweepPoint> grid;
+    for (double t_cold : sources) {
+        core::SweepPoint pt;
+        pt.config.datacenter.num_servers = 200;
+        pt.config.datacenter.servers_per_circulation = 50;
+        pt.config.datacenter.cold_source_c = t_cold;
+        pt.trace = &trace;
+        pt.policy = sched::Policy::TegLoadBalance;
+        pt.label = "t_cold=" + strings::fixed(t_cold, 0);
+        grid.push_back(pt);
+    }
+
+    core::SweepEngine engine;
+    engine.run(grid, [&](const core::SweepPointResult &r) {
+        double t_cold = sources[r.index];
         auto t = tco.compare(r.summary.avg_teg_w);
         table.addRow(strings::fixed(t_cold, 0),
                      {r.summary.avg_teg_w, 100.0 * r.summary.pre,
@@ -49,7 +61,7 @@ main()
         csv.addRow({t_cold, r.summary.avg_teg_w, 100.0 * r.summary.pre,
                     t.reduction_pct,
                     tco.breakEvenDays(r.summary.avg_teg_w)});
-    }
+    });
     table.print(std::cout);
     bench::saveCsv(csv, "ablation_cold_source");
 

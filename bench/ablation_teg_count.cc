@@ -4,12 +4,15 @@
  * power linearly (Eq. 7) but cost linearly too, so the TCO reduction
  * grows while the break-even time stays put — the real constraint is
  * the plumbing area at the server outlet.
+ *
+ * Executed through core::SweepEngine: one grid point per TEG count,
+ * rows streamed back in grid order.
  */
 
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/h2p_system.h"
+#include "core/sweep_engine.h"
 #include "econ/tco.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -32,14 +35,22 @@ main()
     CsvTable csv({"tegs", "teg_w", "pre_pct", "tco_pct",
                   "break_even_days"});
 
-    for (size_t n : {6u, 12u, 18u, 24u, 36u}) {
-        core::H2PConfig cfg;
-        cfg.datacenter.num_servers = 200;
-        cfg.datacenter.servers_per_circulation = 50;
-        cfg.datacenter.server.tegs_per_server = n;
-        core::H2PSystem sys(cfg);
-        auto r = sys.run(trace, sched::Policy::TegLoadBalance);
+    const std::vector<size_t> counts = {6, 12, 18, 24, 36};
+    std::vector<core::SweepPoint> grid;
+    for (size_t n : counts) {
+        core::SweepPoint pt;
+        pt.config.datacenter.num_servers = 200;
+        pt.config.datacenter.servers_per_circulation = 50;
+        pt.config.datacenter.server.tegs_per_server = n;
+        pt.trace = &trace;
+        pt.policy = sched::Policy::TegLoadBalance;
+        pt.label = "tegs=" + std::to_string(n);
+        grid.push_back(pt);
+    }
 
+    core::SweepEngine engine;
+    engine.run(grid, [&](const core::SweepPointResult &r) {
+        size_t n = counts[r.index];
         econ::TcoParams tp;
         tp.tegs_per_server = n;
         econ::TcoModel tco(tp);
@@ -52,7 +63,7 @@ main()
         csv.addRow({double(n), r.summary.avg_teg_w,
                     100.0 * r.summary.pre, t.reduction_pct,
                     tco.breakEvenDays(r.summary.avg_teg_w)});
-    }
+    });
     table.print(std::cout);
     bench::saveCsv(csv, "ablation_teg_count");
 

@@ -4,12 +4,15 @@
  * calibrated SP 1848-27145 (Bi2Te3, ZT ~ 1, ~5 % conversion) to the
  * Nature 2019 Heusler alloy (ZT ~ 6) and hypothetical points in
  * between, and re-runs the full evaluation + TCO pipeline for each.
+ *
+ * Executed through core::SweepEngine: one grid point per material,
+ * rows streamed back in grid order.
  */
 
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/h2p_system.h"
+#include "core/sweep_engine.h"
 #include "econ/tco.h"
 #include "thermal/teg_material.h"
 #include "util/strings.h"
@@ -39,14 +42,22 @@ main()
         base, thermal::TegMaterial::hypothetical(2.0),
         thermal::TegMaterial::hypothetical(4.0),
         thermal::TegMaterial::heuslerAlloy()};
+    std::vector<core::SweepPoint> grid;
     for (const auto &mat : materials) {
-        core::H2PConfig cfg;
-        cfg.datacenter.num_servers = 200;
-        cfg.datacenter.servers_per_circulation = 50;
-        cfg.datacenter.server.teg = thermal::scaleToMaterial(
-            cfg.datacenter.server.teg, base, mat);
-        core::H2PSystem sys(cfg);
-        auto r = sys.run(trace, sched::Policy::TegLoadBalance);
+        core::SweepPoint pt;
+        pt.config.datacenter.num_servers = 200;
+        pt.config.datacenter.servers_per_circulation = 50;
+        pt.config.datacenter.server.teg = thermal::scaleToMaterial(
+            pt.config.datacenter.server.teg, base, mat);
+        pt.trace = &trace;
+        pt.policy = sched::Policy::TegLoadBalance;
+        pt.label = mat.name;
+        grid.push_back(pt);
+    }
+
+    core::SweepEngine engine;
+    engine.run(grid, [&](const core::SweepPointResult &r) {
+        const thermal::TegMaterial &mat = materials[r.index];
         auto cmp = tco.compare(r.summary.avg_teg_w);
         double eta = 100.0 * thermal::tegEfficiency(mat.zt, 45.0, 20.0);
         table.addRow(mat.name,
@@ -57,7 +68,7 @@ main()
         csv.addRow({mat.zt, eta, r.summary.avg_teg_w,
                     100.0 * r.summary.pre, cmp.reduction_pct,
                     tco.breakEvenDays(r.summary.avg_teg_w)});
-    }
+    });
     table.print(std::cout);
     bench::saveCsv(csv, "ablation_zt_materials");
 

@@ -27,7 +27,7 @@ main()
     thermal::TegModule teg(12);
     sched::OptimizerParams params;
     params.t_safe_c = 62.0; // the figure's worked example
-    sched::CoolingOptimizer opt(space, teg, params);
+    sched::CoolingOptimizer opt(space, teg, 20.0, params); // 20 C cold
 
     const double u_max = 0.8; // the circulation's hottest server
     const double u_avg = 0.3; // its mean after balancing

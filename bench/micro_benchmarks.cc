@@ -187,7 +187,7 @@ BM_OptimizerChoose(benchmark::State &state)
     cluster::Server server;
     sched::LookupSpace space(server);
     thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    sched::CoolingOptimizer opt(space, teg, 20.0); // 20 C cold source
     double u = 0.0;
     for (auto _ : state) {
         u = u > 0.98 ? 0.0 : u + 0.017;
@@ -202,7 +202,7 @@ BM_OptimizerColdestFallback(benchmark::State &state)
     cluster::Server server;
     sched::LookupSpace space(server);
     thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    sched::CoolingOptimizer opt(space, teg, 20.0); // 20 C cold source
     double u = 0.0;
     for (auto _ : state) {
         u = u > 0.98 ? 0.0 : u + 0.017;

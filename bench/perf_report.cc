@@ -55,6 +55,9 @@ using Clock = std::chrono::steady_clock;
 /** Keeps the optimizer from dead-code-eliminating a measured loop. */
 volatile double g_sink = 0.0;
 
+/** The datacenter's default natural-water cold source, C. */
+const double kColdC = cluster::DatacenterParams{}.cold_source_c;
+
 /**
  * Nanoseconds per call of @p fn, measured by growing the batch size
  * until a batch runs for at least @p min_s seconds.
@@ -122,7 +125,7 @@ sliceChoose(const sched::LookupSpace &space,
     sched::OptimizerResult best;
     bool found = false;
     auto consider = [&](const sched::LookupPoint &pt) {
-        double power = teg.powerFromTemps(pt.t_out_c, p.cold_source_c,
+        double power = teg.powerFromTemps(pt.t_out_c, kColdC,
                                           pt.flow_lph);
         if (!found || power > best.teg_power_w) {
             found = true;
@@ -157,7 +160,7 @@ sliceChoose(const sched::LookupSpace &space,
                 best.setting.t_in_c = pt.t_in_c;
                 best.setting.flow_lph = pt.flow_lph;
                 best.teg_power_w = teg.powerFromTemps(
-                    pt.t_out_c, p.cold_source_c, pt.flow_lph);
+                    pt.t_out_c, kColdC, pt.flow_lph);
                 best.t_cpu_c = pt.t_cpu_c;
             }
         }
@@ -172,8 +175,7 @@ sliceChoose(const sched::LookupSpace &space,
  */
 sched::OptimizerResult
 fullScanColdest(const sched::LookupSpace &space,
-                const thermal::TegModule &teg,
-                const sched::OptimizerParams &p, double plan_util)
+                const thermal::TegModule &teg, double plan_util)
 {
     sched::LookupPoint coldest;
     bool have = false;
@@ -187,9 +189,8 @@ fullScanColdest(const sched::LookupSpace &space,
     best.fallback = true;
     best.setting.t_in_c = coldest.t_in_c;
     best.setting.flow_lph = coldest.flow_lph;
-    best.teg_power_w = teg.powerFromTemps(coldest.t_out_c,
-                                          p.cold_source_c,
-                                          coldest.flow_lph);
+    best.teg_power_w =
+        teg.powerFromTemps(coldest.t_out_c, kColdC, coldest.flow_lph);
     best.t_cpu_c = coldest.t_cpu_c;
     return best;
 }
@@ -310,13 +311,15 @@ main()
 
     // ------------------------------------------ optimizer decisions
     sched::LookupSpace space(server);
-    sched::OptimizerParams op; // defaults; cache off
-    sched::CoolingOptimizer visitor(space, teg, op);
-    sched::OptimizerParams cp = op;
-    cp.cache_util_quantum = 1e-3;
+    sched::OptimizerParams op; // defaults
+    sched::CoolingOptimizer visitor(space, teg, kColdC, op); // cache off
+    auto privateTable = [&] {
+        return std::make_shared<sched::DecisionTable>(space, teg, op.band_c,
+                                                      kColdC, 1e-3);
+    };
     // A private decision table: after the first pass over the stream
     // the cached row times a flat-table hit.
-    sched::CoolingOptimizer cached(space, teg, cp);
+    sched::CoolingOptimizer cached(space, teg, kColdC, op, privateTable());
 
     // A realistic planning-utilization stream, so the cache sees the
     // duty cycle a trace produces rather than a uniform sweep.
@@ -349,7 +352,7 @@ main()
     // decision table never serves it.
     double coldest_full_ns = nsPerOp([&] {
         g_sink = g_sink +
-                 fullScanColdest(space, teg, op, next_util()).teg_power_w;
+                 fullScanColdest(space, teg, next_util()).teg_power_w;
     });
     double coldest_ns = nsPerOp([&] {
         g_sink = g_sink + visitor.coldestFallback(next_util()).teg_power_w;
@@ -389,10 +392,11 @@ main()
         cluster::DatacenterParams dp;
         dp.num_servers = servers;
         cluster::Datacenter dc(dp);
-        sched::CoolingOptimizer step_cached(space, teg, cp);
+        sched::CoolingOptimizer step_cached(space, teg, kColdC, op,
+                                            privateTable());
         control::PipelineFactory pipelines(dc, step_cached,
                                            control::BalancerParams{},
-                                           cp.t_safe_c);
+                                           op.t_safe_c);
         std::unique_ptr<control::ControlPipeline> decide =
             pipelines.make(sched::Policy::TegLoadBalance);
 

@@ -30,7 +30,7 @@ main()
     cluster::Server server;
     sched::LookupSpace space(server);
     thermal::TegModule teg(12);
-    sched::CoolingOptimizer opt(space, teg);
+    sched::CoolingOptimizer opt(space, teg, 20.0); // 20 C cold source
     core::TransientCirculation loop(n);
 
     workload::TraceGenerator gen(2020);

@@ -86,6 +86,20 @@ struct BalancerParams
      * balancer points with exact step/stage attribution. 0 disables.
      */
     size_t max_stale_steps = 0;
+
+    /** Names every field once: INI keys ([balancer]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("enabled", enabled);
+        v("max_move", max_move);
+        v("hysteresis", hysteresis);
+        v("drain_rate", drain_rate);
+        v("max_pulls", max_pulls);
+        v("drain_on_fallback", drain_on_fallback);
+        v("headroom_floor_c", headroom_floor_c);
+        v("max_stale_steps", max_stale_steps);
+    }
 };
 
 /** Balancing posture of one circulation. */

@@ -19,22 +19,21 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
         config.datacenter.server.tegs_per_server,
         config.datacenter.server.teg);
 
-    // The optimizer's cold source must match the datacenter's; the
+    // The optimizer plans against the datacenter's cold source; the
     // decision cache is a [perf] knob. Its table is shared like the
     // space: systems of one configuration compute each decision once.
-    sched::OptimizerParams opt = config.optimizer;
-    opt.cold_source_c = config.datacenter.cold_source_c;
-    opt.cache_util_quantum = config.perf.optimizer_cache_quantum;
+    const double cold_c = config.datacenter.cold_source_c;
     optimizer_ = std::make_unique<sched::CoolingOptimizer>(
-        *space_, *teg_, opt,
-        sched::LookupSpaceCache::instance().decisionTable(*space_, *teg_,
-                                                          opt));
+        *space_, *teg_, cold_c, config.optimizer,
+        sched::LookupSpaceCache::instance().decisionTable(
+            *space_, *teg_, config.optimizer.band_c, cold_c,
+            config.perf.optimizer_cache_quantum));
 
     // The control plane: every session's decide stage is a pipeline
     // built here. The balancer compares measured headroom against the
     // same T_safe the optimizer plans toward.
     pipelines_ = std::make_unique<control::PipelineFactory>(
-        *dc_, *optimizer_, config.balancer, opt.t_safe_c);
+        *dc_, *optimizer_, config.balancer, config.optimizer.t_safe_c);
 
     if (config.obs.enabled)
         obs_ = std::make_unique<obs::Observability>(config.obs);

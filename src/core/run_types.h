@@ -36,9 +36,16 @@ struct PerfParams
 {
     /**
      * Planning-utilization quantum of the cooling-optimizer decision
-     * cache (OptimizerParams::cache_util_quantum); 0 disables it.
+     * cache (sched::DecisionTable); 0 disables it.
      */
     double optimizer_cache_quantum = 1e-3;
+
+    /** Names every field once: INI keys ([perf]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("optimizer_cache_quantum", optimizer_cache_quantum);
+    }
 };
 
 /** Full system configuration. */

@@ -116,6 +116,31 @@ struct FaultScenarioParams
     /** Explicit, deterministic events merged into the timeline. */
     std::vector<FaultEvent> scripted;
 
+    /**
+     * Names every field but the scripted events once: INI keys
+     * ([fault]) and digests.
+     */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("seed", seed);
+        v("pump_degrade_per_circ_year", pump_degrade_per_circ_year);
+        v("pump_fail_per_circ_year", pump_fail_per_circ_year);
+        v("teg_open_per_server_year", teg_open_per_server_year);
+        v("teg_short_per_server_year", teg_short_per_server_year);
+        v("chiller_outages_per_year", chiller_outages_per_year);
+        v("tower_outages_per_year", tower_outages_per_year);
+        v("die_sensor_faults_per_circ_year",
+          die_sensor_faults_per_circ_year);
+        v("flow_sensor_faults_per_circ_year",
+          flow_sensor_faults_per_circ_year);
+        v("fouling_kpw_per_year", fouling_kpw_per_year);
+        v("outage_duration_hours", outage_duration_hours);
+        v("sensor_fault_duration_hours", sensor_fault_duration_hours);
+        v("sensor_drift_c_per_hour", sensor_drift_c_per_hour);
+        v("pump_degraded_flow_factor", pump_degraded_flow_factor);
+    }
+
     /** True when the scenario can produce any fault at all. */
     bool enabled() const
     {

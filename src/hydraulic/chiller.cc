@@ -9,8 +9,6 @@ namespace hydraulic {
 Chiller::Chiller(const ChillerParams &params) : params_(params)
 {
     expect(params.cop > 0.0, "chiller COP must be positive");
-    expect(params.unit_cost_usd >= 0.0,
-           "chiller cost must be non-negative");
 }
 
 double

@@ -23,8 +23,6 @@ struct ChillerParams
 {
     /** Coefficient of performance (heat removed / energy used). */
     double cop = 3.6;
-    /** Amortized purchase cost per circulation, USD (Eq. 12). */
-    double unit_cost_usd = 30000.0;
 };
 
 /**

@@ -31,6 +31,20 @@ struct PlantParams
     double cdu_approach_c = 2.0;
     /** Ambient wet-bulb temperature, C. */
     double wet_bulb_c = 18.0;
+
+    /**
+     * Names every field once, the chiller's and the tower's flattened
+     * in: INI keys ([plant]) and digests.
+     */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("wet_bulb_c", wet_bulb_c);
+        v("cop", chiller.cop);
+        v("tower_approach_c", tower.approach_c);
+        v("tower_fan_power_per_watt", tower.fan_power_per_watt);
+        v("cdu_approach_c", cdu_approach_c);
+    }
 };
 
 /** Power breakdown for one plant evaluation. */

@@ -26,6 +26,16 @@ struct PumpParams
     double idle_power_w = 0.5;
     /** Largest deliverable flow, L/H. */
     double max_flow_lph = 400.0;
+
+    /** Names every field once: INI keys ([pump]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("rated_flow_lph", rated_flow_lph);
+        v("rated_power_w", rated_power_w);
+        v("idle_power_w", idle_power_w);
+        v("max_flow_lph", max_flow_lph);
+    }
 };
 
 /**

@@ -40,6 +40,17 @@ struct ObsParams
     bool print_summary = false;
     /** Retained-event bound of the event log. */
     size_t max_events = 65536;
+
+    /** Names every field once: INI keys ([obs]). */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("enabled", enabled);
+        v("jsonl_path", jsonl_path);
+        v("csv_path", csv_path);
+        v("print_summary", print_summary);
+        v("max_events", max_events);
+    }
 };
 
 /** Escape @p s for embedding in a JSON string literal. */

@@ -43,33 +43,25 @@ bucketCount(double q)
 // --------------------------------------------------------- DecisionTable
 
 DecisionTable::DecisionTable(const LookupSpace &space,
-                             const thermal::TegModule &teg,
-                             const OptimizerParams &params)
-    : space_(&space), inputs_(fingerprint(teg, params)),
-      buckets_(bucketCount(params.cache_util_quantum))
+                             const thermal::TegModule &teg, double band_c,
+                             double cold_source_c, double quantum)
+    : space_(&space),
+      inputs_(fingerprint(teg, band_c, cold_source_c, quantum)),
+      quantum_(quantum), buckets_(bucketCount(quantum))
 {
 }
 
 uint64_t
-DecisionTable::fingerprint(const thermal::TegModule &teg,
-                           const OptimizerParams &params)
+DecisionTable::fingerprint(const thermal::TegModule &teg, double band_c,
+                           double cold_source_c, double quantum)
 {
-    util::Fnv1a h;
-    h.size(teg.count());
-    const thermal::TegParams &d = teg.device().params();
-    for (double v : {d.voc_slope, d.voc_offset, d.pfit_a, d.pfit_b,
-                     d.pfit_c, d.resistance_ohm, d.thermal_resistance_kpw,
-                     d.reference_flow_lph, d.unit_cost_usd,
-                     d.lifespan_years})
-        h.f64(v);
-    const thermal::ColdPlateParams &plate = teg.plate().params();
-    for (double v : {plate.base_resistance_kpw, plate.conv_scale,
-                     plate.flow_exponent})
-        h.f64(v);
-    h.f64(params.band_c);
-    h.f64(params.cold_source_c);
-    h.f64(params.cache_util_quantum);
-    return h.digest();
+    util::FieldHasher hasher;
+    hasher.h.size(teg.count());
+    hasher.fields(teg.device().params());
+    hasher.fields(teg.plate().params());
+    for (double x : {band_c, cold_source_c, quantum})
+        hasher.h.f64(x);
+    return hasher.h.digest();
 }
 
 std::shared_ptr<DecisionTable::Slot[]>
@@ -103,63 +95,25 @@ DecisionTable::size() const
 
 CoolingOptimizer::CoolingOptimizer(const LookupSpace &space,
                                    const thermal::TegModule &teg,
+                                   double cold_source_c,
                                    const OptimizerParams &params,
                                    std::shared_ptr<DecisionTable> table)
-    : space_(space), teg_(teg), params_(params), table_(std::move(table))
+    : space_(space), teg_(teg), cold_source_c_(cold_source_c),
+      params_(params), table_(std::move(table))
 {
     expect(params.band_c >= 0.0, "band width must be non-negative");
-    expect(params.t_safe_c > params.cold_source_c,
+    expect(params.t_safe_c > cold_source_c,
            "T_safe must exceed the cold-source temperature");
-    expect(params.cache_util_quantum >= 0.0,
-           "cache quantum must be non-negative");
-    if (table_ == nullptr)
-        clearCache();
-    else
-        expect(table_->serves(space, teg, params),
-               "decision table was built for another optimizer "
-               "configuration");
-}
-
-void
-CoolingOptimizer::clearCache() const
-{
-    table_ = params_.cache_util_quantum > 0.0
-                 ? std::make_shared<DecisionTable>(space_, teg_, params_)
-                 : nullptr;
-    slots_.clear();
-}
-
-void
-CoolingOptimizer::setTSafe(double t_safe_c)
-{
-    expect(t_safe_c > params_.cold_source_c,
-           "T_safe must exceed the cold-source temperature");
-    params_.t_safe_c = t_safe_c;
-    clearCache();
-}
-
-void
-CoolingOptimizer::setBand(double band_c)
-{
-    expect(band_c >= 0.0, "band width must be non-negative");
-    params_.band_c = band_c;
-    clearCache();
-}
-
-void
-CoolingOptimizer::setColdSource(double cold_source_c)
-{
-    expect(params_.t_safe_c > cold_source_c,
-           "T_safe must exceed the cold-source temperature");
-    params_.cold_source_c = cold_source_c;
-    clearCache();
+    expect(table_ == nullptr ||
+               table_->serves(space, teg, params.band_c, cold_source_c),
+           "decision table was built for another optimizer "
+           "configuration");
 }
 
 double
 CoolingOptimizer::tegPowerAt(const LookupPoint &p) const
 {
-    return teg_.powerFromTemps(p.t_out_c, params_.cold_source_c,
-                               p.flow_lph);
+    return teg_.powerFromTemps(p.t_out_c, cold_source_c_, p.flow_lph);
 }
 
 std::vector<LookupPoint>
@@ -184,12 +138,12 @@ CoolingOptimizer::choose(double plan_util, double t_safe_c) const
 {
     expect(plan_util >= 0.0 && plan_util <= 1.0,
            "planning utilization must be in [0, 1]");
-    expect(t_safe_c > params_.cold_source_c,
+    expect(t_safe_c > cold_source_c_,
            "T_safe must exceed the cold-source temperature");
 
-    const double q = params_.cache_util_quantum;
-    if (q <= 0.0)
+    if (table_ == nullptr)
         return search(plan_util, t_safe_c);
+    const double q = table_->quantum();
 
     // plan_util <= 1 keeps the bucket within llround(1/q), the last
     // slot.

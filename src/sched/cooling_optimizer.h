@@ -21,17 +21,18 @@
  * LookupSpace::forEachInSlice — no candidate vector is materialized;
  * the coldest fallback reads LookupSpace::coldestInSlice.
  * An optional decision cache short-circuits the scheduler's repeated
- * calls: planning utilizations are quantized to cache_util_quantum
- * and the chosen setting per (quantized util, T_safe) pair is
- * memoized in a DecisionTable. The cache is an approximation knob,
- * not pure memoization — with it enabled the optimizer plans at the
- * quantized utilization — so it defaults off and the system enables
- * it through [perf] optimizer_cache_quantum.
+ * calls: planning utilizations are quantized to the quantum of the
+ * DecisionTable the optimizer is given, and the chosen setting per
+ * (quantized util, T_safe) pair is memoized there. The cache is an
+ * approximation knob, not pure memoization — with it enabled the
+ * optimizer plans at the quantized utilization — so an optimizer
+ * built without a table searches exactly, and the system enables it
+ * through [perf] optimizer_cache_quantum.
  *
  * With the quantum fixed, a decision is a pure function of the look-up
- * space, the TEG module, band_c, cold_source_c, T_safe and the bucket,
- * so one table serves every optimizer of that configuration: systems
- * built through core::H2PSystem share theirs via
+ * space, the TEG module, band_c, the cold source, T_safe and the
+ * bucket, so one table serves every optimizer of that configuration:
+ * systems built through core::H2PSystem share theirs via
  * sched::LookupSpaceCache, and a sweep computes each decision once
  * per process instead of once per point.
  */
@@ -53,7 +54,11 @@
 namespace h2p {
 namespace sched {
 
-/** Optimizer configuration. */
+/**
+ * Optimizer configuration. The cold source is the datacenter's
+ * (cluster::DatacenterParams::cold_source_c) and the cache quantum its
+ * DecisionTable's; both reach the optimizer as constructor arguments.
+ */
 struct OptimizerParams
 {
     /**
@@ -64,19 +69,14 @@ struct OptimizerParams
     double t_safe_c = 63.0;
     /** Half-width of the acceptance band around T_safe, C. */
     double band_c = 1.0;
-    /** Natural-water cold-loop temperature for the TEGs, C. */
-    double cold_source_c = 20.0;
-    /**
-     * Planning-utilization quantum of the decision cache; 0 disables
-     * caching (every choose() searches the grid at the exact
-     * utilization). With a quantum q, choose() plans at the nearest
-     * multiple of q and memoizes the decision per (quantized util,
-     * T_safe). 1e-3 shifts the planned die temperature by well under
-     * the acceptance band and makes repeated scheduler calls O(1).
-     * Quanta giving more than DecisionTable::kMaxBuckets buckets
-     * (finer than ~1/65535) are rejected.
-     */
-    double cache_util_quantum = 0.0;
+
+    /** Names every field once: INI keys ([optimizer]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("t_safe_c", t_safe_c);
+        v("band_c", band_c);
+    }
 };
 
 /** The chosen setting plus diagnostic detail. */
@@ -98,7 +98,10 @@ struct OptimizerResult
  *
  * Its identity is fixed at construction: the LookupSpace searched
  * (by address), the TEG module (count, device and cold-plate
- * parameters), band_c, cold_source_c and the utilization quantum q.
+ * parameters), band_c, the cold source and the utilization quantum q.
+ * With a quantum q an optimizer plans at the nearest multiple of q;
+ * 1e-3 shifts the planned die temperature by well under the
+ * acceptance band and makes repeated scheduler calls O(1).
  * For each T_safe it is asked about it holds one flat array of
  * llround(1/q) + 1 slots, one per utilization bucket, created on
  * first use; a run uses at most two (T_safe, and T_safe - margin
@@ -137,27 +140,34 @@ class DecisionTable
     static constexpr size_t kMaxArrays = 64;
 
     /**
-     * A table for optimizers over @p space and @p teg with the band,
-     * cold source and quantum of @p params (T_safe plays no part).
-     * Throws h2p::Error unless 0 < q and llround(1/q) + 1 <=
+     * A table for optimizers over @p space and @p teg with band
+     * half-width @p band_c against @p cold_source_c, planning at
+     * multiples of @p quantum (T_safe plays no part). Throws
+     * h2p::Error unless 0 < quantum and llround(1/quantum) + 1 <=
      * kMaxBuckets.
      */
     DecisionTable(const LookupSpace &space, const thermal::TegModule &teg,
-                  const OptimizerParams &params);
+                  double band_c, double cold_source_c, double quantum);
 
     /**
      * Digest of the decision inputs besides the space: TEG module,
-     * band_c, cold_source_c and the quantum.
+     * band, cold source and quantum.
      */
     static uint64_t fingerprint(const thermal::TegModule &teg,
-                                const OptimizerParams &params);
+                                double band_c, double cold_source_c,
+                                double quantum);
 
     /** True when an optimizer over these inputs may use this table. */
     bool serves(const LookupSpace &space, const thermal::TegModule &teg,
-                const OptimizerParams &params) const
+                double band_c, double cold_source_c) const
     {
-        return &space == space_ && fingerprint(teg, params) == inputs_;
+        return &space == space_ &&
+               fingerprint(teg, band_c, cold_source_c, quantum_) ==
+                   inputs_;
     }
+
+    /** Planning-utilization quantum. */
+    double quantum() const { return quantum_; }
 
     /**
      * The slot array for @p t_safe_c, created on first use. Takes the
@@ -171,6 +181,7 @@ class DecisionTable
   private:
     const LookupSpace *space_;
     uint64_t inputs_;
+    double quantum_;
     /** Slots per T_safe array. */
     size_t buckets_;
 
@@ -196,13 +207,14 @@ class CoolingOptimizer
      * @param space Look-up space of the server model (not owned; must
      *        outlive the optimizer).
      * @param teg TEG module at each server outlet (not owned).
-     * @param table Decision table to memoize into when
-     *        params.cache_util_quantum > 0; it must serve this
-     *        configuration (DecisionTable::serves). Null gives the
-     *        optimizer a private table.
+     * @param cold_source_c Natural-water cold-loop temperature the
+     *        TEGs reject to, C.
+     * @param table Decision table to plan and memoize through; it
+     *        must serve this configuration (DecisionTable::serves).
+     *        Null searches every choose() at the exact utilization.
      */
     CoolingOptimizer(const LookupSpace &space,
-                     const thermal::TegModule &teg,
+                     const thermal::TegModule &teg, double cold_source_c,
                      const OptimizerParams &params = {},
                      std::shared_ptr<DecisionTable> table = nullptr);
 
@@ -252,28 +264,7 @@ class CoolingOptimizer
     /** Decisions currently memoized in this optimizer's table. */
     size_t cacheSize() const { return table_ ? table_->size() : 0; }
 
-    /**
-     * Forget every memoized decision (the next calls search again) by
-     * switching to a fresh private table; a shared table is left
-     * untouched for its other users.
-     */
-    void clearCache() const;
-
     const OptimizerParams &params() const { return params_; }
-
-    // Runtime re-tuning. band_c and cold_source_c are part of the
-    // table's identity and T_safe selects its array, so each setter
-    // switches the optimizer to a fresh private table rather than
-    // mutating one that other optimizers read.
-
-    /** Change the safe operating temperature; clears the cache. */
-    void setTSafe(double t_safe_c);
-
-    /** Change the acceptance band half-width; clears the cache. */
-    void setBand(double band_c);
-
-    /** Change the cold-source temperature; clears the cache. */
-    void setColdSource(double cold_source_c);
 
   private:
     /** The uncached three-tier grid search. */
@@ -286,10 +277,11 @@ class CoolingOptimizer
 
     const LookupSpace &space_;
     const thermal::TegModule &teg_;
+    double cold_source_c_;
     OptimizerParams params_;
 
-    /** Null when the cache is off (quantum 0). */
-    mutable std::shared_ptr<DecisionTable> table_;
+    /** Null when the cache is off. */
+    std::shared_ptr<DecisionTable> table_;
     /** T_safe bit pattern -> array of table_, in first-use order. */
     mutable std::vector<
         std::pair<uint64_t, std::shared_ptr<DecisionTable::Slot[]>>>

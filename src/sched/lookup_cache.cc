@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/error.h"
 #include "util/hash.h"
 
 namespace h2p {
@@ -18,29 +19,12 @@ uint64_t
 LookupSpaceCache::fingerprint(const cluster::ServerParams &server,
                               const LookupSpaceParams &params)
 {
-    util::Fnv1a h;
-    // CPU power model (drives the dynamic power at each grid point).
-    h.f64(server.power.scale);
-    h.f64(server.power.shift);
-    h.f64(server.power.offset);
-    // CPU thermal model (die and outlet temperatures).
-    h.f64(server.thermal.plate.base_resistance_kpw);
-    h.f64(server.thermal.plate.conv_scale);
-    h.f64(server.thermal.plate.flow_exponent);
-    h.f64(server.thermal.gamma_slope);
-    h.f64(server.thermal.leak_gamma);
-    h.f64(server.thermal.leak_ref_c);
-    h.f64(server.thermal.parasitic_w);
-    h.f64(server.thermal.max_operating_c);
-    // Grid extents.
-    h.size(params.util_points);
-    h.f64(params.flow_min_lph);
-    h.f64(params.flow_max_lph);
-    h.size(params.flow_points);
-    h.f64(params.tin_min_c);
-    h.f64(params.tin_max_c);
-    h.size(params.tin_points);
-    return h.digest();
+    // The TEG plays no part in the sampled table.
+    util::FieldHasher hasher;
+    hasher.fields(server.power);
+    hasher.fields(server.thermal);
+    hasher.fields(params);
+    return hasher.h.digest();
 }
 
 std::shared_ptr<const LookupSpace>
@@ -70,23 +54,30 @@ LookupSpaceCache::acquire(const cluster::ServerParams &server,
 std::shared_ptr<DecisionTable>
 LookupSpaceCache::decisionTable(const LookupSpace &space,
                                 const thermal::TegModule &teg,
-                                const OptimizerParams &params)
+                                double band_c, double cold_source_c,
+                                double quantum)
 {
-    if (!(params.cache_util_quantum > 0.0))
+    expect(quantum >= 0.0, "cache quantum must be non-negative");
+    if (quantum == 0.0)
         return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
     auto entry = std::find_if(spaces_.begin(), spaces_.end(),
                               [&](const auto &kv) {
                                   return kv.second.space.get() == &space;
                               });
+    auto make = [&] {
+        return std::make_shared<DecisionTable>(space, teg, band_c,
+                                               cold_source_c, quantum);
+    };
     if (entry == spaces_.end())
-        return std::make_shared<DecisionTable>(space, teg, params);
+        return make();
     std::vector<std::shared_ptr<DecisionTable>> &tables =
         entry->second.tables;
     for (const std::shared_ptr<DecisionTable> &t : tables)
-        if (t->serves(space, teg, params))
+        if (t->quantum() == quantum &&
+            t->serves(space, teg, band_c, cold_source_c))
             return t;
-    tables.push_back(std::make_shared<DecisionTable>(space, teg, params));
+    tables.push_back(make());
     if (tables.size() > kCapacity)
         tables.erase(tables.begin());
     return tables.back();

@@ -69,18 +69,20 @@ class LookupSpaceCache
 
     /**
      * The decision table shared by every optimizer over @p space and
-     * @p teg with the band, cold source and quantum of @p params
-     * (DecisionTable::serves). Null when the quantum is not positive
-     * (the cache is off); a private table when @p space is not one
-     * this cache holds (built elsewhere, or already evicted).
+     * @p teg with this band, cold source and quantum
+     * (DecisionTable::serves). Null when @p quantum is 0 (the cache
+     * is off); a private table when @p space is not one this cache
+     * holds (built elsewhere, or already evicted). Throws h2p::Error
+     * on a negative quantum.
      */
     std::shared_ptr<DecisionTable> decisionTable(
         const LookupSpace &space, const thermal::TegModule &teg,
-        const OptimizerParams &params);
+        double band_c, double cold_source_c, double quantum);
 
     /**
-     * Digest of every parameter the sampled table depends on. Two
-     * (server, params) pairs with equal fingerprints produce
+     * Digest of every parameter the sampled table depends on: each
+     * field the CPU power, CPU thermal and grid-extent visits name.
+     * Two (server, params) pairs with equal fingerprints produce
      * bit-identical tables.
      */
     static uint64_t fingerprint(const cluster::ServerParams &server,

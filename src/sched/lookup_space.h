@@ -40,6 +40,19 @@ struct LookupSpaceParams
     double tin_min_c = 20.0;
     double tin_max_c = 55.0;
     size_t tin_points = 36;
+
+    /** Names every field once: INI keys ([lookup]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("flow_min_lph", flow_min_lph);
+        v("flow_max_lph", flow_max_lph);
+        v("flow_points", flow_points);
+        v("tin_min_c", tin_min_c);
+        v("tin_max_c", tin_max_c);
+        v("tin_points", tin_points);
+        v("util_points", util_points);
+    }
 };
 
 /** One grid point of the look-up space. */

@@ -62,6 +62,23 @@ struct SafeModeParams
     double recovery_margin_c = 5.0;
     /** Cap released per safe interval (fraction of full util). */
     double release_step = 0.1;
+
+    /** Names every field once: INI keys ([safe_mode]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("enabled", enabled);
+        v("margin_c", margin_c);
+        v("min_plausible_c", min_plausible_c);
+        v("max_plausible_c", max_plausible_c);
+        v("max_rate_c_per_s", max_rate_c_per_s);
+        v("flow_tolerance", flow_tolerance);
+        v("hold_steps", hold_steps);
+        v("watchdog_enabled", watchdog_enabled);
+        v("throttle_factor", throttle_factor);
+        v("recovery_margin_c", recovery_margin_c);
+        v("release_step", release_step);
+    }
 };
 
 /** One sensor sample as the controller sees it. */

@@ -27,6 +27,15 @@ struct ColdPlateParams
     double conv_scale = 2.2;
     /** Exponent of the flow-rate dependence (turbulent ~ 0.8). */
     double flow_exponent = 0.8;
+
+    /** Names every field once: INI keys and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("base_resistance_kpw", base_resistance_kpw);
+        v("conv_scale", conv_scale);
+        v("flow_exponent", flow_exponent);
+    }
 };
 
 /**

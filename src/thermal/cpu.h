@@ -46,6 +46,21 @@ struct CpuThermalParams
     double parasitic_w = 6.0;
     /** Vendor maximum operating temperature, C (E5-2650 V3). */
     double max_operating_c = 78.9;
+
+    /**
+     * Names every field once, the CPU cold plate's flattened in:
+     * INI keys ([thermal]) and digests.
+     */
+    template <typename V>
+    void visit(V &v)
+    {
+        plate.visit(v);
+        v("gamma_slope", gamma_slope);
+        v("leak_gamma", leak_gamma);
+        v("leak_ref_c", leak_ref_c);
+        v("parasitic_w", parasitic_w);
+        v("max_operating_c", max_operating_c);
+    }
 };
 
 /**

@@ -53,10 +53,20 @@ struct TegParams
      * paper fixes 200 L/H for Fig. 8).
      */
     double reference_flow_lph = 200.0;
-    /** Purchase price, USD (Sec. III-A). */
-    double unit_cost_usd = 1.0;
-    /** Service lifespan, years (paper assumes >= 25). */
-    double lifespan_years = 25.0;
+
+    /** Names every field once: INI keys ([teg]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("voc_slope", voc_slope);
+        v("voc_offset", voc_offset);
+        v("pfit_a", pfit_a);
+        v("pfit_b", pfit_b);
+        v("pfit_c", pfit_c);
+        v("resistance_ohm", resistance_ohm);
+        v("thermal_resistance_kpw", thermal_resistance_kpw);
+        v("reference_flow_lph", reference_flow_lph);
+    }
 };
 
 /**

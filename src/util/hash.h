@@ -78,6 +78,30 @@ class Fnv1a
     uint64_t digest_ = kOffsetBasis;
 };
 
+/**
+ * Visitor of a parameter struct's `visit(v)`, which calls
+ * `v(key, field)` once per field: feeds every field into one digest.
+ * Config digests and cache fingerprints hash through it, so a field
+ * added to a visit is covered by all of them at once.
+ */
+struct FieldHasher
+{
+    Fnv1a h;
+
+    void operator()(const char *, double x) { h.f64(x); }
+    void operator()(const char *, bool x) { h.boolean(x); }
+    void operator()(const char *, size_t x) { h.size(x); }
+    void operator()(const char *, const std::string &x) { h.str(x); }
+
+    /** Feed every field @p params visits. */
+    template <typename Params>
+    void fields(const Params &params)
+    {
+        // Hashing only reads; the visit is shared with the INI reader.
+        const_cast<Params &>(params).visit(*this);
+    }
+};
+
 } // namespace util
 } // namespace h2p
 

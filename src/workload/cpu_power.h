@@ -26,6 +26,15 @@ struct CpuPowerParams
     double shift = 1.17;
     /** Additive offset, W. */
     double offset = -7.83;
+
+    /** Names every field once: INI keys ([power]) and digests. */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("scale", scale);
+        v("shift", shift);
+        v("offset", offset);
+    }
 };
 
 /**

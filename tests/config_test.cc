@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iomanip>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 
 #include "core/config_io.h"
 #include "sim/config.h"
+#include "tests/support/mutate.h"
 #include "util/args.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -377,50 +380,79 @@ TEST(ConfigIoTest, RejectsNegativeCounts)
                  Error);
 }
 
+/**
+ * H2PConfig seen through its one field list, each key named
+ * "section.key", for test::forEachFieldChange.
+ */
+struct ConfigFields
+{
+    core::H2PConfig config;
+
+    template <typename V>
+    void visit(V &v)
+    {
+        auto named = [&v](const char *s, const char *k, auto &x) {
+            v((std::string(s) + "." + k).c_str(), x);
+        };
+        core::visitConfig(config, named);
+    }
+};
+
+/** The INI spelling of a visited value. */
+template <typename T>
+std::string
+iniValue(const T &x)
+{
+    std::ostringstream out;
+    out << std::setprecision(17) << x;
+    return out.str();
+}
+
 TEST(ConfigIoTest, DigestCoversEveryKeyButObs)
 {
     const sim::Config base;
     const uint64_t digest = core::configDigest(core::configFromIni(base));
     EXPECT_EQ(core::configDigest(core::H2PConfig{}), digest);
 
-    // One key from every section outside [obs] changes the digest.
-    const std::vector<std::vector<std::string>> changed = {
-        {"datacenter", "servers_per_circulation", "25"},
-        {"datacenter", "cold_source_c", "18"},
-        {"server", "tegs_per_server", "10"},
-        {"teg", "voc_slope", "0.06"},
-        {"thermal", "leak_gamma", "0.5"},
-        {"optimizer", "band_c", "2"},
-        {"lookup", "flow_points", "17"},
-        {"plant", "cop", "3"},
-        {"fault", "teg_open_per_server_year", "0.1"},
-        {"safe_mode", "margin_c", "4"},
-        {"balancer", "max_pulls", "3"},
-        {"perf", "optimizer_cache_quantum", "0.002"},
-    };
-    for (const auto &c : changed) {
+    // Every key the field list names, changed one at a time: outside
+    // [obs] the digest moves, and the INI key reads back the change.
+    std::set<std::string> keys;
+    test::forEachFieldChange(ConfigFields{}, [&](const ConfigFields &m,
+                                                 const std::string &key) {
+        EXPECT_TRUE(keys.insert(key).second) << key << " named twice";
+        const uint64_t changed = core::configDigest(m.config);
+        const size_t dot = key.find('.');
+        const std::string section = key.substr(0, dot);
+        if (section == "obs") {
+            EXPECT_EQ(changed, digest) << key;
+            return;
+        }
+        EXPECT_NE(changed, digest) << key;
+        std::string value;
+        auto read = [&](const char *s, const char *k, const auto &x) {
+            if (std::string(s) + "." + k == key)
+                value = iniValue(x);
+        };
+        core::visitConfig(const_cast<core::H2PConfig &>(m.config), read);
         sim::Config ini = base;
-        ini.set(c[0], c[1], c[2]);
-        EXPECT_NE(core::configDigest(core::configFromIni(ini)), digest)
-            << "[" << c[0] << "] " << c[1];
-    }
+        ini.set(section, key.substr(dot + 1), value);
+        EXPECT_EQ(core::configDigest(core::configFromIni(ini)), changed)
+            << key << " = " << value;
+    });
+    // Model parameters that were once settable only from code.
+    for (const char *key :
+         {"power.scale", "power.shift", "power.offset",
+          "thermal.base_resistance_kpw", "thermal.conv_scale",
+          "thermal.flow_exponent", "thermal.leak_ref_c", "teg.pfit_a",
+          "teg.pfit_b", "teg.pfit_c", "teg.reference_flow_lph",
+          "pump.rated_flow_lph", "pump.rated_power_w", "pump.idle_power_w",
+          "pump.max_flow_lph", "plant.tower_fan_power_per_watt"})
+        EXPECT_EQ(keys.count(key), 1u) << key;
 
-    // [obs] settings never change results, and [trace] is digested
-    // separately, by the trace's own fingerprint.
-    const std::vector<std::vector<std::string>> unchanged = {
-        {"obs", "enabled", "1"},
-        {"obs", "jsonl_path", "run.jsonl"},
-        {"obs", "csv_path", "run.csv"},
-        {"obs", "print_summary", "1"},
-        {"obs", "max_events", "16"},
-        {"trace", "seed", "9"},
-    };
-    for (const auto &c : unchanged) {
-        sim::Config ini = base;
-        ini.set(c[0], c[1], c[2]);
-        EXPECT_EQ(core::configDigest(core::configFromIni(ini)), digest)
-            << "[" << c[0] << "] " << c[1];
-    }
+    // [trace] is digested separately, by the trace's own fingerprint.
+    sim::Config trace = base;
+    trace.set("trace", "seed", "9");
+    EXPECT_EQ(core::configDigest(core::configFromIni(trace)), digest);
 
     // Scripted faults have no INI key but are digested.
     core::H2PConfig scripted;

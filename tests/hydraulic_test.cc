@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the hydraulic module: pump, chiller (Eq. 10-11),
- * cooling tower, heat exchanger, facility plant and loops.
+ * cooling tower, heat exchanger and facility plant.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "hydraulic/chiller.h"
 #include "hydraulic/cooling_tower.h"
 #include "hydraulic/heat_exchanger.h"
-#include "hydraulic/loop.h"
 #include "hydraulic/plant.h"
 #include "hydraulic/pump.h"
 #include "util/error.h"
@@ -213,34 +212,6 @@ TEST(PlantTest, RejectsBadInput)
     FacilityPlant plant;
     EXPECT_THROW(plant.power(-1.0, 30.0, 100.0), Error);
     EXPECT_THROW(plant.power(100.0, 30.0, 0.0), Error);
-}
-
-// ------------------------------------------------------------------ loop
-
-TEST(LoopTest, OutletPerBranchFollowsHeat)
-{
-    LoopState s = evaluateLoop(40.0, 20.0, {23.333, 46.667});
-    double cap = units::streamCapacitanceRate(20.0);
-    EXPECT_NEAR(s.branch_out_c[0], 40.0 + 23.333 / cap, 1e-6);
-    EXPECT_NEAR(s.branch_out_c[1], 40.0 + 46.667 / cap, 1e-6);
-}
-
-TEST(LoopTest, ReturnIsMeanOfBranches)
-{
-    LoopState s = evaluateLoop(40.0, 20.0, {10.0, 20.0, 30.0});
-    double mean = (s.branch_out_c[0] + s.branch_out_c[1] +
-                   s.branch_out_c[2]) /
-                  3.0;
-    EXPECT_NEAR(s.return_c, mean, 1e-12);
-    EXPECT_DOUBLE_EQ(s.heat_w, 60.0);
-    EXPECT_DOUBLE_EQ(s.totalFlow(), 60.0);
-}
-
-TEST(LoopTest, RejectsBadInput)
-{
-    EXPECT_THROW(evaluateLoop(40.0, 0.0, {1.0}), Error);
-    EXPECT_THROW(evaluateLoop(40.0, 20.0, {}), Error);
-    EXPECT_THROW(evaluateLoop(40.0, 20.0, {-1.0}), Error);
 }
 
 } // namespace

@@ -566,6 +566,25 @@ TEST(JournalTest, ResumeRestoresQuarantinedRecord)
     EXPECT_EQ(bad.failure.stage, "evaluate");
 }
 
+TEST(JournalTest, ResumeRefusesAChangedCpuPowerFit)
+{
+    // Point 0 diverges and is journaled as quarantined. Resuming a grid
+    // whose point 0 has the healthy CPU power fit must not serve that
+    // stale row: the point's configuration digest covers the fit.
+    TempPath jp("journal_test_power_fit.journal");
+    auto trace = makeTrace();
+    auto grid = makeGrid(trace, 3);
+    grid[0].config.datacenter.server.power.scale = 1e308;
+
+    core::SweepOptions options;
+    options.keep_recorders = false;
+    options.journal_path = jp.path;
+    core::SweepEngine engine(options);
+    EXPECT_EQ(engine.run(grid).quarantined, 1u);
+
+    EXPECT_THROW(engine.resume(makeGrid(trace, 3)), Error);
+}
+
 TEST(JournalTest, ResumeRejectsMismatchedGrid)
 {
     TempPath jp("journal_test_mismatch.journal");

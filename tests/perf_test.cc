@@ -106,7 +106,17 @@ TEST(ParallelIdentityTest, EvaluateIntoReusesStateAcrossCalls)
 
 struct CacheFixture : ::testing::Test
 {
+    static constexpr double kCold = 20.0;
+
     CacheFixture() : server(), space(server), teg(12) {}
+
+    /** A fresh decision table of quantum 1e-3 for default params. */
+    std::shared_ptr<sched::DecisionTable> privateTable() const
+    {
+        return std::make_shared<sched::DecisionTable>(
+            space, teg, sched::OptimizerParams{}.band_c, kCold, 1e-3);
+    }
+
     cluster::Server server;
     sched::LookupSpace space;
     thermal::TegModule teg;
@@ -114,10 +124,8 @@ struct CacheFixture : ::testing::Test
 
 TEST_F(CacheFixture, CachedEqualsUncachedAtQuantizedUtil)
 {
-    sched::OptimizerParams cached_p;
-    cached_p.cache_util_quantum = 1e-3;
-    sched::CoolingOptimizer cached(space, teg, cached_p);
-    sched::CoolingOptimizer exact(space, teg); // quantum 0: no cache
+    sched::CoolingOptimizer cached(space, teg, kCold, {}, privateTable());
+    sched::CoolingOptimizer exact(space, teg, kCold); // no table: exact
 
     for (double u :
          {0.0, 0.1234, 0.31, 0.4999, 0.5001, 0.77, 0.9876, 1.0}) {
@@ -135,9 +143,7 @@ TEST_F(CacheFixture, CachedEqualsUncachedAtQuantizedUtil)
 
 TEST_F(CacheFixture, RepeatedCallsHitTheCache)
 {
-    sched::OptimizerParams p;
-    p.cache_util_quantum = 1e-3;
-    sched::CoolingOptimizer opt(space, teg, p);
+    sched::CoolingOptimizer opt(space, teg, kCold, {}, privateTable());
     EXPECT_EQ(opt.cacheHits(), 0u);
 
     sched::OptimizerResult first = opt.choose(0.42);
@@ -154,17 +160,19 @@ TEST_F(CacheFixture, RepeatedCallsHitTheCache)
     opt.choose(0.4201);
     EXPECT_EQ(opt.cacheHits(), 6u);
 
-    opt.clearCache();
-    EXPECT_EQ(opt.cacheSize(), 0u);
-    opt.choose(0.42);
-    EXPECT_EQ(opt.cacheHits(), 6u); // miss after clear
+    // A fresh optimizer on a private table remembers nothing.
+    sched::CoolingOptimizer fresh(space, teg, kCold, {}, privateTable());
+    EXPECT_EQ(fresh.cacheSize(), 0u);
+    fresh.choose(0.42);
+    EXPECT_EQ(fresh.cacheHits(), 0u);
+    EXPECT_EQ(fresh.cacheMisses(), 1u);
+    EXPECT_EQ(opt.cacheHits(), 6u);
 }
 
 TEST_F(CacheFixture, TsafeOverrideKeyedSeparately)
 {
-    sched::OptimizerParams p;
-    p.cache_util_quantum = 1e-3;
-    sched::CoolingOptimizer opt(space, teg, p);
+    const sched::OptimizerParams p;
+    sched::CoolingOptimizer opt(space, teg, kCold, p, privateTable());
 
     sched::OptimizerResult normal = opt.choose(0.5);
     sched::OptimizerResult widened =
@@ -214,7 +222,7 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
         bool found = false;
         auto consider = [&](const sched::LookupPoint &pt) {
             double power = teg.powerFromTemps(
-                pt.t_out_c, p.cold_source_c, pt.flow_lph);
+                pt.t_out_c, kCold, pt.flow_lph);
             if (!found || power > want.teg_power_w) {
                 found = true;
                 want.setting.t_in_c = pt.t_in_c;
@@ -248,7 +256,7 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
             want.setting.t_in_c = coldest->t_in_c;
             want.setting.flow_lph = coldest->flow_lph;
             want.teg_power_w = teg.powerFromTemps(
-                coldest->t_out_c, p.cold_source_c, coldest->flow_lph);
+                coldest->t_out_c, kCold, coldest->flow_lph);
             want.t_cpu_c = coldest->t_cpu_c;
         }
         return want;
@@ -262,7 +270,7 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
     size_t tiers[3] = {0, 0, 0};
     for (const sched::OptimizerParams &p :
          {sched::OptimizerParams{}, zero_band}) {
-        sched::CoolingOptimizer opt(space, teg, p); // cache off
+        sched::CoolingOptimizer opt(space, teg, kCold, p); // cache off
         for (double margin : {0.0, 5.0, 40.0}) {
             const double t_safe = p.t_safe_c - margin;
             for (double u = 0.0; u <= 1.0; u += 0.07) {

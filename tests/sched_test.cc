@@ -22,6 +22,7 @@
 #include "sched/circulation_design.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
+#include "tests/support/mutate.h"
 #include "util/error.h"
 
 namespace h2p {
@@ -385,7 +386,7 @@ TEST(LookupSpaceTest, RejectsNonFiniteNodeValues)
 struct OptFixture : ::testing::Test
 {
     OptFixture()
-        : server(), space(server), teg(12), opt(space, teg)
+        : server(), space(server), teg(12), opt(space, teg, 20.0)
     {
     }
     cluster::Server server;
@@ -406,8 +407,7 @@ TEST_F(OptFixture, ChoiceIsArgmaxOverCandidates)
     double plan = 0.45;
     OptimizerResult r = opt.choose(plan);
     for (const auto &p : opt.candidateSet(plan)) {
-        double power = teg.powerFromTemps(
-            p.t_out_c, opt.params().cold_source_c, p.flow_lph);
+        double power = teg.powerFromTemps(p.t_out_c, 20.0, p.flow_lph);
         EXPECT_LE(power, r.teg_power_w + 1e-9);
     }
 }
@@ -456,7 +456,7 @@ TEST_F(OptFixture, FallbackWhenBandUnreachable)
     // the optimizer must still return a (safe) setting.
     OptimizerParams pp;
     pp.t_safe_c = 200.0;
-    CoolingOptimizer opt2(space, teg, pp);
+    CoolingOptimizer opt2(space, teg, 20.0, pp);
     OptimizerResult r = opt2.choose(0.5);
     EXPECT_TRUE(r.fallback);
     EXPECT_EQ(r.candidates, 0u);
@@ -475,7 +475,7 @@ TEST_F(OptFixture, MaxCoolingWhenNothingSafe)
     OptimizerParams pp;
     pp.t_safe_c = 21.0; // nothing reaches down to 21 C
     pp.band_c = 0.1;
-    CoolingOptimizer opt2(space, teg, pp);
+    CoolingOptimizer opt2(space, teg, 20.0, pp);
     OptimizerResult r = opt2.choose(1.0);
     EXPECT_TRUE(r.fallback);
     // Must pick the coldest achievable die temperature.
@@ -531,11 +531,21 @@ TEST_F(OptFixture, ColdestFallbackIsColdestInletHighestFlow)
 
 struct CacheFixture : ::testing::Test
 {
+    static constexpr double kCold = 20.0;
+
     CacheFixture() : server(), space(server), teg(12)
     {
-        params.cache_util_quantum = 1e-3;
-        opt = std::make_unique<CoolingOptimizer>(space, teg, params);
+        opt = std::make_unique<CoolingOptimizer>(space, teg, kCold, params,
+                                                 tableFor(params));
     }
+
+    /** A fresh decision table of quantum 1e-3 for @p p's band. */
+    std::shared_ptr<DecisionTable> tableFor(const OptimizerParams &p) const
+    {
+        return std::make_shared<DecisionTable>(space, teg, p.band_c, kCold,
+                                               1e-3);
+    }
+
     cluster::Server server;
     LookupSpace space;
     thermal::TegModule teg;
@@ -559,23 +569,25 @@ TEST_F(CacheFixture, HitsAndMissesAreCounted)
 
 TEST_F(CacheFixture, RetuningTsafeDropsMemoizedDecisions)
 {
-    // The memoized decision for (util, old T_safe) must not survive a
-    // re-tune: the default-T_safe choose() path would otherwise keep
-    // serving settings planned for the old temperature.
+    // A table is T_safe-agnostic: an optimizer at another T_safe may
+    // share it, but the memoized decision for (util, old T_safe) must
+    // not leak into its plans.
     OptimizerResult before = opt->choose(0.5);
     EXPECT_GT(opt->cacheSize(), 0u);
 
-    opt->setTSafe(params.t_safe_c - 5.0);
-    EXPECT_EQ(opt->cacheSize(), 0u);
-
-    OptimizerResult after = opt->choose(0.5);
+    OptimizerParams colder = params;
+    colder.t_safe_c = params.t_safe_c - 5.0;
+    auto shared = tableFor(params);
+    CoolingOptimizer first(space, teg, kCold, params, shared);
+    first.choose(0.5);
+    CoolingOptimizer retuned(space, teg, kCold, colder, shared);
+    OptimizerResult after = retuned.choose(0.5);
+    EXPECT_EQ(retuned.cacheHits(), 0u);
     // A 5 C colder target must actually change the decision ...
     EXPECT_LT(after.t_cpu_c, before.t_cpu_c);
     // ... and it must equal what a fresh optimizer at the new T_safe
     // computes (i.e. no stale state of any kind).
-    OptimizerParams fresh_params = params;
-    fresh_params.t_safe_c = params.t_safe_c - 5.0;
-    CoolingOptimizer fresh(space, teg, fresh_params);
+    CoolingOptimizer fresh(space, teg, kCold, colder, tableFor(colder));
     OptimizerResult expected = fresh.choose(0.5);
     EXPECT_DOUBLE_EQ(after.setting.t_in_c, expected.setting.t_in_c);
     EXPECT_DOUBLE_EQ(after.setting.flow_lph,
@@ -585,51 +597,25 @@ TEST_F(CacheFixture, RetuningTsafeDropsMemoizedDecisions)
 
 TEST_F(CacheFixture, RetuningBandDropsMemoizedDecisions)
 {
-    // band_c is key-relevant state that is NOT in the cache key; a
-    // stale hit after widening would serve a decision filtered by the
-    // old, narrower acceptance band.
+    // band_c is part of a table's identity: an optimizer with a wider
+    // band may not read decisions filtered by the narrower one, and on
+    // its own table it plans like an uncached optimizer.
     opt->choose(0.5);
     EXPECT_GT(opt->cacheSize(), 0u);
-    opt->setBand(params.band_c * 3.0);
-    EXPECT_EQ(opt->cacheSize(), 0u);
+    OptimizerParams wider = params;
+    wider.band_c = params.band_c * 3.0;
+    EXPECT_THROW(
+        CoolingOptimizer(space, teg, kCold, wider, tableFor(params)),
+        Error);
 
-    OptimizerParams fresh_params = params;
-    fresh_params.band_c = params.band_c * 3.0;
-    CoolingOptimizer fresh(space, teg, fresh_params);
-    OptimizerResult after = opt->choose(0.5);
+    CoolingOptimizer retuned(space, teg, kCold, wider, tableFor(wider));
+    retuned.choose(0.5);
+    CoolingOptimizer fresh(space, teg, kCold, wider, tableFor(wider));
+    OptimizerResult after = retuned.choose(0.5);
     OptimizerResult expected = fresh.choose(0.5);
+    EXPECT_EQ(retuned.cacheHits(), 1u);
     EXPECT_DOUBLE_EQ(after.setting.t_in_c, expected.setting.t_in_c);
     EXPECT_EQ(after.candidates, expected.candidates);
-}
-
-TEST_F(CacheFixture, RetuningColdSourceDropsMemoizedDecisions)
-{
-    // cold_source_c shifts every candidate's predicted TEG power (it
-    // sets the TEG cold side), so a cached decision computed against
-    // the old temperature reports a wrong power.
-    OptimizerResult before = opt->choose(0.5);
-    EXPECT_GT(opt->cacheSize(), 0u);
-    opt->setColdSource(params.cold_source_c + 10.0);
-    EXPECT_EQ(opt->cacheSize(), 0u);
-
-    OptimizerResult after = opt->choose(0.5);
-    // A warmer cold source shrinks the harvested power.
-    EXPECT_LT(after.teg_power_w, before.teg_power_w);
-
-    OptimizerParams fresh_params = params;
-    fresh_params.cold_source_c = params.cold_source_c + 10.0;
-    CoolingOptimizer fresh(space, teg, fresh_params);
-    OptimizerResult expected = fresh.choose(0.5);
-    EXPECT_DOUBLE_EQ(after.teg_power_w, expected.teg_power_w);
-}
-
-TEST_F(CacheFixture, SettersValidate)
-{
-    EXPECT_THROW(opt->setTSafe(opt->params().cold_source_c - 1.0),
-                 Error);
-    EXPECT_THROW(opt->setBand(-1.0), Error);
-    EXPECT_THROW(opt->setColdSource(opt->params().t_safe_c + 1.0),
-                 Error);
 }
 
 TEST(CoolingOptimizerTest, RejectsQuantumFinerThanDecisionTable)
@@ -640,15 +626,25 @@ TEST(CoolingOptimizerTest, RejectsQuantumFinerThanDecisionTable)
     cluster::Server server;
     LookupSpace space(server);
     thermal::TegModule teg(12);
+    for (double q : {1e-300, 1e-6, 1.0 / 65536.0, 0.0})
+        EXPECT_THROW(DecisionTable(space, teg, 1.0, 20.0, q), Error) << q;
+    for (double q : {1e-3, 1.0})
+        EXPECT_NO_THROW(DecisionTable(space, teg, 1.0, 20.0, q)) << q;
+}
+
+TEST(CoolingOptimizerTest, RejectsTsafeAtOrBelowColdSource)
+{
+    cluster::Server server;
+    LookupSpace space(server);
+    thermal::TegModule teg(12);
     OptimizerParams p;
-    for (double q : {1e-300, 1e-6, 1.0 / 65536.0}) {
-        p.cache_util_quantum = q;
-        EXPECT_THROW(CoolingOptimizer(space, teg, p), Error) << q;
-    }
-    for (double q : {1e-3, 1.0}) {
-        p.cache_util_quantum = q;
-        EXPECT_NO_THROW(CoolingOptimizer(space, teg, p)) << q;
-    }
+    EXPECT_THROW(CoolingOptimizer(space, teg, p.t_safe_c, p), Error);
+    OptimizerParams negative_band;
+    negative_band.band_c = -1.0;
+    EXPECT_THROW(CoolingOptimizer(space, teg, 20.0, negative_band), Error);
+    CoolingOptimizer opt(space, teg, 20.0, p);
+    EXPECT_THROW(opt.choose(0.5, 20.0), Error);
+    EXPECT_NO_THROW(opt.choose(0.5, 21.0));
 }
 
 // --------------------------------------------------------- decision table
@@ -663,9 +659,13 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
     LookupSpace space(server);
     thermal::TegModule teg(12);
     OptimizerParams params;
-    params.cache_util_quantum = 1e-3;
+    const double cold = 20.0;
     const double t_safes[2] = {params.t_safe_c, params.t_safe_c - 3.0};
-    auto shared = std::make_shared<DecisionTable>(space, teg, params);
+    auto table = [&] {
+        return std::make_shared<DecisionTable>(space, teg, params.band_c,
+                                               cold, 1e-3);
+    };
+    auto shared = table();
 
     constexpr size_t kThreads = 4;
     constexpr size_t kCalls = 1500;
@@ -679,7 +679,7 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            CoolingOptimizer opt(space, teg, params, shared);
+            CoolingOptimizer opt(space, teg, cold, params, shared);
             std::mt19937_64 rng(100 + t);
             std::uniform_real_distribution<double> util(0.0, 1.0);
             for (size_t i = 0; i < kCalls; ++i) {
@@ -694,7 +694,7 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
     for (std::thread &th : threads)
         th.join();
 
-    CoolingOptimizer reference(space, teg, params);
+    CoolingOptimizer reference(space, teg, cold, params, table());
     size_t checked = 0;
     for (const std::vector<Call> &thread_calls : calls)
         for (const Call &c : thread_calls) {
@@ -715,6 +715,35 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
     EXPECT_EQ(shared->size(), reference.cacheSize());
 }
 
+TEST(DecisionTableTest, FingerprintCoversEveryDecisionInput)
+{
+    const thermal::TegModule teg(12);
+    const double band = 1.0, cold = 20.0, q = 1e-3;
+    const uint64_t base = DecisionTable::fingerprint(teg, band, cold, q);
+    auto keyed = [&](const thermal::TegModule &other) {
+        return DecisionTable::fingerprint(other, band, cold, q) != base;
+    };
+
+    EXPECT_TRUE(keyed(thermal::TegModule(13)));
+    size_t fields = 0;
+    test::forEachFieldChange(
+        teg.device().params(),
+        [&](const thermal::TegParams &m, const std::string &key) {
+            EXPECT_TRUE(keyed(thermal::TegModule(12, m))) << key;
+            ++fields;
+        });
+    test::forEachFieldChange(
+        teg.plate().params(),
+        [&](const thermal::ColdPlateParams &m, const std::string &key) {
+            EXPECT_TRUE(keyed(thermal::TegModule(12, {}, m))) << key;
+            ++fields;
+        });
+    EXPECT_EQ(fields, 8u + 3u);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band + 1.0, cold, q), base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold + 1.0, q), base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold, 2e-3), base);
+}
+
 TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
 {
     cluster::Server server;
@@ -722,53 +751,25 @@ TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
     LookupSpace other(server);
     thermal::TegModule teg(12);
     OptimizerParams params;
-    params.cache_util_quantum = 1e-3;
-    auto table = std::make_shared<DecisionTable>(space, teg, params);
-    EXPECT_NO_THROW(CoolingOptimizer(space, teg, params, table));
+    const double cold = 20.0;
+    auto table = std::make_shared<DecisionTable>(space, teg, params.band_c,
+                                                 cold, 1e-3);
+    EXPECT_NO_THROW(CoolingOptimizer(space, teg, cold, params, table));
 
     // T_safe selects an array, so it does not change the identity.
     OptimizerParams hotter = params;
     hotter.t_safe_c += 4.0;
-    EXPECT_TRUE(table->serves(space, teg, hotter));
+    EXPECT_NO_THROW(CoolingOptimizer(space, teg, cold, hotter, table));
 
     OptimizerParams wider = params;
     wider.band_c *= 2.0;
-    OptimizerParams warmer = params;
-    warmer.cold_source_c += 5.0;
-    OptimizerParams coarser = params;
-    coarser.cache_util_quantum = 2e-3;
-    OptimizerParams exact = params;
-    exact.cache_util_quantum = 0.0;
     thermal::TegModule shorter(10);
-    EXPECT_THROW(CoolingOptimizer(other, teg, params, table), Error);
-    EXPECT_THROW(CoolingOptimizer(space, shorter, params, table), Error);
-    for (const OptimizerParams &p : {wider, warmer, coarser, exact})
-        EXPECT_THROW(CoolingOptimizer(space, teg, p, table), Error);
-}
-
-TEST(DecisionTableTest, RetuningLeavesTheSharedTableAlone)
-{
-    cluster::Server server;
-    LookupSpace space(server);
-    thermal::TegModule teg(12);
-    OptimizerParams params;
-    params.cache_util_quantum = 1e-3;
-    auto shared = std::make_shared<DecisionTable>(space, teg, params);
-    CoolingOptimizer a(space, teg, params, shared);
-    CoolingOptimizer b(space, teg, params, shared);
-    a.choose(0.5);
-    EXPECT_EQ(shared->size(), 1u);
-    b.choose(0.5);
-    EXPECT_EQ(b.cacheHits(), 1u); // a's decision
-    EXPECT_EQ(b.cacheMisses(), 0u);
-
-    a.setBand(params.band_c * 3.0);
-    a.choose(0.6);
-    a.clearCache();
-    a.choose(0.7);
-    // a re-tuned onto private tables; b's table is untouched.
-    EXPECT_EQ(shared->size(), 1u);
-    EXPECT_EQ(b.cacheSize(), 1u);
+    EXPECT_THROW(CoolingOptimizer(other, teg, cold, params, table), Error);
+    EXPECT_THROW(CoolingOptimizer(space, shorter, cold, params, table),
+                 Error);
+    EXPECT_THROW(CoolingOptimizer(space, teg, cold, wider, table), Error);
+    EXPECT_THROW(CoolingOptimizer(space, teg, cold + 5.0, params, table),
+                 Error);
 }
 
 // -------------------------------------------------------------- scheduler
@@ -787,7 +788,8 @@ struct SchedFixture : ::testing::Test
         server = std::make_unique<cluster::Server>(params.server);
         space = std::make_unique<LookupSpace>(*server);
         teg = std::make_unique<thermal::TegModule>(12);
-        opt = std::make_unique<CoolingOptimizer>(*space, *teg);
+        opt = std::make_unique<CoolingOptimizer>(*space, *teg,
+                                                 params.cold_source_c);
         factory = std::make_unique<control::PipelineFactory>(
             *dc, *opt, control::BalancerParams{}, opt->params().t_safe_c);
     }

@@ -785,6 +785,31 @@ TEST(SessionTest, CheckpointRejectsMismatchedConfig)
     EXPECT_NO_THROW(sys_observed.resumeSession(ck.path, trace));
 }
 
+TEST(SessionTest, CheckpointRejectsADifferentPump)
+{
+    // The pump model sets the loops' power draw but has no say in any
+    // cooling decision; a resume under another pump must still refuse
+    // instead of splicing two models into one run.
+    TempPath ck("session_test_pump.ckpt");
+    auto trace = makeTrace();
+    core::H2PSystem sys(smallConfig());
+    auto session = sys.startSession(trace, sched::Policy::TegLoadBalance);
+    session.step();
+    session.saveCheckpoint(ck.path);
+
+    core::H2PConfig pump = smallConfig();
+    pump.datacenter.pump.rated_power_w = 20.0;
+    core::H2PSystem sys_pump(pump);
+    try {
+        sys_pump.resumeSession(ck.path, trace);
+        ADD_FAILURE() << "resumed under a different pump";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("different configuration"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SessionTest, CheckpointRejectsMismatchedTrace)
 {
     TempPath ck("session_test_trace.ckpt");

@@ -3,7 +3,8 @@
  * Test helper: deterministic mutations of a valid serialized artifact
  * (checkpoint, journal, config, wire frame). A parser under test must
  * either reject each mutant with a typed error or return only what
- * was written — never a changed value, a crash or a hang.
+ * was written — never a changed value, a crash or a hang. Also
+ * one-field changes of a parameter struct, driven by its visit().
  *
  * The enumerations are exhaustive, not sampled, so a failure names
  * the exact mutant and reproduces on every run.
@@ -13,6 +14,8 @@
 #define H2P_TESTS_SUPPORT_MUTATE_H_
 
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace h2p {
 namespace test {
@@ -47,6 +50,38 @@ forEachTruncation(const std::string &bytes, Check &&check)
     for (size_t n = 0; n < bytes.size(); ++n)
         check(bytes.substr(0, n),
               "truncation to " + std::to_string(n) + " bytes");
+}
+
+/**
+ * Call @p check(mutant, key) once per field @p params names in its
+ * `visit(v)`: `mutant` is @p params with only that field changed (a
+ * bool flipped, a number raised by one, a string extended).
+ */
+template <typename Params, typename Check>
+void
+forEachFieldChange(const Params &params, Check &&check)
+{
+    std::vector<std::string> keys;
+    auto collect = [&keys](const char *k, auto &) { keys.push_back(k); };
+    Params names = params;
+    names.visit(collect);
+    for (size_t i = 0; i < keys.size(); ++i) {
+        Params mutant = params;
+        size_t n = 0;
+        auto change = [&n, i](const char *, auto &x) {
+            if (n++ != i)
+                return;
+            using T = std::decay_t<decltype(x)>;
+            if constexpr (std::is_same_v<T, bool>)
+                x = !x;
+            else if constexpr (std::is_same_v<T, std::string>)
+                x += "~";
+            else
+                x += 1;
+        };
+        mutant.visit(change);
+        check(mutant, keys[i]);
+    }
 }
 
 } // namespace test

@@ -17,6 +17,7 @@
 #include "core/sweep_engine.h"
 #include "sched/lookup_cache.h"
 #include "sim/channels.h"
+#include "tests/support/mutate.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "workload/trace_gen.h"
@@ -494,6 +495,69 @@ TEST(SweepTest, SystemsShareTheCachedLookupSpace)
     EXPECT_EQ(sched::LookupSpaceCache::instance().builds(), 1u);
 }
 
+TEST(SweepTest, LookupFingerprintCoversTheSampledModelOnly)
+{
+    using sched::LookupSpaceCache;
+    const cluster::ServerParams server;
+    const sched::LookupSpaceParams grid;
+    const uint64_t base = LookupSpaceCache::fingerprint(server, grid);
+
+    // Every CPU power, CPU thermal and grid field keys the table ...
+    size_t keyed = 0;
+    test::forEachFieldChange(
+        server.power,
+        [&](const workload::CpuPowerParams &m, const std::string &key) {
+            cluster::ServerParams s = server;
+            s.power = m;
+            EXPECT_NE(LookupSpaceCache::fingerprint(s, grid), base) << key;
+            ++keyed;
+        });
+    test::forEachFieldChange(
+        server.thermal,
+        [&](const thermal::CpuThermalParams &m, const std::string &key) {
+            cluster::ServerParams s = server;
+            s.thermal = m;
+            EXPECT_NE(LookupSpaceCache::fingerprint(s, grid), base) << key;
+            ++keyed;
+        });
+    test::forEachFieldChange(
+        grid, [&](const sched::LookupSpaceParams &m, const std::string &key) {
+            EXPECT_NE(LookupSpaceCache::fingerprint(server, m), base) << key;
+            ++keyed;
+        });
+    EXPECT_EQ(keyed, 3u + 8u + 7u);
+
+    // ... and no TEG or optimizer field does: systems that differ only
+    // there sample one table (lookup_spaces_built == 1 in sweeps).
+    LookupSpaceCache::instance().clear();
+    const core::H2PConfig cfg = baseConfig(false);
+    const core::H2PSystem reference(cfg);
+    auto sharesTheSpace = [&](const core::H2PConfig &c,
+                              const std::string &key) {
+        EXPECT_EQ(&core::H2PSystem(c).lookupSpace(),
+                  &reference.lookupSpace())
+            << key;
+    };
+    test::forEachFieldChange(
+        cfg.datacenter.server.teg,
+        [&](const thermal::TegParams &m, const std::string &key) {
+            core::H2PConfig c = cfg;
+            c.datacenter.server.teg = m;
+            sharesTheSpace(c, key);
+        });
+    test::forEachFieldChange(
+        cfg.optimizer,
+        [&](const sched::OptimizerParams &m, const std::string &key) {
+            core::H2PConfig c = cfg;
+            c.optimizer = m;
+            sharesTheSpace(c, key);
+        });
+    core::H2PConfig fewer = cfg;
+    fewer.datacenter.server.tegs_per_server = 10;
+    sharesTheSpace(fewer, "tegs_per_server");
+    EXPECT_EQ(LookupSpaceCache::instance().builds(), 1u);
+}
+
 // --------------------------------------------- shared decision table
 
 TEST(SweepTest, SharedDecisionTableMatchesFreshTablePerPoint)
@@ -568,31 +632,26 @@ TEST(SweepTest, DecisionTableIsSharedPerConfiguration)
     cluster::ServerParams server;
     auto space = cache.acquire(server, sched::LookupSpaceParams{});
     thermal::TegModule teg(12);
-    sched::OptimizerParams p;
-    p.cache_util_quantum = 1e-3;
+    const double band = 1.0, cold = 20.0, q = 1e-3;
 
-    auto table = cache.decisionTable(*space, teg, p);
+    // T_safe plays no part: it picks an array inside the table.
+    auto table = cache.decisionTable(*space, teg, band, cold, q);
     ASSERT_NE(table, nullptr);
-    EXPECT_EQ(cache.decisionTable(*space, teg, p), table);
-    // T_safe picks an array inside the table, not a table.
-    sched::OptimizerParams hotter = p;
-    hotter.t_safe_c += 3.0;
-    EXPECT_EQ(cache.decisionTable(*space, teg, hotter), table);
-    sched::OptimizerParams wider = p;
-    wider.band_c += 1.0;
-    EXPECT_NE(cache.decisionTable(*space, teg, wider), table);
+    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, q), table);
+    EXPECT_NE(cache.decisionTable(*space, teg, band + 1.0, cold, q),
+              table);
+    EXPECT_NE(cache.decisionTable(*space, teg, band, cold, 2e-3), table);
 
     // No table with the cache off; an unshared one for a space the
-    // cache does not hold.
-    sched::OptimizerParams off = p;
-    off.cache_util_quantum = 0.0;
-    EXPECT_EQ(cache.decisionTable(*space, teg, off), nullptr);
+    // cache does not hold; a negative quantum is refused.
+    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, 0.0), nullptr);
+    EXPECT_THROW(cache.decisionTable(*space, teg, band, cold, -q), Error);
     cluster::Server model(server);
     sched::LookupSpace own(model);
-    auto private_table = cache.decisionTable(own, teg, p);
+    auto private_table = cache.decisionTable(own, teg, band, cold, q);
     ASSERT_NE(private_table, nullptr);
-    EXPECT_NE(cache.decisionTable(own, teg, p), private_table);
-    EXPECT_TRUE(private_table->serves(own, teg, p));
+    EXPECT_NE(cache.decisionTable(own, teg, band, cold, q), private_table);
+    EXPECT_TRUE(private_table->serves(own, teg, band, cold));
 }
 
 // --------------------------------------------- run-level fork-join
