@@ -10,11 +10,13 @@
 
 #include <filesystem>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace h2p {
 namespace bench {
@@ -43,6 +45,31 @@ saveCsv(const CsvTable &table, const std::string &name)
     } catch (const Error &e) {
         warn("could not save ", path, ": ", e.what());
     }
+}
+
+/**
+ * The host lines every BENCH file opens with: hardware threads of the
+ * host and of this process, compiler and optimization level.
+ */
+inline std::string
+hostJson()
+{
+    std::ostringstream os;
+    os << "  \"host_hardware_threads\": " << util::hostHardwareThreads()
+       << ",\n"
+       << "  \"process_usable_threads\": " << util::hardwareThreads()
+       << ",\n"
+#if defined(__GNUC__) && !defined(__clang__)
+       << "  \"compiler\": \"gcc " __VERSION__ "\",\n"
+#else
+       << "  \"compiler\": \"" __VERSION__ "\",\n"
+#endif
+#if defined(__OPTIMIZE__)
+       << "  \"optimized\": true,\n";
+#else
+       << "  \"optimized\": false,\n";
+#endif
+    return os.str();
 }
 
 } // namespace bench

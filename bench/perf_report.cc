@@ -256,29 +256,6 @@ jsonNum(double v)
     return os.str();
 }
 
-/**
- * The host lines every BENCH file opens with: hardware threads of the
- * host and of this process, compiler and optimization level.
- */
-std::string
-hostJson(size_t hw, size_t usable)
-{
-    std::ostringstream os;
-    os << "  \"host_hardware_threads\": " << hw << ",\n"
-       << "  \"process_usable_threads\": " << usable << ",\n"
-#if defined(__GNUC__) && !defined(__clang__)
-       << "  \"compiler\": \"gcc " __VERSION__ "\",\n"
-#else
-       << "  \"compiler\": \"" __VERSION__ "\",\n"
-#endif
-#if defined(__OPTIMIZE__)
-       << "  \"optimized\": true,\n";
-#else
-       << "  \"optimized\": false,\n";
-#endif
-    return os.str();
-}
-
 } // namespace
 
 int
@@ -700,7 +677,7 @@ main()
     sweep_json
         << "{\n"
         << "  \"bench\": \"sweep\",\n"
-        << hostJson(hw, usable)
+        << bench::hostJson()
         << "  \"note\": \"runs/sec of a 16-point sweep, serial loop "
            "vs SweepEngine. Batched speedup requires that many cores "
            "usable by the process; bit_identical must hold "
@@ -736,7 +713,7 @@ main()
     std::ostringstream json;
     json << "{\n"
          << "  \"bench\": \"hotpath\",\n"
-         << hostJson(hw, usable)
+         << bench::hostJson()
          << "  \"note\": \"baseline emulates the pre-optimization "
             "path: slices materialized point by point through "
             "trilinear interpolation, per-step allocation, no "

@@ -1,11 +1,9 @@
 /**
  * @file
  * Load generator for the digital-twin service plane: drives many
- * concurrent pipelined connections against an in-process daemon and
- * reports aggregate requests/sec plus p50/p99 latency, for both the
- * epoll reactor (service::Server) and the thread-per-connection
- * baseline it replaced (service::ThreadedServer) — so the reactor's
- * speedup is measured, not asserted.
+ * concurrent pipelined connections against an in-process daemon (the
+ * epoll reactor, service::Server) and reports aggregate requests/sec
+ * plus p50/p99 latency per request mix.
  *
  *   ./bench/service_loadgen                    # default sweep
  *   ./bench/service_loadgen --connections 64 --pipeline 8 \
@@ -38,7 +36,6 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/session_broker.h"
-#include "service/threaded_server.h"
 #include "util/args.h"
 #include "util/error.h"
 #include "util/parallel.h"
@@ -247,7 +244,6 @@ runClient(const std::string &socket_path, const MixPlan &mix,
 
 struct Row
 {
-    std::string transport;
     std::string mix;
     size_t connections = 0;
     size_t pipeline = 0;
@@ -270,10 +266,9 @@ percentile(const std::vector<double> &sorted, double p)
     return sorted[idx];
 }
 
-/** Drive one (transport, mix) cell against a live server. */
+/** Drive one mix against a live server. */
 Row
-runLoad(const std::string &socket_path,
-        const std::string &transport, const MixPlan &mix,
+runLoad(const std::string &socket_path, const MixPlan &mix,
         const LoadgenConfig &cfg)
 {
     StartGate gate(cfg.connections);
@@ -289,7 +284,6 @@ runLoad(const std::string &socket_path,
         t.join();
 
     Row row;
-    row.transport = transport;
     row.mix = mix.name;
     row.connections = cfg.connections;
     row.pipeline = cfg.pipeline;
@@ -298,8 +292,8 @@ runLoad(const std::string &socket_path,
     Clock::time_point last_finish = gate.start();
     for (const ClientResult &r : results) {
         if (r.failed)
-            fatal("loadgen client failed (", transport, "/",
-                  mix.name, "): ", r.failure);
+            fatal("loadgen client failed (", mix.name,
+                  "): ", r.failure);
         all.insert(all.end(), r.latencies_us.begin(),
                    r.latencies_us.end());
         last_finish = std::max(last_finish, r.finished);
@@ -321,7 +315,7 @@ runLoad(const std::string &socket_path,
 void
 printRow(const Row &row)
 {
-    std::cout << "  " << row.transport << "/" << row.mix << ": "
+    std::cout << "  " << row.mix << ": "
               << strings::fixed(row.rps, 0) << " req/s  p50 "
               << strings::fixed(row.p50_us, 1) << " us  p99 "
               << strings::fixed(row.p99_us, 1) << " us  ("
@@ -331,18 +325,6 @@ printRow(const Row &row)
               << " connect retries)\n";
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 void
 writeReport(const std::string &path, const LoadgenConfig &cfg,
             size_t workers, const std::vector<Row> &rows)
@@ -350,8 +332,7 @@ writeReport(const std::string &path, const LoadgenConfig &cfg,
     std::ostringstream os;
     os << "{\n";
     os << "  \"bench\": \"service_loadgen\",\n";
-    os << "  \"process_usable_threads\": "
-       << util::hardwareThreads() << ",\n";
+    os << bench::hostJson();
     os << "  \"config\": {\"connections\": " << cfg.connections
        << ", \"pipeline\": " << cfg.pipeline
        << ", \"requests_per_connection\": " << cfg.requests
@@ -360,8 +341,7 @@ writeReport(const std::string &path, const LoadgenConfig &cfg,
     os << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
-        os << "    {\"transport\": \"" << jsonEscape(r.transport)
-           << "\", \"mix\": \"" << jsonEscape(r.mix)
+        os << "    {\"mix\": \"" << r.mix
            << "\", \"connections\": " << r.connections
            << ", \"pipeline\": " << r.pipeline
            << ", \"requests\": " << r.requests
@@ -373,29 +353,6 @@ writeReport(const std::string &path, const LoadgenConfig &cfg,
            << ", \"connect_retries\": " << r.connect_retries << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    os << "  ],\n";
-    // Reactor-over-threaded speedup per mix, where both ran.
-    os << "  \"speedup\": [\n";
-    std::vector<std::string> entries;
-    for (const Row &r : rows) {
-        if (r.transport != "reactor")
-            continue;
-        for (const Row &b : rows) {
-            if (b.transport != "threaded" || b.mix != r.mix)
-                continue;
-            std::ostringstream e;
-            e << "    {\"mix\": \"" << jsonEscape(r.mix)
-              << "\", \"reactor_rps\": " << strings::fixed(r.rps, 1)
-              << ", \"threaded_rps\": " << strings::fixed(b.rps, 1)
-              << ", \"speedup\": "
-              << strings::fixed(b.rps > 0.0 ? r.rps / b.rps : 0.0, 2)
-              << "}";
-            entries.push_back(e.str());
-        }
-    }
-    for (size_t i = 0; i < entries.size(); ++i)
-        os << entries[i] << (i + 1 < entries.size() ? "," : "")
-           << "\n";
     os << "  ]\n";
     os << "}\n";
 
@@ -422,8 +379,6 @@ main(int argc, char **argv)
     args.addString("mixes", "ping,query,mixed",
                    "comma-separated request mixes "
                    "(ping|query|step|mixed)");
-    args.addString("transports", "reactor,threaded",
-                   "comma-separated transports to measure");
     args.addString("socket-dir", "/tmp",
                    "directory for the bench's transient sockets");
     args.addString("out", "",
@@ -453,20 +408,6 @@ main(int argc, char **argv)
                 mixes.push_back(mixPlan(strings::trim(m)));
         expect(!mixes.empty(), "--mixes selected nothing");
 
-        bool run_reactor = false, run_threaded = false;
-        for (const std::string &t :
-             strings::split(args.getString("transports"), ',')) {
-            const std::string name = strings::trim(t);
-            if (name == "reactor")
-                run_reactor = true;
-            else if (name == "threaded")
-                run_threaded = true;
-            else if (!name.empty())
-                fatal("unknown transport `", name, "'");
-        }
-        expect(run_reactor || run_threaded,
-               "--transports selected nothing");
-
         std::string out_path = args.getString("out");
         if (out_path.empty())
             out_path =
@@ -483,40 +424,22 @@ main(int argc, char **argv)
                   << " usable threads)\n";
 
         std::vector<Row> rows;
-        size_t cell = 0;
         for (const MixPlan &mix : mixes) {
-            // Fresh broker+server per cell: no warm sessions leak
-            // across transports, and every connection can open one.
-            if (run_reactor) {
-                service::BrokerOptions broker_options;
-                broker_options.max_sessions = cfg.connections + 4;
-                service::SessionBroker broker(broker_options);
-                service::ServerOptions transport;
-                transport.workers = workers;
-                service::Server server(
-                    socket_base + "_" + std::to_string(cell++) +
-                        ".sock",
-                    &broker, transport);
-                rows.push_back(runLoad(server.socketPath(),
-                                       "reactor", mix, cfg));
-                printRow(rows.back());
-                server.requestStop();
-                server.stop();
-            }
-            if (run_threaded) {
-                service::BrokerOptions broker_options;
-                broker_options.max_sessions = cfg.connections + 4;
-                service::SessionBroker broker(broker_options);
-                service::ThreadedServer server(
-                    socket_base + "_" + std::to_string(cell++) +
-                        ".sock",
-                    &broker);
-                rows.push_back(runLoad(server.socketPath(),
-                                       "threaded", mix, cfg));
-                printRow(rows.back());
-                server.requestStop();
-                server.stop();
-            }
+            // Fresh broker+server per mix: no warm sessions leak
+            // across mixes, and every connection can open one.
+            service::BrokerOptions broker_options;
+            broker_options.max_sessions = cfg.connections + 4;
+            service::SessionBroker broker(broker_options);
+            service::ServerOptions transport;
+            transport.workers = workers;
+            service::Server server(
+                socket_base + "_" + std::to_string(rows.size()) +
+                    ".sock",
+                &broker, transport);
+            rows.push_back(runLoad(server.socketPath(), mix, cfg));
+            printRow(rows.back());
+            server.requestStop();
+            server.stop();
         }
 
         writeReport(out_path, cfg, workers, rows);

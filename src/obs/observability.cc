@@ -9,10 +9,6 @@
 namespace h2p {
 namespace obs {
 
-namespace {
-
-/// Write @p x as a JSON number; non-finite values become null (JSON
-/// has no inf/nan literals).
 void
 jsonNumber(std::ostream &os, double x)
 {
@@ -21,8 +17,6 @@ jsonNumber(std::ostream &os, double x)
     else
         os << "null";
 }
-
-} // namespace
 
 std::string
 jsonEscape(const std::string &s)

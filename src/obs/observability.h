@@ -57,6 +57,13 @@ struct ObsParams
 std::string jsonEscape(const std::string &s);
 
 /**
+ * Write @p x as a JSON number at the stream's precision (set
+ * max_digits10 for a bit-exact round trip); non-finite values become
+ * null (JSON has no inf/nan literals).
+ */
+void jsonNumber(std::ostream &os, double x);
+
+/**
  * One run's worth of telemetry state plus its exporters. Metric and
  * span updates are thread-safe; export methods are not (call them
  * after the run, from one thread).

@@ -15,6 +15,12 @@ namespace {
 
 constexpr uint64_t kListenerKey = 0;
 constexpr uint64_t kWakeupKey = 1;
+/** Unanswered pipelined requests per connection before the reactor
+ * pauses reading from it (it resumes at half). */
+constexpr size_t kMaxPipeline = 256;
+/** How long the reactor keeps draining response queues after a stop
+ * request. */
+constexpr std::chrono::milliseconds kDrainGrace{2000};
 
 } // namespace
 
@@ -25,8 +31,6 @@ Server::Server(std::string socket_path, SessionBroker *broker,
 {
     H2P_ASSERT(broker_ != nullptr, "server needs a broker");
     expect(options_.workers > 0, "server needs at least one worker");
-    expect(options_.max_pipeline > 0,
-           "server needs a non-zero pipeline bound");
     if (options_.obs != nullptr) {
         obs::MetricsRegistry &m = options_.obs->metrics();
         connections_gauge_ = m.gauge("service.connections");
@@ -108,9 +112,7 @@ Server::ioLoop()
             // Enter drain mode: no new connections, no new reads —
             // only flush what is already queued or in flight.
             draining = true;
-            drain_deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options_.drain_grace_ms);
+            drain_deadline = std::chrono::steady_clock::now() + kDrainGrace;
             poller_.remove(listener_);
             for (auto &entry : connections_) {
                 Connection &conn = *entry.second;
@@ -236,12 +238,12 @@ Server::handleReadable(const std::shared_ptr<Connection> &conn)
             schedule = !conn->running && !conn->queued;
             if (schedule)
                 conn->queued = true;
-            if (conn->pending.size() >= options_.max_pipeline)
+            if (conn->pending.size() >= kMaxPipeline)
                 conn->read_paused = true;
         }
     } catch (const Error &e) {
         // Oversized length prefix: framing is unrecoverable — drop
-        // the connection (the old blocking server did the same).
+        // the connection.
         debug("service connection dropped: ", e.what());
         conn->dead = true;
         return;
@@ -290,7 +292,7 @@ Server::serviceConnection(const std::shared_ptr<Connection> &conn)
     // backlog has halved.
     if (conn->read_paused && !conn->peer_eof &&
         !stopping_.load(std::memory_order_relaxed) &&
-        pending <= options_.max_pipeline / 2)
+        pending <= kMaxPipeline / 2)
         conn->read_paused = false;
     updateInterest(*conn);
 

@@ -12,28 +12,27 @@
  * are queued per connection and executed by a fixed pool of worker
  * threads; a connection is processed by at most one worker at a time
  * and its requests strictly in arrival order, so **pipelining** —
- * many requests in flight on one connection — keeps the serial
- * request/response semantics of the old thread-per-connection server
- * while batching syscalls and spreading independent connections
- * across workers. Responses (including streamed sweep frames) are
- * delivered in request order.
+ * many requests in flight on one connection — keeps serial
+ * per-connection request/response semantics while batching syscalls
+ * and spreading independent connections across workers. Responses
+ * (including streamed sweep frames) are delivered in request order.
  *
  * Backpressure: a slow reader never stalls other connections — its
  * responses queue in userspace and flush as the socket drains; past
  * max_queue_bytes the connection is dropped
  * (service.backpressure_disconnects). A client that pipelines more
- * than max_pipeline unanswered requests stops being read until the
- * backlog halves (request-side flow control), bounding memory per
- * connection in both directions.
+ * than kMaxPipeline (256, server.cc) unanswered requests stops being
+ * read until the backlog halves (request-side flow control),
+ * bounding memory per connection in both directions.
  *
  * Shutdown: requestStop() (idempotent; safe from any thread,
  * including a worker handling the shutdown verb and a daemon's
  * signal watcher) wakes the reactor, which stops accepting and
  * reading, drains pending work and flushes outstanding responses —
  * so the shutdown verb's own "ok" reaches its client — bounded by
- * drain_grace_ms, then closes everything. stop() joins the I/O and
- * worker threads; in-flight simulation work stops at the next step
- * boundary through the broker's RunGuard wiring.
+ * kDrainGrace (2 s, server.cc), then closes everything. stop()
+ * joins the I/O and worker threads; in-flight simulation work stops
+ * at the next step boundary through the broker's RunGuard wiring.
  */
 
 #ifndef H2P_SERVICE_SERVER_H_
@@ -72,14 +71,6 @@ struct ServerOptions
      * allowed to pin daemon memory.
      */
     size_t max_queue_bytes = 64u << 20;
-    /**
-     * Unanswered pipelined requests per connection before the
-     * reactor pauses reading from it (resumes at half).
-     */
-    size_t max_pipeline = 256;
-    /** Shutdown flush grace: how long the reactor keeps draining
-     * response queues after a stop request, in milliseconds. */
-    int drain_grace_ms = 2000;
     /**
      * Observability sink (null = none; borrowed): gauges
      * service.connections, counts service.rx_frames /

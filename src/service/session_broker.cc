@@ -47,34 +47,26 @@ parseCount(const std::string &token, const char *what)
     return value;
 }
 
-void
-jsonNum(std::ostream &os, double v)
-{
-    const auto precision = os.precision();
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    os.precision(precision);
-}
-
 std::string
 stateJson(const cluster::DatacenterState &state, size_t num_servers)
 {
     std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << "{\"cpu_power_w\":";
-    jsonNum(os, state.cpu_power_w);
+    obs::jsonNumber(os, state.cpu_power_w);
     os << ",\"teg_power_w\":";
-    jsonNum(os, state.teg_power_w);
+    obs::jsonNumber(os, state.teg_power_w);
     os << ",\"teg_w_per_server\":";
-    jsonNum(os, state.tegPowerPerServer(num_servers));
+    obs::jsonNumber(os, state.tegPowerPerServer(num_servers));
     os << ",\"heat_w\":";
-    jsonNum(os, state.heat_w);
+    obs::jsonNumber(os, state.heat_w);
     os << ",\"pump_power_w\":";
-    jsonNum(os, state.pump_power_w);
+    obs::jsonNumber(os, state.pump_power_w);
     os << ",\"plant_power_w\":";
-    jsonNum(os, state.plant_power_w);
+    obs::jsonNumber(os, state.plant_power_w);
     os << ",\"faulted_servers\":" << state.faulted_servers
        << ",\"teg_power_lost_w\":";
-    jsonNum(os, state.teg_power_lost_w);
+    obs::jsonNumber(os, state.teg_power_lost_w);
     os << ",\"plant_degraded\":"
        << (state.plant_degraded ? "true" : "false")
        << ",\"all_safe\":" << (state.all_safe ? "true" : "false")
@@ -86,6 +78,7 @@ std::string
 decisionJson(const sched::ScheduleDecision &decision)
 {
     std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
     double umean = 0.0, umax = 0.0;
     for (double u : decision.utils) {
         umean += u;
@@ -95,15 +88,15 @@ decisionJson(const sched::ScheduleDecision &decision)
     if (!decision.utils.empty())
         umean /= static_cast<double>(decision.utils.size());
     os << "{\"util_mean\":";
-    jsonNum(os, umean);
+    obs::jsonNumber(os, umean);
     os << ",\"util_max\":";
-    jsonNum(os, umax);
+    obs::jsonNumber(os, umax);
     os << ",\"settings\":[";
     for (size_t i = 0; i < decision.settings.size(); ++i) {
         os << (i ? "," : "") << "{\"t_in_c\":";
-        jsonNum(os, decision.settings[i].t_in_c);
+        obs::jsonNumber(os, decision.settings[i].t_in_c);
         os << ",\"flow_lph\":";
-        jsonNum(os, decision.settings[i].flow_lph);
+        obs::jsonNumber(os, decision.settings[i].flow_lph);
         os << "}";
     }
     os << "]}\n";
@@ -114,32 +107,42 @@ std::string
 summaryJson(const core::RunSummary &s)
 {
     std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << "{\"policy\":\"" << sched::toString(s.policy)
        << "\",\"avg_teg_w\":";
-    jsonNum(os, s.avg_teg_w);
+    obs::jsonNumber(os, s.avg_teg_w);
     os << ",\"peak_teg_w\":";
-    jsonNum(os, s.peak_teg_w);
+    obs::jsonNumber(os, s.peak_teg_w);
     os << ",\"avg_cpu_w\":";
-    jsonNum(os, s.avg_cpu_w);
+    obs::jsonNumber(os, s.avg_cpu_w);
     os << ",\"pre\":";
-    jsonNum(os, s.pre);
+    obs::jsonNumber(os, s.pre);
     os << ",\"teg_energy_kwh\":";
-    jsonNum(os, s.teg_energy_kwh);
+    obs::jsonNumber(os, s.teg_energy_kwh);
     os << ",\"cpu_energy_kwh\":";
-    jsonNum(os, s.cpu_energy_kwh);
+    obs::jsonNumber(os, s.cpu_energy_kwh);
     os << ",\"plant_energy_kwh\":";
-    jsonNum(os, s.plant_energy_kwh);
+    obs::jsonNumber(os, s.plant_energy_kwh);
     os << ",\"pump_energy_kwh\":";
-    jsonNum(os, s.pump_energy_kwh);
+    obs::jsonNumber(os, s.pump_energy_kwh);
     os << ",\"safe_fraction\":";
-    jsonNum(os, s.safe_fraction);
+    obs::jsonNumber(os, s.safe_fraction);
     os << ",\"avg_t_in_c\":";
-    jsonNum(os, s.avg_t_in_c);
+    obs::jsonNumber(os, s.avg_t_in_c);
     os << ",\"fault_events\":" << s.fault_events
        << ",\"throttle_events\":" << s.throttle_events
-       << ",\"safe_mode_steps\":" << s.safe_mode_steps
+       << ",\"throttled_work_server_hours\":";
+    obs::jsonNumber(os, s.throttled_work_server_hours);
+    os << ",\"teg_energy_lost_kwh\":";
+    obs::jsonNumber(os, s.teg_energy_lost_kwh);
+    os << ",\"safe_mode_steps\":" << s.safe_mode_steps
        << ",\"max_faulted_servers\":" << s.max_faulted_servers
-       << "}\n";
+       << ",\"circulation_safe_fraction\":[";
+    for (size_t c = 0; c < s.circulation_safe_fraction.size(); ++c) {
+        os << (c ? "," : "");
+        obs::jsonNumber(os, s.circulation_safe_fraction[c]);
+    }
+    os << "]}\n";
     return os.str();
 }
 
@@ -169,9 +172,10 @@ balancerJson(const control::ThermalBalancer &balancer)
 {
     const control::BalancerStats &st = balancer.stats();
     std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << "{\"converged\":" << (st.converged ? "true" : "false")
        << ",\"max_abs_dev\":";
-    jsonNum(os, st.max_abs_dev);
+    obs::jsonNumber(os, st.max_abs_dev);
     os << ",\"stale_steps\":" << st.stale_steps
        << ",\"migrations\":" << st.migrations
        << ",\"local_moves\":" << st.local_moves
@@ -186,15 +190,15 @@ balancerJson(const control::ThermalBalancer &balancer)
         os << (c ? "," : "") << "{\"circ\":" << c << ",\"mode\":\""
            << control::toString(row.mode)
            << "\",\"servers\":" << row.servers << ",\"avg_util\":";
-        jsonNum(os, row.avg_util);
+        obs::jsonNumber(os, row.avg_util);
         os << ",\"dev_util\":";
-        jsonNum(os, row.dev_util);
+        obs::jsonNumber(os, row.dev_util);
         os << ",\"headroom_c\":";
-        jsonNum(os, row.headroom_c);
+        obs::jsonNumber(os, row.headroom_c);
         os << ",\"teg_w\":";
-        jsonNum(os, row.teg_w);
+        obs::jsonNumber(os, row.teg_w);
         os << ",\"drained_util\":";
-        jsonNum(os, row.drained_util);
+        obs::jsonNumber(os, row.drained_util);
         os << "}";
     }
     os << "]}\n";
@@ -545,6 +549,7 @@ SessionBroker::doStats(const Request &request)
     if (options_.obs != nullptr) {
         const obs::MetricsRegistry &m = options_.obs->metrics();
         std::ostringstream os;
+        os.precision(std::numeric_limits<double>::max_digits10);
         os << "{";
         bool first = true;
         const auto append = [&os, &first](const std::string &name) {
@@ -559,17 +564,18 @@ SessionBroker::doStats(const Request &request)
         for (const auto &g : m.gauges())
             if (g.name.rfind("service.", 0) == 0) {
                 append(g.name);
-                jsonNum(os, g.value);
+                obs::jsonNumber(os, g.value);
             }
         for (const auto &h : m.histograms())
             if (h.name.rfind("service.", 0) == 0) {
                 append(h.name);
                 os << "{\"count\":" << h.count << ",\"mean\":";
-                jsonNum(os, h.count > 0
-                                ? h.sum / static_cast<double>(h.count)
-                                : 0.0);
+                obs::jsonNumber(
+                    os, h.count > 0
+                            ? h.sum / static_cast<double>(h.count)
+                            : 0.0);
                 os << ",\"max\":";
-                jsonNum(os, h.max);
+                obs::jsonNumber(os, h.max);
                 os << "}";
             }
         os << "}\n";

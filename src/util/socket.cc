@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -130,24 +129,6 @@ acceptConnection(const Fd &listener)
         // torn down during stop — not an error worth throwing from
         // the accept loop.
         return Fd();
-    }
-}
-
-bool
-waitReadable(const Fd &fd, int timeout_ms)
-{
-    pollfd p{};
-    p.fd = fd.get();
-    p.events = POLLIN;
-    for (;;) {
-        int rc = ::poll(&p, 1, timeout_ms);
-        if (rc > 0)
-            return true;
-        if (rc == 0)
-            return false;
-        if (errno == EINTR)
-            continue;
-        fatal("poll failed: ", std::strerror(errno));
     }
 }
 

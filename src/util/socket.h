@@ -5,8 +5,7 @@
  * The service daemon speaks its wire protocol over SOCK_STREAM
  * AF_UNIX sockets; these wrappers cover exactly what it needs —
  * RAII ownership of a descriptor, listen/accept/connect on a
- * filesystem path, poll-with-timeout so accept loops can notice a
- * shutdown request, EINTR-safe full-buffer read/write for blocking
+ * filesystem path, EINTR-safe full-buffer read/write for blocking
  * clients, and the event-driven primitives of the reactor server:
  * an epoll wrapper (Poller), an eventfd wakeup (WakeupFd) and
  * non-blocking partial read/write helpers that report would-block
@@ -82,13 +81,6 @@ Fd unixConnect(const std::string &path);
  * throwing, so accept loops can exit (or yield) quietly.
  */
 Fd acceptConnection(const Fd &listener);
-
-/**
- * Wait until @p fd is readable or @p timeout_ms elapses. Returns
- * true when readable (or in error/hangup state — the subsequent read
- * reports it), false on timeout.
- */
-bool waitReadable(const Fd &fd, int timeout_ms);
 
 /**
  * Read exactly @p n bytes into @p buf, retrying on EINTR and short

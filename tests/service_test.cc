@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <gtest/gtest.h>
 
@@ -27,7 +29,6 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/session_broker.h"
-#include "service/threaded_server.h"
 #include "util/cancellation.h"
 #include "util/error.h"
 #include "util/socket.h"
@@ -291,6 +292,80 @@ TEST(SessionBroker, RecorderJsonlMatchesDirectRunByteForByte)
         broker.handleOne(makeRequest("query", {id, "jsonl"}));
     ASSERT_TRUE(jsonl.ok);
     EXPECT_EQ(jsonl.body, direct.str()); // byte-for-byte
+}
+
+/** The number after `"key":` in a one-line JSON object. */
+double
+jsonNumberAt(const std::string &json, const std::string &key)
+{
+    const size_t at = json.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    if (at == std::string::npos)
+        return 0.0;
+    return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+}
+
+/** The numbers of the array after `"key":` in a JSON object. */
+std::vector<double>
+jsonArrayAt(const std::string &json, const std::string &key)
+{
+    std::vector<double> out;
+    const size_t at = json.find("\"" + key + "\":[");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    if (at == std::string::npos)
+        return out;
+    const char *p = json.c_str() + at + key.size() + 4;
+    while (*p != ']') {
+        char *end = nullptr;
+        out.push_back(std::strtod(p, &end));
+        EXPECT_NE(end, p) << "malformed array " << key;
+        if (end == p)
+            break;
+        p = *end == ',' ? end + 1 : end;
+    }
+    return out;
+}
+
+TEST(SessionBroker, FinishedRunSummaryCarriesEveryField)
+{
+    // resilience.ini's faults and watchdog give the three fields the
+    // close body once dropped non-trivial values.
+    sim::Config ini = sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini");
+    ini.set("obs", "enabled", "0"); // no telemetry export from a test
+    const workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    const core::RunSummary direct =
+        core::H2PSystem(core::configFromIni(ini))
+            .run(trace, sched::Policy::TegOriginal)
+            .summary;
+    EXPECT_GT(direct.throttled_work_server_hours, 0.0);
+    EXPECT_GT(direct.teg_energy_lost_kwh, 0.0);
+
+    std::ostringstream body;
+    ini.write(body);
+    service::SessionBroker broker;
+    service::Response open =
+        broker.handleOne(makeRequest("open", {"original"}, body.str()));
+    ASSERT_TRUE(open.ok) << open.message;
+    const std::string id = open.args[0];
+    service::Response step =
+        broker.handleOne(makeRequest("step", {id, open.args[1]}));
+    ASSERT_TRUE(step.ok) << step.message;
+    EXPECT_EQ(step.args[1], "1"); // done
+    service::Response close =
+        broker.handleOne(makeRequest("close", {id}));
+    ASSERT_TRUE(close.ok) << close.message;
+    ASSERT_EQ(close.args[0], "finished");
+
+    // Written at max_digits10, so every number parses back bit-equal.
+    EXPECT_EQ(jsonNumberAt(close.body, "throttled_work_server_hours"),
+              direct.throttled_work_server_hours);
+    EXPECT_EQ(jsonNumberAt(close.body, "teg_energy_lost_kwh"),
+              direct.teg_energy_lost_kwh);
+    EXPECT_EQ(jsonArrayAt(close.body, "circulation_safe_fraction"),
+              direct.circulation_safe_fraction);
+    EXPECT_EQ(jsonNumberAt(close.body, "pre"), direct.pre);
 }
 
 TEST(SessionBroker, CheckpointResumeReproducesTheRunByteForByte)
@@ -760,29 +835,86 @@ TEST(ServiceServer, StatsVerbReportsTransportMetrics)
               std::string::npos);
 }
 
-TEST(ServiceThreadedServer, BaselineTransportStillServes)
+TEST(ServiceServer, PipelineFlowControlAnswersEveryRequestInOrder)
 {
-    // The pre-reactor transport stays alive as the loadgen baseline;
-    // keep it honest with a minimal lifecycle round-trip.
-    TempPath socket("service_test_threaded.sock");
+    // Far past the reactor's per-connection pipeline cap (256): it
+    // stops reading at the cap and resumes at half. The padded burst
+    // (~120 KiB) outgrows one 64 KiB read, so the tail only arrives
+    // if reading resumes; nothing may be lost or reordered although
+    // the client reads nothing until it has sent everything.
+    TempPath socket("service_test_flow_control.sock");
     service::SessionBroker broker;
-    service::ThreadedServer server(socket.path, &broker);
+    service::Server server(socket.path, &broker);
 
     util::Fd fd = util::unixConnect(socket.path);
+    // A reactor that never resumes reading fails the test, not hangs.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    constexpr int kRequests = 1000;
+    const std::string pad(100, 'p');
+    std::string burst;
+    for (int i = 0; i < kRequests; ++i)
+        burst += service::encodeFrame(
+            makeRequest(i % 2 == 0 ? "ping" : "nope" + std::to_string(i),
+                        {}, pad)
+                .serialize());
+    util::writeAll(fd, burst.data(), burst.size());
     std::string payload;
-    service::writeFrame(fd, makeRequest("ping").serialize());
-    ASSERT_TRUE(service::readFrame(fd, payload));
-    EXPECT_TRUE(service::Response::parse(payload).ok);
+    for (int i = 0; i < kRequests; ++i) {
+        ASSERT_TRUE(service::readFrame(fd, payload)) << "reply " << i;
+        service::Response r = service::Response::parse(payload);
+        if (i % 2 == 0) {
+            ASSERT_TRUE(r.ok) << "reply " << i << ": " << r.message;
+            EXPECT_EQ(r.args[0], "pong");
+        } else {
+            ASSERT_FALSE(r.ok) << "reply " << i;
+            EXPECT_NE(r.message.find("nope" + std::to_string(i)),
+                      std::string::npos)
+                << "reply " << i << " was: " << r.message;
+        }
+    }
+}
+
+TEST(ServiceServer, ShutdownDrainIsBoundedByAReaderThatNeverReads)
+{
+    TempPath socket("service_test_drain.sock");
+    service::SessionBroker broker;
+    service::Server server(socket.path, &broker);
+    broker.setOnShutdown([&server] { server.requestStop(); });
+
+    // Client A queues large responses (per-step JSONL dumps) and
+    // never reads them, so its queue cannot drain.
+    util::Fd stuck = util::unixConnect(socket.path);
     service::writeFrame(
-        fd, makeRequest("open", {"original"}, kIni).serialize());
-    ASSERT_TRUE(service::readFrame(fd, payload));
+        stuck, makeRequest("open", {"original"}, kIni).serialize());
+    std::string payload;
+    ASSERT_TRUE(service::readFrame(stuck, payload));
     service::Response open = service::Response::parse(payload);
     ASSERT_TRUE(open.ok) << open.message;
-    service::writeFrame(
-        fd, makeRequest("close", {open.args[0]}).serialize());
-    ASSERT_TRUE(service::readFrame(fd, payload));
+    const std::string id = open.args[0];
+    service::writeFrame(stuck,
+                        makeRequest("step", {id, "144"}).serialize());
+    ASSERT_TRUE(service::readFrame(stuck, payload));
+    ASSERT_TRUE(service::Response::parse(payload).ok);
+    for (int i = 0; i < 64; ++i)
+        service::writeFrame(
+            stuck, makeRequest("query", {id, "jsonl"}).serialize());
+
+    // Client B asks for shutdown and must still get its ok.
+    util::Fd reader = util::unixConnect(socket.path);
+    service::writeFrame(reader, makeRequest("shutdown").serialize());
+    ASSERT_TRUE(service::readFrame(reader, payload));
     EXPECT_TRUE(service::Response::parse(payload).ok);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.requestStop();
     server.stop();
+    const double stop_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_LT(stop_s, 10.0);
 }
 
 // ---------------------------------------------------------------------
