@@ -659,9 +659,9 @@ SimEngine::stepOnce(SimSession &s) const
     // Stage 6: stage feedback. First the control pipeline sees the
     // state its decision produced (the balancer's thermal-headroom
     // and TEG-power view feeds from here); then the true die
-    // temperatures go to the watchdog (the CPU's own on-die sensor)
-    // and the possibly-corrupted loop readings to the safety monitor
-    // for the next interval.
+    // temperatures, with each loop's hottest die, go to the watchdog
+    // (the CPU's own on-die sensor) and the possibly-corrupted loop
+    // readings to the safety monitor for the next interval.
     s.pipeline_->observe(cctx, s.state_);
     if (s.resilient_) {
         for (size_t c = 0; c < s.state_.circulations.size(); ++c) {
@@ -674,7 +674,7 @@ SimEngine::stepOnce(SimSession &s) const
         }
         s.have_readings_ = true;
         if (s.use_watchdog_)
-            s.watchdog_->observe(s.state_.servers.die_temp_c);
+            s.watchdog_->observe(s.state_);
     }
 
     // Stage 7: recording and accumulation.

@@ -285,9 +285,19 @@ FaultInjector::advanceTo(double time_s)
 void
 FaultInjector::rebuildHealth()
 {
+    // Reset in place: clear() keeps each lane's capacity, so the
+    // assign()s below reuse the buffers step after step. Lanes exist
+    // only while fouling or a TEG fault needs them, exactly as for a
+    // freshly built health, so the kernel picks the same path.
     const size_t num_circ = circulation_sizes_.size();
-    health_ = cluster::DatacenterHealth{};
-    health_.circulations.assign(num_circ, cluster::CirculationHealth{});
+    health_.plant = hydraulic::PlantHealth{};
+    health_.circulations.resize(num_circ);
+    for (cluster::CirculationHealth &ch : health_.circulations) {
+        ch.pump_flow_factor = 1.0;
+        ch.teg_open.clear();
+        ch.tegs_shorted.clear();
+        ch.fouling_kpw.clear();
+    }
 
     const double now = std::max(now_, 0.0);
     const double fouling =

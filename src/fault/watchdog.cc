@@ -1,6 +1,7 @@
 #include "fault/watchdog.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/error.h"
 
@@ -20,19 +21,9 @@ ThermalTripWatchdog::ThermalTripWatchdog(size_t num_servers,
     expect(params.release_step > 0.0, "release step must be positive");
     expect(params.recovery_margin_c >= 0.0,
            "recovery margin must be non-negative");
-}
-
-std::vector<double>
-ThermalTripWatchdog::shape(const std::vector<double> &requested,
-                           double dt_s)
-{
-    expect(requested.size() == cap_.size(), "expected ", cap_.size(),
-           " utilizations, got ", requested.size());
-    expect(dt_s > 0.0, "interval must be positive");
-
-    std::vector<double> applied = requested;
-    shapeInPlace(applied, dt_s);
-    return applied;
+    active_.reserve(num_servers);
+    fresh_.reserve(num_servers);
+    merged_.reserve(num_servers);
 }
 
 void
@@ -42,7 +33,11 @@ ThermalTripWatchdog::shapeInPlace(std::vector<double> &utils, double dt_s)
            " utilizations, got ", utils.size());
     expect(dt_s > 0.0, "interval must be positive");
 
-    for (size_t i = 0; i < utils.size(); ++i) {
+    // A quiet server would take got = min(u + 0, 1) = u and defer
+    // +0; only the active set needs the update. Shaping clears
+    // backlogs, so servers that end up quiet leave the set.
+    size_t kept = 0;
+    for (size_t i : active_) {
         // The queue keeps everything: the server can only absorb up
         // to 100 % (and up to its cap), the rest stays deferred.
         double want = utils[i] + backlog_[i];
@@ -51,16 +46,50 @@ ThermalTripWatchdog::shapeInPlace(std::vector<double> &utils, double dt_s)
         deferred_s_ += deferred * dt_s;
         backlog_[i] = deferred;
         utils[i] = got;
+        if (!quiet(i))
+            active_[kept++] = i;
     }
+    active_.resize(kept);
 }
 
 void
-ThermalTripWatchdog::observe(const std::vector<double> &die_temp_c)
+ThermalTripWatchdog::observe(const cluster::DatacenterState &state)
 {
-    expect(die_temp_c.size() == cap_.size(), "expected ", cap_.size(),
-           " die temperatures, got ", die_temp_c.size());
-    for (size_t i = 0; i < cap_.size(); ++i) {
-        double t = die_temp_c[i];
+    const std::vector<double> &die = state.servers.die_temp_c;
+    expect(die.size() == cap_.size(), "expected ", cap_.size(),
+           " die temperatures, got ", die.size());
+
+    // A quiet server only changes by tripping, and a circulation can
+    // hold a trip only if its hottest die is above trip_c. The
+    // circulations tile the fleet in order, so fresh_ comes out
+    // sorted.
+    fresh_.clear();
+    size_t covered = 0;
+    for (const cluster::CirculationState &cs : state.circulations) {
+        expect(cs.offset == covered && cs.count <= die.size() - covered,
+               "circulation segment [", cs.offset, ", +", cs.count,
+               ") does not follow [0, ", covered, ") in ",
+               die.size(), " servers");
+        covered += cs.count;
+        if (!(cs.max_die_c > params_.trip_c))
+            continue;
+        for (size_t i = cs.offset; i < covered; ++i)
+            if (die[i] > params_.trip_c && quiet(i))
+                fresh_.push_back(i);
+    }
+    expect(covered == die.size(), "circulations cover ", covered,
+           " of ", die.size(), " servers");
+    if (!fresh_.empty()) {
+        merged_.clear();
+        std::merge(active_.begin(), active_.end(), fresh_.begin(),
+                   fresh_.end(), std::back_inserter(merged_));
+        active_.swap(merged_);
+    }
+
+    size_t kept = 0;
+    throttled_ = 0;
+    for (size_t i : active_) {
+        double t = die[i];
         if (t > params_.trip_c) {
             if (!tripped_[i]) {
                 tripped_[i] = true;
@@ -77,25 +106,22 @@ ThermalTripWatchdog::observe(const std::vector<double> &die_temp_c)
                 tripped_[i] = false;
             }
         }
+        if (cap_[i] < 1.0)
+            ++throttled_;
+        if (!quiet(i))
+            active_[kept++] = i;
     }
-}
-
-size_t
-ThermalTripWatchdog::numThrottled() const
-{
-    size_t n = 0;
-    for (double c : cap_)
-        if (c < 1.0)
-            ++n;
-    return n;
+    active_.resize(kept);
 }
 
 double
 ThermalTripWatchdog::backlogSeconds(double dt_s) const
 {
+    // Quiet servers hold +0 backlog, which leaves an in-order sum
+    // unchanged.
     double total = 0.0;
-    for (double b : backlog_)
-        total += b;
+    for (size_t i : active_)
+        total += backlog_[i];
     return total * dt_s;
 }
 
@@ -114,6 +140,17 @@ ThermalTripWatchdog::visit(util::Archive &ar)
     }
     ar.size(trip_events_);
     ar.f64(deferred_s_);
+
+    if (ar.loading()) {
+        active_.clear();
+        throttled_ = 0;
+        for (size_t i = 0; i < cap_.size(); ++i) {
+            if (!quiet(i))
+                active_.push_back(i);
+            if (cap_[i] < 1.0)
+                ++throttled_;
+        }
+    }
 }
 
 double

@@ -13,6 +13,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
@@ -23,11 +28,23 @@
 #include "hydraulic/plant.h"
 #include "sched/safe_mode.h"
 #include "tests/support/evaluate.h"
+#include "tests/support/watchdog_reference.h"
+#include "util/bytes.h"
 #include "util/error.h"
+#include "util/random.h"
 #include "workload/trace_gen.h"
 
 namespace h2p {
 namespace {
+
+bool
+sameBits(double a, double b)
+{
+    uint64_t x, y;
+    std::memcpy(&x, &a, sizeof(x));
+    std::memcpy(&y, &b, sizeof(y));
+    return x == y;
+}
 
 // --------------------------------------------------------- server health
 
@@ -293,17 +310,19 @@ TEST(SafetyMonitorTest, TriggerHoldsForConfiguredSteps)
 TEST(WatchdogTest, TripsAboveVendorMaxAndDefersWork)
 {
     fault::ThermalTripWatchdog wd(2);
-    std::vector<double> req{0.9, 0.9};
+    const std::vector<double> req{0.9, 0.9};
 
     // Interval 1: nothing tripped yet, requests pass through.
-    std::vector<double> a = wd.shape(req, 300.0);
+    std::vector<double> a = req;
+    wd.shapeInPlace(a, 300.0);
     EXPECT_DOUBLE_EQ(a[0], 0.9);
-    wd.observe({85.0, 60.0}); // server 0 over 78.9 C
+    wd.observe(oracle::dieState({85.0, 60.0})); // server 0 over 78.9 C
     EXPECT_EQ(wd.tripEvents(), 1u);
     EXPECT_EQ(wd.numThrottled(), 1u);
 
     // Interval 2: server 0 capped at 0.5, the shortfall is deferred.
-    a = wd.shape(req, 300.0);
+    a = req;
+    wd.shapeInPlace(a, 300.0);
     EXPECT_DOUBLE_EQ(a[0], 0.5);
     EXPECT_DOUBLE_EQ(a[1], 0.9);
     EXPECT_NEAR(wd.backlogSeconds(300.0), 0.4 * 300.0, 1e-9);
@@ -313,18 +332,21 @@ TEST(WatchdogTest, TripsAboveVendorMaxAndDefersWork)
 TEST(WatchdogTest, BacklogFeedsBackIntoLaterIntervals)
 {
     fault::ThermalTripWatchdog wd(1);
-    wd.shape({0.9}, 300.0);
-    wd.observe({85.0}); // cap -> 0.5
-    wd.shape({0.9}, 300.0); // backlog 0.4
+    std::vector<double> a{0.9};
+    wd.shapeInPlace(a, 300.0);
+    wd.observe(oracle::dieState({85.0})); // cap -> 0.5
+    a = {0.9};
+    wd.shapeInPlace(a, 300.0); // backlog 0.4
 
     // Cool recovery: the cap releases step by step.
     for (int i = 0; i < 5; ++i)
-        wd.observe({60.0});
+        wd.observe(oracle::dieState({60.0}));
     EXPECT_DOUBLE_EQ(wd.cap(0), 1.0);
     EXPECT_EQ(wd.numThrottled(), 0u);
 
     // Backlog is re-added on top of the request, saturating at 100 %.
-    std::vector<double> a = wd.shape({0.8}, 300.0);
+    a = {0.8};
+    wd.shapeInPlace(a, 300.0);
     EXPECT_DOUBLE_EQ(a[0], 1.0);
     EXPECT_NEAR(wd.backlogSeconds(300.0), 0.2 * 300.0, 1e-9);
 }
@@ -333,9 +355,164 @@ TEST(WatchdogTest, RepeatedTripsMultiplyDownToMinCap)
 {
     fault::ThermalTripWatchdog wd(1);
     for (int i = 0; i < 10; ++i)
-        wd.observe({95.0});
+        wd.observe(oracle::dieState({95.0}));
     EXPECT_DOUBLE_EQ(wd.cap(0), wd.params().min_cap);
     EXPECT_EQ(wd.tripEvents(), 1u); // one sustained episode
+}
+
+TEST(WatchdogTest, RejectsCirculationsThatDoNotTileTheFleet)
+{
+    fault::ThermalTripWatchdog wd(4);
+    cluster::DatacenterState state = oracle::dieState(
+        {60.0, 60.0, 90.0, 60.0}, 2);
+    state.circulations.pop_back(); // servers 2-3 uncovered
+    EXPECT_THROW(wd.observe(state), Error);
+    state = oracle::dieState({60.0, 60.0, 90.0, 60.0}, 2);
+    state.circulations[1].offset = 1; // overlaps circulation 0
+    EXPECT_THROW(wd.observe(state), Error);
+    state = oracle::dieState({60.0, 60.0, 90.0, 60.0}, 2);
+    state.circulations[1].count = 3; // runs past the fleet
+    EXPECT_THROW(wd.observe(state), Error);
+}
+
+/**
+ * The active-set watchdog against the full-scan reference: random
+ * fleets, circulation sizes, parameters (trip points away from the
+ * kernel's 78.9 C, min_cap = 1, release steps that snap to a full
+ * cap) and die/utilization sequences, including -0 requests and
+ * backlog left over at cap 1. After every shaping and every
+ * observation the full state, the counters and the checkpoint bytes
+ * must agree bit for bit; midway the watchdog is reloaded from its
+ * own checkpoint, so the rebuilt active set is checked too.
+ */
+TEST(WatchdogTest, ActiveSetMatchesFullScanReference)
+{
+    size_t trips = 0, snaps = 0, leftover_at_full_cap = 0,
+           unit_min_cap = 0, hot_quiet_circs = 0;
+    for (uint64_t trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial);
+        Rng rng(0x57a7c4e5 + trial);
+        const size_t n = static_cast<size_t>(rng.uniformInt(1, 48));
+        const size_t per_circ =
+            rng.bernoulli(0.2) ? 0
+                               : static_cast<size_t>(rng.uniformInt(
+                                     1, static_cast<int>(n)));
+
+        fault::WatchdogParams p;
+        p.trip_c = rng.bernoulli(0.3) ? 78.9 : rng.uniform(60.0, 90.0);
+        p.throttle_factor = rng.uniform(0.05, 0.95);
+        p.recovery_margin_c =
+            rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 10.0);
+        const double steps[] = {0.1, 0.2, 0.25, 0.3, 0.5, 1.0};
+        p.release_step = rng.bernoulli(0.6)
+                             ? steps[rng.uniformInt(0, 5)]
+                             : rng.uniform(0.01, 1.2);
+        p.min_cap = rng.bernoulli(0.2) ? 1.0 : rng.uniform(0.05, 1.0);
+        if (p.min_cap == 1.0)
+            ++unit_min_cap;
+
+        auto wd = std::make_unique<fault::ThermalTripWatchdog>(n, p);
+        oracle::FullScanWatchdog ref(n, p);
+        const double dt = rng.bernoulli(0.5) ? 300.0 : rng.uniform(1, 900);
+        // How hot and how loaded this trial runs.
+        const double heat = rng.uniform(0.0, 0.3);
+        const double load = rng.uniform(0.2, 1.0);
+
+        auto expectSame = [&](const char *when, size_t step) {
+            SCOPED_TRACE(::testing::Message()
+                         << when << " of step " << step);
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_TRUE(sameBits(wd->cap(i), ref.cap(i)))
+                    << "server " << i << ": " << wd->cap(i)
+                    << " != " << ref.cap(i);
+            ASSERT_EQ(wd->tripEvents(), ref.tripEvents());
+            ASSERT_EQ(wd->numThrottled(), ref.numThrottled());
+            ASSERT_TRUE(sameBits(wd->deferredWorkSeconds(),
+                                 ref.deferredWorkSeconds()));
+            ASSERT_TRUE(sameBits(wd->backlogSeconds(dt),
+                                 ref.backlogSeconds(dt)));
+            // Caps, backlogs and trip flags, byte for byte.
+            ASSERT_EQ(oracle::visitBytes(*wd), oracle::visitBytes(ref));
+        };
+
+        const size_t num_steps = 60;
+        for (size_t step = 0; step < num_steps; ++step) {
+            std::vector<double> req(n);
+            for (double &u : req) {
+                const double r = rng.uniform();
+                u = r < 0.05   ? -0.0
+                    : r < 0.1  ? 0.0
+                    : r < 0.2  ? 1.0
+                               : std::min(1.0, rng.uniform(0.0, 2.0 * load));
+            }
+            std::vector<double> got = req, want = req;
+            wd->shapeInPlace(got, dt);
+            ref.shapeInPlace(want, dt);
+            // Compared by value: the reference turns a quiet server's
+            // -0 request into +0 (u + 0.0); the active set leaves it.
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], want[i]) << "server " << i;
+            ASSERT_NO_FATAL_FAILURE(expectSame("shaping", step));
+
+            for (size_t i = 0; i < n; ++i)
+                if (ref.cap(i) == 1.0 && ref.backlog(i) > 0.0)
+                    ++leftover_at_full_cap;
+
+            const bool hot_step = rng.bernoulli(heat);
+            std::vector<double> die(n);
+            for (double &t : die)
+                t = hot_step && rng.bernoulli(0.5)
+                        ? p.trip_c + rng.uniform(-2.0, 8.0)
+                        : p.trip_c - rng.uniform(-1.0, 25.0);
+            // Now and then a die exactly at trip_c (not a trip).
+            if (rng.bernoulli(0.1))
+                die[static_cast<size_t>(
+                    rng.uniformInt(0, static_cast<int>(n) - 1))] =
+                    p.trip_c;
+            const cluster::DatacenterState state =
+                oracle::dieState(die, per_circ);
+            for (const cluster::CirculationState &cs : state.circulations) {
+                bool quiet_hot = false;
+                for (size_t i = cs.offset; i < cs.offset + cs.count; ++i)
+                    quiet_hot = quiet_hot ||
+                                (die[i] > p.trip_c && ref.cap(i) == 1.0 &&
+                                 !ref.tripped(i) && ref.backlog(i) == 0.0);
+                hot_quiet_circs += quiet_hot ? 1 : 0;
+            }
+
+            std::vector<bool> was_tripped(n);
+            for (size_t i = 0; i < n; ++i)
+                was_tripped[i] = ref.tripped(i);
+            const size_t trips_before = ref.tripEvents();
+            wd->observe(state);
+            ref.observe(die);
+            trips += ref.tripEvents() - trips_before;
+            for (size_t i = 0; i < n; ++i)
+                if (was_tripped[i] && !ref.tripped(i))
+                    ++snaps;
+            ASSERT_NO_FATAL_FAILURE(expectSame("observation", step));
+
+            if (step == num_steps / 2) {
+                // Reload from the checkpoint bytes into a fresh
+                // watchdog: the active set must be rebuilt.
+                const std::string bytes = oracle::visitBytes(*wd);
+                auto loaded =
+                    std::make_unique<fault::ThermalTripWatchdog>(n, p);
+                util::ByteReader r(bytes, 0, bytes.size());
+                util::Archive ar(r);
+                loaded->visit(ar);
+                ASSERT_TRUE(r.exhausted());
+                wd = std::move(loaded);
+                ASSERT_NO_FATAL_FAILURE(expectSame("reload", step));
+            }
+        }
+    }
+    // The sequences reach every case the active set has to get right.
+    EXPECT_GT(trips, 1000u);
+    EXPECT_GT(snaps, 500u);
+    EXPECT_GT(leftover_at_full_cap, 100u);
+    EXPECT_GT(unit_min_cap, 20u);
+    EXPECT_GT(hot_quiet_circs, 1000u);
 }
 
 // ------------------------------------------------------- fault injector

@@ -20,10 +20,14 @@
 
 #include "control/stages.h"
 #include "control/thermal_balancer.h"
+#include "core/config_io.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
+#include "fault/watchdog.h"
 #include "sim/channels.h"
+#include "sim/config.h"
 #include "tests/support/fn_stage.h"
+#include "tests/support/watchdog_reference.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -382,12 +386,14 @@ walkBalancerBlob(const std::string &blob,
  * (for resilient runs) the fault/watchdog/safe-mode block. Asserts
  * that every byte is consumed and that the cursor, channel names and
  * sample bits equal the live session's. Returns the number of held
- * die-sensor latches so callers can assert the latch state is live.
+ * die-sensor latches so callers can assert the latch state is live;
+ * @p watchdog, when given, receives the watchdog's bytes.
  */
 size_t
 walkCheckpointV2(const std::string &bytes, core::SimSession &session,
                  const core::H2PSystem &sys,
-                 const workload::UtilizationTrace &trace)
+                 const workload::UtilizationTrace &trace,
+                 std::string *watchdog = nullptr)
 {
     size_t held_die_latches = 0;
     const size_t num_circ = sys.datacenter().numCirculations();
@@ -479,6 +485,7 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
         }
         // Watchdog: server count, caps, backlogs, trip flags, trip
         // events, deferred work.
+        const size_t watchdog_begin = w.pos();
         EXPECT_EQ(w.u64(), servers);
         for (size_t i = 0; i < servers; ++i) {
             double cap = w.f64();
@@ -491,6 +498,9 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
             EXPECT_LE(w.u8(), 1u);
         w.u64();
         EXPECT_GE(w.f64(), 0.0);
+        if (watchdog != nullptr)
+            *watchdog = payload.substr(watchdog_begin,
+                                       w.pos() - watchdog_begin);
         // Safety monitor: one record per circulation.
         for (size_t c = 0; c < num_circ; ++c) {
             w.f64();
@@ -581,6 +591,148 @@ TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
         auto resumed = sys.resumeSession(ck.path, trace);
         resumed.saveCheckpoint(ck.path);
         EXPECT_EQ(readFile(ck.path), bytes);
+    }
+}
+
+/** examples/configs/resilience.ini without its telemetry export. */
+sim::Config
+resilienceIni()
+{
+    sim::Config ini = sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini");
+    ini.set("obs", "enabled", "0");
+    return ini;
+}
+
+/**
+ * resilience.ini (minus its telemetry export) checkpointed while the
+ * watchdog holds throttled servers. The full-scan reference watchdog
+ * is driven next to the session on the same requests and die
+ * temperatures: the shaped utilizations agree at every step, and the
+ * checkpoint's watchdog bytes are exactly what the reference's visit
+ * writes for that state. A resumed session rebuilds the active set
+ * from them and finishes bit-identical to the uninterrupted run.
+ */
+TEST(SessionTest, MidThrottleCheckpointMatchesFullScanWatchdog)
+{
+    TempPath ck("session_test_throttled.ckpt");
+    const sim::Config ini = resilienceIni();
+    const workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    const core::H2PConfig cfg = core::configFromIni(ini);
+    ASSERT_TRUE(cfg.safe_mode.enabled && cfg.safe_mode.watchdog_enabled);
+
+    for (sched::Policy policy :
+         {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance}) {
+        SCOPED_TRACE(sched::toString(policy));
+        core::H2PSystem sys(cfg);
+        const auto full = sys.run(trace, policy);
+        ASSERT_GT(full.summary.throttle_events, 0u);
+
+        fault::WatchdogParams wp;
+        wp.trip_c = cfg.datacenter.server.thermal.max_operating_c;
+        wp.throttle_factor = cfg.safe_mode.throttle_factor;
+        wp.recovery_margin_c = cfg.safe_mode.recovery_margin_c;
+        wp.release_step = cfg.safe_mode.release_step;
+        oracle::FullScanWatchdog ref(trace.numServers(), wp);
+
+        // Step to the first interval that leaves servers throttled
+        // with work backed up behind them.
+        auto session = sys.startSession(trace, policy);
+        const auto &throttled = session.recorder()
+                                    .series(sim::channels::kThrottledServers)
+                                    .samples();
+        while (!session.done()) {
+            std::vector<double> shaped = trace.step(session.cursor());
+            ref.shapeInPlace(shaped, trace.dt());
+            session.step();
+            const std::vector<double> &applied = session.lastUtils();
+            ASSERT_EQ(applied.size(), shaped.size());
+            for (size_t i = 0; i < shaped.size(); ++i)
+                ASSERT_EQ(applied[i], shaped[i])
+                    << "server " << i << " at step " << session.cursor();
+            ref.observe(session.lastState().servers.die_temp_c);
+            ASSERT_EQ(throttled.back(),
+                      static_cast<double>(ref.numThrottled()));
+            if (ref.numThrottled() > 0 &&
+                ref.backlogSeconds(trace.dt()) > 0.0)
+                break;
+        }
+        ASSERT_FALSE(session.done()) << "no throttled step to checkpoint";
+
+        session.saveCheckpoint(ck.path);
+        std::string watchdog;
+        walkCheckpointV2(readFile(ck.path), session, sys, trace, &watchdog);
+        EXPECT_EQ(watchdog, oracle::visitBytes(ref));
+
+        auto resumed = sys.resumeSession(ck.path, trace);
+        resumed.runToCompletion();
+        auto rest = resumed.finish();
+        expectSameSummary(full.summary, rest.summary);
+        expectSameChannels(*full.recorder, *rest.recorder);
+    }
+}
+
+/**
+ * A -0 request passes a quiet server unshaped (the full-scan watchdog
+ * turned it into +0 with u + 0.0). Nothing downstream may tell the
+ * two apart: a resilient run over a trace with -0 entries — single
+ * servers and a whole circulation — equals the run over the same
+ * trace with +0 in their place, step by step and in its export.
+ */
+TEST(SessionTest, NegativeZeroRequestsLeaveResilientRunUnchanged)
+{
+    const sim::Config ini = resilienceIni();
+    const workload::UtilizationTrace base =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    const size_t per_circ = core::configFromIni(ini)
+                                .datacenter.servers_per_circulation;
+    workload::UtilizationTrace neg(base.numServers(), base.dt());
+    workload::UtilizationTrace pos(base.numServers(), base.dt());
+    for (size_t k = 0; k < base.numSteps(); ++k) {
+        std::vector<double> a = base.step(k), b = base.step(k);
+        for (size_t i = 0; i < a.size(); ++i) {
+            // Every third server on even steps; all of circulation 1
+            // on every fourth step.
+            if ((i % 3 == k % 3 && k % 2 == 0) ||
+                (i / per_circ == 1 && k % 4 == 1)) {
+                a[i] = -0.0;
+                b[i] = 0.0;
+            }
+        }
+        neg.addStep(std::move(a));
+        pos.addStep(std::move(b));
+    }
+    ASSERT_TRUE(std::signbit(neg.util(1, per_circ)));
+
+    for (bool balancer : {false, true}) {
+        core::H2PConfig cfg = core::configFromIni(ini);
+        cfg.balancer.enabled = balancer;
+        for (sched::Policy policy : {sched::Policy::TegOriginal,
+                                     sched::Policy::TegLoadBalance}) {
+            SCOPED_TRACE(::testing::Message()
+                         << sched::toString(policy) << " balancer "
+                         << balancer);
+            core::H2PSystem sys(cfg);
+            auto a = sys.startSession(neg, policy);
+            auto b = sys.startSession(pos, policy);
+            while (!a.done()) {
+                a.step();
+                b.step();
+                const auto &da = a.lastDecision().settings;
+                const auto &db = b.lastDecision().settings;
+                ASSERT_EQ(da.size(), db.size());
+                for (size_t c = 0; c < da.size(); ++c) {
+                    ASSERT_TRUE(sameBits(da[c].t_in_c, db[c].t_in_c));
+                    ASSERT_TRUE(sameBits(da[c].flow_lph, db[c].flow_lph));
+                }
+            }
+            auto ra = a.finish();
+            auto rb = b.finish();
+            EXPECT_GT(ra.summary.throttle_events, 0u);
+            expectSameSummary(ra.summary, rb.summary);
+            expectSameChannels(*ra.recorder, *rb.recorder);
+        }
     }
 }
 
