@@ -41,6 +41,7 @@
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
 #include "thermal/teg.h"
+#include "util/bytes.h"
 #include "util/interpolate.h"
 #include "util/parallel.h"
 #include "util/strings.h"
@@ -233,19 +234,11 @@ struct StepRow
     double fast_ns = 0.0;
 };
 
-/** Exact (bitwise) equality of the fields a sweep row reports. */
+/** Bitwise equality of every RunSummary::visit field. */
 bool
 sameSummary(const core::RunSummary &a, const core::RunSummary &b)
 {
-    return a.avg_teg_w == b.avg_teg_w &&
-           a.peak_teg_w == b.peak_teg_w && a.avg_cpu_w == b.avg_cpu_w &&
-           a.pre == b.pre && a.teg_energy_kwh == b.teg_energy_kwh &&
-           a.cpu_energy_kwh == b.cpu_energy_kwh &&
-           a.plant_energy_kwh == b.plant_energy_kwh &&
-           a.pump_energy_kwh == b.pump_energy_kwh &&
-           a.safe_fraction == b.safe_fraction &&
-           a.avg_t_in_c == b.avg_t_in_c &&
-           a.circulation_safe_fraction == b.circulation_safe_fraction;
+    return util::archiveBytes(a) == util::archiveBytes(b);
 }
 
 std::string

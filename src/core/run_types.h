@@ -10,6 +10,7 @@
 #ifndef H2P_CORE_RUN_TYPES_H_
 #define H2P_CORE_RUN_TYPES_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,7 +23,7 @@
 #include "sched/policy.h"
 #include "sched/safe_mode.h"
 #include "sim/recorder.h"
-#include "util/bytes.h"
+#include "util/error.h"
 
 namespace h2p {
 namespace core {
@@ -118,31 +119,32 @@ struct RunSummary
     /** Per-circulation fraction of intervals with every die safe. */
     std::vector<double> circulation_safe_fraction;
 
-    /** The one field list of a persisted summary (sweep journal). */
-    void visit(util::Archive &ar)
+    /** The one field list of a summary: the sweep journal, the summary
+     * JSON, the finiteness check and every equality check read it. */
+    template <typename V>
+    void visit(V &v)
     {
-        uint32_t raw = static_cast<uint32_t>(policy);
-        ar.u32(raw);
-        expect(raw <= 1, "serialized run summary carries unknown policy ",
-               raw);
-        policy = static_cast<sched::Policy>(raw);
-        ar.f64(avg_teg_w);
-        ar.f64(peak_teg_w);
-        ar.f64(avg_cpu_w);
-        ar.f64(pre);
-        ar.f64(teg_energy_kwh);
-        ar.f64(cpu_energy_kwh);
-        ar.f64(plant_energy_kwh);
-        ar.f64(pump_energy_kwh);
-        ar.f64(safe_fraction);
-        ar.f64(avg_t_in_c);
-        ar.size(fault_events);
-        ar.size(throttle_events);
-        ar.f64(throttled_work_server_hours);
-        ar.f64(teg_energy_lost_kwh);
-        ar.size(safe_mode_steps);
-        ar.size(max_faulted_servers);
-        ar.f64s(circulation_safe_fraction);
+        v("policy", policy);
+        expect(static_cast<uint32_t>(policy) <= 1,
+               "serialized run summary carries unknown policy ",
+               static_cast<uint32_t>(policy));
+        v("avg_teg_w", avg_teg_w);
+        v("peak_teg_w", peak_teg_w);
+        v("avg_cpu_w", avg_cpu_w);
+        v("pre", pre);
+        v("teg_energy_kwh", teg_energy_kwh);
+        v("cpu_energy_kwh", cpu_energy_kwh);
+        v("plant_energy_kwh", plant_energy_kwh);
+        v("pump_energy_kwh", pump_energy_kwh);
+        v("safe_fraction", safe_fraction);
+        v("avg_t_in_c", avg_t_in_c);
+        v("fault_events", fault_events);
+        v("throttle_events", throttle_events);
+        v("throttled_work_server_hours", throttled_work_server_hours);
+        v("teg_energy_lost_kwh", teg_energy_lost_kwh);
+        v("safe_mode_steps", safe_mode_steps);
+        v("max_faulted_servers", max_faulted_servers);
+        v("circulation_safe_fraction", circulation_safe_fraction);
     }
 };
 

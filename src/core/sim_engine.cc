@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "core/config_io.h"
 #include "sim/channels.h"
@@ -29,43 +30,32 @@ throwDiverged(size_t step, const char *stage, const std::string &what)
     throw RunError(std::move(f));
 }
 
-void
-checkFinite(double v, const char *field)
-{
-    if (!std::isfinite(v))
-        throwDiverged(RunFailure::kNoStep, "summary",
-                      detail::concat(
-                          "run summary field `", field,
-                          "' is not finite (", v,
-                          "); the model diverged or a parameter is "
-                          "out of range"));
-}
-
 /**
  * Every number the summary reports must be finite: a NaN or inf here
  * means some model input (e.g. an absurd parasitic power) drove the
  * simulation out of its domain, and silently returning it poisons
- * every downstream table. Fail the run loudly instead.
+ * every downstream table. Fail the run loudly instead. Visits
+ * RunSummary::visit, so every double and vector field is checked.
  */
-void
-validateSummary(const RunSummary &s)
+struct FiniteCheck
 {
-    checkFinite(s.avg_teg_w, "avg_teg_w");
-    checkFinite(s.peak_teg_w, "peak_teg_w");
-    checkFinite(s.avg_cpu_w, "avg_cpu_w");
-    checkFinite(s.pre, "pre");
-    checkFinite(s.teg_energy_kwh, "teg_energy_kwh");
-    checkFinite(s.cpu_energy_kwh, "cpu_energy_kwh");
-    checkFinite(s.plant_energy_kwh, "plant_energy_kwh");
-    checkFinite(s.pump_energy_kwh, "pump_energy_kwh");
-    checkFinite(s.safe_fraction, "safe_fraction");
-    checkFinite(s.avg_t_in_c, "avg_t_in_c");
-    checkFinite(s.throttled_work_server_hours,
-                "throttled_work_server_hours");
-    checkFinite(s.teg_energy_lost_kwh, "teg_energy_lost_kwh");
-    for (double f : s.circulation_safe_fraction)
-        checkFinite(f, "circulation_safe_fraction");
-}
+    template <typename T>
+    void operator()(const char *field, const T &v)
+    {
+        if constexpr (std::is_same_v<T, std::vector<double>>) {
+            for (double x : v)
+                (*this)(field, x);
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (!std::isfinite(v))
+                throwDiverged(RunFailure::kNoStep, "summary",
+                              detail::concat(
+                                  "run summary field `", field,
+                                  "' is not finite (", v,
+                                  "); the model diverged or a parameter "
+                                  "is out of range"));
+        }
+    }
+};
 
 const char *
 safeModeActionName(sched::SafeModeAction a)
@@ -824,7 +814,8 @@ SimEngine::finish(SimSession &s) const
     for (size_t c : s.acc_.circ_safe_steps)
         sum.circulation_safe_fraction.push_back(
             static_cast<double>(c) / steps);
-    validateSummary(sum);
+    FiniteCheck finite;
+    sum.visit(finite);
     finishObsRun(s.orun_, rec, sum);
     return result;
 }

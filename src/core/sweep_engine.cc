@@ -157,7 +157,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
     // Crash-safe journal: fresh manifest on run(), load + append on
     // resume(). The fingerprints pin the journal to this exact grid.
     std::unique_ptr<SweepJournal> journal;
-    std::map<size_t, JournalPointRecord> restored;
+    std::map<size_t, SweepPointResult> restored;
     if (!options_.journal_path.empty()) {
         const SweepJournal::GridFingerprints fp =
             SweepJournal::gridFingerprints(grid);
@@ -213,25 +213,18 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
 
     auto compute = [&](size_t i) {
         SweepPointResult &slot = result.points[i];
-        slot.index = i;
-        slot.label = grid[i].label;
-        slot.policy = grid[i].policy;
-
         auto rit = restored.find(i);
         if (rit != restored.end()) {
             // Journaled on a previous attempt of this sweep: restore
-            // the finished result verbatim, bit for bit.
-            const JournalPointRecord &rec = rit->second;
-            slot.status = rec.status;
-            slot.attempts = rec.attempts;
-            slot.duration_s = rec.duration_s;
+            // the finished result verbatim, bit for bit. The manifest
+            // check pinned its label and policy to this grid.
+            slot = std::move(rit->second);
             slot.restored = true;
-            if (rec.status == PointStatus::Completed)
-                slot.summary = rec.summary;
-            else
-                slot.failure = rec.failure;
             return;
         }
+        slot.index = i;
+        slot.label = grid[i].label;
+        slot.policy = grid[i].policy;
 
         if (cancel_requested())
             return; // Stays Skipped.
@@ -256,9 +249,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                 guard.deadline_s = grid[i].deadline_s > 0.0
                                        ? grid[i].deadline_s
                                        : options_.point_deadline_s;
-                guard.step_budget = grid[i].step_budget > 0
-                                        ? grid[i].step_budget
-                                        : options_.point_step_budget;
+                guard.step_budget = grid[i].step_budget;
                 session.setGuard(guard);
                 session.runToCompletion();
                 RunResult run = session.finish();
@@ -326,20 +317,8 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                        !slot.restored) {
                 retries_counter.add(slot.attempts - 1);
             }
-            if (journal != nullptr && !slot.restored) {
-                JournalPointRecord rec;
-                rec.index = i;
-                rec.status = slot.status;
-                rec.attempts = slot.attempts;
-                rec.label = slot.label;
-                rec.policy = slot.policy;
-                rec.duration_s = slot.duration_s;
-                if (slot.status == PointStatus::Completed)
-                    rec.summary = slot.summary;
-                else
-                    rec.failure = slot.failure;
-                journal->append(rec);
-            }
+            if (journal != nullptr && !slot.restored)
+                journal->append(slot);
             if (on_result && !delivery_stopped)
                 on_result(slot);
         };

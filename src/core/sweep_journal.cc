@@ -60,28 +60,6 @@ toString(PointStatus status)
     return "unknown";
 }
 
-void
-JournalPointRecord::visit(util::Archive &ar)
-{
-    ar.size(index);
-    uint32_t raw = static_cast<uint32_t>(status);
-    ar.u32(raw);
-    expect(raw <= static_cast<uint32_t>(PointStatus::Quarantined),
-           "journal record carries unknown point status ", raw);
-    status = static_cast<PointStatus>(raw);
-    ar.size(attempts);
-    ar.str(label);
-    raw = static_cast<uint32_t>(policy);
-    ar.u32(raw);
-    expect(raw <= 1, "journal record carries unknown policy ", raw);
-    policy = static_cast<sched::Policy>(raw);
-    ar.f64(duration_s);
-    if (status == PointStatus::Completed)
-        summary.visit(ar);
-    else
-        failure.visit(ar);
-}
-
 SweepJournal::SweepJournal(SweepJournal &&other) noexcept
     : file_(other.file_), path_(std::move(other.path_))
 {
@@ -151,18 +129,15 @@ SweepJournal::openAppend(const std::string &path, size_t intact_bytes)
 }
 
 void
-SweepJournal::append(const JournalPointRecord &record)
+SweepJournal::append(const SweepPointResult &point)
 {
     H2P_ASSERT(file_ != nullptr, "journal appended after close");
-    H2P_ASSERT(record.status != PointStatus::Skipped,
+    H2P_ASSERT(point.status != PointStatus::Skipped,
                "skipped points are never journaled");
-    util::ByteWriter w;
-    util::Archive ar(w);
-    // Saving only reads the record; the visit is shared with load().
-    const_cast<JournalPointRecord &>(record).visit(ar);
     // Durable before the result is visible downstream: one fsync per
     // point, the price of resumability.
-    writeDurably(util::sealRecord(kPointMagic, kJournalVersion, w.data()));
+    writeDurably(util::sealRecord(kPointMagic, kJournalVersion,
+                                  util::archiveBytes(point)));
 }
 
 void
@@ -218,7 +193,7 @@ SweepJournal::load(const std::string &path)
             if (n == 0) {
                 visitManifest(ar, loaded.num_points, loaded.fingerprints);
             } else {
-                JournalPointRecord point;
+                SweepPointResult point;
                 point.visit(ar);
                 expect(point.index < loaded.num_points, "point index ",
                        point.index, " exceeds the manifest size ",

@@ -21,8 +21,9 @@
  * the intact prefix ends; openAppend() cuts the file there before
  * the first new record. Any other magic, version or checksum failure
  * is real damage and raises h2p::Error naming the record and its byte
- * offset. Every payload is a util::Archive visit, so doubles restore
- * bit-exactly by construction.
+ * offset. Every payload is a util::Archive visit — a point record is
+ * SweepPointResult::visit — so doubles restore bit-exactly by
+ * construction.
  */
 
 #ifndef H2P_CORE_SWEEP_JOURNAL_H_
@@ -39,26 +40,6 @@
 
 namespace h2p {
 namespace core {
-
-/** One journaled per-point record (Completed or Quarantined only —
- * Skipped points are never journaled and re-run on resume). */
-struct JournalPointRecord
-{
-    size_t index = 0;
-    PointStatus status = PointStatus::Completed;
-    size_t attempts = 0;
-    std::string label;
-    sched::Policy policy = sched::Policy::TegOriginal;
-    /** Wall time of the original run, seconds (bit-exact). */
-    double duration_s = 0.0;
-    /** Valid when status == Completed. */
-    RunSummary summary;
-    /** Valid when status == Quarantined. */
-    RunFailure failure;
-
-    /** The one field list of a journaled point (save and load). */
-    void visit(util::Archive &ar);
-};
 
 /**
  * Writer/reader of the sweep journal file. Writer instances own a
@@ -93,7 +74,7 @@ class SweepJournal
         /** Component digests recorded in the manifest. */
         GridFingerprints fingerprints;
         /** Finished points by grid index (duplicates: last wins). */
-        std::map<size_t, JournalPointRecord> records;
+        std::map<size_t, SweepPointResult> records;
         /** Byte offset where the intact prefix ends (a torn record
          * starts here; == file size when there is none). */
         size_t intact_bytes = 0;
@@ -120,8 +101,9 @@ class SweepJournal
     static SweepJournal openAppend(const std::string &path,
                                    size_t intact_bytes);
 
-    /** Durably append one finished-point record (write+flush+fsync). */
-    void append(const JournalPointRecord &record);
+    /** Durably append one finished (not Skipped) point's
+     * SweepPointResult::visit record (write+flush+fsync). */
+    void append(const SweepPointResult &point);
 
     /** Flush and close the handle early (the destructor also does). */
     void close();

@@ -14,6 +14,7 @@
 #ifndef H2P_CORE_SWEEP_TYPES_H_
 #define H2P_CORE_SWEEP_TYPES_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -67,8 +68,9 @@ struct SweepPoint
      */
     double deadline_s = 0.0;
     /**
-     * Per-point step budget; overrides
-     * SweepOptions::point_step_budget when > 0.
+     * Step budget per attempt of this point (0 = unlimited). Unlike
+     * the wall-clock deadline, the budget is deterministic: the run
+     * always fails at exactly the same step.
      */
     size_t step_budget = 0;
 };
@@ -104,13 +106,6 @@ struct SweepOptions
      * deadline stops at the next step boundary with a Timeout failure.
      */
     double point_deadline_s = 0.0;
-    /**
-     * Default step budget per point attempt (0 = unlimited);
-     * SweepPoint::step_budget overrides it per point. Unlike the
-     * wall-clock deadline, the budget is deterministic: the run always
-     * fails at exactly the same step.
-     */
-    size_t point_step_budget = 0;
     /**
      * Run attempts per point before it is quarantined. Only retryable
      * failures (h2p::isRetryable: Timeout, Internal) are retried;
@@ -187,6 +182,33 @@ struct SweepPointResult
     /** True when this result was restored from a journal by
      * SweepEngine::resume() rather than computed in this process. */
     bool restored = false;
+
+    /**
+     * The one field list of a finished point, the sweep journal's
+     * record: a Completed point carries its summary, any other its
+     * failure. The recorder and the restored flag are not in it.
+     */
+    template <typename V>
+    void visit(V &v)
+    {
+        v("index", index);
+        v("status", status);
+        expect(static_cast<uint32_t>(status) <=
+                   static_cast<uint32_t>(PointStatus::Quarantined),
+               "journal record carries unknown point status ",
+               static_cast<uint32_t>(status));
+        v("attempts", attempts);
+        v("label", label);
+        v("policy", policy);
+        expect(static_cast<uint32_t>(policy) <= 1,
+               "journal record carries unknown policy ",
+               static_cast<uint32_t>(policy));
+        v("duration_s", duration_s);
+        if (status == PointStatus::Completed)
+            summary.visit(v);
+        else
+            failure.visit(v);
+    }
 };
 
 /** Result of a whole sweep. */

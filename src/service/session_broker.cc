@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -103,48 +104,34 @@ decisionJson(const sched::ScheduleDecision &decision)
     return os.str();
 }
 
-std::string
-summaryJson(const core::RunSummary &s)
+/** Writes RunSummary::visit's fields as the members of one object. */
+struct SummaryJsonWriter
 {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"policy\":\"" << sched::toString(s.policy)
-       << "\",\"avg_teg_w\":";
-    obs::jsonNumber(os, s.avg_teg_w);
-    os << ",\"peak_teg_w\":";
-    obs::jsonNumber(os, s.peak_teg_w);
-    os << ",\"avg_cpu_w\":";
-    obs::jsonNumber(os, s.avg_cpu_w);
-    os << ",\"pre\":";
-    obs::jsonNumber(os, s.pre);
-    os << ",\"teg_energy_kwh\":";
-    obs::jsonNumber(os, s.teg_energy_kwh);
-    os << ",\"cpu_energy_kwh\":";
-    obs::jsonNumber(os, s.cpu_energy_kwh);
-    os << ",\"plant_energy_kwh\":";
-    obs::jsonNumber(os, s.plant_energy_kwh);
-    os << ",\"pump_energy_kwh\":";
-    obs::jsonNumber(os, s.pump_energy_kwh);
-    os << ",\"safe_fraction\":";
-    obs::jsonNumber(os, s.safe_fraction);
-    os << ",\"avg_t_in_c\":";
-    obs::jsonNumber(os, s.avg_t_in_c);
-    os << ",\"fault_events\":" << s.fault_events
-       << ",\"throttle_events\":" << s.throttle_events
-       << ",\"throttled_work_server_hours\":";
-    obs::jsonNumber(os, s.throttled_work_server_hours);
-    os << ",\"teg_energy_lost_kwh\":";
-    obs::jsonNumber(os, s.teg_energy_lost_kwh);
-    os << ",\"safe_mode_steps\":" << s.safe_mode_steps
-       << ",\"max_faulted_servers\":" << s.max_faulted_servers
-       << ",\"circulation_safe_fraction\":[";
-    for (size_t c = 0; c < s.circulation_safe_fraction.size(); ++c) {
-        os << (c ? "," : "");
-        obs::jsonNumber(os, s.circulation_safe_fraction[c]);
+    std::ostream &os;
+    char sep = '{';
+
+    template <typename T>
+    void operator()(const char *name, const T &v)
+    {
+        os << sep << '"' << name << "\":";
+        sep = ',';
+        if constexpr (std::is_same_v<T, double>) {
+            obs::jsonNumber(os, v);
+        } else if constexpr (std::is_same_v<T, sched::Policy>) {
+            os << '"' << sched::toString(v) << '"';
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            os << '[';
+            for (size_t i = 0; i < v.size(); ++i) {
+                os << (i ? "," : "");
+                obs::jsonNumber(os, v[i]);
+            }
+            os << ']';
+        } else {
+            static_assert(std::is_same_v<T, size_t>);
+            os << v;
+        }
     }
-    os << "]}\n";
-    return os.str();
-}
+};
 
 /**
  * The thermal-balancer stage of a session's pipeline, or a loud
@@ -205,7 +192,8 @@ balancerJson(const control::ThermalBalancer &balancer)
     return os.str();
 }
 
-/// Split a sweep body into its "---"-separated INI documents.
+/// Split a sweep body into its "---"-separated INI documents (at least
+/// one; any of them may be empty).
 std::vector<std::string>
 splitDocuments(const std::string &body)
 {
@@ -227,6 +215,17 @@ splitDocuments(const std::string &body)
 }
 
 } // namespace
+
+std::string
+summaryJson(const core::RunSummary &summary)
+{
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    SummaryJsonWriter writer{os};
+    const_cast<core::RunSummary &>(summary).visit(writer);
+    os << "}\n";
+    return os.str();
+}
 
 /**
  * One live twin. Declaration order is destruction order in reverse:
@@ -495,11 +494,14 @@ SessionBroker::doSweep(const Request &request, const Emit &emit)
     options.obs = options_.obs;
 
     const std::vector<std::string> docs = splitDocuments(request.body);
-    expect(!docs.empty(), "sweep body has no INI documents");
     // Traces live here for the duration of the sweep; points borrow.
     std::deque<workload::UtilizationTrace> traces;
     std::vector<core::SweepPoint> grid;
     for (size_t i = 0; i < docs.size(); ++i) {
+        // An empty document would run the default configuration, which
+        // nobody sent.
+        expect(docs[i].find_first_not_of(" \t\r\n") != std::string::npos,
+               "sweep body document ", i, " is empty");
         std::istringstream is(docs[i]);
         const sim::Config ini = sim::Config::parse(is);
         core::SweepPoint point;

@@ -13,7 +13,8 @@
  * Stateful components describe their state once, as a
  * visit(Archive &) that lists the fields in order; the same function
  * saves (over a ByteWriter) and loads (over a ByteReader), so the two
- * directions cannot drift apart.
+ * directions cannot drift apart. Records that other sinks read too
+ * list their fields as v("name", field) calls, which the Archive takes.
  *
  * Persisted payloads travel in one envelope, a sealed record
  * (sealRecord/openRecord): a checkpoint file is one sealed record, a
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.h"
@@ -193,6 +195,23 @@ class Archive
         v = static_cast<size_t>(x);
     }
 
+    // Named fields of a visit(V &) list; the bytes are those of the
+    // typed accessors above, the name is not stored.
+    void operator()(const char *, double &v) { f64(v); }
+    void operator()(const char *, bool &v) { boolean(v); }
+    void operator()(const char *, size_t &v) { size(v); }
+    void operator()(const char *, std::string &v) { str(v); }
+    void operator()(const char *, std::vector<double> &v) { f64s(v); }
+
+    /** An enum as its u32 value; the visit range-checks a loaded one. */
+    template <typename E>
+    std::enable_if_t<std::is_enum_v<E>> operator()(const char *, E &v)
+    {
+        uint32_t raw = static_cast<uint32_t>(v);
+        u32(raw);
+        v = static_cast<E>(raw);
+    }
+
     /**
      * A count the loader already knows (a container's fixed length):
      * written on save; on load read back and compared, throwing Error
@@ -209,6 +228,18 @@ class Archive
     ByteWriter *w_ = nullptr;
     ByteReader *r_ = nullptr;
 };
+
+/** The bytes @p value's visit writes: equal exactly when bitwise equal. */
+template <typename T>
+std::string
+archiveBytes(const T &value)
+{
+    ByteWriter w;
+    Archive ar(w);
+    // Saving only reads; the visit is shared with load.
+    const_cast<T &>(value).visit(ar);
+    return w.data();
+}
 
 // ---------------------------------------------------------------------
 // Sealed records:

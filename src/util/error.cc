@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "util/bytes.h"
-
 namespace h2p {
 namespace detail {
 
@@ -59,19 +57,6 @@ RunFailure::describe() const
     if (!message.empty())
         os << ": " << message;
     return os.str();
-}
-
-void
-RunFailure::visit(util::Archive &ar)
-{
-    uint32_t raw = static_cast<uint32_t>(kind);
-    ar.u32(raw);
-    expect(raw <= static_cast<uint32_t>(FailureKind::Internal),
-           "serialized run failure carries unknown kind ", raw);
-    kind = static_cast<FailureKind>(raw);
-    ar.str(message);
-    ar.size(step);
-    ar.str(stage);
 }
 
 } // namespace h2p

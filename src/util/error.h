@@ -16,15 +16,12 @@
 #define H2P_UTIL_ERROR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace h2p {
-
-namespace util {
-class Archive;
-} // namespace util
 
 /**
  * Exception type for all user-recoverable errors raised by the library.
@@ -87,8 +84,9 @@ struct RunFailure
     /** One-line rendering: "[kind] step 12, stage evaluate: msg". */
     std::string describe() const;
 
-    /** The one field list of a persisted failure (sweep journal). */
-    void visit(util::Archive &ar);
+    /** The one field list of a failure (sweep journal, checks). */
+    template <typename V>
+    void visit(V &v);
 };
 
 /**
@@ -148,6 +146,20 @@ expect(bool cond, Args &&...args)
 {
     if (!cond)
         fatal(std::forward<Args>(args)...);
+}
+
+template <typename V>
+void
+RunFailure::visit(V &v)
+{
+    v("kind", kind);
+    expect(static_cast<uint32_t>(kind) <=
+               static_cast<uint32_t>(FailureKind::Internal),
+           "serialized run failure carries unknown kind ",
+           static_cast<uint32_t>(kind));
+    v("message", message);
+    v("step", step);
+    v("stage", stage);
 }
 
 } // namespace h2p

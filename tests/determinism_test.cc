@@ -14,6 +14,7 @@
 #include "fault/fault_injector.h"
 #include "sched/cooling_optimizer.h"
 #include "sim/channels.h"
+#include "tests/support/fields.h"
 #include "thermal/rc_network.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
@@ -37,8 +38,7 @@ TEST(DeterminismTest, RepeatedRunsAreBitIdentical)
 
     auto a = sys.run(trace, sched::Policy::TegLoadBalance);
     auto b = sys.run(trace, sched::Policy::TegLoadBalance);
-    EXPECT_DOUBLE_EQ(a.summary.avg_teg_w, b.summary.avg_teg_w);
-    EXPECT_DOUBLE_EQ(a.summary.pre, b.summary.pre);
+    EXPECT_EQ(test::firstDifferingField(a.summary, b.summary), "");
     const auto &sa = a.recorder->series(sim::channels::kTegWPerServer);
     const auto &sb = b.recorder->series(sim::channels::kTegWPerServer);
     ASSERT_EQ(sa.size(), sb.size());
@@ -235,12 +235,7 @@ TEST(FaultDeterminismTest, RepeatedResilientRunsAreBitIdentical)
     auto a = sys.run(trace, sched::Policy::TegLoadBalance).summary;
     auto b = sys.run(trace, sched::Policy::TegLoadBalance).summary;
     EXPECT_GT(a.fault_events, 0u);
-    EXPECT_EQ(a.fault_events, b.fault_events);
-    EXPECT_EQ(a.safe_mode_steps, b.safe_mode_steps);
-    EXPECT_EQ(a.throttle_events, b.throttle_events);
-    EXPECT_DOUBLE_EQ(a.avg_teg_w, b.avg_teg_w);
-    EXPECT_DOUBLE_EQ(a.teg_energy_lost_kwh, b.teg_energy_lost_kwh);
-    EXPECT_DOUBLE_EQ(a.safe_fraction, b.safe_fraction);
+    EXPECT_EQ(test::firstDifferingField(a, b), "");
 
     // A different fault seed must change the outcome.
     core::H2PConfig other = cfg;

@@ -21,21 +21,14 @@
 #include "core/h2p_system.h"
 #include "core/sweep_engine.h"
 #include "core/sweep_journal.h"
+#include "tests/support/fields.h"
 #include "tests/support/mutate.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
 namespace h2p {
 namespace {
-
-bool
-sameBits(double a, double b)
-{
-    uint64_t x, y;
-    std::memcpy(&x, &a, sizeof(x));
-    std::memcpy(&y, &b, sizeof(y));
-    return x == y;
-}
 
 core::H2PConfig
 smallConfig()
@@ -108,46 +101,6 @@ someFingerprints()
     return fp;
 }
 
-/** True when every field of @p a and @p b is bit-identical. */
-bool
-sameRecord(const core::JournalPointRecord &a,
-           const core::JournalPointRecord &b)
-{
-    const core::RunSummary &x = a.summary;
-    const core::RunSummary &y = b.summary;
-    bool same = a.index == b.index && a.status == b.status &&
-                a.attempts == b.attempts && a.label == b.label &&
-                a.policy == b.policy && sameBits(a.duration_s, b.duration_s);
-    if (a.status == core::PointStatus::Quarantined)
-        return same && a.failure.kind == b.failure.kind &&
-               a.failure.message == b.failure.message &&
-               a.failure.step == b.failure.step &&
-               a.failure.stage == b.failure.stage;
-    same = same && x.policy == y.policy &&
-           sameBits(x.avg_teg_w, y.avg_teg_w) &&
-           sameBits(x.peak_teg_w, y.peak_teg_w) &&
-           sameBits(x.avg_cpu_w, y.avg_cpu_w) && sameBits(x.pre, y.pre) &&
-           sameBits(x.teg_energy_kwh, y.teg_energy_kwh) &&
-           sameBits(x.cpu_energy_kwh, y.cpu_energy_kwh) &&
-           sameBits(x.plant_energy_kwh, y.plant_energy_kwh) &&
-           sameBits(x.pump_energy_kwh, y.pump_energy_kwh) &&
-           sameBits(x.safe_fraction, y.safe_fraction) &&
-           sameBits(x.avg_t_in_c, y.avg_t_in_c) &&
-           x.fault_events == y.fault_events &&
-           x.throttle_events == y.throttle_events &&
-           sameBits(x.throttled_work_server_hours,
-                    y.throttled_work_server_hours) &&
-           sameBits(x.teg_energy_lost_kwh, y.teg_energy_lost_kwh) &&
-           x.safe_mode_steps == y.safe_mode_steps &&
-           x.max_faulted_servers == y.max_faulted_servers &&
-           x.circulation_safe_fraction.size() ==
-               y.circulation_safe_fraction.size();
-    for (size_t i = 0; same && i < x.circulation_safe_fraction.size(); ++i)
-        same = sameBits(x.circulation_safe_fraction[i],
-                        y.circulation_safe_fraction[i]);
-    return same;
-}
-
 /** One digest line per delivered point, for byte-identity checks. */
 std::string
 renderDelivered(const std::vector<core::SweepPointResult> &delivered)
@@ -170,7 +123,7 @@ TEST(JournalTest, RecordsRoundTripBitExactly)
 {
     TempPath jp("journal_test_roundtrip.journal");
 
-    core::JournalPointRecord done;
+    core::SweepPointResult done;
     done.index = 3;
     done.status = core::PointStatus::Completed;
     done.attempts = 2;
@@ -196,7 +149,7 @@ TEST(JournalTest, RecordsRoundTripBitExactly)
     done.summary.max_faulted_servers = 4;
     done.summary.circulation_safe_fraction = {1.0, 1.0 / 7.0, 0.5};
 
-    core::JournalPointRecord bad;
+    core::SweepPointResult bad;
     bad.index = 5;
     bad.status = core::PointStatus::Quarantined;
     bad.attempts = 3;
@@ -220,37 +173,133 @@ TEST(JournalTest, RecordsRoundTripBitExactly)
     EXPECT_EQ(loaded.fingerprints.shape, someFingerprints().shape);
     ASSERT_EQ(loaded.records.size(), 2u);
 
-    const core::JournalPointRecord &d = loaded.records.at(3);
-    EXPECT_EQ(d.status, core::PointStatus::Completed);
-    EXPECT_EQ(d.attempts, 2u);
-    EXPECT_EQ(d.label, done.label);
-    EXPECT_EQ(d.policy, sched::Policy::TegLoadBalance);
-    EXPECT_TRUE(sameBits(d.duration_s, done.duration_s));
-    EXPECT_EQ(d.summary.policy, sched::Policy::TegLoadBalance);
-    EXPECT_TRUE(sameBits(d.summary.avg_teg_w, done.summary.avg_teg_w));
-    EXPECT_TRUE(
-        sameBits(d.summary.peak_teg_w, done.summary.peak_teg_w));
-    EXPECT_TRUE(sameBits(d.summary.pre, done.summary.pre));
-    EXPECT_TRUE(sameBits(d.summary.teg_energy_kwh,
-                         done.summary.teg_energy_kwh));
-    EXPECT_TRUE(sameBits(d.summary.pump_energy_kwh, -0.0));
-    EXPECT_TRUE(sameBits(d.summary.safe_fraction,
-                         done.summary.safe_fraction));
-    EXPECT_EQ(d.summary.fault_events, 7u);
-    EXPECT_EQ(d.summary.safe_mode_steps, 11u);
-    EXPECT_EQ(d.summary.max_faulted_servers, 4u);
-    ASSERT_EQ(d.summary.circulation_safe_fraction.size(), 3u);
-    for (size_t i = 0; i < 3; ++i)
-        EXPECT_TRUE(
-            sameBits(d.summary.circulation_safe_fraction[i],
-                     done.summary.circulation_safe_fraction[i]));
+    // Every field of both records, bit for bit (-0 and 1e-300
+    // included).
+    EXPECT_EQ(test::firstDifferingField(loaded.records.at(3), done), "");
+    EXPECT_EQ(test::firstDifferingField(loaded.records.at(5), bad), "");
+    EXPECT_EQ(loaded.records.at(5).status,
+              core::PointStatus::Quarantined);
+}
 
-    const core::JournalPointRecord &q = loaded.records.at(5);
-    EXPECT_EQ(q.status, core::PointStatus::Quarantined);
-    EXPECT_EQ(q.failure.kind, FailureKind::NumericDivergence);
-    EXPECT_EQ(q.failure.step, 17u);
-    EXPECT_EQ(q.failure.stage, "evaluate");
-    EXPECT_EQ(q.failure.message, bad.failure.message);
+// ---------------------------------------------------- pinned layout
+
+/** The IEEE-754 bits of @p x, as the journal stores them. */
+uint64_t
+bitsOf(double x)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+/**
+ * A test-local decoder of one point record: walks the sealed record at
+ * @p at field by field with a raw reader and checks every field
+ * against @p p. Returns the offset of the next record.
+ */
+size_t
+walkPointRecord(const std::string &file, size_t at,
+                const core::SweepPointResult &p)
+{
+    // Envelope: "H2PJPNT1" | u32 version 2 | u64 length | payload |
+    // u64 FNV-1a of the payload.
+    EXPECT_EQ(file.substr(at, 8), "H2PJPNT1");
+    util::ByteReader head(file, at + 8, at + 20);
+    EXPECT_EQ(head.u32(), 2u);
+    const uint64_t len = head.u64();
+    const size_t begin = at + 20;
+    const size_t end = begin + static_cast<size_t>(len);
+
+    util::ByteReader r(file, begin, end);
+    EXPECT_EQ(r.u64(), p.index);
+    EXPECT_EQ(r.u32(), static_cast<uint32_t>(p.status));
+    EXPECT_EQ(r.u64(), p.attempts);
+    EXPECT_EQ(r.str(), p.label);
+    EXPECT_EQ(r.u32(), static_cast<uint32_t>(p.policy));
+    EXPECT_EQ(r.u64(), bitsOf(p.duration_s));
+    if (p.status == core::PointStatus::Completed) {
+        const core::RunSummary &s = p.summary;
+        EXPECT_EQ(r.u32(), static_cast<uint32_t>(s.policy));
+        EXPECT_EQ(r.u64(), bitsOf(s.avg_teg_w));
+        EXPECT_EQ(r.u64(), bitsOf(s.peak_teg_w));
+        EXPECT_EQ(r.u64(), bitsOf(s.avg_cpu_w));
+        EXPECT_EQ(r.u64(), bitsOf(s.pre));
+        EXPECT_EQ(r.u64(), bitsOf(s.teg_energy_kwh));
+        EXPECT_EQ(r.u64(), bitsOf(s.cpu_energy_kwh));
+        EXPECT_EQ(r.u64(), bitsOf(s.plant_energy_kwh));
+        EXPECT_EQ(r.u64(), bitsOf(s.pump_energy_kwh));
+        EXPECT_EQ(r.u64(), bitsOf(s.safe_fraction));
+        EXPECT_EQ(r.u64(), bitsOf(s.avg_t_in_c));
+        EXPECT_EQ(r.u64(), s.fault_events);
+        EXPECT_EQ(r.u64(), s.throttle_events);
+        EXPECT_EQ(r.u64(), bitsOf(s.throttled_work_server_hours));
+        EXPECT_EQ(r.u64(), bitsOf(s.teg_energy_lost_kwh));
+        EXPECT_EQ(r.u64(), s.safe_mode_steps);
+        EXPECT_EQ(r.u64(), s.max_faulted_servers);
+        const uint64_t n = r.u64();
+        EXPECT_EQ(n, s.circulation_safe_fraction.size());
+        for (uint64_t c = 0; c < n && c < s.circulation_safe_fraction.size();
+             ++c)
+            EXPECT_EQ(r.u64(), bitsOf(s.circulation_safe_fraction[c]));
+    } else {
+        const RunFailure &f = p.failure;
+        EXPECT_EQ(r.u32(), static_cast<uint32_t>(f.kind));
+        EXPECT_EQ(r.str(), f.message);
+        EXPECT_EQ(r.u64(), f.step);
+        EXPECT_EQ(r.str(), f.stage);
+    }
+    EXPECT_TRUE(r.exhausted());
+
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t i = begin; i < end; ++i) {
+        h ^= static_cast<unsigned char>(file[i]);
+        h *= 0x00000100000001b3ull;
+    }
+    util::ByteReader foot(file, end, end + 8);
+    EXPECT_EQ(foot.u64(), h);
+    return end + 8;
+}
+
+TEST(JournalTest, PointRecordLayoutIsPinnedFieldByField)
+{
+    TempPath jp("journal_test_layout.journal");
+    auto trace = makeTrace();
+    auto grid = makeGrid(trace, 2);
+    grid[1].step_budget = 2; // quarantined on its only attempt
+
+    core::SweepOptions options;
+    options.workers = 1;
+    options.keep_recorders = false;
+    options.max_attempts = 1;
+    options.journal_path = jp.path;
+    const core::SweepResult result = core::SweepEngine(options).run(grid);
+    ASSERT_EQ(result.points[0].status, core::PointStatus::Completed);
+    ASSERT_EQ(result.points[1].status, core::PointStatus::Quarantined);
+    EXPECT_EQ(result.points[1].failure.kind, FailureKind::Timeout);
+
+    const std::string file = readFile(jp.path);
+    // Manifest: "H2PJMAN1" | u32 2 | u64 40 | point count, shape,
+    // config, trace and guard digests (u64 each) | u64 FNV-1a.
+    ASSERT_GT(file.size(), 68u);
+    EXPECT_EQ(file.substr(0, 8), "H2PJMAN1");
+    util::ByteReader manifest(file, 8, 68);
+    EXPECT_EQ(manifest.u32(), 2u);
+    EXPECT_EQ(manifest.u64(), 40u);
+    EXPECT_EQ(manifest.u64(), grid.size());
+    const core::SweepJournal::GridFingerprints fp =
+        core::SweepJournal::gridFingerprints(grid);
+    EXPECT_EQ(manifest.u64(), fp.shape);
+    EXPECT_EQ(manifest.u64(), fp.config);
+    EXPECT_EQ(manifest.u64(), fp.trace);
+    EXPECT_EQ(manifest.u64(), fp.guard);
+
+    size_t at = 68;
+    for (const core::SweepPointResult &p : result.points) {
+        SCOPED_TRACE(p.label);
+        ASSERT_LT(at, file.size());
+        at = walkPointRecord(file, at, p);
+    }
+    EXPECT_EQ(at, file.size());
 }
 
 // --------------------------------------------------- load rejection
@@ -261,7 +310,7 @@ TEST(JournalTest, LoadToleratesTornTailOnly)
     size_t record_end[2];
     {
         auto j = core::SweepJournal::create(jp.path, 4, someFingerprints());
-        core::JournalPointRecord rec;
+        core::SweepPointResult rec;
         rec.index = 0;
         rec.status = core::PointStatus::Completed;
         rec.attempts = 1;
@@ -298,7 +347,8 @@ TEST(JournalTest, LoadRejectsMissingOrBrokenManifest)
     {
         auto j = core::SweepJournal::create(jp.path, 1, someFingerprints());
         manifest_end = readFile(jp.path).size();
-        core::JournalPointRecord rec;
+        core::SweepPointResult rec;
+        rec.status = core::PointStatus::Completed;
         j.append(rec);
     }
     const std::string intact = readFile(jp.path);
@@ -338,8 +388,9 @@ TEST(JournalTest, LoadRejectsMissingOrBrokenManifest)
 TEST(JournalTest, EveryBitFlipAndTruncationLoadsAnIntactSubsetOrThrows)
 {
     TempPath jp("journal_test_mutation.journal");
-    std::vector<core::JournalPointRecord> written(3);
+    std::vector<core::SweepPointResult> written(3);
     written[0].index = 0;
+    written[0].status = core::PointStatus::Completed;
     written[0].attempts = 1;
     written[0].label = "t_safe=60";
     written[0].duration_s = 0.5;
@@ -357,6 +408,7 @@ TEST(JournalTest, EveryBitFlipAndTruncationLoadsAnIntactSubsetOrThrows)
     written[1].failure.stage = "deadline";
     written[1].failure.message = "deadline of 1 s exceeded";
     written[2].index = 2;
+    written[2].status = core::PointStatus::Completed;
     written[2].attempts = 1;
     written[2].label = "t_safe=64";
     written[2].policy = sched::Policy::TegLoadBalance;
@@ -366,7 +418,7 @@ TEST(JournalTest, EveryBitFlipAndTruncationLoadsAnIntactSubsetOrThrows)
     written[2].summary.circulation_safe_fraction = {0.5};
     {
         auto j = core::SweepJournal::create(jp.path, 3, someFingerprints());
-        for (const core::JournalPointRecord &rec : written)
+        for (const core::SweepPointResult &rec : written)
             j.append(rec);
     }
     const std::string intact = readFile(jp.path);
@@ -395,7 +447,9 @@ TEST(JournalTest, EveryBitFlipAndTruncationLoadsAnIntactSubsetOrThrows)
             << what;
         for (const auto &entry : loaded.records) {
             ASSERT_LT(entry.first, written.size()) << what;
-            EXPECT_TRUE(sameRecord(entry.second, written[entry.first]))
+            EXPECT_EQ(test::firstDifferingField(entry.second,
+                                                written[entry.first]),
+                      "")
                 << what << " changed point " << entry.first;
         }
     };
@@ -472,8 +526,9 @@ TEST(JournalTest, ResumeSkipsCompletedPointsAndMatchesByteForByte)
             continue;
         ++restored;
         EXPECT_EQ(resumed_delivered[i].recorder, nullptr);
-        EXPECT_TRUE(sameBits(resumed_delivered[i].summary.pre,
-                             ref_delivered[i].summary.pre));
+        EXPECT_EQ(test::firstDifferingField(resumed_delivered[i].summary,
+                                            ref_delivered[i].summary),
+                  "");
     }
     EXPECT_EQ(restored, journaled);
 

@@ -20,6 +20,7 @@
 #include "obs/observability.h"
 #include "obs/trace_span.h"
 #include "sim/channels.h"
+#include "tests/support/fields.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "workload/trace_gen.h"
@@ -384,10 +385,7 @@ TEST(ObsSystemTest, EnabledRunIsBitIdenticalToDisabled)
     core::RunResult b = core::H2PSystem(observed).run(
         trace, sched::Policy::TegOriginal);
 
-    EXPECT_EQ(a.summary.avg_teg_w, b.summary.avg_teg_w);
-    EXPECT_EQ(a.summary.pre, b.summary.pre);
-    EXPECT_EQ(a.summary.plant_energy_kwh, b.summary.plant_energy_kwh);
-    EXPECT_EQ(a.summary.safe_fraction, b.summary.safe_fraction);
+    EXPECT_EQ(test::firstDifferingField(a.summary, b.summary), "");
     for (const std::string &ch : a.recorder->channels()) {
         const auto &sa = a.recorder->series(ch);
         const auto &sb = b.recorder->series(ch);

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -25,10 +26,12 @@
 
 #include "core/config_io.h"
 #include "core/h2p_system.h"
+#include "core/sweep_journal.h"
 #include "obs/observability.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/session_broker.h"
+#include "tests/support/fields.h"
 #include "util/cancellation.h"
 #include "util/error.h"
 #include "util/socket.h"
@@ -294,15 +297,20 @@ TEST(SessionBroker, RecorderJsonlMatchesDirectRunByteForByte)
     EXPECT_EQ(jsonl.body, direct.str()); // byte-for-byte
 }
 
+/** The text after `"key":` in a one-line JSON object. */
+const char *
+jsonValueAt(const std::string &json, const std::string &key)
+{
+    const size_t at = json.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    return at == std::string::npos ? "" : json.c_str() + at + key.size() + 3;
+}
+
 /** The number after `"key":` in a one-line JSON object. */
 double
 jsonNumberAt(const std::string &json, const std::string &key)
 {
-    const size_t at = json.find("\"" + key + "\":");
-    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
-    if (at == std::string::npos)
-        return 0.0;
-    return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+    return std::strtod(jsonValueAt(json, key), nullptr);
 }
 
 /** The numbers of the array after `"key":` in a JSON object. */
@@ -366,6 +374,152 @@ TEST(SessionBroker, FinishedRunSummaryCarriesEveryField)
     EXPECT_EQ(jsonArrayAt(close.body, "circulation_safe_fraction"),
               direct.circulation_safe_fraction);
     EXPECT_EQ(jsonNumberAt(close.body, "pre"), direct.pre);
+}
+
+/**
+ * The close body as it was written before the summary JSON came from
+ * RunSummary::visit: every field in this order, doubles at 17 digits.
+ * Pins the wire format.
+ */
+std::string
+pinnedSummaryJson(const core::RunSummary &s)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << "{\"policy\":\"" << sched::toString(s.policy) << "\""
+       << ",\"avg_teg_w\":" << s.avg_teg_w
+       << ",\"peak_teg_w\":" << s.peak_teg_w
+       << ",\"avg_cpu_w\":" << s.avg_cpu_w << ",\"pre\":" << s.pre
+       << ",\"teg_energy_kwh\":" << s.teg_energy_kwh
+       << ",\"cpu_energy_kwh\":" << s.cpu_energy_kwh
+       << ",\"plant_energy_kwh\":" << s.plant_energy_kwh
+       << ",\"pump_energy_kwh\":" << s.pump_energy_kwh
+       << ",\"safe_fraction\":" << s.safe_fraction
+       << ",\"avg_t_in_c\":" << s.avg_t_in_c
+       << ",\"fault_events\":" << s.fault_events
+       << ",\"throttle_events\":" << s.throttle_events
+       << ",\"throttled_work_server_hours\":"
+       << s.throttled_work_server_hours
+       << ",\"teg_energy_lost_kwh\":" << s.teg_energy_lost_kwh
+       << ",\"safe_mode_steps\":" << s.safe_mode_steps
+       << ",\"max_faulted_servers\":" << s.max_faulted_servers
+       << ",\"circulation_safe_fraction\":[";
+    for (size_t c = 0; c < s.circulation_safe_fraction.size(); ++c)
+        os << (c ? "," : "") << s.circulation_safe_fraction[c];
+    os << "]}\n";
+    return os.str();
+}
+
+/** Open @p ini as a twin, step it to the end and close it. */
+service::Response
+runAndClose(service::SessionBroker &broker, const std::string &ini,
+            const std::string &policy)
+{
+    service::Response open =
+        broker.handleOne(makeRequest("open", {policy}, ini));
+    EXPECT_TRUE(open.ok) << open.message;
+    if (!open.ok)
+        return open;
+    const std::string id = open.args[0];
+    service::Response step =
+        broker.handleOne(makeRequest("step", {id, open.args[1]}));
+    EXPECT_TRUE(step.ok) << step.message;
+    return broker.handleOne(makeRequest("close", {id}));
+}
+
+TEST(SessionBroker, CloseBodyIsPinnedByteForByte)
+{
+    sim::Config ini = sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini");
+    ini.set("obs", "enabled", "0"); // no telemetry export from a test
+    const workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    const core::RunSummary direct =
+        core::H2PSystem(core::configFromIni(ini))
+            .run(trace, sched::Policy::TegLoadBalance)
+            .summary;
+    ASSERT_GT(direct.fault_events, 0u);
+    ASSERT_GT(direct.max_faulted_servers, 0u);
+
+    std::ostringstream body;
+    ini.write(body);
+    service::SessionBroker broker;
+    service::Response close = runAndClose(broker, body.str(), "balance");
+    ASSERT_TRUE(close.ok) << close.message;
+    ASSERT_EQ(close.args[0], "finished");
+    EXPECT_EQ(close.body, pinnedSummaryJson(direct));
+}
+
+TEST(SessionBroker, CloseBodyHasAKeyPerSummaryField)
+{
+    service::SessionBroker broker;
+    service::Response close = runAndClose(broker, kIni, "original");
+    ASSERT_TRUE(close.ok) << close.message;
+    ASSERT_EQ(close.args[0], "finished");
+    const std::vector<std::string> names =
+        test::fieldNames(core::RunSummary());
+    EXPECT_FALSE(names.empty());
+    for (const std::string &name : names)
+        EXPECT_NE(close.body.find("\"" + name + "\":"), std::string::npos)
+            << name << " missing from " << close.body;
+}
+
+/** Reads each field a visit names back from a summaryJson body. */
+struct JsonFieldReader
+{
+    const std::string &json;
+
+    void operator()(const char *name, double &v)
+    {
+        v = jsonNumberAt(json, name);
+    }
+    void operator()(const char *name, size_t &v)
+    {
+        v = std::strtoull(jsonValueAt(json, name), nullptr, 10);
+    }
+    void operator()(const char *name, sched::Policy &v)
+    {
+        const std::string text = jsonValueAt(json, name);
+        for (sched::Policy p :
+             {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance})
+            if (text.rfind("\"" + std::string(sched::toString(p)) + "\"",
+                           0) == 0)
+                v = p;
+    }
+    void operator()(const char *name, std::vector<double> &v)
+    {
+        v = jsonArrayAt(json, name);
+    }
+};
+
+TEST(SessionBroker, EverySummaryFieldSurvivesTheJournalAndTheJson)
+{
+    core::RunSummary sent;
+    test::setDistinctValues(sent);
+
+    // Journal: append and load one record carrying it.
+    TempPath jp("service_test_fields.journal");
+    core::SweepPointResult point;
+    point.status = core::PointStatus::Completed;
+    point.attempts = 1;
+    point.summary = sent;
+    {
+        auto journal = core::SweepJournal::create(
+            jp.path, 1, core::SweepJournal::GridFingerprints());
+        journal.append(point);
+    }
+    const core::SweepJournal::Loaded loaded =
+        core::SweepJournal::load(jp.path);
+    ASSERT_EQ(loaded.records.size(), 1u);
+    EXPECT_EQ(test::firstDifferingField(loaded.records.at(0).summary, sent),
+              "");
+
+    // Wire: every field parses back bit-equal from the summary JSON.
+    const std::string json = service::summaryJson(sent);
+    core::RunSummary back;
+    JsonFieldReader reader{json};
+    back.visit(reader);
+    EXPECT_EQ(test::firstDifferingField(back, sent), "") << json;
 }
 
 TEST(SessionBroker, CheckpointResumeReproducesTheRunByteForByte)
@@ -438,6 +592,31 @@ TEST(SessionBroker, SweepStreamsPointsThenDone)
     EXPECT_EQ(responses[2].args[1], "2");
     // Identical points produce identical summaries.
     EXPECT_EQ(responses[0].body, responses[1].body);
+}
+
+TEST(SessionBroker, SweepRejectsEmptyDocuments)
+{
+    // An empty body, and a body ending in "---", once ran points of
+    // the default configuration nobody sent.
+    const std::vector<std::pair<std::string, std::string>> bodies = {
+        {"", "document 0 is empty"},
+        {std::string(kIni) + "---\n", "document 1 is empty"},
+        {std::string(kIni) + "---\n  \n\t\n---\n" + kIni,
+         "document 1 is empty"},
+    };
+    for (const auto &[body, message] : bodies) {
+        SCOPED_TRACE(message);
+        service::SessionBroker broker;
+        std::vector<service::Response> responses;
+        broker.handle(makeRequest("sweep", {"original"}, body),
+                      [&responses](const service::Response &r) {
+                          responses.push_back(r);
+                      });
+        ASSERT_EQ(responses.size(), 1u);
+        EXPECT_FALSE(responses[0].ok);
+        EXPECT_NE(responses[0].message.find(message), std::string::npos)
+            << responses[0].message;
+    }
 }
 
 TEST(SessionBroker, ConcurrentClientsHammerOneBroker)

@@ -26,6 +26,7 @@
 #include "fault/watchdog.h"
 #include "sim/channels.h"
 #include "sim/config.h"
+#include "tests/support/fields.h"
 #include "tests/support/fn_stage.h"
 #include "tests/support/watchdog_reference.h"
 #include "util/error.h"
@@ -56,34 +57,6 @@ expectSameChannels(const sim::Recorder &a, const sim::Recorder &b)
                 << name << " sample " << i << ": " << sa[i]
                 << " != " << sb[i];
     }
-}
-
-void
-expectSameSummary(const core::RunSummary &a, const core::RunSummary &b)
-{
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_TRUE(sameBits(a.avg_teg_w, b.avg_teg_w));
-    EXPECT_TRUE(sameBits(a.peak_teg_w, b.peak_teg_w));
-    EXPECT_TRUE(sameBits(a.avg_cpu_w, b.avg_cpu_w));
-    EXPECT_TRUE(sameBits(a.pre, b.pre));
-    EXPECT_TRUE(sameBits(a.teg_energy_kwh, b.teg_energy_kwh));
-    EXPECT_TRUE(sameBits(a.cpu_energy_kwh, b.cpu_energy_kwh));
-    EXPECT_TRUE(sameBits(a.plant_energy_kwh, b.plant_energy_kwh));
-    EXPECT_TRUE(sameBits(a.pump_energy_kwh, b.pump_energy_kwh));
-    EXPECT_TRUE(sameBits(a.safe_fraction, b.safe_fraction));
-    EXPECT_TRUE(sameBits(a.avg_t_in_c, b.avg_t_in_c));
-    EXPECT_EQ(a.fault_events, b.fault_events);
-    EXPECT_EQ(a.throttle_events, b.throttle_events);
-    EXPECT_TRUE(sameBits(a.throttled_work_server_hours,
-                         b.throttled_work_server_hours));
-    EXPECT_TRUE(sameBits(a.teg_energy_lost_kwh, b.teg_energy_lost_kwh));
-    EXPECT_EQ(a.safe_mode_steps, b.safe_mode_steps);
-    EXPECT_EQ(a.max_faulted_servers, b.max_faulted_servers);
-    ASSERT_EQ(a.circulation_safe_fraction.size(),
-              b.circulation_safe_fraction.size());
-    for (size_t i = 0; i < a.circulation_safe_fraction.size(); ++i)
-        EXPECT_TRUE(sameBits(a.circulation_safe_fraction[i],
-                             b.circulation_safe_fraction[i]));
 }
 
 core::H2PConfig
@@ -154,7 +127,7 @@ TEST(SessionTest, StepLoopMatchesBatchRunClean)
         session.step();
     auto stepped = session.finish();
 
-    expectSameSummary(batch.summary, stepped.summary);
+    EXPECT_EQ(test::firstDifferingField(batch.summary, stepped.summary), "");
     expectSameChannels(*batch.recorder, *stepped.recorder);
 }
 
@@ -170,7 +143,7 @@ TEST(SessionTest, StepLoopMatchesBatchRunFaulted)
     session.runToCompletion();
     auto stepped = session.finish();
 
-    expectSameSummary(batch.summary, stepped.summary);
+    EXPECT_EQ(test::firstDifferingField(batch.summary, stepped.summary), "");
     expectSameChannels(*batch.recorder, *stepped.recorder);
 }
 
@@ -199,7 +172,7 @@ TEST(SessionTest, CheckpointRoundTripCleanBitIdentical)
     resumed.runToCompletion();
     auto rest = resumed.finish();
 
-    expectSameSummary(full.summary, rest.summary);
+    EXPECT_EQ(test::firstDifferingField(full.summary, rest.summary), "");
     expectSameChannels(*full.recorder, *rest.recorder);
 }
 
@@ -228,7 +201,7 @@ TEST(SessionTest, CheckpointRoundTripFaultedMidSensorWindow)
     resumed.runToCompletion();
     auto rest = resumed.finish();
 
-    expectSameSummary(full.summary, rest.summary);
+    EXPECT_EQ(test::firstDifferingField(full.summary, rest.summary), "");
     expectSameChannels(*full.recorder, *rest.recorder);
 }
 
@@ -253,7 +226,7 @@ TEST(SessionTest, CheckpointResumesAcrossThreadCounts)
     resumed.runToCompletion();
     auto rest = resumed.finish();
 
-    expectSameSummary(full.summary, rest.summary);
+    EXPECT_EQ(test::firstDifferingField(full.summary, rest.summary), "");
     expectSameChannels(*full.recorder, *rest.recorder);
 }
 
@@ -668,7 +641,7 @@ TEST(SessionTest, MidThrottleCheckpointMatchesFullScanWatchdog)
         auto resumed = sys.resumeSession(ck.path, trace);
         resumed.runToCompletion();
         auto rest = resumed.finish();
-        expectSameSummary(full.summary, rest.summary);
+        EXPECT_EQ(test::firstDifferingField(full.summary, rest.summary), "");
         expectSameChannels(*full.recorder, *rest.recorder);
     }
 }
@@ -730,7 +703,7 @@ TEST(SessionTest, NegativeZeroRequestsLeaveResilientRunUnchanged)
             auto ra = a.finish();
             auto rb = b.finish();
             EXPECT_GT(ra.summary.throttle_events, 0u);
-            expectSameSummary(ra.summary, rb.summary);
+            EXPECT_EQ(test::firstDifferingField(ra.summary, rb.summary), "");
             expectSameChannels(*ra.recorder, *rb.recorder);
         }
     }
@@ -1187,7 +1160,9 @@ TEST(SessionTest, CustomControlResumeRefusesToStepUntilReattach)
     ASSERT_NE(resumed.pipeline(), nullptr);
     resumed.runToCompletion();
     auto rest = resumed.finish();
-    expectSameSummary(full_result.summary, rest.summary);
+    EXPECT_EQ(test::firstDifferingField(full_result.summary,
+                                        rest.summary),
+              "");
     expectSameChannels(*full_result.recorder, *rest.recorder);
 }
 
@@ -1214,7 +1189,7 @@ TEST(SessionTest, ControllerNullRestoresBuiltinPipeline)
     EXPECT_EQ(session.pipeline()->name(), "TEG_LoadBalance");
     session.runToCompletion();
     auto cleared = session.finish();
-    expectSameSummary(plain.summary, cleared.summary);
+    EXPECT_EQ(test::firstDifferingField(plain.summary, cleared.summary), "");
     expectSameChannels(*plain.recorder, *cleared.recorder);
 }
 
@@ -1258,7 +1233,9 @@ TEST(SessionTest, RestoringBuiltinPipelineRefusesPendingStageState)
     resumed.setPipeline(custom());
     resumed.runToCompletion();
     auto rest = resumed.finish();
-    expectSameSummary(full_result.summary, rest.summary);
+    EXPECT_EQ(test::firstDifferingField(full_result.summary,
+                                        rest.summary),
+              "");
     expectSameChannels(*full_result.recorder, *rest.recorder);
 }
 

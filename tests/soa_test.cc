@@ -28,6 +28,7 @@
 #include "hydraulic/plant.h"
 #include "hydraulic/pump.h"
 #include "tests/support/evaluate.h"
+#include "tests/support/fields.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -834,17 +835,7 @@ TEST(SoaKernelTest, CheckpointResumeBitIdenticalThroughSoaSession)
     auto rest = resumed.finish();
     std::remove(ck.c_str());
 
-    EXPECT_TRUE(sameBits(full.summary.pre, rest.summary.pre));
-    EXPECT_TRUE(
-        sameBits(full.summary.avg_teg_w, rest.summary.avg_teg_w));
-    EXPECT_TRUE(
-        sameBits(full.summary.avg_cpu_w, rest.summary.avg_cpu_w));
-    EXPECT_TRUE(sameBits(full.summary.teg_energy_lost_kwh,
-                         rest.summary.teg_energy_lost_kwh));
-    EXPECT_TRUE(sameBits(full.summary.safe_fraction,
-                         rest.summary.safe_fraction));
-    EXPECT_EQ(full.summary.max_faulted_servers,
-              rest.summary.max_faulted_servers);
+    EXPECT_EQ(test::firstDifferingField(full.summary, rest.summary), "");
 }
 
 } // namespace

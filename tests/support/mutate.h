@@ -13,6 +13,7 @@
 #ifndef H2P_TESTS_SUPPORT_MUTATE_H_
 #define H2P_TESTS_SUPPORT_MUTATE_H_
 
+#include <cstdint>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -55,7 +56,8 @@ forEachTruncation(const std::string &bytes, Check &&check)
 /**
  * Call @p check(mutant, key) once per field @p params names in its
  * `visit(v)`: `mutant` is @p params with only that field changed (a
- * bool flipped, a number raised by one, a string extended).
+ * bool flipped, a number raised by one, a string extended, a vector
+ * grown, an enum's lowest bit flipped).
  */
 template <typename Params, typename Check>
 void
@@ -76,6 +78,10 @@ forEachFieldChange(const Params &params, Check &&check)
                 x = !x;
             else if constexpr (std::is_same_v<T, std::string>)
                 x += "~";
+            else if constexpr (std::is_same_v<T, std::vector<double>>)
+                x.push_back(1.0);
+            else if constexpr (std::is_enum_v<T>)
+                x = static_cast<T>(static_cast<uint32_t>(x) ^ 1u);
             else
                 x += 1;
         };

@@ -17,6 +17,7 @@
 #include "core/sweep_engine.h"
 #include "sched/lookup_cache.h"
 #include "sim/channels.h"
+#include "tests/support/fields.h"
 #include "tests/support/mutate.h"
 #include "util/error.h"
 #include "util/parallel.h"
@@ -70,26 +71,45 @@ makeGrid(const workload::UtilizationTrace &trace, bool faulted)
     return grid;
 }
 
-void
-expectSameSummary(const core::RunSummary &a, const core::RunSummary &b)
+// --------------------------------------------- field comparator
+
+TEST(SweepTest, FieldComparatorNamesEachPerturbedField)
 {
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.avg_teg_w, b.avg_teg_w);
-    EXPECT_EQ(a.peak_teg_w, b.peak_teg_w);
-    EXPECT_EQ(a.avg_cpu_w, b.avg_cpu_w);
-    EXPECT_EQ(a.pre, b.pre);
-    EXPECT_EQ(a.teg_energy_kwh, b.teg_energy_kwh);
-    EXPECT_EQ(a.cpu_energy_kwh, b.cpu_energy_kwh);
-    EXPECT_EQ(a.plant_energy_kwh, b.plant_energy_kwh);
-    EXPECT_EQ(a.pump_energy_kwh, b.pump_energy_kwh);
-    EXPECT_EQ(a.safe_fraction, b.safe_fraction);
-    EXPECT_EQ(a.avg_t_in_c, b.avg_t_in_c);
-    EXPECT_EQ(a.fault_events, b.fault_events);
-    EXPECT_EQ(a.throttle_events, b.throttle_events);
-    EXPECT_EQ(a.teg_energy_lost_kwh, b.teg_energy_lost_kwh);
-    EXPECT_EQ(a.safe_mode_steps, b.safe_mode_steps);
-    EXPECT_EQ(a.circulation_safe_fraction,
-              b.circulation_safe_fraction);
+    core::RunSummary summary;
+    test::setDistinctValues(summary);
+    EXPECT_EQ(test::firstDifferingField(summary, summary), "");
+    size_t changed = 0;
+    test::forEachFieldChange(
+        summary, [&](const core::RunSummary &mutant, const std::string &key) {
+            EXPECT_EQ(test::firstDifferingField(summary, mutant), key);
+            EXPECT_EQ(test::firstDifferingField(mutant, summary), key);
+            ++changed;
+        });
+    EXPECT_EQ(changed, test::fieldNames(summary).size());
+
+    // Bitwise, not by value: -0 differs from +0.
+    core::RunSummary negative = summary;
+    summary.pre = 0.0;
+    negative.pre = -0.0;
+    EXPECT_EQ(test::firstDifferingField(summary, negative), "pre");
+
+    // A journaled point: its own fields, then its summary's or, for a
+    // quarantined point, its failure's.
+    for (core::PointStatus status :
+         {core::PointStatus::Completed, core::PointStatus::Quarantined}) {
+        core::SweepPointResult point;
+        test::setDistinctValues(point);
+        point.status = status;
+        point.summary = summary;
+        size_t point_changed = 0;
+        test::forEachFieldChange(
+            point,
+            [&](const core::SweepPointResult &mutant, const std::string &key) {
+                EXPECT_EQ(test::firstDifferingField(point, mutant), key);
+                ++point_changed;
+            });
+        EXPECT_EQ(point_changed, test::fieldNames(point).size());
+    }
 }
 
 // --------------------------------------------- batched == serial
@@ -127,7 +147,9 @@ TEST_P(SweepIdentityTest, BatchedMatchesSerialBitwise)
         EXPECT_EQ(pr.index, i);
         EXPECT_EQ(pr.label, grid[i].label);
         EXPECT_EQ(pr.status, core::PointStatus::Completed);
-        expectSameSummary(pr.summary, serial[i].summary);
+        EXPECT_EQ(test::firstDifferingField(pr.summary,
+                                            serial[i].summary),
+                  "");
         // Per-step channels too, sample for sample.
         ASSERT_NE(pr.recorder, nullptr);
         for (const std::string &ch :
@@ -243,7 +265,9 @@ TEST(SweepTest, SinglePointAndDuplicatePointsWork)
     core::SweepResult dup = engine.run({pt, pt, pt});
     ASSERT_EQ(dup.points.size(), 3u);
     for (const core::SweepPointResult &r : dup.points)
-        expectSameSummary(r.summary, one.points[0].summary);
+        EXPECT_EQ(test::firstDifferingField(r.summary,
+                                            one.points[0].summary),
+                  "");
 }
 
 TEST(SweepTest, MissingTraceIsRejected)
@@ -587,7 +611,9 @@ TEST(SweepTest, SharedDecisionTableMatchesFreshTablePerPoint)
                              << " workers=" << workers << " point=" << i);
                 EXPECT_EQ(result.points[i].status,
                       core::PointStatus::Completed);
-                expectSameSummary(result.points[i].summary, fresh[i]);
+                EXPECT_EQ(test::firstDifferingField(result.points[i].summary,
+                                                    fresh[i]),
+                          "");
             }
         }
     }
