@@ -1,7 +1,7 @@
 /**
  * @file
  * The digital-twin service daemon: a long-lived process exposing
- * SimEngine sessions and sweep execution over a Unix-domain socket.
+ * simulation sessions and sweep execution over a Unix-domain socket.
  *
  *   ./examples/h2p_serviced --socket /tmp/h2p.sock \
  *       --max-sessions 8 --step-budget 0

@@ -40,14 +40,6 @@ ServerStateBlock::server(size_t i) const
     return s;
 }
 
-void
-ServerStateBlock::materializeInto(std::vector<ServerState> &out) const
-{
-    out.resize(size());
-    for (size_t i = 0; i < size(); ++i)
-        out[i] = server(i);
-}
-
 ServerBlock::ServerBlock(const ServerParams &params)
     : thermal_(params.thermal),
       teg_(params.tegs_per_server, params.teg),

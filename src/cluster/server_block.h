@@ -67,9 +67,6 @@ struct ServerStateBlock
 
     /** Vector-style AoS access (materializes a copy). */
     ServerState operator[](size_t i) const { return server(i); }
-
-    /** Materialize all servers into @p out (resized to size()). */
-    void materializeInto(std::vector<ServerState> &out) const;
 };
 
 /**

@@ -9,14 +9,14 @@
  * ScheduleDecision (rebalance the utilizations, choose cooling
  * settings, evacuate a circulation); the pipeline seeds the decision
  * with the interval's shaped utilizations, runs the stages in order
- * and validates the final shape. SimEngine runs a pipeline as its
+ * and validates the final shape. A SimSession runs a pipeline as its
  * decide stage (SimSession::setPipeline() installs a custom one), so
  * the canonical pipelines are bit-identical to the hard-wired
  * scheduler they replaced and custom pipelines compose with the rest
  * of the step loop (faults, safe mode, checkpointing) for free.
  *
  * Stages that carry state across intervals declare stateful() and
- * describe that state once in visitState(); the engine embeds it in
+ * describe that state once in visitState(); a session embeds it in
  * its checkpoints keyed by stage name, so a resumed balancer run
  * continues byte-identically.
  */
@@ -40,7 +40,7 @@ namespace control {
 
 /**
  * Everything a stage may read about the current interval. Borrowed
- * pointers are owned by the engine/session; null members mean the
+ * pointers are owned by the session; null members mean the
  * corresponding pipeline feature is off for this run (actions/health
  * on clean runs, obs when [obs] is disabled).
  */

@@ -108,16 +108,11 @@ void
 ThermalBalancer::emitEvent(const ControlContext &ctx, size_t circ,
                            const char *what, double amount) const
 {
-    if (ctx.obs == nullptr)
-        return;
-    obs::Event e;
-    e.time_s = static_cast<double>(ctx.step) * ctx.dt_s;
-    e.step = static_cast<long>(ctx.step);
-    e.kind = "balancer";
-    e.subject = "circ" + std::to_string(circ);
-    e.detail = what;
-    e.fields = {{"amount", amount}};
-    ctx.obs->events().append(std::move(e));
+    if (ctx.obs != nullptr)
+        ctx.obs->events().append(static_cast<double>(ctx.step) * ctx.dt_s,
+                                 static_cast<long>(ctx.step), "balancer",
+                                 "circ" + std::to_string(circ), what,
+                                 {{"amount", amount}});
 }
 
 void
@@ -423,30 +418,19 @@ ThermalBalancer::apply(const ControlContext &ctx,
         ctr_migrations_.add(stats_.migrations - mig0);
         ctr_local_.add(stats_.local_moves - local0);
         ctr_pulls_.add(stats_.pulls - pulls0);
-        obs::SpanRegistry::record(
-            span_apply_,
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    ObsClock::now() - t0)
-                    .count()));
+        obs::SpanRegistry::record(span_apply_, ObsClock::now() - t0);
     }
 
     if (params_.max_stale_steps > 0 &&
-        stats_.stale_steps > params_.max_stale_steps) {
-        RunFailure f;
-        f.kind = FailureKind::ConfigError;
-        f.step = ctx.step;
-        f.stage = "balancer";
-        f.message = detail::concat(
-            "balancer failed to converge: max |deviation| ",
-            stats_.max_abs_dev, " stayed above the hysteresis band ",
-            params_.hysteresis, " for ", stats_.stale_steps,
-            " consecutive intervals (max_stale_steps=",
-            params_.max_stale_steps,
-            "); the migration caps cannot reach the band on this "
-            "workload");
-        throw RunError(std::move(f));
-    }
+        stats_.stale_steps > params_.max_stale_steps)
+        failRun(FailureKind::ConfigError, ctx.step, "balancer",
+                "balancer failed to converge: max |deviation| ",
+                stats_.max_abs_dev, " stayed above the hysteresis band ",
+                params_.hysteresis, " for ", stats_.stale_steps,
+                " consecutive intervals (max_stale_steps=",
+                params_.max_stale_steps,
+                "); the migration caps cannot reach the band on this "
+                "workload");
 }
 
 void

@@ -37,14 +37,6 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
 
     if (config.obs.enabled)
         obs_ = std::make_unique<obs::Observability>(config.obs);
-
-    SimEngine::Wiring wiring;
-    wiring.config = &config_;
-    wiring.dc = dc_.get();
-    wiring.optimizer = optimizer_.get();
-    wiring.pipelines = pipelines_.get();
-    wiring.obs = obs_.get();
-    engine_ = std::make_unique<SimEngine>(wiring);
 }
 
 cluster::DatacenterState
@@ -77,7 +69,7 @@ RunResult
 H2PSystem::run(const workload::UtilizationTrace &trace,
                sched::Policy policy) const
 {
-    SimSession session = engine_->start(trace, policy);
+    SimSession session(*this, trace, policy);
     session.runToCompletion();
     return session.finish();
 }
@@ -86,14 +78,14 @@ SimSession
 H2PSystem::startSession(const workload::UtilizationTrace &trace,
                         sched::Policy policy) const
 {
-    return engine_->start(trace, policy);
+    return SimSession(*this, trace, policy);
 }
 
 SimSession
 H2PSystem::resumeSession(const std::string &path,
                          const workload::UtilizationTrace &trace) const
 {
-    return engine_->resume(path, trace);
+    return SimSession::resume(*this, path, trace);
 }
 
 } // namespace core

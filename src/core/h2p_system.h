@@ -12,8 +12,9 @@
  *    point and later resumed bit-identically, and accepts a custom
  *    control pipeline in place of the built-in decide stage.
  *
- * Both paths execute the same core::SimEngine pipeline, so a
- * session-stepped run is sample-for-sample identical to run().
+ * run() steps a core::SimSession to completion, so a session-stepped
+ * run is sample-for-sample identical to run(). Sessions point into
+ * the system, which therefore neither copies nor moves.
  */
 
 #ifndef H2P_CORE_H2P_SYSTEM_H_
@@ -47,6 +48,9 @@ class H2PSystem
 
     explicit H2PSystem(const H2PConfig &config);
 
+    H2PSystem(const H2PSystem &) = delete;
+    H2PSystem &operator=(const H2PSystem &) = delete;
+
     /**
      * Run a utilization trace under @p policy and collect metrics.
      * The trace must cover at least the datacenter's server count;
@@ -54,7 +58,7 @@ class H2PSystem
      * Google trace the same way).
      *
      * When the configuration enables a fault scenario or safe-mode
-     * control the engine activates the resilient pipeline stages:
+     * control the session activates the resilient pipeline stages:
      * hardware health from the FaultInjector, sensor readings
      * corrupted on their way to the SafetyMonitor, and (if enabled)
      * the thermal-trip watchdog shaping utilizations. With neither
@@ -112,9 +116,6 @@ class H2PSystem
     }
     const H2PConfig &config() const { return config_; }
 
-    /** The step-pipeline engine underneath run() and the sessions. */
-    const SimEngine &engine() const { return *engine_; }
-
     /**
      * The observability sink, or null when [obs] is disabled. State
      * accumulates across run() calls on the same system (counters and
@@ -140,7 +141,6 @@ class H2PSystem
     std::unique_ptr<sched::CoolingOptimizer> optimizer_;
     std::unique_ptr<control::PipelineFactory> pipelines_;
     std::unique_ptr<obs::Observability> obs_;
-    std::unique_ptr<SimEngine> engine_;
 };
 
 } // namespace core

@@ -2,9 +2,9 @@
  * @file
  * Shared configuration and result types of trace-driven runs.
  *
- * Both the H2PSystem facade and the SimEngine underneath it speak in
- * these types; they live in their own header so the engine does not
- * depend on the facade (or vice versa).
+ * Both the H2PSystem facade and the SimSession it steps speak in
+ * these types; they live in their own header so the session's header
+ * does not depend on the facade (or vice versa).
  */
 
 #ifndef H2P_CORE_RUN_TYPES_H_

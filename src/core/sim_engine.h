@@ -1,6 +1,6 @@
 /**
  * @file
- * The simulation engine: one composable step pipeline.
+ * The simulation session: one composable step pipeline.
  *
  * Every trace-driven run — clean or faulted, batch or interactive —
  * advances through the same sequence of optional stages:
@@ -18,9 +18,9 @@
  *
  * Which stages are active is decided once, from the configuration,
  * when a session starts; H2PSystem::run() is a thin wrapper that
- * steps a session to completion, clean or resilient. The engine
- * additionally exposes the loop incrementally (SimSession::step())
- * for long-horizon and controller-in-the-loop workloads, and can
+ * steps a session to completion, clean or resilient. A session also
+ * exposes the loop incrementally (SimSession::step()) for
+ * long-horizon and controller-in-the-loop workloads, and can
  * checkpoint all mutable loop state to disk and restore it
  * bit-identically: a run stepped N steps, checkpointed, restored and
  * finished equals an uninterrupted run sample for sample.
@@ -53,7 +53,7 @@
 namespace h2p {
 namespace core {
 
-class SimEngine;
+class H2PSystem;
 
 /**
  * Cooperative execution budget of one session, checked at every step
@@ -135,7 +135,7 @@ class SimSession
     SimSession &operator=(const SimSession &) = delete;
 
     /** Total steps in the driving trace. */
-    size_t numSteps() const;
+    size_t numSteps() const { return trace_->numSteps(); }
 
     /** Steps completed so far (also the next step's index). */
     size_t cursor() const { return cursor_; }
@@ -169,7 +169,7 @@ class SimSession
      *
      * Declared-stateful control-stage state (e.g. the thermal
      * balancer's drain latches and feedback view) is serialized with
-     * everything else, keyed by stage name. The engine cannot rebuild
+     * everything else, keyed by stage name. A session cannot rebuild
      * a custom pipeline itself; such checkpoints are flagged, and the
      * resumed session refuses to step until the caller re-attaches
      * its pipeline with setPipeline(), which also restores any
@@ -183,7 +183,7 @@ class SimSession
      * agents and what-if probes that still want the rest of the step
      * loop. Any control-stage state the session was resumed with is
      * restored into the new pipeline's stages by name (missing names
-     * are an error). The engine checkpoints the pipeline's
+     * are an error). A checkpoint carries the pipeline's
      * declared-stateful stages but cannot rebuild a *custom* pipeline
      * itself — resume flags it and demands a re-attach.
      *
@@ -227,8 +227,39 @@ class SimSession
     const sim::Recorder &recorder() const { return *recorder_; }
 
   private:
-    friend class SimEngine;
-    SimSession() = default;
+    friend class H2PSystem;
+
+    /** Begin a fresh session over @p trace under @p policy. */
+    SimSession(const H2PSystem &sys,
+               const workload::UtilizationTrace &trace,
+               sched::Policy policy);
+
+    /**
+     * Restore a session from a checkpoint written by saveCheckpoint().
+     * The trace must be the one the checkpointed run was driven by
+     * (fingerprint-verified), and @p sys's configuration must match
+     * the checkpoint's (core::configDigest: every INI key outside
+     * [obs], plus the scripted faults).
+     */
+    static SimSession resume(const H2PSystem &sys,
+                             const std::string &path,
+                             const workload::UtilizationTrace &trace);
+
+    /**
+     * Save or load everything a checkpoint carries after its header:
+     * accumulators, recorded channels and, on resilient runs, the
+     * sensor latches, watchdog, safety monitor and the previous
+     * interval's readings and actions.
+     */
+    void visitSession(util::Archive &ar);
+
+    /** Record a checkpoint save/restore event (no-op without obs). */
+    void checkpointEvent(std::string detail) const;
+
+    /** Resolve the run's obs handles and log run_start (if obs on). */
+    void beginObsRun();
+    /** Fold the finished run into obs and write its exports. */
+    void finishObsRun(const RunSummary &summary) const;
 
     /** Resolved recorder channel handles (see sim/channels.h). */
     struct Channels
@@ -253,7 +284,7 @@ class SimSession
         size_t cache_misses0 = 0;
     };
 
-    const SimEngine *engine_ = nullptr;
+    const H2PSystem *sys_ = nullptr;
     const workload::UtilizationTrace *trace_ = nullptr;
     sched::Policy policy_ = sched::Policy::TegOriginal;
     /** Fault/safe-mode stages active? */
@@ -287,7 +318,7 @@ class SimSession
     size_t seen_trips_ = 0;
 
     /**
-     * The decide stage. Built by the engine's PipelineFactory for
+     * The decide stage. Built by the system's PipelineFactory for
      * fresh sessions; replaced by setPipeline(). Null
      * only after a custom-control resume, until re-attach.
      */
@@ -304,74 +335,6 @@ class SimSession
     RunGuard guard_;
     std::chrono::steady_clock::time_point guard_start_{};
     size_t guard_start_cursor_ = 0;
-};
-
-/**
- * The step pipeline and its wiring into one system's components.
- * Owned by H2PSystem; stateless across runs (all per-run state lives
- * in the SimSession), so any number of sessions can be derived from
- * the same engine sequentially.
- */
-class SimEngine
-{
-  public:
-    /** Non-owning wiring into the system's long-lived components. */
-    struct Wiring
-    {
-        const H2PConfig *config = nullptr;
-        cluster::Datacenter *dc = nullptr;
-        sched::CoolingOptimizer *optimizer = nullptr;
-        /** Builds the per-policy control pipeline sessions run. */
-        const control::PipelineFactory *pipelines = nullptr;
-        /** Null when [obs] is disabled. */
-        obs::Observability *obs = nullptr;
-    };
-
-    explicit SimEngine(const Wiring &wiring);
-
-    /** Begin a fresh session over @p trace under @p policy. */
-    SimSession start(const workload::UtilizationTrace &trace,
-                     sched::Policy policy) const;
-
-    /**
-     * Restore a session from a checkpoint written by
-     * SimSession::saveCheckpoint(). The trace must be the one the
-     * checkpointed run was driven by (fingerprint-verified), and this
-     * engine's configuration must match the checkpoint's
-     * (core::configDigest: every INI key outside [obs], plus the
-     * scripted faults).
-     */
-    SimSession resume(const std::string &path,
-                      const workload::UtilizationTrace &trace) const;
-
-  private:
-    friend class SimSession;
-
-    /** Advance @p s by one scheduling interval (the pipeline). */
-    void stepOnce(SimSession &s) const;
-
-    RunResult finish(SimSession &s) const;
-    void saveCheckpoint(const SimSession &s,
-                        const std::string &path) const;
-
-    /**
-     * Save or load everything a checkpoint carries after its header:
-     * accumulators, recorded channels and, on resilient runs, the
-     * sensor latches, watchdog, safety monitor and the previous
-     * interval's readings and actions.
-     */
-    void visitSession(SimSession &s, util::Archive &ar) const;
-
-    /** Record a checkpoint save/restore event (no-op without obs). */
-    void checkpointEvent(size_t step, std::string detail) const;
-
-    SimSession::ObsRun beginObsRun(sched::Policy policy, double dt,
-                                   size_t num_steps) const;
-    void finishObsRun(const SimSession::ObsRun &orun,
-                      const sim::Recorder &rec,
-                      const RunSummary &summary) const;
-
-    Wiring w_;
 };
 
 } // namespace core

@@ -48,9 +48,10 @@ class EventLog
     /** Append @p e; counts it as dropped when at capacity. */
     void append(Event e);
 
-    /** Convenience append without numeric fields. */
+    /** Append an Event built from its parts. */
     void append(double time_s, long step, std::string kind,
-                std::string subject, std::string detail)
+                std::string subject, std::string detail,
+                std::vector<std::pair<std::string, double>> fields = {})
     {
         Event e;
         e.time_s = time_s;
@@ -58,6 +59,7 @@ class EventLog
         e.kind = std::move(kind);
         e.subject = std::move(subject);
         e.detail = std::move(detail);
+        e.fields = std::move(fields);
         append(std::move(e));
     }
 

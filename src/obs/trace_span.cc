@@ -19,11 +19,15 @@ SpanRegistry::id(const std::string &name)
 }
 
 void
-SpanRegistry::record(SpanId id, uint64_t elapsed_ns)
+SpanRegistry::record(SpanId id,
+                     std::chrono::steady_clock::duration elapsed)
 {
     Slot *slot = id.slot_;
     if (!slot)
         return;
+    const uint64_t elapsed_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+            .count());
     slot->count.fetch_add(1, std::memory_order_relaxed);
     slot->total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
     uint64_t seen = slot->min_ns.load(std::memory_order_relaxed);

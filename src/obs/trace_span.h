@@ -91,7 +91,8 @@ class SpanRegistry
     SpanId id(const std::string &name);
 
     /** Fold one measured duration into @p id's statistics. */
-    static void record(SpanId id, uint64_t elapsed_ns);
+    static void record(SpanId id,
+                       std::chrono::steady_clock::duration elapsed);
 
     /** Statistics of span @p name; throws when absent. */
     Stat stat(const std::string &name) const;
@@ -133,10 +134,7 @@ class TraceSpan
     {
         if (!id_.valid())
             return;
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-        SpanRegistry::record(id_, static_cast<uint64_t>(ns));
+        SpanRegistry::record(id_, std::chrono::steady_clock::now() - start_);
         id_ = SpanRegistry::SpanId{};
     }
 

@@ -78,9 +78,6 @@ class RcNetwork
      */
     void step(double seconds);
 
-    /** Number of nodes (capacitive + boundary). */
-    size_t numNodes() const { return nodes_.size(); }
-
   private:
     struct Node
     {

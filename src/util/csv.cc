@@ -61,16 +61,6 @@ CsvTable::column(size_t c) const
     return out;
 }
 
-size_t
-CsvTable::columnIndex(const std::string &name) const
-{
-    for (size_t i = 0; i < columns_.size(); ++i) {
-        if (columns_[i] == name)
-            return i;
-    }
-    fatal("CSV table has no column named `", name, "'");
-}
-
 void
 CsvTable::write(std::ostream &os) const
 {

@@ -49,9 +49,6 @@ class CsvTable
     /** Extract one full column by index. */
     std::vector<double> column(size_t c) const;
 
-    /** Index of the column named @p name; throws if absent. */
-    size_t columnIndex(const std::string &name) const;
-
     /** Serialize to a stream in CSV form. */
     void write(std::ostream &os) const;
 

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace h2p {
 
@@ -90,9 +91,10 @@ struct RunFailure
 };
 
 /**
- * An h2p::Error carrying a structured RunFailure. Thrown by the
- * SimEngine step loop (divergence at stage boundaries, guard
- * violations) and consumed by SweepEngine's per-point supervision.
+ * An h2p::Error carrying a structured RunFailure. Thrown through
+ * failRun() by the SimSession step loop (divergence at stage
+ * boundaries, guard violations) and consumed by SweepEngine's
+ * per-point supervision.
  */
 class RunError : public Error
 {
@@ -135,6 +137,24 @@ template <typename... Args>
 fatal(Args &&...args)
 {
     throw Error(detail::concat(std::forward<Args>(args)...));
+}
+
+/**
+ * Fail a supervised run: raise a RunError of @p kind attributed to
+ * @p step (or RunFailure::kNoStep) and pipeline stage @p stage.
+ *
+ * @param args Streamable message fragments.
+ */
+template <typename... Args>
+[[noreturn]] void
+failRun(FailureKind kind, size_t step, const char *stage, Args &&...args)
+{
+    RunFailure f;
+    f.kind = kind;
+    f.step = step;
+    f.stage = stage;
+    f.message = detail::concat(std::forward<Args>(args)...);
+    throw RunError(std::move(f));
 }
 
 /**

@@ -32,9 +32,6 @@ class Logger
     /** Access the process-wide logger instance. */
     static Logger &instance();
 
-    /** Set the minimum severity that will be emitted. */
-    void setLevel(LogLevel level) { level_ = level; }
-
     /** Current severity threshold. */
     LogLevel level() const { return level_; }
 

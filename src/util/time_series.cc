@@ -56,21 +56,6 @@ TimeSeries::integral() const
 }
 
 TimeSeries
-TimeSeries::downsample(size_t factor) const
-{
-    expect(factor >= 1, "downsample factor must be >= 1");
-    TimeSeries out(dt_ * static_cast<double>(factor));
-    for (size_t i = 0; i < samples_.size(); i += factor) {
-        size_t end = std::min(i + factor, samples_.size());
-        double sum = 0.0;
-        for (size_t j = i; j < end; ++j)
-            sum += samples_[j];
-        out.append(sum / static_cast<double>(end - i));
-    }
-    return out;
-}
-
-TimeSeries
 TimeSeries::operator+(const TimeSeries &other) const
 {
     expect(dt_ == other.dt_, "cannot add series with different periods");

@@ -67,12 +67,6 @@ class TimeSeries
      */
     double integral() const;
 
-    /**
-     * Downsample by averaging consecutive blocks of @p factor samples;
-     * a trailing partial block is averaged over its actual length.
-     */
-    TimeSeries downsample(size_t factor) const;
-
     /** Elementwise sum of two series with identical dt and length. */
     TimeSeries operator+(const TimeSeries &other) const;
 

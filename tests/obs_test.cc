@@ -10,16 +10,19 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/h2p_system.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace_span.h"
 #include "sim/channels.h"
+#include "sim/config.h"
 #include "tests/support/fields.h"
 #include "util/error.h"
 #include "util/parallel.h"
@@ -370,6 +373,25 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
+/** examples/configs/resilience.ini with the thermal balancer on. */
+sim::Config
+balancedResilienceIni()
+{
+    sim::Config ini = sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini");
+    ini.set("balancer", "enabled", "1");
+    return ini;
+}
+
+/** The INI's configuration, collecting telemetry without exporting it. */
+core::H2PConfig
+inMemoryObs(const sim::Config &ini)
+{
+    core::H2PConfig cfg = core::configFromIni(ini);
+    cfg.obs.jsonl_path.clear();
+    return cfg;
+}
+
 } // namespace
 
 TEST(ObsSystemTest, EnabledRunIsBitIdenticalToDisabled)
@@ -397,32 +419,125 @@ TEST(ObsSystemTest, EnabledRunIsBitIdenticalToDisabled)
 
 TEST(ObsSystemTest, ObservabilityCollectsRunTelemetry)
 {
-    core::H2PConfig cfg = smallConfig();
-    cfg.obs.enabled = true;
-    core::H2PSystem sys(cfg);
-    workload::UtilizationTrace trace = smallTrace(60);
-    core::RunResult r = sys.run(trace, sched::Policy::TegOriginal);
+    // A clean run, and a resilient one whose decide stage is the
+    // balancer (faults, safe mode and the watchdog all active).
+    struct Input
+    {
+        const char *name;
+        core::H2PConfig cfg;
+        workload::UtilizationTrace trace;
+        sched::Policy policy;
+    };
+    core::H2PConfig small = smallConfig();
+    small.obs.enabled = true;
+    const sim::Config ini = balancedResilienceIni();
+    const Input inputs[] = {
+        {"clean", small, smallTrace(60), sched::Policy::TegOriginal},
+        {"resilience.ini + balancer", inMemoryObs(ini),
+         core::makeTrace(core::traceRequestFromIni(ini)),
+         sched::Policy::TegLoadBalance}};
 
-    Observability *obs = sys.observability();
-    ASSERT_NE(obs, nullptr);
-    EXPECT_EQ(obs->metrics().counterValue("run.steps"),
-              trace.numSteps());
-    // The decision cache is on by default; hits + misses must cover
-    // every choose() call the run made.
-    EXPECT_GT(obs->metrics().counterValue("optimizer.cache_hits") +
-                  obs->metrics().counterValue("optimizer.cache_misses"),
-              0u);
-    EXPECT_EQ(obs->spans().stat("step").count, trace.numSteps());
-    EXPECT_EQ(obs->spans().stat("dc.evaluate").count,
-              trace.numSteps());
-    EXPECT_EQ(obs->spans().stat("sched.decide").count,
-              trace.numSteps());
-    // One run_start event.
-    auto events = obs->events().snapshot();
-    ASSERT_FALSE(events.empty());
-    EXPECT_EQ(events[0].kind, "run");
-    EXPECT_DOUBLE_EQ(r.summary.pre,
-                     obs->metrics().gaugeValue("run.pre"));
+    for (const Input &in : inputs) {
+        SCOPED_TRACE(in.name);
+        core::H2PSystem sys(in.cfg);
+        core::RunResult r = sys.run(in.trace, in.policy);
+
+        Observability *obs = sys.observability();
+        ASSERT_NE(obs, nullptr);
+        const size_t steps = in.trace.numSteps();
+        EXPECT_EQ(obs->metrics().counterValue("run.steps"), steps);
+        // The decision cache is on by default; hits + misses must
+        // cover every choose() call the run made.
+        EXPECT_GT(obs->metrics().counterValue("optimizer.cache_hits") +
+                      obs->metrics().counterValue("optimizer.cache_misses"),
+                  0u);
+        EXPECT_EQ(obs->spans().stat("step").count, steps);
+        EXPECT_EQ(obs->spans().stat("dc.evaluate").count, steps);
+        EXPECT_EQ(obs->spans().stat("sched.decide").count, steps);
+        // One run_start event.
+        auto events = obs->events().snapshot();
+        ASSERT_FALSE(events.empty());
+        EXPECT_EQ(events[0].kind, "run");
+        EXPECT_DOUBLE_EQ(r.summary.pre,
+                         obs->metrics().gaugeValue("run.pre"));
+    }
+}
+
+/**
+ * One event as a line: kind, subject, `detail', time, step and every
+ * field, numbers at round-trip precision.
+ */
+std::string
+pinLine(const Event &e)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << e.kind << ' ' << e.subject << " `"
+       << e.detail << "' t=" << e.time_s << " step=" << e.step;
+    for (const auto &[name, value] : e.fields)
+        os << ' ' << name << '=' << value;
+    return os.str();
+}
+
+/**
+ * The whole event log of resilience.ini under the balancer and the
+ * load-balance policy — faults, safe-mode transitions, watchdog trips,
+ * balancer drains and the run marker — pinned event by event.
+ */
+TEST(ObsSystemTest, EventLogIsPinnedEventByEvent)
+{
+    const sim::Config ini = balancedResilienceIni();
+    core::H2PSystem sys(inMemoryObs(ini));
+    sys.run(core::makeTrace(core::traceRequestFromIni(ini)),
+            sched::Policy::TegLoadBalance);
+
+    const std::vector<Event> events =
+        sys.observability()->events().snapshot();
+    std::vector<std::string> got;
+    for (const Event &e : events)
+        got.push_back(pinLine(e));
+    const std::vector<std::string> want = {
+        "run system `run_start policy=TEG_LoadBalance' t=0 step=0 "
+        "num_steps=144 dt_s=300",
+        "fault circ2 `pump_degraded' t=75.734686960156608 step=1 server=0 "
+        "magnitude=0.39818917049657887 duration_s=0",
+        "safe_mode circ2 `normal -> cold_fallback' t=600 step=2",
+        "balancer circ2 `drain_start' t=600 step=2 amount=0",
+        "fault circ1 `teg_short_circuit' t=1092.4791547424441 step=4 "
+        "server=6 magnitude=1 duration_s=0",
+        "fault circ2 `teg_short_circuit' t=6562.5110913515691 step=22 "
+        "server=45 magnitude=1 duration_s=0",
+        "fault circ0 `teg_short_circuit' t=6916.8468763329902 step=24 "
+        "server=38 magnitude=1 duration_s=0",
+        "fault circ3 `teg_open_circuit' t=12249.695673140266 step=41 "
+        "server=9 magnitude=0 duration_s=0",
+        "fault circ1 `pump_degraded' t=13624.81963467995 step=46 server=0 "
+        "magnitude=0.067539751253475944 duration_s=0",
+        "watchdog cluster `thermal trip' t=13800 step=46 new_trips=50 "
+        "throttled_servers=50",
+        "fault circ1 `teg_short_circuit' t=13986.403695089564 step=47 "
+        "server=32 magnitude=1 duration_s=0",
+        "safe_mode circ1 `normal -> cold_fallback' t=14100 step=47",
+        "balancer circ1 `drain_start' t=14100 step=47 amount=0",
+        "fault circ1 `teg_open_circuit' t=15669.0308494524 step=53 "
+        "server=9 magnitude=0 duration_s=0",
+        "fault circ1 `teg_short_circuit' t=22293.467474592137 step=75 "
+        "server=5 magnitude=1 duration_s=0",
+        "fault circ0 `pump_degraded' t=23420.07015913113 step=79 server=0 "
+        "magnitude=0.42957592932033717 duration_s=0",
+        "safe_mode circ0 `normal -> cold_fallback' t=24000 step=80",
+        "balancer circ0 `drain_start' t=24000 step=80 amount=0",
+        "fault circ3 `teg_short_circuit' t=25207.064645872801 step=85 "
+        "server=25 magnitude=1 duration_s=0",
+        "fault circ1 `pump_degraded' t=30730.273901878158 step=103 "
+        "server=0 magnitude=0.064082054016773637 duration_s=0",
+        "fault circ2 `teg_short_circuit' t=38152.843509786282 step=128 "
+        "server=15 magnitude=1 duration_s=0",
+        "fault circ1 `teg_short_circuit' t=40605.969688390527 step=136 "
+        "server=33 magnitude=1 duration_s=0",
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << "event " << i;
 }
 
 TEST(ObsSystemTest, JsonlExportContainsStepsFaultsAndMetrics)

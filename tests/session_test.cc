@@ -1,6 +1,6 @@
 /**
  * @file
- * SimEngine session tests: per-sample equivalence of the incremental
+ * SimSession tests: per-sample equivalence of the incremental
  * session API with batch run(), bit-identical checkpoint/resume for
  * clean and faulted runs (including onto a fresh system), checkpoint
  * rejection paths, the evaluateStep() fault-config guard and resolved
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "control/stages.h"
@@ -34,6 +35,13 @@
 
 namespace h2p {
 namespace {
+
+// Sessions point into their system: a copied or moved-from system
+// would leave them reading another system's configuration.
+static_assert(!std::is_copy_constructible_v<core::H2PSystem> &&
+              !std::is_copy_assignable_v<core::H2PSystem>);
+static_assert(!std::is_move_constructible_v<core::H2PSystem> &&
+              !std::is_move_assignable_v<core::H2PSystem>);
 
 bool
 sameBits(double a, double b)
@@ -234,9 +242,9 @@ TEST(SessionTest, CheckpointResumesAcrossThreadCounts)
 
 /**
  * A test-local decoder of the v2 checkpoint file, written from the
- * layout the engine documents (magic | version | payload length |
+ * layout the session documents (magic | version | payload length |
  * payload | FNV-1a footer, then the payload field by field) and
- * deliberately independent of the engine's own serializer: if save
+ * deliberately independent of the session's own serializer: if save
  * and load ever drift together, this walk still pins the bytes.
  * Every read is bounds-checked; a short read marks the walk failed.
  */
@@ -560,7 +568,7 @@ TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
             EXPECT_GE(held, 1u);
         }
 
-        // The file the engine reads back re-saves to the same bytes.
+        // The file the session reads back re-saves to the same bytes.
         auto resumed = sys.resumeSession(ck.path, trace);
         resumed.saveCheckpoint(ck.path);
         EXPECT_EQ(readFile(ck.path), bytes);

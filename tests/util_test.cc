@@ -159,8 +159,6 @@ TEST(CsvTest, ColumnExtraction)
     t.addRow({1, 10});
     t.addRow({2, 20});
     EXPECT_EQ(t.column(1), (std::vector<double>{10, 20}));
-    EXPECT_EQ(t.columnIndex("y"), 1u);
-    EXPECT_THROW(t.columnIndex("z"), Error);
 }
 
 TEST(CsvTest, BadNumberReportsLine)
@@ -305,17 +303,6 @@ TEST(TimeSeriesTest, EmptySeriesBehaviour)
     EXPECT_DOUBLE_EQ(ts.mean(), 0.0);
     EXPECT_THROW(ts.max(), Error);
     EXPECT_THROW(ts.at(0), Error);
-}
-
-TEST(TimeSeriesTest, DownsampleAverages)
-{
-    TimeSeries ts(1.0, {1, 3, 5, 7, 9});
-    TimeSeries d = ts.downsample(2);
-    ASSERT_EQ(d.size(), 3u);
-    EXPECT_DOUBLE_EQ(d.dt(), 2.0);
-    EXPECT_DOUBLE_EQ(d.at(0), 2.0);
-    EXPECT_DOUBLE_EQ(d.at(1), 6.0);
-    EXPECT_DOUBLE_EQ(d.at(2), 9.0); // partial trailing block
 }
 
 TEST(TimeSeriesTest, AdditionAndScaling)
