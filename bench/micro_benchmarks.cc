@@ -236,14 +236,21 @@ BENCHMARK(BM_DatacenterStep)->Arg(100)->Arg(1000);
 void
 BM_TraceGeneration(benchmark::State &state)
 {
+    // A day of the drastic profile at the two scales perfbench builds.
     workload::TraceGenerator gen(2020);
-    workload::TraceGenParams params;
+    const workload::TraceGenParams params =
+        workload::TraceGenParams::forProfile(
+            workload::TraceProfile::Drastic);
+    const size_t servers = static_cast<size_t>(state.range(0));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            gen.generate(params, 100, 3600.0 * 6.0));
+            gen.generate(params, servers, 24.0 * 3600.0));
     }
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK(BM_TraceGeneration)
+    ->Arg(200)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_OrderStatMean(benchmark::State &state)

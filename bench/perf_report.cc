@@ -9,7 +9,9 @@
  * per-step allocation, no decision cache), and
  * writes the measurements to
  * bench_results/BENCH_hotpath.json so future changes have a perf
- * trajectory to compare against.
+ * trajectory to compare against. The same file gets trace generation
+ * (the set-up of the paper's batch) timed on every usable CPU and on
+ * one.
  *
  * A second section measures batch throughput: a 16-point sweep run
  * serially versus through core::SweepEngine at 1/4/8 workers,
@@ -30,6 +32,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sched.h>
 
 #include "bench/bench_common.h"
 #include "cluster/datacenter.h"
@@ -702,6 +706,70 @@ main()
     sweep_out.close();
     std::cout << "[json] " << sweep_path << "\n\n";
 
+    // --------------------------------------------- trace generation
+    // paper-day's set-up: eight drastic 1,000-server 24-h traces, the
+    // servers split across every usable CPU, then with this thread
+    // (whose mask the generator's workers inherit) narrowed to one
+    // CPU. Best of three alternated passes each. A shared virtual
+    // machine sometimes runs all of a process's threads on one CPU
+    // for seconds (the sweep rows above then show no speed-up
+    // either), and this row then reads about 1.
+    const size_t trace_workers = util::hardwareThreads();
+    auto eight_traces_s = [] {
+        const workload::TraceGenParams params =
+            workload::TraceGenParams::forProfile(
+                workload::TraceProfile::Drastic);
+        auto t0 = Clock::now();
+        for (uint64_t seed = 1; seed <= 8; ++seed)
+            g_sink = g_sink + workload::TraceGenerator(seed)
+                                  .generate(params, 1000, 24.0 * 3600.0)
+                                  .util(0, 0);
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    // If the mask cannot be read, narrowed or restored, the one-CPU
+    // time would silently be a parallel one: it is reported as not
+    // measured instead.
+    cpu_set_t full_mask, one_cpu;
+    CPU_ZERO(&full_mask);
+    CPU_ZERO(&one_cpu);
+    bool one_cpu_measured =
+        sched_getaffinity(0, sizeof(full_mask), &full_mask) == 0;
+    for (int cpu = 0; one_cpu_measured && cpu < CPU_SETSIZE; ++cpu)
+        if (CPU_ISSET(cpu, &full_mask)) {
+            CPU_SET(cpu, &one_cpu);
+            break;
+        }
+    double trace_parallel_s = 1e300, trace_one_cpu_s = 1e300;
+    for (int pass = 0; pass < 3; ++pass) {
+        trace_parallel_s = std::min(trace_parallel_s, eight_traces_s());
+        if (!one_cpu_measured)
+            continue;
+        if (sched_setaffinity(0, sizeof(one_cpu), &one_cpu) != 0) {
+            one_cpu_measured = false;
+            continue;
+        }
+        trace_one_cpu_s = std::min(trace_one_cpu_s, eight_traces_s());
+        if (sched_setaffinity(0, sizeof(full_mask), &full_mask) != 0) {
+            one_cpu_measured = false;
+            break;
+        }
+    }
+    std::cout << "trace generation (8 x 1000 servers x 24 h): "
+              << strings::fixed(trace_parallel_s * 1e3, 1) << " ms on "
+              << trace_workers << " workers, ";
+    if (one_cpu_measured)
+        std::cout << strings::fixed(trace_one_cpu_s * 1e3, 1)
+                  << " ms on one CPU (x"
+                  << strings::fixed(trace_one_cpu_s / trace_parallel_s, 2)
+                  << ")\n";
+    else
+        std::cout << "one-CPU time not measured (affinity call failed)\n";
+    const std::string trace_one_cpu_json =
+        one_cpu_measured ? jsonNum(trace_one_cpu_s) : "null";
+    const std::string trace_speedup_json =
+        one_cpu_measured ? jsonNum(trace_one_cpu_s / trace_parallel_s)
+                         : "null";
+
     // -------------------------------------------------- JSON report
     std::ostringstream json;
     json << "{\n"
@@ -710,8 +778,17 @@ main()
          << "  \"note\": \"baseline emulates the pre-optimization "
             "path: slices materialized point by point through "
             "trilinear interpolation, per-step allocation, no "
-            "decision cache. Every row is single-threaded.\",\n"
+            "decision cache. Every row but trace_generation is "
+            "single-threaded.\",\n"
          << "  \"lookup_build_ns\": " << jsonNum(lookup_ns) << ",\n"
+         << "  \"trace_generation\": {\n"
+         << "    \"traces\": 8,\n"
+         << "    \"servers\": 1000,\n"
+         << "    \"hours\": 24,\n"
+         << "    \"workers\": " << trace_workers << ",\n"
+         << "    \"parallel_s\": " << jsonNum(trace_parallel_s) << ",\n"
+         << "    \"one_cpu_s\": " << trace_one_cpu_json << ",\n"
+         << "    \"speedup\": " << trace_speedup_json << "\n  },\n"
          << "  \"optimizer_decision\": {\n"
          << "    \"slice_baseline_ns\": " << jsonNum(slice_ns) << ",\n"
          << "    \"visitor_ns\": " << jsonNum(visitor_ns) << ",\n"

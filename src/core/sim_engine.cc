@@ -307,8 +307,10 @@ SimSession::finishObsRun(const RunSummary &summary) const
 
     const sim::Recorder &rec = *recorder_;
     const obs::ObsParams &p = orun_.obs->params();
+    // Telemetry is whole or absent after a crash, not durable: two
+    // fsyncs would cost more than a short run.
     if (!p.jsonl_path.empty()) {
-        util::atomicWriteFile(p.jsonl_path, [&](std::ostream &os) {
+        util::replaceFile(p.jsonl_path, [&](std::ostream &os) {
             os << "{\"type\":\"run\",\"policy\":\""
                << obs::jsonEscape(sched::toString(summary.policy))
                << "\",\"dt_s\":" << rec.dt() << "}\n";
@@ -317,7 +319,7 @@ SimSession::finishObsRun(const RunSummary &summary) const
         });
     }
     if (!p.csv_path.empty()) {
-        util::atomicWriteFile(p.csv_path, [&](std::ostream &os) {
+        util::replaceFile(p.csv_path, [&](std::ostream &os) {
             orun_.obs->writeMetricsCsv(os);
         });
     }

@@ -56,12 +56,16 @@ failWith(const std::string &op, const std::string &path)
           err != 0 ? std::strerror(err) : "I/O error");
 }
 
-} // namespace
-
+/**
+ * Write @p contents to a temp sibling of @p path and rename it over
+ * @p path; with @p durable, fsync the temp file before the rename and
+ * the directory after it.
+ */
 void
-atomicWriteFile(const std::string &path, const std::string &contents)
+writeViaTemp(const std::string &path, const std::string &contents,
+             bool durable)
 {
-    expect(!path.empty(), "atomicWriteFile: empty path");
+    expect(!path.empty(), "write file: empty path");
     const std::string tmp = tempSibling(path);
 
 #ifndef _WIN32
@@ -85,7 +89,7 @@ atomicWriteFile(const std::string &path, const std::string &contents)
 
     // The data must be on stable storage *before* the rename makes it
     // reachable, or a crash could expose an empty renamed file.
-    if (::fsync(fd) != 0) {
+    if (durable && ::fsync(fd) != 0) {
         ::close(fd);
         ::unlink(tmp.c_str());
         failWith("fsync", path);
@@ -102,12 +106,15 @@ atomicWriteFile(const std::string &path, const std::string &contents)
     // Make the rename itself durable. Failure here (e.g. an
     // unfsyncable filesystem) does not endanger the data already
     // renamed in place, so it is not an error.
-    int dir_fd = ::open(dirOf(path).c_str(), O_RDONLY);
-    if (dir_fd >= 0) {
-        ::fsync(dir_fd);
-        ::close(dir_fd);
+    if (durable) {
+        int dir_fd = ::open(dirOf(path).c_str(), O_RDONLY);
+        if (dir_fd >= 0) {
+            ::fsync(dir_fd);
+            ::close(dir_fd);
+        }
     }
 #else
+    (void)durable;
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr)
         failWith("create temp file for", path);
@@ -126,14 +133,37 @@ atomicWriteFile(const std::string &path, const std::string &contents)
 #endif
 }
 
-void
-atomicWriteFile(const std::string &path,
-                const std::function<void(std::ostream &)> &writer)
+/** What @p writer renders, for the file at @p path. */
+std::string
+render(const std::string &path,
+       const std::function<void(std::ostream &)> &writer)
 {
     std::ostringstream os;
     writer(os);
     expect(os.good(), "failed rendering contents for `", path, "'");
-    atomicWriteFile(path, os.str());
+    return os.str();
+}
+
+} // namespace
+
+void
+atomicWriteFile(const std::string &path, const std::string &contents)
+{
+    writeViaTemp(path, contents, true);
+}
+
+void
+atomicWriteFile(const std::string &path,
+                const std::function<void(std::ostream &)> &writer)
+{
+    writeViaTemp(path, render(path, writer), true);
+}
+
+void
+replaceFile(const std::string &path,
+            const std::function<void(std::ostream &)> &writer)
+{
+    writeViaTemp(path, render(path, writer), false);
 }
 
 } // namespace util

@@ -6,9 +6,11 @@
  * CSV/JSONL exports — must never be observable half-written: a process
  * killed mid-write may leave a stale previous version or no file, but
  * not a truncated one. atomicWriteFile provides that guarantee with
- * the classic temp + fsync + rename dance; the append-only sweep
- * journal gets durability from write + flush + fsync per record, its
- * reader detecting and cutting a torn tail instead.
+ * the classic temp + fsync + rename dance; replaceFile skips the
+ * fsyncs for telemetry, which is then whole or absent but not
+ * durable. The append-only sweep journal gets durability from write +
+ * flush + fsync per record, its reader detecting and cutting a torn
+ * tail instead.
  */
 
 #ifndef H2P_UTIL_FS_H_
@@ -38,6 +40,16 @@ void atomicWriteFile(const std::string &path,
  */
 void atomicWriteFile(const std::string &path,
                      const std::function<void(std::ostream &)> &writer);
+
+/**
+ * Like the stream-writer atomicWriteFile (temp sibling + rename, so a
+ * reader or a killed process never sees a truncated file) but without
+ * either fsync: after a machine crash the file may hold the previous
+ * version or be absent. For telemetry that is cheap to regenerate,
+ * where two fsyncs would cost more than the run the file describes.
+ */
+void replaceFile(const std::string &path,
+                 const std::function<void(std::ostream &)> &writer);
 
 } // namespace util
 } // namespace h2p

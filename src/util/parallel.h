@@ -4,12 +4,14 @@
  * counts, and one dynamic fork-join over an index range.
  *
  * A simulation run is always a single serial step loop; parallelism
- * lives one level up, across independent runs (SweepEngine). Runs
- * differ in length, so indices are claimed one at a time from a
- * shared atomic cursor and a worker that finishes early takes the
- * next pending index instead of idling. Which thread runs which index
- * depends on timing, so callers keep per-index work independent, write
- * results into per-index slots and reduce in index order afterwards.
+ * lives one level up, across independent runs (SweepEngine), and in
+ * set-up, across the servers of a generated trace
+ * (workload::TraceGenerator). Runs differ in length, so indices are
+ * claimed one at a time from a shared atomic cursor and a worker that
+ * finishes early takes the next pending index instead of idling.
+ * Which thread runs which index depends on timing, so callers keep
+ * per-index work independent, write results into per-index slots and
+ * reduce in index order afterwards.
  */
 
 #ifndef H2P_UTIL_PARALLEL_H_

@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace h2p {
 namespace workload {
+
+namespace {
+
+/** Servers one worker claims at a time. */
+constexpr size_t kServerBlock = 64;
+
+} // namespace
 
 std::string
 toString(TraceProfile profile)
@@ -68,75 +77,72 @@ TraceGenerator::generate(const TraceGenParams &params, size_t num_servers,
     expect(dt_s > 0.0, "sampling interval must be positive");
 
     size_t steps = static_cast<size_t>(std::ceil(duration_s / dt_s));
-    UtilizationTrace trace(num_servers, dt_s);
-
-    // Per-server state: OU level, burst remaining time/height, phase.
-    struct ServerState
-    {
-        Rng rng{0};
-        double ou = 0.0;
-        double burst_left_s = 0.0;
-        double burst_height = 0.0;
-        double phase = 0.0;
-        double base = 0.0;
-    };
-    std::vector<ServerState> servers(num_servers);
-    for (size_t i = 0; i < num_servers; ++i) {
-        auto &s = servers[i];
-        s.rng = root_.fork(i + 1);
-        s.phase = s.rng.uniform(0.0, 2.0 * M_PI);
-        // Heterogeneous long-run means across servers.
-        s.base = s.rng.truncNormal(params.base_util,
-                                   0.25 * params.base_util, 0.02, 0.9);
-        s.ou = s.rng.normal(0.0, params.ou_sigma);
-    }
 
     double theta = 1.0 / params.ou_tau_s;
+    double ou_decay = std::exp(-theta * dt_s);
     double ou_step_sigma =
         params.ou_sigma * std::sqrt(1.0 - std::exp(-2.0 * theta * dt_s));
     double burst_prob_per_step =
         params.bursts_per_day * dt_s / 86400.0;
 
-    for (size_t t = 0; t < steps; ++t) {
-        double clock_s = dt_s * static_cast<double>(t);
-        std::vector<double> row(num_servers);
-        for (size_t i = 0; i < num_servers; ++i) {
-            auto &s = servers[i];
+    // Server-major: one server's whole series at a time, its state in
+    // locals, written into its column of the preallocated rows. Every
+    // server draws only from its own forked stream, so neither the
+    // order of servers nor the worker a server runs on changes a bit.
+    std::vector<std::vector<double>> rows(
+        steps, std::vector<double>(num_servers));
+    auto generateServer = [&](size_t i) {
+        Rng rng = root_.fork(i + 1);
+        double phase = rng.uniform(0.0, 2.0 * M_PI);
+        // Heterogeneous long-run means across servers.
+        double base = rng.truncNormal(params.base_util,
+                                      0.25 * params.base_util, 0.02, 0.9);
+        double ou = rng.normal(0.0, params.ou_sigma);
+        double burst_left_s = 0.0;
+        double burst_height = 0.0;
+
+        for (size_t t = 0; t < steps; ++t) {
+            double clock_s = dt_s * static_cast<double>(t);
 
             // Diurnal baseline (24-h period, per-server phase).
             double diurnal =
                 params.diurnal_amp *
-                std::sin(2.0 * M_PI * clock_s / 86400.0 + s.phase);
+                std::sin(2.0 * M_PI * clock_s / 86400.0 + phase);
 
             // Exact OU transition over one step.
-            s.ou = s.ou * std::exp(-theta * dt_s) +
-                   s.rng.normal(0.0, ou_step_sigma);
+            ou = ou * ou_decay + rng.normal(0.0, ou_step_sigma);
 
             // Occasional drastic jumps.
-            if (params.jump_prob > 0.0 &&
-                s.rng.bernoulli(params.jump_prob)) {
-                s.ou += s.rng.normal(0.0, params.jump_sigma);
-            }
+            if (params.jump_prob > 0.0 && rng.bernoulli(params.jump_prob))
+                ou += rng.normal(0.0, params.jump_sigma);
 
             // Poisson bursts (irregular profile's high peaks).
-            if (s.burst_left_s <= 0.0 && burst_prob_per_step > 0.0 &&
-                s.rng.bernoulli(burst_prob_per_step)) {
-                s.burst_left_s =
-                    s.rng.exponential(1.0 / params.burst_duration_s);
-                s.burst_height =
-                    params.burst_height * s.rng.uniform(0.7, 1.3);
+            if (burst_left_s <= 0.0 && burst_prob_per_step > 0.0 &&
+                rng.bernoulli(burst_prob_per_step)) {
+                burst_left_s =
+                    rng.exponential(1.0 / params.burst_duration_s);
+                burst_height = params.burst_height * rng.uniform(0.7, 1.3);
             }
             double burst = 0.0;
-            if (s.burst_left_s > 0.0) {
-                burst = s.burst_height;
-                s.burst_left_s -= dt_s;
+            if (burst_left_s > 0.0) {
+                burst = burst_height;
+                burst_left_s -= dt_s;
             }
 
-            row[i] = std::clamp(s.base + diurnal + s.ou + burst, 0.0,
-                                1.0);
+            rows[t][i] = std::clamp(base + diurnal + ou + burst, 0.0, 1.0);
         }
+    };
+    // Blocks of servers, so two workers rarely write one cache line.
+    const size_t blocks = (num_servers + kServerBlock - 1) / kServerBlock;
+    util::parallelForDynamic(blocks, 0, [&](size_t b) {
+        const size_t end = std::min(num_servers, (b + 1) * kServerBlock);
+        for (size_t i = b * kServerBlock; i < end; ++i)
+            generateServer(i);
+    });
+
+    UtilizationTrace trace(num_servers, dt_s);
+    for (std::vector<double> &row : rows)
         trace.addStep(std::move(row));
-    }
     return trace;
 }
 

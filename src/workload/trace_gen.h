@@ -73,7 +73,9 @@ class TraceGenerator
     explicit TraceGenerator(uint64_t seed = 2020);
 
     /**
-     * Generate a trace.
+     * Generate a trace. Servers are split across hardwareThreads()
+     * workers; each draws only from its own forked stream, so the
+     * trace is the same bit for bit on any core count or affinity.
      *
      * @param params Statistical shape.
      * @param num_servers Number of servers.

@@ -594,6 +594,53 @@ TEST(SessionBroker, SweepStreamsPointsThenDone)
     EXPECT_EQ(responses[0].body, responses[1].body);
 }
 
+TEST(SessionBroker, SweepPointsSharingATraceMatchInProcessRuns)
+{
+    // Documents 0 and 1 share their [trace] section; document 2 asks
+    // for another seed. Each point must match its document run alone.
+    const auto edit = [](const std::string &from, const std::string &to) {
+        std::string doc = kIni;
+        doc.replace(doc.find(from), from.size(), to);
+        return doc;
+    };
+    const std::vector<std::string> docs = {
+        kIni,
+        edit("servers_per_circulation = 20", "servers_per_circulation = 10"),
+        edit("seed = 21", "seed = 22"),
+    };
+    const std::string body = docs[0] + "---\n" + docs[1] + "---\n" + docs[2];
+    service::SessionBroker broker;
+    std::vector<service::Response> responses;
+    broker.handle(makeRequest("sweep", {"balance", "2"}, body),
+                  [&responses](const service::Response &r) {
+                      responses.push_back(r);
+                  });
+    ASSERT_EQ(responses.size(), docs.size() + 1);
+    EXPECT_EQ(responses.back().args[0], "done");
+    EXPECT_EQ(responses.back().args[1], "3");
+
+    std::vector<std::string> want;
+    for (const std::string &doc : docs) {
+        std::istringstream is(doc);
+        const sim::Config ini = sim::Config::parse(is);
+        const workload::UtilizationTrace trace =
+            core::makeTrace(core::traceRequestFromIni(ini));
+        core::H2PSystem system(core::configFromIni(ini));
+        want.push_back(service::summaryJson(
+            system.run(trace, sched::Policy::TegLoadBalance).summary));
+    }
+    EXPECT_NE(want[0], want[2]);
+    for (size_t i = 0; i < docs.size(); ++i) {
+        const service::Response &r = responses[i];
+        ASSERT_TRUE(r.ok) << r.message;
+        ASSERT_EQ(r.args[0], "point");
+        const size_t index = std::stoul(r.args[1]);
+        ASSERT_LT(index, docs.size());
+        EXPECT_EQ(r.args[3], "completed");
+        EXPECT_EQ(r.body, want[index]) << "document " << index;
+    }
+}
+
 TEST(SessionBroker, SweepRejectsEmptyDocuments)
 {
     // An empty body, and a body ending in "---", once ran points of

@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -444,6 +446,28 @@ TEST(FsTest, AtomicWriteFileWritesAndReplaces)
         EXPECT_EQ(all, "second, via stream writer");
     }
     std::remove(path.c_str());
+}
+
+TEST(FsTest, ReplaceFileReplacesWholeAndLeavesNoTemp)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "util_test_replace";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "telemetry.csv").string();
+    util::atomicWriteFile(path, "a longer previous version\n");
+
+    util::replaceFile(path, [](std::ostream &os) { os << "new\n"; });
+    std::ifstream is(path);
+    std::string all((std::istreambuf_iterator<char>(is)),
+                    std::istreambuf_iterator<char>());
+    EXPECT_EQ(all, "new\n"); // no tail of the longer file survives
+
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"telemetry.csv"});
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FsTest, AtomicWriteFileFailsLoudlyOnBadDestination)

@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "tests/support/trace_gen_reference.h"
+#include "util/parallel.h"
 #include "workload/cpu_power.h"
 #include "workload/governor.h"
 #include "workload/trace.h"
@@ -150,16 +159,90 @@ TEST(TraceTest, FirstServersSlices)
 
 // ------------------------------------------------------------- generator
 
+/** @p a and @p b hold the same samples, bit for bit. */
+testing::AssertionResult
+sameBits(const UtilizationTrace &a, const UtilizationTrace &b)
+{
+    if (a.numServers() != b.numServers() || a.numSteps() != b.numSteps())
+        return testing::AssertionFailure()
+               << a.numServers() << "x" << a.numSteps() << " vs "
+               << b.numServers() << "x" << b.numSteps();
+    if (a.fingerprint() != b.fingerprint())
+        return testing::AssertionFailure() << "fingerprints differ";
+    for (size_t s = 0; s < a.numSteps(); ++s)
+        for (size_t i = 0; i < a.numServers(); ++i)
+            if (std::bit_cast<uint64_t>(a.util(s, i)) !=
+                std::bit_cast<uint64_t>(b.util(s, i)))
+                return testing::AssertionFailure()
+                       << "step " << s << " server " << i << ": "
+                       << a.util(s, i) << " vs " << b.util(s, i);
+    return testing::AssertionSuccess();
+}
+
 TEST(TraceGenTest, DeterministicForSameSeed)
 {
     TraceGenerator a(77), b(77);
     auto ta = a.generate(TraceGenParams{}, 5, 3600.0);
     auto tb = b.generate(TraceGenParams{}, 5, 3600.0);
-    ASSERT_EQ(ta.numSteps(), tb.numSteps());
-    for (size_t s = 0; s < ta.numSteps(); ++s)
-        for (size_t i = 0; i < 5; ++i)
-            EXPECT_DOUBLE_EQ(ta.util(s, i), tb.util(s, i));
+    EXPECT_TRUE(sameBits(ta, tb));
 }
+
+#if defined(__linux__)
+TEST(TraceGenTest, MatchesTimeMajorReference)
+{
+    // The generator sizes its workers by hardwareThreads(), which reads
+    // this thread's affinity mask (spawned workers inherit it): narrow
+    // the mask to one CPU for the serial path, then widen it to the
+    // full mask for every worker the host grants, which also restores
+    // the mask the test started with.
+    cpu_set_t full;
+    CPU_ZERO(&full);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+    int first_cpu = 0;
+    while (!CPU_ISSET(first_cpu, &full))
+        ++first_cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+
+    struct Case
+    {
+        TraceProfile profile;
+        size_t servers;
+        uint64_t seed;
+    };
+    std::vector<Case> cases;
+    // Fewer servers than one claimed block, and just past a boundary.
+    for (TraceProfile profile : {TraceProfile::Drastic,
+                                 TraceProfile::Irregular,
+                                 TraceProfile::Common})
+        for (size_t servers : {size_t{1}, size_t{7}, size_t{65}})
+            for (uint64_t seed : {uint64_t{1}, uint64_t{2020},
+                                  (uint64_t{1} << 40) + 3})
+                cases.push_back({profile, servers, seed});
+    // Paper scale.
+    cases.push_back({TraceProfile::Irregular, 1000, 2020});
+
+    for (const cpu_set_t *mask : {&one, &full}) {
+        ASSERT_EQ(sched_setaffinity(0, sizeof(*mask), mask), 0);
+        if (mask == &one) {
+            EXPECT_EQ(util::hardwareThreads(), 1u);
+        }
+        for (const Case &c : cases) {
+            const TraceGenParams params = TraceGenParams::forProfile(
+                c.profile);
+            const UtilizationTrace got = TraceGenerator(c.seed).generate(
+                params, c.servers, 24.0 * 3600.0);
+            const UtilizationTrace want = oracle::timeMajorTrace(
+                c.seed, params, c.servers, 24.0 * 3600.0);
+            EXPECT_TRUE(sameBits(got, want))
+                << toString(c.profile) << ", " << c.servers
+                << " servers, seed " << c.seed << ", "
+                << util::hardwareThreads() << " workers";
+        }
+    }
+}
+#endif
 
 TEST(TraceGenTest, DifferentSeedsDiffer)
 {
