@@ -65,7 +65,7 @@ main()
             table.addRow(
                 {toString(prof) + " / " + toString(policy),
                  strings::fixed(r.summary.avg_teg_w, 3),
-                 "[" + strings::fixed(ci.lo, 3) + ", " +
+                 '[' + strings::fixed(ci.lo, 3) + ", " +
                      strings::fixed(ci.hi, 3) + "]",
                  strings::fixed(r.summary.peak_teg_w, 3),
                  strings::fixed(paper, 3),

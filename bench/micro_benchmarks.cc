@@ -13,6 +13,7 @@
 #include "core/h2p_system.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/lookup_space.h"
+#include "service/session_broker.h"
 #include "stats/order_stats.h"
 #include "thermal/cpu.h"
 #include "thermal/teg.h"
@@ -278,6 +279,43 @@ BM_FullScheduledStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullScheduledStep);
+
+/**
+ * One in-process SessionBroker::handleOne per iteration against a
+ * 1,000-server twin (paper.ini's fleet) stepped to the end of its
+ * trace, for the requests of the service's mixed blend: ping, a
+ * boundary step, `query state`, plus `query decision`. The transport
+ * is not in the loop, so this is the broker's share of a request:
+ * parse-free dispatch, the session lock and the reply body.
+ */
+void
+BM_BrokerReply(benchmark::State &state)
+{
+    service::SessionBroker broker;
+    const service::Response open = broker.handleOne(
+        {"open", {"balance"},
+         "[datacenter]\nnum_servers = 1000\nservers_per_circulation = 50\n"
+         "[trace]\nprofile = drastic\nseed = 2020\n"});
+    const std::string id = open.args.at(0);
+    broker.handleOne({"step", {id, open.args.at(1)}, ""});
+
+    const service::Request requests[] = {
+        {"ping", {}, ""},
+        {"step", {id, "1"}, ""},
+        {"query", {id, "state"}, ""},
+        {"query", {id, "decision"}, ""},
+    };
+    const service::Request &request = requests[state.range(0)];
+    state.SetLabel(request.verb + (request.args.size() == 2
+                                       ? " " + request.args[1]
+                                       : std::string()));
+    for (auto _ : state) {
+        service::Response r = broker.handleOne(request);
+        benchmark::DoNotOptimize(r.body.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_BrokerReply)->DenseRange(0, 3);
 
 } // namespace
 

@@ -1,21 +1,21 @@
 #include "obs/observability.h"
 
 #include <cmath>
-#include <limits>
 #include <ostream>
 
+#include "util/number_format.h"
 #include "util/table.h"
 
 namespace h2p {
 namespace obs {
 
 void
-jsonNumber(std::ostream &os, double x)
+jsonNumber(util::TextBuffer &out, double x)
 {
     if (std::isfinite(x))
-        os << x;
+        out << x;
     else
-        os << "null";
+        out << "null";
 }
 
 std::string
@@ -62,110 +62,106 @@ Observability::Observability(const ObsParams &params)
 void
 Observability::writeJsonl(std::ostream &os) const
 {
-    const auto precision = os.precision();
-    os.precision(std::numeric_limits<double>::max_digits10);
-
+    util::TextBuffer out;
     for (const Event &e : events_.snapshot()) {
-        os << "{\"type\":\"event\",\"time_s\":";
-        jsonNumber(os, e.time_s);
-        os << ",\"step\":" << e.step << ",\"kind\":\""
-           << jsonEscape(e.kind) << "\",\"subject\":\""
-           << jsonEscape(e.subject) << "\",\"detail\":\""
-           << jsonEscape(e.detail) << "\"";
+        out << "{\"type\":\"event\",\"time_s\":";
+        jsonNumber(out, e.time_s);
+        out << ",\"step\":" << e.step << ",\"kind\":\""
+            << jsonEscape(e.kind) << "\",\"subject\":\""
+            << jsonEscape(e.subject) << "\",\"detail\":\""
+            << jsonEscape(e.detail) << "\"";
         if (!e.fields.empty()) {
-            os << ",\"fields\":{";
+            out << ",\"fields\":{";
             bool first = true;
             for (const auto &[key, value] : e.fields) {
                 if (!first)
-                    os << ",";
+                    out << ",";
                 first = false;
-                os << "\"" << jsonEscape(key) << "\":";
-                jsonNumber(os, value);
+                out << "\"" << jsonEscape(key) << "\":";
+                jsonNumber(out, value);
             }
-            os << "}";
+            out << "}";
         }
-        os << "}\n";
+        out << "}\n";
     }
     if (events_.dropped() > 0)
-        os << "{\"type\":\"event_overflow\",\"dropped\":"
-           << events_.dropped() << "}\n";
+        out << "{\"type\":\"event_overflow\",\"dropped\":"
+            << events_.dropped() << "}\n";
 
     for (const SpanRegistry::Stat &s : spans_.snapshot()) {
-        os << "{\"type\":\"span\",\"name\":\"" << jsonEscape(s.name)
-           << "\",\"count\":" << s.count
-           << ",\"total_ns\":" << s.total_ns
-           << ",\"min_ns\":" << s.min_ns << ",\"max_ns\":" << s.max_ns
-           << ",\"mean_ns\":";
-        jsonNumber(os, s.meanNs());
-        os << "}\n";
+        out << "{\"type\":\"span\",\"name\":\"" << jsonEscape(s.name)
+            << "\",\"count\":" << s.count
+            << ",\"total_ns\":" << s.total_ns
+            << ",\"min_ns\":" << s.min_ns << ",\"max_ns\":" << s.max_ns
+            << ",\"mean_ns\":";
+        jsonNumber(out, s.meanNs());
+        out << "}\n";
     }
 
     for (const auto &c : metrics_.counters())
-        os << "{\"type\":\"counter\",\"name\":\"" << jsonEscape(c.name)
-           << "\",\"value\":" << c.value << "}\n";
+        out << "{\"type\":\"counter\",\"name\":\"" << jsonEscape(c.name)
+            << "\",\"value\":" << c.value << "}\n";
     // Overflow is surfaced as a uniform counter too, so metric-only
     // consumers (and the CSV export) see the loss without having to
     // scan for the event_overflow record.
     if (events_.dropped() > 0)
-        os << "{\"type\":\"counter\",\"name\":\"dropped_events\","
-              "\"value\":"
-           << events_.dropped() << "}\n";
+        out << "{\"type\":\"counter\",\"name\":\"dropped_events\","
+               "\"value\":"
+            << events_.dropped() << "}\n";
 
     for (const auto &g : metrics_.gauges()) {
-        os << "{\"type\":\"gauge\",\"name\":\"" << jsonEscape(g.name)
-           << "\",\"value\":";
-        jsonNumber(os, g.value);
-        os << "}\n";
+        out << "{\"type\":\"gauge\",\"name\":\"" << jsonEscape(g.name)
+            << "\",\"value\":";
+        jsonNumber(out, g.value);
+        out << "}\n";
     }
 
     for (const auto &h : metrics_.histograms()) {
-        os << "{\"type\":\"histogram\",\"name\":\""
-           << jsonEscape(h.name) << "\",\"count\":" << h.count
-           << ",\"sum\":";
-        jsonNumber(os, h.sum);
-        os << ",\"min\":";
-        jsonNumber(os, h.min);
-        os << ",\"max\":";
-        jsonNumber(os, h.max);
-        os << ",\"bins\":[";
+        out << "{\"type\":\"histogram\",\"name\":\""
+            << jsonEscape(h.name) << "\",\"count\":" << h.count
+            << ",\"sum\":";
+        jsonNumber(out, h.sum);
+        out << ",\"min\":";
+        jsonNumber(out, h.min);
+        out << ",\"max\":";
+        jsonNumber(out, h.max);
+        out << ",\"bins\":[";
         for (size_t i = 0; i < h.histogram.numBins(); ++i) {
             if (i > 0)
-                os << ",";
-            os << "{\"lo\":";
-            jsonNumber(os, h.histogram.binLo(i));
-            os << ",\"hi\":";
-            jsonNumber(os, h.histogram.binHi(i));
-            os << ",\"count\":" << h.histogram.binCount(i) << "}";
+                out << ",";
+            out << "{\"lo\":";
+            jsonNumber(out, h.histogram.binLo(i));
+            out << ",\"hi\":";
+            jsonNumber(out, h.histogram.binHi(i));
+            out << ",\"count\":" << h.histogram.binCount(i) << "}";
         }
-        os << "]}\n";
+        out << "]}\n";
     }
 
-    os.precision(precision);
+    out.flushTo(os);
 }
 
 void
 Observability::writeMetricsCsv(std::ostream &os) const
 {
-    const auto precision = os.precision();
-    os.precision(std::numeric_limits<double>::max_digits10);
-
-    os << "metric,kind,count,value,sum,min,max\n";
+    util::TextBuffer out;
+    out << "metric,kind,count,value,sum,min,max\n";
     for (const auto &c : metrics_.counters())
-        os << c.name << ",counter,," << c.value << ",,,\n";
+        out << c.name << ",counter,," << c.value << ",,,\n";
     if (events_.dropped() > 0)
-        os << "dropped_events,counter,," << events_.dropped()
-           << ",,,\n";
+        out << "dropped_events,counter,," << events_.dropped()
+            << ",,,\n";
     for (const auto &g : metrics_.gauges())
-        os << g.name << ",gauge,," << g.value << ",,,\n";
+        out << g.name << ",gauge,," << g.value << ",,,\n";
     for (const auto &h : metrics_.histograms())
-        os << h.name << ",histogram," << h.count << ",," << h.sum << ","
-           << h.min << "," << h.max << "\n";
+        out << h.name << ",histogram," << h.count << ",," << h.sum << ","
+            << h.min << "," << h.max << "\n";
     for (const auto &s : spans_.snapshot())
-        os << s.name << ",span_ns," << s.count << "," << s.meanNs()
-           << "," << s.total_ns << "," << s.min_ns << "," << s.max_ns
-           << "\n";
+        out << s.name << ",span_ns," << s.count << "," << s.meanNs()
+            << "," << s.total_ns << "," << s.min_ns << "," << s.max_ns
+            << "\n";
 
-    os.precision(precision);
+    out.flushTo(os);
 }
 
 void

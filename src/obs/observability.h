@@ -25,6 +25,9 @@
 #include "obs/trace_span.h"
 
 namespace h2p {
+namespace util {
+class TextBuffer;
+}
 namespace obs {
 
 /** User-facing knobs, bound from the `[obs]` INI section. */
@@ -57,11 +60,11 @@ struct ObsParams
 std::string jsonEscape(const std::string &s);
 
 /**
- * Write @p x as a JSON number at the stream's precision (set
- * max_digits10 for a bit-exact round trip); non-finite values become
- * null (JSON has no inf/nan literals).
+ * Append @p x as a JSON number (util::writeDouble's %.17g, which
+ * parses back bit-equal); non-finite values become null (JSON has no
+ * inf/nan literals).
  */
-void jsonNumber(std::ostream &os, double x);
+void jsonNumber(util::TextBuffer &out, double x);
 
 /**
  * One run's worth of telemetry state plus its exporters. Metric and

@@ -14,6 +14,7 @@
 #include "core/sweep_engine.h"
 #include "sim/config.h"
 #include "util/error.h"
+#include "util/number_format.h"
 
 namespace h2p {
 namespace service {
@@ -51,35 +52,33 @@ parseCount(const std::string &token, const char *what)
 std::string
 stateJson(const cluster::DatacenterState &state, size_t num_servers)
 {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"cpu_power_w\":";
-    obs::jsonNumber(os, state.cpu_power_w);
-    os << ",\"teg_power_w\":";
-    obs::jsonNumber(os, state.teg_power_w);
-    os << ",\"teg_w_per_server\":";
-    obs::jsonNumber(os, state.tegPowerPerServer(num_servers));
-    os << ",\"heat_w\":";
-    obs::jsonNumber(os, state.heat_w);
-    os << ",\"pump_power_w\":";
-    obs::jsonNumber(os, state.pump_power_w);
-    os << ",\"plant_power_w\":";
-    obs::jsonNumber(os, state.plant_power_w);
-    os << ",\"faulted_servers\":" << state.faulted_servers
-       << ",\"teg_power_lost_w\":";
-    obs::jsonNumber(os, state.teg_power_lost_w);
-    os << ",\"plant_degraded\":"
-       << (state.plant_degraded ? "true" : "false")
-       << ",\"all_safe\":" << (state.all_safe ? "true" : "false")
-       << "}\n";
-    return os.str();
+    util::TextBuffer out;
+    out << "{\"cpu_power_w\":";
+    obs::jsonNumber(out, state.cpu_power_w);
+    out << ",\"teg_power_w\":";
+    obs::jsonNumber(out, state.teg_power_w);
+    out << ",\"teg_w_per_server\":";
+    obs::jsonNumber(out, state.tegPowerPerServer(num_servers));
+    out << ",\"heat_w\":";
+    obs::jsonNumber(out, state.heat_w);
+    out << ",\"pump_power_w\":";
+    obs::jsonNumber(out, state.pump_power_w);
+    out << ",\"plant_power_w\":";
+    obs::jsonNumber(out, state.plant_power_w);
+    out << ",\"faulted_servers\":" << state.faulted_servers
+        << ",\"teg_power_lost_w\":";
+    obs::jsonNumber(out, state.teg_power_lost_w);
+    out << ",\"plant_degraded\":"
+        << (state.plant_degraded ? "true" : "false")
+        << ",\"all_safe\":" << (state.all_safe ? "true" : "false")
+        << "}\n";
+    return std::move(out.str());
 }
 
 std::string
 decisionJson(const sched::ScheduleDecision &decision)
 {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
+    util::TextBuffer out;
     double umean = 0.0, umax = 0.0;
     for (double u : decision.utils) {
         umean += u;
@@ -88,47 +87,47 @@ decisionJson(const sched::ScheduleDecision &decision)
     }
     if (!decision.utils.empty())
         umean /= static_cast<double>(decision.utils.size());
-    os << "{\"util_mean\":";
-    obs::jsonNumber(os, umean);
-    os << ",\"util_max\":";
-    obs::jsonNumber(os, umax);
-    os << ",\"settings\":[";
+    out << "{\"util_mean\":";
+    obs::jsonNumber(out, umean);
+    out << ",\"util_max\":";
+    obs::jsonNumber(out, umax);
+    out << ",\"settings\":[";
     for (size_t i = 0; i < decision.settings.size(); ++i) {
-        os << (i ? "," : "") << "{\"t_in_c\":";
-        obs::jsonNumber(os, decision.settings[i].t_in_c);
-        os << ",\"flow_lph\":";
-        obs::jsonNumber(os, decision.settings[i].flow_lph);
-        os << "}";
+        out << (i ? "," : "") << "{\"t_in_c\":";
+        obs::jsonNumber(out, decision.settings[i].t_in_c);
+        out << ",\"flow_lph\":";
+        obs::jsonNumber(out, decision.settings[i].flow_lph);
+        out << "}";
     }
-    os << "]}\n";
-    return os.str();
+    out << "]}\n";
+    return std::move(out.str());
 }
 
 /** Writes RunSummary::visit's fields as the members of one object. */
 struct SummaryJsonWriter
 {
-    std::ostream &os;
+    util::TextBuffer &out;
     char sep = '{';
 
     template <typename T>
     void operator()(const char *name, const T &v)
     {
-        os << sep << '"' << name << "\":";
+        out << sep << '"' << name << "\":";
         sep = ',';
         if constexpr (std::is_same_v<T, double>) {
-            obs::jsonNumber(os, v);
+            obs::jsonNumber(out, v);
         } else if constexpr (std::is_same_v<T, sched::Policy>) {
-            os << '"' << sched::toString(v) << '"';
+            out << '"' << sched::toString(v) << '"';
         } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            os << '[';
+            out << '[';
             for (size_t i = 0; i < v.size(); ++i) {
-                os << (i ? "," : "");
-                obs::jsonNumber(os, v[i]);
+                out << (i ? "," : "");
+                obs::jsonNumber(out, v[i]);
             }
-            os << ']';
+            out << ']';
         } else {
             static_assert(std::is_same_v<T, size_t>);
-            os << v;
+            out << v;
         }
     }
 };
@@ -158,38 +157,37 @@ std::string
 balancerJson(const control::ThermalBalancer &balancer)
 {
     const control::BalancerStats &st = balancer.stats();
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"converged\":" << (st.converged ? "true" : "false")
-       << ",\"max_abs_dev\":";
-    obs::jsonNumber(os, st.max_abs_dev);
-    os << ",\"stale_steps\":" << st.stale_steps
-       << ",\"migrations\":" << st.migrations
-       << ",\"local_moves\":" << st.local_moves
-       << ",\"pulls\":" << st.pulls
-       << ",\"drains_started\":" << st.drains_started
-       << ",\"drains_completed\":" << st.drains_completed
-       << ",\"active_drains\":" << st.active_drains
-       << ",\"circulations\":[";
+    util::TextBuffer out;
+    out << "{\"converged\":" << (st.converged ? "true" : "false")
+        << ",\"max_abs_dev\":";
+    obs::jsonNumber(out, st.max_abs_dev);
+    out << ",\"stale_steps\":" << st.stale_steps
+        << ",\"migrations\":" << st.migrations
+        << ",\"local_moves\":" << st.local_moves
+        << ",\"pulls\":" << st.pulls
+        << ",\"drains_started\":" << st.drains_started
+        << ",\"drains_completed\":" << st.drains_completed
+        << ",\"active_drains\":" << st.active_drains
+        << ",\"circulations\":[";
     const std::vector<control::CirculationView> &view = balancer.view();
     for (size_t c = 0; c < view.size(); ++c) {
         const control::CirculationView &row = view[c];
-        os << (c ? "," : "") << "{\"circ\":" << c << ",\"mode\":\""
-           << control::toString(row.mode)
-           << "\",\"servers\":" << row.servers << ",\"avg_util\":";
-        obs::jsonNumber(os, row.avg_util);
-        os << ",\"dev_util\":";
-        obs::jsonNumber(os, row.dev_util);
-        os << ",\"headroom_c\":";
-        obs::jsonNumber(os, row.headroom_c);
-        os << ",\"teg_w\":";
-        obs::jsonNumber(os, row.teg_w);
-        os << ",\"drained_util\":";
-        obs::jsonNumber(os, row.drained_util);
-        os << "}";
+        out << (c ? "," : "") << "{\"circ\":" << c << ",\"mode\":\""
+            << control::toString(row.mode)
+            << "\",\"servers\":" << row.servers << ",\"avg_util\":";
+        obs::jsonNumber(out, row.avg_util);
+        out << ",\"dev_util\":";
+        obs::jsonNumber(out, row.dev_util);
+        out << ",\"headroom_c\":";
+        obs::jsonNumber(out, row.headroom_c);
+        out << ",\"teg_w\":";
+        obs::jsonNumber(out, row.teg_w);
+        out << ",\"drained_util\":";
+        obs::jsonNumber(out, row.drained_util);
+        out << "}";
     }
-    os << "]}\n";
-    return os.str();
+    out << "]}\n";
+    return std::move(out.str());
 }
 
 /// Split a sweep body into its "---"-separated INI documents (at least
@@ -219,12 +217,11 @@ splitDocuments(const std::string &body)
 std::string
 summaryJson(const core::RunSummary &summary)
 {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    SummaryJsonWriter writer{os};
+    util::TextBuffer out;
+    SummaryJsonWriter writer{out};
     const_cast<core::RunSummary &>(summary).visit(writer);
-    os << "}\n";
-    return os.str();
+    out << "}\n";
+    return std::move(out.str());
 }
 
 /**
@@ -304,7 +301,7 @@ SessionBroker::admit(const std::string &ini_text)
     expect(sessions_.size() < options_.max_sessions,
            "session limit reached (", options_.max_sessions,
            " open sessions)");
-    twin->id = "s" + std::to_string(next_id_++);
+    twin->id = 's' + std::to_string(next_id_++);
     sessions_[twin->id] = twin;
     sessions_total_.add(1);
     sessions_open_.set(static_cast<double>(sessions_.size()));
@@ -387,13 +384,13 @@ SessionBroker::doQuery(const Request &request)
     if (what == "summary") {
         // Progress metadata, available mid-run; the run's final
         // metrics come back from close once the session is done.
-        std::ostringstream os;
-        os << "{\"policy\":\"" << sched::toString(session.policy())
-           << "\",\"cursor\":" << session.cursor()
-           << ",\"steps\":" << session.numSteps()
-           << ",\"done\":" << (session.done() ? "true" : "false")
-           << "}\n";
-        return Response::okay({}, os.str());
+        util::TextBuffer out;
+        out << "{\"policy\":\"" << sched::toString(session.policy())
+            << "\",\"cursor\":" << session.cursor()
+            << ",\"steps\":" << session.numSteps()
+            << ",\"done\":" << (session.done() ? "true" : "false")
+            << "}\n";
+        return Response::okay({}, std::move(out.str()));
     }
     if (what == "jsonl") {
         // The exact writer experiment_runner uses for its per-step
@@ -550,38 +547,37 @@ SessionBroker::doStats(const Request &request)
     std::string body;
     if (options_.obs != nullptr) {
         const obs::MetricsRegistry &m = options_.obs->metrics();
-        std::ostringstream os;
-        os.precision(std::numeric_limits<double>::max_digits10);
-        os << "{";
+        util::TextBuffer out;
+        out << "{";
         bool first = true;
-        const auto append = [&os, &first](const std::string &name) {
-            os << (first ? "" : ",") << "\"" << name << "\":";
+        const auto append = [&out, &first](const std::string &name) {
+            out << (first ? "" : ",") << "\"" << name << "\":";
             first = false;
         };
         for (const auto &c : m.counters())
             if (c.name.rfind("service.", 0) == 0) {
                 append(c.name);
-                os << c.value;
+                out << c.value;
             }
         for (const auto &g : m.gauges())
             if (g.name.rfind("service.", 0) == 0) {
                 append(g.name);
-                obs::jsonNumber(os, g.value);
+                obs::jsonNumber(out, g.value);
             }
         for (const auto &h : m.histograms())
             if (h.name.rfind("service.", 0) == 0) {
                 append(h.name);
-                os << "{\"count\":" << h.count << ",\"mean\":";
+                out << "{\"count\":" << h.count << ",\"mean\":";
                 obs::jsonNumber(
-                    os, h.count > 0
-                            ? h.sum / static_cast<double>(h.count)
-                            : 0.0);
-                os << ",\"max\":";
-                obs::jsonNumber(os, h.max);
-                os << "}";
+                    out, h.count > 0
+                             ? h.sum / static_cast<double>(h.count)
+                             : 0.0);
+                out << ",\"max\":";
+                obs::jsonNumber(out, h.max);
+                out << "}";
             }
-        os << "}\n";
-        body = os.str();
+        out << "}\n";
+        body = std::move(out.str());
     }
     return Response::okay(
         {std::to_string(open), std::to_string(handled)},

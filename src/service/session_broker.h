@@ -69,7 +69,8 @@ namespace h2p {
 namespace service {
 
 /** The `close` and `sweep` point body: RunSummary::visit's fields as
- * one JSON line, doubles at max_digits10 (they parse back bit-equal). */
+ * one JSON line, doubles as util::writeDouble's %.17g (they parse back
+ * bit-equal). */
 std::string summaryJson(const core::RunSummary &summary);
 
 /** Knobs of a broker instance. */

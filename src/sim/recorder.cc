@@ -1,10 +1,10 @@
 #include "sim/recorder.h"
 
-#include <limits>
 #include <ostream>
 
 #include "util/csv.h"
 #include "util/error.h"
+#include "util/number_format.h"
 
 namespace h2p {
 namespace sim {
@@ -114,16 +114,15 @@ Recorder::writeJsonl(std::ostream &os) const
         expect(storage_[idx].size() == len, "channel `", name,
                "' length differs; cannot export");
     }
-    const auto precision = os.precision();
-    os.precision(std::numeric_limits<double>::max_digits10);
+    util::TextBuffer line;
     for (size_t i = 0; i < len; ++i) {
-        os << "{\"type\":\"step\",\"time_s\":"
-           << dt_ * static_cast<double>(i);
+        line << "{\"type\":\"step\",\"time_s\":"
+             << dt_ * static_cast<double>(i);
         for (const auto &[name, idx] : index_)
-            os << ",\"" << name << "\":" << storage_[idx].at(i);
-        os << "}\n";
+            line << ",\"" << name << "\":" << storage_[idx].at(i);
+        line << "}\n";
+        line.flushTo(os);
     }
-    os.precision(precision);
 }
 
 } // namespace sim

@@ -74,7 +74,7 @@ ArgParser::parse(int argc, const char *const *argv)
                usage());
         Option &opt = it->second;
         if (opt.kind == Kind::Flag) {
-            opt.value = "1";
+            opt.value = '1';
             continue;
         }
         expect(i + 1 < argc, "missing value after --", name);

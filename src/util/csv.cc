@@ -7,6 +7,7 @@
 
 #include "util/error.h"
 #include "util/fs.h"
+#include "util/number_format.h"
 #include "util/strings.h"
 
 namespace h2p {
@@ -64,18 +65,19 @@ CsvTable::column(size_t c) const
 void
 CsvTable::write(std::ostream &os) const
 {
-    // Round-trip exactness: max_digits10 for doubles.
-    os.precision(17);
+    util::TextBuffer line;
     if (!columns_.empty()) {
         for (size_t i = 0; i < columns_.size(); ++i)
-            os << (i ? "," : "") << columns_[i];
-        os << '\n';
+            line << (i ? "," : "") << columns_[i];
+        line << '\n';
     }
     for (const auto &r : rows_) {
         for (size_t i = 0; i < r.size(); ++i)
-            os << (i ? "," : "") << r[i];
-        os << '\n';
+            line << (i ? "," : "") << r[i];
+        line << '\n';
+        line.flushTo(os);
     }
+    line.flushTo(os);
 }
 
 void

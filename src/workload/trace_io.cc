@@ -12,7 +12,7 @@ saveTraceCsv(const UtilizationTrace &trace, const std::string &path)
     std::vector<std::string> header;
     header.reserve(trace.numServers());
     for (size_t i = 0; i < trace.numServers(); ++i)
-        header.push_back("s" + std::to_string(i));
+        header.push_back('s' + std::to_string(i));
     CsvTable table(std::move(header));
     for (size_t s = 0; s < trace.numSteps(); ++s)
         table.addRow(trace.step(s));

@@ -13,8 +13,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <locale>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "control/thermal_balancer.h"
 #include "core/config_io.h"
 #include "core/h2p_system.h"
 #include "core/sweep_journal.h"
@@ -32,7 +36,9 @@
 #include "service/server.h"
 #include "service/session_broker.h"
 #include "tests/support/fields.h"
+#include "tests/support/number_format_reference.h"
 #include "util/cancellation.h"
+#include "util/csv.h"
 #include "util/error.h"
 #include "util/socket.h"
 
@@ -450,6 +456,131 @@ TEST(SessionBroker, CloseBodyIsPinnedByteForByte)
     EXPECT_EQ(close.body, pinnedSummaryJson(direct));
 }
 
+/** resilience.ini with the thermal balancer on and no telemetry. */
+sim::Config
+balancedResilienceIni()
+{
+    sim::Config ini = sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini");
+    ini.set("obs", "enabled", "0"); // no telemetry export from a test
+    ini.set("balancer", "enabled", "1");
+    return ini;
+}
+
+TEST(SessionBroker, ReplyBodiesArePinnedByteForByte)
+{
+    // A direct session over the same configuration supplies the values
+    // the reference formats as the old iostream writers did.
+    const sim::Config ini = balancedResilienceIni();
+    const core::H2PConfig config = core::configFromIni(ini);
+    const workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    core::H2PSystem sys(config);
+    core::SimSession direct =
+        sys.startSession(trace, sched::Policy::TegLoadBalance);
+    const control::ControlStage *stage =
+        direct.pipeline()->find(control::ThermalBalancer::kName);
+    ASSERT_NE(stage, nullptr);
+    const auto &balancer =
+        static_cast<const control::ThermalBalancer &>(*stage);
+
+    obs::ObsParams params;
+    params.enabled = true;
+    obs::Observability obs(params);
+    // Non-integral values for the stats body's gauge and histogram.
+    obs.metrics().gauge("service.test_ratio").set(1.0 / 3.0);
+    const obs::HistogramMetric hist =
+        obs.metrics().histogram("service.test_us", 0.0, 10.0, 4);
+    for (double x : {0.1, 2.0 / 3.0, 7.25e-3})
+        hist.observe(x);
+    service::BrokerOptions options;
+    options.obs = &obs;
+    service::SessionBroker broker(options);
+    std::ostringstream body;
+    ini.write(body);
+    service::Response open =
+        broker.handleOne(makeRequest("open", {"balance"}, body.str()));
+    ASSERT_TRUE(open.ok) << open.message;
+    const std::string id = open.args[0];
+
+    // Around and inside resilience.ini's throttled steps (47-51), and
+    // the last step.
+    bool saw_fault = false;
+    for (size_t target : {1u, 48u, 50u, 144u}) {
+        service::Response step = broker.handleOne(makeRequest(
+            "step", {id, std::to_string(target - direct.cursor())}));
+        ASSERT_TRUE(step.ok) << step.message;
+        while (direct.cursor() < target)
+            direct.step();
+        saw_fault |= direct.lastState().faulted_servers > 0;
+
+        EXPECT_EQ(broker.handleOne(makeRequest("query", {id, "state"}))
+                      .body,
+                  oracle::stateJson(direct.lastState(),
+                                    config.datacenter.num_servers))
+            << "step " << target;
+        EXPECT_EQ(
+            broker.handleOne(makeRequest("query", {id, "decision"})).body,
+            oracle::decisionJson(direct.lastDecision()))
+            << "step " << target;
+        EXPECT_EQ(broker.handleOne(makeRequest("balancer", {id})).body,
+                  oracle::balancerJson(balancer))
+            << "step " << target;
+        // The stats request itself is counted before its body is made.
+        const std::string stats =
+            broker.handleOne(makeRequest("stats")).body;
+        EXPECT_EQ(stats, oracle::statsJson(obs.metrics()))
+            << "step " << target;
+    }
+    EXPECT_TRUE(saw_fault);
+}
+
+/** Commas for decimal points, dots between digit groups of three. */
+struct CommaPunct : std::numpunct<char>
+{
+    char do_decimal_point() const override { return ','; }
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+};
+
+/** Installs CommaPunct as the global locale for its lifetime. */
+struct CommaGlobalLocale
+{
+    std::locale previous = std::locale::global(
+        std::locale(std::locale::classic(), new CommaPunct));
+    ~CommaGlobalLocale() { std::locale::global(previous); }
+};
+
+TEST(SessionBroker, WireAndCsvBytesIgnoreTheGlobalLocale)
+{
+    CsvTable table({"a", "b"});
+    table.addRow({1234.5, 0.1});
+    table.addRow({-2.5e-7, 1e21});
+    table.addRow({std::numeric_limits<double>::infinity(), -0.0});
+
+    service::SessionBroker broker;
+    service::Response open =
+        broker.handleOne(makeRequest("open", {"original"}, kIni));
+    ASSERT_TRUE(open.ok) << open.message;
+    const std::string id = open.args[0];
+    ASSERT_TRUE(broker.handleOne(makeRequest("step", {id, "10"})).ok);
+    const std::string classic_state =
+        broker.handleOne(makeRequest("query", {id, "state"})).body;
+    EXPECT_NE(classic_state.find('.'), std::string::npos);
+
+    const CommaGlobalLocale comma;
+    std::ostringstream probe; // takes the global locale, as users' do
+    probe << 1234.5;
+    ASSERT_EQ(probe.str(), "1.234,5"); // the locale is in force
+
+    EXPECT_EQ(broker.handleOne(makeRequest("query", {id, "state"})).body,
+              classic_state);
+    std::ostringstream csv;
+    table.write(csv);
+    EXPECT_EQ(csv.str(), oracle::csvText(table));
+    EXPECT_EQ(csv.precision(), 6); // the caller's stream is left alone
+}
+
 TEST(SessionBroker, CloseBodyHasAKeyPerSummaryField)
 {
     service::SessionBroker broker;
@@ -479,12 +610,17 @@ struct JsonFieldReader
     }
     void operator()(const char *name, sched::Policy &v)
     {
-        const std::string text = jsonValueAt(json, name);
+        std::string_view text = jsonValueAt(json, name);
+        if (!text.starts_with('"'))
+            return;
+        text.remove_prefix(1);
         for (sched::Policy p :
-             {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance})
-            if (text.rfind("\"" + std::string(sched::toString(p)) + "\"",
-                           0) == 0)
+             {sched::Policy::TegOriginal, sched::Policy::TegLoadBalance}) {
+            const std::string policy = sched::toString(p);
+            if (text.starts_with(policy) &&
+                text.substr(policy.size()).starts_with('"'))
                 v = p;
+        }
     }
     void operator()(const char *name, std::vector<double> &v)
     {

@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,11 +24,13 @@
 #include <sched.h>
 #endif
 
+#include "tests/support/number_format_reference.h"
 #include "util/cancellation.h"
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/fs.h"
 #include "util/interpolate.h"
+#include "util/number_format.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/strings.h"
@@ -123,6 +129,68 @@ TEST(StringsTest, FixedFormatsDigits)
 {
     EXPECT_EQ(strings::fixed(3.14159, 2), "3.14");
     EXPECT_EQ(strings::fixed(2.0, 3), "2.000");
+}
+
+// -------------------------------------------------------- number format
+
+/**
+ * Checks util::writeDouble against the iostream reference; counts the
+ * values whose bytes differ and keeps the first for the report.
+ */
+struct NumberFormatCheck
+{
+    size_t mismatches = 0;
+    std::string first;
+
+    void operator()(double x)
+    {
+        char buf[util::kDoubleChars];
+        const std::string got(buf, util::writeDouble(buf, x));
+        const std::string want = oracle::iostreamDouble(x);
+        if (got != want && mismatches++ == 0)
+            first = "to_chars `" + got + "' vs iostream `" + want + "'";
+    }
+};
+
+TEST(NumberFormatTest, MatchesIostreamsOnEdgeValues)
+{
+    using lim = std::numeric_limits<double>;
+    NumberFormatCheck check;
+    for (double x :
+         {0.0, -0.0, lim::denorm_min(), -lim::denorm_min(), lim::min(),
+          lim::max(), lim::lowest(), lim::epsilon(), 1e308, -1e308,
+          1e-308, -1e-308, 0.1, 1.0 / 3.0, 9007199254740992.0,
+          9007199254740993.0, 1e16, 1e17, 123456789012345680.0,
+          lim::infinity(), -lim::infinity(), lim::quiet_NaN(),
+          -lim::quiet_NaN()})
+        check(x);
+    // Every power of ten a double can hold, written as a literal.
+    for (int e = -323; e <= 308; ++e)
+        check(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+    EXPECT_EQ(check.mismatches, 0u) << check.first;
+}
+
+TEST(NumberFormatTest, MatchesIostreamsOnRandomDoubles)
+{
+    std::mt19937_64 rng(0x48325032u);
+    NumberFormatCheck check;
+    for (int i = 0; i < 50000; ++i) {
+        // Any finite bit pattern.
+        uint64_t bits = rng();
+        double x;
+        std::memcpy(&x, &bits, sizeof x);
+        if (std::isfinite(x))
+            check(x);
+        // A subnormal: zero exponent, random sign and mantissa.
+        bits &= 0x800fffffffffffffull;
+        std::memcpy(&x, &bits, sizeof x);
+        check(x);
+        // An integer up to 2^53, both signs.
+        const double n = static_cast<double>(rng() >> 11);
+        check(n);
+        check(-n);
+    }
+    EXPECT_EQ(check.mismatches, 0u) << check.first;
 }
 
 // ------------------------------------------------------------------ csv
