@@ -80,12 +80,8 @@ ThermalBalancer::ThermalBalancer(const BalancerParams &params,
         view_[c].servers = sizes_.back();
         offset += sizes_.back();
     }
-    mode_.assign(num_circ, static_cast<uint8_t>(CircMode::Idle));
     manual_drain_.assign(num_circ, 0);
     drain_empty_.assign(num_circ, 0);
-    drained_.assign(num_circ, 0.0);
-    fb_headroom_c_.assign(num_circ, 0.0);
-    fb_teg_w_.assign(num_circ, 0.0);
 }
 
 void
@@ -162,17 +158,17 @@ ThermalBalancer::apply(const ControlContext &ctx,
             fault_drain = true;
 
         const bool want = manual_drain_[c] != 0 || fault_drain;
-        const bool draining =
-            mode_[c] == static_cast<uint8_t>(CircMode::Draining);
+        CirculationView &row = view_[c];
+        const bool draining = row.mode == CircMode::Draining;
         if (want && !draining) {
-            mode_[c] = static_cast<uint8_t>(CircMode::Draining);
+            row.mode = CircMode::Draining;
             drain_empty_[c] = 0;
             ++stats_.drains_started;
             emitEvent(ctx, c, "drain_start", 0.0);
         } else if (!want && draining) {
-            mode_[c] = static_cast<uint8_t>(CircMode::Idle);
+            row.mode = CircMode::Idle;
             drain_empty_[c] = 0;
-            emitEvent(ctx, c, "drain_end", drained_[c]);
+            emitEvent(ctx, c, "drain_end", row.drained_util);
         }
     }
 
@@ -184,23 +180,23 @@ ThermalBalancer::apply(const ControlContext &ctx,
     std::vector<size_t> recv_circs;
     recv_circs.reserve(num_circ);
     for (size_t c = 0; c < num_circ; ++c) {
-        if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
+        if (view_[c].mode == CircMode::Draining)
             continue;
         if (have_feedback_ &&
-            fb_headroom_c_[c] <= params_.headroom_floor_c)
+            view_[c].headroom_c <= params_.headroom_floor_c)
             continue;
         recv_circs.push_back(c);
     }
     if (have_feedback_)
         std::stable_sort(recv_circs.begin(), recv_circs.end(),
                          [this](size_t a, size_t b) {
-                             return fb_headroom_c_[a] >
-                                    fb_headroom_c_[b];
+                             return view_[a].headroom_c >
+                                    view_[b].headroom_c;
                          });
 
     bool any_draining = false;
     for (size_t c = 0; c < num_circ; ++c)
-        if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
+        if (view_[c].mode == CircMode::Draining)
             any_draining = true;
 
     if (any_draining && !recv_circs.empty()) {
@@ -220,7 +216,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
             advance();
 
         for (size_t d = 0; d < num_circ && !receiverFull(); ++d) {
-            if (mode_[d] != static_cast<uint8_t>(CircMode::Draining))
+            if (view_[d].mode != CircMode::Draining)
                 continue;
             for (size_t j = 0; j < sizes_[d] && !receiverFull();
                  ++j) {
@@ -239,7 +235,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
                     double take = std::min(remaining, cap);
                     u -= take;
                     v += take;
-                    drained_[d] += take;
+                    view_[d].drained_util += take;
                     remaining -= take;
                     ++stats_.migrations;
                     if (take == cap)
@@ -249,7 +245,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
         }
     }
     for (size_t d = 0; d < num_circ; ++d) {
-        if (mode_[d] != static_cast<uint8_t>(CircMode::Draining))
+        if (view_[d].mode != CircMode::Draining)
             continue;
         bool empty = true;
         for (size_t j = 0; j < sizes_[d]; ++j)
@@ -258,7 +254,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
         if (empty && drain_empty_[d] == 0) {
             drain_empty_[d] = 1;
             ++stats_.drains_completed;
-            emitEvent(ctx, d, "drain_complete", drained_[d]);
+            emitEvent(ctx, d, "drain_complete", view_[d].drained_util);
         }
     }
 
@@ -269,7 +265,8 @@ ThermalBalancer::apply(const ControlContext &ctx,
     // it gains at most min(mean - u, max_move), and donor and receiver
     // move the identical amount so no work is ever clamped away.
     for (size_t c = 0; c < num_circ; ++c) {
-        if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
+        CircMode &mode = view_[c].mode;
+        if (mode == CircMode::Draining)
             continue;
         const size_t n = sizes_[c];
         double *group = utils + offsets_[c];
@@ -280,10 +277,10 @@ ThermalBalancer::apply(const ControlContext &ctx,
         }
         const double mean = sum / static_cast<double>(n);
         if (maxu - mean <= params_.hysteresis) {
-            mode_[c] = static_cast<uint8_t>(CircMode::Idle);
+            mode = CircMode::Idle;
             continue;
         }
-        mode_[c] = static_cast<uint8_t>(CircMode::Balancing);
+        mode = CircMode::Balancing;
 
         size_t r = 0;
         double allow = 0.0;
@@ -333,7 +330,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
         for (size_t j = 0; j < sizes_[c]; ++j)
             s += utils[offsets_[c] + j];
         circ_sum[c] = s;
-        if (mode_[c] != static_cast<uint8_t>(CircMode::Draining)) {
+        if (view_[c].mode != CircMode::Draining) {
             total_sum += s;
             total_n += static_cast<double>(sizes_[c]);
         }
@@ -344,7 +341,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
         size_t hot = num_circ, cold = num_circ;
         double hot_avg = 0.0, cold_avg = 0.0;
         for (size_t c = 0; c < num_circ; ++c) {
-            if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
+            if (view_[c].mode == CircMode::Draining)
                 continue;
             double avg = circ_sum[c] / static_cast<double>(sizes_[c]);
             if (hot == num_circ || avg > hot_avg) {
@@ -353,7 +350,7 @@ ThermalBalancer::apply(const ControlContext &ctx,
             }
             bool eligible =
                 !have_feedback_ ||
-                fb_headroom_c_[c] > params_.headroom_floor_c;
+                view_[c].headroom_c > params_.headroom_floor_c;
             if (eligible && (cold == num_circ || avg < cold_avg)) {
                 cold = c;
                 cold_avg = avg;
@@ -385,23 +382,13 @@ ThermalBalancer::apply(const ControlContext &ctx,
     double max_abs_dev = 0.0;
     size_t active_drains = 0;
     for (size_t c = 0; c < num_circ; ++c) {
-        const bool draining =
-            mode_[c] == static_cast<uint8_t>(CircMode::Draining);
-        double avg = circ_sum[c] / static_cast<double>(sizes_[c]);
-        double dev = avg - mean_all;
-        if (!draining)
-            max_abs_dev = std::max(max_abs_dev, std::abs(dev));
+        CirculationView &row = view_[c];
+        row.avg_util = circ_sum[c] / static_cast<double>(sizes_[c]);
+        row.dev_util = row.avg_util - mean_all;
+        if (row.mode != CircMode::Draining)
+            max_abs_dev = std::max(max_abs_dev, std::abs(row.dev_util));
         else
             ++active_drains;
-
-        CirculationView &row = view_[c];
-        row.servers = sizes_[c];
-        row.avg_util = avg;
-        row.dev_util = dev;
-        row.headroom_c = have_feedback_ ? fb_headroom_c_[c] : 0.0;
-        row.teg_w = have_feedback_ ? fb_teg_w_[c] : 0.0;
-        row.mode = static_cast<CircMode>(mode_[c]);
-        row.drained_util = drained_[c];
     }
     stats_.max_abs_dev = max_abs_dev;
     stats_.converged = max_abs_dev <= params_.hysteresis;
@@ -442,11 +429,9 @@ ThermalBalancer::observe(const ControlContext &ctx,
     H2P_ASSERT(state.circulations.size() == num_circ,
                "balancer feedback shape mismatch");
     for (size_t c = 0; c < num_circ; ++c) {
-        fb_headroom_c_[c] =
+        view_[c].headroom_c =
             t_safe_c_ - state.circulations[c].max_die_c;
-        fb_teg_w_[c] = state.circulations[c].teg_power_w;
-        view_[c].headroom_c = fb_headroom_c_[c];
-        view_[c].teg_w = fb_teg_w_[c];
+        view_[c].teg_w = state.circulations[c].teg_power_w;
     }
     have_feedback_ = true;
 }
@@ -460,16 +445,19 @@ ThermalBalancer::visitState(util::Archive &ar)
     expect(saved == num_circ, "balancer state carries ", saved,
            " circulations; this system has ", num_circ);
     for (size_t c = 0; c < num_circ; ++c) {
-        ar.u8(mode_[c]);
-        expect(mode_[c] <= 2, "balancer state carries unknown mode ",
-               mode_[c]);
+        CirculationView &row = view_[c];
+        uint8_t mode = static_cast<uint8_t>(row.mode);
+        ar.u8(mode);
+        expect(mode <= 2, "balancer state carries unknown mode ",
+               static_cast<unsigned>(mode));
+        row.mode = static_cast<CircMode>(mode);
         ar.u8(manual_drain_[c]);
         ar.u8(drain_empty_[c]);
-        ar.f64(drained_[c]);
-        ar.f64(fb_headroom_c_[c]);
-        ar.f64(fb_teg_w_[c]);
-        ar.f64(view_[c].avg_util);
-        ar.f64(view_[c].dev_util);
+        ar.f64(row.drained_util);
+        ar.f64(row.headroom_c);
+        ar.f64(row.teg_w);
+        ar.f64(row.avg_util);
+        ar.f64(row.dev_util);
     }
     ar.boolean(have_feedback_);
     ar.u64(stats_.migrations);
@@ -480,20 +468,13 @@ ThermalBalancer::visitState(util::Archive &ar)
     ar.f64(stats_.max_abs_dev);
     ar.boolean(stats_.converged);
     ar.u64(stats_.stale_steps);
-    if (!ar.loading())
-        return;
-
-    // Rebuild the derived parts of the central view from the restored
-    // state; headroom and harvest stay 0 until feedback exists.
-    stats_.active_drains = 0;
-    for (size_t c = 0; c < num_circ; ++c) {
-        if (mode_[c] == static_cast<uint8_t>(CircMode::Draining))
-            ++stats_.active_drains;
-        view_[c].headroom_c = have_feedback_ ? fb_headroom_c_[c] : 0.0;
-        view_[c].teg_w = have_feedback_ ? fb_teg_w_[c] : 0.0;
-        view_[c].mode = static_cast<CircMode>(mode_[c]);
-        view_[c].drained_util = drained_[c];
-    }
+    // The drain count is not saved: it counts the draining rows.
+    if (ar.loading())
+        stats_.active_drains = static_cast<size_t>(
+            std::count_if(view_.begin(), view_.end(),
+                          [](const CirculationView &row) {
+                              return row.mode == CircMode::Draining;
+                          }));
 }
 
 } // namespace control

@@ -204,16 +204,20 @@ class ThermalBalancer : public ControlStage
     std::vector<size_t> sizes_;
 
     // ---- Cross-interval state (serialized). ----
-    std::vector<uint8_t> mode_;
+    /**
+     * The central view is the per-circulation state: each row's mode,
+     * drained utilization and fed-back headroom and TEG power are
+     * what apply() acts on next, and its averages are what it
+     * published last. visitState() saves every row field but
+     * `servers`, which is layout.
+     */
+    std::vector<CirculationView> view_;
     std::vector<uint8_t> manual_drain_;
     /** Drain already reported complete (edge detector). */
     std::vector<uint8_t> drain_empty_;
-    std::vector<double> drained_;
-    std::vector<double> fb_headroom_c_;
-    std::vector<double> fb_teg_w_;
+    /** Has observe() fed back headroom yet? */
     bool have_feedback_ = false;
     BalancerStats stats_;
-    std::vector<CirculationView> view_;
 
     // ---- Obs handles, resolved on first use (not state). ----
     bool obs_ready_ = false;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <type_traits>
 
@@ -71,29 +72,33 @@ safeModeActionName(sched::SafeModeAction a)
 //
 // Doubles travel as their IEEE-754 bit patterns, never through text;
 // bool is one byte (0/1), size_t counters are u64 and a string is its
-// u64 length followed by its bytes. The v2 payload, in order:
+// u64 length followed by its bytes. The v3 payload, in order:
 //
 //   header   config fingerprint u64 | trace fingerprint u64 |
 //            policy u32 (0 Original, 1 LoadBalance) | resilient bool |
 //            num_steps u64 | dt f64 | cursor u64
 //   control  custom-control bool | stage count u64 |
 //            per stateful stage: name str, state bytes str
-//   sums     teg_j, cpu_j, plant_j, pump_j, teg_lost_j, t_in_sum f64 |
-//            safe_steps, safe_mode_steps, max_faulted u64 |
+//   sums     teg_j, cpu_j, plant_j, pump_j, teg_lost_j f64 |
+//            safe_steps u64 |
 //            circulation count u64 | per circulation: safe steps u64
 //   channels channel count u64 | per channel, in sorted name order:
 //            name str, sample count u64 (= cursor), samples f64
 //   resilient runs only:
-//            circulation count u64 |
-//            per circulation: die latch held bool, value f64,
-//                             flow latch held bool, value f64 |
+//            injector: circulation count u64 |
+//                      per circulation: die latch held bool, value f64,
+//                                       flow latch held bool, value f64 |
 //            watchdog: server count u64, caps f64 x n, backlogs f64 x n,
 //                      tripped bool x n, trip events u64, deferred f64 |
 //            monitor, per circulation: last die f64, has_last bool,
-//                      hold u64, held action u32, action u32 |
-//            readings, per circulation: die value f64, die valid bool,
-//                      flow value f64, flow valid bool, commanded f64 |
-//            have_readings bool | actions u32 per circulation
+//                      hold u64, held action u32, action u32,
+//                      die reading f64, die valid bool,
+//                      flow reading f64, flow valid bool, commanded f64
+//
+// Each value is stored once, by its owner: the safety monitor holds
+// the previous interval's readings and the actions, and what a
+// recorded channel holds (mean inlet temperature, safe-mode steps,
+// peak faulted servers) is derived at finish(), not summed.
 //
 // Save and load share one field list (CheckpointHeader::visit and
 // SimSession::visitSession over util::Archive), so the two directions
@@ -101,11 +106,15 @@ safeModeActionName(sched::SafeModeAction a)
 // truncation, checksum mismatches, fingerprint mismatches and
 // channels out of place with distinct messages.
 //
-// Version history: v1 (PR 4) had no control-plane section; v2 adds
-// the custom-control flag and the named stage-state list.
+// Version history: v1 had no control-plane section; v2 adds
+// the custom-control flag and the named stage-state list; v3 drops
+// the sums a channel repeats (t_in_sum, safe_mode_steps, max_faulted),
+// the trailing have_readings flag and the session's copy of the
+// actions, and moves the readings into the monitor record. Files of
+// an older version are refused by their version number.
 
 constexpr char kMagic[8] = {'H', '2', 'P', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 
 using util::ByteReader;
 using util::ByteWriter;
@@ -249,13 +258,6 @@ SimSession::SimSession(const H2PSystem &sys,
         wd.release_step = sm.release_step;
         watchdog_ =
             std::make_unique<fault::ThermalTripWatchdog>(servers, wd);
-
-        // The controller acts on the previous interval's measurements;
-        // the first interval has none, so every loop starts Normal.
-        die_read_.resize(num_circ);
-        flow_read_.resize(num_circ);
-        commanded_flow_.assign(num_circ, 0.0);
-        actions_.assign(num_circ, sched::SafeModeAction::Normal);
     }
 
     acc_.circ_safe_steps.assign(num_circ, 0);
@@ -407,18 +409,18 @@ SimSession::step()
         watchdog_->shapeInPlace(utils_, dt);
 
     // Stage 3: sensing / safe-mode assessment (on the previous
-    // interval's possibly-corrupted readings).
-    if (resilient_ && sm.enabled && have_readings_) {
+    // interval's possibly-corrupted readings; the first interval has
+    // none, so every loop starts Normal).
+    if (resilient_ && sm.enabled && step > 0) {
         for (size_t c = 0; c < num_circ; ++c) {
-            sched::SafeModeAction next = monitor_->assess(
-                c, die_read_[c], flow_read_[c], commanded_flow_[c], dt);
-            if (sink != nullptr && next != actions_[c])
+            const sched::SafeModeAction prev = monitor_->actions()[c];
+            const sched::SafeModeAction next = monitor_->assess(c, dt);
+            if (sink != nullptr && next != prev)
                 sink->events().append(
                     now_s, static_cast<long>(step), "safe_mode",
                     "circ" + std::to_string(c),
-                    std::string(safeModeActionName(actions_[c])) +
-                        " -> " + safeModeActionName(next));
-            actions_[c] = next;
+                    std::string(safeModeActionName(prev)) + " -> " +
+                        safeModeActionName(next));
         }
     }
 
@@ -441,7 +443,7 @@ SimSession::step()
     cctx.dt_s = dt;
     cctx.dc = &dc;
     cctx.utils = &utils_;
-    cctx.actions = resilient_ ? &actions_ : nullptr;
+    cctx.actions = resilient_ ? &monitor_->actions() : nullptr;
     cctx.margin_c = sm.margin_c;
     cctx.health = resilient_ ? &injector_->health() : nullptr;
     cctx.obs = sink;
@@ -494,11 +496,10 @@ SimSession::step()
     if (resilient_) {
         for (size_t c = 0; c < state_.circulations.size(); ++c) {
             const cluster::CirculationState &cs = state_.circulations[c];
-            die_read_[c] = injector_->readDie(c, cs.max_die_c);
-            flow_read_[c] = injector_->readFlow(c, cs.delivered_flow_lph);
-            commanded_flow_[c] = decision_.settings[c].flow_lph;
+            monitor_->feed(c, injector_->readDie(c, cs.max_die_c),
+                           injector_->readFlow(c, cs.delivered_flow_lph),
+                           decision_.settings[c].flow_lph);
         }
-        have_readings_ = true;
         if (use_watchdog_)
             watchdog_->observe(state_);
     }
@@ -536,16 +537,11 @@ SimSession::step()
     rec.record(ch_.umean, util_mean);
     rec.record(ch_.umax, util_max);
 
-    size_t degraded_circs = 0;
     if (resilient_) {
-        for (sched::SafeModeAction a : actions_)
-            if (a != sched::SafeModeAction::Normal)
-                ++degraded_circs;
-        acc_.safe_mode_steps += degraded_circs;
-
         rec.record(ch_.faulted, static_cast<double>(state_.faulted_servers));
         rec.record(ch_.lost, state_.teg_power_lost_w / n);
-        rec.record(ch_.safe_mode, static_cast<double>(degraded_circs));
+        rec.record(ch_.safe_mode,
+                   static_cast<double>(monitor_->numDegraded()));
         rec.record(ch_.throttled,
                    static_cast<double>(
                        use_watchdog_ ? watchdog_->numThrottled() : 0));
@@ -555,13 +551,10 @@ SimSession::step()
     acc_.cpu_j += state_.cpu_power_w * dt;
     acc_.plant_j += state_.plant_power_w * dt;
     acc_.pump_j += state_.pump_power_w * dt;
-    acc_.t_in_sum += t_in_mean;
     if (state_.all_safe)
         ++acc_.safe_steps;
-    if (resilient_) {
+    if (resilient_)
         acc_.teg_lost_j += state_.teg_power_lost_w * dt;
-        acc_.max_faulted = std::max(acc_.max_faulted, state_.faulted_servers);
-    }
 
     // Stage 8: observability.
     if (sink != nullptr) {
@@ -620,7 +613,7 @@ SimSession::finish()
     sum.pump_energy_kwh = units::joulesToKwh(acc_.pump_j);
     sum.pre = acc_.cpu_j > 0.0 ? acc_.teg_j / acc_.cpu_j : 0.0;
     sum.safe_fraction = static_cast<double>(acc_.safe_steps) / steps;
-    sum.avg_t_in_c = acc_.t_in_sum / steps;
+    sum.avg_t_in_c = rec.series(ch_.tin).mean();
     if (resilient_) {
         sum.fault_events = injector_->struckCount();
         sum.throttle_events = use_watchdog_ ? watchdog_->tripEvents() : 0;
@@ -628,8 +621,13 @@ SimSession::finish()
             use_watchdog_ ? watchdog_->deferredWorkSeconds() / 3600.0
                           : 0.0;
         sum.teg_energy_lost_kwh = units::joulesToKwh(acc_.teg_lost_j);
-        sum.safe_mode_steps = acc_.safe_mode_steps;
-        sum.max_faulted_servers = acc_.max_faulted;
+        // Both channels hold small integers, so the sum is exact.
+        const std::vector<double> &degraded =
+            rec.series(ch_.safe_mode).samples();
+        sum.safe_mode_steps = static_cast<size_t>(
+            std::accumulate(degraded.begin(), degraded.end(), 0.0));
+        sum.max_faulted_servers =
+            static_cast<size_t>(rec.series(ch_.faulted).max());
     }
     sum.circulation_safe_fraction.reserve(acc_.circ_safe_steps.size());
     for (size_t c : acc_.circ_safe_steps)
@@ -705,10 +703,7 @@ SummaryAccumulator::visit(util::Archive &ar)
     ar.f64(plant_j);
     ar.f64(pump_j);
     ar.f64(teg_lost_j);
-    ar.f64(t_in_sum);
     ar.size(safe_steps);
-    ar.size(safe_mode_steps);
-    ar.size(max_faulted);
     ar.count(circ_safe_steps.size(), "checkpoint circulation count");
     for (size_t &c : circ_safe_steps)
         ar.size(c);
@@ -722,34 +717,15 @@ SimSession::visitSession(util::Archive &ar)
     if (!resilient_)
         return;
 
-    // The fault timeline itself is recomputed deterministically; only
-    // the replay cursor's sensor latches and the feedback loops need
+    // The fault timeline is replayed to the last completed step, not
+    // saved; only the sensor latches and the feedback loops need
     // explicit state.
-    const size_t num_circ = sys_->datacenter().numCirculations();
-    ar.count(num_circ, "checkpoint circulation count");
-    // Re-run the timeline up to the last completed step before the
-    // latches load: this re-arms every sensor-fault window exactly as
-    // the original run did, after which only the value-dependent
-    // stuck-at latches need explicit restore.
-    if (ar.loading() && cursor_ > 0)
-        injector_->advanceTo(static_cast<double>(cursor_ - 1) *
-                             trace_->dt());
-    for (size_t c = 0; c < num_circ; ++c) {
-        injector_->dieSensor(c).visitLatch(ar);
-        injector_->flowSensor(c).visitLatch(ar);
-    }
+    const double last_step_s =
+        cursor_ > 0 ? static_cast<double>(cursor_ - 1) * trace_->dt()
+                    : -1.0;
+    injector_->visit(ar, last_step_s);
     watchdog_->visit(ar);
     monitor_->visit(ar);
-    for (size_t c = 0; c < num_circ; ++c) {
-        ar.f64(die_read_[c].value);
-        ar.boolean(die_read_[c].valid);
-        ar.f64(flow_read_[c].value);
-        ar.boolean(flow_read_[c].valid);
-        ar.f64(commanded_flow_[c]);
-    }
-    ar.boolean(have_readings_);
-    for (sched::SafeModeAction &a : actions_)
-        sched::visitAction(ar, a);
 
     if (ar.loading()) {
         // Events struck before the checkpoint were already reported

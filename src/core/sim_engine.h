@@ -97,6 +97,9 @@ struct RunGuard
  * Running sums a step loop maintains and the summary is derived from.
  * One accumulator serves both the clean and the resilient pipeline;
  * the resilience fields simply stay zero when those stages are off.
+ * What a recorded channel already holds (mean inlet temperature,
+ * safe-mode circulation-steps, peak faulted servers) is derived from
+ * the recorder at finish() instead.
  */
 struct SummaryAccumulator
 {
@@ -105,10 +108,7 @@ struct SummaryAccumulator
     double plant_j = 0.0;
     double pump_j = 0.0;
     double teg_lost_j = 0.0;
-    double t_in_sum = 0.0;
     size_t safe_steps = 0;
-    size_t safe_mode_steps = 0;
-    size_t max_faulted = 0;
     std::vector<size_t> circ_safe_steps;
 
     /** Save or load the sums (checkpoint state). */
@@ -161,9 +161,10 @@ class SimSession
     /**
      * Serialize all mutable loop state to @p path so a later
      * H2PSystem::resumeSession() continues this run bit-identically:
-     * fault-timeline cursor and sensor latches, watchdog caps and
-     * backlog, safe-mode supervisor state, prior-interval readings,
-     * summary accumulators and every recorded sample. The file embeds
+     * sensor latches (the fault timeline is replayed to the cursor),
+     * watchdog caps and backlog, safe-mode supervisor state with the
+     * prior-interval readings, summary accumulators and every
+     * recorded sample. The file embeds
      * a version, configuration/trace fingerprints and a checksum;
      * restore rejects corrupt or mismatched checkpoints loudly.
      *
@@ -248,8 +249,8 @@ class SimSession
     /**
      * Save or load everything a checkpoint carries after its header:
      * accumulators, recorded channels and, on resilient runs, the
-     * sensor latches, watchdog, safety monitor and the previous
-     * interval's readings and actions.
+     * fault injector's sensor latches, the watchdog and the safety
+     * monitor (with the previous interval's readings and actions).
      */
     void visitSession(util::Archive &ar);
 
@@ -301,12 +302,8 @@ class SimSession
     // Resilient-stage state; null/empty on clean runs.
     std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<fault::ThermalTripWatchdog> watchdog_;
+    /** Owns the previous interval's readings and the actions. */
     std::unique_ptr<sched::SafetyMonitor> monitor_;
-    std::vector<sched::SensorReading> die_read_;
-    std::vector<sched::SensorReading> flow_read_;
-    std::vector<double> commanded_flow_;
-    bool have_readings_ = false;
-    std::vector<sched::SafeModeAction> actions_;
 
     // Per-step scratch, allocated once and reused.
     std::vector<double> utils_;

@@ -361,20 +361,16 @@ FaultInjector::rebuildHealth()
     }
 }
 
-SensorChannel &
-FaultInjector::dieSensor(size_t circ)
+void
+FaultInjector::visit(util::Archive &ar, double replay_to_s)
 {
-    expect(circ < die_sensors_.size(), "circulation ", circ,
-           " out of range");
-    return die_sensors_[circ];
-}
-
-SensorChannel &
-FaultInjector::flowSensor(size_t circ)
-{
-    expect(circ < flow_sensors_.size(), "circulation ", circ,
-           " out of range");
-    return flow_sensors_[circ];
+    ar.count(die_sensors_.size(), "checkpoint circulation count");
+    if (ar.loading() && replay_to_s >= 0.0)
+        advanceTo(replay_to_s);
+    for (size_t c = 0; c < die_sensors_.size(); ++c) {
+        die_sensors_[c].visitLatch(ar);
+        flow_sensors_[c].visitLatch(ar);
+    }
 }
 
 sched::SensorReading

@@ -26,6 +26,7 @@
 
 #include "cluster/datacenter.h"
 #include "fault/sensor_fault.h"
+#include "util/bytes.h"
 
 namespace h2p {
 namespace fault {
@@ -188,14 +189,16 @@ class FaultInjector
     sched::SensorReading readFlow(size_t circ, double true_lph);
 
     /**
-     * Direct access to a circulation's sensor channels, for
-     * checkpointing their stuck-at latches. The armed fault windows
-     * are deterministic replay state — advanceTo() re-arms them — but
-     * a latch captures the first value read inside a window, which
-     * depends on the simulation and must be saved explicitly.
+     * Save or load the replay state a checkpoint needs. The timeline
+     * itself is recomputed from the parameters: loading first replays
+     * it to @p replay_to_s, the time of the last step the saved run
+     * completed (negative when it completed none), which re-arms
+     * every sensor-fault window exactly as that run did. Only the
+     * stuck-at latches, which capture values the run read, travel in
+     * the archive: the circulation count, then per circulation the
+     * die and the flow channel's latch.
      */
-    SensorChannel &dieSensor(size_t circ);
-    SensorChannel &flowSensor(size_t circ);
+    void visit(util::Archive &ar, double replay_to_s);
 
     const FaultScenarioParams &params() const { return params_; }
 

@@ -18,7 +18,8 @@ visitAction(util::Archive &ar, SafeModeAction &action)
 
 SafetyMonitor::SafetyMonitor(size_t num_circulations,
                              const SafeModeParams &params)
-    : params_(params), circs_(num_circulations)
+    : params_(params), circs_(num_circulations),
+      actions_(num_circulations, SafeModeAction::Normal)
 {
     expect(num_circulations >= 1, "monitor needs circulations");
     expect(params.margin_c >= 0.0, "margin must be non-negative");
@@ -30,14 +31,27 @@ SafetyMonitor::SafetyMonitor(size_t num_circulations,
            "flow tolerance must be positive");
 }
 
+void
+SafetyMonitor::feed(size_t circ, const SensorReading &die_c,
+                    const SensorReading &flow_lph,
+                    double commanded_flow_lph)
+{
+    expect(circ < circs_.size(), "circulation ", circ, " out of range");
+    CircState &st = circs_[circ];
+    st.die = die_c;
+    st.flow = flow_lph;
+    st.commanded_flow_lph = commanded_flow_lph;
+}
+
 SafeModeAction
-SafetyMonitor::assess(size_t circ, const SensorReading &die_c,
-                      const SensorReading &flow_lph,
-                      double commanded_flow_lph, double dt_s)
+SafetyMonitor::assess(size_t circ, double dt_s)
 {
     expect(circ < circs_.size(), "circulation ", circ, " out of range");
     expect(dt_s > 0.0, "interval must be positive");
     CircState &st = circs_[circ];
+    const SensorReading &die_c = st.die;
+    const SensorReading &flow_lph = st.flow;
+    const double commanded_flow_lph = st.commanded_flow_lph;
 
     SafeModeAction action = SafeModeAction::Normal;
     bool die_plausible = die_c.valid &&
@@ -77,26 +91,25 @@ SafetyMonitor::assess(size_t circ, const SensorReading &die_c,
         --st.hold;
         action = st.held;
     }
-    st.action = action;
+    actions_[circ] = action;
     return action;
-}
-
-SafeModeAction
-SafetyMonitor::action(size_t circ) const
-{
-    expect(circ < circs_.size(), "circulation ", circ, " out of range");
-    return circs_[circ].action;
 }
 
 void
 SafetyMonitor::visit(util::Archive &ar)
 {
-    for (CircState &st : circs_) {
+    for (size_t c = 0; c < circs_.size(); ++c) {
+        CircState &st = circs_[c];
         ar.f64(st.last_die_c);
         ar.boolean(st.has_last);
         ar.size(st.hold);
         visitAction(ar, st.held);
-        visitAction(ar, st.action);
+        visitAction(ar, actions_[c]);
+        ar.f64(st.die.value);
+        ar.boolean(st.die.valid);
+        ar.f64(st.flow.value);
+        ar.boolean(st.flow.valid);
+        ar.f64(st.commanded_flow_lph);
     }
 }
 
@@ -104,8 +117,8 @@ size_t
 SafetyMonitor::numDegraded() const
 {
     size_t n = 0;
-    for (const CircState &st : circs_)
-        if (st.action != SafeModeAction::Normal)
+    for (SafeModeAction a : actions_)
+        if (a != SafeModeAction::Normal)
             ++n;
     return n;
 }

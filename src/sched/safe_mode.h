@@ -106,9 +106,19 @@ enum class SafeModeAction {
 void visitAction(util::Archive &ar, SafeModeAction &action);
 
 /**
- * Per-circulation sensor-plausibility supervisor. Feed it the die
- * temperature and flow readings each interval; it answers with the
- * control action the scheduler should take.
+ * Per-circulation sensor-plausibility supervisor and the owner of the
+ * run's sensing loop. The controller acts on the previous interval's
+ * measurements, so the monitor is fed, then assessed:
+ *
+ *  - after an interval is evaluated, feed() stores each circulation's
+ *    die and flow readings and the flow the controller commanded;
+ *  - at the start of the next interval, assess() judges those stored
+ *    readings and sets the circulation's action.
+ *
+ * actions() is the one per-circulation action vector the scheduler
+ * reads (control::ControlContext::actions points at it). Every action
+ * starts Normal: the first interval has no readings to judge, so the
+ * caller assesses only once a reading has been fed.
  */
 class SafetyMonitor
 {
@@ -117,30 +127,37 @@ class SafetyMonitor
                   const SafeModeParams &params = {});
 
     /**
-     * Assess one circulation's readings for this interval.
+     * Store one circulation's measurements of the interval just
+     * evaluated; the next assess() of @p circ judges them.
      *
      * @param circ Circulation index.
-     * @param die_c Hottest-die temperature reading of the previous
-     *        interval (the controller always acts on the last
-     *        completed measurement).
+     * @param die_c Hottest-die temperature reading.
      * @param flow_lph Measured delivered loop flow, L/H.
-     * @param commanded_flow_lph Flow the controller last commanded.
-     * @param dt_s Time since the previous reading, seconds.
+     * @param commanded_flow_lph Flow the controller commanded, L/H.
      */
-    SafeModeAction assess(size_t circ, const SensorReading &die_c,
-                          const SensorReading &flow_lph,
-                          double commanded_flow_lph, double dt_s);
+    void feed(size_t circ, const SensorReading &die_c,
+              const SensorReading &flow_lph, double commanded_flow_lph);
 
-    /** Latest action decided for circulation @p circ. */
-    SafeModeAction action(size_t circ) const;
+    /**
+     * Assess circulation @p circ on the readings last fed and set its
+     * action for this interval.
+     *
+     * @param circ Circulation index.
+     * @param dt_s Time since the previous reading, seconds.
+     * @return The circulation's new action.
+     */
+    SafeModeAction assess(size_t circ, double dt_s);
+
+    /** Latest action per circulation. */
+    const std::vector<SafeModeAction> &actions() const { return actions_; }
 
     /** Circulations currently not in Normal mode. */
     size_t numDegraded() const;
 
     /**
      * Save or load the full mutable state, one record per
-     * circulation (last die reading, hold counter, held and current
-     * action).
+     * circulation: last plausible die reading, hold counter, held and
+     * current action, then the readings last fed.
      */
     void visit(util::Archive &ar);
 
@@ -149,15 +166,20 @@ class SafetyMonitor
   private:
     struct CircState
     {
+        /** Rate-check baseline: the last plausible die reading. */
         double last_die_c = 0.0;
         bool has_last = false;
         size_t hold = 0;
         SafeModeAction held = SafeModeAction::Normal;
-        SafeModeAction action = SafeModeAction::Normal;
+        /** The readings last fed, judged by the next assess(). */
+        SensorReading die;
+        SensorReading flow;
+        double commanded_flow_lph = 0.0;
     };
 
     SafeModeParams params_;
     std::vector<CircState> circs_;
+    std::vector<SafeModeAction> actions_;
 };
 
 } // namespace sched

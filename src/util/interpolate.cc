@@ -43,49 +43,6 @@ GridAxis::locate(double x, size_t &idx, double &frac) const
     frac = t - static_cast<double>(idx);
 }
 
-LinearGrid1D::LinearGrid1D(GridAxis axis, std::vector<double> values)
-    : axis_(axis), values_(std::move(values))
-{
-    expect(values_.size() == axis_.count(),
-           "1-D grid expects ", axis_.count(), " values, got ",
-           values_.size());
-}
-
-double
-LinearGrid1D::operator()(double x) const
-{
-    size_t i;
-    double t;
-    axis_.locate(x, i, t);
-    return lerp(values_[i], values_[i + 1], t);
-}
-
-LinearGrid2D::LinearGrid2D(GridAxis x, GridAxis y,
-                           std::vector<double> values)
-    : x_(x), y_(y), values_(std::move(values))
-{
-    expect(values_.size() == x_.count() * y_.count(),
-           "2-D grid expects ", x_.count() * y_.count(), " values, got ",
-           values_.size());
-}
-
-double
-LinearGrid2D::at(size_t i, size_t j) const
-{
-    return values_[i * y_.count() + j];
-}
-
-double
-LinearGrid2D::operator()(double x, double y) const
-{
-    size_t i, j;
-    double tx, ty;
-    x_.locate(x, i, tx);
-    y_.locate(y, j, ty);
-    return lerp(lerp(at(i, j), at(i, j + 1), ty),
-                lerp(at(i + 1, j), at(i + 1, j + 1), ty), tx);
-}
-
 LinearGrid3D::LinearGrid3D(GridAxis x, GridAxis y, GridAxis z,
                            std::vector<double> values)
     : x_(x), y_(y), z_(z), values_(std::move(values))

@@ -4,8 +4,8 @@
  *
  * Sec. V-B of the paper fits its discrete (utilization, flow rate, inlet
  * temperature) -> CPU-temperature measurements into a continuous
- * "look-up space". These classes provide the 1-D/2-D/3-D regular-grid
- * interpolators that back that space.
+ * "look-up space". These classes provide the regular-grid axis and the
+ * 3-D interpolator that back that space.
  */
 
 #ifndef H2P_UTIL_INTERPOLATE_H_
@@ -61,39 +61,6 @@ class GridAxis
     double hi_;
     size_t count_;
     double step_;
-};
-
-/** Piecewise-linear function on a regular 1-D grid. */
-class LinearGrid1D
-{
-  public:
-    LinearGrid1D(GridAxis axis, std::vector<double> values);
-
-    /** Clamped linear interpolation at @p x. */
-    double operator()(double x) const;
-
-    const GridAxis &axis() const { return axis_; }
-
-  private:
-    GridAxis axis_;
-    std::vector<double> values_;
-};
-
-/** Bilinear interpolation on a regular 2-D grid (row-major values). */
-class LinearGrid2D
-{
-  public:
-    LinearGrid2D(GridAxis x, GridAxis y, std::vector<double> values);
-
-    /** Clamped bilinear interpolation at (@p x, @p y). */
-    double operator()(double x, double y) const;
-
-  private:
-    double at(size_t i, size_t j) const;
-
-    GridAxis x_;
-    GridAxis y_;
-    std::vector<double> values_;
 };
 
 /**

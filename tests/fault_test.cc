@@ -244,13 +244,25 @@ TEST(SensorChannelTest, DropoutInvalidatesTheSample)
 
 // -------------------------------------------------------- safety monitor
 
+/**
+ * Feed circulation 0 one interval's readings (30 L/H commanded), then
+ * assess it 300 s later.
+ */
+sched::SafeModeAction
+feedAndAssess(sched::SafetyMonitor &mon, const sched::SensorReading &die,
+              const sched::SensorReading &flow)
+{
+    mon.feed(0, die, flow, 30.0);
+    return mon.assess(0, 300.0);
+}
+
 TEST(SafetyMonitorTest, PlausibleSteadyReadingsStayNormal)
 {
     sched::SafetyMonitor mon(2);
     sched::SensorReading die{60.0, true};
     sched::SensorReading flow{30.0, true};
     for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(mon.assess(0, die, flow, 30.0, 300.0),
+        EXPECT_EQ(feedAndAssess(mon, die, flow),
                   sched::SafeModeAction::Normal);
     EXPECT_EQ(mon.numDegraded(), 0u);
 }
@@ -259,10 +271,11 @@ TEST(SafetyMonitorTest, ImplausibleReadingForcesColdFallback)
 {
     sched::SafetyMonitor mon(1);
     sched::SensorReading flow{30.0, true};
-    EXPECT_EQ(mon.assess(0, {150.0, true}, flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, {150.0, true}, flow),
               sched::SafeModeAction::ColdFallback);
-    EXPECT_EQ(mon.assess(0, {60.0, false}, flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, {60.0, false}, flow),
               sched::SafeModeAction::ColdFallback);
+    EXPECT_EQ(mon.numDegraded(), 1u);
 }
 
 TEST(SafetyMonitorTest, RateViolationWidensTheMargin)
@@ -271,9 +284,9 @@ TEST(SafetyMonitorTest, RateViolationWidensTheMargin)
     p.hold_steps = 0;
     sched::SafetyMonitor mon(1, p);
     sched::SensorReading flow{30.0, true};
-    mon.assess(0, {60.0, true}, flow, 30.0, 300.0);
+    feedAndAssess(mon, {60.0, true}, flow);
     // 60 -> 90 C in one 300 s interval: 0.1 C/s > 0.05 C/s.
-    EXPECT_EQ(mon.assess(0, {90.0, true}, flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, {90.0, true}, flow),
               sched::SafeModeAction::WidenMargin);
 }
 
@@ -281,9 +294,9 @@ TEST(SafetyMonitorTest, FlowShortfallForcesColdFallback)
 {
     sched::SafetyMonitor mon(1);
     sched::SensorReading die{60.0, true};
-    EXPECT_EQ(mon.assess(0, die, {9.0, true}, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, {9.0, true}),
               sched::SafeModeAction::ColdFallback);
-    EXPECT_EQ(mon.assess(0, die, {30.0, false}, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, {30.0, false}),
               sched::SafeModeAction::ColdFallback);
 }
 
@@ -294,15 +307,18 @@ TEST(SafetyMonitorTest, TriggerHoldsForConfiguredSteps)
     sched::SafetyMonitor mon(1, p);
     sched::SensorReading die{60.0, true};
     sched::SensorReading good_flow{30.0, true};
-    EXPECT_EQ(mon.assess(0, die, {5.0, true}, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, {5.0, true}),
               sched::SafeModeAction::ColdFallback);
     // Condition cleared, but the action holds for two more intervals.
-    EXPECT_EQ(mon.assess(0, die, good_flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, good_flow),
               sched::SafeModeAction::ColdFallback);
-    EXPECT_EQ(mon.assess(0, die, good_flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, good_flow),
               sched::SafeModeAction::ColdFallback);
-    EXPECT_EQ(mon.assess(0, die, good_flow, 30.0, 300.0),
+    EXPECT_EQ(feedAndAssess(mon, die, good_flow),
               sched::SafeModeAction::Normal);
+    EXPECT_EQ(mon.actions(),
+              std::vector<sched::SafeModeAction>{
+                  sched::SafeModeAction::Normal});
 }
 
 // ------------------------------------------------------------- watchdog

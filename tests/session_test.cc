@@ -238,10 +238,10 @@ TEST(SessionTest, CheckpointResumesAcrossThreadCounts)
     expectSameChannels(*full.recorder, *rest.recorder);
 }
 
-// ------------------------------------------------ v2 layout guard
+// ------------------------------------------------ v3 layout guard
 
 /**
- * A test-local decoder of the v2 checkpoint file, written from the
+ * A test-local decoder of the v3 checkpoint file, written from the
  * layout the session documents (magic | version | payload length |
  * payload | FNV-1a footer, then the payload field by field) and
  * deliberately independent of the session's own serializer: if save
@@ -362,7 +362,7 @@ walkBalancerBlob(const std::string &blob,
 }
 
 /**
- * Walk a whole v2 checkpoint of @p session field by field: framing,
+ * Walk a whole v3 checkpoint of @p session field by field: framing,
  * header, control-plane section, accumulators, recorded channels and
  * (for resilient runs) the fault/watchdog/safe-mode block. Asserts
  * that every byte is consumed and that the cursor, channel names and
@@ -371,7 +371,7 @@ walkBalancerBlob(const std::string &blob,
  * @p watchdog, when given, receives the watchdog's bytes.
  */
 size_t
-walkCheckpointV2(const std::string &bytes, core::SimSession &session,
+walkCheckpointV3(const std::string &bytes, core::SimSession &session,
                  const core::H2PSystem &sys,
                  const workload::UtilizationTrace &trace,
                  std::string *watchdog = nullptr)
@@ -383,7 +383,7 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
     // Framing: "H2PCKPT1" | u32 version | u64 length | payload | u64.
     EXPECT_EQ(bytes.substr(0, 8), "H2PCKPT1");
     LayoutWalk head(bytes, 8, bytes.size());
-    EXPECT_EQ(head.u32(), 2u);
+    EXPECT_EQ(head.u32(), 3u);
     const uint64_t len = head.u64();
     EXPECT_EQ(bytes.size(), 8u + 4u + 8u + len + 8u);
     if (bytes.size() != 8u + 4u + 8u + len + 8u)
@@ -429,13 +429,11 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
                          ? 1u
                          : 0u);
 
-    // Summary accumulators: six f64 sums, three u64 counters, then
-    // one safe-step counter per circulation.
-    for (int i = 0; i < 6; ++i)
+    // Summary accumulators: five f64 energy sums, the safe-step
+    // counter, then one safe-step counter per circulation.
+    for (int i = 0; i < 5; ++i)
         EXPECT_TRUE(std::isfinite(w.f64()));
     EXPECT_LE(w.u64(), cursor); // safe steps
-    w.u64();                    // safe-mode circulation-steps
-    EXPECT_LE(w.u64(), servers); // max faulted servers
     EXPECT_EQ(w.u64(), num_circ);
     for (size_t c = 0; c < num_circ; ++c)
         EXPECT_LE(w.u64(), cursor);
@@ -455,6 +453,7 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
     }
 
     if (resilient) {
+        // Fault injector: the sensor latches.
         EXPECT_EQ(w.u64(), num_circ);
         for (size_t c = 0; c < num_circ; ++c) {
             const uint8_t die_held = w.u8();
@@ -482,25 +481,31 @@ walkCheckpointV2(const std::string &bytes, core::SimSession &session,
         if (watchdog != nullptr)
             *watchdog = payload.substr(watchdog_begin,
                                        w.pos() - watchdog_begin);
-        // Safety monitor: one record per circulation.
+        // Safety monitor: one record per circulation — rate-check
+        // baseline, hold, held and current action, then the readings
+        // last fed and the commanded flow. The degraded actions are
+        // the ones the last step recorded.
+        size_t degraded = 0;
         for (size_t c = 0; c < num_circ; ++c) {
             w.f64();
             EXPECT_LE(w.u8(), 1u);
             w.u64();
             EXPECT_LE(w.u32(), 2u);
-            EXPECT_LE(w.u32(), 2u);
+            const uint32_t action = w.u32();
+            EXPECT_LE(action, 2u);
+            degraded += action != 0 ? 1 : 0;
+            w.f64();
+            EXPECT_LE(w.u8(), 1u); // die reading valid
+            w.f64();
+            EXPECT_LE(w.u8(), 1u); // flow reading valid
+            EXPECT_TRUE(std::isfinite(w.f64()));
         }
-        // Previous-interval readings and commanded flows.
-        for (size_t c = 0; c < num_circ; ++c) {
-            w.f64();
-            EXPECT_LE(w.u8(), 1u);
-            w.f64();
-            EXPECT_LE(w.u8(), 1u);
-            w.f64();
-        }
-        EXPECT_EQ(w.u8(), cursor > 0 ? 1u : 0u); // have_readings
-        for (size_t c = 0; c < num_circ; ++c)
-            EXPECT_LE(w.u32(), 2u);
+        const auto &modes =
+            session.recorder()
+                .series(sim::channels::kSafeModeCirculations)
+                .samples();
+        EXPECT_EQ(static_cast<double>(degraded),
+                  modes.empty() ? 0.0 : modes.back());
     }
     EXPECT_TRUE(w.ok()) << "checkpoint payload ended early";
     EXPECT_TRUE(w.atEnd()) << "checkpoint payload has "
@@ -531,7 +536,7 @@ resilienceStyleConfig()
     return cfg;
 }
 
-TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
+TEST(SessionTest, CheckpointV3LayoutIsPinnedFieldByField)
 {
     TempPath ck("session_test_layout.ckpt");
     auto trace = makeTrace();
@@ -561,7 +566,7 @@ TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
             session.step();
         session.saveCheckpoint(ck.path);
         const std::string bytes = readFile(ck.path);
-        size_t held = walkCheckpointV2(bytes, session, sys, trace);
+        size_t held = walkCheckpointV3(bytes, session, sys, trace);
         // The scripted die-sensor stuck window (600 s onward) is
         // latched by step 4 of the faulted run.
         if (std::string(c.what) == "faulted") {
@@ -572,6 +577,90 @@ TEST(SessionTest, CheckpointV2LayoutIsPinnedFieldByField)
         auto resumed = sys.resumeSession(ck.path, trace);
         resumed.saveCheckpoint(ck.path);
         EXPECT_EQ(readFile(ck.path), bytes);
+    }
+}
+
+/**
+ * A file sealed as version 2 (the layout before the monitor owned the
+ * readings) is refused by its version number, before its payload is
+ * read, and the message names both versions.
+ */
+TEST(SessionTest, RefusesAVersion2Checkpoint)
+{
+    TempPath ck("session_test_v2.ckpt");
+    auto trace = makeTrace();
+    core::H2PSystem sys(resilienceStyleConfig());
+    auto session = sys.startSession(trace, sched::Policy::TegOriginal);
+    for (size_t i = 0; i < 4; ++i)
+        session.step();
+    session.saveCheckpoint(ck.path);
+    const std::string v3 = readFile(ck.path);
+    ASSERT_GT(v3.size(), 28u);
+    const std::string payload = v3.substr(20, v3.size() - 28);
+
+    // magic | u32 version | u64 length | payload | FNV-1a u64, little
+    // endian, sealed by hand.
+    auto le = [](uint64_t v, size_t n) {
+        std::string out;
+        for (size_t i = 0; i < n; ++i)
+            out.push_back(static_cast<char>(v >> (8 * i)));
+        return out;
+    };
+    const std::string v2 = "H2PCKPT1" + le(2, 4) + le(payload.size(), 8) +
+                           payload + le(fnv1a(payload), 8);
+    {
+        std::ofstream os(ck.path, std::ios::binary);
+        os.write(v2.data(), static_cast<std::streamsize>(v2.size()));
+    }
+    try {
+        sys.resumeSession(ck.path, trace);
+        FAIL() << "a version 2 checkpoint was accepted";
+    } catch (const Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("has version 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads version 3"), std::string::npos) << what;
+    }
+}
+
+/**
+ * A resilient safe-mode run checkpointed at its edge cursors — before
+ * any step (no readings yet), after the first step (the readings
+ * first apply at the next step) and before the last step — and
+ * resumed on a fresh system equals the uninterrupted run, under both
+ * policies with [balancer] off and on.
+ */
+TEST(SessionTest, ResilientRunResumesFromItsEdgeCursors)
+{
+    TempPath ck("session_test_edges.ckpt");
+    auto trace = makeTrace();
+    for (bool balancer : {false, true}) {
+        core::H2PConfig cfg = resilienceStyleConfig();
+        cfg.balancer.enabled = balancer;
+        for (sched::Policy policy : {sched::Policy::TegOriginal,
+                                     sched::Policy::TegLoadBalance}) {
+            core::H2PSystem sys(cfg);
+            const auto full = sys.run(trace, policy);
+            ASSERT_GT(full.summary.safe_mode_steps, 0u);
+            for (size_t at : {size_t{0}, size_t{1}, trace.numSteps() - 1}) {
+                SCOPED_TRACE(::testing::Message()
+                             << sched::toString(policy) << " balancer "
+                             << balancer << " cursor " << at);
+                auto first = sys.startSession(trace, policy);
+                while (first.cursor() < at)
+                    first.step();
+                first.saveCheckpoint(ck.path);
+
+                core::H2PSystem fresh(cfg);
+                auto resumed = fresh.resumeSession(ck.path, trace);
+                EXPECT_EQ(resumed.cursor(), at);
+                resumed.runToCompletion();
+                const auto rest = resumed.finish();
+                EXPECT_EQ(
+                    test::firstDifferingField(full.summary, rest.summary),
+                    "");
+                expectSameChannels(*full.recorder, *rest.recorder);
+            }
+        }
     }
 }
 
@@ -643,7 +732,7 @@ TEST(SessionTest, MidThrottleCheckpointMatchesFullScanWatchdog)
 
         session.saveCheckpoint(ck.path);
         std::string watchdog;
-        walkCheckpointV2(readFile(ck.path), session, sys, trace, &watchdog);
+        walkCheckpointV3(readFile(ck.path), session, sys, trace, &watchdog);
         EXPECT_EQ(watchdog, oracle::visitBytes(ref));
 
         auto resumed = sys.resumeSession(ck.path, trace);

@@ -303,29 +303,6 @@ TEST(GridAxisTest, RejectsDegenerate)
     EXPECT_THROW(GridAxis(1.0, 1.0, 3), Error);
 }
 
-TEST(Interp1DTest, ReproducesLinearExactly)
-{
-    GridAxis ax(0.0, 4.0, 5);
-    std::vector<double> vals;
-    for (size_t i = 0; i < 5; ++i)
-        vals.push_back(2.0 * ax.coord(i) - 1.0);
-    LinearGrid1D f(ax, vals);
-    for (double x = 0.0; x <= 4.0; x += 0.13)
-        EXPECT_NEAR(f(x), 2.0 * x - 1.0, 1e-12);
-}
-
-TEST(Interp2DTest, ReproducesBilinearExactly)
-{
-    GridAxis ax(0.0, 2.0, 3), ay(0.0, 3.0, 4);
-    std::vector<double> vals;
-    for (size_t i = 0; i < 3; ++i)
-        for (size_t j = 0; j < 4; ++j)
-            vals.push_back(ax.coord(i) + 10.0 * ay.coord(j));
-    LinearGrid2D f(ax, ay, vals);
-    EXPECT_NEAR(f(1.5, 2.25), 1.5 + 22.5, 1e-12);
-    EXPECT_NEAR(f(0.0, 0.0), 0.0, 1e-12);
-}
-
 TEST(Interp3DTest, ReproducesTrilinearExactly)
 {
     GridAxis ax(0.0, 1.0, 3), ay(0.0, 1.0, 3), az(0.0, 1.0, 3);
