@@ -37,16 +37,18 @@ Outcome
 run(Strategy strategy, const workload::UtilizationTrace &trace,
     const core::H2PSystem &sys)
 {
-    core::SimSession session = sys.startSession(
-        trace, strategy == Strategy::Balance ? sched::Policy::TegLoadBalance
-                                             : sched::Policy::TegOriginal);
+    std::unique_ptr<control::ControlPipeline> p;
     if (strategy == Strategy::Consolidate) {
         const cluster::Datacenter &dc = sys.datacenter();
-        auto p = std::make_unique<control::ControlPipeline>("consolidate");
+        p = std::make_unique<control::ControlPipeline>("consolidate");
         p->add(std::make_unique<control::ConsolidationStage>(dc, 0.8));
         p->add(std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
-        session.setPipeline(std::move(p));
     }
+    core::SimSession session = sys.startSession(
+        trace,
+        strategy == Strategy::Balance ? sched::Policy::TegLoadBalance
+                                      : sched::Policy::TegOriginal,
+        std::move(p));
     Outcome out;
     while (!session.done()) {
         session.step();

@@ -37,16 +37,16 @@ runAvgTeg(control::PlacementStage::Place place, bool balance,
 {
     const sched::Policy policy = balance ? sched::Policy::TegLoadBalance
                                          : sched::Policy::TegOriginal;
-    core::SimSession session = sys.startSession(trace, policy);
+    std::unique_ptr<control::ControlPipeline> p;
     if (place != nullptr) {
         const cluster::Datacenter &dc = sys.datacenter();
-        auto p = std::make_unique<control::ControlPipeline>("placed");
+        p = std::make_unique<control::ControlPipeline>("placed");
         p->add(std::make_unique<control::PlacementStage>(dc, place));
         if (balance)
             p->add(std::make_unique<control::BalanceStage>(dc));
         p->add(std::make_unique<control::CoolingStage>(dc, sys.optimizer()));
-        session.setPipeline(std::move(p));
     }
+    core::SimSession session = sys.startSession(trace, policy, std::move(p));
     double teg_sum = 0.0;
     while (!session.done()) {
         session.step();

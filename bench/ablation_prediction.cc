@@ -48,19 +48,19 @@ run(Planner planner, const workload::UtilizationTrace &trace,
     // Clairvoyant is the paper's TEG_Original; the causal planners
     // plan on the EWMA upper bound, which is the previous interval's
     // utilization when alpha = 1 and kappa = 0.
-    core::SimSession session =
-        sys.startSession(trace, sched::Policy::TegOriginal);
+    std::unique_ptr<control::ControlPipeline> p;
     if (planner != Planner::Clairvoyant) {
         sched::PredictorParams params;
         if (planner == Planner::Stale) {
             params.alpha = 1.0;
             params.kappa = 0.0;
         }
-        auto p = std::make_unique<control::ControlPipeline>("causal");
+        p = std::make_unique<control::ControlPipeline>("causal");
         p->add(std::make_unique<control::PredictiveCoolingStage>(
             sys.datacenter(), sys.optimizer(), params));
-        session.setPipeline(std::move(p));
     }
+    core::SimSession session =
+        sys.startSession(trace, sched::Policy::TegOriginal, std::move(p));
 
     const double t_safe = sys.config().optimizer.t_safe_c;
     PolicyResult res;

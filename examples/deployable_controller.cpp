@@ -68,16 +68,14 @@ main(int argc, char **argv)
         auto trace = gen.generateProfile(
             workload::TraceProfile::Drastic, servers);
 
-        core::SimSession session =
-            sys.startSession(trace, sched::Policy::TegOriginal);
-
         // 1. Causal planning replaces the built-in decide stage; the
         // stage learns each interval's utilizations after it ran.
         auto pipeline =
             std::make_unique<control::ControlPipeline>("predictive");
         pipeline->add(std::make_unique<control::PredictiveCoolingStage>(
             sys.datacenter(), sys.optimizer()));
-        session.setPipeline(std::move(pipeline));
+        core::SimSession session = sys.startSession(
+            trace, sched::Policy::TegOriginal, std::move(pipeline));
 
         double worst_die = 0.0;
         size_t tec_events = 0, miss_events = 0;

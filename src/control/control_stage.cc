@@ -93,8 +93,8 @@ ControlPipeline::applyState(
         ControlStage *stage = find(entry.first);
         expect(stage != nullptr, "checkpoint carries state for "
                "control stage `", entry.first, "', which pipeline `",
-               name_, "' does not have; attach a matching pipeline "
-               "before stepping");
+               name_, "' does not have; resume with a matching "
+               "pipeline");
         util::ByteReader r(entry.second, 0, entry.second.size());
         util::Archive ar(r);
         stage->visitState(ar);

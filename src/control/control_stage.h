@@ -10,10 +10,11 @@
  * settings, evacuate a circulation); the pipeline seeds the decision
  * with the interval's shaped utilizations, runs the stages in order
  * and validates the final shape. A SimSession runs a pipeline as its
- * decide stage (SimSession::setPipeline() installs a custom one), so
- * the canonical pipelines are bit-identical to the hard-wired
- * scheduler they replaced and custom pipelines compose with the rest
- * of the step loop (faults, safe mode, checkpointing) for free.
+ * decide stage for the whole run (a custom one is passed to
+ * H2PSystem::startSession() or resumeSession()), so the canonical
+ * pipelines are bit-identical to the hard-wired scheduler they
+ * replaced and custom pipelines compose with the rest of the step
+ * loop (faults, safe mode, checkpointing) for free.
  *
  * Stages that carry state across intervals declare stateful() and
  * describe that state once in visitState(); a session embeds it in

@@ -1,5 +1,7 @@
 #include "core/h2p_system.h"
 
+#include <utility>
+
 #include "sched/lookup_cache.h"
 #include "util/error.h"
 
@@ -69,23 +71,25 @@ RunResult
 H2PSystem::run(const workload::UtilizationTrace &trace,
                sched::Policy policy) const
 {
-    SimSession session(*this, trace, policy);
+    SimSession session(*this, trace, policy, nullptr);
     session.runToCompletion();
     return session.finish();
 }
 
 SimSession
-H2PSystem::startSession(const workload::UtilizationTrace &trace,
-                        sched::Policy policy) const
+H2PSystem::startSession(
+    const workload::UtilizationTrace &trace, sched::Policy policy,
+    std::unique_ptr<control::ControlPipeline> pipeline) const
 {
-    return SimSession(*this, trace, policy);
+    return SimSession(*this, trace, policy, std::move(pipeline));
 }
 
 SimSession
-H2PSystem::resumeSession(const std::string &path,
-                         const workload::UtilizationTrace &trace) const
+H2PSystem::resumeSession(
+    const std::string &path, const workload::UtilizationTrace &trace,
+    std::unique_ptr<control::ControlPipeline> pipeline) const
 {
-    return SimSession::resume(*this, path, trace);
+    return SimSession::resume(*this, path, trace, std::move(pipeline));
 }
 
 } // namespace core

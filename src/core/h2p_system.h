@@ -9,8 +9,9 @@
  *  - run(): batch — step the whole trace and return the result;
  *  - startSession()/resumeSession(): incremental — a SimSession is
  *    stepped interval by interval, can be checkpointed to disk at any
- *    point and later resumed bit-identically, and accepts a custom
- *    control pipeline in place of the built-in decide stage.
+ *    point and later resumed bit-identically, and runs either the
+ *    policy's built-in decide stage or a custom control pipeline
+ *    given to it when it starts or resumes.
  *
  * run() steps a core::SimSession to completion, so a session-stepped
  * run is sample-for-sample identical to run(). Sessions point into
@@ -69,12 +70,19 @@ class H2PSystem
 
     /**
      * Begin an incremental run over @p trace: the returned session is
-     * stepped explicitly (SimSession::step()) and produces exactly the
-     * samples and summary run() would. The system and the trace must
-     * outlive the session.
+     * stepped explicitly (SimSession::step()) and, with the built-in
+     * pipeline, produces exactly the samples and summary run() would.
+     * The system and the trace must outlive the session.
+     *
+     * @p pipeline is the session's decide stage for the whole run —
+     * the seam for causal/predictive controllers, RL-style agents and
+     * what-if probes that still want the rest of the step loop. Null
+     * means the policy's built-in pipeline (pipelines()).
      */
-    SimSession startSession(const workload::UtilizationTrace &trace,
-                            sched::Policy policy) const;
+    SimSession startSession(
+        const workload::UtilizationTrace &trace, sched::Policy policy,
+        std::unique_ptr<control::ControlPipeline> pipeline = nullptr)
+        const;
 
     /**
      * Restore a session from a checkpoint written by
@@ -83,9 +91,16 @@ class H2PSystem
      * must match the checkpoint's (both fingerprint-verified).
      * Stepping the restored session to completion reproduces the
      * uninterrupted run bit-identically.
+     *
+     * The checkpoint's control-stage state goes, by name, into
+     * @p pipeline (null = the policy's built-in pipeline); a stage it
+     * names that the pipeline lacks is an Error. A checkpoint taken
+     * under custom control must be resumed with that control: a null
+     * @p pipeline is refused with an Error.
      */
-    SimSession resumeSession(const std::string &path,
-                             const workload::UtilizationTrace &trace)
+    SimSession resumeSession(
+        const std::string &path, const workload::UtilizationTrace &trace,
+        std::unique_ptr<control::ControlPipeline> pipeline = nullptr)
         const;
 
     /**

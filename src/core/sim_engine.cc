@@ -131,7 +131,7 @@ struct CheckpointHeader
     uint64_t cursor = 0;
     /**
      * Run under user-supplied control, which a session cannot
-     * rebuild: resume demands a re-attach.
+     * rebuild: resume demands the pipeline back.
      */
     bool custom_control = false;
     /** Every declared-stateful stage's state, keyed by name. */
@@ -205,8 +205,10 @@ visitChannels(sim::Recorder &rec, uint64_t cursor, util::Archive &ar)
 
 SimSession::SimSession(const H2PSystem &sys,
                        const workload::UtilizationTrace &trace,
-                       sched::Policy policy)
-    : sys_(&sys), trace_(&trace), policy_(policy)
+                       sched::Policy policy,
+                       std::unique_ptr<control::ControlPipeline> pipeline)
+    : sys_(&sys), trace_(&trace), policy_(policy),
+      pipeline_(std::move(pipeline)), custom_control_(pipeline_ != nullptr)
 {
     const H2PConfig &cfg = sys.config();
     const cluster::Datacenter &dc = sys.datacenter();
@@ -219,7 +221,8 @@ SimSession::SimSession(const H2PSystem &sys,
     const sched::SafeModeParams &sm = cfg.safe_mode;
     resilient_ = cfg.faults.enabled() || sm.enabled;
     use_watchdog_ = resilient_ && sm.enabled && sm.watchdog_enabled;
-    pipeline_ = sys.pipelines().make(policy);
+    if (pipeline_ == nullptr)
+        pipeline_ = sys.pipelines().make(policy);
 
     recorder_ = std::make_shared<sim::Recorder>(trace.dt());
     sim::Recorder &rec = *recorder_;
@@ -350,9 +353,7 @@ SimSession::step()
     // run *between* steps, so every completed step's state is exactly
     // the deterministic state and a supervisor can still checkpoint.
     if (guard_.active()) {
-        if ((guard_.cancel != nullptr && guard_.cancel->cancelRequested()) ||
-            (guard_.cancel_alt != nullptr &&
-             guard_.cancel_alt->cancelRequested()))
+        if (guard_.cancel != nullptr && guard_.cancel->cancelRequested())
             failRun(FailureKind::Cancelled, step, "guard",
                     "cancellation requested");
         if (guard_.step_budget > 0 &&
@@ -425,19 +426,10 @@ SimSession::step()
     }
 
     // Stage 4: scheduling decision — the session's control pipeline
-    // (canonical per-policy stages from the PipelineFactory, or
-    // custom control installed through setPipeline()).
+    // (canonical per-policy stages from the PipelineFactory, or the
+    // custom control the session was started with).
     // The timestamp after this stage closes the sched.decide span and
     // opens the dc.evaluate one.
-    if (pipeline_ == nullptr) {
-        // Only a custom-control resume leaves the pipeline unset; a
-        // session cannot rebuild user control, so stepping without a
-        // re-attach would silently change the run.
-        failRun(FailureKind::ConfigError, step, "decide",
-                "session was resumed from a checkpoint taken under "
-                "custom control; re-attach the pipeline with "
-                "setPipeline() before stepping");
-    }
     control::ControlContext cctx;
     cctx.step = step;
     cctx.dt_s = dt;
@@ -640,33 +632,6 @@ SimSession::finish()
 }
 
 void
-SimSession::setPipeline(std::unique_ptr<control::ControlPipeline> p)
-{
-    if (p == nullptr) {
-        // Restore the policy's built-in pipeline. State stashed by a
-        // custom-control resume belongs to custom stages and cannot
-        // land in the factory pipeline.
-        expect(pending_state_.empty(),
-               "this session was resumed from a custom-control "
-               "checkpoint carrying control-stage state; re-attach a "
-               "matching pipeline with setPipeline() instead of "
-               "restoring the built-in one");
-        pipeline_ = sys_->pipelines().make(policy_);
-        custom_control_ = false;
-        return;
-    }
-    // A checkpoint taken under custom control stashes its stage state
-    // until the caller re-attaches; hand it to the incoming pipeline
-    // now so stepping resumes bit-identically.
-    if (!pending_state_.empty()) {
-        p->applyState(pending_state_);
-        pending_state_.clear();
-    }
-    pipeline_ = std::move(p);
-    custom_control_ = true;
-}
-
-void
 SimSession::setGuard(const RunGuard &guard)
 {
     guard_ = guard;
@@ -749,11 +714,8 @@ SimSession::saveCheckpoint(const std::string &path) const
     h.num_steps = numSteps();
     h.dt = trace_->dt();
     h.cursor = cursor_;
-    // A not-yet-re-attached resumed session forwards the stage state
-    // it was restored with unchanged.
     h.custom_control = custom_control_;
-    h.stage_state = pipeline_ != nullptr ? pipeline_->captureState()
-                                         : pending_state_;
+    h.stage_state = pipeline_->captureState();
 
     ByteWriter w;
     util::Archive ar(w);
@@ -770,7 +732,8 @@ SimSession::saveCheckpoint(const std::string &path) const
 
 SimSession
 SimSession::resume(const H2PSystem &sys, const std::string &path,
-                   const workload::UtilizationTrace &trace)
+                   const workload::UtilizationTrace &trace,
+                   std::unique_ptr<control::ControlPipeline> pipeline)
 {
     std::ifstream is(path, std::ios::binary);
     expect(is.good(), "cannot open checkpoint `", path, "'");
@@ -801,27 +764,21 @@ SimSession::resume(const H2PSystem &sys, const std::string &path,
            "checkpoint trace shape mismatch");
     expect(h.cursor <= h.num_steps, "checkpoint cursor ", h.cursor,
            " exceeds the trace length ", h.num_steps);
+    // A session cannot rebuild user-supplied control, and the built-in
+    // pipeline in its place would silently change the run.
+    expect(!h.custom_control || pipeline != nullptr, "checkpoint `", path,
+           "' was taken under custom control, which a session cannot "
+           "rebuild; resume it with the pipeline it ran");
 
     SimSession s(sys, trace,
                  h.policy == 1 ? sched::Policy::TegLoadBalance
-                               : sched::Policy::TegOriginal);
+                               : sched::Policy::TegOriginal,
+                 std::move(pipeline));
     H2P_ASSERT(s.resilient_ == h.resilient,
                "config digest matched but pipeline shape did "
                "not");
     s.cursor_ = h.cursor;
-
-    if (h.custom_control) {
-        // A session cannot rebuild user-supplied control. Leave the
-        // decide stage empty and stash the checkpointed stage state;
-        // stepping before setPipeline() re-attaches is refused loudly
-        // (see step()).
-        s.pipeline_.reset();
-        s.custom_control_ = true;
-        s.pending_state_ = std::move(h.stage_state);
-    } else {
-        s.pipeline_->applyState(h.stage_state);
-    }
-
+    s.pipeline_->applyState(h.stage_state);
     s.visitSession(ar);
     expect(r.exhausted(),
            "checkpoint has trailing bytes; the file is corrupt");

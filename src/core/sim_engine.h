@@ -10,11 +10,12 @@
  *   datacenter evaluation -> stage feedback -> recording /
  *   accumulation -> observability
  *
- * The decide stage runs a control::ControlPipeline built per policy
- * by the system's PipelineFactory (the canonical TEG_Original /
- * TEG_LoadBalance stage pairs, or the autonomous balancer when
- * [balancer] is enabled); SimSession::setPipeline() swaps in custom
- * control on the same seam.
+ * The decide stage runs a control::ControlPipeline: the one the
+ * caller passed to H2PSystem::startSession()/resumeSession() (custom
+ * control), or else the one the system's PipelineFactory builds for
+ * the policy (the canonical TEG_Original / TEG_LoadBalance stage
+ * pairs, or the autonomous balancer when [balancer] is enabled). A
+ * session gets its pipeline when it starts and keeps it to the end.
  *
  * Which stages are active is decided once, from the configuration,
  * when a session starts; H2PSystem::run() is a thin wrapper that
@@ -33,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/datacenter.h"
@@ -68,14 +68,6 @@ struct RunGuard
     /** Cancellation latch to honor; null = none. Borrowed. */
     const util::CancelToken *cancel = nullptr;
     /**
-     * Optional second latch, checked alongside `cancel`; either one
-     * stops the run. Typically the process-wide signal token
-     * (util::signalCancelToken()) riding next to a supervisor's own
-     * token, so both Ctrl-C and programmatic cancellation reach an
-     * in-flight run at its next step boundary. Borrowed.
-     */
-    const util::CancelToken *cancel_alt = nullptr;
-    /**
      * Wall-clock budget in seconds, counted from the moment the guard
      * is installed (setGuard); 0 = unlimited.
      */
@@ -88,8 +80,7 @@ struct RunGuard
 
     bool active() const
     {
-        return cancel != nullptr || cancel_alt != nullptr ||
-               deadline_s > 0.0 || step_budget > 0;
+        return cancel != nullptr || deadline_s > 0.0 || step_budget > 0;
     }
 };
 
@@ -171,33 +162,15 @@ class SimSession
      * Declared-stateful control-stage state (e.g. the thermal
      * balancer's drain latches and feedback view) is serialized with
      * everything else, keyed by stage name. A session cannot rebuild
-     * a custom pipeline itself; such checkpoints are flagged, and the
-     * resumed session refuses to step until the caller re-attaches
-     * its pipeline with setPipeline(), which also restores any
-     * checkpointed stage state whose names match.
+     * a custom pipeline itself, so such checkpoints are flagged:
+     * resuming one without a pipeline is refused.
      */
     void saveCheckpoint(const std::string &path) const;
 
     /**
-     * Install a custom control pipeline as this session's decide
-     * stage — the seam for causal/predictive controllers, RL-style
-     * agents and what-if probes that still want the rest of the step
-     * loop. Any control-stage state the session was resumed with is
-     * restored into the new pipeline's stages by name (missing names
-     * are an error). A checkpoint carries the pipeline's
-     * declared-stateful stages but cannot rebuild a *custom* pipeline
-     * itself — resume flags it and demands a re-attach.
-     *
-     * nullptr restores the policy's built-in pipeline; that is
-     * refused while checkpointed custom-stage state awaits a
-     * re-attach.
-     */
-    void setPipeline(
-        std::unique_ptr<control::ControlPipeline> pipeline);
-
-    /**
-     * The control pipeline driving this session's decide stage.
-     * Null only after a custom-control resume, before re-attach.
+     * The control pipeline driving this session's decide stage:
+     * the custom one it was started or resumed with, else the
+     * policy's built-in one. Never null.
      */
     control::ControlPipeline *pipeline() { return pipeline_.get(); }
     const control::ControlPipeline *pipeline() const
@@ -230,21 +203,29 @@ class SimSession
   private:
     friend class H2PSystem;
 
-    /** Begin a fresh session over @p trace under @p policy. */
+    /**
+     * Begin a fresh session over @p trace under @p policy, driven by
+     * @p pipeline (null = the policy's built-in pipeline).
+     */
     SimSession(const H2PSystem &sys,
                const workload::UtilizationTrace &trace,
-               sched::Policy policy);
+               sched::Policy policy,
+               std::unique_ptr<control::ControlPipeline> pipeline);
 
     /**
      * Restore a session from a checkpoint written by saveCheckpoint().
      * The trace must be the one the checkpointed run was driven by
      * (fingerprint-verified), and @p sys's configuration must match
      * the checkpoint's (core::configDigest: every INI key outside
-     * [obs], plus the scripted faults).
+     * [obs], plus the scripted faults). The checkpoint's stage state
+     * goes, by name, into @p pipeline (null = the built-in one); a
+     * stage it names that the pipeline lacks, or a custom-control
+     * checkpoint with a null @p pipeline, is refused.
      */
-    static SimSession resume(const H2PSystem &sys,
-                             const std::string &path,
-                             const workload::UtilizationTrace &trace);
+    static SimSession resume(
+        const H2PSystem &sys, const std::string &path,
+        const workload::UtilizationTrace &trace,
+        std::unique_ptr<control::ControlPipeline> pipeline);
 
     /**
      * Save or load everything a checkpoint carries after its header:
@@ -314,19 +295,10 @@ class SimSession
     size_t seen_faults_ = 0;
     size_t seen_trips_ = 0;
 
-    /**
-     * The decide stage. Built by the system's PipelineFactory for
-     * fresh sessions; replaced by setPipeline(). Null
-     * only after a custom-control resume, until re-attach.
-     */
+    /** The decide stage; never null. */
     std::unique_ptr<control::ControlPipeline> pipeline_;
     /** Running under user-supplied control (not factory-rebuildable)? */
     bool custom_control_ = false;
-    /**
-     * Checkpointed control-stage state awaiting a re-attached
-     * pipeline (custom-control resume); applied by setPipeline().
-     */
-    std::vector<std::pair<std::string, std::string>> pending_state_;
 
     // Cooperative supervision (setGuard); inactive by default.
     RunGuard guard_;

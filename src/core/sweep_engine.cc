@@ -128,14 +128,9 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                            const ResultCallback &on_result,
                            bool resuming) const
 {
-    cancel_.reset();
-    // Either latch stops the sweep: the engine's own token
-    // (requestCancel) or the caller-provided external one (typically
-    // the process signal token).
     auto cancel_requested = [this] {
-        return cancel_.cancelRequested() ||
-               (options_.cancel != nullptr &&
-                options_.cancel->cancelRequested());
+        return options_.cancel != nullptr &&
+               options_.cancel->cancelRequested();
     };
 
     SweepResult result;
@@ -239,13 +234,12 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                 // borrowed traces.
                 const auto t0 = std::chrono::steady_clock::now();
                 H2PSystem system(grid[i].config);
-                SimSession session =
-                    system.startSession(*grid[i].trace, grid[i].policy);
-                if (grid[i].make_pipeline)
-                    session.setPipeline(grid[i].make_pipeline());
+                SimSession session = system.startSession(
+                    *grid[i].trace, grid[i].policy,
+                    grid[i].make_pipeline ? grid[i].make_pipeline()
+                                          : nullptr);
                 RunGuard guard;
-                guard.cancel = &cancel_;
-                guard.cancel_alt = options_.cancel;
+                guard.cancel = options_.cancel;
                 guard.deadline_s = grid[i].deadline_s > 0.0
                                        ? grid[i].deadline_s
                                        : options_.point_deadline_s;

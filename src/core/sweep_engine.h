@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "core/sweep_types.h"
-#include "util/cancellation.h"
 
 namespace h2p {
 namespace core {
@@ -50,8 +49,8 @@ namespace core {
  * Executes a grid of independent runs, in parallel, deterministically.
  *
  * One engine may execute several sweeps (serially); the options are
- * fixed at construction. Thread-safe only in the sense run() supports
- * requestCancel() from another thread (or from the callback).
+ * fixed at construction. A sweep is cancelled through
+ * SweepOptions::cancel, from any thread or from the callback.
  */
 class SweepEngine
 {
@@ -111,16 +110,6 @@ class SweepEngine
                        const ResultCallback &on_result = nullptr) const;
 
     /**
-     * Ask a run() in progress to stop early: points not yet started
-     * are skipped, in-flight ones stop at their next step boundary
-     * (status Skipped in both cases — partial state is discarded),
-     * and run() returns the partial result with
-     * SweepResult::cancelled set. Callable from the result callback
-     * or any thread; resets on the next run()/resume().
-     */
-    void requestCancel() const { cancel_.requestCancel(); }
-
-    /**
      * Deterministic ordered parallel map, the primitive under run():
      * @p compute runs for every index in [0, n) across @p workers
      * threads (0 = auto; dynamically chunked), and @p emit — when
@@ -147,7 +136,6 @@ class SweepEngine
                               bool resuming) const;
 
     SweepOptions options_;
-    mutable util::CancelToken cancel_;
 };
 
 } // namespace core

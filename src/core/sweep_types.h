@@ -53,12 +53,13 @@ struct SweepPoint
     std::string label;
     /**
      * Optional custom control: called once per run *attempt* to
-     * build a fresh pipeline, installed on the point's session
-     * (SimSession::setPipeline). A factory — not a pipeline — because
-     * retries re-run the point on a brand-new session and stale stage
-     * state would break retry determinism. Not part of the journal
-     * fingerprint; callers resuming a journaled sweep must pass the
-     * same factories again.
+     * build a fresh pipeline, which the point's session starts with
+     * (H2PSystem::startSession); a factory that returns null means
+     * the policy's built-in pipeline. A factory — not a pipeline —
+     * because retries re-run the point on a brand-new session and
+     * stale stage state would break retry determinism. Not part of
+     * the journal fingerprint; callers resuming a journaled sweep
+     * must pass the same factories again.
      */
     std::function<std::unique_ptr<control::ControlPipeline>()>
         make_pipeline;
@@ -114,14 +115,16 @@ struct SweepOptions
      */
     size_t max_attempts = 2;
     /**
-     * External cancellation latch observed *in addition to*
-     * SweepEngine::requestCancel() (null = none; borrowed, must
-     * outlive the engine). Typically util::signalCancelToken(), so a
-     * SIGINT/SIGTERM stops pending points and interrupts in-flight
-     * runs at their next step boundary — same graceful Skipped +
-     * journal-flush path as a programmatic cancel. Unlike
-     * requestCancel() it is not reset between runs; a tripped
-     * external token stops every subsequent sweep immediately.
+     * The sweep's cancellation latch (null = none; borrowed, must
+     * outlive the engine): once it is tripped, points not yet
+     * started are skipped and in-flight ones stop at their next step
+     * boundary (status Skipped in both cases — partial state is
+     * discarded), and run()/resume() return the partial result with
+     * SweepResult::cancelled set. Trip it from the result callback or
+     * any thread. Typically util::signalCancelToken(), so a
+     * SIGINT/SIGTERM takes that graceful Skipped + journal-flush
+     * path. The engine never resets it: a tripped token stops every
+     * later sweep at once until its owner calls reset().
      */
     const util::CancelToken *cancel = nullptr;
     /**
@@ -232,7 +235,7 @@ struct SweepResult
      * TEG, optimizer or trace parameters builds exactly one.
      */
     uint64_t lookup_spaces_built = 0;
-    /** True when SweepEngine::requestCancel() cut the sweep short. */
+    /** True when SweepOptions::cancel cut the sweep short. */
     bool cancelled = false;
     /** Points that exhausted their attempts and were set aside. */
     size_t quarantined = 0;

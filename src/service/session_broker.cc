@@ -3,7 +3,6 @@
 #include <atomic>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -141,9 +140,6 @@ control::ThermalBalancer &
 findBalancer(core::SimSession &session)
 {
     control::ControlPipeline *pipeline = session.pipeline();
-    expect(pipeline != nullptr,
-           "session has no control pipeline attached (resumed from a "
-           "custom-control checkpoint; re-attach first)");
     control::ControlStage *stage =
         pipeline->find(control::ThermalBalancer::kName);
     expect(stage != nullptr, "session pipeline `", pipeline->name(),
@@ -225,18 +221,34 @@ summaryJson(const core::RunSummary &summary)
 }
 
 /**
- * One live twin. Declaration order is destruction order in reverse:
- * the SimSession borrows the system and the trace, so it must be
- * declared last and die first.
+ * One live twin, whole once constructed. Declaration order is
+ * construction order: the SimSession borrows the system and the
+ * trace, so it is declared last (and dies first).
  */
 struct SessionBroker::TwinSession
 {
+    TwinSession(const sim::Config &ini, const StartFn &start)
+        : system(core::configFromIni(ini)),
+          trace(core::makeTrace(core::traceRequestFromIni(ini))),
+          session(start(system, trace))
+    {
+    }
+
+    /** Set by admit() before the twin is listed. */
     std::string id;
     std::mutex mutex;
-    core::H2PConfig config;
-    std::optional<workload::UtilizationTrace> trace;
-    std::unique_ptr<core::H2PSystem> system;
-    std::optional<core::SimSession> session;
+    const core::H2PSystem system;
+    const workload::UtilizationTrace trace;
+    core::SimSession session;
+};
+
+/** A listed twin whose mutex is held while this handle lives. */
+struct SessionBroker::LockedTwin
+{
+    std::shared_ptr<TwinSession> twin;
+    std::unique_lock<std::mutex> hold;
+
+    TwinSession *operator->() const { return twin.get(); }
 };
 
 SessionBroker::SessionBroker(BrokerOptions options)
@@ -260,43 +272,34 @@ SessionBroker::numSessions() const
     return sessions_.size();
 }
 
-std::shared_ptr<SessionBroker::TwinSession>
-SessionBroker::find(const std::string &id) const
+SessionBroker::LockedTwin
+SessionBroker::findLocked(const std::string &id) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sessions_.find(id);
-    expect(it != sessions_.end(), "unknown session `", id, "'");
-    return it->second;
+    std::shared_ptr<TwinSession> twin;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = sessions_.find(id);
+        expect(it != sessions_.end(), "unknown session `", id, "'");
+        twin = it->second;
+    }
+    std::unique_lock<std::mutex> hold(twin->mutex);
+    return LockedTwin{std::move(twin), std::move(hold)};
 }
 
-void
-SessionBroker::evict(const std::string &id)
+SessionBroker::LockedTwin
+SessionBroker::admit(const std::string &ini_text, const StartFn &start)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sessions_.erase(id);
-    sessions_open_.set(static_cast<double>(sessions_.size()));
-}
-
-void
-SessionBroker::installGuard(TwinSession &twin)
-{
+    std::istringstream is(ini_text);
+    auto twin = std::make_shared<TwinSession>(sim::Config::parse(is), start);
     core::RunGuard guard;
     guard.cancel = options_.cancel;
     guard.step_budget = options_.step_budget;
     if (guard.active())
-        twin.session->setGuard(guard);
-}
+        twin->session.setGuard(guard);
 
-std::shared_ptr<SessionBroker::TwinSession>
-SessionBroker::admit(const std::string &ini_text)
-{
-    auto twin = std::make_shared<TwinSession>();
-    std::istringstream is(ini_text);
-    const sim::Config ini = sim::Config::parse(is);
-    twin->config = core::configFromIni(ini);
-    twin->trace.emplace(core::makeTrace(core::traceRequestFromIni(ini)));
-    twin->system = std::make_unique<core::H2PSystem>(twin->config);
-
+    // Locked before it is listed: a client that guesses the id waits
+    // for this request's reply to be built.
+    LockedTwin locked{twin, std::unique_lock<std::mutex>(twin->mutex)};
     std::lock_guard<std::mutex> lock(mutex_);
     expect(sessions_.size() < options_.max_sessions,
            "session limit reached (", options_.max_sessions,
@@ -305,7 +308,7 @@ SessionBroker::admit(const std::string &ini_text)
     sessions_[twin->id] = twin;
     sessions_total_.add(1);
     sessions_open_.set(static_cast<double>(sessions_.size()));
-    return twin;
+    return locked;
 }
 
 Response
@@ -314,18 +317,13 @@ SessionBroker::doOpen(const Request &request)
     expect(request.args.size() == 1,
            "usage: open <policy> (body: INI configuration)");
     const sched::Policy policy = policyFromName(request.args[0]);
-    std::shared_ptr<TwinSession> twin = admit(request.body);
-    try {
-        std::lock_guard<std::mutex> lock(twin->mutex);
-        twin->session.emplace(
-            twin->system->startSession(*twin->trace, policy));
-        installGuard(*twin);
-        return Response::okay(
-            {twin->id, std::to_string(twin->session->numSteps())});
-    } catch (...) {
-        evict(twin->id);
-        throw;
-    }
+    LockedTwin twin = admit(
+        request.body, [policy](const core::H2PSystem &system,
+                               const workload::UtilizationTrace &trace) {
+            return system.startSession(trace, policy);
+        });
+    return Response::okay(
+        {twin->id, std::to_string(twin->session.numSteps())});
 }
 
 Response
@@ -333,35 +331,28 @@ SessionBroker::doResume(const Request &request)
 {
     expect(request.args.size() == 1,
            "usage: resume <checkpoint-path> (body: INI configuration)");
-    std::shared_ptr<TwinSession> twin = admit(request.body);
-    try {
-        std::lock_guard<std::mutex> lock(twin->mutex);
-        twin->session.emplace(twin->system->resumeSession(
-            request.args[0], *twin->trace));
-        installGuard(*twin);
-        return Response::okay(
-            {twin->id, std::to_string(twin->session->cursor()),
-             std::to_string(twin->session->numSteps())});
-    } catch (...) {
-        evict(twin->id);
-        throw;
-    }
+    const std::string &path = request.args[0];
+    LockedTwin twin = admit(
+        request.body, [&path](const core::H2PSystem &system,
+                              const workload::UtilizationTrace &trace) {
+            return system.resumeSession(path, trace);
+        });
+    return Response::okay({twin->id,
+                           std::to_string(twin->session.cursor()),
+                           std::to_string(twin->session.numSteps())});
 }
 
 Response
 SessionBroker::doStep(const Request &request)
 {
     expect(request.args.size() == 2, "usage: step <id> <n>");
-    std::shared_ptr<TwinSession> twin = find(request.args[0]);
+    LockedTwin twin = findLocked(request.args[0]);
     const size_t n = parseCount(request.args[1], "step count");
-    std::lock_guard<std::mutex> lock(twin->mutex);
-    expect(twin->session.has_value(), "session `", twin->id,
-           "' is not ready");
-    for (size_t i = 0; i < n && !twin->session->done(); ++i)
-        twin->session->step();
+    core::SimSession &session = twin->session;
+    for (size_t i = 0; i < n && !session.done(); ++i)
+        session.step();
     return Response::okay(
-        {std::to_string(twin->session->cursor()),
-         twin->session->done() ? "1" : "0"});
+        {std::to_string(session.cursor()), session.done() ? "1" : "0"});
 }
 
 Response
@@ -369,16 +360,13 @@ SessionBroker::doQuery(const Request &request)
 {
     expect(request.args.size() == 2,
            "usage: query <id> state|decision|summary|jsonl");
-    std::shared_ptr<TwinSession> twin = find(request.args[0]);
+    LockedTwin twin = findLocked(request.args[0]);
     const std::string &what = request.args[1];
-    std::lock_guard<std::mutex> lock(twin->mutex);
-    expect(twin->session.has_value(), "session `", twin->id,
-           "' is not ready");
-    core::SimSession &session = *twin->session;
+    core::SimSession &session = twin->session;
     if (what == "state")
         return Response::okay(
             {}, stateJson(session.lastState(),
-                          twin->config.datacenter.num_servers));
+                          twin->system.config().datacenter.num_servers));
     if (what == "decision")
         return Response::okay({}, decisionJson(session.lastDecision()));
     if (what == "summary") {
@@ -407,11 +395,8 @@ Response
 SessionBroker::doCheckpoint(const Request &request)
 {
     expect(request.args.size() == 2, "usage: checkpoint <id> <path>");
-    std::shared_ptr<TwinSession> twin = find(request.args[0]);
-    std::lock_guard<std::mutex> lock(twin->mutex);
-    expect(twin->session.has_value(), "session `", twin->id,
-           "' is not ready");
-    twin->session->saveCheckpoint(request.args[1]);
+    LockedTwin twin = findLocked(request.args[0]);
+    twin->session.saveCheckpoint(request.args[1]);
     return Response::okay();
 }
 
@@ -419,12 +404,8 @@ Response
 SessionBroker::doBalancer(const Request &request)
 {
     expect(request.args.size() == 1, "usage: balancer <id>");
-    std::shared_ptr<TwinSession> twin = find(request.args[0]);
-    std::lock_guard<std::mutex> lock(twin->mutex);
-    expect(twin->session.has_value(), "session `", twin->id,
-           "' is not ready");
-    const control::ThermalBalancer &balancer =
-        findBalancer(*twin->session);
+    LockedTwin twin = findLocked(request.args[0]);
+    const control::ThermalBalancer &balancer = findBalancer(twin->session);
     const control::BalancerStats &st = balancer.stats();
     return Response::okay({st.converged ? "converged" : "balancing",
                            std::to_string(st.active_drains)},
@@ -437,12 +418,9 @@ SessionBroker::doDrain(const Request &request)
     expect(request.args.size() == 2 ||
                (request.args.size() == 3 && request.args[2] == "off"),
            "usage: drain <id> <circulation> [off]");
-    std::shared_ptr<TwinSession> twin = find(request.args[0]);
+    LockedTwin twin = findLocked(request.args[0]);
     const size_t circ = parseCount(request.args[1], "circulation");
-    std::lock_guard<std::mutex> lock(twin->mutex);
-    expect(twin->session.has_value(), "session `", twin->id,
-           "' is not ready");
-    control::ThermalBalancer &balancer = findBalancer(*twin->session);
+    control::ThermalBalancer &balancer = findBalancer(twin->session);
     if (request.args.size() == 3)
         balancer.cancelDrain(circ);
     else
@@ -467,8 +445,8 @@ SessionBroker::doClose(const Request &request)
         sessions_open_.set(static_cast<double>(sessions_.size()));
     }
     std::lock_guard<std::mutex> lock(twin->mutex);
-    if (twin->session.has_value() && twin->session->done()) {
-        core::RunResult result = twin->session->finish();
+    if (twin->session.done()) {
+        core::RunResult result = twin->session.finish();
         return Response::okay({"finished"},
                               summaryJson(result.summary));
     }

@@ -6,7 +6,8 @@
  * A SessionBroker owns a set of live twin sessions — each a full
  * H2PSystem + trace + SimSession built from a client-supplied INI
  * configuration — and executes parsed protocol Requests against
- * them. The transport layer (service::Server, or a test driving the
+ * them. A twin is listed only once all of it is built: an open or
+ * resume that fails leaves the table as it was. The transport layer (service::Server, or a test driving the
  * broker in-process) only parses frames and forwards Requests here;
  * every protocol-level failure comes back as an error Response, never
  * an exception, so one misbehaving client cannot take the daemon
@@ -24,6 +25,9 @@
  *   ping                          -> ok pong
  *   open <policy>                 -> ok <id> <steps>        body: INI
  *   resume <checkpoint>           -> ok <id> <cursor> <steps> body: INI
+ *                                    (built-in control only: a
+ *                                    custom-control checkpoint is
+ *                                    refused)
  *   step <id> <n>                 -> ok <cursor> <done 0|1>
  *   query <id> state|decision|summary|jsonl -> ok, body JSON/JSONL
  *   checkpoint <id> <path>        -> ok
@@ -141,6 +145,11 @@ class SessionBroker
 
   private:
     struct TwinSession;
+    struct LockedTwin;
+
+    /** Starts or resumes a twin's session over its system and trace. */
+    using StartFn = std::function<core::SimSession(
+        const core::H2PSystem &, const workload::UtilizationTrace &)>;
 
     Response doOpen(const Request &request);
     Response doResume(const Request &request);
@@ -153,18 +162,18 @@ class SessionBroker
     void doSweep(const Request &request, const Emit &emit);
     Response doStats(const Request &request);
 
-    /** Look up a session or throw h2p::Error("unknown session ..."). */
-    std::shared_ptr<TwinSession> find(const std::string &id) const;
+    /**
+     * Look up a session and lock its mutex for the returned handle's
+     * lifetime, or throw h2p::Error("unknown session ...").
+     */
+    LockedTwin findLocked(const std::string &id) const;
 
-    /** Build + register a session; common tail of open/resume. */
-    std::shared_ptr<TwinSession> admit(const std::string &ini_text);
-
-    /** Drop @p id from the table (no-op when absent). */
-    void evict(const std::string &id);
-
-    /** Wire the broker-wide guard (cancel + step budget) into a
-     * freshly started/resumed session. */
-    void installGuard(TwinSession &twin);
+    /**
+     * Build a whole twin from @p ini_text with @p start, wire the
+     * broker-wide guard (cancel + step budget) into its session and
+     * only then list it, locked; common tail of open/resume.
+     */
+    LockedTwin admit(const std::string &ini_text, const StartFn &start);
 
     BrokerOptions options_;
     /** Requests handled since construction (stats verb). */

@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
+#include <system_error>
 
 #include "util/error.h"
 
@@ -163,6 +165,11 @@ void
 replaceFile(const std::string &path,
             const std::function<void(std::ostream &)> &writer)
 {
+    std::error_code ec;
+    std::filesystem::create_directories(dirOf(path), ec);
+    if (ec)
+        fatal("cannot create the directory of `", path,
+              "': ", ec.message());
     writeViaTemp(path, render(path, writer), false);
 }
 

@@ -47,6 +47,8 @@ void atomicWriteFile(const std::string &path,
  * either fsync: after a machine crash the file may hold the previous
  * version or be absent. For telemetry that is cheap to regenerate,
  * where two fsyncs would cost more than the run the file describes.
+ * Creates the missing parent directories of @p path first, so a
+ * relative export path works from any working directory.
  */
 void replaceFile(const std::string &path,
                  const std::function<void(std::ostream &)> &writer);

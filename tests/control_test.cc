@@ -232,10 +232,10 @@ TEST(ControlPipelineTest, PipelineValidatesDecisionShape)
 {
     core::H2PSystem sys(smallConfig());
     auto trace = makeTrace(3, 64, 1800.0);
-    auto session =
-        sys.startSession(trace, sched::Policy::TegOriginal);
-    session.setPipeline(test::fnPipeline(
-        [](const control::ControlContext &, sched::ScheduleDecision &d) {
+    auto session = sys.startSession(
+        trace, sched::Policy::TegOriginal,
+        test::fnPipeline([](const control::ControlContext &,
+                            sched::ScheduleDecision &d) {
             d.settings.clear(); // wrong: one per circulation
         }));
     EXPECT_THROW(session.step(), Error);
@@ -409,9 +409,9 @@ readFile(const std::string &path)
 
 /**
  * The predictive planner's EWMA state rides in checkpoints: a
- * predictive session checkpointed mid-run, resumed and re-attached
- * finishes exactly as the uninterrupted run, and save -> resume ->
- * re-save gives the same file.
+ * predictive session checkpointed mid-run and resumed with a fresh
+ * predictive pipeline finishes exactly as the uninterrupted run, and
+ * save -> resume -> re-save gives the same file.
  */
 TEST(ControlStagesTest, PredictiveCoolingStateSurvivesCheckpoint)
 {
@@ -430,24 +430,23 @@ TEST(ControlStagesTest, PredictiveCoolingStateSurvivesCheckpoint)
         return p;
     };
 
-    auto full = sys.startSession(trace, sched::Policy::TegOriginal);
-    full.setPipeline(predictive());
+    auto full =
+        sys.startSession(trace, sched::Policy::TegOriginal, predictive());
     full.runToCompletion();
     auto full_result = full.finish();
 
-    auto first = sys.startSession(trace, sched::Policy::TegOriginal);
-    first.setPipeline(predictive());
+    auto first =
+        sys.startSession(trace, sched::Policy::TegOriginal, predictive());
     const size_t at = trace.numSteps() / 2;
     while (first.cursor() < at)
         first.step();
     first.saveCheckpoint(ck.path);
 
     core::H2PSystem sys2(fleetConfig());
-    auto resumed = sys2.resumeSession(ck.path, trace);
     auto again = std::make_unique<control::ControlPipeline>("predictive");
     again->add(std::make_unique<control::PredictiveCoolingStage>(
         sys2.datacenter(), sys2.optimizer()));
-    resumed.setPipeline(std::move(again));
+    auto resumed = sys2.resumeSession(ck.path, trace, std::move(again));
     resumed.saveCheckpoint(ck2.path);
     const std::string saved = readFile(ck.path);
     ASSERT_FALSE(saved.empty());

@@ -24,6 +24,7 @@
 #include "tests/support/fields.h"
 #include "tests/support/mutate.h"
 #include "util/bytes.h"
+#include "util/cancellation.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -468,10 +469,12 @@ TEST(JournalTest, ResumeSkipsCompletedPointsAndMatchesByteForByte)
     auto grid = makeGrid(trace, 5);
     grid[3].step_budget = 2; // one quarantined point in the mix
 
+    util::CancelToken cancel;
     core::SweepOptions options;
     options.keep_recorders = false;
     options.max_attempts = 1;
     options.journal_path = jp.path;
+    options.cancel = &cancel;
 
     // Uninterrupted reference sweep.
     std::vector<core::SweepPointResult> ref_delivered;
@@ -490,10 +493,11 @@ TEST(JournalTest, ResumeSkipsCompletedPointsAndMatchesByteForByte)
         engine.run(grid, [&](const core::SweepPointResult &r) {
             partial.push_back(r);
             if (partial.size() == 2)
-                engine.requestCancel();
+                cancel.requestCancel();
         });
     EXPECT_TRUE(interrupted.cancelled);
     EXPECT_LT(interrupted.runs_completed, grid.size());
+    cancel.reset();
 
     // Resume: completed work restores from the journal, the rest
     // computes, and the delivered stream is byte-identical to the
@@ -549,9 +553,11 @@ TEST(JournalTest, ResumeAfterTornTailSurvivesASecondResume)
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 4);
 
+    util::CancelToken cancel;
     core::SweepOptions options;
     options.keep_recorders = false;
     options.journal_path = jp.path;
+    options.cancel = &cancel;
     // One worker: a cancel from the callback lands before the next
     // point starts, so the journal ends exactly at a record boundary.
     options.workers = 1;
@@ -561,11 +567,13 @@ TEST(JournalTest, ResumeAfterTornTailSurvivesASecondResume)
     auto collect = [&](const core::SweepPointResult &r) {
         delivered.push_back(r);
     };
+    // Re-arms the token, then trips it once n points are delivered.
     auto stopAfter = [&](size_t n) {
-        return [&engine, &delivered, n](const core::SweepPointResult &r) {
+        cancel.reset();
+        return [&cancel, &delivered, n](const core::SweepPointResult &r) {
             delivered.push_back(r);
             if (delivered.size() == n)
-                engine.requestCancel();
+                cancel.requestCancel();
         };
     };
     engine.run(grid, collect);
@@ -584,6 +592,7 @@ TEST(JournalTest, ResumeAfterTornTailSurvivesASecondResume)
     writeFile(jp.path, three.substr(0, (two_points + three.size()) / 2));
 
     // The first resume drops the torn record and appends two new ones.
+    cancel.reset();
     delivered.clear();
     core::SweepResult first = engine.resume(grid, collect);
     EXPECT_EQ(first.points_restored, 2u);

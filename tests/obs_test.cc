@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -575,6 +576,38 @@ TEST(ObsSystemTest, JsonlExportContainsStepsFaultsAndMetrics)
     EXPECT_NE(out.find("pump_failed"), std::string::npos);
     EXPECT_NE(out.find("optimizer.cache_hits"), std::string::npos);
     EXPECT_NE(out.find("\"type\":\"span\""), std::string::npos);
+}
+
+TEST(ObsSystemTest, ExportsCreateTheirMissingDirectories)
+{
+    // examples/configs/resilience.ini exports to a relative
+    // bench_results/ path; a run from a directory without it must
+    // still write its telemetry instead of failing after the run.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "h2p_obs_test_new";
+    std::filesystem::remove_all(dir);
+    const std::string jsonl = (dir / "a" / "run.jsonl").string();
+    const std::string csv = (dir / "b" / "metrics.csv").string();
+
+    core::H2PConfig cfg = smallConfig();
+    cfg.obs.enabled = true;
+    cfg.obs.jsonl_path = jsonl;
+    cfg.obs.csv_path = csv;
+    core::H2PSystem sys(cfg);
+    workload::UtilizationTrace trace = smallTrace(60);
+    core::SimSession session =
+        sys.startSession(trace, sched::Policy::TegOriginal);
+    session.runToCompletion();
+    session.finish();
+
+    for (const std::string &path : {jsonl, csv}) {
+        std::ifstream is(path);
+        ASSERT_TRUE(is.good()) << path;
+        std::stringstream ss;
+        ss << is.rdbuf();
+        EXPECT_FALSE(ss.str().empty()) << path;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ObsSystemTest, RunRecorderIsFrozen)

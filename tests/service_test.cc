@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <locale>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "control/stages.h"
 #include "control/thermal_balancer.h"
 #include "core/config_io.h"
 #include "core/h2p_system.h"
@@ -706,6 +708,45 @@ TEST(SessionBroker, CheckpointResumeReproducesTheRunByteForByte)
     ASSERT_TRUE(close.ok);
     EXPECT_EQ(close.args[0], "finished");
     EXPECT_NE(close.body.find("\"pre\":"), std::string::npos);
+}
+
+TEST(SessionBroker, ResumeOfAMissingCheckpointListsNoSession)
+{
+    service::SessionBroker broker;
+    service::Response resume = broker.handleOne(makeRequest(
+        "resume", {"service_test_no_such.ckpt"}, kIni));
+    EXPECT_FALSE(resume.ok);
+    EXPECT_NE(resume.message.find("cannot open checkpoint"),
+              std::string::npos)
+        << resume.message;
+    EXPECT_EQ(broker.numSessions(), 0u);
+}
+
+TEST(SessionBroker, ResumeOfACustomControlCheckpointIsRefused)
+{
+    // The daemon runs built-in control only; a twin resumed from a
+    // custom-control checkpoint could never step.
+    std::istringstream is(kIni);
+    const sim::Config ini = sim::Config::parse(is);
+    core::H2PSystem sys(core::configFromIni(ini));
+    workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(ini));
+    auto custom = std::make_unique<control::ControlPipeline>("custom");
+    custom->add(std::make_unique<control::CoolingStage>(sys.datacenter(),
+                                                        sys.optimizer()));
+    core::SimSession session = sys.startSession(
+        trace, sched::Policy::TegOriginal, std::move(custom));
+    session.step();
+    TempPath ckpt("service_test_custom.ckpt");
+    session.saveCheckpoint(ckpt.path);
+
+    service::SessionBroker broker;
+    service::Response resume =
+        broker.handleOne(makeRequest("resume", {ckpt.path}, kIni));
+    EXPECT_FALSE(resume.ok);
+    EXPECT_NE(resume.message.find("custom control"), std::string::npos)
+        << resume.message;
+    EXPECT_EQ(broker.numSessions(), 0u);
 }
 
 TEST(SessionBroker, SweepStreamsPointsThenDone)

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -1176,14 +1177,13 @@ TEST(SessionTest, ControllerOverrideDrivesTheDecision)
 {
     core::H2PSystem sys(smallConfig());
     auto trace = makeTrace();
-    auto session =
-        sys.startSession(trace, sched::Policy::TegOriginal);
-
     const size_t num_circ = sys.datacenter().numCirculations();
     cluster::CoolingSetting fixed{45.0, 80.0};
     size_t calls = 0;
-    session.setPipeline(test::fnPipeline(
-        [&](const control::ControlContext &, sched::ScheduleDecision &d) {
+    auto session = sys.startSession(
+        trace, sched::Policy::TegOriginal,
+        test::fnPipeline([&](const control::ControlContext &,
+                             sched::ScheduleDecision &d) {
             ++calls;
             d.settings.assign(num_circ, fixed);
         }));
@@ -1201,10 +1201,10 @@ TEST(SessionTest, ControllerShapeIsValidated)
 {
     core::H2PSystem sys(smallConfig());
     auto trace = makeTrace();
-    auto session =
-        sys.startSession(trace, sched::Policy::TegOriginal);
-    session.setPipeline(test::fnPipeline(
-        [](const control::ControlContext &, sched::ScheduleDecision &d) {
+    auto session = sys.startSession(
+        trace, sched::Policy::TegOriginal,
+        test::fnPipeline([](const control::ControlContext &,
+                            sched::ScheduleDecision &d) {
             d.settings.clear(); // wrong: one setting per circulation
         }));
     EXPECT_THROW(session.step(), Error);
@@ -1212,96 +1212,31 @@ TEST(SessionTest, ControllerShapeIsValidated)
 
 TEST(SessionTest, CustomControlResumeRefusesToStepUntilReattach)
 {
-    // A checkpoint under a custom controller used to restore onto the
+    // A checkpoint under custom control used to restore onto the
     // built-in policy pipeline silently — the resumed run diverged
-    // from the original with no error. The checkpoint now flags
-    // custom control and the resumed session refuses to step until
-    // the caller re-attaches; after the re-attach it continues
-    // bit-identically.
-    TempPath ck("session_test_custom.ckpt");
-    core::H2PSystem sys(smallConfig());
-    auto trace = makeTrace();
-    const size_t num_circ = sys.datacenter().numCirculations();
-
-    // The custom decision depends only on the step index, so the
-    // same stage re-attached after resume replays identically.
-    auto controller = [num_circ](const control::ControlContext &ctx,
-                                 sched::ScheduleDecision &d) {
-        double t_in = 40.0 + static_cast<double>(ctx.step % 7);
-        d.settings.assign(num_circ, cluster::CoolingSetting{t_in, 90.0});
-    };
-
-    auto full = sys.startSession(trace, sched::Policy::TegOriginal);
-    full.setPipeline(test::fnPipeline(controller));
-    full.runToCompletion();
-    auto full_result = full.finish();
-
-    auto first = sys.startSession(trace, sched::Policy::TegOriginal);
-    first.setPipeline(test::fnPipeline(controller));
-    for (size_t i = 0; i < trace.numSteps() / 2; ++i)
-        first.step();
-    first.saveCheckpoint(ck.path);
-
-    core::H2PSystem sys2(smallConfig());
-    auto resumed = sys2.resumeSession(ck.path, trace);
-    EXPECT_EQ(resumed.pipeline(), nullptr);
-    try {
-        resumed.step();
-        FAIL() << "stepping a custom-control resume must throw";
-    } catch (const RunError &e) {
-        EXPECT_EQ(e.failure().kind, FailureKind::ConfigError);
-        EXPECT_EQ(e.failure().stage, "decide");
-    }
-
-    resumed.setPipeline(test::fnPipeline(controller));
-    ASSERT_NE(resumed.pipeline(), nullptr);
-    resumed.runToCompletion();
-    auto rest = resumed.finish();
-    EXPECT_EQ(test::firstDifferingField(full_result.summary,
-                                        rest.summary),
-              "");
-    expectSameChannels(*full_result.recorder, *rest.recorder);
-}
-
-TEST(SessionTest, ControllerNullRestoresBuiltinPipeline)
-{
-    // setPipeline(nullptr) reinstates the policy's factory
-    // pipeline: a session overridden and then cleared before any
-    // step must match a never-overridden run bit for bit.
-    core::H2PSystem sys(smallConfig());
-    auto trace = makeTrace();
-    auto plain = sys.run(trace, sched::Policy::TegLoadBalance);
-
-    auto session =
-        sys.startSession(trace, sched::Policy::TegLoadBalance);
-    const size_t num_circ = sys.datacenter().numCirculations();
-    session.setPipeline(test::fnPipeline(
-        [num_circ](const control::ControlContext &,
-                   sched::ScheduleDecision &d) {
-            d.settings.assign(num_circ,
-                              cluster::CoolingSetting{45.0, 80.0});
-        }));
-    session.setPipeline(nullptr);
-    ASSERT_NE(session.pipeline(), nullptr);
-    EXPECT_EQ(session.pipeline()->name(), "TEG_LoadBalance");
-    session.runToCompletion();
-    auto cleared = session.finish();
-    EXPECT_EQ(test::firstDifferingField(plain.summary, cleared.summary), "");
-    expectSameChannels(*plain.recorder, *cleared.recorder);
-}
-
-TEST(SessionTest, RestoringBuiltinPipelineRefusesPendingStageState)
-{
-    // A custom pipeline with a stateful stage checkpoints that stage's
-    // state. After resume the state waits for the matching pipeline;
-    // restoring the built-in pipeline instead would drop it, so
-    // setPipeline(nullptr) refuses until the re-attach.
-    TempPath ck("session_test_pending.ckpt");
+    // from the original with no error. The checkpoint flags custom
+    // control: resuming it without a pipeline is refused at resume
+    // time, and resuming it with the same control continues
+    // bit-identically, stateful stages included.
     core::H2PConfig cfg = smallConfig();
     cfg.balancer.enabled = true;
     core::H2PSystem sys(cfg);
     auto trace = makeTrace();
-    auto custom = [&sys]() {
+    const size_t num_circ = sys.datacenter().numCirculations();
+
+    // A stateless stage whose decision depends only on the step
+    // index, and a stateful one: the balancer's latches and feedback
+    // view ride in the checkpoint and go back into the new pipeline.
+    auto stateless = [num_circ]() {
+        return test::fnPipeline([num_circ](
+                                    const control::ControlContext &ctx,
+                                    sched::ScheduleDecision &d) {
+            double t_in = 40.0 + static_cast<double>(ctx.step % 7);
+            d.settings.assign(num_circ,
+                              cluster::CoolingSetting{t_in, 90.0});
+        });
+    };
+    auto stateful = [&sys]() {
         auto p = std::make_unique<control::ControlPipeline>("custom");
         p->add(std::make_unique<control::ThermalBalancer>(
             sys.config().balancer, sys.datacenter(),
@@ -1310,30 +1245,66 @@ TEST(SessionTest, RestoringBuiltinPipelineRefusesPendingStageState)
             sys.datacenter(), sys.optimizer()));
         return p;
     };
+    using Make = std::function<std::unique_ptr<control::ControlPipeline>()>;
+    for (const Make &custom : {Make(stateless), Make(stateful)}) {
+        TempPath ck("session_test_custom.ckpt");
+        auto full =
+            sys.startSession(trace, sched::Policy::TegOriginal, custom());
+        full.runToCompletion();
+        auto full_result = full.finish();
 
-    auto full = sys.startSession(trace, sched::Policy::TegOriginal);
-    full.setPipeline(custom());
-    full.runToCompletion();
-    auto full_result = full.finish();
+        auto first =
+            sys.startSession(trace, sched::Policy::TegOriginal, custom());
+        for (size_t i = 0; i < trace.numSteps() / 2; ++i)
+            first.step();
+        first.saveCheckpoint(ck.path);
 
-    auto first = sys.startSession(trace, sched::Policy::TegOriginal);
-    first.setPipeline(custom());
+        core::H2PSystem sys2(cfg);
+        try {
+            sys2.resumeSession(ck.path, trace);
+            FAIL() << "resuming custom control without it must throw";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("custom control"),
+                      std::string::npos)
+                << e.what();
+        }
+
+        auto resumed = sys.resumeSession(ck.path, trace, custom());
+        ASSERT_NE(resumed.pipeline(), nullptr);
+        resumed.runToCompletion();
+        auto rest = resumed.finish();
+        EXPECT_EQ(test::firstDifferingField(full_result.summary,
+                                            rest.summary),
+                  "");
+        expectSameChannels(*full_result.recorder, *rest.recorder);
+    }
+}
+
+TEST(SessionTest, ResumeRefusesAPipelineWithoutTheCheckpointedStage)
+{
+    // A built-in [balancer] checkpoint carries the thermal balancer's
+    // state. Resumed under a pipeline without that stage, the state
+    // would be dropped and the run would change silently.
+    TempPath ck("session_test_drop_balancer.ckpt");
+    core::H2PConfig cfg = smallConfig();
+    cfg.balancer.enabled = true;
+    core::H2PSystem sys(cfg);
+    auto trace = makeTrace();
+    auto first = sys.startSession(trace, sched::Policy::TegLoadBalance);
+    ASSERT_NE(first.pipeline()->find(control::ThermalBalancer::kName),
+              nullptr);
     for (size_t i = 0; i < trace.numSteps() / 2; ++i)
         first.step();
     first.saveCheckpoint(ck.path);
 
+    auto plain = std::make_unique<control::ControlPipeline>("plain");
+    plain->add(std::make_unique<control::CoolingStage>(sys.datacenter(),
+                                                       sys.optimizer()));
+    EXPECT_THROW(sys.resumeSession(ck.path, trace, std::move(plain)),
+                 Error);
+    // The built-in pipeline still takes it.
     auto resumed = sys.resumeSession(ck.path, trace);
-    EXPECT_EQ(resumed.pipeline(), nullptr);
-    EXPECT_THROW(resumed.setPipeline(nullptr), Error);
-    EXPECT_EQ(resumed.pipeline(), nullptr);
-
-    resumed.setPipeline(custom());
-    resumed.runToCompletion();
-    auto rest = resumed.finish();
-    EXPECT_EQ(test::firstDifferingField(full_result.summary,
-                                        rest.summary),
-              "");
-    expectSameChannels(*full_result.recorder, *rest.recorder);
+    EXPECT_EQ(resumed.cursor(), trace.numSteps() / 2);
 }
 
 // ------------------------------------------- recorder channel handles

@@ -367,10 +367,11 @@ TEST(DivergenceTest, NonFiniteControllerDecisionIsCaughtAtDecide)
 {
     core::H2PSystem sys(smallConfig());
     auto trace = makeTrace();
-    auto session = sys.startSession(trace, sched::Policy::TegOriginal);
     const size_t num_circ = sys.datacenter().numCirculations();
-    session.setPipeline(test::fnPipeline(
-        [&](const control::ControlContext &, sched::ScheduleDecision &d) {
+    auto session = sys.startSession(
+        trace, sched::Policy::TegOriginal,
+        test::fnPipeline([&](const control::ControlContext &,
+                             sched::ScheduleDecision &d) {
             d.settings.assign(num_circ, cluster::CoolingSetting{
                                             std::nan(""), 80.0});
         }));

@@ -2,7 +2,7 @@
  * @file
  * Test helper: ad-hoc custom control for a SimSession. FnStage runs a
  * callable as a named control stage; fnPipeline() wraps one in a
- * single-stage pipeline ready for SimSession::setPipeline().
+ * single-stage pipeline ready for H2PSystem::startSession().
  */
 
 #ifndef H2P_TESTS_SUPPORT_FN_STAGE_H_

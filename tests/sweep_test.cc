@@ -19,6 +19,7 @@
 #include "sim/channels.h"
 #include "tests/support/fields.h"
 #include "tests/support/mutate.h"
+#include "util/cancellation.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "workload/trace_gen.h"
@@ -319,15 +320,17 @@ TEST(SweepTest, CancelFromCallbackStopsLaunchingRuns)
     auto trace = makeTrace();
     auto grid = makeGrid(trace, false);
 
+    util::CancelToken cancel;
     core::SweepOptions options;
     options.workers = 1; // deterministic: strictly one run at a time
     options.keep_recorders = false;
+    options.cancel = &cancel;
     core::SweepEngine engine(options);
     size_t delivered = 0;
     core::SweepResult result =
         engine.run(grid, [&](const core::SweepPointResult &) {
             if (++delivered == 2)
-                engine.requestCancel();
+                cancel.requestCancel();
         });
 
     EXPECT_TRUE(result.cancelled);
@@ -340,7 +343,8 @@ TEST(SweepTest, CancelFromCallbackStopsLaunchingRuns)
         EXPECT_EQ(result.points[i].status, core::PointStatus::Skipped);
     }
 
-    // The engine resets the flag: the next run completes fully.
+    // Re-armed, the token lets the next run complete fully.
+    cancel.reset();
     core::SweepResult again = engine.run(grid);
     EXPECT_FALSE(again.cancelled);
     EXPECT_EQ(again.runs_completed, grid.size());
@@ -352,16 +356,18 @@ TEST(SweepTest, CancelDeliversContiguousPrefixAtAnyWorkerCount)
     auto grid = makeGrid(trace, false);
 
     for (size_t workers : {size_t{1}, size_t{4}}) {
+        util::CancelToken cancel;
         core::SweepOptions options;
         options.workers = workers;
         options.keep_recorders = false;
+        options.cancel = &cancel;
         core::SweepEngine engine(options);
         std::vector<size_t> seen;
         core::SweepResult result =
             engine.run(grid, [&](const core::SweepPointResult &r) {
                 seen.push_back(r.index);
                 if (seen.size() == 3)
-                    engine.requestCancel();
+                    cancel.requestCancel();
             });
 
         EXPECT_TRUE(result.cancelled);
@@ -377,47 +383,34 @@ TEST(SweepTest, CancelDeliversContiguousPrefixAtAnyWorkerCount)
     }
 }
 
-TEST(SweepTest, CancelBeforeStartIsClearedByRun)
-{
-    auto trace = makeTrace();
-    auto grid = makeGrid(trace, false);
-    std::vector<core::SweepPoint> three(grid.begin(),
-                                        grid.begin() + 3);
-
-    core::SweepOptions options;
-    options.keep_recorders = false;
-    core::SweepEngine engine(options);
-    // A stale cancel request from before the sweep starts must not
-    // leak into it: run() re-arms the token at entry.
-    engine.requestCancel();
-    core::SweepResult result = engine.run(three);
-    EXPECT_FALSE(result.cancelled);
-    EXPECT_EQ(result.runs_completed, three.size());
-}
-
 TEST(SweepTest, EngineIsReusableAfterCancelledSweep)
 {
     auto trace = makeTrace();
     auto grid = makeGrid(trace, false);
 
+    util::CancelToken cancel;
     core::SweepOptions options;
     options.workers = 4;
     options.keep_recorders = false;
+    options.cancel = &cancel;
     core::SweepEngine engine(options);
     // Point 0 requests the cancel as it starts, so its first step's
     // guard skips it and the sweep is cut short by construction. A
     // cancel raised when point 0 is delivered races the other workers,
-    // which can finish every remaining point first.
+    // which can finish every remaining point first. A factory that
+    // returns null runs the built-in pipeline.
     std::vector<core::SweepPoint> cancelling = grid;
-    cancelling[0].make_pipeline = [&engine] {
-        engine.requestCancel();
+    cancelling[0].make_pipeline = [&cancel] {
+        cancel.requestCancel();
         return std::unique_ptr<control::ControlPipeline>();
     };
     core::SweepResult first = engine.run(cancelling);
     EXPECT_TRUE(first.cancelled);
     EXPECT_LT(first.runs_completed, grid.size());
 
-    // Same engine, fresh sweep: full completion, results intact.
+    // Same engine, token re-armed, fresh sweep: full completion,
+    // results intact.
+    cancel.reset();
     core::SweepResult second = engine.run(grid);
     EXPECT_FALSE(second.cancelled);
     EXPECT_EQ(second.runs_completed, grid.size());
