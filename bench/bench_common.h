@@ -47,9 +47,18 @@ saveCsv(const CsvTable &table, const std::string &name)
     }
 }
 
+#ifndef H2P_BUILD_TYPE
+#define H2P_BUILD_TYPE "unknown"
+#endif
+#ifndef H2P_GIT_SHA
+#define H2P_GIT_SHA "unknown"
+#endif
+
 /**
  * The host lines every BENCH file opens with: hardware threads of the
- * host and of this process, compiler and optimization level.
+ * host and of this process, compiler, optimization level, CMake build
+ * type and the commit of the checkout (both from configure time,
+ * bench/CMakeLists.txt).
  */
 inline std::string
 hostJson()
@@ -65,10 +74,12 @@ hostJson()
        << "  \"compiler\": \"" __VERSION__ "\",\n"
 #endif
 #if defined(__OPTIMIZE__)
-       << "  \"optimized\": true,\n";
+       << "  \"optimized\": true,\n"
 #else
-       << "  \"optimized\": false,\n";
+       << "  \"optimized\": false,\n"
 #endif
+       << "  \"build_type\": \"" H2P_BUILD_TYPE "\",\n"
+       << "  \"git_sha\": \"" H2P_GIT_SHA "\",\n";
     return os.str();
 }
 

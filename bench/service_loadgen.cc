@@ -2,7 +2,7 @@
  * @file
  * Load generator for the digital-twin service plane: drives many
  * concurrent pipelined connections against an in-process daemon (the
- * epoll reactor, service::Server) and reports aggregate requests/sec
+ * epoll thread pool, service::Server) and reports aggregate requests/sec
  * plus p50/p99 latency per request mix.
  *
  *   ./bench/service_loadgen                    # default sweep
@@ -337,7 +337,7 @@ writeReport(const std::string &path, const LoadgenConfig &cfg,
        << ", \"pipeline\": " << cfg.pipeline
        << ", \"requests_per_connection\": " << cfg.requests
        << ", \"warmup_per_connection\": " << cfg.warmup
-       << ", \"reactor_workers\": " << workers << "},\n";
+       << ", \"workers\": " << workers << "},\n";
     os << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
@@ -375,7 +375,9 @@ main(int argc, char **argv)
     args.addLong("pipeline", 8, "requests in flight per connection");
     args.addLong("requests", 400, "timed requests per connection");
     args.addLong("warmup", 16, "untimed warmup requests per client");
-    args.addLong("workers", 4, "reactor worker threads");
+    args.addLong("workers", 4,
+                 "server threads; each accepts, reads, executes and "
+                 "writes");
     args.addString("mixes", "ping,query,mixed",
                    "comma-separated request mixes "
                    "(ping|query|step|mixed)");

@@ -44,7 +44,8 @@ main(int argc, char **argv)
     args.addLong("step-budget", 0,
                  "max steps per session, 0 = unlimited");
     args.addLong("workers", 4,
-                 "reactor worker threads executing requests");
+                 "server threads; each accepts, reads, executes and "
+                 "writes");
     args.addLong("backlog", 128, "listener backlog (listen(2))");
     args.addLong("queue-cap-mb", 64,
                  "per-connection response-queue cap before a slow "

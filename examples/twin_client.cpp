@@ -28,7 +28,7 @@
  * an ok response, 2 on an error response, 1 on transport failure.
  *
  * --repeat N sends the same request N times; --pipeline D keeps up
- * to D requests in flight on the one connection (the reactor server
+ * to D requests in flight on the one connection (the server
  * answers them in order), printing a single throughput summary line
  * instead of per-response output:
  *

@@ -98,18 +98,25 @@ writeFrame(const util::Fd &fd, const std::string &payload)
 std::string
 encodeFrame(const std::string &payload)
 {
+    std::string frame;
+    appendFrame(frame, payload);
+    return frame;
+}
+
+void
+appendFrame(std::string &out, const std::string &payload)
+{
     expect(payload.size() <= kMaxFrameBytes, "protocol: frame of ",
            payload.size(), " bytes exceeds the ", kMaxFrameBytes,
            "-byte cap");
     const uint32_t len = static_cast<uint32_t>(payload.size());
-    std::string frame;
-    frame.reserve(4 + payload.size());
-    frame.push_back(static_cast<char>(len & 0xff));
-    frame.push_back(static_cast<char>((len >> 8) & 0xff));
-    frame.push_back(static_cast<char>((len >> 16) & 0xff));
-    frame.push_back(static_cast<char>((len >> 24) & 0xff));
-    frame += payload;
-    return frame;
+    const char prefix[4] = {static_cast<char>(len & 0xff),
+                            static_cast<char>((len >> 8) & 0xff),
+                            static_cast<char>((len >> 16) & 0xff),
+                            static_cast<char>((len >> 24) & 0xff)};
+    out.reserve(out.size() + sizeof(prefix) + payload.size());
+    out.append(prefix, sizeof(prefix));
+    out += payload;
 }
 
 void

@@ -50,6 +50,9 @@ void writeFrame(const util::Fd &fd, const std::string &payload);
 /** Render @p payload as one wire frame (prefix + payload bytes). */
 std::string encodeFrame(const std::string &payload);
 
+/** Append @p payload to @p out as one wire frame; throws on oversize. */
+void appendFrame(std::string &out, const std::string &payload);
+
 /**
  * Stateful incremental frame decoder for non-blocking transports:
  * feed() appends whatever bytes the socket produced — frames may be

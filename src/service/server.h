@@ -1,38 +1,40 @@
 /**
  * @file
- * The socket front of the digital-twin service: an event-driven
- * reactor multiplexing every client connection onto one epoll loop,
- * with a fixed worker pool executing broker requests off the I/O
- * thread.
+ * The socket front of the digital-twin service: one pool of threads
+ * waiting on one epoll instance, each connection served start to
+ * finish by the thread that took its event.
  *
- * Threading: one I/O thread owns the listener, the epoll instance
- * (util::Poller) and all connection fds — accepting, reading raw
- * bytes into a per-connection incremental FrameDecoder, and flushing
- * per-connection write queues with vectored writes. Decoded requests
- * are queued per connection and executed by a fixed pool of worker
- * threads; a connection is processed by at most one worker at a time
- * and its requests strictly in arrival order, so **pipelining** —
- * many requests in flight on one connection — keeps serial
- * per-connection request/response semantics while batching syscalls
- * and spreading independent connections across workers. Responses
- * (including streamed sweep frames) are delivered in request order.
+ * Threading: the listener and every connection are registered
+ * one-shot (util::Poller::kOneShot) with one util::Poller, and all
+ * `workers` threads wait on it. A readiness report goes to exactly
+ * one thread, which then owns that connection — holding its mutex —
+ * until it re-arms it: it reads, decodes with FrameDecoder, runs each
+ * request through SessionBroker::handle, encodes the replies and
+ * writes them, all on one thread. Per-connection order and "at most
+ * one thread per connection" follow from the one-shot arming, so
+ * **pipelining** — many requests in flight on one connection — keeps
+ * serial request/response semantics while one read and one write
+ * serve a whole burst. A long request holds only its own connection;
+ * the other threads keep serving the rest. Single-frame replies are
+ * written once per read; the frames of a streamed response (sweep
+ * points) go out as the broker produces them.
  *
- * Backpressure: a slow reader never stalls other connections — its
- * responses queue in userspace and flush as the socket drains; past
- * max_queue_bytes the connection is dropped
- * (service.backpressure_disconnects). A client that pipelines more
- * than kMaxPipeline (256, server.cc) unanswered requests stops being
- * read until the backlog halves (request-side flow control),
- * bounding memory per connection in both directions.
+ * Flow control: a connection with unflushed replies is armed for
+ * write only and not read until they drain, so a client that does
+ * not read its replies stops being read. Past max_queue_bytes of
+ * queued replies, checked as each reply is queued, the connection is
+ * dropped (service.backpressure_disconnects). When accept runs out of
+ * descriptors the listener stays disarmed and is retried on a timer
+ * instead of spinning.
  *
  * Shutdown: requestStop() (idempotent; safe from any thread,
- * including a worker handling the shutdown verb and a daemon's
- * signal watcher) wakes the reactor, which stops accepting and
- * reading, drains pending work and flushes outstanding responses —
- * so the shutdown verb's own "ok" reaches its client — bounded by
- * kDrainGrace (2 s, server.cc), then closes everything. stop()
- * joins the I/O and worker threads; in-flight simulation work stops
- * at the next step boundary through the broker's RunGuard wiring.
+ * including a pool thread handling the shutdown verb and a daemon's
+ * signal watcher) stops all accepting and reading. stop() then waits
+ * — at most kDrainGrace (2 s, server.cc) — for the requests already
+ * read to finish and queued replies to flush, so the shutdown verb's
+ * own "ok" reaches its client, wakes the pool through an eventfd,
+ * joins it and closes everything. In-flight simulation work stops at
+ * the next step boundary through the broker's RunGuard wiring.
  */
 
 #ifndef H2P_SERVICE_SERVER_H_
@@ -42,7 +44,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,10 +59,10 @@
 namespace h2p {
 namespace service {
 
-/** Tuning knobs of the reactor transport. */
+/** Tuning knobs of the transport. */
 struct ServerOptions
 {
-    /** Worker threads executing broker requests. */
+    /** Pool threads: each accepts, reads, executes and writes. */
     size_t workers = 4;
     /** listen(2) backlog of the Unix-domain listener. */
     int backlog = 128;
@@ -76,7 +77,7 @@ struct ServerOptions
      * service.connections, counts service.rx_frames /
      * service.tx_frames / service.backpressure_disconnects, and
      * records the service.queue_depth distribution (bytes queued
-     * per connection at enqueue time).
+     * on a connection each time its replies are written).
      */
     obs::Observability *obs = nullptr;
 };
@@ -99,19 +100,18 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Flag the server to stop and wake the reactor. Safe from any
-     * thread — including a worker handling the shutdown verb and a
-     * signal-watching daemon loop. Does not join; the thread blocked
-     * in waitForStop() (or the destructor) calls stop() for the
+     * Stop accepting and reading. Safe from any thread — including a
+     * pool thread handling the shutdown verb and a signal-watching
+     * daemon loop. Does not join; the thread blocked in
+     * waitForStop() (or the destructor) calls stop() for the
      * teardown proper.
      */
     void requestStop();
 
     /**
-     * Stop accepting, drain and join the reactor and worker threads,
-     * and remove the socket file. Idempotent; must NOT be called
-     * from a worker thread (it joins them) — that is what
-     * requestStop() is for.
+     * Stop accepting, drain, join the pool and remove the socket
+     * file. Idempotent; must NOT be called from a pool thread (it
+     * joins them) — that is what requestStop() is for.
      */
     void stop();
 
@@ -123,70 +123,37 @@ class Server
 
   private:
     /**
-     * One client connection. The I/O thread owns fd, decoder and the
-     * write queue; `mutex` guards the worker-facing half (pending
-     * requests, outbox, running flag).
+     * One client connection; its Poller key is its address. All of
+     * it belongs to the thread that holds `mutex`, which is the
+     * thread that took the connection's last event.
      */
     struct Connection
     {
-        uint64_t key = 0;
+        std::mutex mutex;
         util::Fd fd;
         FrameDecoder decoder;
-
-        std::mutex mutex;
-        /** Decoded request payloads awaiting execution (FIFO). */
-        std::deque<std::string> pending;
-        /** A worker is currently executing this connection. */
-        bool running = false;
-        /** This connection sits in the worker run queue. */
-        bool queued = false;
-        /** Serialized response frames awaiting queue transfer. */
-        std::vector<std::string> outbox;
-        /** Already flagged for reactor attention (guarded by the
-         * server's dirty_mutex_, not this->mutex). */
-        bool in_dirty = false;
-
-        // --- I/O-thread-only state below. ---
-        /** Response frames queued for the socket. */
-        std::deque<std::string> writeq;
-        /** Bytes across writeq (head_off already excluded). */
-        size_t writeq_bytes = 0;
-        /** Flushed prefix of writeq.front(). */
-        size_t head_off = 0;
-        /** Current epoll interest bits. */
-        uint32_t interest = 0;
-        /** fd currently registered with the poller. A connection
-         * with nothing to wait for is deregistered entirely so a
-         * hung-up peer cannot spin the loop via level-triggered
-         * EPOLLHUP while its requests still execute. */
-        bool registered = false;
-        /** Reading paused by request-side flow control. */
-        bool read_paused = false;
-        /** Peer sent EOF; close once queued work finishes. */
+        /** Encoded reply frames not yet written; out_off is sent. */
+        std::string out;
+        size_t out_off = 0;
+        /** Peer sent EOF; close once the replies are flushed. */
         bool peer_eof = false;
         /** Dropped (I/O error, oversize frame, backpressure cap). */
         bool dead = false;
     };
 
-    void ioLoop();
     void workerLoop();
-
     void acceptAll();
-    void handleReadable(const std::shared_ptr<Connection> &conn);
-    /** Move outbox frames to the write queue, flush, apply caps. */
-    void serviceConnection(const std::shared_ptr<Connection> &conn);
+    /** Serve @p conn's event: read, execute, write, re-arm. */
+    void serve(Connection &conn);
+    void readAndExecute(Connection &conn);
+    /** Append one reply frame, enforcing max_queue_bytes. */
+    void queueReply(Connection &conn, const Response &response);
     void flushWrites(Connection &conn);
-    void updateInterest(Connection &conn);
-    void closeConnection(const std::shared_ptr<Connection> &conn);
+    /** Remove @p conn from the poller and the table; frees it. */
+    void closeConnection(std::unique_lock<std::mutex> &owned,
+                         Connection &conn);
 
-    /** Put @p conn on the worker run queue (idempotent). */
-    void scheduleConnection(const std::shared_ptr<Connection> &conn);
-    /** Run one batch of @p conn's pending requests on this worker. */
-    void processConnection(const std::shared_ptr<Connection> &conn);
-    /** Flag @p conn for reactor attention and wake the epoll loop. */
-    void markDirty(const std::shared_ptr<Connection> &conn);
-
-    /** True once every queue is flushed and no work is in flight. */
+    /** True when no connection is owned or has unflushed replies. */
     bool drained();
 
     std::string socket_path_;
@@ -195,35 +162,30 @@ class Server
 
     util::Fd listener_;
     util::Poller poller_;
+    /** Signalled once, by stop(), to release the pool. */
     util::WakeupFd wake_;
 
-    /** I/O-thread-only: key -> connection. */
-    std::map<uint64_t, std::shared_ptr<Connection>> connections_;
-    uint64_t next_key_ = 2; // 0 = listener, 1 = wakeup fd
+    /** Every open connection, keyed by address (owns them). */
+    std::mutex connections_mutex_;
+    std::map<Connection *, std::unique_ptr<Connection>> connections_;
 
-    /** Connections with fresh outbox frames / state changes. */
-    std::mutex dirty_mutex_;
-    std::vector<std::shared_ptr<Connection>> dirty_;
-
-    /** Worker run queue. */
-    std::mutex run_mutex_;
-    std::condition_variable run_cv_;
-    std::deque<std::shared_ptr<Connection>> run_queue_;
-    bool workers_stop_ = false;
+    /** Steady-clock ns at which a listener that hit the fd limit is
+     * re-armed; 0 while it is armed. */
+    std::atomic<int64_t> accept_retry_ns_{0};
 
     std::atomic<bool> stopping_{false};
+    std::atomic<bool> exit_{false};
     std::mutex stop_mutex_;
     std::condition_variable stop_cv_;
     bool stopped_ = false;
-
-    std::thread io_thread_;
-    std::vector<std::thread> workers_;
 
     obs::Gauge connections_gauge_;
     obs::Counter rx_frames_;
     obs::Counter tx_frames_;
     obs::Counter backpressure_disconnects_;
     obs::HistogramMetric queue_depth_;
+
+    std::vector<std::thread> workers_;
 };
 
 } // namespace service

@@ -497,7 +497,7 @@ SessionBroker::doSweep(const Request &request, const Emit &emit)
                 point.status == core::PointStatus::Completed
                     ? summaryJson(point.summary)
                     : std::string());
-            emit(r);
+            emit(r, true);
         });
     size_t completed = 0;
     for (const core::SweepPointResult &point : result.points)
@@ -505,7 +505,8 @@ SessionBroker::doSweep(const Request &request, const Emit &emit)
             ++completed;
     emit(Response::okay({"done", std::to_string(completed),
                          std::to_string(result.quarantined),
-                         result.cancelled ? "1" : "0"}));
+                         result.cancelled ? "1" : "0"}),
+         false);
 }
 
 Response
@@ -519,8 +520,8 @@ SessionBroker::doStats(const Request &request)
         open = sessions_.size();
     }
     // Body: every service.* metric the obs registry holds — the
-    // broker's own counters plus whatever transport (the reactor
-    // server) registered — so loadgen runs are explainable from the
+    // broker's own counters plus whatever transport (service::Server)
+    // registered — so loadgen runs are explainable from the
     // stats verb alone. Histograms report count/mean/max sidecars.
     std::string body;
     if (options_.obs != nullptr) {
@@ -574,44 +575,52 @@ SessionBroker::handle(const Request &request, const Emit &emit)
             : obs::SpanRegistry::SpanId{});
     try {
         if (request.verb == "ping") {
-            emit(Response::okay({"pong"}));
+            emit(Response::okay({"pong"}), false);
         } else if (request.verb == "open") {
-            emit(doOpen(request));
+            emit(doOpen(request), false);
         } else if (request.verb == "resume") {
-            emit(doResume(request));
+            emit(doResume(request), false);
         } else if (request.verb == "step") {
-            emit(doStep(request));
+            emit(doStep(request), false);
         } else if (request.verb == "query") {
-            emit(doQuery(request));
+            emit(doQuery(request), false);
         } else if (request.verb == "checkpoint") {
-            emit(doCheckpoint(request));
+            emit(doCheckpoint(request), false);
         } else if (request.verb == "balancer") {
-            emit(doBalancer(request));
+            emit(doBalancer(request), false);
         } else if (request.verb == "drain") {
-            emit(doDrain(request));
+            emit(doDrain(request), false);
         } else if (request.verb == "close") {
-            emit(doClose(request));
+            emit(doClose(request), false);
         } else if (request.verb == "sweep") {
             doSweep(request, emit);
         } else if (request.verb == "stats") {
-            emit(doStats(request));
+            emit(doStats(request), false);
         } else if (request.verb == "shutdown") {
-            emit(Response::okay());
+            emit(Response::okay(), false);
             if (options_.on_shutdown)
                 options_.on_shutdown();
         } else {
-            emit(Response::error("unknown verb `" + request.verb + "'"));
+            emit(Response::error("unknown verb `" + request.verb + "'"),
+                 false);
         }
     } catch (const Error &e) {
-        emit(Response::error(e.what()));
+        emit(Response::error(e.what()), false);
     }
+}
+
+void
+SessionBroker::handle(const Request &request,
+                      const std::function<void(const Response &)> &emit)
+{
+    handle(request, [&emit](const Response &r, bool) { emit(r); });
 }
 
 Response
 SessionBroker::handleOne(const Request &request)
 {
     Response last = Response::error("no response emitted");
-    handle(request, [&last](const Response &r) { last = r; });
+    handle(request, [&last](const Response &r, bool) { last = r; });
     return last;
 }
 

@@ -115,8 +115,13 @@ class SessionBroker
     SessionBroker(const SessionBroker &) = delete;
     SessionBroker &operator=(const SessionBroker &) = delete;
 
-    /** Response sink: called once per response, in order. */
-    using Emit = std::function<void(const Response &)>;
+    /**
+     * Response sink: called once per response, in order. @p more is
+     * true while further responses to the same request follow (a
+     * sweep's points before its "done"), so a transport can send
+     * those as they come and batch the rest.
+     */
+    using Emit = std::function<void(const Response &, bool more)>;
 
     /**
      * Execute one request, delivering every response (one for most
@@ -125,6 +130,10 @@ class SessionBroker
      * failures.
      */
     void handle(const Request &request, const Emit &emit);
+
+    /** As above, for a sink that needs no "more follows" flag. */
+    void handle(const Request &request,
+                const std::function<void(const Response &)> &emit);
 
     /** Convenience for single-response verbs: the last response. */
     Response handleOne(const Request &request);

@@ -116,19 +116,24 @@ unixConnect(const std::string &path)
     return fd;
 }
 
-Fd
-acceptConnection(const Fd &listener)
+AcceptStatus
+acceptConnection(const Fd &listener, Fd &conn)
 {
     for (;;) {
-        int fd = ::accept(listener.get(), nullptr, nullptr);
-        if (fd >= 0)
-            return Fd(fd);
-        if (errno == EINTR)
+        int fd = ::accept4(listener.get(), nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd >= 0) {
+            conn = Fd(fd);
+            return AcceptStatus::Ok;
+        }
+        // EINTR, or a client that gave up while still in the backlog.
+        if (errno == EINTR || errno == ECONNABORTED)
             continue;
-        // Nothing pending on a non-blocking listener, or a listener
-        // torn down during stop — not an error worth throwing from
-        // the accept loop.
-        return Fd();
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM)
+            return AcceptStatus::FdLimit;
+        // Nothing pending, or a listener torn down during stop.
+        return AcceptStatus::WouldBlock;
     }
 }
 
@@ -258,6 +263,8 @@ epollMask(uint32_t interest)
         mask |= EPOLLIN;
     if (interest & Poller::kWrite)
         mask |= EPOLLOUT;
+    if (interest & Poller::kOneShot)
+        mask |= EPOLLONESHOT;
     return mask;
 }
 
@@ -294,14 +301,16 @@ Poller::remove(const Fd &fd)
 }
 
 size_t
-Poller::wait(std::vector<Event> &out, int timeout_ms)
+Poller::wait(std::vector<Event> &out, int timeout_ms, size_t max_events)
 {
-    constexpr int kMaxEvents = 64;
+    constexpr size_t kMaxEvents = 64;
+    H2P_ASSERT(max_events >= 1 && max_events <= kMaxEvents,
+               "Poller::wait takes 1-64 events");
     epoll_event events[kMaxEvents];
     int rc;
     do {
-        rc = ::epoll_wait(epoll_.get(), events, kMaxEvents,
-                          timeout_ms);
+        rc = ::epoll_wait(epoll_.get(), events,
+                          static_cast<int>(max_events), timeout_ms);
     } while (rc < 0 && errno == EINTR);
     expect(rc >= 0, "epoll_wait failed: ", std::strerror(errno));
     out.clear();
@@ -333,16 +342,6 @@ WakeupFd::signal() const
     ssize_t rc;
     do {
         rc = ::write(fd_.get(), &one, sizeof(one));
-    } while (rc < 0 && errno == EINTR);
-}
-
-void
-WakeupFd::drain() const
-{
-    uint64_t value;
-    ssize_t rc;
-    do {
-        rc = ::read(fd_.get(), &value, sizeof(value));
     } while (rc < 0 && errno == EINTR);
 }
 

@@ -6,7 +6,7 @@
  * AF_UNIX sockets; these wrappers cover exactly what it needs —
  * RAII ownership of a descriptor, listen/accept/connect on a
  * filesystem path, EINTR-safe full-buffer read/write for blocking
- * clients, and the event-driven primitives of the reactor server:
+ * clients, and the event-driven primitives of the service's server:
  * an epoll wrapper (Poller), an eventfd wakeup (WakeupFd) and
  * non-blocking partial read/write helpers that report would-block
  * and peer-gone as statuses instead of exceptions. All hard
@@ -74,13 +74,27 @@ Fd unixListen(const std::string &path, int backlog = 128);
 /** Connect to the Unix-domain socket at @p path. */
 Fd unixConnect(const std::string &path);
 
+/** Outcome of one acceptConnection() call. */
+enum class AcceptStatus
+{
+    /** A connection was accepted. */
+    Ok,
+    /** Nothing is pending (or the listener was shut down under us). */
+    WouldBlock,
+    /**
+     * Out of descriptors (EMFILE/ENFILE) or kernel memory: the
+     * connection stays in the backlog, and a level-triggered listener
+     * stays readable until it is taken, so back off before retrying.
+     */
+    FdLimit,
+};
+
 /**
- * Accept one connection on @p listener. Returns an empty Fd when
- * the listener was shut down / closed under us — or, on a
- * non-blocking listener, when no connection is pending — instead of
- * throwing, so accept loops can exit (or yield) quietly.
+ * Accept one pending connection on @p listener into @p conn, with
+ * accept4(SOCK_NONBLOCK | SOCK_CLOEXEC): the new descriptor is
+ * non-blocking and not inherited across exec. Never throws.
  */
-Fd acceptConnection(const Fd &listener);
+AcceptStatus acceptConnection(const Fd &listener, Fd &conn);
 
 /**
  * Read exactly @p n bytes into @p buf, retrying on EINTR and short
@@ -93,7 +107,7 @@ bool readExact(const Fd &fd, void *buf, size_t n);
 void writeAll(const Fd &fd, const void *buf, size_t n);
 
 // ---------------------------------------------------------------------
-// Non-blocking primitives for the reactor server.
+// Non-blocking primitives for the service's server.
 
 /** Put @p fd into non-blocking mode. */
 void setNonBlocking(const Fd &fd);
@@ -135,8 +149,10 @@ IoStatus writevSome(const Fd &fd, const ByteRange *bufs, size_t nbufs,
 /**
  * A level-triggered epoll instance. Registered fds carry an opaque
  * 64-bit key that comes back in each Event, so the owner can map
- * events to its own connection table without storing pointers in
- * the kernel. Not thread-safe; the reactor owns it from one thread.
+ * events to its own records. Any number of threads may wait on one
+ * Poller and add, modify or remove fds concurrently (the kernel
+ * serializes them); with kOneShot, each arming is reported to exactly
+ * one waiting thread, which then owns the fd until it re-arms it.
  */
 class Poller
 {
@@ -144,6 +160,8 @@ class Poller
     /** Interest bits for add()/modify(). */
     static constexpr uint32_t kRead = 1u;
     static constexpr uint32_t kWrite = 2u;
+    /** Disarm after one report (EPOLLONESHOT); modify() re-arms. */
+    static constexpr uint32_t kOneShot = 4u;
 
     /** One readiness report. */
     struct Event
@@ -163,7 +181,7 @@ class Poller
     /** Register @p fd with @p interest (kRead/kWrite bits). */
     void add(const Fd &fd, uint32_t interest, uint64_t key);
 
-    /** Change the interest set of a registered fd. */
+    /** Change the interest set of a registered fd (and re-arm it). */
     void modify(const Fd &fd, uint32_t interest, uint64_t key);
 
     /** Deregister @p fd (must still be open). */
@@ -171,18 +189,20 @@ class Poller
 
     /**
      * Wait up to @p timeout_ms (-1 = indefinitely) and fill @p out
-     * with ready events. Returns the event count (0 on timeout).
+     * with at most @p max_events (1-64) ready events. Returns the
+     * event count (0 on timeout).
      */
-    size_t wait(std::vector<Event> &out, int timeout_ms);
+    size_t wait(std::vector<Event> &out, int timeout_ms,
+                size_t max_events = 64);
 
   private:
     Fd epoll_;
 };
 
 /**
- * An eventfd the reactor sleeps on: worker threads signal() it to
- * wake the epoll loop; the loop drain()s it before processing.
- * signal() is async-signal- and thread-safe.
+ * An eventfd to wake threads sleeping in a Poller: once signal()led
+ * it stays readable, so a level-triggered registration wakes every
+ * waiting thread. signal() is async-signal- and thread-safe.
  */
 class WakeupFd
 {
@@ -192,11 +212,8 @@ class WakeupFd
     WakeupFd(const WakeupFd &) = delete;
     WakeupFd &operator=(const WakeupFd &) = delete;
 
-    /** Make the next (or current) Poller::wait return. */
+    /** Make every current and later Poller::wait on it return. */
     void signal() const;
-
-    /** Consume pending signals (reactor thread only). */
-    void drain() const;
 
     const Fd &fd() const { return fd_; }
 

@@ -10,12 +10,16 @@
  */
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <ctime>
 #include <fstream>
 #include <limits>
 #include <locale>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -23,8 +27,12 @@
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -986,7 +994,7 @@ TEST(ServiceServer, ShutdownVerbStopsTheServer)
 }
 
 // ---------------------------------------------------------------------
-// Incremental frame decoding (the reactor's read path).
+// Incremental frame decoding (the server's read path).
 
 TEST(ServiceProtocol, FrameDecoderReassemblesAtEverySplitOffset)
 {
@@ -1240,17 +1248,17 @@ TEST(ServiceServer, StatsVerbReportsTransportMetrics)
 
 TEST(ServiceServer, PipelineFlowControlAnswersEveryRequestInOrder)
 {
-    // Far past the reactor's per-connection pipeline cap (256): it
-    // stops reading at the cap and resumes at half. The padded burst
-    // (~120 KiB) outgrows one 64 KiB read, so the tail only arrives
-    // if reading resumes; nothing may be lost or reordered although
-    // the client reads nothing until it has sent everything.
+    // A 1,000-request burst: the server reads it 64 KiB at a time
+    // and reads on only once the replies to each read are flushed.
+    // The padded burst (~120 KiB) outgrows one read, so the tail only
+    // arrives if reading resumes; nothing may be lost or reordered
+    // although the client reads nothing until it has sent everything.
     TempPath socket("service_test_flow_control.sock");
     service::SessionBroker broker;
     service::Server server(socket.path, &broker);
 
     util::Fd fd = util::unixConnect(socket.path);
-    // A reactor that never resumes reading fails the test, not hangs.
+    // A server that never resumes reading fails the test, not hangs.
     const timeval timeout{10, 0};
     ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
                            sizeof(timeout)),
@@ -1318,6 +1326,148 @@ TEST(ServiceServer, ShutdownDrainIsBoundedByAReaderThatNeverReads)
                               std::chrono::steady_clock::now() - t0)
                               .count();
     EXPECT_LT(stop_s, 10.0);
+}
+
+TEST(ServiceServer, LongRequestHoldsOnlyItsConnection)
+{
+    // Connection A's request holds its pool thread for at least 0.5 s
+    // and until connection B has been served (10 s at most): the
+    // shutdown verb's hook stands in for a long sweep. B's pipelined
+    // pings must all be answered by the other thread meanwhile.
+    TempPath socket("service_test_long_request.sock");
+    service::SessionBroker broker;
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool a_running = false;
+    bool a_finished = false;
+    bool b_served = false;
+    bool b_served_while_a_ran = false;
+    broker.setOnShutdown([&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        std::unique_lock<std::mutex> lock(mutex);
+        a_running = true;
+        cv.notify_all();
+        b_served_while_a_ran = cv.wait_for(
+            lock, std::chrono::seconds(10), [&] { return b_served; });
+        lock.unlock();
+        std::this_thread::sleep_until(t0 + std::chrono::milliseconds(500));
+        lock.lock();
+        a_finished = true;
+        cv.notify_all();
+    });
+    service::ServerOptions options;
+    options.workers = 2;
+    service::Server server(socket.path, &broker, options);
+
+    util::Fd a = util::unixConnect(socket.path);
+    service::writeFrame(a, makeRequest("shutdown").serialize());
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return a_running; }));
+    }
+
+    util::Fd b = util::unixConnect(socket.path);
+    constexpr int kPings = 100;
+    std::string burst;
+    for (int i = 0; i < kPings; ++i)
+        burst += service::encodeFrame(makeRequest("ping").serialize());
+    util::writeAll(b, burst.data(), burst.size());
+    std::string payload;
+    for (int i = 0; i < kPings; ++i) {
+        ASSERT_TRUE(service::readFrame(b, payload)) << "reply " << i;
+        service::Response r = service::Response::parse(payload);
+        ASSERT_TRUE(r.ok) << r.message;
+        EXPECT_EQ(r.args[0], "pong");
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        b_served = true;
+    }
+    cv.notify_all();
+
+    ASSERT_TRUE(service::readFrame(a, payload));
+    EXPECT_TRUE(service::Response::parse(payload).ok);
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(20),
+                            [&] { return a_finished; }));
+    EXPECT_TRUE(b_served_while_a_ran);
+}
+
+/** Lowers this process's soft RLIMIT_NOFILE; restores it at scope end. */
+class LoweredFdLimit
+{
+  public:
+    explicit LoweredFdLimit(rlim_t soft)
+    {
+        EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+        rlimit lowered = saved_;
+        lowered.rlim_cur = soft;
+        EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    }
+    ~LoweredFdLimit() { restore(); }
+    LoweredFdLimit(const LoweredFdLimit &) = delete;
+    LoweredFdLimit &operator=(const LoweredFdLimit &) = delete;
+
+    void restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  private:
+    rlimit saved_{};
+};
+
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(ServiceServer, AcceptAtTheFdLimitDoesNotSpin)
+{
+    TempPath socket("service_test_fd_limit.sock");
+    service::SessionBroker broker;
+    service::Server server(socket.path, &broker);
+
+    // The client's socket exists before the limit drops, so its
+    // connect needs no new descriptor; the server's accept does.
+    util::Fd client(::socket(AF_UNIX, SOCK_STREAM, 0));
+    ASSERT_TRUE(client.valid());
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(client.get(), SOL_SOCKET, SO_RCVTIMEO,
+                           &timeout, sizeof(timeout)),
+              0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket.path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    const int lowest_free = ::fcntl(client.get(), F_DUPFD, 0);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+
+    double cpu_s = 0.0;
+    {
+        // Every descriptor below the lowest free one is in use: no
+        // new one can be made until the limit is restored.
+        LoweredFdLimit limit(static_cast<rlim_t>(lowest_free));
+        ASSERT_EQ(::connect(client.get(),
+                            reinterpret_cast<const sockaddr *>(&addr),
+                            sizeof(addr)),
+                  0);
+        const double cpu0 = processCpuSeconds();
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        cpu_s = processCpuSeconds() - cpu0;
+    }
+    EXPECT_LT(cpu_s, 0.05) << "accept spun while out of descriptors";
+
+    // Once descriptors are available again the client is served.
+    service::writeFrame(client, makeRequest("ping").serialize());
+    std::string payload;
+    ASSERT_TRUE(service::readFrame(client, payload));
+    service::Response pong = service::Response::parse(payload);
+    ASSERT_TRUE(pong.ok) << pong.message;
+    EXPECT_EQ(pong.args[0], "pong");
 }
 
 // ---------------------------------------------------------------------
