@@ -227,7 +227,8 @@ baselineStep(const cluster::Datacenter &dc,
         settings.push_back(sliceChoose(space, teg, p, mean).setting);
         offset += n;
     }
-    cluster::DatacenterState state = dc.evaluate(balanced, settings);
+    cluster::DatacenterState state;
+    dc.evaluateInto(balanced, settings, nullptr, state);
     return state.teg_power_w;
 }
 

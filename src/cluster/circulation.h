@@ -38,9 +38,7 @@ struct CoolingSetting
  * Per-server faults are stored as flat arrays — one lane per fault
  * dimension — which is exactly the form the SoA step kernel consumes
  * (ServerHealthLanes). All three arrays are either empty (every
- * server healthy) or numServers() long; the AoS server()/setServer()
- * accessors materialize a ServerHealth view for callers that think in
- * whole servers.
+ * server healthy) or numServers() long.
  */
 struct CirculationHealth
 {
@@ -76,24 +74,6 @@ struct CirculationHealth
         teg_open.assign(n, h.teg_open ? 1 : 0);
         tegs_shorted.assign(n, h.tegs_shorted);
         fouling_kpw.assign(n, h.fouling_kpw);
-    }
-
-    /** Materialize the AoS health of server @p i. */
-    ServerHealth server(size_t i) const
-    {
-        ServerHealth h;
-        h.teg_open = teg_open[i] != 0;
-        h.tegs_shorted = tegs_shorted[i];
-        h.fouling_kpw = fouling_kpw[i];
-        return h;
-    }
-
-    /** Scatter @p h into server @p i's lanes. */
-    void setServer(size_t i, const ServerHealth &h)
-    {
-        teg_open[i] = h.teg_open ? 1 : 0;
-        tegs_shorted[i] = h.tegs_shorted;
-        fouling_kpw[i] = h.fouling_kpw;
     }
 
     /** The raw lane view the step kernel consumes. */

@@ -38,15 +38,6 @@ Datacenter::circulationSize(size_t i) const
     return circulation_sizes_[i];
 }
 
-DatacenterState
-Datacenter::evaluate(const std::vector<double> &utils,
-                     const std::vector<CoolingSetting> &settings) const
-{
-    DatacenterState state;
-    evaluateInto(utils, settings, nullptr, state);
-    return state;
-}
-
 void
 Datacenter::evaluateInto(const std::vector<double> &utils,
                          const std::vector<CoolingSetting> &settings,

@@ -119,21 +119,14 @@ class Datacenter
     size_t numServers() const { return params_.num_servers; }
 
     /**
-     * Evaluate one scheduling interval.
+     * Evaluate one scheduling interval into caller-owned storage:
+     * @p out (its circulations vector and the fleet-wide servers
+     * block) is reused across calls, so the step allocates nothing.
      *
      * @param utils Per-server utilizations (numServers() entries),
      *        laid out circulation by circulation.
      * @param settings Per-circulation cooling settings
      *        (numCirculations() entries).
-     */
-    DatacenterState evaluate(const std::vector<double> &utils,
-                             const std::vector<CoolingSetting> &settings)
-        const;
-
-    /**
-     * Allocation-free evaluation into caller-owned storage: @p out
-     * (its circulations vector and the fleet-wide servers block) is
-     * reused across calls. Identical results to evaluate().
      *
      * @p health may be null for a healthy cluster. Under faults, plant
      * outages warm the delivered supply temperature of every

@@ -22,24 +22,6 @@ ServerStateBlock::resize(size_t n)
     safe.resize(n);
 }
 
-ServerState
-ServerStateBlock::server(size_t i) const
-{
-    expect(i < size(), "server ", i, " out of range (block has ",
-           size(), ")");
-    ServerState s;
-    s.util = util[i];
-    s.cpu_power_w = cpu_power_w[i];
-    s.die_temp_c = die_temp_c[i];
-    s.outlet_c = outlet_c[i];
-    s.heat_w = heat_w[i];
-    s.teg_power_w = teg_power_w[i];
-    s.teg_power_lost_w = teg_power_lost_w[i];
-    s.faulted = faulted[i] != 0;
-    s.safe = safe[i] != 0;
-    return s;
-}
-
 ServerBlock::ServerBlock(const ServerParams &params)
     : thermal_(params.thermal),
       teg_(params.tegs_per_server, params.teg),

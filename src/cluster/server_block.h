@@ -40,9 +40,7 @@ namespace cluster {
 /**
  * Per-server state in structure-of-arrays layout: the fleet-wide
  * block behind DatacenterState, in which each circulation owns one
- * contiguous segment. Hot consumers read the arrays directly; AoS
- * consumers (tests) materialize a ServerState through server() /
- * operator[].
+ * contiguous segment. Consumers read the arrays directly.
  */
 struct ServerStateBlock
 {
@@ -61,12 +59,6 @@ struct ServerStateBlock
 
     /** Resize every lane (values of grown lanes are unspecified). */
     void resize(size_t n);
-
-    /** Materialize the AoS view of server @p i. */
-    ServerState server(size_t i) const;
-
-    /** Vector-style AoS access (materializes a copy). */
-    ServerState operator[](size_t i) const { return server(i); }
 };
 
 /**

@@ -358,7 +358,7 @@ SimSession::step()
                     "cancellation requested");
         if (guard_.step_budget > 0 &&
             step - guard_start_cursor_ >= guard_.step_budget)
-            failRun(FailureKind::Timeout, step, "step_budget",
+            failRun(FailureKind::Timeout, step, kStepBudgetStage,
                     "step budget of ", guard_.step_budget,
                     " steps exhausted");
         if (guard_.deadline_s > 0.0 &&

@@ -264,7 +264,7 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
                     slot.status = PointStatus::Skipped;
                     return;
                 }
-                if (attempt < max_attempts && isRetryable(f.kind))
+                if (attempt < max_attempts && f.retryable())
                     continue;
                 slot.status = PointStatus::Quarantined;
                 slot.failure = std::move(f);

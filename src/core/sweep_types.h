@@ -71,7 +71,8 @@ struct SweepPoint
     /**
      * Step budget per attempt of this point (0 = unlimited). Unlike
      * the wall-clock deadline, the budget is deterministic: the run
-     * always fails at exactly the same step.
+     * always fails at exactly the same step, so a spent budget is
+     * quarantined on the first attempt.
      */
     size_t step_budget = 0;
 };
@@ -109,9 +110,10 @@ struct SweepOptions
     double point_deadline_s = 0.0;
     /**
      * Run attempts per point before it is quarantined. Only retryable
-     * failures (h2p::isRetryable: Timeout, Internal) are retried;
-     * ConfigError and NumericDivergence are deterministic and
-     * quarantine on the first attempt. Minimum 1.
+     * failures (RunFailure::retryable: a wall-clock Timeout, Internal)
+     * are retried; ConfigError, NumericDivergence and a spent step
+     * budget are deterministic and quarantine on the first attempt.
+     * Minimum 1.
      */
     size_t max_attempts = 2;
     /**

@@ -28,13 +28,6 @@ Climate::wetBulbAt(double hour_of_year) const
            params_.diurnal_amp_c * diurnal;
 }
 
-double
-Climate::peakWetBulb() const
-{
-    return params_.mean_wet_bulb_c + params_.seasonal_amp_c +
-           params_.diurnal_amp_c;
-}
-
 Climate
 Climate::singapore()
 {

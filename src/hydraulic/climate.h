@@ -51,9 +51,6 @@ class Climate
      */
     double wetBulbAt(double hour_of_year) const;
 
-    /** Highest wet bulb of the year, C. */
-    double peakWetBulb() const;
-
     const ClimateParams &params() const { return params_; }
 
     /** Hot-humid tropical site (Singapore-like). */

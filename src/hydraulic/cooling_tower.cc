@@ -19,12 +19,6 @@ CoolingTower::minLeavingTemp(double wet_bulb_c) const
     return wet_bulb_c + params_.approach_c;
 }
 
-bool
-CoolingTower::canReach(double target_c, double wet_bulb_c) const
-{
-    return target_c >= minLeavingTemp(wet_bulb_c);
-}
-
 double
 CoolingTower::fanPower(double heat_w) const
 {

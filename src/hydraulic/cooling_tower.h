@@ -40,12 +40,6 @@ class CoolingTower
     /** Lowest achievable leaving-water temperature, C. */
     double minLeavingTemp(double wet_bulb_c) const;
 
-    /**
-     * True when the tower alone can supply water at @p target_c given
-     * the ambient wet bulb.
-     */
-    bool canReach(double target_c, double wet_bulb_c) const;
-
     /** Fan power to reject @p heat_w of heat, W. */
     double fanPower(double heat_w) const;
 

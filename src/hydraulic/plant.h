@@ -17,7 +17,6 @@
 
 #include "hydraulic/chiller.h"
 #include "hydraulic/cooling_tower.h"
-#include "hydraulic/heat_exchanger.h"
 
 namespace h2p {
 namespace hydraulic {

@@ -252,7 +252,23 @@ struct SessionBroker::LockedTwin
 };
 
 SessionBroker::SessionBroker(BrokerOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)),
+      verbs_{{
+          {"ping", &SessionBroker::reply<&SessionBroker::doPing>, {}},
+          {"open", &SessionBroker::reply<&SessionBroker::doOpen>, {}},
+          {"resume", &SessionBroker::reply<&SessionBroker::doResume>, {}},
+          {"step", &SessionBroker::reply<&SessionBroker::doStep>, {}},
+          {"query", &SessionBroker::reply<&SessionBroker::doQuery>, {}},
+          {"checkpoint", &SessionBroker::reply<&SessionBroker::doCheckpoint>,
+           {}},
+          {"balancer", &SessionBroker::reply<&SessionBroker::doBalancer>,
+           {}},
+          {"drain", &SessionBroker::reply<&SessionBroker::doDrain>, {}},
+          {"close", &SessionBroker::reply<&SessionBroker::doClose>, {}},
+          {"sweep", &SessionBroker::doSweep, {}},
+          {"stats", &SessionBroker::reply<&SessionBroker::doStats>, {}},
+          {"shutdown", &SessionBroker::doShutdown, {}},
+      }}
 {
     if (options_.obs != nullptr) {
         requests_ = options_.obs->metrics().counter("service.requests");
@@ -260,6 +276,9 @@ SessionBroker::SessionBroker(BrokerOptions options)
             options_.obs->metrics().counter("service.sessions");
         sessions_open_ =
             options_.obs->metrics().gauge("service.sessions_open");
+        for (Verb &verb : verbs_)
+            verb.span = options_.obs->spans().id(std::string("service.") +
+                                                 verb.name);
     }
 }
 
@@ -309,6 +328,12 @@ SessionBroker::admit(const std::string &ini_text, const StartFn &start)
     sessions_total_.add(1);
     sessions_open_.set(static_cast<double>(sessions_.size()));
     return locked;
+}
+
+Response
+SessionBroker::doPing(const Request &)
+{
+    return Response::okay({"pong"});
 }
 
 Response
@@ -564,56 +589,32 @@ SessionBroker::doStats(const Request &request)
 }
 
 void
+SessionBroker::doShutdown(const Request &, const Emit &emit)
+{
+    emit(Response::okay(), false);
+    if (options_.on_shutdown)
+        options_.on_shutdown();
+}
+
+void
 SessionBroker::handle(const Request &request, const Emit &emit)
 {
     handled_.fetch_add(1, std::memory_order_relaxed);
     requests_.add(1);
-    obs::TraceSpan span(
-        options_.obs != nullptr ? &options_.obs->spans() : nullptr,
-        options_.obs != nullptr
-            ? options_.obs->spans().id("service." + request.verb)
-            : obs::SpanRegistry::SpanId{});
-    try {
-        if (request.verb == "ping") {
-            emit(Response::okay({"pong"}), false);
-        } else if (request.verb == "open") {
-            emit(doOpen(request), false);
-        } else if (request.verb == "resume") {
-            emit(doResume(request), false);
-        } else if (request.verb == "step") {
-            emit(doStep(request), false);
-        } else if (request.verb == "query") {
-            emit(doQuery(request), false);
-        } else if (request.verb == "checkpoint") {
-            emit(doCheckpoint(request), false);
-        } else if (request.verb == "balancer") {
-            emit(doBalancer(request), false);
-        } else if (request.verb == "drain") {
-            emit(doDrain(request), false);
-        } else if (request.verb == "close") {
-            emit(doClose(request), false);
-        } else if (request.verb == "sweep") {
-            doSweep(request, emit);
-        } else if (request.verb == "stats") {
-            emit(doStats(request), false);
-        } else if (request.verb == "shutdown") {
-            emit(Response::okay(), false);
-            if (options_.on_shutdown)
-                options_.on_shutdown();
-        } else {
-            emit(Response::error("unknown verb `" + request.verb + "'"),
-                 false);
+    for (const Verb &verb : verbs_) {
+        if (request.verb != verb.name)
+            continue;
+        obs::TraceSpan span(
+            options_.obs != nullptr ? &options_.obs->spans() : nullptr,
+            verb.span);
+        try {
+            (this->*verb.run)(request, emit);
+        } catch (const Error &e) {
+            emit(Response::error(e.what()), false);
         }
-    } catch (const Error &e) {
-        emit(Response::error(e.what()), false);
+        return;
     }
-}
-
-void
-SessionBroker::handle(const Request &request,
-                      const std::function<void(const Response &)> &emit)
-{
-    handle(request, [&emit](const Response &r, bool) { emit(r); });
+    emit(Response::error("unknown verb `" + request.verb + "'"), false);
 }
 
 Response

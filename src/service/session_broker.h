@@ -55,6 +55,7 @@
 #ifndef H2P_SERVICE_SESSION_BROKER_H_
 #define H2P_SERVICE_SESSION_BROKER_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -97,8 +98,8 @@ struct BrokerOptions
     /**
      * Observability sink (null = none; borrowed): counts
      * service.requests and service.sessions, gauges
-     * service.sessions_open, and times every verb under a
-     * service.<verb> span.
+     * service.sessions_open, and times every known verb under a
+     * service.<verb> span (an unknown verb is counted, not timed).
      */
     obs::Observability *obs = nullptr;
     /** Invoked when a client issues the shutdown verb. */
@@ -131,10 +132,6 @@ class SessionBroker
      */
     void handle(const Request &request, const Emit &emit);
 
-    /** As above, for a sink that needs no "more follows" flag. */
-    void handle(const Request &request,
-                const std::function<void(const Response &)> &emit);
-
     /** Convenience for single-response verbs: the last response. */
     Response handleOne(const Request &request);
 
@@ -160,6 +157,29 @@ class SessionBroker
     using StartFn = std::function<core::SimSession(
         const core::H2PSystem &, const workload::UtilizationTrace &)>;
 
+    /** A verb's handler: delivers every response through the sink. */
+    using Handler = void (SessionBroker::*)(const Request &, const Emit &);
+
+    /**
+     * One wire verb. The span is resolved once, when the broker is
+     * built (inert without obs), so a request takes no registry lock
+     * and a client's made-up verbs add no span.
+     */
+    struct Verb
+    {
+        const char *name;
+        Handler run;
+        obs::SpanRegistry::SpanId span;
+    };
+
+    /** A single-response handler @p F as a Handler. */
+    template <Response (SessionBroker::*F)(const Request &)>
+    void reply(const Request &request, const Emit &emit)
+    {
+        emit((this->*F)(request), false);
+    }
+
+    Response doPing(const Request &request);
     Response doOpen(const Request &request);
     Response doResume(const Request &request);
     Response doStep(const Request &request);
@@ -170,6 +190,7 @@ class SessionBroker
     Response doClose(const Request &request);
     void doSweep(const Request &request, const Emit &emit);
     Response doStats(const Request &request);
+    void doShutdown(const Request &request, const Emit &emit);
 
     /**
      * Look up a session and lock its mutex for the returned handle's
@@ -185,6 +206,8 @@ class SessionBroker
     LockedTwin admit(const std::string &ini_text, const StartFn &start);
 
     BrokerOptions options_;
+    /** Every verb handle() dispatches, each named once. */
+    std::array<Verb, 12> verbs_;
     /** Requests handled since construction (stats verb). */
     std::atomic<uint64_t> handled_{0};
     mutable std::mutex mutex_;

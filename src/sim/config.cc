@@ -57,12 +57,6 @@ Config::load(const std::string &path)
 }
 
 bool
-Config::hasSection(const std::string &s) const
-{
-    return data_.count(s) > 0;
-}
-
-bool
 Config::has(const std::string &s, const std::string &k) const
 {
     auto it = data_.find(s);

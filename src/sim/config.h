@@ -41,9 +41,6 @@ class Config
     /** Load from a file path. */
     static Config load(const std::string &path);
 
-    /** True when section @p s exists. */
-    bool hasSection(const std::string &s) const;
-
     /** True when key @p k exists in section @p s. */
     bool has(const std::string &s, const std::string &k) const;
 

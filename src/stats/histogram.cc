@@ -46,13 +46,5 @@ Histogram::binHi(size_t i) const
     return binLo(i) + width_;
 }
 
-double
-Histogram::binFraction(size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(binCount(i)) / static_cast<double>(total_);
-}
-
 } // namespace stats
 } // namespace h2p

@@ -44,9 +44,6 @@ class Histogram
     /** Total number of recorded observations. */
     size_t total() const { return total_; }
 
-    /** Fraction of observations in bin @p i (0 when empty). */
-    double binFraction(size_t i) const;
-
   private:
     double lo_;
     double hi_;

@@ -24,13 +24,6 @@ RunningStats::add(double x)
     }
 }
 
-void
-RunningStats::addAll(const std::vector<double> &xs)
-{
-    for (double x : xs)
-        add(x);
-}
-
 double
 RunningStats::variance() const
 {

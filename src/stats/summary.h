@@ -25,9 +25,6 @@ class RunningStats
     /** Fold one observation into the summary. */
     void add(double x);
 
-    /** Fold a whole container of observations. */
-    void addAll(const std::vector<double> &xs);
-
     /** Number of observations so far. */
     size_t count() const { return count_; }
 

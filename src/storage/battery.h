@@ -43,9 +43,6 @@ class Battery
     /** Stored energy, Wh. */
     double stored() const { return stored_wh_; }
 
-    /** State of charge, fraction of capacity. */
-    double soc() const { return stored_wh_ / params_.capacity_wh; }
-
     /**
      * Offer @p watts of charging power for @p dt_s seconds.
      * @return The power actually absorbed from the source, W (limited

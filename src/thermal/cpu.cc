@@ -79,22 +79,5 @@ CpuThermalModel::outletTemperature(double p_dyn_w, double flow_lph,
     return t_in_c + outletDelta(p_dyn_w, flow_lph, t_in_c, fouling_kpw);
 }
 
-bool
-CpuThermalModel::isSafe(double p_dyn_w, double flow_lph,
-                        double t_in_c) const
-{
-    return dieTemperature(p_dyn_w, flow_lph, t_in_c) <=
-           params_.max_operating_c;
-}
-
-double
-CpuThermalModel::maxSafeInlet(double p_dyn_w, double flow_lph,
-                              double t_limit_c) const
-{
-    double k = coolantSlope(flow_lph);
-    double r = plateResistance(flow_lph);
-    return (t_limit_c - p_dyn_w * r) / k;
-}
-
 } // namespace thermal
 } // namespace h2p

@@ -139,16 +139,6 @@ class CpuThermalModel
     double plateResistance(double flow_lph,
                            double fouling_kpw = 0.0) const;
 
-    /** True when the die stays at or below the vendor maximum. */
-    bool isSafe(double p_dyn_w, double flow_lph, double t_in_c) const;
-
-    /**
-     * Largest inlet temperature keeping the die at @p t_limit_c, by
-     * inverting the linear model: T_in = (T_limit - b) / k.
-     */
-    double maxSafeInlet(double p_dyn_w, double flow_lph,
-                        double t_limit_c) const;
-
     const CpuThermalParams &params() const { return params_; }
 
   private:

@@ -56,15 +56,6 @@ TegDevice::maxPowerPhysical(double coolant_dt) const
     return v * v / (4.0 * params_.resistance_ohm);
 }
 
-double
-TegDevice::powerAtLoad(double coolant_dt, double load_ohm) const
-{
-    expect(load_ohm >= 0.0, "load resistance must be non-negative");
-    double v = openCircuitVoltage(coolant_dt);
-    double i = v / (params_.resistance_ohm + load_ohm);
-    return i * i * load_ohm;
-}
-
 TegModule::TegModule(size_t count, const TegParams &params,
                      const ColdPlateParams &plate)
     : count_(count), device_(params), plate_(plate),

@@ -90,12 +90,6 @@ class TegDevice
     /** Ideal matched-load power V_oc^2/(4R), Eq. 5. */
     double maxPowerPhysical(double coolant_dt) const;
 
-    /**
-     * Power into an arbitrary load resistance:
-     * P = (V_oc / (R + R_load))^2 * R_load.
-     */
-    double powerAtLoad(double coolant_dt, double load_ohm) const;
-
     /** Internal electrical resistance, ohm. */
     double resistance() const { return params_.resistance_ohm; }
 

@@ -45,7 +45,10 @@ enum class FailureKind
     ConfigError,
     /** The model produced NaN/inf; deterministic, never retried. */
     NumericDivergence,
-    /** A wall-clock deadline or step budget was exceeded. */
+    /**
+     * A wall-clock deadline or a step budget was exceeded (only the
+     * deadline is worth a retry, see RunFailure::retryable).
+     */
     Timeout,
     /** A cooperative cancellation request stopped the run. */
     Cancelled,
@@ -57,11 +60,14 @@ enum class FailureKind
 const char *toString(FailureKind kind);
 
 /**
- * True when re-running the identical computation may succeed: the
- * failure depends on wall-clock or transient resources (Timeout,
- * Internal), not on the deterministic inputs.
+ * True when a failure of this kind may pass on a re-run: it can
+ * depend on wall-clock or transient resources (Timeout, Internal),
+ * not only on the deterministic inputs.
  */
 bool isRetryable(FailureKind kind);
+
+/** RunFailure::stage of a Timeout from a spent step budget. */
+inline constexpr const char *kStepBudgetStage = "step_budget";
 
 /**
  * Structured description of one failed run: what kind of failure,
@@ -84,6 +90,16 @@ struct RunFailure
 
     /** One-line rendering: "[kind] step 12, stage evaluate: msg". */
     std::string describe() const;
+
+    /**
+     * True when re-running the identical computation may succeed:
+     * isRetryable(kind), except a spent step budget, which fails at
+     * the same step on every attempt.
+     */
+    bool retryable() const
+    {
+        return isRetryable(kind) && stage != kStepBudgetStage;
+    }
 
     /** The one field list of a failure (sweep journal, checks). */
     template <typename V>

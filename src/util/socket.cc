@@ -52,13 +52,6 @@ Fd::close()
     }
 }
 
-void
-Fd::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-}
-
 Fd
 unixListen(const std::string &path, int backlog)
 {

@@ -49,14 +49,6 @@ class Fd
     /** Close now (idempotent). */
     void close();
 
-    /**
-     * shutdown(2) both directions, leaving the descriptor open: a
-     * blocked read in another thread returns 0 (EOF) immediately.
-     * The idiomatic way to unblock a connection thread on shutdown —
-     * close() alone would race with the concurrent read.
-     */
-    void shutdownBoth();
-
   private:
     int fd_ = -1;
 };

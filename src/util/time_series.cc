@@ -67,13 +67,4 @@ TimeSeries::operator+(const TimeSeries &other) const
     return out;
 }
 
-TimeSeries
-TimeSeries::scaled(double scale) const
-{
-    TimeSeries out(dt_);
-    for (double s : samples_)
-        out.append(s * scale);
-    return out;
-}
-
 } // namespace h2p

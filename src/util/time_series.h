@@ -70,9 +70,6 @@ class TimeSeries
     /** Elementwise sum of two series with identical dt and length. */
     TimeSeries operator+(const TimeSeries &other) const;
 
-    /** Multiply every sample by @p scale. */
-    TimeSeries scaled(double scale) const;
-
   private:
     double dt_;
     std::vector<double> samples_;

@@ -1,6 +1,5 @@
 #include "workload/cpu_power.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -21,14 +20,6 @@ CpuPowerModel::power(double u) const
     expect(u >= 0.0 && u <= 1.0, "utilization must be in [0, 1], got ",
            u);
     return params_.scale * std::log(u + params_.shift) + params_.offset;
-}
-
-double
-CpuPowerModel::utilizationForPower(double watts) const
-{
-    double u =
-        std::exp((watts - params_.offset) / params_.scale) - params_.shift;
-    return std::clamp(u, 0.0, 1.0);
 }
 
 } // namespace workload

@@ -38,7 +38,7 @@ struct CpuPowerParams
 };
 
 /**
- * Maps CPU utilization to dynamic package power and back.
+ * Maps CPU utilization to dynamic package power.
  */
 class CpuPowerModel
 {
@@ -50,17 +50,8 @@ class CpuPowerModel
     /** Package power at utilization @p u in [0, 1], W (Eq. 20). */
     double power(double u) const;
 
-    /** Idle power P(0), W. */
-    double idlePower() const { return power(0.0); }
-
     /** Full-load power P(1), W. */
     double peakPower() const { return power(1.0); }
-
-    /**
-     * Inverse of the fit: utilization that draws @p watts, clamped to
-     * [0, 1].
-     */
-    double utilizationForPower(double watts) const;
 
     const CpuPowerParams &params() const { return params_; }
 

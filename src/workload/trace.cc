@@ -1,6 +1,5 @@
 #include "workload/trace.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -61,24 +60,6 @@ UtilizationTrace::meanAt(size_t s) const
 }
 
 double
-UtilizationTrace::maxAt(size_t s) const
-{
-    const auto &row = step(s);
-    return *std::max_element(row.begin(), row.end());
-}
-
-double
-UtilizationTrace::overallMean() const
-{
-    if (data_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (size_t s = 0; s < data_.size(); ++s)
-        sum += meanAt(s);
-    return sum / static_cast<double>(data_.size());
-}
-
-double
 UtilizationTrace::volatility() const
 {
     if (data_.size() < 2)
@@ -105,20 +86,6 @@ UtilizationTrace::fingerprint() const
         for (double u : row)
             h.f64(u);
     return h.digest();
-}
-
-UtilizationTrace
-UtilizationTrace::firstServers(size_t n) const
-{
-    expect(n >= 1 && n <= num_servers_,
-           "cannot slice ", n, " servers from a ", num_servers_,
-           "-server trace");
-    UtilizationTrace out(n, dt_);
-    for (const auto &row : data_) {
-        out.addStep(
-            std::vector<double>(row.begin(), row.begin() + n));
-    }
-    return out;
 }
 
 } // namespace workload

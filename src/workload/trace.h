@@ -69,20 +69,11 @@ class UtilizationTrace
     /** Cluster-mean utilization at step @p s. */
     double meanAt(size_t s) const;
 
-    /** Cluster-max utilization at step @p s. */
-    double maxAt(size_t s) const;
-
-    /** Mean utilization over all servers and steps. */
-    double overallMean() const;
-
     /**
      * Mean absolute step-to-step change of per-server utilization —
      * the "volatility" separating drastic from common traces.
      */
     double volatility() const;
-
-    /** Restrict to the first @p n servers (used to slice big traces). */
-    UtilizationTrace firstServers(size_t n) const;
 
     /**
      * Stable 64-bit digest of the whole trace (dimensions, interval

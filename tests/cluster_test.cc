@@ -9,6 +9,7 @@
 #include "cluster/server.h"
 #include "hydraulic/pump.h"
 #include "tests/support/evaluate.h"
+#include "tests/support/server_view.h"
 #include "util/error.h"
 
 namespace h2p {
@@ -67,7 +68,7 @@ TEST(CirculationTest, AggregatesAreSums)
     ASSERT_EQ(cs.servers.size(), 3u);
     double cpu = 0, teg = 0, heat = 0;
     for (size_t i = 0; i < cs.servers.size(); ++i) {
-        ServerState s = cs.servers[i];
+        ServerState s = test::serverAt(cs.servers, i);
         cpu += s.cpu_power_w;
         teg += s.teg_power_w;
         heat += s.heat_w;
@@ -81,7 +82,7 @@ TEST(CirculationTest, MaxDieIsTheHottestServer)
 {
     Datacenter circ = test::oneLoop(3);
     test::LoopState cs = test::evaluate(circ, {0.1, 0.9, 0.5}, {45.0, 50.0});
-    EXPECT_DOUBLE_EQ(cs.max_die_c, cs.servers[1].die_temp_c);
+    EXPECT_DOUBLE_EQ(cs.max_die_c, cs.servers.die_temp_c[1]);
 }
 
 TEST(CirculationTest, ReturnTempIsMeanOfOutlets)
@@ -89,7 +90,7 @@ TEST(CirculationTest, ReturnTempIsMeanOfOutlets)
     Datacenter circ = test::oneLoop(2);
     test::LoopState cs = test::evaluate(circ, {0.2, 0.8}, {40.0, 20.0});
     EXPECT_NEAR(cs.return_c,
-                0.5 * (cs.servers[0].outlet_c + cs.servers[1].outlet_c),
+                0.5 * (cs.servers.outlet_c[0] + cs.servers.outlet_c[1]),
                 1e-12);
 }
 
@@ -169,7 +170,7 @@ TEST(DatacenterTest, EvaluateSumsCirculations)
     Datacenter dc(p);
     std::vector<double> utils{0.2, 0.4, 0.6, 0.8};
     std::vector<CoolingSetting> settings{{45.0, 50.0}, {40.0, 30.0}};
-    DatacenterState st = dc.evaluate(utils, settings);
+    DatacenterState st = test::evaluateFleet(dc, utils, settings);
     ASSERT_EQ(st.circulations.size(), 2u);
     EXPECT_NEAR(st.teg_power_w, st.circulations[0].teg_power_w +
                                     st.circulations[1].teg_power_w,
@@ -188,9 +189,9 @@ TEST(DatacenterTest, ColderSupplyRaisesPlantPower)
     Datacenter dc(p);
     std::vector<double> utils(10, 0.5);
     double warm =
-        dc.evaluate(utils, {{45.0, 50.0}}).plant_power_w;
+        test::evaluateFleet(dc, utils, {{45.0, 50.0}}).plant_power_w;
     double cold =
-        dc.evaluate(utils, {{10.0, 50.0}}).plant_power_w;
+        test::evaluateFleet(dc, utils, {{10.0, 50.0}}).plant_power_w;
     EXPECT_GT(cold, warm);
 }
 
@@ -208,7 +209,7 @@ TEST(DatacenterTest, RejectsWrongSettingsCount)
     p.servers_per_circulation = 2;
     Datacenter dc(p);
     std::vector<double> utils(4, 0.5);
-    EXPECT_THROW(dc.evaluate(utils, {{45.0, 50.0}}), Error);
+    EXPECT_THROW(test::evaluateFleet(dc, utils, {{45.0, 50.0}}), Error);
 }
 
 } // namespace

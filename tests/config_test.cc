@@ -111,7 +111,6 @@ TEST(ConfigTest, ParsesSectionsAndValues)
         "# comment\n[alpha]\nx = 1.5\nname = hello\n\n"
         "[beta]\nn = 42\n");
     sim::Config cfg = sim::Config::parse(ss);
-    EXPECT_TRUE(cfg.hasSection("alpha"));
     EXPECT_DOUBLE_EQ(cfg.getDouble("alpha", "x"), 1.5);
     EXPECT_EQ(cfg.getString("alpha", "name"), "hello");
     EXPECT_EQ(cfg.getLong("beta", "n"), 42);

@@ -600,8 +600,8 @@ TEST(FaultInjectorTest, ScriptedPumpAndTegFaultsTargetTheirLoop)
     EXPECT_DOUBLE_EQ(h.circulations[1].pump_flow_factor, 0.4);
     EXPECT_DOUBLE_EQ(h.circulations[0].pump_flow_factor, 1.0);
     ASSERT_EQ(h.circulations[0].numServers(), 20u);
-    EXPECT_TRUE(h.circulations[0].server(3).teg_open);
-    EXPECT_FALSE(h.circulations[0].server(2).teg_open);
+    EXPECT_EQ(h.circulations[0].teg_open[3], 1);
+    EXPECT_EQ(h.circulations[0].teg_open[2], 0);
 }
 
 TEST(FaultInjectorTest, FoulingGrowsLinearlyWithTime)

@@ -8,7 +8,6 @@
 
 #include "hydraulic/chiller.h"
 #include "hydraulic/cooling_tower.h"
-#include "hydraulic/heat_exchanger.h"
 #include "hydraulic/plant.h"
 #include "hydraulic/pump.h"
 #include "util/error.h"
@@ -106,8 +105,6 @@ TEST(CoolingTowerTest, ApproachLimitsLeavingTemp)
     CoolingTower tower;
     EXPECT_DOUBLE_EQ(tower.minLeavingTemp(18.0),
                      18.0 + tower.params().approach_c);
-    EXPECT_TRUE(tower.canReach(30.0, 18.0));
-    EXPECT_FALSE(tower.canReach(18.0, 18.0));
 }
 
 TEST(CoolingTowerTest, FanPowerProportionalToHeat)
@@ -117,52 +114,6 @@ TEST(CoolingTowerTest, FanPowerProportionalToHeat)
                 10000.0 * tower.params().fan_power_per_watt, 1e-9);
     EXPECT_DOUBLE_EQ(tower.fanPower(0.0), 0.0);
     EXPECT_THROW(tower.fanPower(-1.0), Error);
-}
-
-// ------------------------------------------------------- heat exchanger
-
-TEST(HeatExchangerTest, EnergyBalanceHolds)
-{
-    HeatExchanger hx(0.85);
-    ExchangeResult r = hx.exchange(50.0, 100.0, 20.0, 150.0);
-    double c_hot = units::streamCapacitanceRate(100.0);
-    double c_cold = units::streamCapacitanceRate(150.0);
-    // Heat lost by hot equals heat gained by cold.
-    EXPECT_NEAR((50.0 - r.hot_out_c) * c_hot, r.heat_w, 1e-9);
-    EXPECT_NEAR((r.cold_out_c - 20.0) * c_cold, r.heat_w, 1e-9);
-}
-
-TEST(HeatExchangerTest, EffectivenessDefinesDuty)
-{
-    HeatExchanger hx(0.85);
-    ExchangeResult r = hx.exchange(50.0, 100.0, 20.0, 150.0);
-    double c_min = units::streamCapacitanceRate(100.0);
-    EXPECT_NEAR(r.heat_w, 0.85 * c_min * 30.0, 1e-9);
-}
-
-TEST(HeatExchangerTest, NoExchangeAgainstGradient)
-{
-    HeatExchanger hx;
-    ExchangeResult r = hx.exchange(20.0, 100.0, 30.0, 100.0);
-    EXPECT_DOUBLE_EQ(r.heat_w, 0.0);
-    EXPECT_DOUBLE_EQ(r.hot_out_c, 20.0);
-    EXPECT_DOUBLE_EQ(r.cold_out_c, 30.0);
-}
-
-TEST(HeatExchangerTest, OutletsNeverCross)
-{
-    HeatExchanger hx(1.0); // even at ideal effectiveness
-    ExchangeResult r = hx.exchange(60.0, 50.0, 20.0, 200.0);
-    EXPECT_GE(r.hot_out_c, 20.0);
-    EXPECT_LE(r.cold_out_c, 60.0);
-}
-
-TEST(HeatExchangerTest, RejectsBadConstruction)
-{
-    EXPECT_THROW(HeatExchanger(0.0), Error);
-    EXPECT_THROW(HeatExchanger(1.5), Error);
-    HeatExchanger hx;
-    EXPECT_THROW(hx.exchange(50.0, 0.0, 20.0, 100.0), Error);
 }
 
 // ----------------------------------------------------------------- plant

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "econ/npv.h"
@@ -114,9 +115,9 @@ TEST(JobSimTest, FirstFitConcentratesLeastLoadedSpreads)
     // Compare the spread (max - mean) of the final step.
     size_t last = ff.trace.numSteps() - 1;
     double ff_spread =
-        ff.trace.maxAt(last) - ff.trace.meanAt(last);
+        std::ranges::max(ff.trace.step(last)) - ff.trace.meanAt(last);
     double ll_spread =
-        ll.trace.maxAt(last) - ll.trace.meanAt(last);
+        std::ranges::max(ll.trace.step(last)) - ll.trace.meanAt(last);
     EXPECT_GT(ff_spread, ll_spread);
 }
 

@@ -16,6 +16,7 @@
 #include "cluster/datacenter.h"
 #include "core/h2p_system.h"
 #include "sched/cooling_optimizer.h"
+#include "tests/support/evaluate.h"
 #include "sim/recorder.h"
 #include "util/error.h"
 #include "util/interpolate.h"
@@ -91,7 +92,7 @@ TEST(ParallelIdentityTest, EvaluateIntoReusesStateAcrossCalls)
     dc.evaluateInto(hi, settings, nullptr, scratch); // dirty the state
     dc.evaluateInto(lo, settings, nullptr, scratch);
 
-    cluster::DatacenterState fresh = dc.evaluate(lo, settings);
+    cluster::DatacenterState fresh = test::evaluateFleet(dc, lo, settings);
     EXPECT_DOUBLE_EQ(scratch.cpu_power_w, fresh.cpu_power_w);
     EXPECT_DOUBLE_EQ(scratch.teg_power_w, fresh.teg_power_w);
     EXPECT_DOUBLE_EQ(scratch.plant_power_w, fresh.plant_power_w);

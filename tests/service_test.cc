@@ -190,6 +190,37 @@ TEST(SessionBroker, UnknownVerbAndUnknownSessionAreErrorResponses)
     EXPECT_NE(r.message.find("unknown session"), std::string::npos);
 }
 
+TEST(SessionBroker, UnknownVerbsAddNoSpans)
+{
+    // A client's made-up verbs get error replies and count as
+    // requests, but add no span: each would be a registry slot for
+    // the life of the daemon.
+    obs::ObsParams params;
+    params.enabled = true;
+    obs::Observability obs(params);
+    service::BrokerOptions options;
+    options.obs = &obs;
+    service::SessionBroker broker(options);
+    ASSERT_TRUE(broker.handleOne(makeRequest("ping")).ok);
+    const auto span_names = [&obs] {
+        std::vector<std::string> names;
+        for (const obs::SpanRegistry::Stat &s : obs.spans().snapshot())
+            names.push_back(s.name);
+        return names;
+    };
+    const std::vector<std::string> before = span_names();
+
+    for (int i = 0; i < 100; ++i) {
+        service::Response r =
+            broker.handleOne(makeRequest("verb" + std::to_string(i)));
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.message.find("unknown verb"), std::string::npos);
+    }
+    EXPECT_EQ(span_names(), before);
+    EXPECT_EQ(obs.metrics().counterValue("service.requests"), 101u);
+    EXPECT_EQ(obs.spans().stat("service.ping").count, 1u);
+}
+
 TEST(SessionBroker, OpenStepQueryCloseLifecycle)
 {
     service::SessionBroker broker;
@@ -763,7 +794,7 @@ TEST(SessionBroker, SweepStreamsPointsThenDone)
     service::SessionBroker broker;
     std::vector<service::Response> responses;
     broker.handle(makeRequest("sweep", {"original", "2"}, body),
-                  [&responses](const service::Response &r) {
+                  [&responses](const service::Response &r, bool) {
                       responses.push_back(r);
                   });
     ASSERT_EQ(responses.size(), 3u);
@@ -797,7 +828,7 @@ TEST(SessionBroker, SweepPointsSharingATraceMatchInProcessRuns)
     service::SessionBroker broker;
     std::vector<service::Response> responses;
     broker.handle(makeRequest("sweep", {"balance", "2"}, body),
-                  [&responses](const service::Response &r) {
+                  [&responses](const service::Response &r, bool) {
                       responses.push_back(r);
                   });
     ASSERT_EQ(responses.size(), docs.size() + 1);
@@ -841,7 +872,7 @@ TEST(SessionBroker, SweepRejectsEmptyDocuments)
         service::SessionBroker broker;
         std::vector<service::Response> responses;
         broker.handle(makeRequest("sweep", {"original"}, body),
-                      [&responses](const service::Response &r) {
+                      [&responses](const service::Response &r, bool) {
                           responses.push_back(r);
                       });
         ASSERT_EQ(responses.size(), 1u);

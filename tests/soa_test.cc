@@ -29,6 +29,7 @@
 #include "hydraulic/pump.h"
 #include "tests/support/evaluate.h"
 #include "tests/support/fields.h"
+#include "tests/support/server_view.h"
 #include "util/error.h"
 #include "workload/trace_gen.h"
 
@@ -114,7 +115,7 @@ refEvaluate(const Datacenter &dc, const std::vector<double> &utils,
         ServerState s;
         if (degraded && health->hasServerLanes())
             s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
-                                health->server(i));
+                                test::serverHealth(*health, i));
         else if (degraded)
             s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
                                 ServerHealth{});
@@ -146,7 +147,8 @@ expectSameCirculation(const RefCirculation &ref,
     ASSERT_EQ(ref.servers.size(), got.count);
     ASSERT_LE(got.offset + got.count, servers.size());
     for (size_t i = 0; i < got.count; ++i)
-        expectSameServerState(ref.servers[i], servers[got.offset + i],
+        expectSameServerState(ref.servers[i],
+                              test::serverAt(servers, got.offset + i),
                               got.offset + i);
     EXPECT_TRUE(sameBits(ref.cpu_power_w, got.cpu_power_w));
     EXPECT_TRUE(sameBits(ref.teg_power_w, got.teg_power_w));
@@ -277,7 +279,8 @@ TEST(SoaKernelTest, CleanHealthMatchesNullHealthBitwise)
     test::LoopState without = test::evaluate(loop, utils, setting);
     ASSERT_EQ(with.servers.size(), without.servers.size());
     for (size_t i = 0; i < n; ++i)
-        expectSameServerState(without.servers[i], with.servers[i], i);
+        expectSameServerState(test::serverAt(without.servers, i),
+                              test::serverAt(with.servers, i), i);
     EXPECT_TRUE(sameBits(without.teg_power_w, with.teg_power_w));
     EXPECT_EQ(with.faulted_servers, 0u);
 }
@@ -311,12 +314,12 @@ TEST(SoaKernelTest, LowCommandedFlowFloorsOnlyUnderNonCleanHealth)
                           fouled_got);
 
     for (size_t i = 0; i < n; ++i)
-        expectSameServerState(null_got.servers[i], clean_got.servers[i],
-                              i);
+        expectSameServerState(test::serverAt(null_got.servers, i),
+                              test::serverAt(clean_got.servers, i), i);
     // The fouled loop's clean lanes run at the floored flow: cooler
     // than at the commanded 1.5 L/H, while the pump delivers 1.5.
-    EXPECT_LT(fouled_got.servers[0].die_temp_c,
-              null_got.servers[0].die_temp_c);
+    EXPECT_LT(fouled_got.servers.die_temp_c[0],
+              null_got.servers.die_temp_c[0]);
     EXPECT_TRUE(sameBits(fouled_got.delivered_flow_lph, 1.5));
     EXPECT_EQ(fouled_got.faulted_servers, 1u);
 
@@ -371,8 +374,8 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     expectSameCirculation(ref, got);
 
     // The open string harvests nothing; its healthy output is lost.
-    EXPECT_TRUE(sameBits(got.servers[0].teg_power_w, 0.0));
-    EXPECT_GT(got.servers[0].teg_power_lost_w, 0.0);
+    EXPECT_TRUE(sameBits(got.servers.teg_power_w[0], 0.0));
+    EXPECT_GT(got.servers.teg_power_lost_w[0], 0.0);
 }
 
 TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
@@ -591,7 +594,7 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
 
         ServerBlock::Totals want;
         for (size_t i = k.offset; i < k.offset + k.count; ++i) {
-            const ServerState s = out[i];
+            const ServerState s = test::serverAt(out, i);
             want.cpu_power_w += s.cpu_power_w;
             want.teg_power_w += s.teg_power_w;
             want.teg_power_lost_w += s.teg_power_lost_w;
@@ -672,7 +675,8 @@ expectSameLoop(const test::LoopState &want, const DatacenterState &got,
     const CirculationState &cs = got.circulations[c];
     ASSERT_EQ(want.count, cs.count);
     for (size_t i = 0; i < cs.count; ++i)
-        expectSameServerState(want.servers[i], got.servers[cs.offset + i],
+        expectSameServerState(test::serverAt(want.servers, i),
+                              test::serverAt(got.servers, cs.offset + i),
                               cs.offset + i);
     EXPECT_TRUE(sameBits(want.setting.t_in_c, cs.setting.t_in_c));
     EXPECT_TRUE(sameBits(want.setting.flow_lph, cs.setting.flow_lph));
@@ -774,7 +778,7 @@ TEST(SoaKernelTest, StateBlockAccessorRangeCheck)
 {
     Datacenter loop = test::oneLoop(3);
     test::LoopState cs = test::evaluate(loop, {0.2, 0.5, 0.8}, {45.0, 50.0});
-    EXPECT_THROW(cs.servers.server(3), Error);
+    EXPECT_THROW(test::serverAt(cs.servers, 3), Error);
 }
 
 TEST(SoaKernelTest, HealthLanesRoundTripThroughAosAccessors)
@@ -785,13 +789,13 @@ TEST(SoaKernelTest, HealthLanesRoundTripThroughAosAccessors)
     s.teg_open = true;
     s.tegs_shorted = 2;
     s.fouling_kpw = 0.12;
-    h.setServer(2, s);
+    test::setServerHealth(h, 2, s);
 
-    ServerHealth back = h.server(2);
+    ServerHealth back = test::serverHealth(h, 2);
     EXPECT_TRUE(back.teg_open);
     EXPECT_EQ(back.tegs_shorted, 2u);
     EXPECT_DOUBLE_EQ(back.fouling_kpw, 0.12);
-    EXPECT_TRUE(h.server(0).clean());
+    EXPECT_TRUE(test::serverHealth(h, 0).clean());
     EXPECT_FALSE(h.clean());
 }
 

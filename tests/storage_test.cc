@@ -24,7 +24,6 @@ TEST(BatteryTest, InitialSocRespected)
     p.initial_soc = 0.25;
     Battery b(p);
     EXPECT_DOUBLE_EQ(b.stored(), 25.0);
-    EXPECT_DOUBLE_EQ(b.soc(), 0.25);
 }
 
 TEST(BatteryTest, ChargeAppliesEfficiency)
@@ -57,7 +56,7 @@ TEST(BatteryTest, ChargeStopsAtCapacity)
     p.initial_soc = 1.0;
     Battery b(p);
     EXPECT_DOUBLE_EQ(b.charge(10.0, 3600.0), 0.0);
-    EXPECT_DOUBLE_EQ(b.soc(), 1.0);
+    EXPECT_DOUBLE_EQ(b.stored(), 10.0);
 }
 
 TEST(BatteryTest, DischargeDrainsStore)

@@ -75,6 +75,31 @@ makeGrid(const workload::UtilizationTrace &trace, size_t n)
     return grid;
 }
 
+/**
+ * Makes @p point's controller throw a foreign exception (classified
+ * Internal, retryable) at step 4 of its first attempt only. The
+ * factory is called once per attempt; @p attempts_seen counts the
+ * calls.
+ */
+void
+failFirstAttempt(core::SweepPoint &point,
+                 std::shared_ptr<std::atomic<int>> attempts_seen)
+{
+    const size_t num_circ =
+        core::H2PSystem(point.config).datacenter().numCirculations();
+    point.make_pipeline = [attempts_seen, num_circ]() {
+        const int attempt = ++*attempts_seen;
+        return test::fnPipeline([attempt, num_circ](
+                                    const control::ControlContext &ctx,
+                                    sched::ScheduleDecision &d) {
+            if (attempt == 1 && ctx.step == 4)
+                throw std::runtime_error("transient glitch");
+            d.settings.assign(num_circ,
+                              cluster::CoolingSetting{45.0, 80.0});
+        });
+    };
+}
+
 // --------------------------------------------------- failure taxonomy
 
 TEST(FailureTaxonomyTest, NamesRoundTrip)
@@ -451,25 +476,8 @@ TEST(SupervisedSweepTest, RetryableFailureSucceedsOnSecondAttempt)
 {
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 3);
-
-    // A controller that throws a foreign exception (classified
-    // Internal, retryable) on the point's first attempt only. The
-    // factory is called once per attempt, so the shared counter
-    // distinguishes attempts.
     auto attempts_seen = std::make_shared<std::atomic<int>>(0);
-    const size_t num_circ =
-        core::H2PSystem(grid[1].config).datacenter().numCirculations();
-    grid[1].make_pipeline = [attempts_seen, num_circ]() {
-        const int attempt = ++*attempts_seen;
-        return test::fnPipeline([attempt, num_circ](
-                                    const control::ControlContext &ctx,
-                                    sched::ScheduleDecision &d) {
-            if (attempt == 1 && ctx.step == 4)
-                throw std::runtime_error("transient glitch");
-            d.settings.assign(num_circ,
-                              cluster::CoolingSetting{45.0, 80.0});
-        });
-    };
+    failFirstAttempt(grid[1], attempts_seen);
 
     core::SweepOptions options;
     options.max_attempts = 2;
@@ -586,6 +594,36 @@ TEST(SupervisedSweepTest, QuarantinedPointsAreDeliveredInOrder)
     EXPECT_EQ(seen[1].second, core::PointStatus::Quarantined);
 }
 
+TEST(SupervisedSweepTest, StepBudgetFailureIsNotRetried)
+{
+    // A spent step budget fails at the same step on every attempt,
+    // so it is quarantined on the first; a wall-clock deadline may
+    // pass on a re-run and is retried.
+    auto trace = makeTrace();
+    auto grid = makeGrid(trace, 2);
+    grid[0].deadline_s = 1e-9; // expires before the first step
+    grid[1].step_budget = 3;
+
+    core::SweepOptions options;
+    options.max_attempts = 3;
+    options.keep_recorders = false;
+    core::SweepEngine engine(options);
+    core::SweepResult result = engine.run(grid);
+
+    const core::SweepPointResult &late = result.points[0];
+    EXPECT_EQ(late.status, core::PointStatus::Quarantined);
+    EXPECT_EQ(late.failure.stage, "deadline");
+    EXPECT_EQ(late.attempts, 3u);
+
+    const core::SweepPointResult &spent = result.points[1];
+    EXPECT_EQ(spent.status, core::PointStatus::Quarantined);
+    EXPECT_EQ(spent.failure.kind, FailureKind::Timeout);
+    EXPECT_EQ(spent.failure.step, 3u);
+    EXPECT_EQ(spent.failure.stage, "step_budget");
+    EXPECT_EQ(spent.attempts, 1u);
+    EXPECT_EQ(result.retries, 2u); // the deadline point's two re-runs
+}
+
 TEST(SupervisedSweepTest, PerPointDeadlineOverridesSweepDefault)
 {
     auto trace = makeTrace();
@@ -609,7 +647,8 @@ TEST(SupervisedSweepTest, ObsCountsRetriesQuarantinesAndTimeouts)
 {
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 3);
-    grid[1].step_budget = 2; // deterministic Timeout -> retried once
+    grid[1].step_budget = 2; // deterministic Timeout -> quarantined
+    failFirstAttempt(grid[2], std::make_shared<std::atomic<int>>(0));
 
     obs::ObsParams params;
     params.enabled = true;

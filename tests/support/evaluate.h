@@ -1,7 +1,7 @@
 /**
  * @file
- * Test helper: one circulation evaluated through a one-loop
- * Datacenter, so a check on a single loop can be written as one
+ * Test helpers: a healthy interval of a whole Datacenter, or of one
+ * circulation through a one-loop Datacenter, evaluated as one
  * expression.
  */
 
@@ -15,6 +15,17 @@
 
 namespace h2p {
 namespace test {
+
+/** @p dc's healthy interval over @p utils at @p settings, by value. */
+inline cluster::DatacenterState
+evaluateFleet(const cluster::Datacenter &dc,
+              const std::vector<double> &utils,
+              const std::vector<cluster::CoolingSetting> &settings)
+{
+    cluster::DatacenterState state;
+    dc.evaluateInto(utils, settings, nullptr, state);
+    return state;
+}
 
 /** A datacenter of one @p n-server circulation (default models). */
 inline cluster::Datacenter

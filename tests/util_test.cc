@@ -358,7 +358,6 @@ TEST(TimeSeriesTest, AdditionAndScaling)
     TimeSeries b(1.0, {10, 20});
     TimeSeries c = a + b;
     EXPECT_DOUBLE_EQ(c.at(1), 22.0);
-    EXPECT_DOUBLE_EQ(a.scaled(3.0).at(0), 3.0);
     TimeSeries wrong(2.0, {1, 2});
     EXPECT_THROW(a + wrong, Error);
 }
