@@ -6,6 +6,8 @@
  * how large an H2P deployment the simulator can sweep interactively.
  */
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "cluster/datacenter.h"
@@ -157,6 +159,36 @@ BM_KernelServerBlockHoisted(benchmark::State &state)
                             static_cast<int64_t>(n));
 }
 BENCHMARK(BM_KernelServerBlockHoisted)->Arg(1024);
+
+/**
+ * The same block after TEG_LoadBalance: 50-server loops (the last one
+ * short), one utilization per loop, so every segment takes the
+ * kernel's balanced-loop copy instead of the passes.
+ */
+void
+BM_KernelServerBlockBalanced(benchmark::State &state)
+{
+    cluster::ServerBlock block{cluster::ServerParams{}};
+    const size_t n = static_cast<size_t>(state.range(0));
+    constexpr size_t kLoop = 50;
+    std::vector<double> utils(n);
+    for (size_t i = 0; i < n; ++i)
+        utils[i] = 0.05 + 0.9 * static_cast<double>(i / kLoop * kLoop) /
+                              static_cast<double>(n);
+    cluster::ServerStateBlock out;
+    out.resize(n);
+    for (auto _ : state) {
+        cluster::ServerBlock::Coeffs c =
+            block.coefficients(50.0, 45.0, 20.0);
+        for (size_t offset = 0; offset < n; offset += kLoop)
+            benchmark::DoNotOptimize(block.evaluate(
+                utils.data() + offset, std::min(kLoop, n - offset), c, {},
+                out, offset));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(n));
+}
+BENCHMARK(BM_KernelServerBlockBalanced)->Arg(1024);
 
 void
 BM_LookupSpaceBuild(benchmark::State &state)

@@ -49,6 +49,20 @@ ServerBlock::coefficients(double flow_lph, double t_in_c,
     return c;
 }
 
+namespace {
+
+/** Whether lane[0, n) holds one value under `==`; a null lane does. */
+template <typename T>
+bool
+allEqual(const T *lane, size_t n)
+{
+    return lane == nullptr ||
+           std::all_of(lane + 1, lane + n,
+                       [first = lane[0]](T v) { return v == first; });
+}
+
+} // namespace
+
 ServerBlock::Totals
 ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
                       const ServerHealthLanes &lanes,
@@ -66,6 +80,39 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
     uint8_t *faulted = out.faulted.data() + offset;
     uint8_t *safe = out.safe.data() + offset;
 
+    // A balanced circulation: every server at one utilization and one
+    // fault lane is the same server (each pass below is elementwise
+    // and pure, and `==` lumps only -0.0 with +0.0, which every pass
+    // maps alike). Run the passes on the first server and copy its
+    // outputs; each server keeps its own util bits, and the totals
+    // still add server by server in index order. A NaN matches
+    // nothing, so it takes the passes and their error.
+    if (n > 1 && allEqual(utils, n) && allEqual(lanes.fouling_kpw, n) &&
+        allEqual(lanes.teg_open, n) && allEqual(lanes.tegs_shorted, n)) {
+        const Totals first = evaluate(utils, 1, c, lanes, out, offset);
+        std::copy(utils + 1, utils + n, ou + 1);
+        std::fill(cpu + 1, cpu + n, cpu[0]);
+        std::fill(die + 1, die + n, die[0]);
+        std::fill(heat + 1, heat + n, heat[0]);
+        std::fill(outlet + 1, outlet + n, outlet[0]);
+        std::fill(teg + 1, teg + n, teg[0]);
+        std::fill(lost + 1, lost + n, lost[0]);
+        std::fill(faulted + 1, faulted + n, faulted[0]);
+        std::fill(safe + 1, safe + n, safe[0]);
+        Totals t;
+        for (size_t i = 0; i < n; ++i) {
+            t.cpu_power_w += cpu[0];
+            t.teg_power_w += teg[0];
+            t.teg_power_lost_w += lost[0];
+            t.heat_w += heat[0];
+            t.sum_outlet_c += outlet[0];
+        }
+        t.faulted_servers = n * first.faulted_servers;
+        t.max_die_c = first.max_die_c;
+        t.all_safe = first.all_safe;
+        return t;
+    }
+
     const double plate_r = c.cpu.plate_r_kpw;
     const double cap = c.cpu.cap_rate_w_per_k;
     const double t_in = c.t_in_c;
@@ -79,7 +126,8 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
 
     // Pass 1: utilization -> CPU package power (Eq. 20). The log is
     // the one libm call per server, skipped when a server repeats its
-    // predecessor's utilization (a balanced loop; Eq. 20 is pure).
+    // predecessor's utilization (runs of equal utilizations in a loop
+    // that is not uniform; Eq. 20 is pure).
     // Everything after is straight-line arithmetic over the arrays.
     for (size_t i = 0; i < n; ++i) {
         const double u = utils[i];

@@ -138,7 +138,10 @@ class ServerBlock
      * lanes match Server::evaluate(util, flow, t_in, t_cold, health)
      * per server; their healthy lanes reproduce the healthy numbers
      * bit for bit (the fouling term adds +0.0 and the TEG derating
-     * multiplies by 1.0, both exact).
+     * multiplies by 1.0, both exact). A segment whose servers share
+     * one utilization and one fault lane (a balanced loop) runs the
+     * passes on its first server only and copies the result to the
+     * rest, bit-identical to running them on all.
      */
     Totals evaluate(const double *utils, size_t n, const Coeffs &c,
                     const ServerHealthLanes &lanes, ServerStateBlock &out,

@@ -237,6 +237,13 @@ struct SessionBroker::TwinSession
     /** Set by admit() before the twin is listed. */
     std::string id;
     std::mutex mutex;
+    /**
+     * The `query state` body of the last evaluated step, encoded on
+     * the first query after it (empty: not encoded yet). Guarded by
+     * mutex; cleared before every session.step() call, which may
+     * write the state and then fail without advancing the cursor.
+     */
+    std::string state_body;
     const core::H2PSystem system;
     const workload::UtilizationTrace trace;
     core::SimSession session;
@@ -374,8 +381,10 @@ SessionBroker::doStep(const Request &request)
     LockedTwin twin = findLocked(request.args[0]);
     const size_t n = parseCount(request.args[1], "step count");
     core::SimSession &session = twin->session;
-    for (size_t i = 0; i < n && !session.done(); ++i)
+    for (size_t i = 0; i < n && !session.done(); ++i) {
+        twin->state_body.clear();
         session.step();
+    }
     return Response::okay(
         {std::to_string(session.cursor()), session.done() ? "1" : "0"});
 }
@@ -388,10 +397,13 @@ SessionBroker::doQuery(const Request &request)
     LockedTwin twin = findLocked(request.args[0]);
     const std::string &what = request.args[1];
     core::SimSession &session = twin->session;
-    if (what == "state")
-        return Response::okay(
-            {}, stateJson(session.lastState(),
-                          twin->system.config().datacenter.num_servers));
+    if (what == "state") {
+        if (twin->state_body.empty())
+            twin->state_body =
+                stateJson(session.lastState(),
+                          twin->system.config().datacenter.num_servers);
+        return Response::okay({}, twin->state_body);
+    }
     if (what == "decision")
         return Response::okay({}, decisionJson(session.lastDecision()));
     if (what == "summary") {

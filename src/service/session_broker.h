@@ -18,7 +18,9 @@
  * session table; each session carries its own mutex serializing
  * steps/queries against it, so two clients sharing a session id see
  * sequentially consistent state while sessions of different clients
- * step in parallel.
+ * step in parallel. A twin encodes its `query state` body once per
+ * evaluated step, under its mutex, and answers later state queries
+ * with those bytes until its next step() call.
  *
  * Verbs:
  *

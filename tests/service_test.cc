@@ -98,6 +98,37 @@ struct SocketPair
     }
 };
 
+/** A direct session over kIni: the run a twin's replies are held to. */
+struct DirectTwin
+{
+    explicit DirectTwin(sched::Policy policy)
+        : sys(core::configFromIni(ini)),
+          trace(core::makeTrace(core::traceRequestFromIni(ini))),
+          session(sys.startSession(trace, policy))
+    {
+    }
+
+    static sim::Config parseIni()
+    {
+        std::istringstream is(kIni);
+        return sim::Config::parse(is);
+    }
+
+    /** The `query state` body at @p cursor, stepping there first. */
+    std::string stateAt(size_t cursor)
+    {
+        while (session.cursor() < cursor)
+            session.step();
+        return oracle::stateJson(session.lastState(),
+                                 sys.config().datacenter.num_servers);
+    }
+
+    const sim::Config ini = parseIni();
+    core::H2PSystem sys;
+    const workload::UtilizationTrace trace;
+    core::SimSession session;
+};
+
 // ---------------------------------------------------------------------
 // Protocol framing and parsing.
 
@@ -616,10 +647,90 @@ TEST(SessionBroker, WireAndCsvBytesIgnoreTheGlobalLocale)
 
     EXPECT_EQ(broker.handleOne(makeRequest("query", {id, "state"})).body,
               classic_state);
+    // That body was encoded before the locale changed; encode one
+    // under it.
+    ASSERT_TRUE(broker.handleOne(makeRequest("step", {id, "1"})).ok);
+    DirectTwin direct(sched::Policy::TegOriginal);
+    EXPECT_EQ(broker.handleOne(makeRequest("query", {id, "state"})).body,
+              direct.stateAt(11));
     std::ostringstream csv;
     table.write(csv);
     EXPECT_EQ(csv.str(), oracle::csvText(table));
     EXPECT_EQ(csv.precision(), 6); // the caller's stream is left alone
+}
+
+TEST(SessionBroker, StateBodyIsEncodedOncePerStep)
+{
+    service::SessionBroker broker;
+    const char *const policies[] = {"original", "balance"};
+    std::string ids[2];
+    for (int k = 0; k < 2; ++k) {
+        service::Response open =
+            broker.handleOne(makeRequest("open", {policies[k]}, kIni));
+        ASSERT_TRUE(open.ok) << open.message;
+        ids[k] = open.args[0];
+        service::Response early =
+            broker.handleOne(makeRequest("query", {ids[k], "state"}));
+        EXPECT_FALSE(early.ok);
+        EXPECT_NE(early.message.find("no step evaluated yet"),
+                  std::string::npos)
+            << early.message;
+    }
+    DirectTwin original(sched::Policy::TegOriginal);
+    DirectTwin balance(sched::Policy::TegLoadBalance);
+    DirectTwin *direct[] = {&original, &balance};
+
+    const auto state = [&broker](const std::string &id) {
+        service::Response r =
+            broker.handleOne(makeRequest("query", {id, "state"}));
+        EXPECT_TRUE(r.ok) << r.message;
+        return r.body;
+    };
+    // Interleaved steps of both twins with three queries of each
+    // between them; the last round steps finished twins (a no-op).
+    size_t cursor = 0;
+    for (size_t target : {1u, 2u, 40u, 144u, 144u}) {
+        SCOPED_TRACE("step " + std::to_string(target));
+        const size_t n = target > cursor ? target - cursor : 1;
+        cursor = target;
+        std::string bodies[2];
+        for (int k = 0; k < 2; ++k) {
+            service::Response step = broker.handleOne(
+                makeRequest("step", {ids[k], std::to_string(n)}));
+            ASSERT_TRUE(step.ok) << step.message;
+            ASSERT_EQ(step.args[0], std::to_string(target));
+            bodies[k] = direct[k]->stateAt(target);
+        }
+        for (int round = 0; round < 3; ++round)
+            for (int k = 0; k < 2; ++k)
+                EXPECT_EQ(state(ids[k]), bodies[k]) << policies[k];
+        EXPECT_NE(bodies[0], bodies[1]);
+    }
+
+    // A step the budget refuses still makes the next query re-encode:
+    // the body follows the steps taken before the refusal.
+    service::BrokerOptions options;
+    options.step_budget = 5;
+    service::SessionBroker budgeted(options);
+    service::Response open =
+        budgeted.handleOne(makeRequest("open", {"original"}, kIni));
+    ASSERT_TRUE(open.ok) << open.message;
+    const std::string id = open.args[0];
+    DirectTwin reference(sched::Policy::TegOriginal);
+    ASSERT_TRUE(budgeted.handleOne(makeRequest("step", {id, "3"})).ok);
+    EXPECT_EQ(
+        budgeted.handleOne(makeRequest("query", {id, "state"})).body,
+        reference.stateAt(3));
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        service::Response step =
+            budgeted.handleOne(makeRequest("step", {id, "10"}));
+        EXPECT_FALSE(step.ok);
+        EXPECT_NE(step.message.find("step budget"), std::string::npos)
+            << step.message;
+        EXPECT_EQ(
+            budgeted.handleOne(makeRequest("query", {id, "state"})).body,
+            reference.stateAt(5));
+    }
 }
 
 TEST(SessionBroker, CloseBodyHasAKeyPerSummaryField)

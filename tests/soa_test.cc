@@ -10,6 +10,7 @@
  * applies per circulation, and every comparison is on raw bits.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -246,13 +247,21 @@ TEST(SoaKernelTest, CleanMatchesScalarServerBitwise)
 {
     const size_t n = 7;
     Datacenter loop = test::oneLoop(n);
-    // Distinct utilizations, and runs of equal ones as a balanced loop
-    // has them (the kernel reuses the predecessor's power there; -0.0
-    // follows +0.0).
-    const std::vector<double> balanced = {0.0, -0.0, 0.4, 0.4,
-                                          0.4, 0.9, 0.9};
+    // Distinct utilizations, and runs of equal ones (the kernel reuses
+    // the predecessor's power there; -0.0 follows +0.0). A balanced
+    // loop, every server at one utilization, is evaluated once and
+    // copied; mixed zeros are one utilization under `==` and keep
+    // their own bits. A loop whose last server differs takes the
+    // passes.
+    const std::vector<double> runs = {0.0, -0.0, 0.4, 0.4, 0.4, 0.9, 0.9};
+    const std::vector<double> balanced(n, 0.4);
+    const std::vector<double> zeros = {0.0,  -0.0, -0.0, 0.0,
+                                       -0.0, 0.0,  -0.0};
+    std::vector<double> last_differs = balanced;
+    last_differs.back() = 0.7;
 
-    for (const std::vector<double> &utils : {spreadUtils(n), balanced}) {
+    for (const std::vector<double> &utils :
+         {spreadUtils(n), runs, balanced, zeros, last_differs}) {
         for (const CoolingSetting &setting :
              {CoolingSetting{45.0, 50.0}, CoolingSetting{30.0, 12.0},
               CoolingSetting{55.0, 118.0}}) {
@@ -263,7 +272,18 @@ TEST(SoaKernelTest, CleanMatchesScalarServerBitwise)
         }
     }
     EXPECT_TRUE(std::signbit(
-        test::evaluate(loop, balanced, {45.0, 50.0}).servers.util[1]));
+        test::evaluate(loop, runs, {45.0, 50.0}).servers.util[1]));
+    const test::LoopState got = test::evaluate(loop, zeros, {45.0, 50.0});
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(std::signbit(got.servers.util[i]),
+                  std::signbit(zeros[i]))
+            << "server " << i;
+
+    // A one-server segment.
+    const Datacenter one = test::oneLoop(1);
+    for (double u : {0.0, 0.55, 1.0})
+        expectSameCirculation(refEvaluate(one, {u}, {45.0, 50.0}, nullptr),
+                              test::evaluate(one, {u}, {45.0, 50.0}));
 }
 
 TEST(SoaKernelTest, CleanHealthMatchesNullHealthBitwise)
@@ -354,6 +374,25 @@ TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
     RefCirculation ref = refEvaluate(loop, utils, setting, &health);
     expectSameCirculation(ref, got);
     EXPECT_EQ(got.faulted_servers, 2u);
+
+    // A balanced loop whose every lane carries the same fouling (and
+    // the same shorts) is evaluated once and copied; with fouling on
+    // some lanes only, it takes the passes.
+    const std::vector<double> balanced(n, 0.63);
+    CirculationHealth uniform;
+    uniform.resizeServers(n);
+    for (size_t i = 0; i < n; ++i) {
+        uniform.fouling_kpw[i] = 0.08;
+        uniform.tegs_shorted[i] = 2;
+    }
+    got = test::evaluate(loop, balanced, setting, &health);
+    expectSameCirculation(refEvaluate(loop, balanced, setting, &health), got);
+    EXPECT_EQ(got.faulted_servers, 2u);
+    for (const std::vector<double> &u : {utils, balanced}) {
+        got = test::evaluate(loop, u, setting, &uniform);
+        expectSameCirculation(refEvaluate(loop, u, setting, &uniform), got);
+        EXPECT_EQ(got.faulted_servers, n);
+    }
 }
 
 TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
@@ -376,6 +415,19 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     // The open string harvests nothing; its healthy output is lost.
     EXPECT_TRUE(sameBits(got.servers.teg_power_w[0], 0.0));
     EXPECT_GT(got.servers.teg_power_lost_w[0], 0.0);
+
+    // One open TEG in a balanced loop breaks its uniformity: the
+    // passes run, and only that server loses its harvest.
+    const std::vector<double> balanced(n, 0.5);
+    CirculationHealth one_open;
+    one_open.resizeServers(n);
+    one_open.teg_open[3] = 1;
+    got = test::evaluate(loop, balanced, setting, &one_open);
+    expectSameCirculation(refEvaluate(loop, balanced, setting, &one_open),
+                          got);
+    EXPECT_TRUE(sameBits(got.servers.teg_power_w[3], 0.0));
+    EXPECT_GT(got.servers.teg_power_w[2], 0.0);
+    EXPECT_EQ(got.faulted_servers, 1u);
 }
 
 TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
@@ -439,6 +491,33 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     EXPECT_THROW(
         test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &negative_faulted),
         Error);
+
+    // A uniform segment (evaluated once) fails with the same texts.
+    const auto error = [&](const std::vector<double> &utils,
+                           const CirculationHealth *health) {
+        try {
+            test::evaluate(loop, utils, setting, health);
+        } catch (const Error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(error({1.5, 1.5, 1.5}, nullptr),
+              "utilization must be in [0, 1], got 1.5");
+    EXPECT_EQ(error({1.5, 1.5, 1.5}, nullptr),
+              error({1.5, 1.5, 0.5}, nullptr));
+    EXPECT_EQ(error({-0.1, -0.1, -0.1}, nullptr),
+              error({-0.1, 0.5, 0.5}, nullptr));
+    CirculationHealth all_negative;
+    all_negative.resizeServers(n);
+    for (size_t i = 0; i < n; ++i) {
+        all_negative.fouling_kpw[i] = -0.5;
+        all_negative.teg_open[i] = 1;
+    }
+    EXPECT_EQ(error({0.5, 0.5, 0.5}, &all_negative),
+              "fouling resistance must be non-negative");
+    EXPECT_EQ(error({0.5, 0.5, 0.5}, &all_negative),
+              error({0.5, 0.5, 0.5}, &negative_faulted));
 }
 
 // --------------------------------------------- randomized property
@@ -461,6 +540,10 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
         std::vector<double> utils(n);
         for (double &u : utils)
             u = util_d(rng);
+        // Every third trial is a balanced loop; every sixth also has
+        // one fault lane throughout.
+        if (trial % 3 == 0)
+            std::fill(utils.begin(), utils.end(), utils[0]);
         CoolingSetting setting{tin_d(rng), flow_d(rng)};
         const double t_cold = cold_d(rng);
         Datacenter loop = test::oneLoop(n, t_cold);
@@ -483,6 +566,12 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
             health.teg_open[i] = coin(rng) == 0 ? 1 : 0;
             health.tegs_shorted[i] = shorted_d(rng);
         }
+        if (trial % 6 == 0)
+            for (size_t i = 1; i < n; ++i) {
+                health.fouling_kpw[i] = health.fouling_kpw[0];
+                health.teg_open[i] = health.teg_open[0];
+                health.tegs_shorted[i] = health.tegs_shorted[0];
+            }
         test::LoopState got = test::evaluate(loop, utils, setting, &health);
         RefCirculation ref = refEvaluate(loop, utils, setting, &health);
         expectSameCirculation(ref, got);
@@ -554,6 +643,8 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
     for (double &u : utils)
         u = util_d(rng);
     utils[n - 1] = 0.05; // a cool last lane
+    // A balanced loop: one utilization, evaluated once and copied.
+    const std::vector<double> balanced(n, 0.81);
 
     CirculationHealth faults;
     faults.resizeServers(n);
@@ -562,25 +653,37 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
     faults.tegs_shorted[20] = 5;
     faults.fouling_kpw[35] = 0.4;
     faults.tegs_shorted[35] = 1;
+    CirculationHealth uniform_faults;
+    uniform_faults.resizeServers(n);
+    for (size_t i = 0; i < n; ++i) {
+        uniform_faults.fouling_kpw[i] = 0.15;
+        uniform_faults.tegs_shorted[i] = 5;
+    }
 
     struct Case
     {
         const char *name;
+        const std::vector<double> &utils;
         ServerHealthLanes lanes;
         size_t offset;
         size_t count;
         double flow_lph;
         double t_in_c;
+        size_t faulted;
     };
     // The starved 12 L/H setting drives the busier dies past the
     // vendor maximum while the cool last lane stays safe, so all_safe
     // must come from every lane, not the last one.
     const Case cases[] = {
-        {"clean", {}, 0, n, 50.0, 45.0},
-        {"clean hot", {}, 0, n, 12.0, 45.0},
-        {"faulted", faults.lanes(), 0, n, 40.0, 48.0},
-        {"faulted hot", faults.lanes(), 0, n, 12.0, 45.0},
-        {"short segment", {}, n + 2, 3, 30.0, 50.0},
+        {"clean", utils, {}, 0, n, 50.0, 45.0, 0},
+        {"clean hot", utils, {}, 0, n, 12.0, 45.0, 0},
+        {"faulted", utils, faults.lanes(), 0, n, 40.0, 48.0, 4},
+        {"faulted hot", utils, faults.lanes(), 0, n, 12.0, 45.0, 4},
+        {"short segment", utils, {}, n + 2, 3, 30.0, 50.0, 0},
+        {"balanced", balanced, {}, 0, n, 50.0, 45.0, 0},
+        {"balanced hot", balanced, {}, 0, n, 12.0, 45.0, 0},
+        {"balanced faulted", balanced, uniform_faults.lanes(), 0, n, 40.0,
+         48.0, n},
     };
     ServerStateBlock out;
     out.resize(n + 5);
@@ -590,7 +693,7 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
         const ServerBlock::Coeffs c =
             block.coefficients(k.flow_lph, k.t_in_c, 20.0);
         const ServerBlock::Totals got = block.evaluate(
-            utils.data(), k.count, c, k.lanes, out, k.offset);
+            k.utils.data(), k.count, c, k.lanes, out, k.offset);
 
         ServerBlock::Totals want;
         for (size_t i = k.offset; i < k.offset + k.count; ++i) {
@@ -612,16 +715,14 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
         EXPECT_TRUE(sameBits(want.max_die_c, got.max_die_c));
         EXPECT_EQ(want.faulted_servers, got.faulted_servers);
         EXPECT_EQ(want.all_safe, got.all_safe);
-        if (!got.all_safe) {
+        if (!got.all_safe && &k.utils == &utils) {
             saw_unsafe = true;
             EXPECT_TRUE(out.safe[k.offset + k.count - 1]);
         }
         if (k.lanes.allHealthy()) {
             EXPECT_TRUE(sameBits(got.teg_power_lost_w, 0.0));
-            EXPECT_EQ(got.faulted_servers, 0u);
-        } else {
-            EXPECT_EQ(got.faulted_servers, 4u);
         }
+        EXPECT_EQ(got.faulted_servers, k.faulted);
     }
     EXPECT_TRUE(saw_unsafe);
 }
