@@ -169,7 +169,7 @@ smokeSeedIdentity()
         sched::ScheduleDecision want;
         while (!session.done()) {
             session.step();
-            ref.decideInto(session.lastUtils(), {}, 0.0, want);
+            ref.decideInto(session.lastUtils(), {}, want);
             const sched::ScheduleDecision &got =
                 session.lastDecision();
             for (size_t i = 0; i < want.utils.size(); ++i) {

@@ -288,13 +288,10 @@ main()
     sched::LookupSpace space(server);
     sched::OptimizerParams op; // defaults
     sched::CoolingOptimizer visitor(space, teg, kColdC, op); // cache off
-    auto privateTable = [&] {
-        return std::make_shared<sched::DecisionTable>(space, teg, op.band_c,
-                                                      kColdC, 1e-3);
-    };
-    // A private decision table: after the first pass over the stream
-    // the cached row times a flat-table hit.
-    sched::CoolingOptimizer cached(space, teg, kColdC, op, privateTable());
+    // The space is not LookupSpaceCache's, so the optimizer's decision
+    // table is private: after the first pass over the stream the
+    // cached row times a flat-table hit.
+    sched::CoolingOptimizer cached(space, teg, kColdC, op, 0.0, 1e-3);
 
     // A realistic planning-utilization stream, so the cache sees the
     // duty cycle a trace produces rather than a uniform sweep.
@@ -367,8 +364,8 @@ main()
         cluster::DatacenterParams dp;
         dp.num_servers = servers;
         cluster::Datacenter dc(dp);
-        sched::CoolingOptimizer step_cached(space, teg, kColdC, op,
-                                            privateTable());
+        sched::CoolingOptimizer step_cached(space, teg, kColdC, op, 0.0,
+                                            1e-3);
         control::PipelineFactory pipelines(dc, step_cached,
                                            control::BalancerParams{},
                                            op.t_safe_c);

@@ -47,7 +47,6 @@ ControlPipeline::run(const ControlContext &ctx,
 
     out.utils = *ctx.utils;
     out.settings.clear();
-    out.details.clear();
 
     for (const auto &stage : stages_)
         stage->apply(ctx, out);

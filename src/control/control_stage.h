@@ -61,8 +61,6 @@ struct ControlContext
     const std::vector<double> *utils = nullptr;
     /** Safe-mode actions per circulation; null on clean runs. */
     const std::vector<sched::SafeModeAction> *actions = nullptr;
-    /** Safe-mode margin, C (meaningful when actions is non-null). */
-    double margin_c = 0.0;
     /** Hardware health; null on clean runs. */
     const cluster::DatacenterHealth *health = nullptr;
     /** Observability sink; null when [obs] is disabled. */
@@ -136,7 +134,7 @@ class ControlPipeline
 
     /**
      * Produce this interval's decision: seed the decision's utils
-     * from the context's input utilizations, clear settings/details,
+     * from the context's input utilizations, clear its settings,
      * run every stage in order and validate the final shape
      * (numServers utilizations, one setting per circulation).
      */

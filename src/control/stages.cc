@@ -42,36 +42,19 @@ CoolingStage::apply(const ControlContext &ctx,
                ctx.actions->size() == dc_.numCirculations(),
            "expected ", dc_.numCirculations(), " safe-mode actions, "
            "got ", ctx.actions == nullptr ? 0 : ctx.actions->size());
-    expect(ctx.margin_c >= 0.0, "margin must be non-negative");
 
     decision.settings.clear();
-    decision.details.clear();
     decision.settings.reserve(dc_.numCirculations());
-    decision.details.reserve(dc_.numCirculations());
 
     size_t offset = 0;
     for (size_t i = 0; i < dc_.numCirculations(); ++i) {
         const size_t n = dc_.circulationSize(i);
-        double plan_util = planUtil(decision.utils, offset, n);
-
-        sched::SafeModeAction action =
+        const sched::SafeModeAction action =
             ctx.actions == nullptr ? sched::SafeModeAction::Normal
                                    : (*ctx.actions)[i];
-        sched::OptimizerResult res;
-        switch (action) {
-          case sched::SafeModeAction::Normal:
-            res = optimizer_.choose(plan_util);
-            break;
-          case sched::SafeModeAction::WidenMargin:
-            res = optimizer_.choose(
-                plan_util, optimizer_.params().t_safe_c - ctx.margin_c);
-            break;
-          case sched::SafeModeAction::ColdFallback:
-            res = optimizer_.coldestFallback(plan_util);
-            break;
-        }
-        decision.settings.push_back(res.setting);
-        decision.details.push_back(res);
+        decision.settings.push_back(
+            optimizer_.choose(planUtil(decision.utils, offset, n), action)
+                .setting);
         offset += n;
     }
 }

@@ -21,15 +21,15 @@ H2PSystem::H2PSystem(const H2PConfig &config) : config_(config)
         config.datacenter.server.tegs_per_server,
         config.datacenter.server.teg);
 
-    // The optimizer plans against the datacenter's cold source; the
-    // decision cache is a [perf] knob. Its table is shared like the
-    // space: systems of one configuration compute each decision once.
-    const double cold_c = config.datacenter.cold_source_c;
+    // The optimizer plans against the datacenter's cold source, at
+    // T_safe and, under safe mode, at T_safe - margin; the decision
+    // cache is a [perf] knob. Its tables are shared like the space:
+    // systems of one configuration compute each decision once.
+    const sched::SafeModeParams &sm = config.safe_mode;
     optimizer_ = std::make_unique<sched::CoolingOptimizer>(
-        *space_, *teg_, cold_c, config.optimizer,
-        sched::LookupSpaceCache::instance().decisionTable(
-            *space_, *teg_, config.optimizer.band_c, cold_c,
-            config.perf.optimizer_cache_quantum));
+        *space_, *teg_, config.datacenter.cold_source_c, config.optimizer,
+        sm.enabled ? sm.margin_c : 0.0,
+        config.perf.optimizer_cache_quantum);
 
     // The control plane: every session's decide stage is a pipeline
     // built here. The balancer compares measured headroom against the

@@ -436,7 +436,6 @@ SimSession::step()
     cctx.dc = &dc;
     cctx.utils = &utils_;
     cctx.actions = resilient_ ? &monitor_->actions() : nullptr;
-    cctx.margin_c = sm.margin_c;
     cctx.health = resilient_ ? &injector_->health() : nullptr;
     cctx.obs = sink;
     ObsClock::time_point t_decide0;

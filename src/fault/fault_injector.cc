@@ -114,108 +114,88 @@ FaultInjector::generate(double duration_s)
     const double outage_s = params_.outage_duration_hours * 3600.0;
     const double sensor_s = params_.sensor_fault_duration_hours * 3600.0;
 
+    // Every channel draws a Poisson count of events, each at a uniform
+    // onset; `more` then completes the event with its kind's further
+    // draws, in order.
+    const auto draw = [&](Rng &rng, double mean, const FaultEvent &proto,
+                          const auto &more) {
+        const int n = rng.poisson(mean);
+        for (int k = 0; k < n; ++k) {
+            FaultEvent e = proto;
+            e.time_s = rng.uniform(0.0, duration_s);
+            more(e);
+            events_.push_back(e);
+        }
+    };
+    const auto none = [](FaultEvent &) {};
+
     // Each (channel, circulation) pair draws from its own forked
     // sub-stream, so timelines are stable under parameter changes to
     // other channels.
     for (size_t c = 0; c < circulation_sizes_.size(); ++c) {
         Rng rng = root.fork(kStreamPumpDegrade + c);
-        int n = rng.poisson(params_.pump_degrade_per_circ_year * years);
-        for (int k = 0; k < n; ++k) {
-            FaultEvent e;
-            e.time_s = rng.uniform(0.0, duration_s);
-            e.kind = FaultKind::PumpDegraded;
-            e.circulation = c;
-            e.magnitude = rng.truncNormal(params_.pump_degraded_flow_factor,
-                                          0.15, 0.05, 0.85);
-            events_.push_back(e);
-        }
+        draw(rng, params_.pump_degrade_per_circ_year * years,
+             {.kind = FaultKind::PumpDegraded, .circulation = c},
+             [&](FaultEvent &e) {
+                 e.magnitude = rng.truncNormal(
+                     params_.pump_degraded_flow_factor, 0.15, 0.05, 0.85);
+             });
 
         rng = root.fork(kStreamPumpFail + c);
-        n = rng.poisson(params_.pump_fail_per_circ_year * years);
-        for (int k = 0; k < n; ++k) {
-            FaultEvent e;
-            e.time_s = rng.uniform(0.0, duration_s);
-            e.kind = FaultKind::PumpFailed;
-            e.circulation = c;
-            events_.push_back(e);
-        }
+        draw(rng, params_.pump_fail_per_circ_year * years,
+             {.kind = FaultKind::PumpFailed, .circulation = c}, none);
 
         rng = root.fork(kStreamTeg + c);
         for (size_t s = 0; s < circulation_sizes_[c]; ++s) {
-            n = rng.poisson(params_.teg_open_per_server_year * years);
-            for (int k = 0; k < n; ++k) {
-                FaultEvent e;
-                e.time_s = rng.uniform(0.0, duration_s);
-                e.kind = FaultKind::TegOpenCircuit;
-                e.circulation = c;
-                e.server = s;
-                events_.push_back(e);
-            }
-            n = rng.poisson(params_.teg_short_per_server_year * years);
-            for (int k = 0; k < n; ++k) {
-                FaultEvent e;
-                e.time_s = rng.uniform(0.0, duration_s);
-                e.kind = FaultKind::TegShortCircuit;
-                e.circulation = c;
-                e.server = s;
-                e.magnitude = 1.0;
-                events_.push_back(e);
-            }
+            draw(rng, params_.teg_open_per_server_year * years,
+                 {.kind = FaultKind::TegOpenCircuit,
+                  .circulation = c,
+                  .server = s},
+                 none);
+            draw(rng, params_.teg_short_per_server_year * years,
+                 {.kind = FaultKind::TegShortCircuit,
+                  .circulation = c,
+                  .server = s,
+                  .magnitude = 1.0},
+                 none);
         }
 
         rng = root.fork(kStreamDieSensor + c);
-        n = rng.poisson(params_.die_sensor_faults_per_circ_year * years);
-        for (int k = 0; k < n; ++k) {
-            FaultEvent e;
-            e.time_s = rng.uniform(0.0, duration_s);
-            e.circulation = c;
-            e.duration_s = rng.exponential(1.0 / sensor_s);
-            switch (rng.uniformInt(0, 2)) {
-              case 0:
-                e.kind = FaultKind::DieSensorStuck;
-                break;
-              case 1:
-                e.kind = FaultKind::DieSensorDrift;
-                e.magnitude = params_.sensor_drift_c_per_hour *
-                              rng.uniform(0.5, 1.5) *
-                              (rng.bernoulli(0.5) ? 1.0 : -1.0);
-                break;
-              default:
-                e.kind = FaultKind::DieSensorDropout;
-                break;
-            }
-            events_.push_back(e);
-        }
+        draw(rng, params_.die_sensor_faults_per_circ_year * years,
+             {.circulation = c}, [&](FaultEvent &e) {
+                 e.duration_s = rng.exponential(1.0 / sensor_s);
+                 switch (rng.uniformInt(0, 2)) {
+                   case 0:
+                     e.kind = FaultKind::DieSensorStuck;
+                     break;
+                   case 1:
+                     e.kind = FaultKind::DieSensorDrift;
+                     e.magnitude = params_.sensor_drift_c_per_hour *
+                                   rng.uniform(0.5, 1.5) *
+                                   (rng.bernoulli(0.5) ? 1.0 : -1.0);
+                     break;
+                   default:
+                     e.kind = FaultKind::DieSensorDropout;
+                     break;
+                 }
+             });
 
         rng = root.fork(kStreamFlowSensor + c);
-        n = rng.poisson(params_.flow_sensor_faults_per_circ_year * years);
-        for (int k = 0; k < n; ++k) {
-            FaultEvent e;
-            e.time_s = rng.uniform(0.0, duration_s);
-            e.kind = FaultKind::FlowSensorDropout;
-            e.circulation = c;
-            e.duration_s = rng.exponential(1.0 / sensor_s);
-            events_.push_back(e);
-        }
+        draw(rng, params_.flow_sensor_faults_per_circ_year * years,
+             {.kind = FaultKind::FlowSensorDropout, .circulation = c},
+             [&](FaultEvent &e) {
+                 e.duration_s = rng.exponential(1.0 / sensor_s);
+             });
     }
 
     Rng rng = root.fork(kStreamPlant);
-    int n = rng.poisson(params_.chiller_outages_per_year * years);
-    for (int k = 0; k < n; ++k) {
-        FaultEvent e;
-        e.time_s = rng.uniform(0.0, duration_s);
-        e.kind = FaultKind::ChillerOutage;
+    const auto outage = [&](FaultEvent &e) {
         e.duration_s = rng.exponential(1.0 / outage_s);
-        events_.push_back(e);
-    }
-    n = rng.poisson(params_.tower_outages_per_year * years);
-    for (int k = 0; k < n; ++k) {
-        FaultEvent e;
-        e.time_s = rng.uniform(0.0, duration_s);
-        e.kind = FaultKind::TowerOutage;
-        e.duration_s = rng.exponential(1.0 / outage_s);
-        events_.push_back(e);
-    }
+    };
+    draw(rng, params_.chiller_outages_per_year * years,
+         {.kind = FaultKind::ChillerOutage}, outage);
+    draw(rng, params_.tower_outages_per_year * years,
+         {.kind = FaultKind::TowerOutage}, outage);
 
     std::stable_sort(events_.begin(), events_.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {

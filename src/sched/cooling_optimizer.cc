@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "sched/lookup_cache.h"
 #include "util/error.h"
 #include "util/hash.h"
 
@@ -11,15 +11,6 @@ namespace h2p {
 namespace sched {
 
 namespace {
-
-uint64_t
-doubleBits(double x)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(x));
-    std::memcpy(&bits, &x, sizeof(bits));
-    return bits;
-}
 
 /**
  * Utilization buckets for quantum @p q: llround(1/q) + 1, bounded by
@@ -44,50 +35,35 @@ bucketCount(double q)
 
 DecisionTable::DecisionTable(const LookupSpace &space,
                              const thermal::TegModule &teg, double band_c,
-                             double cold_source_c, double quantum)
+                             double cold_source_c, double t_safe_c,
+                             double quantum)
     : space_(&space),
-      inputs_(fingerprint(teg, band_c, cold_source_c, quantum)),
-      quantum_(quantum), buckets_(bucketCount(quantum))
+      inputs_(fingerprint(teg, band_c, cold_source_c, t_safe_c, quantum)),
+      quantum_(quantum), buckets_(bucketCount(quantum)),
+      slots_(new Slot[buckets_])
 {
 }
 
 uint64_t
 DecisionTable::fingerprint(const thermal::TegModule &teg, double band_c,
-                           double cold_source_c, double quantum)
+                           double cold_source_c, double t_safe_c,
+                           double quantum)
 {
     util::FieldHasher hasher;
     hasher.h.size(teg.count());
     hasher.fields(teg.device().params());
     hasher.fields(teg.plate().params());
-    for (double x : {band_c, cold_source_c, quantum})
+    for (double x : {band_c, cold_source_c, t_safe_c, quantum})
         hasher.h.f64(x);
     return hasher.h.digest();
-}
-
-std::shared_ptr<DecisionTable::Slot[]>
-DecisionTable::slots(double t_safe_c)
-{
-    const uint64_t key = doubleBits(t_safe_c);
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[bits, array] : arrays_)
-        if (bits == key)
-            return array;
-    std::shared_ptr<Slot[]> array(new Slot[buckets_]);
-    arrays_.emplace_back(key, array);
-    if (arrays_.size() > kMaxArrays)
-        arrays_.erase(arrays_.begin());
-    return array;
 }
 
 size_t
 DecisionTable::size() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     size_t ready = 0;
-    for (const auto &entry : arrays_)
-        for (size_t b = 0; b < buckets_; ++b)
-            ready += entry.second[b].state.load(
-                         std::memory_order_acquire) == kReady;
+    for (size_t b = 0; b < buckets_; ++b)
+        ready += slots_[b].state.load(std::memory_order_acquire) == kReady;
     return ready;
 }
 
@@ -97,17 +73,30 @@ CoolingOptimizer::CoolingOptimizer(const LookupSpace &space,
                                    const thermal::TegModule &teg,
                                    double cold_source_c,
                                    const OptimizerParams &params,
-                                   std::shared_ptr<DecisionTable> table)
+                                   double margin_c, double quantum)
     : space_(space), teg_(teg), cold_source_c_(cold_source_c),
-      params_(params), table_(std::move(table))
+      params_(params), widened_t_safe_c_(params.t_safe_c - margin_c)
 {
     expect(params.band_c >= 0.0, "band width must be non-negative");
-    expect(params.t_safe_c > cold_source_c,
+    expect(margin_c >= 0.0, "margin must be non-negative");
+    expect(widened_t_safe_c_ > cold_source_c,
            "T_safe must exceed the cold-source temperature");
-    expect(table_ == nullptr ||
-               table_->serves(space, teg, params.band_c, cold_source_c),
-           "decision table was built for another optimizer "
-           "configuration");
+    LookupSpaceCache &cache = LookupSpaceCache::instance();
+    normal_ = cache.decisionTable(space, teg, params.band_c, cold_source_c,
+                                  params.t_safe_c, quantum);
+    widened_ = margin_c == 0.0
+                   ? normal_
+                   : cache.decisionTable(space, teg, params.band_c,
+                                         cold_source_c, widened_t_safe_c_,
+                                         quantum);
+}
+
+size_t
+CoolingOptimizer::cacheSize() const
+{
+    if (normal_ == nullptr)
+        return 0;
+    return normal_->size() + (widened_ != normal_ ? widened_->size() : 0);
 }
 
 double
@@ -128,27 +117,33 @@ CoolingOptimizer::candidateSet(double plan_util) const
 }
 
 OptimizerResult
-CoolingOptimizer::choose(double plan_util) const
+CoolingOptimizer::choose(double plan_util, SafeModeAction action) const
 {
-    return choose(plan_util, params_.t_safe_c);
+    switch (action) {
+      case SafeModeAction::WidenMargin:
+        return decide(plan_util, widened_t_safe_c_, widened_.get());
+      case SafeModeAction::ColdFallback:
+        return coldestFallback(plan_util);
+      case SafeModeAction::Normal:
+        break;
+    }
+    return decide(plan_util, params_.t_safe_c, normal_.get());
 }
 
 OptimizerResult
-CoolingOptimizer::choose(double plan_util, double t_safe_c) const
+CoolingOptimizer::decide(double plan_util, double t_safe_c,
+                         DecisionTable *table) const
 {
     expect(plan_util >= 0.0 && plan_util <= 1.0,
            "planning utilization must be in [0, 1]");
-    expect(t_safe_c > cold_source_c_,
-           "T_safe must exceed the cold-source temperature");
-
-    if (table_ == nullptr)
+    if (table == nullptr)
         return search(plan_util, t_safe_c);
-    const double q = table_->quantum();
+    const double q = table->quantum();
 
     // plan_util <= 1 keeps the bucket within llround(1/q), the last
     // slot.
     const int64_t bucket = std::llround(plan_util / q);
-    DecisionTable::Slot &slot = slotsFor(t_safe_c)[bucket];
+    DecisionTable::Slot &slot = table->slot(static_cast<size_t>(bucket));
     if (slot.state.load(std::memory_order_acquire) ==
         DecisionTable::kReady) {
         ++cache_hits_;
@@ -165,19 +160,6 @@ CoolingOptimizer::choose(double plan_util, double t_safe_c) const
         slot.state.store(DecisionTable::kReady, std::memory_order_release);
     }
     return res;
-}
-
-DecisionTable::Slot *
-CoolingOptimizer::slotsFor(double t_safe_c) const
-{
-    const uint64_t key = doubleBits(t_safe_c);
-    for (const auto &[bits, array] : slots_)
-        if (bits == key)
-            return array.get();
-    if (slots_.size() == DecisionTable::kMaxArrays)
-        slots_.clear();
-    slots_.emplace_back(key, table_->slots(t_safe_c));
-    return slots_.back().second.get();
 }
 
 OptimizerResult

@@ -20,21 +20,26 @@
  * The search itself streams over the look-up grid through
  * LookupSpace::forEachInSlice — no candidate vector is materialized;
  * the coldest fallback reads LookupSpace::coldestInSlice.
- * An optional decision cache short-circuits the scheduler's repeated
- * calls: planning utilizations are quantized to the quantum of the
- * DecisionTable the optimizer is given, and the chosen setting per
- * (quantized util, T_safe) pair is memoized there. The cache is an
- * approximation knob, not pure memoization — with it enabled the
- * optimizer plans at the quantized utilization — so an optimizer
- * built without a table searches exactly, and the system enables it
- * through [perf] optimizer_cache_quantum.
  *
- * With the quantum fixed, a decision is a pure function of the look-up
- * space, the TEG module, band_c, the cold source, T_safe and the
- * bucket, so one table serves every optimizer of that configuration:
- * systems built through core::H2PSystem share theirs via
- * sched::LookupSpaceCache, and a sweep computes each decision once
- * per process instead of once per point.
+ * An optimizer plans at no more than two temperatures, both fixed when
+ * it is built: T_safe for a Normal circulation and T_safe - margin for
+ * one that safe mode marks WidenMargin (sched/safe_mode.h; the margin
+ * is 0 when safe mode is off). With a cache quantum q > 0 each of them
+ * has one DecisionTable: planning utilizations are quantized to
+ * multiples of q and the chosen setting per bucket is memoized there.
+ * The cache is an approximation knob, not pure memoization — with it
+ * enabled the optimizer plans at the quantized utilization — so an
+ * optimizer built with q = 0 searches exactly, and the system enables
+ * it through [perf] optimizer_cache_quantum.
+ *
+ * One table per planning temperature: a decision is a pure function
+ * of the look-up space, the TEG module, band_c, the cold source, the
+ * temperature planned at, q and the bucket, and a table is keyed on
+ * all of them but the bucket. The optimizer takes its tables from
+ * sched::LookupSpaceCache when it is built, so every optimizer of a
+ * configuration shares them: a sweep computes each decision once per
+ * process instead of once per point, and the widened table of
+ * T_safe 60 with margin 3 is the normal table of T_safe 57.
  */
 
 #ifndef H2P_SCHED_COOLING_OPTIMIZER_H_
@@ -43,12 +48,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "cluster/circulation.h"
 #include "sched/lookup_space.h"
+#include "sched/safe_mode.h"
 #include "thermal/teg.h"
 
 namespace h2p {
@@ -56,8 +60,9 @@ namespace sched {
 
 /**
  * Optimizer configuration. The cold source is the datacenter's
- * (cluster::DatacenterParams::cold_source_c) and the cache quantum its
- * DecisionTable's; both reach the optimizer as constructor arguments.
+ * (cluster::DatacenterParams::cold_source_c), the margin safe mode's
+ * and the cache quantum [perf]'s; they reach the optimizer as
+ * constructor arguments.
  */
 struct OptimizerParams
 {
@@ -94,26 +99,25 @@ struct OptimizerResult
 };
 
 /**
- * Memoized cooling decisions of one optimizer configuration.
+ * Memoized cooling decisions at one planning temperature.
  *
  * Its identity is fixed at construction: the LookupSpace searched
  * (by address), the TEG module (count, device and cold-plate
- * parameters), band_c, the cold source and the utilization quantum q.
+ * parameters), band_c, the cold source, the temperature planned at
+ * (T_safe, or T_safe - margin) and the utilization quantum q.
  * With a quantum q an optimizer plans at the nearest multiple of q;
  * 1e-3 shifts the planned die temperature by well under the
  * acceptance band and makes repeated scheduler calls O(1).
- * For each T_safe it is asked about it holds one flat array of
- * llround(1/q) + 1 slots, one per utilization bucket, created on
- * first use; a run uses at most two (T_safe, and T_safe - margin
- * under safe mode).
+ * It holds one flat array of llround(1/q) + 1 slots, one per
+ * utilization bucket.
  *
- * Thread-safe and lock-free once an array exists. A slot goes
- * kEmpty -> kWriting -> kReady exactly once: a reader that
- * acquire-loads kReady uses the stored result; any other reader
- * searches itself and tries to publish (CAS kEmpty -> kWriting, a
- * plain store, a release store of kReady). A reader that loses the
- * race keeps its own result — the search is a pure function of the
- * table's identity, so every racer computes the same bits.
+ * Thread-safe and lock-free. A slot goes kEmpty -> kWriting -> kReady
+ * exactly once: a reader that acquire-loads kReady uses the stored
+ * result; any other reader searches itself and tries to publish (CAS
+ * kEmpty -> kWriting, a plain store, a release store of kReady). A
+ * reader that loses the race keeps its own result — the search is a
+ * pure function of the table's identity, so every racer computes the
+ * same bits.
  */
 class DecisionTable
 {
@@ -131,74 +135,68 @@ class DecisionTable
     };
 
     /**
-     * Bound on slots per T_safe array (the bucket count
-     * llround(1/q) + 1): quanta finer than ~1/65535 are rejected.
+     * Bound on slots (the bucket count llround(1/q) + 1): quanta finer
+     * than ~1/65535 are rejected.
      */
     static constexpr size_t kMaxBuckets = 65536;
-
-    /** T_safe arrays kept; older ones live on in their users. */
-    static constexpr size_t kMaxArrays = 64;
 
     /**
      * A table for optimizers over @p space and @p teg with band
      * half-width @p band_c against @p cold_source_c, planning at
-     * multiples of @p quantum (T_safe plays no part). Throws
-     * h2p::Error unless 0 < quantum and llround(1/quantum) + 1 <=
-     * kMaxBuckets.
+     * @p t_safe_c and at multiples of @p quantum. Throws h2p::Error
+     * unless 0 < quantum and llround(1/quantum) + 1 <= kMaxBuckets.
      */
     DecisionTable(const LookupSpace &space, const thermal::TegModule &teg,
-                  double band_c, double cold_source_c, double quantum);
+                  double band_c, double cold_source_c, double t_safe_c,
+                  double quantum);
 
     /**
      * Digest of the decision inputs besides the space: TEG module,
-     * band, cold source and quantum.
+     * band, cold source, planning temperature and quantum.
      */
     static uint64_t fingerprint(const thermal::TegModule &teg,
                                 double band_c, double cold_source_c,
-                                double quantum);
+                                double t_safe_c, double quantum);
 
-    /** True when an optimizer over these inputs may use this table. */
+    /**
+     * True when an optimizer over these inputs may plan at
+     * @p t_safe_c through this table.
+     */
     bool serves(const LookupSpace &space, const thermal::TegModule &teg,
-                double band_c, double cold_source_c) const
+                double band_c, double cold_source_c,
+                double t_safe_c) const
     {
         return &space == space_ &&
-               fingerprint(teg, band_c, cold_source_c, quantum_) ==
-                   inputs_;
+               fingerprint(teg, band_c, cold_source_c, t_safe_c,
+                           quantum_) == inputs_;
     }
 
     /** Planning-utilization quantum. */
     double quantum() const { return quantum_; }
 
-    /**
-     * The slot array for @p t_safe_c, created on first use. Takes the
-     * table's mutex: callers keep the pointer across decisions.
-     */
-    std::shared_ptr<Slot[]> slots(double t_safe_c);
+    /** The slot of utilization bucket @p bucket (< llround(1/q) + 1). */
+    Slot &slot(size_t bucket) { return slots_[bucket]; }
 
-    /** Decisions currently published, over every kept T_safe array. */
+    /** Decisions currently published. */
     size_t size() const;
 
   private:
     const LookupSpace *space_;
     uint64_t inputs_;
     double quantum_;
-    /** Slots per T_safe array. */
     size_t buckets_;
-
-    mutable std::mutex mutex_;
-    /** T_safe bit pattern -> array, oldest first. */
-    std::vector<std::pair<uint64_t, std::shared_ptr<Slot[]>>> arrays_;
+    std::unique_ptr<Slot[]> slots_;
 };
 
 /**
  * Grid-search cooling controller over a LookupSpace.
  *
- * The decision table may be shared with other optimizers and is
+ * The decision tables may be shared with other optimizers and are
  * thread-safe; the optimizer's own state is not: choose() updates its
- * hit/miss counters and its per-T_safe handles into the table. Each
- * H2PSystem owns one optimizer and calls it from its run's serial step
- * loop; parallelism lives above, across runs (core::SweepEngine),
- * which share the immutable LookupSpace and the decision table.
+ * hit/miss counters. Each H2PSystem owns one optimizer and calls it
+ * from its run's serial step loop; parallelism lives above, across
+ * runs (core::SweepEngine), which share the immutable LookupSpace and
+ * the decision tables.
  */
 class CoolingOptimizer
 {
@@ -209,27 +207,28 @@ class CoolingOptimizer
      * @param teg TEG module at each server outlet (not owned).
      * @param cold_source_c Natural-water cold-loop temperature the
      *        TEGs reject to, C.
-     * @param table Decision table to plan and memoize through; it
-     *        must serve this configuration (DecisionTable::serves).
-     *        Null searches every choose() at the exact utilization.
+     * @param margin_c How far below T_safe a WidenMargin circulation
+     *        plans, C (SafeModeParams::margin_c; 0 with safe mode
+     *        off). T_safe - margin_c must exceed the cold source.
+     * @param quantum Decision-cache quantum; 0 searches every choose()
+     *        at the exact utilization. Otherwise the tables come from
+     *        LookupSpaceCache (private ones for a space it does not
+     *        hold).
      */
     CoolingOptimizer(const LookupSpace &space,
                      const thermal::TegModule &teg, double cold_source_c,
                      const OptimizerParams &params = {},
-                     std::shared_ptr<DecisionTable> table = nullptr);
+                     double margin_c = 0.0, double quantum = 0.0);
 
     /**
      * Choose the cooling setting for a circulation whose planning
-     * utilization is @p plan_util (Steps 1-3).
+     * utilization is @p plan_util (Steps 1-3) under safe-mode
+     * @p action: Normal plans at T_safe, WidenMargin at T_safe -
+     * margin, ColdFallback returns coldestFallback().
      */
-    OptimizerResult choose(double plan_util) const;
-
-    /**
-     * Same, planning against an overridden safe temperature instead
-     * of params().t_safe_c. Degraded-mode control widens its margin
-     * by planning at T_safe - margin (sched/safe_mode.h).
-     */
-    OptimizerResult choose(double plan_util, double t_safe_c) const;
+    OptimizerResult choose(
+        double plan_util,
+        SafeModeAction action = SafeModeAction::Normal) const;
 
     /**
      * The maximum-cooling fallback: of the slice at @p plan_util, the
@@ -253,7 +252,7 @@ class CoolingOptimizer
     std::vector<LookupPoint> candidateSet(double plan_util) const;
 
     /**
-     * Decisions this optimizer served from its table, whichever
+     * Decisions this optimizer served from its tables, whichever
      * optimizer computed them.
      */
     size_t cacheHits() const { return cache_hits_; }
@@ -261,17 +260,21 @@ class CoolingOptimizer
     /** Grid searches this optimizer ran with the cache on. */
     size_t cacheMisses() const { return cache_misses_; }
 
-    /** Decisions currently memoized in this optimizer's table. */
-    size_t cacheSize() const { return table_ ? table_->size() : 0; }
+    /** Decisions currently memoized in this optimizer's tables. */
+    size_t cacheSize() const;
 
     const OptimizerParams &params() const { return params_; }
 
   private:
+    /**
+     * A decision at @p t_safe_c through @p table, or an exact search
+     * when @p table is null.
+     */
+    OptimizerResult decide(double plan_util, double t_safe_c,
+                           DecisionTable *table) const;
+
     /** The uncached three-tier grid search. */
     OptimizerResult search(double plan_util, double t_safe_c) const;
-
-    /** This optimizer's handle to the table's array for @p t_safe_c. */
-    DecisionTable::Slot *slotsFor(double t_safe_c) const;
 
     double tegPowerAt(const LookupPoint &p) const;
 
@@ -279,13 +282,12 @@ class CoolingOptimizer
     const thermal::TegModule &teg_;
     double cold_source_c_;
     OptimizerParams params_;
+    /** T_safe - margin, the WidenMargin planning temperature. */
+    double widened_t_safe_c_;
 
-    /** Null when the cache is off. */
-    std::shared_ptr<DecisionTable> table_;
-    /** T_safe bit pattern -> array of table_, in first-use order. */
-    mutable std::vector<
-        std::pair<uint64_t, std::shared_ptr<DecisionTable::Slot[]>>>
-        slots_;
+    /** Tables at T_safe and at T_safe - margin; null with q = 0. */
+    std::shared_ptr<DecisionTable> normal_;
+    std::shared_ptr<DecisionTable> widened_;
     mutable size_t cache_hits_ = 0;
     mutable size_t cache_misses_ = 0;
 };

@@ -55,7 +55,7 @@ std::shared_ptr<DecisionTable>
 LookupSpaceCache::decisionTable(const LookupSpace &space,
                                 const thermal::TegModule &teg,
                                 double band_c, double cold_source_c,
-                                double quantum)
+                                double t_safe_c, double quantum)
 {
     expect(quantum >= 0.0, "cache quantum must be non-negative");
     if (quantum == 0.0)
@@ -67,7 +67,8 @@ LookupSpaceCache::decisionTable(const LookupSpace &space,
                               });
     auto make = [&] {
         return std::make_shared<DecisionTable>(space, teg, band_c,
-                                               cold_source_c, quantum);
+                                               cold_source_c, t_safe_c,
+                                               quantum);
     };
     if (entry == spaces_.end())
         return make();
@@ -75,7 +76,7 @@ LookupSpaceCache::decisionTable(const LookupSpace &space,
         entry->second.tables;
     for (const std::shared_ptr<DecisionTable> &t : tables)
         if (t->quantum() == quantum &&
-            t->serves(space, teg, band_c, cold_source_c))
+            t->serves(space, teg, band_c, cold_source_c, t_safe_c))
             return t;
     tables.push_back(make());
     if (tables.size() > kCapacity)

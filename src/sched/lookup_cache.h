@@ -20,12 +20,16 @@
  * long as some system still holds its pointer.
  *
  * Each cached space also hosts the DecisionTables of the optimizers
- * that search it, one per (TEG module, band, cold source, quantum): a
- * sweep whose points share a configuration computes each cooling
- * decision once per process instead of once per point. Tables are
- * created empty (they fill lazily, decision by decision), kept in
- * insertion order up to the same capacity, and evicted together with
- * their space; shared_ptr keeps an evicted one alive for its users.
+ * that search it, one per planning temperature: a table is keyed on
+ * (TEG module, band, cold source, T_safe, quantum), and an optimizer
+ * takes one for T_safe and, under safe mode, one for T_safe - margin.
+ * A sweep whose points share a configuration computes each cooling
+ * decision once per process instead of once per point, and its T_safe
+ * and margin axes meet in shared tables wherever two points plan at
+ * the same temperature. Tables are created empty (they fill lazily,
+ * decision by decision), kept in insertion order up to the same
+ * capacity, and evicted together with their space; shared_ptr keeps
+ * an evicted one alive for its users.
  *
  * Thread-safe: concurrent acquire() / decisionTable() calls (e.g.
  * sweep workers constructing H2PSystems in parallel) serialize on one
@@ -69,15 +73,16 @@ class LookupSpaceCache
 
     /**
      * The decision table shared by every optimizer over @p space and
-     * @p teg with this band, cold source and quantum
-     * (DecisionTable::serves). Null when @p quantum is 0 (the cache
-     * is off); a private table when @p space is not one this cache
-     * holds (built elsewhere, or already evicted). Throws h2p::Error
-     * on a negative quantum.
+     * @p teg with this band and cold source that plans at @p t_safe_c
+     * with this quantum (DecisionTable::serves). Null when @p quantum
+     * is 0 (the cache is off); a private table when @p space is not
+     * one this cache holds (built elsewhere, or already evicted).
+     * Throws h2p::Error on a negative quantum.
      */
     std::shared_ptr<DecisionTable> decisionTable(
         const LookupSpace &space, const thermal::TegModule &teg,
-        double band_c, double cold_source_c, double quantum);
+        double band_c, double cold_source_c, double t_safe_c,
+        double quantum);
 
     /**
      * Digest of every parameter the sampled table depends on: each

@@ -105,16 +105,6 @@ LookupSpace::coldestInSlice(double util) const
     return p;
 }
 
-std::vector<LookupPoint>
-LookupSpace::slice(double util) const
-{
-    std::vector<LookupPoint> points;
-    points.reserve(t_cpu_->yAxis().count() * t_cpu_->zAxis().count());
-    forEachInSlice(util,
-                   [&](const LookupPoint &p) { points.push_back(p); });
-    return points;
-}
-
 size_t
 LookupSpace::numPoints() const
 {

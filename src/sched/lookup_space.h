@@ -88,15 +88,10 @@ class LookupSpace
     const LookupSpaceParams &params() const { return params_; }
 
     /**
-     * Enumerate all grid points on the slice u = @p util (Fig. 13's
-     * plane U), with their interpolated temperatures.
-     */
-    std::vector<LookupPoint> slice(double util) const;
-
-    /**
-     * Visit every grid point of the slice u = @p util in the fixed
-     * (flow-major, then inlet temperature) order without materializing
-     * a vector — the allocation-free twin of slice(). @p fn receives
+     * Visit every grid point of the slice u = @p util (Fig. 13's plane
+     * U), with its interpolated temperatures, in the fixed (flow-major,
+     * then inlet temperature) order without materializing a vector.
+     * @p fn receives
      * each LookupPoint by const reference; the reference is only valid
      * during the call. The temperatures equal cpuTemp()/outletTemp()
      * at each point bit for bit: they blend the same two utilization

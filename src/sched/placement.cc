@@ -57,37 +57,5 @@ placeHotCluster(const std::vector<double> &utils, size_t group_size)
     return out;
 }
 
-double
-worstGroupMax(const std::vector<double> &utils, size_t group_size)
-{
-    checkArgs(utils, group_size);
-    double worst = 0.0;
-    for (size_t off = 0; off < utils.size(); off += group_size) {
-        size_t end = std::min(off + group_size, utils.size());
-        double gmax = 0.0;
-        for (size_t i = off; i < end; ++i)
-            gmax = std::max(gmax, utils[i]);
-        worst = std::max(worst, gmax);
-    }
-    return worst;
-}
-
-double
-meanGroupMax(const std::vector<double> &utils, size_t group_size)
-{
-    checkArgs(utils, group_size);
-    double sum = 0.0;
-    size_t groups = 0;
-    for (size_t off = 0; off < utils.size(); off += group_size) {
-        size_t end = std::min(off + group_size, utils.size());
-        double gmax = 0.0;
-        for (size_t i = off; i < end; ++i)
-            gmax = std::max(gmax, utils[i]);
-        sum += gmax;
-        ++groups;
-    }
-    return sum / static_cast<double>(groups);
-}
-
 } // namespace sched
 } // namespace h2p

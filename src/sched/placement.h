@@ -44,17 +44,6 @@ std::vector<double> placeSnake(const std::vector<double> &utils,
 std::vector<double> placeHotCluster(const std::vector<double> &utils,
                                     size_t group_size);
 
-/**
- * Largest per-circulation maximum under a given layout — the number
- * that caps the coolest achievable inlet of the worst loop.
- */
-double worstGroupMax(const std::vector<double> &utils,
-                     size_t group_size);
-
-/** Mean over circulations of the per-circulation maximum. */
-double meanGroupMax(const std::vector<double> &utils,
-                    size_t group_size);
-
 } // namespace sched
 } // namespace h2p
 

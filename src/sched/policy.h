@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/datacenter.h"
-#include "sched/cooling_optimizer.h"
 
 namespace h2p {
 namespace sched {
@@ -40,8 +39,6 @@ struct ScheduleDecision
     std::vector<double> utils;
     /** Cooling setting per circulation. */
     std::vector<cluster::CoolingSetting> settings;
-    /** Optimizer diagnostics per circulation. */
-    std::vector<OptimizerResult> details;
 };
 
 } // namespace sched

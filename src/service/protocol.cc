@@ -1,7 +1,6 @@
 #include "service/protocol.h"
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "util/error.h"
@@ -57,20 +56,36 @@ splitHeader(const std::string &payload, std::string &header,
     }
 }
 
+/** Throws unless a @p len-byte payload fits in one frame. */
+void
+checkFrameSize(size_t len)
+{
+    expect(len <= kMaxFrameBytes, "protocol: frame of ", len,
+           " bytes exceeds the ", kMaxFrameBytes, "-byte cap");
+}
+
+/** The payload length a 4-byte little-endian prefix announces. */
+size_t
+decodePrefix(const char *prefix)
+{
+    const unsigned char *p = reinterpret_cast<const unsigned char *>(prefix);
+    const size_t len = static_cast<uint32_t>(p[0]) |
+                       static_cast<uint32_t>(p[1]) << 8 |
+                       static_cast<uint32_t>(p[2]) << 16 |
+                       static_cast<uint32_t>(p[3]) << 24;
+    checkFrameSize(len);
+    return len;
+}
+
 } // namespace
 
 bool
 readFrame(const util::Fd &fd, std::string &payload)
 {
-    uint8_t prefix[4];
+    char prefix[4];
     if (!util::readExact(fd, prefix, sizeof(prefix)))
         return false;
-    const uint32_t len = static_cast<uint32_t>(prefix[0]) |
-                         static_cast<uint32_t>(prefix[1]) << 8 |
-                         static_cast<uint32_t>(prefix[2]) << 16 |
-                         static_cast<uint32_t>(prefix[3]) << 24;
-    expect(len <= kMaxFrameBytes, "protocol: frame of ", len,
-           " bytes exceeds the ", kMaxFrameBytes, "-byte cap");
+    const size_t len = decodePrefix(prefix);
     payload.resize(len);
     if (len > 0)
         expect(util::readExact(fd, &payload[0], len),
@@ -82,17 +97,8 @@ readFrame(const util::Fd &fd, std::string &payload)
 void
 writeFrame(const util::Fd &fd, const std::string &payload)
 {
-    expect(payload.size() <= kMaxFrameBytes, "protocol: frame of ",
-           payload.size(), " bytes exceeds the ", kMaxFrameBytes,
-           "-byte cap");
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    uint8_t prefix[4] = {static_cast<uint8_t>(len),
-                         static_cast<uint8_t>(len >> 8),
-                         static_cast<uint8_t>(len >> 16),
-                         static_cast<uint8_t>(len >> 24)};
-    util::writeAll(fd, prefix, sizeof(prefix));
-    if (len > 0)
-        util::writeAll(fd, payload.data(), payload.size());
+    const std::string frame = encodeFrame(payload);
+    util::writeAll(fd, frame.data(), frame.size());
 }
 
 std::string
@@ -106,9 +112,7 @@ encodeFrame(const std::string &payload)
 void
 appendFrame(std::string &out, const std::string &payload)
 {
-    expect(payload.size() <= kMaxFrameBytes, "protocol: frame of ",
-           payload.size(), " bytes exceeds the ", kMaxFrameBytes,
-           "-byte cap");
+    checkFrameSize(payload.size());
     const uint32_t len = static_cast<uint32_t>(payload.size());
     const char prefix[4] = {static_cast<char>(len & 0xff),
                             static_cast<char>((len >> 8) & 0xff),
@@ -137,18 +141,11 @@ FrameDecoder::next(std::string &payload)
     const size_t avail = buffer_.size() - consumed_;
     if (avail < 4)
         return false;
-    const unsigned char *p = reinterpret_cast<const unsigned char *>(
-        buffer_.data() + consumed_);
-    const uint32_t len = static_cast<uint32_t>(p[0]) |
-                         static_cast<uint32_t>(p[1]) << 8 |
-                         static_cast<uint32_t>(p[2]) << 16 |
-                         static_cast<uint32_t>(p[3]) << 24;
-    expect(len <= kMaxFrameBytes, "protocol: frame of ", len,
-           " bytes exceeds the ", kMaxFrameBytes, "-byte cap");
-    if (avail < 4 + static_cast<size_t>(len))
+    const size_t len = decodePrefix(buffer_.data() + consumed_);
+    if (avail < 4 + len)
         return false;
     payload.assign(buffer_, consumed_ + 4, len);
-    consumed_ += 4 + static_cast<size_t>(len);
+    consumed_ += 4 + len;
     if (consumed_ == buffer_.size()) {
         buffer_.clear();
         consumed_ = 0;

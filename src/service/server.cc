@@ -301,12 +301,12 @@ Server::flushWrites(Connection &conn)
         queue_depth_.observe(
             static_cast<double>(conn.out.size() - conn.out_off));
     while (!conn.dead && conn.out_off < conn.out.size()) {
-        const util::ByteRange unsent{conn.out.data() + conn.out_off,
-                                     conn.out.size() - conn.out_off};
         size_t written = 0;
         util::IoStatus status;
         try {
-            status = util::writevSome(conn.fd, &unsent, 1, written);
+            status = util::writeSome(conn.fd, conn.out.data() + conn.out_off,
+                                     conn.out.size() - conn.out_off,
+                                     written);
         } catch (const Error &e) {
             debug("service connection write failed: ", e.what());
             conn.dead = true;

@@ -1,5 +1,6 @@
 #include "service/session_broker.h"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "sim/config.h"
 #include "util/error.h"
 #include "util/number_format.h"
+#include "util/parallel.h"
 
 namespace h2p {
 namespace service {
@@ -498,9 +500,13 @@ SessionBroker::doSweep(const Request &request, const Emit &emit)
            "separated by `---' lines)");
     const sched::Policy policy = policyFromName(request.args[0]);
     core::SweepOptions options;
-    options.workers = request.args.size() == 2
-                          ? parseCount(request.args[1], "worker count")
-                          : 1;
+    // The client's count asks for workers; the host grants at most one
+    // per usable CPU.
+    options.workers = std::min(
+        request.args.size() == 2
+            ? parseCount(request.args[1], "worker count")
+            : size_t{1},
+        util::hardwareThreads());
     options.keep_recorders = false;
     options.cancel = options_.cancel;
     options.obs = options_.obs;
@@ -604,8 +610,8 @@ void
 SessionBroker::doShutdown(const Request &, const Emit &emit)
 {
     emit(Response::okay(), false);
-    if (options_.on_shutdown)
-        options_.on_shutdown();
+    if (on_shutdown_)
+        on_shutdown_();
 }
 
 void

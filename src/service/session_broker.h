@@ -45,9 +45,11 @@
  *   sweep <policy> [workers]      -> streamed: ok point ... per point,
  *                                    then ok done <completed>
  *                                    <quarantined> <cancelled 0|1>
- *                                    body: INI docs split by "---"
+ *                                    body: INI docs split by "---";
+ *                                    workers capped at the usable CPUs
  *   stats                         -> ok <open-sessions> <requests>
- *   shutdown                      -> ok (invokes on_shutdown)
+ *   shutdown                      -> ok (invokes the setOnShutdown
+ *                                    hook)
  *
  * Admission control: at most max_sessions concurrent sessions (open
  * and resume beyond it fail with an error response), and an optional
@@ -104,8 +106,6 @@ struct BrokerOptions
      * service.<verb> span (an unknown verb is counted, not timed).
      */
     obs::Observability *obs = nullptr;
-    /** Invoked when a client issues the shutdown verb. */
-    std::function<void()> on_shutdown;
 };
 
 /** See the file comment. */
@@ -148,7 +148,7 @@ class SessionBroker
      */
     void setOnShutdown(std::function<void()> on_shutdown)
     {
-        options_.on_shutdown = std::move(on_shutdown);
+        on_shutdown_ = std::move(on_shutdown);
     }
 
   private:
@@ -208,6 +208,8 @@ class SessionBroker
     LockedTwin admit(const std::string &ini_text, const StartFn &start);
 
     BrokerOptions options_;
+    /** Invoked when a client issues the shutdown verb. */
+    std::function<void()> on_shutdown_;
     /** Every verb handle() dispatches, each named once. */
     std::array<Verb, 12> verbs_;
     /** Requests handled since construction (stats verb). */

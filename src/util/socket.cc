@@ -210,22 +210,11 @@ readSome(const Fd &fd, void *buf, size_t n, size_t &got)
 }
 
 IoStatus
-writevSome(const Fd &fd, const ByteRange *bufs, size_t nbufs,
-           size_t &written)
+writeSome(const Fd &fd, const void *buf, size_t n, size_t &written)
 {
     written = 0;
-    constexpr size_t kMaxIov = 16;
-    iovec iov[kMaxIov];
-    const size_t count = nbufs < kMaxIov ? nbufs : kMaxIov;
-    for (size_t i = 0; i < count; ++i) {
-        iov[i].iov_base = const_cast<void *>(bufs[i].data);
-        iov[i].iov_len = bufs[i].size;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = count;
     for (;;) {
-        ssize_t rc = ::sendmsg(fd.get(), &msg, MSG_NOSIGNAL);
+        ssize_t rc = ::send(fd.get(), buf, n, MSG_NOSIGNAL);
         if (rc >= 0) {
             written = static_cast<size_t>(rc);
             return IoStatus::Ok;

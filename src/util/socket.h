@@ -122,21 +122,14 @@ enum class IoStatus
  */
 IoStatus readSome(const Fd &fd, void *buf, size_t n, size_t &got);
 
-/** One gather-write segment (bytes are borrowed, not copied). */
-struct ByteRange
-{
-    const void *data = nullptr;
-    size_t size = 0;
-};
-
 /**
- * Vectored non-blocking write of @p bufs (sent with MSG_NOSIGNAL so
- * a vanished peer surfaces as PeerClosed, not SIGPIPE). On Ok,
- * @p written is the number of bytes accepted (may be short); on
- * WouldBlock/PeerClosed it is 0. Hard errors throw.
+ * Write up to @p n bytes of @p buf to a non-blocking fd (sent with
+ * MSG_NOSIGNAL so a vanished peer surfaces as PeerClosed, not
+ * SIGPIPE). On Ok, @p written is the number of bytes accepted (may be
+ * short); on WouldBlock/PeerClosed it is 0. Hard errors throw.
  */
-IoStatus writevSome(const Fd &fd, const ByteRange *bufs, size_t nbufs,
-                    size_t &written);
+IoStatus writeSome(const Fd &fd, const void *buf, size_t n,
+                   size_t &written);
 
 /**
  * A level-triggered epoll instance. Registered fds carry an opaque

@@ -33,13 +33,6 @@ litresPerHourToKgPerSec(double lph)
     return lph / kSecondsPerHour;
 }
 
-/** Convert kg/s of water back to litres/hour. */
-constexpr double
-kgPerSecToLitresPerHour(double kgps)
-{
-    return kgps * kSecondsPerHour;
-}
-
 /** Convert degrees Celsius to Kelvin. */
 constexpr double
 celsiusToKelvin(double c)
@@ -47,25 +40,11 @@ celsiusToKelvin(double c)
     return c + 273.15;
 }
 
-/** Convert Kelvin to degrees Celsius. */
-constexpr double
-kelvinToCelsius(double k)
-{
-    return k - 273.15;
-}
-
 /** Convert joules to kilowatt-hours. */
 constexpr double
 joulesToKwh(double joules)
 {
     return joules / 3.6e6;
-}
-
-/** Convert kilowatt-hours to joules. */
-constexpr double
-kwhToJoules(double kwh)
-{
-    return kwh * 3.6e6;
 }
 
 /**

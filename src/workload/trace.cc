@@ -50,16 +50,6 @@ UtilizationTrace::stepInto(size_t s, std::vector<double> &out) const
 }
 
 double
-UtilizationTrace::meanAt(size_t s) const
-{
-    const auto &row = step(s);
-    double sum = 0.0;
-    for (double u : row)
-        sum += u;
-    return sum / static_cast<double>(row.size());
-}
-
-double
 UtilizationTrace::volatility() const
 {
     if (data_.size() < 2)

@@ -66,9 +66,6 @@ class UtilizationTrace
      */
     void stepInto(size_t s, std::vector<double> &out) const;
 
-    /** Cluster-mean utilization at step @p s. */
-    double meanAt(size_t s) const;
-
     /**
      * Mean absolute step-to-step change of per-server utilization —
      * the "volatility" separating drastic from common traces.

@@ -510,5 +510,21 @@ TEST(ConfigIoTest, RejectsQuantumFinerThanDecisionTable)
     EXPECT_THROW(core::H2PSystem{cfg}, Error);
 }
 
+TEST(ConfigIoTest, RejectsWidenedTsafeAtOrBelowColdSource)
+{
+    // Safe mode's WidenMargin plans at T_safe - margin = 19 C, below
+    // the 20 C cold source: the system refuses to build rather than
+    // fail at its first widened step. With safe mode off only T_safe
+    // itself is planned at, and it is above the cold source.
+    std::stringstream ss("[datacenter]\nnum_servers = 40\n"
+                         "cold_source_c = 20\n"
+                         "[optimizer]\nt_safe_c = 25\n"
+                         "[safe_mode]\nenabled = 1\nmargin_c = 6\n");
+    core::H2PConfig cfg = core::configFromIni(sim::Config::parse(ss));
+    EXPECT_THROW(core::H2PSystem{cfg}, Error);
+    cfg.safe_mode.enabled = false;
+    EXPECT_NO_THROW(core::H2PSystem{cfg});
+}
+
 } // namespace
 } // namespace h2p

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "econ/npv.h"
+#include "tests/support/aggregates.h"
 #include "util/error.h"
 #include "workload/jobs.h"
 
@@ -114,10 +115,10 @@ TEST(JobSimTest, FirstFitConcentratesLeastLoadedSpreads)
                            7200.0, 300.0, r2);
     // Compare the spread (max - mean) of the final step.
     size_t last = ff.trace.numSteps() - 1;
-    double ff_spread =
-        std::ranges::max(ff.trace.step(last)) - ff.trace.meanAt(last);
-    double ll_spread =
-        std::ranges::max(ll.trace.step(last)) - ll.trace.meanAt(last);
+    double ff_spread = std::ranges::max(ff.trace.step(last)) -
+                       test::mean(ff.trace.step(last));
+    double ll_spread = std::ranges::max(ll.trace.step(last)) -
+                       test::mean(ll.trace.step(last));
     EXPECT_GT(ff_spread, ll_spread);
 }
 

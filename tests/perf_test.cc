@@ -108,24 +108,22 @@ TEST(ParallelIdentityTest, EvaluateIntoReusesStateAcrossCalls)
 struct CacheFixture : ::testing::Test
 {
     static constexpr double kCold = 20.0;
+    static constexpr double kQuantum = 1e-3;
 
     CacheFixture() : server(), space(server), teg(12) {}
 
-    /** A fresh decision table of quantum 1e-3 for default params. */
-    std::shared_ptr<sched::DecisionTable> privateTable() const
-    {
-        return std::make_shared<sched::DecisionTable>(
-            space, teg, sched::OptimizerParams{}.band_c, kCold, 1e-3);
-    }
-
     cluster::Server server;
+    /**
+     * Not LookupSpaceCache's, so every optimizer over it has decision
+     * tables of its own.
+     */
     sched::LookupSpace space;
     thermal::TegModule teg;
 };
 
 TEST_F(CacheFixture, CachedEqualsUncachedAtQuantizedUtil)
 {
-    sched::CoolingOptimizer cached(space, teg, kCold, {}, privateTable());
+    sched::CoolingOptimizer cached(space, teg, kCold, {}, 0.0, kQuantum);
     sched::CoolingOptimizer exact(space, teg, kCold); // no table: exact
 
     for (double u :
@@ -144,7 +142,7 @@ TEST_F(CacheFixture, CachedEqualsUncachedAtQuantizedUtil)
 
 TEST_F(CacheFixture, RepeatedCallsHitTheCache)
 {
-    sched::CoolingOptimizer opt(space, teg, kCold, {}, privateTable());
+    sched::CoolingOptimizer opt(space, teg, kCold, {}, 0.0, kQuantum);
     EXPECT_EQ(opt.cacheHits(), 0u);
 
     sched::OptimizerResult first = opt.choose(0.42);
@@ -162,7 +160,7 @@ TEST_F(CacheFixture, RepeatedCallsHitTheCache)
     EXPECT_EQ(opt.cacheHits(), 6u);
 
     // A fresh optimizer on a private table remembers nothing.
-    sched::CoolingOptimizer fresh(space, teg, kCold, {}, privateTable());
+    sched::CoolingOptimizer fresh(space, teg, kCold, {}, 0.0, kQuantum);
     EXPECT_EQ(fresh.cacheSize(), 0u);
     fresh.choose(0.42);
     EXPECT_EQ(fresh.cacheHits(), 0u);
@@ -173,16 +171,17 @@ TEST_F(CacheFixture, RepeatedCallsHitTheCache)
 TEST_F(CacheFixture, TsafeOverrideKeyedSeparately)
 {
     const sched::OptimizerParams p;
-    sched::CoolingOptimizer opt(space, teg, kCold, p, privateTable());
+    using sched::SafeModeAction;
+    sched::CoolingOptimizer opt(space, teg, kCold, p, 5.0, kQuantum);
 
     sched::OptimizerResult normal = opt.choose(0.5);
     sched::OptimizerResult widened =
-        opt.choose(0.5, p.t_safe_c - 5.0);
-    // Different T_safe entries must not collide in the cache.
+        opt.choose(0.5, SafeModeAction::WidenMargin);
+    // The two planning temperatures must not collide in the cache.
     EXPECT_LE(widened.t_cpu_c, normal.t_cpu_c + 1e-9);
     sched::OptimizerResult normal2 = opt.choose(0.5);
     sched::OptimizerResult widened2 =
-        opt.choose(0.5, p.t_safe_c - 5.0);
+        opt.choose(0.5, SafeModeAction::WidenMargin);
     EXPECT_DOUBLE_EQ(normal2.setting.t_in_c, normal.setting.t_in_c);
     EXPECT_DOUBLE_EQ(widened2.setting.t_in_c, widened.setting.t_in_c);
     EXPECT_EQ(opt.cacheSize(), 2u);
@@ -271,11 +270,13 @@ TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
     size_t tiers[3] = {0, 0, 0};
     for (const sched::OptimizerParams &p :
          {sched::OptimizerParams{}, zero_band}) {
-        sched::CoolingOptimizer opt(space, teg, kCold, p); // cache off
         for (double margin : {0.0, 5.0, 40.0}) {
+            // Cache off; WidenMargin plans at T_safe - margin.
+            sched::CoolingOptimizer opt(space, teg, kCold, p, margin);
             const double t_safe = p.t_safe_c - margin;
             for (double u = 0.0; u <= 1.0; u += 0.07) {
-                sched::OptimizerResult got = opt.choose(u, t_safe);
+                sched::OptimizerResult got =
+                    opt.choose(u, sched::SafeModeAction::WidenMargin);
                 sched::OptimizerResult want = reference(p, u, t_safe);
                 EXPECT_TRUE(sameBits(got.setting.t_in_c,
                                      want.setting.t_in_c))

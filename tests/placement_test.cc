@@ -11,6 +11,7 @@
 #include "sched/placement.h"
 #include "stats/bootstrap.h"
 #include "stats/summary.h"
+#include "tests/support/aggregates.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -74,17 +75,17 @@ TEST(PlacementTest, SnakeLowersMeanGroupMaxVsCluster)
     // clustering only for the hot group, so the *worst* group max is
     // equal but the mean differs in favour of clustering's cool
     // groups.
-    EXPECT_DOUBLE_EQ(sched::worstGroupMax(snake, 10),
-                     sched::worstGroupMax(cluster, 10));
-    EXPECT_GT(sched::meanGroupMax(snake, 10),
-              sched::meanGroupMax(cluster, 10));
+    EXPECT_DOUBLE_EQ(test::worstGroupMax(snake, 10),
+                     test::worstGroupMax(cluster, 10));
+    EXPECT_GT(test::meanGroupMax(snake, 10),
+              test::meanGroupMax(cluster, 10));
 }
 
 TEST(PlacementTest, GroupMaxHelpers)
 {
     std::vector<double> utils{0.1, 0.9, 0.5, 0.2};
-    EXPECT_DOUBLE_EQ(sched::worstGroupMax(utils, 2), 0.9);
-    EXPECT_DOUBLE_EQ(sched::meanGroupMax(utils, 2),
+    EXPECT_DOUBLE_EQ(test::worstGroupMax(utils, 2), 0.9);
+    EXPECT_DOUBLE_EQ(test::meanGroupMax(utils, 2),
                      (0.9 + 0.5) / 2.0);
 }
 
@@ -93,14 +94,14 @@ TEST(PlacementTest, GroupSizeLargerThanSetIsOneGroup)
     std::vector<double> utils{0.4, 0.6};
     auto placed = sched::placeSnake(utils, 10);
     EXPECT_EQ(sortedCopy(placed), sortedCopy(utils));
-    EXPECT_DOUBLE_EQ(sched::worstGroupMax(utils, 10), 0.6);
+    EXPECT_DOUBLE_EQ(test::worstGroupMax(utils, 10), 0.6);
 }
 
 TEST(PlacementTest, RejectsMisuse)
 {
     EXPECT_THROW(sched::placeSnake({}, 2), Error);
     EXPECT_THROW(sched::placeSnake({0.5}, 0), Error);
-    EXPECT_THROW(sched::worstGroupMax({}, 2), Error);
+    EXPECT_THROW(sched::placeHotCluster({}, 2), Error);
 }
 
 // -------------------------------------------------------------- bootstrap

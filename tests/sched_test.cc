@@ -21,6 +21,7 @@
 #include "control/stages.h"
 #include "sched/circulation_design.h"
 #include "sched/cooling_optimizer.h"
+#include "sched/lookup_cache.h"
 #include "sched/lookup_space.h"
 #include "tests/support/mutate.h"
 #include "util/error.h"
@@ -40,6 +41,16 @@ bool
 sameBits(double a, double b)
 {
     return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/** Every grid point of the slice u = @p util, in visiting order. */
+std::vector<LookupPoint>
+sliceOf(const LookupSpace &space, double util)
+{
+    std::vector<LookupPoint> points;
+    space.forEachInSlice(util,
+                         [&](const LookupPoint &p) { points.push_back(p); });
+    return points;
 }
 
 // ---------------------------------------------------------- lookup space
@@ -78,7 +89,7 @@ TEST(LookupSpaceTest, ExactOnGridPoints)
 TEST(LookupSpaceTest, SliceEnumeratesFullPlane)
 {
     LookupSpace space(defaultServer());
-    auto pts = space.slice(0.4);
+    auto pts = sliceOf(space, 0.4);
     EXPECT_EQ(pts.size(), space.params().flow_points *
                               space.params().tin_points);
     for (const auto &p : pts)
@@ -98,7 +109,7 @@ TEST(LookupSpaceTest, NumPointsMatchesAxes)
 TEST(LookupSpaceTest, OutletTempAboveInlet)
 {
     LookupSpace space(defaultServer());
-    for (const auto &p : space.slice(0.6))
+    for (const auto &p : sliceOf(space, 0.6))
         EXPECT_GT(p.t_out_c, p.t_in_c);
 }
 
@@ -114,7 +125,6 @@ TEST(LookupSpaceTest, RejectsNonFiniteQueries)
     LookupSpace space(defaultServer());
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(space.slice(nan), Error);
     EXPECT_THROW(space.forEachInSlice(nan, [](const LookupPoint &) {}),
                  Error);
     EXPECT_THROW(space.cpuTemp(nan, 50.0, 40.0), Error);
@@ -129,8 +139,8 @@ TEST(LookupSpaceTest, RejectsNonFiniteQueries)
                          space.cpuTemp(1.0, 10.0, 55.0)));
     EXPECT_TRUE(sameBits(space.outletTemp(-inf, inf, -inf),
                          space.outletTemp(0.0, 100.0, 20.0)));
-    std::vector<LookupPoint> hot = space.slice(inf);
-    std::vector<LookupPoint> top = space.slice(1.0);
+    std::vector<LookupPoint> hot = sliceOf(space, inf);
+    std::vector<LookupPoint> top = sliceOf(space, 1.0);
     ASSERT_EQ(hot.size(), top.size());
     for (size_t n = 0; n < hot.size(); ++n) {
         EXPECT_TRUE(sameBits(hot[n].t_cpu_c, top[n].t_cpu_c)) << n;
@@ -463,7 +473,7 @@ TEST_F(OptFixture, FallbackWhenBandUnreachable)
     // Empty band with everything "safe": pick warmest -> highest
     // power; it must equal the global max over the slice.
     double best = 0.0;
-    for (const auto &p : space.slice(0.5)) {
+    for (const auto &p : sliceOf(space, 0.5)) {
         best = std::max(best, teg.powerFromTemps(p.t_out_c, 20.0,
                                                  p.flow_lph));
     }
@@ -480,7 +490,7 @@ TEST_F(OptFixture, MaxCoolingWhenNothingSafe)
     EXPECT_TRUE(r.fallback);
     // Must pick the coldest achievable die temperature.
     double coldest = 1e9;
-    for (const auto &p : space.slice(1.0))
+    for (const auto &p : sliceOf(space, 1.0))
         coldest = std::min(coldest, p.t_cpu_c);
     EXPECT_NEAR(r.t_cpu_c, coldest, 1e-9);
 }
@@ -493,9 +503,10 @@ TEST_F(OptFixture, RejectsOutOfRangePlanUtil)
 
 TEST_F(OptFixture, TsafeOverrideMatchesDefaultAtDefault)
 {
+    // With no margin (safe mode off) WidenMargin plans at T_safe.
     for (double u : {0.1, 0.5, 0.9}) {
         OptimizerResult a = opt.choose(u);
-        OptimizerResult b = opt.choose(u, opt.params().t_safe_c);
+        OptimizerResult b = opt.choose(u, SafeModeAction::WidenMargin);
         EXPECT_DOUBLE_EQ(a.setting.t_in_c, b.setting.t_in_c) << u;
         EXPECT_DOUBLE_EQ(a.setting.flow_lph, b.setting.flow_lph) << u;
         EXPECT_DOUBLE_EQ(a.teg_power_w, b.teg_power_w) << u;
@@ -507,9 +518,10 @@ TEST_F(OptFixture, WidenedMarginPlansColder)
 {
     // Planning against a lowered T_safe (degraded-mode WidenMargin)
     // must not pick a hotter die than the normal plan.
-    OptimizerResult normal = opt.choose(0.5);
+    CoolingOptimizer guarded(space, teg, 20.0, {}, 5.0);
+    OptimizerResult normal = guarded.choose(0.5);
     OptimizerResult widened =
-        opt.choose(0.5, opt.params().t_safe_c - 5.0);
+        guarded.choose(0.5, SafeModeAction::WidenMargin);
     EXPECT_LE(widened.t_cpu_c, normal.t_cpu_c + 1e-9);
     EXPECT_LE(widened.teg_power_w, normal.teg_power_w + 1e-9);
 }
@@ -523,7 +535,7 @@ TEST_F(OptFixture, ColdestFallbackIsColdestInletHighestFlow)
     EXPECT_DOUBLE_EQ(r.setting.t_in_c, lp.tin_min_c);
     EXPECT_DOUBLE_EQ(r.setting.flow_lph, lp.flow_max_lph);
     // Nothing in the slice runs a colder die.
-    for (const auto &p : space.slice(0.7))
+    for (const auto &p : sliceOf(space, 0.7))
         EXPECT_GE(p.t_cpu_c, r.t_cpu_c - 1e-9);
 }
 
@@ -532,24 +544,31 @@ TEST_F(OptFixture, ColdestFallbackIsColdestInletHighestFlow)
 struct CacheFixture : ::testing::Test
 {
     static constexpr double kCold = 20.0;
+    static constexpr double kQuantum = 1e-3;
 
-    CacheFixture() : server(), space(server), teg(12)
+    CacheFixture()
+        : server(), space(server), teg(12),
+          opt(std::make_unique<CoolingOptimizer>(space, teg, kCold, params,
+                                                 0.0, kQuantum))
     {
-        opt = std::make_unique<CoolingOptimizer>(space, teg, kCold, params,
-                                                 tableFor(params));
     }
 
-    /** A fresh decision table of quantum 1e-3 for @p p's band. */
-    std::shared_ptr<DecisionTable> tableFor(const OptimizerParams &p) const
+    /**
+     * The process-wide cache's space for the default server: the
+     * optimizers over it share their decision tables.
+     */
+    static std::shared_ptr<const LookupSpace> sharedSpace()
     {
-        return std::make_shared<DecisionTable>(space, teg, p.band_c, kCold,
-                                               1e-3);
+        LookupSpaceCache::instance().clear();
+        return LookupSpaceCache::instance().acquire(cluster::ServerParams{},
+                                                    LookupSpaceParams{});
     }
 
     cluster::Server server;
     LookupSpace space;
     thermal::TegModule teg;
     OptimizerParams params;
+    /** Over a space of its own, so its tables are private. */
     std::unique_ptr<CoolingOptimizer> opt;
 };
 
@@ -569,30 +588,32 @@ TEST_F(CacheFixture, HitsAndMissesAreCounted)
 
 TEST_F(CacheFixture, RetuningTsafeDropsMemoizedDecisions)
 {
-    // A table is T_safe-agnostic: an optimizer at another T_safe may
-    // share it, but the memoized decision for (util, old T_safe) must
-    // not leak into its plans.
+    // T_safe is part of a table's identity: an optimizer at another
+    // T_safe gets another table, so the memoized decision for (util,
+    // old T_safe) cannot leak into its plans.
     OptimizerResult before = opt->choose(0.5);
     EXPECT_GT(opt->cacheSize(), 0u);
 
     OptimizerParams colder = params;
     colder.t_safe_c = params.t_safe_c - 5.0;
-    auto shared = tableFor(params);
-    CoolingOptimizer first(space, teg, kCold, params, shared);
+    auto shared = sharedSpace();
+    CoolingOptimizer first(*shared, teg, kCold, params, 0.0, kQuantum);
     first.choose(0.5);
-    CoolingOptimizer retuned(space, teg, kCold, colder, shared);
+    CoolingOptimizer retuned(*shared, teg, kCold, colder, 0.0, kQuantum);
     OptimizerResult after = retuned.choose(0.5);
     EXPECT_EQ(retuned.cacheHits(), 0u);
+    EXPECT_EQ(retuned.cacheMisses(), 1u);
     // A 5 C colder target must actually change the decision ...
     EXPECT_LT(after.t_cpu_c, before.t_cpu_c);
     // ... and it must equal what a fresh optimizer at the new T_safe
     // computes (i.e. no stale state of any kind).
-    CoolingOptimizer fresh(space, teg, kCold, colder, tableFor(colder));
+    CoolingOptimizer fresh(space, teg, kCold, colder, 0.0, kQuantum);
     OptimizerResult expected = fresh.choose(0.5);
     EXPECT_DOUBLE_EQ(after.setting.t_in_c, expected.setting.t_in_c);
     EXPECT_DOUBLE_EQ(after.setting.flow_lph,
                      expected.setting.flow_lph);
     EXPECT_DOUBLE_EQ(after.teg_power_w, expected.teg_power_w);
+    LookupSpaceCache::instance().clear();
 }
 
 TEST_F(CacheFixture, RetuningBandDropsMemoizedDecisions)
@@ -600,22 +621,24 @@ TEST_F(CacheFixture, RetuningBandDropsMemoizedDecisions)
     // band_c is part of a table's identity: an optimizer with a wider
     // band may not read decisions filtered by the narrower one, and on
     // its own table it plans like an uncached optimizer.
-    opt->choose(0.5);
-    EXPECT_GT(opt->cacheSize(), 0u);
+    auto shared = sharedSpace();
+    CoolingOptimizer narrow(*shared, teg, kCold, params, 0.0, kQuantum);
+    narrow.choose(0.5);
+    EXPECT_GT(narrow.cacheSize(), 0u);
     OptimizerParams wider = params;
     wider.band_c = params.band_c * 3.0;
-    EXPECT_THROW(
-        CoolingOptimizer(space, teg, kCold, wider, tableFor(params)),
-        Error);
 
-    CoolingOptimizer retuned(space, teg, kCold, wider, tableFor(wider));
+    CoolingOptimizer retuned(*shared, teg, kCold, wider, 0.0, kQuantum);
+    EXPECT_EQ(retuned.cacheSize(), 0u);
     retuned.choose(0.5);
-    CoolingOptimizer fresh(space, teg, kCold, wider, tableFor(wider));
+    EXPECT_EQ(retuned.cacheMisses(), 1u);
+    CoolingOptimizer fresh(space, teg, kCold, wider, 0.0, kQuantum);
     OptimizerResult after = retuned.choose(0.5);
     OptimizerResult expected = fresh.choose(0.5);
     EXPECT_EQ(retuned.cacheHits(), 1u);
     EXPECT_DOUBLE_EQ(after.setting.t_in_c, expected.setting.t_in_c);
     EXPECT_EQ(after.candidates, expected.candidates);
+    LookupSpaceCache::instance().clear();
 }
 
 TEST(CoolingOptimizerTest, RejectsQuantumFinerThanDecisionTable)
@@ -627,9 +650,11 @@ TEST(CoolingOptimizerTest, RejectsQuantumFinerThanDecisionTable)
     LookupSpace space(server);
     thermal::TegModule teg(12);
     for (double q : {1e-300, 1e-6, 1.0 / 65536.0, 0.0})
-        EXPECT_THROW(DecisionTable(space, teg, 1.0, 20.0, q), Error) << q;
+        EXPECT_THROW(DecisionTable(space, teg, 1.0, 20.0, 63.0, q), Error)
+            << q;
     for (double q : {1e-3, 1.0})
-        EXPECT_NO_THROW(DecisionTable(space, teg, 1.0, 20.0, q)) << q;
+        EXPECT_NO_THROW(DecisionTable(space, teg, 1.0, 20.0, 63.0, q))
+            << q;
 }
 
 TEST(CoolingOptimizerTest, RejectsTsafeAtOrBelowColdSource)
@@ -642,51 +667,54 @@ TEST(CoolingOptimizerTest, RejectsTsafeAtOrBelowColdSource)
     OptimizerParams negative_band;
     negative_band.band_c = -1.0;
     EXPECT_THROW(CoolingOptimizer(space, teg, 20.0, negative_band), Error);
-    CoolingOptimizer opt(space, teg, 20.0, p);
-    EXPECT_THROW(opt.choose(0.5, 20.0), Error);
-    EXPECT_NO_THROW(opt.choose(0.5, 21.0));
+    // The WidenMargin temperature, T_safe - margin, is checked too.
+    EXPECT_THROW(CoolingOptimizer(space, teg, 20.0, p, p.t_safe_c - 20.0),
+                 Error);
+    EXPECT_THROW(CoolingOptimizer(space, teg, 20.0, p, -1.0), Error);
+    CoolingOptimizer opt(space, teg, 20.0, p, p.t_safe_c - 21.0);
+    EXPECT_NO_THROW(opt.choose(0.5, SafeModeAction::WidenMargin));
 }
 
 // --------------------------------------------------------- decision table
 
 TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
 {
-    // Four threads race to fill one shared table over random
-    // utilizations at two T_safe values (normal and safe-mode
+    // Four threads race to fill the shared tables over random
+    // utilizations at both planning temperatures (normal and safe-mode
     // widened); every decision, whether computed, published or read
     // back, must be the private-table optimizer's bit for bit.
     cluster::Server server;
     LookupSpace space(server);
+    LookupSpaceCache::instance().clear();
+    std::shared_ptr<const LookupSpace> shared =
+        LookupSpaceCache::instance().acquire(server.params(),
+                                             LookupSpaceParams{});
     thermal::TegModule teg(12);
     OptimizerParams params;
-    const double cold = 20.0;
-    const double t_safes[2] = {params.t_safe_c, params.t_safe_c - 3.0};
-    auto table = [&] {
-        return std::make_shared<DecisionTable>(space, teg, params.band_c,
-                                               cold, 1e-3);
-    };
-    auto shared = table();
+    const double cold = 20.0, margin = 3.0, q = 1e-3;
+    const SafeModeAction actions[2] = {SafeModeAction::Normal,
+                                       SafeModeAction::WidenMargin};
 
     constexpr size_t kThreads = 4;
     constexpr size_t kCalls = 1500;
     struct Call
     {
         double util;
-        double t_safe;
+        SafeModeAction action;
         OptimizerResult result;
     };
     std::vector<std::vector<Call>> calls(kThreads);
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            CoolingOptimizer opt(space, teg, cold, params, shared);
+            CoolingOptimizer opt(*shared, teg, cold, params, margin, q);
             std::mt19937_64 rng(100 + t);
             std::uniform_real_distribution<double> util(0.0, 1.0);
             for (size_t i = 0; i < kCalls; ++i) {
                 Call c;
                 c.util = util(rng);
-                c.t_safe = t_safes[rng() % 2];
-                c.result = opt.choose(c.util, c.t_safe);
+                c.action = actions[rng() % 2];
+                c.result = opt.choose(c.util, c.action);
                 calls[t].push_back(c);
             }
         });
@@ -694,11 +722,12 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
     for (std::thread &th : threads)
         th.join();
 
-    CoolingOptimizer reference(space, teg, cold, params, table());
+    // Over a space the cache does not hold: private tables.
+    CoolingOptimizer reference(space, teg, cold, params, margin, q);
     size_t checked = 0;
     for (const std::vector<Call> &thread_calls : calls)
         for (const Call &c : thread_calls) {
-            OptimizerResult want = reference.choose(c.util, c.t_safe);
+            OptimizerResult want = reference.choose(c.util, c.action);
             EXPECT_TRUE(sameBits(c.result.setting.t_in_c,
                                  want.setting.t_in_c) &&
                         sameBits(c.result.setting.flow_lph,
@@ -707,21 +736,26 @@ TEST(DecisionTableTest, ConcurrentFillMatchesPrivateSearch)
                         sameBits(c.result.t_cpu_c, want.t_cpu_c) &&
                         c.result.candidates == want.candidates &&
                         c.result.fallback == want.fallback)
-                << "u=" << c.util << " t_safe=" << c.t_safe;
+                << "u=" << c.util << " action="
+                << static_cast<int>(c.action);
             ++checked;
         }
     EXPECT_EQ(checked, kThreads * kCalls);
-    // The shared table now holds every decision the reference made.
-    EXPECT_EQ(shared->size(), reference.cacheSize());
+    // The shared tables now hold every decision the reference made.
+    CoolingOptimizer reader(*shared, teg, cold, params, margin, q);
+    EXPECT_EQ(reader.cacheSize(), reference.cacheSize());
+    LookupSpaceCache::instance().clear();
 }
 
 TEST(DecisionTableTest, FingerprintCoversEveryDecisionInput)
 {
     const thermal::TegModule teg(12);
-    const double band = 1.0, cold = 20.0, q = 1e-3;
-    const uint64_t base = DecisionTable::fingerprint(teg, band, cold, q);
+    const double band = 1.0, cold = 20.0, t_safe = 63.0, q = 1e-3;
+    const uint64_t base =
+        DecisionTable::fingerprint(teg, band, cold, t_safe, q);
     auto keyed = [&](const thermal::TegModule &other) {
-        return DecisionTable::fingerprint(other, band, cold, q) != base;
+        return DecisionTable::fingerprint(other, band, cold, t_safe, q) !=
+               base;
     };
 
     EXPECT_TRUE(keyed(thermal::TegModule(13)));
@@ -739,9 +773,14 @@ TEST(DecisionTableTest, FingerprintCoversEveryDecisionInput)
             ++fields;
         });
     EXPECT_EQ(fields, 8u + 3u);
-    EXPECT_NE(DecisionTable::fingerprint(teg, band + 1.0, cold, q), base);
-    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold + 1.0, q), base);
-    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold, 2e-3), base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band + 1.0, cold, t_safe, q),
+              base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold + 1.0, t_safe, q),
+              base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold, t_safe - 3.0, q),
+              base);
+    EXPECT_NE(DecisionTable::fingerprint(teg, band, cold, t_safe, 2e-3),
+              base);
 }
 
 TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
@@ -750,26 +789,18 @@ TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
     LookupSpace space(server);
     LookupSpace other(server);
     thermal::TegModule teg(12);
-    OptimizerParams params;
-    const double cold = 20.0;
-    auto table = std::make_shared<DecisionTable>(space, teg, params.band_c,
-                                                 cold, 1e-3);
-    EXPECT_NO_THROW(CoolingOptimizer(space, teg, cold, params, table));
-
-    // T_safe selects an array, so it does not change the identity.
-    OptimizerParams hotter = params;
-    hotter.t_safe_c += 4.0;
-    EXPECT_NO_THROW(CoolingOptimizer(space, teg, cold, hotter, table));
-
-    OptimizerParams wider = params;
-    wider.band_c *= 2.0;
     thermal::TegModule shorter(10);
-    EXPECT_THROW(CoolingOptimizer(other, teg, cold, params, table), Error);
-    EXPECT_THROW(CoolingOptimizer(space, shorter, cold, params, table),
-                 Error);
-    EXPECT_THROW(CoolingOptimizer(space, teg, cold, wider, table), Error);
-    EXPECT_THROW(CoolingOptimizer(space, teg, cold + 5.0, params, table),
-                 Error);
+    const double band = 1.0, cold = 20.0, t_safe = 63.0;
+    DecisionTable table(space, teg, band, cold, t_safe, 1e-3);
+    EXPECT_TRUE(table.serves(space, teg, band, cold, t_safe));
+
+    EXPECT_FALSE(table.serves(other, teg, band, cold, t_safe));
+    EXPECT_FALSE(table.serves(space, shorter, band, cold, t_safe));
+    EXPECT_FALSE(table.serves(space, teg, band * 2.0, cold, t_safe));
+    EXPECT_FALSE(table.serves(space, teg, band, cold + 5.0, t_safe));
+    // The planning temperature is part of the identity.
+    EXPECT_FALSE(table.serves(space, teg, band, cold, t_safe + 4.0));
+    EXPECT_FALSE(table.serves(space, teg, band, cold, t_safe - 3.0));
 }
 
 // -------------------------------------------------------------- scheduler
@@ -780,6 +811,9 @@ TEST(DecisionTableTest, ServesOnlyItsOwnConfiguration)
  */
 struct SchedFixture : ::testing::Test
 {
+    /** How far below T_safe a WidenMargin circulation plans, C. */
+    static constexpr double kMargin = 5.0;
+
     SchedFixture()
     {
         params.num_servers = 8;
@@ -788,8 +822,8 @@ struct SchedFixture : ::testing::Test
         server = std::make_unique<cluster::Server>(params.server);
         space = std::make_unique<LookupSpace>(*server);
         teg = std::make_unique<thermal::TegModule>(12);
-        opt = std::make_unique<CoolingOptimizer>(*space, *teg,
-                                                 params.cold_source_c);
+        opt = std::make_unique<CoolingOptimizer>(
+            *space, *teg, params.cold_source_c, OptimizerParams{}, kMargin);
         factory = std::make_unique<control::PipelineFactory>(
             *dc, *opt, control::BalancerParams{}, opt->params().t_safe_c);
     }
@@ -798,14 +832,13 @@ struct SchedFixture : ::testing::Test
      *  when @p actions is empty). */
     ScheduleDecision decide(Policy policy,
                             const std::vector<double> &utils,
-                            const std::vector<SafeModeAction> &actions = {},
-                            double margin_c = 0.0) const
+                            const std::vector<SafeModeAction> &actions = {})
+        const
     {
         control::ControlContext ctx;
         ctx.dc = dc.get();
         ctx.utils = &utils;
         ctx.actions = actions.empty() ? nullptr : &actions;
-        ctx.margin_c = margin_c;
         ScheduleDecision d;
         factory->make(policy)->run(ctx, d);
         return d;
@@ -863,7 +896,7 @@ TEST_F(SchedFixture, AllNormalActionsReproduceTheDefaultDecision)
     auto plain = decide(Policy::TegLoadBalance, utils);
     auto guarded = decide(
         Policy::TegLoadBalance, utils,
-        std::vector<SafeModeAction>(2, SafeModeAction::Normal), 3.0);
+        std::vector<SafeModeAction>(2, SafeModeAction::Normal));
     for (size_t i = 0; i < 2; ++i) {
         EXPECT_DOUBLE_EQ(plain.settings[i].t_in_c,
                          guarded.settings[i].t_in_c);
@@ -878,11 +911,10 @@ TEST_F(SchedFixture, ColdFallbackOverridesOnlyItsCirculation)
     auto plain = decide(Policy::TegOriginal, utils);
     std::vector<SafeModeAction> actions{SafeModeAction::ColdFallback,
                                         SafeModeAction::Normal};
-    auto d = decide(Policy::TegOriginal, utils, actions, 3.0);
+    auto d = decide(Policy::TegOriginal, utils, actions);
     EXPECT_DOUBLE_EQ(d.settings[0].t_in_c, space->params().tin_min_c);
     EXPECT_DOUBLE_EQ(d.settings[0].flow_lph,
                      space->params().flow_max_lph);
-    EXPECT_TRUE(d.details[0].fallback);
     EXPECT_DOUBLE_EQ(d.settings[1].t_in_c, plain.settings[1].t_in_c);
     EXPECT_DOUBLE_EQ(d.settings[1].flow_lph,
                      plain.settings[1].flow_lph);
@@ -893,10 +925,20 @@ TEST_F(SchedFixture, WidenMarginPlansNoHotter)
     std::vector<double> utils(8, 0.5);
     auto plain = decide(Policy::TegOriginal, utils);
     std::vector<SafeModeAction> actions(2, SafeModeAction::WidenMargin);
-    auto d = decide(Policy::TegOriginal, utils, actions, 5.0);
-    for (size_t i = 0; i < 2; ++i)
-        EXPECT_LE(d.details[i].t_cpu_c,
-                  plain.details[i].t_cpu_c + 1e-9);
+    auto d = decide(Policy::TegOriginal, utils, actions);
+    // Each loop takes the optimizer's plan at T_safe - margin, whose
+    // die runs no hotter than the normal plan's.
+    const OptimizerResult normal = opt->choose(0.5);
+    const OptimizerResult widened =
+        opt->choose(0.5, SafeModeAction::WidenMargin);
+    EXPECT_LE(widened.t_cpu_c, normal.t_cpu_c + 1e-9);
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(sameBits(plain.settings[i].t_in_c,
+                             normal.setting.t_in_c));
+        EXPECT_TRUE(sameBits(d.settings[i].t_in_c, widened.setting.t_in_c));
+        EXPECT_TRUE(sameBits(d.settings[i].flow_lph,
+                             widened.setting.flow_lph));
+    }
 }
 
 // ---------------------------------------------------- circulation design

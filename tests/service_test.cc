@@ -28,6 +28,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -967,6 +968,46 @@ TEST(SessionBroker, SweepPointsSharingATraceMatchInProcessRuns)
         EXPECT_EQ(r.body, want[index]) << "document " << index;
     }
 }
+
+#if defined(__linux__)
+TEST(SessionBroker, SweepWorkersAreCappedAtUsableCpus)
+{
+    // A client's worker count is a request: on a thread narrowed to
+    // one CPU, `sweep original 64` over three documents runs one
+    // worker (it used to start three, one per document). The mask is
+    // restored before any assertion can return.
+    cpu_set_t full;
+    CPU_ZERO(&full);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+    int first_cpu = 0;
+    while (!CPU_ISSET(first_cpu, &full))
+        ++first_cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+
+    obs::ObsParams params;
+    params.enabled = true;
+    obs::Observability obs(params);
+    service::BrokerOptions options;
+    options.obs = &obs;
+    service::SessionBroker broker(options);
+    const std::string body =
+        std::string(kIni) + "---\n" + kIni + "---\n" + kIni;
+    std::vector<service::Response> responses;
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    broker.handle(makeRequest("sweep", {"original", "64"}, body),
+                  [&responses](const service::Response &r, bool) {
+                      responses.push_back(r);
+                  });
+    ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+
+    ASSERT_EQ(responses.size(), 4u);
+    EXPECT_EQ(responses.back().args[0], "done");
+    EXPECT_EQ(responses.back().args[1], "3");
+    EXPECT_EQ(obs.metrics().gaugeValue("sweep.workers"), 1.0);
+}
+#endif
 
 TEST(SessionBroker, SweepRejectsEmptyDocuments)
 {

@@ -8,7 +8,6 @@
 namespace h2p {
 namespace oracle {
 
-using sched::OptimizerResult;
 using sched::Policy;
 using sched::SafeModeAction;
 
@@ -22,20 +21,17 @@ Scheduler::Scheduler(const cluster::Datacenter &dc,
 void
 Scheduler::decideInto(const std::vector<double> &utils,
                       const std::vector<SafeModeAction> &actions,
-                      double margin_c, sched::ScheduleDecision &out) const
+                      sched::ScheduleDecision &out) const
 {
     expect(utils.size() == dc_.numServers(), "expected ",
            dc_.numServers(), " utilizations, got ", utils.size());
     expect(actions.empty() || actions.size() == dc_.numCirculations(),
            "expected ", dc_.numCirculations(), " actions, got ",
            actions.size());
-    expect(margin_c >= 0.0, "margin must be non-negative");
 
     out.utils = utils;
     out.settings.clear();
-    out.details.clear();
     out.settings.reserve(dc_.numCirculations());
-    out.details.reserve(dc_.numCirculations());
 
     size_t offset = 0;
     for (size_t i = 0; i < dc_.numCirculations(); ++i) {
@@ -58,21 +54,7 @@ Scheduler::decideInto(const std::vector<double> &utils,
 
         SafeModeAction action =
             actions.empty() ? SafeModeAction::Normal : actions[i];
-        OptimizerResult res;
-        switch (action) {
-          case SafeModeAction::Normal:
-            res = optimizer_.choose(plan_util);
-            break;
-          case SafeModeAction::WidenMargin:
-            res = optimizer_.choose(
-                plan_util, optimizer_.params().t_safe_c - margin_c);
-            break;
-          case SafeModeAction::ColdFallback:
-            res = optimizer_.coldestFallback(plan_util);
-            break;
-        }
-        out.settings.push_back(res.setting);
-        out.details.push_back(res);
+        out.settings.push_back(optimizer_.choose(plan_util, action).setting);
         offset += n;
     }
 }

@@ -20,7 +20,6 @@
 #include "cluster/datacenter.h"
 #include "sched/cooling_optimizer.h"
 #include "sched/policy.h"
-#include "sched/safe_mode.h"
 
 namespace h2p {
 namespace oracle {
@@ -40,13 +39,12 @@ class Scheduler
 
     /**
      * Decide one interval into @p out. @p actions is empty (all
-     * Normal) or holds one safe-mode action per circulation:
-     * WidenMargin plans at T_safe - margin_c, ColdFallback takes the
-     * coldest/highest-flow setting.
+     * Normal) or holds one safe-mode action per circulation, which
+     * the optimizer plans under (CoolingOptimizer::choose).
      */
     void decideInto(const std::vector<double> &utils,
                     const std::vector<sched::SafeModeAction> &actions,
-                    double margin_c, sched::ScheduleDecision &out) const;
+                    sched::ScheduleDecision &out) const;
 
   private:
     const cluster::Datacenter &dc_;

@@ -7,6 +7,7 @@
  */
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -651,26 +652,55 @@ TEST(SweepTest, DecisionTableIsSharedPerConfiguration)
     cluster::ServerParams server;
     auto space = cache.acquire(server, sched::LookupSpaceParams{});
     thermal::TegModule teg(12);
-    const double band = 1.0, cold = 20.0, q = 1e-3;
+    const double band = 1.0, cold = 20.0, t_safe = 60.0, q = 1e-3;
 
-    // T_safe plays no part: it picks an array inside the table.
-    auto table = cache.decisionTable(*space, teg, band, cold, q);
+    // One table per (inputs, T_safe); another T_safe is another table.
+    auto table = cache.decisionTable(*space, teg, band, cold, t_safe, q);
     ASSERT_NE(table, nullptr);
-    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, q), table);
-    EXPECT_NE(cache.decisionTable(*space, teg, band + 1.0, cold, q),
+    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, t_safe, q),
               table);
-    EXPECT_NE(cache.decisionTable(*space, teg, band, cold, 2e-3), table);
+    EXPECT_NE(cache.decisionTable(*space, teg, band, cold, t_safe - 3.0, q),
+              table);
+    EXPECT_NE(cache.decisionTable(*space, teg, band + 1.0, cold, t_safe, q),
+              table);
+    EXPECT_NE(cache.decisionTable(*space, teg, band, cold, t_safe, 2e-3),
+              table);
+
+    // The widened table of an optimizer at 60 with margin 3 is the
+    // normal table of one at 57: a decision the first makes under
+    // WidenMargin is a hit for the second.
+    sched::OptimizerParams at60;
+    at60.t_safe_c = t_safe;
+    at60.band_c = band;
+    sched::OptimizerParams at57 = at60;
+    at57.t_safe_c = t_safe - 3.0;
+    sched::CoolingOptimizer guarded(*space, teg, cold, at60, 3.0, q);
+    sched::CoolingOptimizer colder(*space, teg, cold, at57, 0.0, q);
+    const sched::OptimizerResult widened =
+        guarded.choose(0.5, sched::SafeModeAction::WidenMargin);
+    EXPECT_EQ(guarded.cacheMisses(), 1u);
+    const sched::OptimizerResult normal = colder.choose(0.5);
+    EXPECT_EQ(colder.cacheHits(), 1u);
+    EXPECT_EQ(colder.cacheMisses(), 0u);
+    auto sameBits = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof(x)) == 0;
+    };
+    EXPECT_TRUE(sameBits(widened.setting.t_in_c, normal.setting.t_in_c));
+    EXPECT_TRUE(sameBits(widened.setting.flow_lph, normal.setting.flow_lph));
 
     // No table with the cache off; an unshared one for a space the
     // cache does not hold; a negative quantum is refused.
-    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, 0.0), nullptr);
-    EXPECT_THROW(cache.decisionTable(*space, teg, band, cold, -q), Error);
+    EXPECT_EQ(cache.decisionTable(*space, teg, band, cold, t_safe, 0.0),
+              nullptr);
+    EXPECT_THROW(cache.decisionTable(*space, teg, band, cold, t_safe, -q),
+                 Error);
     cluster::Server model(server);
     sched::LookupSpace own(model);
-    auto private_table = cache.decisionTable(own, teg, band, cold, q);
+    auto private_table = cache.decisionTable(own, teg, band, cold, t_safe, q);
     ASSERT_NE(private_table, nullptr);
-    EXPECT_NE(cache.decisionTable(own, teg, band, cold, q), private_table);
-    EXPECT_TRUE(private_table->serves(own, teg, band, cold));
+    EXPECT_NE(cache.decisionTable(own, teg, band, cold, t_safe, q),
+              private_table);
+    EXPECT_TRUE(private_table->serves(own, teg, band, cold, t_safe));
 }
 
 // --------------------------------------------- run-level fork-join

@@ -444,19 +444,20 @@ TEST(UnitsTest, FlowConversionRoundTrip)
 {
     double kgps = units::litresPerHourToKgPerSec(3600.0);
     EXPECT_DOUBLE_EQ(kgps, 1.0);
-    EXPECT_DOUBLE_EQ(units::kgPerSecToLitresPerHour(kgps), 3600.0);
+    EXPECT_DOUBLE_EQ(
+        units::litresPerHourToKgPerSec(2.5 * units::kSecondsPerHour), 2.5);
 }
 
 TEST(UnitsTest, TemperatureConversion)
 {
     EXPECT_DOUBLE_EQ(units::celsiusToKelvin(0.0), 273.15);
-    EXPECT_DOUBLE_EQ(units::kelvinToCelsius(373.15), 100.0);
+    EXPECT_DOUBLE_EQ(units::celsiusToKelvin(100.0), 373.15);
 }
 
 TEST(UnitsTest, EnergyConversion)
 {
     EXPECT_DOUBLE_EQ(units::joulesToKwh(3.6e6), 1.0);
-    EXPECT_DOUBLE_EQ(units::kwhToJoules(2.0), 7.2e6);
+    EXPECT_DOUBLE_EQ(units::joulesToKwh(7.2e6), 2.0);
 }
 
 TEST(UnitsTest, StreamCapacitanceRateAt20Lph)

@@ -17,6 +17,7 @@
 #include <sched.h>
 #endif
 
+#include "tests/support/aggregates.h"
 #include "tests/support/trace_gen_reference.h"
 #include "util/parallel.h"
 #include "workload/cpu_power.h"
@@ -105,7 +106,7 @@ TEST(TraceTest, AddAndQuerySteps)
     t.addStep({0.4, 0.5, 0.6});
     EXPECT_EQ(t.numSteps(), 2u);
     EXPECT_DOUBLE_EQ(t.util(1, 2), 0.6);
-    EXPECT_NEAR(t.meanAt(0), 0.2, 1e-12);
+    EXPECT_EQ(t.step(0), (std::vector<double>{0.1, 0.2, 0.3}));
     EXPECT_DOUBLE_EQ(t.duration(), 600.0);
 }
 
@@ -268,7 +269,7 @@ TEST(TraceGenTest, IrregularHasOccasionalHighPeaks)
     double overall = 0.0;
     double peak = 0.0;
     for (size_t s = 0; s < t.numSteps(); ++s) {
-        overall += t.meanAt(s);
+        overall += test::mean(t.step(s));
         peak = std::max(peak, std::ranges::max(t.step(s)));
     }
     overall /= static_cast<double>(t.numSteps());
