@@ -134,7 +134,7 @@ BM_KernelServerScalarUnhoisted(benchmark::State &state)
 BENCHMARK(BM_KernelServerScalarUnhoisted)->Arg(1024);
 
 /**
- * Hoisted SoA block (ServerBlock::evaluate with null fault lanes):
+ * Hoisted SoA block (ServerBlock::evaluate with no faults):
  * coefficients once, then vectorizable passes and the index-ordered
  * closing pass that returns the totals.
  */
@@ -189,6 +189,55 @@ BM_KernelServerBlockBalanced(benchmark::State &state)
                             static_cast<int64_t>(n));
 }
 BENCHMARK(BM_KernelServerBlockBalanced)->Arg(1024);
+
+/**
+ * The same 50-server loops under TEG string faults — one open and
+ * two shorted strings per loop, as a faulted fault-sweep loop carries
+ * — balanced (one utilization per loop: one server's passes, copied,
+ * then per-server derating) and not (distinct utilizations).
+ */
+void
+BM_KernelServerBlockFaulted(benchmark::State &state)
+{
+    cluster::ServerBlock block{cluster::ServerParams{}};
+    const size_t n = static_cast<size_t>(state.range(0));
+    const bool balanced = state.range(1) != 0;
+    constexpr size_t kLoop = 50;
+    std::vector<double> utils(n);
+    for (size_t i = 0; i < n; ++i) {
+        const size_t k = balanced ? i / kLoop * kLoop : i;
+        utils[i] = 0.05 + 0.9 * static_cast<double>(k) /
+                              static_cast<double>(n);
+    }
+    std::vector<uint8_t> open(n, 0);
+    std::vector<size_t> shorted(n, 0);
+    for (size_t offset = 0; offset < n; offset += kLoop) {
+        const size_t m = std::min(kLoop, n - offset);
+        open[offset + 7 % m] = 1;
+        shorted[offset + 19 % m] = 1;
+        shorted[offset + 33 % m] = 2;
+    }
+    cluster::ServerStateBlock out;
+    out.resize(n);
+    for (auto _ : state) {
+        cluster::ServerBlock::Coeffs c =
+            block.coefficients(50.0, 45.0, 20.0);
+        for (size_t offset = 0; offset < n; offset += kLoop) {
+            cluster::SegmentHealth faults;
+            faults.teg_open = open.data() + offset;
+            faults.tegs_shorted = shorted.data() + offset;
+            benchmark::DoNotOptimize(block.evaluate(
+                utils.data() + offset, std::min(kLoop, n - offset), c,
+                faults, out, offset));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(n));
+}
+BENCHMARK(BM_KernelServerBlockFaulted)
+    ->ArgNames({"servers", "balanced"})
+    ->Args({1024, 0})
+    ->Args({1024, 1});
 
 void
 BM_LookupSpaceBuild(benchmark::State &state)

@@ -426,63 +426,98 @@ main()
     // first evaluation's totals bitwise. Each size runs twice: every
     // loop at one shared flow (loops reuse one coefficient hoist) and
     // loop k at its own flow (every loop re-hoists, the worst case).
+    // A faulted row runs the 16k shared-flow fleet with one open and
+    // two shorted TEG strings in every loop and every other loop
+    // fouled: the fault work a resilience run pays.
     struct FleetRow
     {
         size_t servers = 0;
         bool distinct_flows = false;
+        bool faulted = false;
         double eval_ns = 0.0;
         bool identical = true;
     };
     std::vector<FleetRow> fleet_rows;
     TablePrinter fleet_table(
         "Fleet-scale SoA step evaluation (evaluate only)");
-    fleet_table.setHeader({"servers", "distinct flows", "eval us",
-                           "ns/server/step", "bit-identical"});
-    for (size_t servers :
-         {size_t{4096}, size_t{16384}, size_t{65536}}) {
-        for (bool distinct_flows : {false, true}) {
-            cluster::DatacenterParams dp;
-            dp.num_servers = servers;
-            dp.servers_per_circulation = 64;
-            cluster::Datacenter dc(dp);
+    fleet_table.setHeader({"servers", "distinct flows", "faulted",
+                           "eval us", "ns/server/step", "bit-identical"});
+    struct FleetCase
+    {
+        size_t servers;
+        bool distinct_flows;
+        bool faulted;
+    };
+    std::vector<FleetCase> fleet_cases;
+    for (size_t servers : {size_t{4096}, size_t{16384}, size_t{65536}})
+        for (bool distinct_flows : {false, true})
+            fleet_cases.push_back({servers, distinct_flows, false});
+    fleet_cases.push_back({16384, false, true});
+    for (const FleetCase &fc : fleet_cases) {
+        const size_t servers = fc.servers;
+        const bool distinct_flows = fc.distinct_flows;
+        cluster::DatacenterParams dp;
+        dp.num_servers = servers;
+        dp.servers_per_circulation = 64;
+        cluster::Datacenter dc(dp);
 
-            std::vector<double> utils(servers);
-            for (size_t i = 0; i < servers; ++i) {
-                // Knuth multiplicative hash -> [0.05, 0.95].
-                uint32_t h = static_cast<uint32_t>(i) * 2654435761u;
-                utils[i] =
-                    0.05 + 0.9 * static_cast<double>(h >> 8) /
-                               static_cast<double>(1u << 24);
-            }
-            std::vector<cluster::CoolingSetting> fleet_settings(
-                dc.numCirculations(), cluster::CoolingSetting{45.0, 50.0});
-            if (distinct_flows)
-                for (size_t k = 0; k < fleet_settings.size(); ++k)
-                    fleet_settings[k].flow_lph =
-                        20.0 + 0.1 * static_cast<double>(k);
-
-            cluster::DatacenterState fleet_state;
-            dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
-            const double first_teg = fleet_state.teg_power_w;
-            const double first_heat = fleet_state.heat_w;
-
-            FleetRow row;
-            row.servers = servers;
-            row.distinct_flows = distinct_flows;
-            row.eval_ns = nsPerOp([&] {
-                dc.evaluateInto(utils, fleet_settings, nullptr, fleet_state);
-                g_sink = g_sink + fleet_state.teg_power_w;
-            });
-            row.identical = fleet_state.teg_power_w == first_teg &&
-                            fleet_state.heat_w == first_heat;
-            fleet_rows.push_back(row);
-            fleet_table.addRow(
-                strings::fixed(static_cast<double>(servers), 0),
-                {distinct_flows ? 1.0 : 0.0, row.eval_ns / 1e3,
-                 row.eval_ns / static_cast<double>(servers),
-                 row.identical ? 1.0 : 0.0},
-                2);
+        std::vector<double> utils(servers);
+        for (size_t i = 0; i < servers; ++i) {
+            // Knuth multiplicative hash -> [0.05, 0.95].
+            uint32_t h = static_cast<uint32_t>(i) * 2654435761u;
+            utils[i] =
+                0.05 + 0.9 * static_cast<double>(h >> 8) /
+                           static_cast<double>(1u << 24);
         }
+        std::vector<cluster::CoolingSetting> fleet_settings(
+            dc.numCirculations(), cluster::CoolingSetting{45.0, 50.0});
+        if (distinct_flows)
+            for (size_t k = 0; k < fleet_settings.size(); ++k)
+                fleet_settings[k].flow_lph =
+                    20.0 + 0.1 * static_cast<double>(k);
+
+        cluster::DatacenterHealth fleet_health;
+        if (fc.faulted) {
+            fleet_health.circulations.resize(dc.numCirculations());
+            for (size_t k = 0; k < dc.numCirculations(); ++k) {
+                cluster::CirculationHealth &ch =
+                    fleet_health.circulations[k];
+                const size_t m = dc.circulationSize(k);
+                ch.fouling_kpw = k % 2 == 0 ? 0.05 : 0.0;
+                ch.resizeServers(m);
+                ch.teg_open[7 % m] = 1;
+                ch.tegs_shorted[19 % m] = 1;
+                ch.tegs_shorted[33 % m] = 2;
+            }
+        }
+        const cluster::DatacenterHealth *health =
+            fc.faulted ? &fleet_health : nullptr;
+
+        cluster::DatacenterState fleet_state;
+        dc.evaluateInto(utils, fleet_settings, health, fleet_state);
+        const double first_teg = fleet_state.teg_power_w;
+        const double first_lost = fleet_state.teg_power_lost_w;
+        const double first_heat = fleet_state.heat_w;
+
+        FleetRow row;
+        row.servers = servers;
+        row.distinct_flows = distinct_flows;
+        row.faulted = fc.faulted;
+        row.eval_ns = nsPerOp([&] {
+            dc.evaluateInto(utils, fleet_settings, health, fleet_state);
+            g_sink = g_sink + fleet_state.teg_power_w;
+        });
+        row.identical = fleet_state.teg_power_w == first_teg &&
+                        fleet_state.teg_power_lost_w == first_lost &&
+                        fleet_state.heat_w == first_heat;
+        fleet_rows.push_back(row);
+        fleet_table.addRow(
+            strings::fixed(static_cast<double>(servers), 0),
+            {distinct_flows ? 1.0 : 0.0, fc.faulted ? 1.0 : 0.0,
+             row.eval_ns / 1e3,
+             row.eval_ns / static_cast<double>(servers),
+             row.identical ? 1.0 : 0.0},
+            2);
     }
     fleet_table.print(std::cout);
 
@@ -816,6 +851,7 @@ main()
         json << "    {\"servers\": " << r.servers
              << ", \"distinct_flows\": "
              << (r.distinct_flows ? "true" : "false")
+             << ", \"faulted\": " << (r.faulted ? "true" : "false")
              << ", \"eval_ns\": " << jsonNum(r.eval_ns)
              << ", \"ns_per_server\": "
              << jsonNum(r.eval_ns / static_cast<double>(r.servers))

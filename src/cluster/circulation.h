@@ -35,10 +35,11 @@ struct CoolingSetting
  * Degradation of one circulation (fault model). A default-constructed
  * health is a clean loop.
  *
- * Per-server faults are stored as flat arrays — one lane per fault
- * dimension — which is exactly the form the SoA step kernel consumes
- * (ServerHealthLanes). All three arrays are either empty (every
- * server healthy) or numServers() long.
+ * Each fault is stored at the scope it acts on: the pump and the
+ * cold-plate fouling once for the loop, and the TEG string faults as
+ * flat per-server lanes, the form the SoA step kernel reads in its
+ * closing pass (SegmentHealth). Both string lanes are either empty
+ * (no string faulted) or numServers() long.
  */
 struct CirculationHealth
 {
@@ -47,59 +48,50 @@ struct CirculationHealth
      * healthy, (0, 1) = degraded (worn impeller, scale), 0 = failed.
      */
     double pump_flow_factor = 1.0;
+    /**
+     * Cold-plate fouling resistance of every server in the loop, K/W;
+     * a value that is not positive is no fouling.
+     */
+    double fouling_kpw = 0.0;
     /** Per-server: one series TEG went open-circuit (string dead). */
     std::vector<uint8_t> teg_open;
     /** Per-server: short-circuited TEGs dropped from the string. */
     std::vector<size_t> tegs_shorted;
-    /** Per-server: cold-plate fouling resistance, K/W. */
-    std::vector<double> fouling_kpw;
 
-    /** Servers the fault arrays cover (0 = all healthy). */
-    size_t numServers() const { return fouling_kpw.size(); }
+    /** Servers the string lanes cover (0 = no string faulted). */
+    size_t numServers() const { return teg_open.size(); }
 
-    /** True when the per-server fault arrays are materialized. */
-    bool hasServerLanes() const { return !fouling_kpw.empty(); }
+    /** True when the per-server string lanes are materialized. */
+    bool hasServerLanes() const { return !teg_open.empty(); }
 
-    /** Size (or clear to healthy, for n = current) all fault lanes. */
+    /** Size both string lanes to @p n servers, every string intact. */
     void resizeServers(size_t n)
     {
         teg_open.assign(n, 0);
         tegs_shorted.assign(n, 0);
-        fouling_kpw.assign(n, 0.0);
     }
 
-    /** Fill every lane with @p h (e.g. fleet-wide fouling). */
-    void assignServers(size_t n, const ServerHealth &h)
+    /** The view the step kernel consumes. */
+    SegmentHealth segment() const
     {
-        teg_open.assign(n, h.teg_open ? 1 : 0);
-        tegs_shorted.assign(n, h.tegs_shorted);
-        fouling_kpw.assign(n, h.fouling_kpw);
-    }
-
-    /** The raw lane view the step kernel consumes. */
-    ServerHealthLanes lanes() const
-    {
-        ServerHealthLanes l;
+        SegmentHealth s;
+        s.fouling_kpw = fouling_kpw;
         if (hasServerLanes()) {
-            l.fouling_kpw = fouling_kpw.data();
-            l.teg_open = teg_open.data();
-            l.tegs_shorted = tegs_shorted.data();
+            s.teg_open = teg_open.data();
+            s.tegs_shorted = tegs_shorted.data();
         }
-        return l;
+        return s;
     }
 
     bool clean() const
     {
-        if (pump_flow_factor < 1.0)
+        if (pump_flow_factor < 1.0 || segment().fouled())
             return false;
         for (size_t i = 0; i < teg_open.size(); ++i)
             if (teg_open[i] != 0)
                 return false;
         for (size_t i = 0; i < tegs_shorted.size(); ++i)
             if (tegs_shorted[i] != 0)
-                return false;
-        for (size_t i = 0; i < fouling_kpw.size(); ++i)
-            if (fouling_kpw[i] > 0.0)
                 return false;
         return true;
     }

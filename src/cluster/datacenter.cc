@@ -68,7 +68,7 @@ Datacenter::evaluateInto(const std::vector<double> &utils,
     out.all_safe = true;
 
     // The run is clean when the plant and every loop are; each loop
-    // reports its own verdict, so every fault lane is scanned once.
+    // reports its own verdict from the faults it applied.
     const bool plant_clean = health == nullptr || health->plant.clean();
     bool clean = plant_clean;
     // One coefficient hoist per distinct thermal flow: the default
@@ -130,22 +130,29 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
 
     // Under a non-clean health the pump delivers only a fraction of
     // the command; the thermal model sees at least the stagnant
-    // trickle so it stays finite.
-    const bool degraded = health != nullptr && !health->clean();
-    double hydraulic_flow = setting.flow_lph;
-    double thermal_flow = setting.flow_lph;
-    ServerHealthLanes lanes;
-    if (degraded) {
+    // trickle so it stays finite. String faults act only in the
+    // kernel's closing pass, which reports them; before it they can
+    // only decide the floor of a command below it, so only then are
+    // the string lanes scanned here.
+    SegmentHealth faults;
+    bool degraded = false;
+    if (health != nullptr) {
         expect(health->pump_flow_factor >= 0.0 &&
                    health->pump_flow_factor <= 1.0,
                "pump flow factor must be in [0, 1]");
         expect(!health->hasServerLanes() || health->numServers() == n,
                "expected ", n, " server healths, got ",
                health->numServers());
-        hydraulic_flow = setting.flow_lph * health->pump_flow_factor;
-        thermal_flow = std::max(hydraulic_flow, kStagnantFlowLph);
-        lanes = health->lanes();
+        faults = health->segment();
+        degraded = health->pump_flow_factor < 1.0 || faults.fouled() ||
+                   (setting.flow_lph < kStagnantFlowLph && !health->clean());
     }
+    const double hydraulic_flow =
+        degraded ? setting.flow_lph * health->pump_flow_factor
+                 : setting.flow_lph;
+    const double thermal_flow =
+        degraded ? std::max(hydraulic_flow, kStagnantFlowLph)
+                 : setting.flow_lph;
 
     if (thermal_flow != coeffs.flow_lph)
         coeffs = block_.coefficients(thermal_flow, setting.t_in_c,
@@ -153,7 +160,7 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
     else
         coeffs.t_in_c = setting.t_in_c;
     const ServerBlock::Totals t =
-        block_.evaluate(utils + offset, n, coeffs, lanes, out.servers,
+        block_.evaluate(utils + offset, n, coeffs, faults, out.servers,
                         offset);
 
     CirculationState &cs = out.circulations[i];
@@ -168,9 +175,10 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
     cs.max_die_c = t.max_die_c;
     cs.all_safe = t.all_safe;
     // A degraded pump affects every server in the loop; otherwise
-    // only the lanes with their own fault count.
-    cs.faulted_servers =
-        degraded && health->pump_flow_factor < 1.0 ? n : t.faulted_servers;
+    // only the servers with their own fault count.
+    cs.faulted_servers = health != nullptr && health->pump_flow_factor < 1.0
+                             ? n
+                             : t.faulted_servers;
     cs.return_c = t.sum_outlet_c / static_cast<double>(n);
     // The centralized pump's head scales with the per-branch flow
     // (branches are parallel), so model it as one pump-equivalent per
@@ -178,7 +186,7 @@ Datacenter::evaluateCirculation(size_t i, const double *utils,
     // branch flow (a degraded pump still runs its electronics; a dead
     // one idles).
     cs.pump_power_w = pump_.power(hydraulic_flow) * static_cast<double>(n);
-    return !degraded;
+    return !degraded && t.faulted_servers == 0;
 }
 
 } // namespace cluster

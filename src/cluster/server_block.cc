@@ -51,21 +51,30 @@ ServerBlock::coefficients(double flow_lph, double t_in_c,
 
 namespace {
 
-/** Whether lane[0, n) holds one value under `==`; a null lane does. */
-template <typename T>
+/** Whether utils[0, n) hold one value under `==`. */
 bool
-allEqual(const T *lane, size_t n)
+allEqual(const double *utils, size_t n)
 {
-    return lane == nullptr ||
-           std::all_of(lane + 1, lane + n,
-                       [first = lane[0]](T v) { return v == first; });
+    return std::all_of(utils + 1, utils + n,
+                       [first = utils[0]](double u) { return u == first; });
+}
+
+/** TEGs still generating in server @p i's string of @p count. */
+size_t
+activeTegs(const SegmentHealth &health, size_t i, size_t count)
+{
+    if (health.teg_open != nullptr && health.teg_open[i] != 0)
+        return 0;
+    const size_t shorted =
+        health.tegs_shorted != nullptr ? health.tegs_shorted[i] : 0;
+    return count - std::min(count, shorted);
 }
 
 } // namespace
 
 ServerBlock::Totals
 ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
-                      const ServerHealthLanes &lanes,
+                      const SegmentHealth &health,
                       ServerStateBlock &out, size_t offset) const
 {
     expect(offset + n <= out.size(), "servers [", offset, ", ",
@@ -80,39 +89,6 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
     uint8_t *faulted = out.faulted.data() + offset;
     uint8_t *safe = out.safe.data() + offset;
 
-    // A balanced circulation: every server at one utilization and one
-    // fault lane is the same server (each pass below is elementwise
-    // and pure, and `==` lumps only -0.0 with +0.0, which every pass
-    // maps alike). Run the passes on the first server and copy its
-    // outputs; each server keeps its own util bits, and the totals
-    // still add server by server in index order. A NaN matches
-    // nothing, so it takes the passes and their error.
-    if (n > 1 && allEqual(utils, n) && allEqual(lanes.fouling_kpw, n) &&
-        allEqual(lanes.teg_open, n) && allEqual(lanes.tegs_shorted, n)) {
-        const Totals first = evaluate(utils, 1, c, lanes, out, offset);
-        std::copy(utils + 1, utils + n, ou + 1);
-        std::fill(cpu + 1, cpu + n, cpu[0]);
-        std::fill(die + 1, die + n, die[0]);
-        std::fill(heat + 1, heat + n, heat[0]);
-        std::fill(outlet + 1, outlet + n, outlet[0]);
-        std::fill(teg + 1, teg + n, teg[0]);
-        std::fill(lost + 1, lost + n, lost[0]);
-        std::fill(faulted + 1, faulted + n, faulted[0]);
-        std::fill(safe + 1, safe + n, safe[0]);
-        Totals t;
-        for (size_t i = 0; i < n; ++i) {
-            t.cpu_power_w += cpu[0];
-            t.teg_power_w += teg[0];
-            t.teg_power_lost_w += lost[0];
-            t.heat_w += heat[0];
-            t.sum_outlet_c += outlet[0];
-        }
-        t.faulted_servers = n * first.faulted_servers;
-        t.max_die_c = first.max_die_c;
-        t.all_safe = first.all_safe;
-        return t;
-    }
-
     const double plate_r = c.cpu.plate_r_kpw;
     const double cap = c.cpu.cap_rate_w_per_k;
     const double t_in = c.t_in_c;
@@ -122,14 +98,30 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
     const double pa = c.teg.pfit_a;
     const double pb = c.teg.pfit_b;
     const double pc = c.teg.pfit_c;
-    const bool healthy = lanes.allHealthy();
+    // Members too: a store through an output lane may alias *this as
+    // far as the compiler knows, which would reload them per server.
+    const double leak_gamma = leak_gamma_;
+    const double leak_ref = leak_ref_c_;
+    const double parasitic = parasitic_w_;
+    const double max_die_ok = max_operating_c_;
+    const bool strings = health.hasStringLanes();
+
+    // A balanced circulation: every server at one utilization is the
+    // same server up to its TEG string (passes 1-5 are elementwise
+    // and pure, and `==` lumps only -0.0 with +0.0, which every pass
+    // maps alike). Run them on the first server and copy its outputs;
+    // each server keeps its own util bits, and the closing pass still
+    // derates and adds server by server in index order. A NaN matches
+    // nothing, so it takes the passes and their error.
+    const bool uniform = n > 1 && allEqual(utils, n);
+    const size_t m = uniform ? 1 : n;
 
     // Pass 1: utilization -> CPU package power (Eq. 20). The log is
     // the one libm call per server, skipped when a server repeats its
     // predecessor's utilization (runs of equal utilizations in a loop
     // that is not uniform; Eq. 20 is pure).
     // Everything after is straight-line arithmetic over the arrays.
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
         const double u = utils[i];
         expect(u >= 0.0 && u <= 1.0,
                "utilization must be in [0, 1], got ", u);
@@ -142,63 +134,50 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
         cpu[i] = p;
     }
 
-    // Pass 2: die temperature (Fig. 10/11 linear model).
-    if (healthy) {
-        // k * t_in is the same value every server computes; hoist it.
-        const double kt = c.cpu.slope_k * t_in;
-        for (size_t i = 0; i < n; ++i)
-            die[i] = kt + cpu[i] * plate_r;
-    } else {
-        // The faulted-lane mask and the per-server thermal resistance.
-        // A ServerHealth is clean when no TEG is open, none are
-        // shorted and fouling is not positive (mirroring
-        // ServerHealth::clean()); clean lanes take the pristine plate.
-        // Scalar-path fidelity: negative fouling only rejects on lanes
-        // that are degraded some other way, exactly like
-        // Server::evaluate.
-        for (size_t i = 0; i < n; ++i) {
-            const double f =
-                lanes.fouling_kpw != nullptr ? lanes.fouling_kpw[i] : 0.0;
-            const bool open =
-                lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
-            const size_t shorted =
-                lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
-            const bool clean = !open && shorted == 0 && f <= 0.0;
-            faulted[i] = clean ? 0 : 1;
+    // A degraded server takes the loop's fouling as its extra
+    // resistance, which Server::evaluate rejects when negative or NaN.
+    // NaN fouling degrades every server, so it is always rejected.
+    // Fouling that is not positive leaves a server clean, so a
+    // negative value is rejected only where a faulted string degrades
+    // a server some other way.
+    const double f = health.fouling_kpw;
+    const bool fouled = health.fouled();
+    bool rejected = std::isnan(f);
+    if (f < 0.0 && strings)
+        for (size_t i = 0; i < n && !rejected; ++i)
+            rejected = activeTegs(health, i, teg_count_) != teg_count_;
+    expect(!rejected, "fouling resistance must be non-negative");
 
-            double fouling = 0.0;
-            if (!clean) {
-                expect(f >= 0.0,
-                       "fouling resistance must be non-negative");
-                fouling = f;
-            }
-            // Stash the per-lane plate resistance in the die array;
-            // the next loop overwrites it with the die temperature.
-            die[i] = plate_r + fouling;
-        }
-        // k_i = 1 + gamma * r_i, T_die = k_i * T_in + P * r_i.
-        for (size_t i = 0; i < n; ++i) {
-            const double r = die[i];
-            const double k = 1.0 + gamma_slope_ * r;
-            die[i] = k * t_in + cpu[i] * r;
-        }
+    // Pass 2: die temperature (Fig. 10/11 linear model), T_die = k *
+    // T_in + P * r with one resistance r for the loop: the clean plate
+    // (the hoisted slope, as Server::evaluate without fouling) or the
+    // plate plus the loop's fouling, k = 1 + gamma * r. k * T_in is
+    // the same value every server computes; hoist it.
+    double r = plate_r;
+    double k = c.cpu.slope_k;
+    if (fouled) {
+        r = plate_r + f;
+        k = 1.0 + gamma_slope_ * r;
     }
+    const double kt = k * t_in;
+    for (size_t i = 0; i < m; ++i)
+        die[i] = kt + cpu[i] * r;
 
     // Pass 3: heat into the coolant (dynamic + bounded leakage +
     // parasitic pickup).
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
         const double leak =
-            std::max(0.0, leak_gamma_ * (die[i] - leak_ref_c_));
-        heat[i] = cpu[i] + leak + parasitic_w_;
+            std::max(0.0, leak_gamma * (die[i] - leak_ref));
+        heat[i] = cpu[i] + leak + parasitic;
     }
 
     // Pass 4: outlet temperature (Eq. 8 advection balance).
-    for (size_t i = 0; i < n; ++i)
+    for (size_t i = 0; i < m; ++i)
         outlet[i] = t_in + heat[i] / cap;
 
     // Pass 5: healthy TEG harvest (Eq. 2 + Eq. 6/7 with the Fig. 7
     // coupling).
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
         const double dt = outlet[i] - t_cold;
         double p = 0.0;
         if (dt > 0.0) {
@@ -210,42 +189,67 @@ ServerBlock::evaluate(const double *utils, size_t n, const Coeffs &c,
         teg[i] = p;
     }
 
-    // Closing pass, in strict server-index order: derate faulted lanes
-    // (healthy output times active/count, as the scalar path; the
-    // ratios 1.0 and 0.0 are exact, so clean lanes lose exactly +0.0
-    // W), set the safety flags and accumulate the totals, which must
-    // not depend on how the passes above were vectorized. Without
-    // lanes nothing is faulted or lost; the lost total stays +0.0.
-    Totals t;
-    if (healthy) {
-        std::fill(lost, lost + n, 0.0);
-        std::fill(faulted, faulted + n, uint8_t{0});
+    if (uniform) {
+        std::copy(utils + 1, utils + n, ou + 1);
+        std::fill(cpu + 1, cpu + n, cpu[0]);
+        std::fill(die + 1, die + n, die[0]);
+        std::fill(heat + 1, heat + n, heat[0]);
+        std::fill(outlet + 1, outlet + n, outlet[0]);
+        std::fill(teg + 1, teg + n, teg[0]);
     }
-    for (size_t i = 0; i < n; ++i) {
-        if (!healthy) {
-            const bool open =
-                lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
-            const size_t shorted =
-                lanes.tegs_shorted != nullptr ? lanes.tegs_shorted[i] : 0;
-            const size_t active =
-                open ? 0 : teg_count_ - std::min(teg_count_, shorted);
+
+    // Closing pass, in strict server-index order. First derate the
+    // servers whose string is faulted (healthy output times
+    // active/count, as the scalar path). A clean string keeps its
+    // output and loses +0.0 W, which is exactly what the ratio 1.0
+    // gives, so skipping it changes no bit; the lost total adds only
+    // the derated servers, as every other one would add +0.0. Then
+    // set the safety flags and accumulate the totals, which must not
+    // depend on how the passes above were vectorized. The sums live
+    // in locals: the byte-wide flag stores may alias the returned
+    // Totals, which would otherwise be reloaded every iteration.
+    std::fill(lost, lost + n, 0.0);
+    std::fill(faulted, faulted + n, static_cast<uint8_t>(fouled ? 1 : 0));
+    size_t faulted_servers = fouled ? n : 0;
+    double lost_w = 0.0;
+    if (strings) {
+        for (size_t i = 0; i < n; ++i) {
+            const size_t active = activeTegs(health, i, teg_count_);
+            if (active == teg_count_)
+                continue;
             const double ratio = static_cast<double>(active) / devices;
             const double p = teg[i] * ratio;
             lost[i] = teg[i] - p;
             teg[i] = p;
-            t.teg_power_lost_w += lost[i];
-            t.faulted_servers += faulted[i];
+            lost_w += lost[i];
+            faulted_servers += fouled ? 0 : 1;
+            faulted[i] = 1;
         }
-        const bool ok = die[i] <= max_operating_c_;
-        safe[i] = ok ? 1 : 0;
-        t.cpu_power_w += cpu[i];
-        t.teg_power_w += teg[i];
-        t.heat_w += heat[i];
-        t.sum_outlet_c += outlet[i];
-        t.max_die_c = std::max(t.max_die_c, die[i]);
-        t.all_safe = t.all_safe && ok;
     }
-    return t;
+    double cpu_w = 0.0;
+    double teg_w = 0.0;
+    double heat_w = 0.0;
+    double sum_outlet_c = 0.0;
+    double max_die_c = 0.0;
+    bool all_safe = true;
+    for (size_t i = 0; i < n; ++i) {
+        const bool ok = die[i] <= max_die_ok;
+        safe[i] = ok ? 1 : 0;
+        cpu_w += cpu[i];
+        teg_w += teg[i];
+        heat_w += heat[i];
+        sum_outlet_c += outlet[i];
+        max_die_c = std::max(max_die_c, die[i]);
+        all_safe = all_safe && ok;
+    }
+    return {.cpu_power_w = cpu_w,
+            .teg_power_w = teg_w,
+            .teg_power_lost_w = lost_w,
+            .heat_w = heat_w,
+            .sum_outlet_c = sum_outlet_c,
+            .max_die_c = max_die_c,
+            .faulted_servers = faulted_servers,
+            .all_safe = all_safe};
 }
 
 } // namespace cluster

@@ -21,6 +21,13 @@
  * the kernel's closing pass, so a ServerBlock evaluation is
  * bit-identical to looping Server::evaluate — clean and faulted.
  * Tests enforce this (tests/soa_test.cc).
+ *
+ * Each fault acts in one stage, as in the paper's model of one TEG
+ * string per server at the coolant outlet (Eq. 2, 6, 7): a pump fault
+ * sets the loop's thermal flow (Datacenter), fouling is one plate
+ * resistance for the whole loop in pass 2, and a faulted string only
+ * derates its own server's output in the closing pass; the heat path
+ * of that server is untouched.
  */
 
 #ifndef H2P_CLUSTER_SERVER_BLOCK_H_
@@ -62,24 +69,29 @@ struct ServerStateBlock
 };
 
 /**
- * Per-server fault lanes in the flat form the kernel consumes (the
- * SoA mirror of ServerHealth). Null pointers mean "healthy in that
- * dimension for every server"; non-null pointers address one value
- * per server.
+ * The faults one evaluate() call applies, split by the stage they act
+ * on. Fouling is one value for the whole segment and acts on every
+ * die through pass 2; a value that is not positive is no fouling, as
+ * in ServerHealth::clean(). The TEG string lanes change only the
+ * electrical output and are read only in the closing pass: null
+ * pointers mean "no string faulted in that dimension", non-null ones
+ * address one value per server.
  */
-struct ServerHealthLanes
+struct SegmentHealth
 {
-    /** Extra die-to-coolant resistance from fouling, K/W. */
-    const double *fouling_kpw = nullptr;
+    /** Extra die-to-coolant resistance of every server, K/W. */
+    double fouling_kpw = 0.0;
     /** Non-zero: one series TEG is open, the whole string is dead. */
     const uint8_t *teg_open = nullptr;
     /** Short-circuited TEGs dropped from the string. */
     const size_t *tegs_shorted = nullptr;
 
-    bool allHealthy() const
+    /** Whether fouling acts (and faults every server). */
+    bool fouled() const { return !(fouling_kpw <= 0.0); }
+
+    bool hasStringLanes() const
     {
-        return fouling_kpw == nullptr && teg_open == nullptr &&
-               tegs_shorted == nullptr;
+        return teg_open != nullptr || tegs_shorted != nullptr;
     }
 };
 
@@ -132,19 +144,17 @@ class ServerBlock
      * Evaluate @p n servers at one cooling setting: utils[0..n)
      * through the full model chain into out[offset, offset + n), a
      * range @p out must already hold, and return the segment's totals
-     * (accumulated in server-index order). Null @p lanes
-     * (allHealthy()) are the healthy evaluation, bit-identical to
-     * Server::evaluate(util, flow, t_in, t_cold) per server. Present
-     * lanes match Server::evaluate(util, flow, t_in, t_cold, health)
-     * per server; their healthy lanes reproduce the healthy numbers
-     * bit for bit (the fouling term adds +0.0 and the TEG derating
-     * multiplies by 1.0, both exact). A segment whose servers share
-     * one utilization and one fault lane (a balanced loop) runs the
-     * passes on its first server only and copies the result to the
-     * rest, bit-identical to running them on all.
+     * (accumulated in server-index order). Each server matches
+     * Server::evaluate(util, flow, t_in, t_cold, health) bit for bit,
+     * with health its string lanes and the segment's fouling; a
+     * default @p health is Server::evaluate(util, flow, t_in, t_cold).
+     * A segment whose servers share one utilization (a balanced loop)
+     * runs passes 1-5 on its first server only and copies the result
+     * to the rest, whatever its string faults: those act only in the
+     * closing pass, which still derates server by server.
      */
     Totals evaluate(const double *utils, size_t n, const Coeffs &c,
-                    const ServerHealthLanes &lanes, ServerStateBlock &out,
+                    const SegmentHealth &health, ServerStateBlock &out,
                     size_t offset) const;
 
   private:

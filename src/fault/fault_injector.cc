@@ -245,6 +245,7 @@ FaultInjector::advanceTo(double time_s)
     expect(time_s >= now_, "fault timeline cannot run backwards (",
            now_, " -> ", time_s, ")");
     now_ = time_s;
+    bool struck = false;
     while (struck_ < events_.size() && events_[struck_].time_s <= now_) {
         const FaultEvent &e = events_[struck_];
         switch (e.kind) {
@@ -258,45 +259,53 @@ FaultInjector::advanceTo(double time_s)
             break;
         }
         ++struck_;
+        struck = true;
     }
-    rebuildHealth();
+    // The health changes only when an event strikes or a timed one
+    // expires; between those, only the fouling grows with time.
+    if (struck || std::max(now_, 0.0) >= next_expiry_s_)
+        rebuildHealth();
+    else
+        setFouling();
+}
+
+void
+FaultInjector::setFouling()
+{
+    const double fouling = params_.fouling_kpw_per_year *
+                           std::max(now_, 0.0) / kSecondsPerYear;
+    for (cluster::CirculationHealth &ch : health_.circulations)
+        ch.fouling_kpw = fouling;
 }
 
 void
 FaultInjector::rebuildHealth()
 {
     // Reset in place: clear() keeps each lane's capacity, so the
-    // assign()s below reuse the buffers step after step. Lanes exist
-    // only while fouling or a TEG fault needs them, exactly as for a
-    // freshly built health, so the kernel picks the same path.
-    const size_t num_circ = circulation_sizes_.size();
+    // resizes below reuse the buffers. String lanes exist only while
+    // a TEG fault needs them, exactly as for a freshly built health.
     health_.plant = hydraulic::PlantHealth{};
-    health_.circulations.resize(num_circ);
+    health_.circulations.resize(circulation_sizes_.size());
     for (cluster::CirculationHealth &ch : health_.circulations) {
         ch.pump_flow_factor = 1.0;
         ch.teg_open.clear();
         ch.tegs_shorted.clear();
-        ch.fouling_kpw.clear();
     }
+    setFouling();
 
+    // The struck-event prefix is small; a full rescan on each change
+    // keeps overlapping and expiring faults trivially correct. It
+    // also finds the next expiry of an active timed event, the next
+    // time the health changes without a strike.
     const double now = std::max(now_, 0.0);
-    const double fouling =
-        params_.fouling_kpw_per_year * now / kSecondsPerYear;
-    if (fouling > 0.0) {
-        for (size_t c = 0; c < num_circ; ++c) {
-            cluster::ServerHealth s;
-            s.fouling_kpw = fouling;
-            health_.circulations[c].assignServers(
-                circulation_sizes_[c], s);
-        }
-    }
-
-    // The struck-event prefix is small; a full rescan per step keeps
-    // overlapping and expiring faults trivially correct.
+    next_expiry_s_ = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < struck_; ++i) {
         const FaultEvent &e = events_[i];
         if (!e.activeAt(now))
             continue;
+        if (e.duration_s > 0.0)
+            next_expiry_s_ =
+                std::min(next_expiry_s_, e.time_s + e.duration_s);
         switch (e.kind) {
           case FaultKind::PumpDegraded: {
             double &f = health_.circulations[e.circulation]

@@ -21,6 +21,7 @@
 #define H2P_FAULT_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -173,7 +174,11 @@ class FaultInjector
     /** The full scheduled timeline, sorted by onset. */
     const std::vector<FaultEvent> &events() const { return events_; }
 
-    /** Replay the timeline up to @p time_s (non-decreasing). */
+    /**
+     * Replay the timeline up to @p time_s (non-decreasing). The health
+     * is rebuilt only when it changes: an event strikes or a timed one
+     * expires. Otherwise only the fouling follows the time.
+     */
     void advanceTo(double time_s);
 
     /** Hardware health at the last advanceTo() time. */
@@ -206,7 +211,10 @@ class FaultInjector
 
   private:
     void generate(double duration_s);
+    /** Health from scratch at now_: every active struck event. */
     void rebuildHealth();
+    /** Every loop's fouling at now_. */
+    void setFouling();
     void armSensor(const FaultEvent &e);
 
     FaultScenarioParams params_;
@@ -214,6 +222,8 @@ class FaultInjector
     std::vector<FaultEvent> events_;
     size_t struck_ = 0;
     double now_ = -1.0;
+    /** When the next active timed event expires (inf: none). */
+    double next_expiry_s_ = std::numeric_limits<double>::infinity();
     cluster::DatacenterHealth health_;
     std::vector<SensorChannel> die_sensors_;
     std::vector<SensorChannel> flow_sensors_;

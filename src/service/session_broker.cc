@@ -240,12 +240,14 @@ struct SessionBroker::TwinSession
     std::string id;
     std::mutex mutex;
     /**
-     * The `query state` body of the last evaluated step, encoded on
-     * the first query after it (empty: not encoded yet). Guarded by
-     * mutex; cleared before every session.step() call, which may
-     * write the state and then fail without advancing the cursor.
+     * The `query state` and `query decision` bodies of the last
+     * evaluated step, each encoded on the first query of its kind
+     * after it (empty: not encoded yet). Guarded by mutex; both are
+     * cleared before every session.step() call, which may write the
+     * state and decision and then fail without advancing the cursor.
      */
     std::string state_body;
+    std::string decision_body;
     const core::H2PSystem system;
     const workload::UtilizationTrace trace;
     core::SimSession session;
@@ -385,6 +387,7 @@ SessionBroker::doStep(const Request &request)
     core::SimSession &session = twin->session;
     for (size_t i = 0; i < n && !session.done(); ++i) {
         twin->state_body.clear();
+        twin->decision_body.clear();
         session.step();
     }
     return Response::okay(
@@ -406,8 +409,11 @@ SessionBroker::doQuery(const Request &request)
                           twin->system.config().datacenter.num_servers);
         return Response::okay({}, twin->state_body);
     }
-    if (what == "decision")
-        return Response::okay({}, decisionJson(session.lastDecision()));
+    if (what == "decision") {
+        if (twin->decision_body.empty())
+            twin->decision_body = decisionJson(session.lastDecision());
+        return Response::okay({}, twin->decision_body);
+    }
     if (what == "summary") {
         // Progress metadata, available mid-run; the run's final
         // metrics come back from close once the session is done.

@@ -18,9 +18,10 @@
  * session table; each session carries its own mutex serializing
  * steps/queries against it, so two clients sharing a session id see
  * sequentially consistent state while sessions of different clients
- * step in parallel. A twin encodes its `query state` body once per
- * evaluated step, under its mutex, and answers later state queries
- * with those bytes until its next step() call.
+ * step in parallel. A twin encodes its `query state` and `query
+ * decision` bodies at most once per evaluated step, under its mutex,
+ * and answers later queries of the same kind with those bytes until
+ * its next step() call.
  *
  * Verbs:
  *

@@ -21,12 +21,14 @@
 
 #include "cluster/datacenter.h"
 #include "cluster/server.h"
+#include "core/config_io.h"
 #include "core/h2p_system.h"
 #include "fault/fault_injector.h"
 #include "fault/sensor_fault.h"
 #include "fault/watchdog.h"
 #include "hydraulic/plant.h"
 #include "sched/safe_mode.h"
+#include "sim/config.h"
 #include "tests/support/evaluate.h"
 #include "tests/support/watchdog_reference.h"
 #include "util/bytes.h"
@@ -616,9 +618,105 @@ TEST(FaultInjectorTest, FoulingGrowsLinearlyWithTime)
                              fault::FaultInjector::kSecondsPerYear);
     EXPECT_TRUE(p.enabled());
     inj.advanceTo(fault::FaultInjector::kSecondsPerYear / 2.0);
-    ASSERT_EQ(inj.health().circulations[0].numServers(), 20u);
-    EXPECT_NEAR(inj.health().circulations[0].fouling_kpw[0],
-                0.05, 1e-12);
+    // One value per loop; no string lanes without a string fault.
+    EXPECT_FALSE(inj.health().circulations[0].hasServerLanes());
+    EXPECT_NEAR(inj.health().circulations[0].fouling_kpw, 0.05, 1e-12);
+}
+
+/** Every field of @p got against @p want, doubles bit for bit. */
+void
+expectSameHealth(const cluster::DatacenterHealth &want,
+                 const cluster::DatacenterHealth &got)
+{
+    EXPECT_EQ(want.plant.chiller_out, got.plant.chiller_out);
+    EXPECT_EQ(want.plant.tower_out, got.plant.tower_out);
+    ASSERT_EQ(want.circulations.size(), got.circulations.size());
+    for (size_t c = 0; c < want.circulations.size(); ++c) {
+        const cluster::CirculationHealth &w = want.circulations[c];
+        const cluster::CirculationHealth &g = got.circulations[c];
+        EXPECT_TRUE(sameBits(w.pump_flow_factor, g.pump_flow_factor))
+            << "circulation " << c;
+        EXPECT_TRUE(sameBits(w.fouling_kpw, g.fouling_kpw))
+            << "circulation " << c;
+        EXPECT_EQ(w.teg_open, g.teg_open) << "circulation " << c;
+        EXPECT_EQ(w.tegs_shorted, g.tegs_shorted) << "circulation " << c;
+    }
+}
+
+TEST(FaultInjectorTest, HealthRebuiltOnChangeMatchesFreshRebuild)
+{
+    // resilience.ini's day, plus fouling that grows, a scripted tower
+    // outage and a scripted TEG short, both expiring mid-run. The
+    // injector rebuilds its health only when it changes; at every
+    // step it must equal a freshly built injector's at that time, and
+    // so must an injector restored from a checkpoint taken during the
+    // outage.
+    core::H2PConfig cfg = core::configFromIni(sim::Config::load(
+        std::string(H2P_SOURCE_DIR) + "/examples/configs/resilience.ini"));
+    cfg.faults.fouling_kpw_per_year = 3.0;
+    const double outage_start_s = 6.0 * 3600.0 + 100.0;
+    const double outage_s = 3.0 * 3600.0;
+    cfg.faults.scripted.push_back({outage_start_s,
+                                   fault::FaultKind::TowerOutage, 0, 0,
+                                   0.0, outage_s});
+    cfg.faults.scripted.push_back({2.0 * 3600.0,
+                                   fault::FaultKind::TegShortCircuit, 2,
+                                   17, 2.0, 4.0 * 3600.0});
+    const workload::UtilizationTrace trace =
+        core::makeTrace(core::traceRequestFromIni(sim::Config::load(
+            std::string(H2P_SOURCE_DIR) +
+            "/examples/configs/resilience.ini")));
+    const cluster::Datacenter dc(cfg.datacenter);
+    const double dt = trace.dt();
+    const double duration_s = static_cast<double>(trace.numSteps()) * dt;
+    ASSERT_LT(outage_start_s + outage_s, duration_s);
+
+    fault::FaultInjector live(cfg.faults, dc, duration_s);
+    std::unique_ptr<fault::FaultInjector> restored;
+    size_t tower_steps = 0;
+    size_t restored_steps = 0;
+    bool short_seen = false;
+    bool short_gone = false;
+    for (size_t step = 0; step < trace.numSteps(); ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const double now_s = static_cast<double>(step) * dt;
+        live.advanceTo(now_s);
+        fault::FaultInjector fresh(cfg.faults, dc, duration_s);
+        fresh.advanceTo(now_s);
+        expectSameHealth(fresh.health(), live.health());
+        if (restored != nullptr) {
+            restored->advanceTo(now_s);
+            expectSameHealth(fresh.health(), restored->health());
+            ++restored_steps;
+        }
+
+        const cluster::DatacenterHealth &h = live.health();
+        tower_steps += h.plant.tower_out ? 1 : 0;
+        const bool shorted = h.circulations[2].hasServerLanes() &&
+                             h.circulations[2].tegs_shorted[17] >= 2;
+        short_seen |= shorted;
+        short_gone |= short_seen && !shorted;
+
+        // Checkpoint in the second step of the outage, restore into a
+        // new injector and carry on with both.
+        if (restored == nullptr && tower_steps == 2) {
+            util::ByteWriter w;
+            util::Archive save(w);
+            live.visit(save, now_s);
+            restored = std::make_unique<fault::FaultInjector>(
+                cfg.faults, dc, duration_s);
+            util::ByteReader r(w.data(), 0, w.data().size());
+            util::Archive load(r);
+            restored->visit(load, now_s);
+            expectSameHealth(live.health(), restored->health());
+        }
+    }
+    EXPECT_GT(tower_steps, 2u);
+    EXPECT_FALSE(live.health().plant.tower_out);
+    EXPECT_TRUE(short_seen);
+    EXPECT_TRUE(short_gone);
+    EXPECT_GT(restored_steps, 0u);
+    EXPECT_GT(live.health().circulations[0].fouling_kpw, 0.0);
 }
 
 TEST(FaultInjectorTest, RejectsOutOfRangeScriptedTargets)

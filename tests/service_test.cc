@@ -124,6 +124,14 @@ struct DirectTwin
                                  sys.config().datacenter.num_servers);
     }
 
+    /** The `query decision` body at @p cursor, stepping there first. */
+    std::string decisionAt(size_t cursor)
+    {
+        while (session.cursor() < cursor)
+            session.step();
+        return oracle::decisionJson(session.lastDecision());
+    }
+
     const sim::Config ini = parseIni();
     core::H2PSystem sys;
     const workload::UtilizationTrace trace;
@@ -731,6 +739,87 @@ TEST(SessionBroker, StateBodyIsEncodedOncePerStep)
         EXPECT_EQ(
             budgeted.handleOne(makeRequest("query", {id, "state"})).body,
             reference.stateAt(5));
+    }
+}
+
+TEST(SessionBroker, DecisionBodyIsEncodedOncePerStep)
+{
+    service::SessionBroker broker;
+    const char *const policies[] = {"original", "balance"};
+    std::string ids[2];
+    for (int k = 0; k < 2; ++k) {
+        service::Response open =
+            broker.handleOne(makeRequest("open", {policies[k]}, kIni));
+        ASSERT_TRUE(open.ok) << open.message;
+        ids[k] = open.args[0];
+        service::Response early =
+            broker.handleOne(makeRequest("query", {ids[k], "decision"}));
+        EXPECT_FALSE(early.ok);
+        EXPECT_NE(early.message.find("no step evaluated yet"),
+                  std::string::npos)
+            << early.message;
+    }
+    DirectTwin original(sched::Policy::TegOriginal);
+    DirectTwin balance(sched::Policy::TegLoadBalance);
+    DirectTwin *direct[] = {&original, &balance};
+
+    const auto query = [&broker](const std::string &id, const char *what) {
+        service::Response r =
+            broker.handleOne(makeRequest("query", {id, what}));
+        EXPECT_TRUE(r.ok) << r.message;
+        return r.body;
+    };
+    // Interleaved steps of both twins with three decision queries of
+    // each between them, next to state queries (each kind keeps its
+    // own body); the last round steps finished twins (a no-op).
+    size_t cursor = 0;
+    for (size_t target : {1u, 2u, 40u, 144u, 144u}) {
+        SCOPED_TRACE("step " + std::to_string(target));
+        const size_t n = target > cursor ? target - cursor : 1;
+        cursor = target;
+        std::string decisions[2];
+        std::string states[2];
+        for (int k = 0; k < 2; ++k) {
+            service::Response step = broker.handleOne(
+                makeRequest("step", {ids[k], std::to_string(n)}));
+            ASSERT_TRUE(step.ok) << step.message;
+            ASSERT_EQ(step.args[0], std::to_string(target));
+            decisions[k] = direct[k]->decisionAt(target);
+            states[k] = direct[k]->stateAt(target);
+        }
+        for (int round = 0; round < 3; ++round)
+            for (int k = 0; k < 2; ++k) {
+                EXPECT_EQ(query(ids[k], "decision"), decisions[k])
+                    << policies[k];
+                EXPECT_EQ(query(ids[k], "state"), states[k]) << policies[k];
+            }
+        // The balanced twin plans over the balanced utilizations.
+        EXPECT_NE(decisions[0], decisions[1]);
+    }
+
+    // A step the budget refuses still makes the next query re-encode:
+    // the body follows the steps taken before the refusal.
+    service::BrokerOptions options;
+    options.step_budget = 5;
+    service::SessionBroker budgeted(options);
+    service::Response open =
+        budgeted.handleOne(makeRequest("open", {"original"}, kIni));
+    ASSERT_TRUE(open.ok) << open.message;
+    const std::string id = open.args[0];
+    DirectTwin reference(sched::Policy::TegOriginal);
+    ASSERT_TRUE(budgeted.handleOne(makeRequest("step", {id, "3"})).ok);
+    EXPECT_EQ(
+        budgeted.handleOne(makeRequest("query", {id, "decision"})).body,
+        reference.decisionAt(3));
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        service::Response step =
+            budgeted.handleOne(makeRequest("step", {id, "10"}));
+        EXPECT_FALSE(step.ok);
+        EXPECT_NE(step.message.find("step budget"), std::string::npos)
+            << step.message;
+        EXPECT_EQ(
+            budgeted.handleOne(makeRequest("query", {id, "decision"})).body,
+            reference.decisionAt(5));
     }
 }
 

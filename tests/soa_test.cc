@@ -113,15 +113,12 @@ refEvaluate(const Datacenter &dc, const std::vector<double> &utils,
 
     double sum_outlet = 0.0;
     for (size_t i = 0; i < utils.size(); ++i) {
-        ServerState s;
-        if (degraded && health->hasServerLanes())
-            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
-                                test::serverHealth(*health, i));
-        else if (degraded)
-            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c,
-                                ServerHealth{});
-        else
-            s = server.evaluate(utils[i], flow, setting.t_in_c, t_cold_c);
+        const ServerState s =
+            degraded ? server.evaluate(utils[i], flow, setting.t_in_c,
+                                       t_cold_c,
+                                       test::serverHealth(*health, i))
+                     : server.evaluate(utils[i], flow, setting.t_in_c,
+                                       t_cold_c);
         ref.cpu_power_w += s.cpu_power_w;
         ref.teg_power_w += s.teg_power_w;
         ref.teg_power_lost_w += s.teg_power_lost_w;
@@ -316,10 +313,13 @@ TEST(SoaKernelTest, LowCommandedFlowFloorsOnlyUnderNonCleanHealth)
     const CoolingSetting setting{45.0, 1.5};
     ASSERT_LT(setting.flow_lph, Datacenter::kStagnantFlowLph);
 
+    // One open string degrades the loop; only a commanded flow below
+    // the floor makes Datacenter read the string lanes before the
+    // kernel.
     const CirculationHealth clean_health;
     CirculationHealth fouled;
     fouled.resizeServers(n);
-    fouled.fouling_kpw[2] = 0.1;
+    fouled.teg_open[2] = 1;
 
     test::LoopState null_got = test::evaluate(loop, utils, setting);
     test::LoopState clean_got =
@@ -336,8 +336,8 @@ TEST(SoaKernelTest, LowCommandedFlowFloorsOnlyUnderNonCleanHealth)
     for (size_t i = 0; i < n; ++i)
         expectSameServerState(test::serverAt(null_got.servers, i),
                               test::serverAt(clean_got.servers, i), i);
-    // The fouled loop's clean lanes run at the floored flow: cooler
-    // than at the commanded 1.5 L/H, while the pump delivers 1.5.
+    // The loop's clean servers run at the floored flow: cooler than
+    // at the commanded 1.5 L/H, while the pump delivers 1.5.
     EXPECT_LT(fouled_got.servers.die_temp_c[0],
               null_got.servers.die_temp_c[0]);
     EXPECT_TRUE(sameBits(fouled_got.delivered_flow_lph, 1.5));
@@ -360,38 +360,49 @@ TEST(SoaKernelTest, LowCommandedFlowFloorsOnlyUnderNonCleanHealth)
 
 TEST(SoaKernelTest, FoulingLanesMatchScalarServerBitwise)
 {
+    // Fouling is one value per loop: every server takes the fouled
+    // plate, and every one is faulted.
     const size_t n = 6;
     Datacenter loop = test::oneLoop(n);
     std::vector<double> utils = spreadUtils(n);
     CoolingSetting setting{45.0, 50.0};
 
     CirculationHealth health;
-    health.resizeServers(n);
-    health.fouling_kpw[1] = 0.08;
-    health.fouling_kpw[4] = 0.25;
+    health.fouling_kpw = 0.25;
 
     test::LoopState got = test::evaluate(loop, utils, setting, &health);
     RefCirculation ref = refEvaluate(loop, utils, setting, &health);
     expectSameCirculation(ref, got);
-    EXPECT_EQ(got.faulted_servers, 2u);
+    EXPECT_EQ(got.faulted_servers, n);
+    EXPECT_GT(got.servers.die_temp_c[0],
+              test::evaluate(loop, utils, setting).servers.die_temp_c[0]);
 
-    // A balanced loop whose every lane carries the same fouling (and
-    // the same shorts) is evaluated once and copied; with fouling on
-    // some lanes only, it takes the passes.
+    // A balanced loop is evaluated once and copied, under fouling
+    // alone and under fouling with shorts on every string or on some.
     const std::vector<double> balanced(n, 0.63);
     CirculationHealth uniform;
+    uniform.fouling_kpw = 0.08;
     uniform.resizeServers(n);
-    for (size_t i = 0; i < n; ++i) {
-        uniform.fouling_kpw[i] = 0.08;
+    for (size_t i = 0; i < n; ++i)
         uniform.tegs_shorted[i] = 2;
-    }
-    got = test::evaluate(loop, balanced, setting, &health);
-    expectSameCirculation(refEvaluate(loop, balanced, setting, &health), got);
-    EXPECT_EQ(got.faulted_servers, 2u);
-    for (const std::vector<double> &u : {utils, balanced}) {
-        got = test::evaluate(loop, u, setting, &uniform);
-        expectSameCirculation(refEvaluate(loop, u, setting, &uniform), got);
-        EXPECT_EQ(got.faulted_servers, n);
+    CirculationHealth some = uniform;
+    some.tegs_shorted[1] = 0;
+    some.tegs_shorted[4] = 0;
+    for (const CirculationHealth *h : {&health, &uniform, &some})
+        for (const std::vector<double> &u : {utils, balanced}) {
+            got = test::evaluate(loop, u, setting, h);
+            expectSameCirculation(refEvaluate(loop, u, setting, h), got);
+            EXPECT_EQ(got.faulted_servers, n);
+        }
+
+    // Zero fouling, of either sign, is no fouling.
+    for (double zero : {0.0, -0.0}) {
+        CirculationHealth none;
+        none.fouling_kpw = zero;
+        got = test::evaluate(loop, utils, setting, &none);
+        expectSameCirculation(refEvaluate(loop, utils, setting, nullptr),
+                              got);
+        EXPECT_EQ(got.faulted_servers, 0u);
     }
 }
 
@@ -416,8 +427,8 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     EXPECT_TRUE(sameBits(got.servers.teg_power_w[0], 0.0));
     EXPECT_GT(got.servers.teg_power_lost_w[0], 0.0);
 
-    // One open TEG in a balanced loop breaks its uniformity: the
-    // passes run, and only that server loses its harvest.
+    // One open TEG in a balanced loop leaves it uniform: the passes
+    // run once, and only that server loses its harvest.
     const std::vector<double> balanced(n, 0.5);
     CirculationHealth one_open;
     one_open.resizeServers(n);
@@ -428,6 +439,90 @@ TEST(SoaKernelTest, TegOpenAndShortLanesMatchScalarServerBitwise)
     EXPECT_TRUE(sameBits(got.servers.teg_power_w[3], 0.0));
     EXPECT_GT(got.servers.teg_power_w[2], 0.0);
     EXPECT_EQ(got.faulted_servers, 1u);
+}
+
+TEST(SoaKernelTest, BalancedStringFaultsMatchScalarServerBitwise)
+{
+    // A balanced loop runs passes 1-5 on its first server and copies
+    // them; string faults act only in the closing pass. Each case runs
+    // balanced and unbalanced, without and with the loop's fouling,
+    // against the scalar chain.
+    const size_t n = 7;
+    Datacenter loop = test::oneLoop(n);
+    const CoolingSetting setting{47.0, 35.0};
+    const test::LoopState healthy =
+        test::evaluate(loop, std::vector<double>(n, 0.7), setting);
+
+    // The first server faulted: its derating must not reach the
+    // servers copied from it.
+    CirculationHealth first;
+    first.resizeServers(n);
+    first.teg_open[0] = 1;
+    // An open and a short on one server (open wins), and a short
+    // next to it.
+    CirculationHealth both;
+    both.resizeServers(n);
+    both.teg_open[2] = 1;
+    both.tegs_shorted[2] = 3;
+    both.tegs_shorted[3] = 1;
+    // Every string shorted, one beyond its device count.
+    CirculationHealth all_shorted;
+    all_shorted.resizeServers(n);
+    for (size_t i = 0; i < n; ++i)
+        all_shorted.tegs_shorted[i] = i + 1;
+    all_shorted.tegs_shorted[n - 1] = 40;
+    // Materialized lanes with no string faulted.
+    CirculationHealth intact;
+    intact.resizeServers(n);
+
+    const std::vector<double> balanced(n, 0.7);
+    const std::vector<double> zeros = {0.0, -0.0, -0.0, 0.0,
+                                       -0.0, 0.0, -0.0};
+    std::vector<double> spread = spreadUtils(n);
+    const struct Case
+    {
+        const char *name;
+        const CirculationHealth &health;
+        size_t faulted;
+    } cases[] = {{"first", first, 1},
+                 {"open and short", both, 2},
+                 {"all shorted", all_shorted, n},
+                 {"intact lanes", intact, 0}};
+    for (const Case &k : cases) {
+        for (double fouling : {0.0, 0.11}) {
+            SCOPED_TRACE(std::string(k.name) + ", fouling " +
+                         std::to_string(fouling));
+            CirculationHealth h = k.health;
+            h.fouling_kpw = fouling;
+            for (const std::vector<double> &u : {balanced, zeros, spread}) {
+                const test::LoopState got =
+                    test::evaluate(loop, u, setting, &h);
+                expectSameCirculation(refEvaluate(loop, u, setting, &h),
+                                      got);
+                EXPECT_EQ(got.faulted_servers, fouling > 0.0 ? n : k.faulted);
+                for (size_t i = 0; i < n; ++i)
+                    EXPECT_EQ(std::signbit(got.servers.util[i]),
+                              std::signbit(u[i]))
+                        << "server " << i;
+            }
+        }
+    }
+
+    // Servers copied from a faulted first server keep the healthy
+    // harvest and lose nothing.
+    const test::LoopState got =
+        test::evaluate(loop, balanced, setting, &first);
+    EXPECT_TRUE(sameBits(got.servers.teg_power_w[0], 0.0));
+    EXPECT_TRUE(sameBits(got.servers.teg_power_lost_w[0],
+                         healthy.servers.teg_power_w[0]));
+    for (size_t i = 1; i < n; ++i) {
+        EXPECT_TRUE(sameBits(got.servers.teg_power_w[i],
+                             healthy.servers.teg_power_w[i]))
+            << "server " << i;
+        EXPECT_TRUE(sameBits(got.servers.teg_power_lost_w[i], 0.0))
+            << "server " << i;
+        EXPECT_FALSE(got.servers.faulted[i]) << "server " << i;
+    }
 }
 
 TEST(SoaKernelTest, DegradedPumpMatchesScalarServerBitwise)
@@ -457,8 +552,8 @@ TEST(SoaKernelTest, MixedFaultsOnOneLaneMatchScalar)
 
     CirculationHealth health;
     health.pump_flow_factor = 0.6;
+    health.fouling_kpw = 0.1;
     health.resizeServers(n);
-    health.fouling_kpw[1] = 0.1;
     health.teg_open[1] = 1;
     health.tegs_shorted[2] = 2;
 
@@ -476,21 +571,43 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     EXPECT_THROW(test::evaluate(loop, {0.5, 1.5, 0.5}, setting), Error);
     EXPECT_THROW(test::evaluate(loop, {0.5, -0.1, 0.5}, setting), Error);
 
-    // Negative fouling only rejects on a lane that is degraded some
-    // other way — mirroring ServerHealth::clean(), which treats
-    // non-positive fouling as pristine.
+    // Negative fouling only rejects where a faulted string degrades a
+    // server some other way — mirroring ServerHealth::clean(), which
+    // treats non-positive fouling as pristine. NaN fouling degrades
+    // every server and rejects, as on the scalar path.
     CirculationHealth negative_clean;
-    negative_clean.pump_flow_factor = 0.9; // forces the faulted path
-    negative_clean.resizeServers(n);
-    negative_clean.fouling_kpw[1] = -0.5;
+    negative_clean.pump_flow_factor = 0.9; // degrades the loop
+    negative_clean.fouling_kpw = -0.5;
     EXPECT_NO_THROW(
         test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &negative_clean));
+    negative_clean.resizeServers(n); // lanes, but no string faulted
+    EXPECT_NO_THROW(
+        test::evaluate(loop, {0.2, 0.5, 0.5}, setting, &negative_clean));
+    const Server server;
+    ServerHealth scalar_negative;
+    scalar_negative.fouling_kpw = -0.5;
+    EXPECT_NO_THROW(server.evaluate(0.5, 45.0, 50.0, 20.0, scalar_negative));
+    scalar_negative.teg_open = true;
+    EXPECT_THROW(server.evaluate(0.5, 45.0, 50.0, 20.0, scalar_negative),
+                 Error);
 
     CirculationHealth negative_faulted = negative_clean;
     negative_faulted.teg_open[1] = 1;
+    // A balanced and an unbalanced loop whose first server is clean.
     EXPECT_THROW(
         test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &negative_faulted),
         Error);
+    EXPECT_THROW(
+        test::evaluate(loop, {0.2, 0.5, 0.5}, setting, &negative_faulted),
+        Error);
+    CirculationHealth nan_fouled;
+    nan_fouled.fouling_kpw = std::nan("");
+    EXPECT_THROW(
+        test::evaluate(loop, {0.5, 0.5, 0.5}, setting, &nan_fouled),
+        Error);
+    ServerHealth scalar_nan;
+    scalar_nan.fouling_kpw = std::nan("");
+    EXPECT_THROW(server.evaluate(0.5, 45.0, 50.0, 20.0, scalar_nan), Error);
 
     // A uniform segment (evaluated once) fails with the same texts.
     const auto error = [&](const std::vector<double> &utils,
@@ -509,15 +626,16 @@ TEST(SoaKernelTest, RejectsBadUtilAndNegativeFouling)
     EXPECT_EQ(error({-0.1, -0.1, -0.1}, nullptr),
               error({-0.1, 0.5, 0.5}, nullptr));
     CirculationHealth all_negative;
+    all_negative.fouling_kpw = -0.5;
     all_negative.resizeServers(n);
-    for (size_t i = 0; i < n; ++i) {
-        all_negative.fouling_kpw[i] = -0.5;
+    for (size_t i = 0; i < n; ++i)
         all_negative.teg_open[i] = 1;
-    }
     EXPECT_EQ(error({0.5, 0.5, 0.5}, &all_negative),
               "fouling resistance must be non-negative");
     EXPECT_EQ(error({0.5, 0.5, 0.5}, &all_negative),
               error({0.5, 0.5, 0.5}, &negative_faulted));
+    EXPECT_EQ(error({0.5, 0.5, 0.5}, &nan_fouled),
+              error({0.2, 0.5, 0.5}, &negative_faulted));
 }
 
 // --------------------------------------------- randomized property
@@ -541,7 +659,7 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
         for (double &u : utils)
             u = util_d(rng);
         // Every third trial is a balanced loop; every sixth also has
-        // one fault lane throughout.
+        // one string fault throughout. Fouling is drawn per loop.
         if (trial % 3 == 0)
             std::fill(utils.begin(), utils.end(), utils[0]);
         CoolingSetting setting{tin_d(rng), flow_d(rng)};
@@ -558,17 +676,17 @@ TEST(SoaKernelTest, RandomizedSweepMatchesScalarBitwise)
         CirculationHealth health;
         if (coin(rng) == 0)
             health.pump_flow_factor = pump_d(rng);
+        if (coin(rng) == 0)
+            health.fouling_kpw = fouling_d(rng);
         health.resizeServers(n);
         for (size_t i = 0; i < n; ++i) {
             if (coin(rng) == 0)
-                continue; // leave the lane clean
-            health.fouling_kpw[i] = fouling_d(rng);
+                continue; // leave the string intact
             health.teg_open[i] = coin(rng) == 0 ? 1 : 0;
             health.tegs_shorted[i] = shorted_d(rng);
         }
         if (trial % 6 == 0)
             for (size_t i = 1; i < n; ++i) {
-                health.fouling_kpw[i] = health.fouling_kpw[0];
                 health.teg_open[i] = health.teg_open[0];
                 health.tegs_shorted[i] = health.tegs_shorted[0];
             }
@@ -617,8 +735,8 @@ TEST(SoaKernelTest, ShortLastLoopMatchesScalarBitwise)
         health.circulations.resize(loops);
         health.circulations.back().pump_flow_factor = 0.35;
         CirculationHealth &middle = health.circulations[loops / 2];
+        middle.fouling_kpw = 0.12;
         middle.resizeServers(f.per_loop);
-        middle.fouling_kpw[1] = 0.12;
         middle.teg_open[3] = 1;
         middle.tegs_shorted[5] = 4;
         {
@@ -646,25 +764,26 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
     // A balanced loop: one utilization, evaluated once and copied.
     const std::vector<double> balanced(n, 0.81);
 
-    CirculationHealth faults;
-    faults.resizeServers(n);
-    faults.fouling_kpw[2] = 0.15;
-    faults.teg_open[9] = 1;
-    faults.tegs_shorted[20] = 5;
-    faults.fouling_kpw[35] = 0.4;
-    faults.tegs_shorted[35] = 1;
+    CirculationHealth strings;
+    strings.resizeServers(n);
+    strings.teg_open[2] = 1;
+    strings.tegs_shorted[2] = 2;
+    strings.teg_open[9] = 1;
+    strings.tegs_shorted[20] = 5;
+    strings.tegs_shorted[35] = 1;
     CirculationHealth uniform_faults;
+    uniform_faults.fouling_kpw = 0.15;
     uniform_faults.resizeServers(n);
-    for (size_t i = 0; i < n; ++i) {
-        uniform_faults.fouling_kpw[i] = 0.15;
+    for (size_t i = 0; i < n; ++i)
         uniform_faults.tegs_shorted[i] = 5;
-    }
+    CirculationHealth fouled;
+    fouled.fouling_kpw = 0.15;
 
     struct Case
     {
         const char *name;
         const std::vector<double> &utils;
-        ServerHealthLanes lanes;
+        SegmentHealth health;
         size_t offset;
         size_t count;
         double flow_lph;
@@ -677,12 +796,15 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
     const Case cases[] = {
         {"clean", utils, {}, 0, n, 50.0, 45.0, 0},
         {"clean hot", utils, {}, 0, n, 12.0, 45.0, 0},
-        {"faulted", utils, faults.lanes(), 0, n, 40.0, 48.0, 4},
-        {"faulted hot", utils, faults.lanes(), 0, n, 12.0, 45.0, 4},
+        {"strings", utils, strings.segment(), 0, n, 40.0, 48.0, 4},
+        {"strings hot", utils, strings.segment(), 0, n, 12.0, 45.0, 4},
+        {"fouled", utils, fouled.segment(), 0, n, 40.0, 48.0, n},
         {"short segment", utils, {}, n + 2, 3, 30.0, 50.0, 0},
         {"balanced", balanced, {}, 0, n, 50.0, 45.0, 0},
         {"balanced hot", balanced, {}, 0, n, 12.0, 45.0, 0},
-        {"balanced faulted", balanced, uniform_faults.lanes(), 0, n, 40.0,
+        {"balanced strings", balanced, strings.segment(), 0, n, 40.0, 48.0,
+         4},
+        {"balanced faulted", balanced, uniform_faults.segment(), 0, n, 40.0,
          48.0, n},
     };
     ServerStateBlock out;
@@ -693,7 +815,7 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
         const ServerBlock::Coeffs c =
             block.coefficients(k.flow_lph, k.t_in_c, 20.0);
         const ServerBlock::Totals got = block.evaluate(
-            k.utils.data(), k.count, c, k.lanes, out, k.offset);
+            k.utils.data(), k.count, c, k.health, out, k.offset);
 
         ServerBlock::Totals want;
         for (size_t i = k.offset; i < k.offset + k.count; ++i) {
@@ -719,7 +841,7 @@ TEST(SoaKernelTest, EvaluateTotalsMatchIndexOrderScalarSums)
             saw_unsafe = true;
             EXPECT_TRUE(out.safe[k.offset + k.count - 1]);
         }
-        if (k.lanes.allHealthy()) {
+        if (!k.health.hasStringLanes()) {
             EXPECT_TRUE(sameBits(got.teg_power_lost_w, 0.0));
         }
         EXPECT_EQ(got.faulted_servers, k.faulted);
@@ -885,6 +1007,7 @@ TEST(SoaKernelTest, StateBlockAccessorRangeCheck)
 TEST(SoaKernelTest, HealthLanesRoundTripThroughAosAccessors)
 {
     CirculationHealth h;
+    h.fouling_kpw = 0.12;
     h.resizeServers(4);
     ServerHealth s;
     s.teg_open = true;
@@ -896,8 +1019,20 @@ TEST(SoaKernelTest, HealthLanesRoundTripThroughAosAccessors)
     EXPECT_TRUE(back.teg_open);
     EXPECT_EQ(back.tegs_shorted, 2u);
     EXPECT_DOUBLE_EQ(back.fouling_kpw, 0.12);
-    EXPECT_TRUE(test::serverHealth(h, 0).clean());
+    // Every server carries the loop's fouling.
+    const ServerHealth other = test::serverHealth(h, 0);
+    EXPECT_FALSE(other.teg_open);
+    EXPECT_EQ(other.tegs_shorted, 0u);
+    EXPECT_DOUBLE_EQ(other.fouling_kpw, 0.12);
     EXPECT_FALSE(h.clean());
+    s.fouling_kpw = 0.2;
+    EXPECT_THROW(test::setServerHealth(h, 1, s), Error);
+
+    h.fouling_kpw = 0.0;
+    EXPECT_TRUE(test::serverHealth(h, 0).clean());
+    h.teg_open[2] = 0;
+    h.tegs_shorted[2] = 0;
+    EXPECT_TRUE(h.clean());
 }
 
 // ----------------------------------- checkpoint through the SoA path

@@ -1,7 +1,7 @@
 /**
  * @file
  * Test helpers: one server of the fleet-wide structure-of-arrays
- * blocks (ServerStateBlock, CirculationHealth's fault lanes) as the
+ * blocks (ServerStateBlock, CirculationHealth's string lanes) as the
  * whole-server structs the scalar reference chain speaks.
  */
 
@@ -37,25 +37,39 @@ serverAt(const cluster::ServerStateBlock &block, size_t i)
     return s;
 }
 
-/** Server @p i's fault lanes of @p health as one ServerHealth. */
+/**
+ * Server @p i of @p health as one ServerHealth: its string lanes (when
+ * materialized) and the loop's fouling.
+ */
 inline cluster::ServerHealth
 serverHealth(const cluster::CirculationHealth &health, size_t i)
 {
     cluster::ServerHealth h;
-    h.teg_open = health.teg_open[i] != 0;
-    h.tegs_shorted = health.tegs_shorted[i];
-    h.fouling_kpw = health.fouling_kpw[i];
+    if (health.hasServerLanes()) {
+        expect(i < health.numServers(), "server ", i,
+               " out of range (lanes cover ", health.numServers(), ")");
+        h.teg_open = health.teg_open[i] != 0;
+        h.tegs_shorted = health.tegs_shorted[i];
+    }
+    h.fouling_kpw = health.fouling_kpw;
     return h;
 }
 
-/** Scatter @p h into server @p i's fault lanes of @p health. */
+/**
+ * Scatter @p h's string faults into server @p i's lanes of @p health
+ * (materialized). Fouling is one value per loop, so @p h must carry
+ * the loop's.
+ */
 inline void
 setServerHealth(cluster::CirculationHealth &health, size_t i,
                 const cluster::ServerHealth &h)
 {
+    expect(i < health.numServers(), "server ", i,
+           " out of range (lanes cover ", health.numServers(), ")");
+    expect(h.fouling_kpw == health.fouling_kpw,
+           "fouling is one value per loop");
     health.teg_open[i] = h.teg_open ? 1 : 0;
     health.tegs_shorted[i] = h.tegs_shorted;
-    health.fouling_kpw[i] = h.fouling_kpw;
 }
 
 } // namespace test
